@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-batch bench-kernels bench-kernels-profile bench-guard bench-guard-kernels bench-acs bench-guard-acs experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-batch bench-kernels bench-kernels-profile bench-guard bench-guard-kernels bench-acs bench-guard-acs bench-check experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -69,6 +69,12 @@ bench-acs:
 # `go run ./scripts -acs -update`.
 bench-guard-acs:
 	$(GO) run ./scripts -acs
+
+# The benchmark program (benchmark/, its own module, which the root's
+# build/test/lint patterns do not see) must keep compiling against the
+# library and agreeing with BENCHMARK.json: vet it and run its tests.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Regenerate every experiment table (E1-E21); fails if any claim breaks.
 experiments:

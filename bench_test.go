@@ -64,8 +64,12 @@ func BenchmarkE14Containment(b *testing.B)    { benchExperiment(b, "E14") }
 
 // --- Ablation micro-benchmarks ---
 
-// delta* solver: closed form (Lemma 13) vs generic iterative minimax.
+// delta* solver: closed form (Lemma 13) vs the cutting-plane loop on the
+// same simplex (four facets, so four Wolfe solves per iterate). The memo
+// cache is off: with it on, every iteration after the first is a lookup.
 func BenchmarkDeltaStarClosedForm(b *testing.B) {
+	minimax.SetCaching(false)
+	defer minimax.SetCaching(true)
 	rng := rand.New(rand.NewSource(21))
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()
@@ -75,6 +79,8 @@ func BenchmarkDeltaStarClosedForm(b *testing.B) {
 }
 
 func BenchmarkDeltaStarIterative(b *testing.B) {
+	minimax.SetCaching(false)
+	defer minimax.SetCaching(true)
 	rng := rand.New(rand.NewSource(21))
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()

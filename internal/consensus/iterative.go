@@ -204,12 +204,27 @@ func projectIntoIntersection(pt vec.V, fam []*vec.Set) vec.V {
 	if worstOf(pt) <= tol {
 		return pt
 	}
-	// Sliver regime: polish with the generic minimax solver seeded here.
+	// Sliver regime: the minimax solver, seeded here, brackets the least
+	// attainable worst distance. Nothing moves unless the improvement is
+	// larger than what the bracket leaves undecided. The solver's point
+	// can lie anywhere in the region it certifies, while the contraction
+	// needs the safe point to stay where the centroid put it: F is convex
+	// on the segment towards it, so bisect for the first point that
+	// reaches the solver's level.
 	res := minimax.MinMaxDist2(fam, pt)
-	if res.Delta < worstOf(pt) {
-		return res.Point
+	if worstOf(pt)-res.Delta <= res.Delta-res.Lower {
+		return pt
 	}
-	return pt
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 50; i++ {
+		// Uncached: these probe points never repeat.
+		if mid := (lo + hi) / 2; minimax.MaxDist2(vec.Lerp(pt, res.Point, mid), fam) <= res.Delta {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return vec.Lerp(pt, res.Point, hi)
 }
 
 // RunIterativeBVC runs the iterative protocol for the configured number

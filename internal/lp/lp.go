@@ -82,6 +82,12 @@ type Result struct {
 	Status    Status
 	X         []float64 // values of the original variables (valid when Optimal)
 	Objective float64   // objective value in the original sense (valid when Optimal)
+	// Dual[i] is the multiplier of the i-th constraint added: the rate at
+	// which the optimal Objective changes per unit of that constraint's
+	// right-hand side (valid when Optimal; a subgradient at a degenerate
+	// optimum). Read off the final basis, it is feasible for the dual LP
+	// to the solver's tolerance.
+	Dual []float64
 }
 
 type constraint struct {
@@ -287,6 +293,11 @@ type standard struct {
 	orig   *Problem
 	artRow []bool // rows that required an artificial in phase 1
 	ws     *workspace
+	// dual recipe: the multiplier of original constraint i is
+	// dualSign[i] times the final reduced cost of column dualCol[i] (its
+	// slack or surplus column, or its artificial when it has neither).
+	dualCol  []int
+	dualSign []float64
 	// capture, when non-nil, receives the final basis of an Optimal
 	// solve (if it is all-structural) for reuse by SolveWarm. It never
 	// influences the solve itself.
@@ -347,6 +358,7 @@ func (p *Problem) standardize(ws *workspace) (*standard, error) {
 		coef []float64
 		rel  Rel
 		rhs  float64
+		neg  bool // negated to make rhs non-negative
 	}
 	trans := make([]rowData, 0, m)
 	ubIdx := 0
@@ -389,6 +401,7 @@ func (p *Problem) standardize(ws *workspace) (*standard, error) {
 				trans[i].coef[j] = -trans[i].coef[j]
 			}
 			trans[i].rhs = -trans[i].rhs
+			trans[i].neg = true
 			switch trans[i].rel {
 			case LE:
 				trans[i].rel = GE
@@ -409,11 +422,15 @@ func (p *Problem) standardize(ws *workspace) (*standard, error) {
 	a := make([][]float64, m)
 	b := ws.floats(m)
 	artRow := make([]bool, m)
-	sIdx := ncols
+	dualCol := ws.ints(len(p.cons))
+	dualSign := ws.floats(len(p.cons))
+	sIdx, artIdx := ncols, total
 	for i, r := range trans {
 		a[i] = ws.floats(total)
 		copy(a[i], r.coef)
 		b[i] = r.rhs
+		// A zero-cost column +-e_i has reduced cost -+pi_i.
+		col, sign := sIdx, -1.0
 		switch r.rel {
 		case LE:
 			a[i][sIdx] = 1
@@ -421,9 +438,20 @@ func (p *Problem) standardize(ws *workspace) (*standard, error) {
 		case GE:
 			a[i][sIdx] = -1
 			sIdx++
+			sign = 1
 			artRow[i] = true
 		case EQ:
+			col = artIdx
 			artRow[i] = true
+		}
+		if artRow[i] {
+			artIdx++
+		}
+		if i < len(p.cons) {
+			if r.neg != (p.sense == Maximize) {
+				sign = -sign
+			}
+			dualCol[i], dualSign[i] = col, sign
 		}
 	}
 
@@ -455,7 +483,7 @@ func (p *Problem) standardize(ws *workspace) (*standard, error) {
 	return &standard{
 		m: m, n: total, a: a, b: b, c: c,
 		terms: terms, shift: shift, sign: sign, orig: p, artRow: artRow,
-		ws: ws,
+		ws: ws, dualCol: dualCol, dualSign: dualSign,
 	}, nil
 }
 

@@ -56,7 +56,11 @@ func (s *standard) solve() *Result {
 	if s.capture != nil {
 		s.capture.store(t.basis, s.m, s.n)
 	}
-	return &Result{Status: Optimal, X: y, Objective: t.val2}
+	dual := make([]float64, len(s.dualCol))
+	for i, col := range s.dualCol {
+		dual[i] = s.dualSign[i] * t.obj2[col]
+	}
+	return &Result{Status: Optimal, X: y, Objective: t.val2, Dual: dual}
 }
 
 func newTableau(s *standard) *tableau {

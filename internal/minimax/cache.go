@@ -5,13 +5,12 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// DeltaStar2 is the most expensive kernel in the library: the iterative
-// path runs subgradient descent plus Nelder-Mead polishing, each step
-// solving a Wolfe min-norm-point per dropped subset. Every step of the
-// solver is deterministic in (S, f), and consensus sweeps re-ask the
-// same instance across processes and trials, so a memo table keyed on
-// the exact binary encoding of the inputs returns bit-identical results
-// for free. Safe for concurrent use; on by default.
+// Every iterate of the cutting-plane loop solves a Wolfe min-norm-point
+// per dropped subset, C(n,f) of them. Every step of the solver is
+// deterministic in (S, f), and consensus sweeps re-ask the same instance
+// across processes and trials, so a memo table keyed on the exact binary
+// encoding of the inputs returns bit-identical results for free. Safe
+// for concurrent use; on by default.
 var cache = memo.New(0)
 
 func init() { cache.RegisterMetrics("minimax") }

@@ -6,8 +6,22 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/par"
+	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/vec"
 )
+
+// minParallelFamily is the smallest subset family for which the probes
+// fan the per-set hull-distance solves out over the kernel workers; below
+// it the hand-off costs more than the solves. Every parallel path reduces
+// in index order with the same comparisons as the sequential loop, so
+// results are bit-identical for any worker count.
+const minParallelFamily = 8
+
+// distHit is one per-set distance probe result.
+type distHit struct {
+	d    float64
+	near vec.V
+}
 
 // MaxDistP evaluates F(x) = max over the family of dist_p(x, H(set)).
 // Like MaxDist2, it bypasses the geometry memo cache: solver iterates
@@ -30,7 +44,9 @@ func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
 	return m
 }
 
-// familyDistsPInto is familyDistsInto for a general Lp norm.
+// familyDistsPInto evaluates dist_p(x, H(sets_i)) for every i, in index
+// order, on the kernel workers when the family is large enough, reusing
+// dst's storage: the descent calls it once per step.
 func familyDistsPInto(dst []distHit, x vec.V, sets []*vec.Set, p float64, workers int) []distHit {
 	if workers > 1 && len(sets) >= minParallelFamily {
 		return par.MapInto(dst, len(sets), workers, func(i int) distHit {
@@ -66,7 +82,7 @@ func DeltaStarP(s *vec.Set, f int, p float64) Result {
 	if p < 1 {
 		panic("minimax: DeltaStarP requires p >= 1")
 	}
-	fam := droppedSubsets(s, f)
+	fam := relax.DroppedSubsets(s, f)
 	// Seed from the L2 solution: the minimizers for different norms are
 	// close, and delta*_p is Lipschitz in x.
 	seed := DeltaStar2(s, f).Point
@@ -74,7 +90,9 @@ func DeltaStarP(s *vec.Set, f int, p float64) Result {
 }
 
 // minMaxDistP minimizes F(x) = max_i dist_p(x, H(sets_i)) by subgradient
-// descent plus Nelder-Mead polish, mirroring MinMaxDist2 for general p.
+// descent plus a Nelder-Mead polish. The Frank-Wolfe distances are
+// inexact, so cuts from them would not be valid lower bounds: the result
+// carries no certificate (Lower = 0, Converged = false).
 func minMaxDistP(sets []*vec.Set, p float64, seedPoints ...vec.V) Result {
 	if len(sets) == 0 {
 		panic("minimax: empty family")
@@ -175,8 +193,8 @@ func lpGradient(r vec.V, p float64) vec.V {
 	return g
 }
 
-// nelderMeadOn is the generic Nelder-Mead used by the Lp solver (the L2
-// path keeps its specialized twin for allocation reasons).
+// nelderMeadOn runs a standard Nelder-Mead simplex search on f starting
+// from x0 with the given initial spread.
 func nelderMeadOn(f func(vec.V) float64, x0 vec.V, spread float64) (vec.V, float64) {
 	d := x0.Dim()
 	type vert struct {

@@ -9,66 +9,36 @@
 //   - the exact closed form of Lemma 13 (inscribed-sphere radius) for the
 //     f = 1, n = d+1, affinely independent case, together with the
 //     Theorem 8 projection shortcut (delta* = 0) for dependent inputs; and
-//   - a generic iterative solver (subgradient descent with a Nelder-Mead
-//     polish) valid for every n, f.
+//   - a cutting-plane loop valid for every n, f, which brackets delta*
+//     between a certified lower bound and the value at the returned point.
 //
-// The iterative solver is cross-validated against the closed form (E7)
-// and against the exact LP values of delta*_1 and delta*_inf, which
-// bracket delta*_2.
+// The loop is cross-validated against the closed form (E7), against a
+// frozen table of the heuristic it replaced (testdata/), and against the
+// exact LP values of delta*_1 and delta*_inf, which bracket delta*_2.
 package minimax
 
 import (
 	"math"
-	"sort"
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/linalg"
-	"relaxedbvc/internal/par"
+	"relaxedbvc/internal/lp"
+	"relaxedbvc/internal/metrics"
+	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/simplexgeo"
 	"relaxedbvc/internal/vec"
 )
 
-// minParallelFamily is the smallest subset family for which the δ*
-// probes fan the per-set hull-distance solves out over the kernel
-// workers; below it the hand-off costs more than the solves. Every
-// parallel path reduces in index order with the same comparisons as the
-// sequential loop, so results are bit-identical for any worker count.
-const minParallelFamily = 8
-
-// distHit is one per-set distance probe result.
-type distHit struct {
-	d    float64
-	near vec.V
-}
-
-// familyDistsInto evaluates dist_2(x, H(sets_i)) for every i, on the
-// kernel workers when the family is large enough, writing into dst's
-// backing storage when it is large enough. Results are index-ordered.
-// The descent loops call this hundreds of times per solve; reusing one
-// buffer keeps those iterations allocation-free.
-func familyDistsInto(dst []distHit, x vec.V, sets []*vec.Set, workers int) []distHit {
-	if workers > 1 && len(sets) >= minParallelFamily {
-		return par.MapInto(dst, len(sets), workers, func(i int) distHit {
-			d, near := geom.Dist2Uncached(x, sets[i])
-			return distHit{d: d, near: near}
-		})
-	}
-	if cap(dst) < len(sets) {
-		dst = make([]distHit, len(sets))
-	}
-	dst = dst[:len(sets)]
-	for i, s := range sets {
-		d, near := geom.Dist2Uncached(x, s)
-		dst[i] = distHit{d: d, near: near}
-	}
-	return dst
-}
-
-// Result is the outcome of a delta* computation.
+// Result is the outcome of a delta* computation. Delta is the value at
+// Point, so (Delta,2)-relaxed validity of Point never depends on how
+// tight the bracket Lower <= delta* <= Delta is. The general-p descent
+// certifies nothing: it leaves Lower = 0 and Converged = false.
 type Result struct {
-	Delta float64 // the minimax value delta*_2
-	Point vec.V   // an attaining (or near-attaining) point p0
-	Exact bool    // true when computed by closed form rather than iteration
+	Delta     float64 // max_i dist_2(Point, H(P_i)): an upper bound on delta*_2
+	Lower     float64 // certified lower bound on delta*_2 (== Delta when Exact)
+	Point     vec.V   // the point attaining Delta
+	Exact     bool    // true when computed by closed form rather than iteration
+	Converged bool    // Delta - Lower is within the solver's gap tolerance
 }
 
 // MaxDist2 evaluates F(x) = max over the family of dist_2(x, H(set)).
@@ -77,207 +47,238 @@ type Result struct {
 // (The solvers' end results are memoized one level up, in this
 // package's own cache.)
 func MaxDist2(x vec.V, sets []*vec.Set) float64 {
-	if workers := par.KernelWorkers(); workers > 1 && len(sets) >= minParallelFamily {
-		// Exact float max is order-independent, so the parallel
-		// reduction is bit-identical to the sequential scan.
-		return par.MaxFloat(len(sets), workers, func(i int) float64 {
-			d, _ := geom.Dist2Uncached(x, sets[i])
-			return d
-		})
-	}
 	m := 0.0
 	for _, s := range sets {
-		if d, _ := geom.Dist2Uncached(x, s); d > m {
-			m = d
-		}
+		d, _ := geom.Dist2Uncached(x, s)
+		m = math.Max(m, d)
 	}
 	return m
 }
 
+const (
+	// gapTol is the certified gap Delta - Lower at which the loop stops,
+	// relative to the family's spread. Wolfe's min-norm solves stop at a
+	// 1e-9 relative slack, so the bracket cannot be resolved much below it.
+	gapTol = 1e-8
+	// maxBundleIters bounds the loop. Random instances of the protocols'
+	// shapes take 3-30 iterations; singletons in d = 5 (a smallest
+	// enclosing ball, smooth in most directions) up to 100.
+	maxBundleIters = 250
+	// maxBundleCuts is the size past which cuts without weight in the
+	// master's solution are dropped (at most d+1 carry weight). A cut is
+	// a column of the dual master, so a large bundle is cheap; a cap below
+	// a few probes' worth (C(n,f) cuts each) makes the loop forget and
+	// cycle.
+	maxBundleCuts = 1024
+)
+
+var (
+	bundleIterations   = metrics.DefaultHistogram("minimax_bundle_iterations", metrics.CountBuckets())
+	bundleNotConverged = metrics.DefaultCounter("minimax_bundle_not_converged_total")
+)
+
+// cut is a supporting hyperplane of one family member's distance
+// function: dist(q, H(P_i)) >= u.q - support for every q, with support =
+// max_{v in P_i} u.v. That holds for any unit u, however accurately Wolfe
+// located the nearest point that suggested it.
+type cut struct {
+	u       vec.V
+	support float64
+	probe   int // the probe that produced it
+}
+
+// bundle is the state of one solve. Cuts and the master LP live in box
+// units q = (p - center)/half, tau = t/half, so the LP's coefficients and
+// tolerances are O(1) whatever the inputs' offset and spread. The box is
+// the inputs' bounding box: conv(S) holds a minimiser.
+type bundle struct {
+	sets         []*vec.Set
+	lo, hi       vec.V   // the box
+	center       vec.V   // its midpoint
+	half         float64 // its largest half-width
+	width        vec.V   // its half-widths: |q_j| <= width_j/half
+	tol          float64 // absolute gap tolerance
+	cuts         []cut
+	master       *lp.Problem
+	best         vec.V
+	upper, lower float64
+	probes       int
+}
+
 // MinMaxDist2 minimizes F(x) = max_i dist_2(x, H(sets_i)) over x in R^d
-// by subgradient descent from several warm starts followed by a
-// Nelder-Mead polish. The returned value is an upper bound on the true
-// minimax value, typically accurate to ~1e-6 relative at the scales used
-// in this library.
+// by a multi-cut cutting-plane (Kelley) loop. Each iterate x costs one
+// Wolfe evaluation per set and yields F(x) (an upper bound, and the
+// incumbent if it improves) plus a globally valid cut for every set at or
+// above the current lower bound. The master LP, min t over the cuts
+// inside the box, supplies the next iterate and the lower bound. The loop
+// stops at a certified gap; if the LP reports no optimum or the iteration
+// cap is hit, the incumbent is returned with Converged = false.
+//
+// seedPoints are evaluated first, in order (default: the box centre). The
+// incumbent only moves to a strictly better point, so a seed already
+// optimal within the gap is returned as is. Sequential and deterministic.
 func MinMaxDist2(sets []*vec.Set, seedPoints ...vec.V) Result {
 	if len(sets) == 0 {
 		panic("minimax: empty family")
 	}
-	d := sets[0].Dim()
-
-	// Warm starts: global centroid, a deterministic sample of per-set
-	// centroids (capped so the cost does not scale with the family size),
-	// and caller seeds.
-	var starts []vec.V
-	var all []vec.V
-	for _, s := range sets {
-		all = append(all, s.Points()...)
-	}
-	starts = append(starts, vec.Mean(all))
-	const maxSetStarts = 4
-	stride := 1
-	if len(sets) > maxSetStarts {
-		stride = len(sets) / maxSetStarts
-	}
-	for i := 0; i < len(sets); i += stride {
-		starts = append(starts, vec.Mean(sets[i].Points()))
-		if len(starts) > maxSetStarts {
-			break
-		}
-	}
-	starts = append(starts, seedPoints...)
-
-	bestX := starts[0].Clone()
-	bestF := MaxDist2(bestX, sets)
-	scale := vec.NewSet(all...).MaxEdge(2)
-	if scale == 0 {
+	b := newBundle(sets)
+	if b.half == 0 {
 		// All inputs identical: that point achieves delta = 0.
-		return Result{Delta: 0, Point: all[0].Clone()}
+		return Result{Point: b.center, Converged: true}
 	}
-
-	// The warm starts are independent descents; run them on the kernel
-	// workers and reduce in start order — the same comparisons, in the
-	// same order, as the sequential loop.
-	type descent struct {
-		x vec.V
-		f float64
+	if len(seedPoints) == 0 {
+		seedPoints = []vec.V{b.center}
 	}
-	results := par.Map(len(starts), par.KernelWorkers(), func(i int) descent {
-		x, f := subgradientDescent(starts[i], sets, scale)
-		return descent{x: x, f: f}
-	})
-	for _, r := range results {
-		if r.f < bestF {
-			bestX, bestF = r.x, r.f
-		}
+	for _, x := range seedPoints {
+		b.probe(x.Clone())
 	}
-	x, f := nelderMead(bestX, sets, scale*0.05)
-	if f < bestF {
-		bestX, bestF = x, f
-	}
-	// Second, tighter polish around the refined point.
-	x, f = nelderMead(bestX, sets, scale*0.002)
-	if f < bestF {
-		bestX, bestF = x, f
-	}
-	_ = d
-	return Result{Delta: bestF, Point: bestX}
-}
-
-func subgradientDescent(x0 vec.V, sets []*vec.Set, scale float64) (vec.V, float64) {
-	x := x0.Clone()
-	bestX := x.Clone()
-	bestF := MaxDist2(x, sets)
-	step := scale / 4
-	workers := par.KernelWorkers()
-	var hits []distHit
-	const iters = 600
-	for k := 0; k < iters; k++ {
-		// Subgradient of the max: gradient of the farthest hull distance.
-		// The per-set probes run on the kernel workers; the first
-		// strictly-greater distance wins the index-ordered reduction,
-		// exactly as in the sequential scan.
-		var g vec.V
-		maxD := -1.0
-		hits = familyDistsInto(hits, x, sets, workers)
-		for _, h := range hits {
-			if h.d > maxD {
-				maxD = h.d
-				if h.d > 1e-14 {
-					g = x.Sub(h.near).Scale(1 / h.d)
-				} else {
-					g = vec.New(x.Dim())
-				}
-			}
-		}
-		if maxD < bestF {
-			bestF = maxD
-			bestX = x.Clone()
-		}
-		if maxD < 1e-12 {
-			return x, 0
-		}
-		if g.Norm2() < 1e-14 {
+	for !b.converged() && b.probes < maxBundleIters {
+		x, ok := b.solveMaster()
+		if !ok || b.converged() {
 			break
 		}
-		x = x.Sub(g.Scale(step))
-		step *= 0.988 // geometric decay reaches ~7e-4 of scale at the end
+		b.probe(x)
 	}
-	if f := MaxDist2(x, sets); f < bestF {
-		return x, f
+	bundleIterations.Observe(float64(b.probes))
+	if !b.converged() {
+		bundleNotConverged.Inc()
 	}
-	return bestX, bestF
+	// The bound is exact up to rounding: keep Lower <= Delta to the bit.
+	return Result{Delta: b.upper, Lower: math.Min(b.lower, b.upper), Point: b.best, Converged: b.converged()}
 }
 
-// nelderMead runs a standard Nelder-Mead simplex search on F starting
-// from x0 with the given initial spread.
-func nelderMead(x0 vec.V, sets []*vec.Set, spread float64) (vec.V, float64) {
-	d := x0.Dim()
-	type vert struct {
-		x vec.V
-		f float64
-	}
-	simplex := make([]vert, d+1)
-	simplex[0] = vert{x0.Clone(), MaxDist2(x0, sets)}
-	for i := 1; i <= d; i++ {
-		x := x0.Clone()
-		x[i-1] += spread
-		simplex[i] = vert{x, MaxDist2(x, sets)}
-	}
-	const (
-		alpha = 1.0
-		gamma = 2.0
-		rho   = 0.5
-		sigma = 0.5
-	)
-	evals := 0
-	maxEvals := 300 * (d + 1)
-	eval := func(x vec.V) float64 { evals++; return MaxDist2(x, sets) }
-	for evals < maxEvals {
-		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
-		if simplex[d].f-simplex[0].f < 1e-12*(1+simplex[0].f) {
-			break
-		}
-		// Centroid of all but worst.
-		c := vec.New(d)
-		for i := 0; i < d; i++ {
-			c.AddInPlace(simplex[i].x)
-		}
-		c = c.Scale(1 / float64(d))
-		worst := simplex[d]
-		refl := c.Add(c.Sub(worst.x).Scale(alpha))
-		fr := eval(refl)
-		switch {
-		case fr < simplex[0].f:
-			exp := c.Add(c.Sub(worst.x).Scale(gamma))
-			if fe := eval(exp); fe < fr {
-				simplex[d] = vert{exp, fe}
-			} else {
-				simplex[d] = vert{refl, fr}
-			}
-		case fr < simplex[d-1].f:
-			simplex[d] = vert{refl, fr}
-		default:
-			con := c.Add(worst.x.Sub(c).Scale(rho))
-			if fc := eval(con); fc < worst.f {
-				simplex[d] = vert{con, fc}
-			} else {
-				for i := 1; i <= d; i++ {
-					simplex[i].x = vec.Lerp(simplex[0].x, simplex[i].x, sigma)
-					simplex[i].f = eval(simplex[i].x)
-				}
+func newBundle(sets []*vec.Set) *bundle {
+	lo, hi := sets[0].At(0).Clone(), sets[0].At(0).Clone()
+	// The tolerance is relative to the tightest member's diameter, not
+	// the family's: delta* is at most that (for dropped-subset families),
+	// and f far Byzantine values cannot inflate it.
+	spread := math.Inf(1)
+	for _, s := range sets {
+		for _, v := range s.Points() {
+			for j, x := range v {
+				lo[j], hi[j] = math.Min(lo[j], x), math.Max(hi[j], x)
 			}
 		}
+		spread = math.Min(spread, s.MaxEdge(2))
 	}
-	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
-	return simplex[0].x, simplex[0].f
+	b := &bundle{sets: sets, lo: lo, hi: hi, center: vec.Lerp(lo, hi, 0.5), upper: math.Inf(1), master: lp.NewProblem(0)}
+	b.width = hi.Sub(b.center)
+	b.half = b.width.NormP(math.Inf(1))
+	if spread == 0 { // singletons, or a member of identical points
+		spread = 2 * b.half
+	}
+	b.tol = gapTol * spread
+	return b
+}
+
+func (b *bundle) converged() bool { return b.upper-b.lower <= b.tol }
+
+// probe evaluates the family at x: F(x) may improve the incumbent, and
+// every set at or above the lower bound contributes its cut (one below
+// it cannot be active at the optimum).
+func (b *bundle) probe(x vec.V) {
+	b.probes++
+	f := 0.0
+	for _, s := range b.sets {
+		d, near := geom.Dist2Uncached(x, s)
+		f = math.Max(f, d)
+		if d <= 0 || d < b.lower {
+			continue
+		}
+		u := x.Sub(near).Scale(1 / d)
+		support := math.Inf(-1)
+		for _, v := range s.Points() {
+			support = math.Max(support, u.Dot(v))
+		}
+		b.cuts = append(b.cuts, cut{u: u, support: (support - u.Dot(b.center)) / b.half, probe: b.probes})
+	}
+	if f < b.upper {
+		b.best, b.upper = x, f
+	}
+}
+
+// solveMaster solves the master LP, min tau s.t. tau >= u_i.q - support_i
+// for every cut and |q_j| <= w_j = width_j/half, through its dual
+//
+//	max  -sum_i lambda_i support_i - sum_j w_j |sum_i lambda_i u_ij|
+//	over lambda in the simplex,
+//
+// which has d+1 rows however many cuts there are; the dual's multipliers
+// are the master's minimiser, the next iterate. The lower bound is that
+// expression evaluated here, not by the LP, at the lambda it returned
+// (clipped and normalized into the simplex): by weak duality every such
+// value bounds the master, hence delta*, from below. So the bound needs
+// no trust in internal/lp, which does no residual check of its own: a
+// wrong answer makes the bound loose or the iterate poor and costs
+// iterations. ok = false when the LP reports no optimum.
+func (b *bundle) solveMaster() (x vec.V, ok bool) {
+	d, m := len(b.center), len(b.cuts)
+	p := b.master
+	p.Reset(m + 2*d) // lambda, then the positive and negative parts of sum_i lambda_i u_i
+	obj := make([]float64, m+2*d)
+	row := make([]float64, m+2*d)
+	for i, c := range b.cuts {
+		obj[i], row[i] = -c.support, 1
+	}
+	p.AddConstraint(row, lp.EQ, 1)
+	for j := 0; j < d; j++ {
+		clear(row)
+		for i, c := range b.cuts {
+			row[i] = c.u[j]
+		}
+		row[m+j], row[m+d+j] = -1, 1
+		p.AddConstraint(row, lp.EQ, 0)
+		obj[m+j], obj[m+d+j] = -b.width[j]/b.half, -b.width[j]/b.half
+	}
+	p.SetObjective(obj, lp.Maximize)
+	res, err := p.Solve()
+	if err != nil || res.Status != lp.Optimal {
+		return nil, false
+	}
+	sum, bound, slope := 0.0, 0.0, vec.New(d)
+	for i, c := range b.cuts {
+		w := math.Max(res.X[i], 0)
+		sum += w
+		bound -= w * c.support
+		slope.AXPY(w, c.u)
+	}
+	for j, g := range slope {
+		bound -= b.width[j] / b.half * math.Abs(g)
+	}
+	if sum <= 0 {
+		return nil, false
+	}
+	b.lower = math.Max(b.lower, bound/sum*b.half) // the bound is homogeneous in lambda
+	if m > maxBundleCuts {
+		// Cuts sit in probe order: keep the weighted ones and the newest,
+		// and all of the latest probe's, without which the master would
+		// propose the same point again.
+		from := m - maxBundleCuts
+		for from > 0 && b.cuts[from-1].probe == b.probes {
+			from--
+		}
+		kept := b.cuts[:0]
+		for i, c := range b.cuts {
+			if res.X[i] > 0 || i >= from {
+				kept = append(kept, c)
+			}
+		}
+		b.cuts = kept
+	}
+	// Row 1+j's multiplier is -q_j: relaxing sum_i lambda_i u_ij = 0 to
+	// eps moves the optimum by -eps q_j.
+	x = vec.New(d)
+	for j := range x {
+		x[j] = math.Min(math.Max(b.center[j]-b.half*res.Dual[1+j], b.lo[j]), b.hi[j])
+	}
+	return x, true
 }
 
 // DeltaStar2 computes delta*_2(S) for the Gamma family of Algorithm ALGO:
 // the (|S|-f)-subsets of S. When f = 1 and |S| = d+1 it uses the closed
 // forms of Lemma 13 (inradius of the input simplex) and Theorem 8
 // (delta* = 0 for affinely dependent inputs); otherwise it falls back to
-// the iterative minimax solver seeded with those insights.
+// the cutting-plane solver.
 func DeltaStar2(s *vec.Set, f int) Result {
 	if f < 1 || f >= s.Len() {
 		panic("minimax: DeltaStar2 requires 1 <= f < |S|")
@@ -288,34 +289,23 @@ func DeltaStar2(s *vec.Set, f int) Result {
 func deltaStar2(s *vec.Set, f int) Result {
 	if f == 1 && s.Len() == s.Dim()+1 {
 		if sx, err := simplexgeo.New(s.Points()); err == nil {
-			return Result{Delta: sx.Inradius(), Point: sx.Incenter(), Exact: true}
+			r := sx.Inradius()
+			return Result{Delta: r, Lower: r, Point: sx.Incenter(), Exact: true, Converged: true}
 		}
 		// Affinely dependent: Theorem 8 gives delta* = 0; a witness point
 		// lies in Gamma(S), which is non-empty after the distance-
 		// preserving projection to the spanned subspace. Find it directly.
 		if pt, ok := degenerateGammaPoint(s, f); ok {
-			return Result{Delta: 0, Point: pt, Exact: true}
+			return Result{Point: pt, Exact: true, Converged: true}
 		}
 	}
 	return DeltaStar2Iterative(s, f)
 }
 
-// DeltaStar2Iterative always uses the generic minimax solver (useful for
-// ablation against the closed forms).
+// DeltaStar2Iterative always uses the cutting-plane solver; E7 referees
+// it against the closed forms.
 func DeltaStar2Iterative(s *vec.Set, f int) Result {
-	return cachedDeltaStar(opDeltaIter, s, f, func() Result { return deltaStar2Iterative(s, f) })
-}
-
-func deltaStar2Iterative(s *vec.Set, f int) Result {
-	fam := droppedSubsets(s, f)
-	var seeds []vec.V
-	// Seed with the incenter when the inputs happen to form a simplex.
-	if f == 1 && s.Len() == s.Dim()+1 {
-		if sx, err := simplexgeo.New(s.Points()); err == nil {
-			seeds = append(seeds, sx.Incenter())
-		}
-	}
-	return MinMaxDist2(fam, seeds...)
+	return cachedDeltaStar(opDeltaIter, s, f, func() Result { return MinMaxDist2(relax.DroppedSubsets(s, f)) })
 }
 
 // degenerateGammaPoint finds a point in Gamma(S) when the inputs span a
@@ -329,21 +319,14 @@ func degenerateGammaPoint(s *vec.Set, f int) (vec.V, bool) {
 		proj[i] = sp.Project(p)
 	}
 	ps := vec.NewSet(proj...)
-	fam := droppedSubsets(ps, f)
-	res := MinMaxDist2(fam)
-	if res.Delta > 1e-7 {
+	res := MinMaxDist2(relax.DroppedSubsets(ps, f))
+	// A certified positive lower bound says the projected Gamma is empty
+	// (the projector kept a direction simplexgeo called dependent); an
+	// open bracket says nothing either way.
+	if !res.Converged || res.Lower > 1e-7*ps.MaxEdge(2) {
 		return nil, false
 	}
 	return sp.Lift(res.Point), true
-}
-
-func droppedSubsets(s *vec.Set, f int) []*vec.Set {
-	var fam []*vec.Set
-	vec.IndexSubsetsDroppingF(s.Len(), f, func(keep []int) bool {
-		fam = append(fam, s.Subset(keep))
-		return true
-	})
-	return fam
 }
 
 // Theorem9Bound returns the two upper bounds of Theorem 9 for f = 1,
