@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-batch bench-kernels bench-kernels-profile bench-guard bench-guard-kernels bench-acs bench-guard-acs bench-check experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-batch bench-kernels bench-kernels-profile bench-guard bench-guard-kernels bench-acs bench-guard-acs bench-check bench-step1 experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -75,6 +75,13 @@ bench-guard-acs:
 # library and agreeing with BENCHMARK.json: vet it and run its tests.
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Step 1 micro-benchmarks (allocations reported): one n=10 f=3
+# all-to-all EIG broadcast with a random liar, and the lockstep engine
+# alone under the same fan-out. The allocation ceiling itself is a
+# tier-1 test (TestEIGAllToAllAllocationCeiling).
+bench-step1:
+	$(GO) test -run '^$$' -bench 'EIGAllToAll|SyncEngineFanout' -benchmem ./internal/broadcast ./internal/sched
 
 # Regenerate every experiment table (E1-E21); fails if any claim breaks.
 experiments:

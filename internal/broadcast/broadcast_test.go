@@ -165,6 +165,9 @@ func TestEIGRejectsTooManyByzantine(t *testing.T) {
 	if _, err := RunAllToAllEIG(4, 1, honestInputs(3, "v"), nil, nil, nil); err == nil {
 		t.Error("wrong input count without error")
 	}
+	if _, err := RunAllToAllEIG(3, 3, honestInputs(3, "v"), nil, nil, nil); err == nil {
+		t.Error("f >= n without error")
+	}
 }
 
 func TestEIGVectorPayloads(t *testing.T) {

@@ -130,11 +130,18 @@ func decodePath(b []byte) ([]int, []byte, error) {
 	return path, b[2*l:], nil
 }
 
-func pathKey(path []int) string { return string(encodePath(path)) }
-
 func pathContains(path []int, id int) bool {
 	for _, p := range path {
 		if p == id {
+			return true
+		}
+	}
+	return false
+}
+
+func hasDuplicates(path []int) bool {
+	for k, id := range path {
+		if pathContains(path[:k], id) {
 			return true
 		}
 	}

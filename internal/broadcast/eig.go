@@ -1,8 +1,9 @@
 package broadcast
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/sched"
@@ -23,7 +24,9 @@ var (
 // broadcast. The honest value it would have relayed is provided; the
 // returned value is what it actually sends to the given recipient for the
 // given tree node. Returning nil suppresses the send (a crash/silence on
-// that edge).
+// that edge). Calls come in instance, then path (lexicographic), then
+// recipient order, so a behavior drawing from one RNG stream is
+// reproducible; path is valid only for the duration of the call.
 type EIGBehavior interface {
 	RelayValue(instance int, path []int, to int, honest []byte) []byte
 }
@@ -36,74 +39,93 @@ func (f EIGBehaviorFunc) RelayValue(instance int, path []int, to int, honest []b
 	return f(instance, path, to, honest)
 }
 
-// eigInstance is one EIG Byzantine-Generals tree at one process, for one
-// commander. Rounds are 1-based: round 1 is the commander's send; rounds
-// 2..f+1 relay the tree levels.
-type eigInstance struct {
-	n, f, commander, self int
-	instance              int
-	tree                  map[string][]byte // pathKey -> value
-	defaultVal            []byte
-	decided               []byte
-	done                  bool
+// eigLevel is level l of all n EIG trees at one process (one tree per
+// commander). Slot g holds the node whose path is the g-th l-permutation
+// of the process ids in lexicographic order: the commander is the
+// leading element, so instance c owns the c-th n-th of the level, and
+// the n-l children of slot g are slots g*(n-l) .. (g+1)*(n-l)-1 of
+// level l+1, ascending by the appended id. Slot order is therefore the
+// order of the big-endian encoded paths.
+type eigLevel struct {
+	vals  [][]byte // sub-slices of the delivered messages
+	has   []bool   // an empty value is still a stored node
+	count int      // stored nodes
+	size  int      // total length of the stored values
 }
 
-func newEIGInstance(n, f, commander, self, instance int, defaultVal []byte) *eigInstance {
-	return &eigInstance{
-		n: n, f: f, commander: commander, self: self, instance: instance,
-		tree: make(map[string][]byte), defaultVal: defaultVal,
+func (lv *eigLevel) put(g int, val []byte) {
+	if !lv.has[g] {
+		lv.has[g] = true
+		lv.count++
+	}
+	lv.size += len(val) - len(lv.vals[g])
+	lv.vals[g] = val // a duplicate or conflicting copy overwrites: last one wins
+}
+
+// slotOf returns the rank of path among the len(path)-permutations of
+// the n process ids; ok=false if an id is out of range or repeated.
+func slotOf(n int, path []int) (g int, ok bool) {
+	for k, id := range path {
+		if id < 0 || id >= n {
+			return 0, false
+		}
+		digit := id // ids below id not used by path[:k]
+		for _, earlier := range path[:k] {
+			if earlier == id {
+				return 0, false
+			}
+			if earlier < id {
+				digit--
+			}
+		}
+		g = g*(n-k) + digit
+	}
+	return g, true
+}
+
+// pathAt is the inverse of slotOf: it fills path with the
+// len(path)-permutation of rank g.
+func pathAt(n, g int, path []int) {
+	for k := len(path) - 1; k >= 0; k-- {
+		path[k] = g % (n - k)
+		g /= n - k
+	}
+	// path[k] now counts the unused ids below element k; right to left,
+	// re-insert each element into the numbering of those after it.
+	for k := len(path) - 2; k >= 0; k-- {
+		for j := k + 1; j < len(path); j++ {
+			if path[j] >= path[k] {
+				path[j]++
+			}
+		}
 	}
 }
 
-// levelNodes returns the stored tree nodes whose path length is l, in
-// deterministic order.
-func (e *eigInstance) levelNodes(l int) [][]int {
-	var keys []string
-	for k := range e.tree {
-		path, _, err := decodePath([]byte(k))
-		if err == nil && len(path) == l {
-			keys = append(keys, k)
+// majority returns the value a strict majority of vals holds (Boyer-Moore
+// vote, then a verifying count); ties and absence fall to def.
+func majority(vals [][]byte, def []byte) []byte {
+	var cand []byte
+	votes := 0
+	for _, v := range vals {
+		switch {
+		case votes == 0:
+			cand, votes = v, 1
+		case bytes.Equal(v, cand):
+			votes++
+		default:
+			votes--
 		}
 	}
-	sort.Strings(keys)
-	nodes := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		path, _, _ := decodePath([]byte(k))
-		nodes = append(nodes, path)
-	}
-	return nodes
-}
-
-// resolve computes the recursive majority at the given node.
-func (e *eigInstance) resolve(path []int) []byte {
-	if len(path) == eigDepth(e.f) {
-		if v, ok := e.tree[pathKey(path)]; ok {
-			return v
-		}
-		return e.defaultVal
-	}
-	counts := make(map[string]int)
-	order := make([]string, 0)
-	children := 0
-	for j := 0; j < e.n; j++ {
-		if pathContains(path, j) {
-			continue
-		}
-		children++
-		v := e.resolve(append(path, j))
-		key := string(v)
-		if counts[key] == 0 {
-			order = append(order, key)
-		}
-		counts[key]++
-	}
-	// Strict majority of children; ties and absence fall to the default.
-	for _, key := range order {
-		if 2*counts[key] > children {
-			return []byte(key)
+	count := 0
+	for _, v := range vals {
+		if bytes.Equal(v, cand) {
+			count++
 		}
 	}
-	return e.defaultVal
+	if 2*count > len(vals) {
+		return cand
+	}
+	return def
 }
 
 // EIGNode is the per-process state machine of the all-to-all EIG
@@ -112,13 +134,17 @@ func (e *eigInstance) resolve(path []int) []byte {
 // of Algorithm ALGO Step 1. It implements sched.SyncProcess, so the
 // same state machine can be driven by the simulated lockstep engine
 // (RunAllToAllEIG) or, one node per machine, by a distributed lockstep
-// runner over a real transport (internal/transport.RunSync).
+// runner over a real transport (internal/transport.RunSync). Rounds are
+// 0-based: round r delivers the level r+1 nodes (round 0 the
+// commanders' sends); levels 1..f are relayed, level f+1 decides.
 type EIGNode struct {
 	n, f, self int
 	input      []byte // this node's own input (commander value)
-	insts      []*eigInstance
+	defaultVal []byte
 	behavior   EIGBehavior // nil for honest
-	round      int
+	levels     []eigLevel  // levels[l-1], allocated when round l-1 begins
+	path       []int       // scratch for the path being parsed or relayed
+	arena      []byte      // the current Step's message bodies
 	done       bool
 	decided    [][]byte
 	// drops counts sends this process's Byzantine behavior suppressed
@@ -128,16 +154,14 @@ type EIGNode struct {
 }
 
 // NewEIGNode builds the EIG state machine for one process: id self out
-// of n processes tolerating f faults, broadcasting input, optionally
+// of n processes tolerating f < n faults, broadcasting input, optionally
 // scripted by behavior (nil = honest), with defaultVal as the fallback
 // when a majority resolution fails.
 func NewEIGNode(n, f, self int, input []byte, behavior EIGBehavior, defaultVal []byte) *EIGNode {
-	p := &EIGNode{n: n, f: f, self: self, input: input, behavior: behavior}
-	p.insts = make([]*eigInstance, n)
-	for c := 0; c < n; c++ {
-		p.insts[c] = newEIGInstance(n, f, c, self, c, defaultVal)
+	return &EIGNode{
+		n: n, f: f, self: self, input: input, defaultVal: defaultVal, behavior: behavior,
+		levels: make([]eigLevel, eigDepth(f)), path: make([]int, eigDepth(f)),
 	}
-	return p
 }
 
 // Decided returns, after Done, this node's decided value per commander
@@ -151,135 +175,190 @@ func (p *EIGNode) Drops() int { return p.drops }
 // instances — its share of the broadcast memory footprint.
 func (p *EIGNode) TreeNodes() int {
 	total := 0
-	for _, inst := range p.insts {
-		total += len(inst.tree)
+	for i := range p.levels {
+		total += p.levels[i].count
 	}
 	return total
 }
 
-// sendNode emits the value for node path(+self appended by caller) to all
-// other processes, applying the Byzantine behavior if present.
-func (p *EIGNode) sendNode(instance int, path []int, honest []byte) []sched.Outgoing {
-	var outs []sched.Outgoing
+// level returns level l (1-based) of the trees, allocating its
+// n(n-1)...(n-l+1) slots on first use.
+func (p *EIGNode) level(l int) *eigLevel {
+	lv := &p.levels[l-1]
+	if lv.has == nil {
+		size := 1
+		for k := 0; k < l; k++ {
+			size *= p.n - k
+		}
+		lv.vals, lv.has = make([][]byte, size), make([]bool, size)
+	}
+	return lv
+}
+
+// encode appends the wire form of tree node path with value v —
+// three length-prefixed fields: instance byte, encoded path, value — to
+// the arena and returns it. A full arena is replaced, never regrown, so
+// bodies already handed out stay put.
+func (p *EIGNode) encode(path []int, v []byte) []byte {
+	size := 4 + 1 + 4 + 2 + 2*len(path) + 4 + len(v)
+	if cap(p.arena)-len(p.arena) < size {
+		p.arena = make([]byte, 0, max(size, 2*cap(p.arena)))
+	}
+	start := len(p.arena)
+	b := appendBytes(p.arena, []byte{byte(path[0])})
+	b = binary.BigEndian.AppendUint32(b, uint32(2+2*len(path)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(path)))
+	for _, id := range path {
+		b = binary.BigEndian.AppendUint16(b, uint16(id))
+	}
+	p.arena = appendBytes(b, v)
+	return p.arena[start:len(p.arena):len(p.arena)]
+}
+
+// sendNode appends the sends of tree node path (self already appended)
+// to outs: one broadcast of the honest value, or whatever the Byzantine
+// behavior hands each recipient.
+func (p *EIGNode) sendNode(outs []sched.Outgoing, path []int, honest []byte) []sched.Outgoing {
+	if p.behavior == nil {
+		if honest == nil { // a nil input is a process with nothing to say
+			p.drops += p.n - 1
+			return outs
+		}
+		return append(outs, sched.Outgoing{To: sched.Broadcast, Tag: "eig", Data: p.encode(path, honest)})
+	}
 	for to := 0; to < p.n; to++ {
 		if to == p.self {
 			continue
 		}
-		v := honest
-		if p.behavior != nil {
-			v = p.behavior.RelayValue(instance, path, to, honest)
-		}
+		v := p.behavior.RelayValue(path[0], path, to, honest)
 		if v == nil {
 			p.drops++
 			continue
 		}
-		data := appendBytes(nil, []byte{byte(instance)})
-		data = appendBytes(data, encodePath(path))
-		data = appendBytes(data, v)
-		outs = append(outs, sched.Outgoing{To: to, Tag: "eig", Data: data})
+		outs = append(outs, sched.Outgoing{To: to, Tag: "eig", Data: p.encode(path, v)})
 	}
 	return outs
 }
 
-// Start implements sched.SyncProcess: round 1 of every instance.
+// Start implements sched.SyncProcess: round 1 of every instance, in
+// which every process is commander of its own.
 func (p *EIGNode) Start() []sched.Outgoing {
-	// Round 1: every process is commander of its own instance.
-	var outs []sched.Outgoing
-	inst := p.insts[p.self]
-	path := []int{p.self}
-	inst.tree[pathKey(path)] = p.input
-	outs = append(outs, p.sendNode(p.self, path, p.input)...)
-	return outs
+	path := p.path[:1]
+	path[0] = p.self
+	p.level(1).put(p.self, p.input)
+	return p.sendNode(nil, path, p.input)
+}
+
+// parse validates one delivered message as a level-len(path) tree node
+// and returns its slot and value. The path must have exactly that
+// length, start at the instance's commander, end at the actual sender
+// (honest enforcement of the relay discipline) and name distinct
+// processes; anything else is a Byzantine sender's and is dropped.
+func (p *EIGNode) parse(m *sched.Message, path []int) (slot int, val []byte, ok bool) {
+	if m.Tag != "eig" {
+		return 0, nil, false
+	}
+	instB, rest, err := readBytes(m.Data)
+	if err != nil || len(instB) != 1 {
+		return 0, nil, false
+	}
+	pathB, rest, err := readBytes(rest)
+	if err != nil || len(pathB) < 2+2*len(path) || int(binary.BigEndian.Uint16(pathB)) != len(path) {
+		return 0, nil, false
+	}
+	if val, _, err = readBytes(rest); err != nil {
+		return 0, nil, false
+	}
+	for k := range path {
+		path[k] = int(binary.BigEndian.Uint16(pathB[2+2*k:]))
+	}
+	if path[0] != int(instB[0]) || path[len(path)-1] != m.From {
+		return 0, nil, false
+	}
+	slot, ok = slotOf(p.n, path)
+	return slot, val, ok
 }
 
 // Step implements sched.SyncProcess: store the delivered tree nodes,
 // relay the next level or decide.
 func (p *EIGNode) Step(round int, delivered []sched.Message) []sched.Outgoing {
-	// Store everything delivered this round.
-	for _, m := range delivered {
-		if m.Tag != "eig" {
-			continue
-		}
-		instB, rest, err := readBytes(m.Data)
-		if err != nil {
-			continue
-		}
-		pathB, rest, err := readBytes(rest)
-		if err != nil {
-			continue
-		}
-		val, _, err := readBytes(rest)
-		if err != nil {
-			continue
-		}
-		path, _, err := decodePath(pathB)
-		if err != nil || len(path) == 0 {
-			continue
-		}
-		inst := p.insts[instB[0]]
-		// The message claims to be node `path`; its last element must be
-		// the actual sender (honest enforcement of the relay discipline),
-		// the path must start at the commander, have distinct ids, and
-		// belong to the level matching this round.
-		if path[len(path)-1] != m.From || path[0] != inst.commander {
-			continue
-		}
-		if len(path) != round+1 { // round r delivers level r+1 nodes (round 0 = level 1)
-			continue
-		}
-		if hasDuplicates(path) {
-			continue
-		}
-		inst.tree[pathKey(path)] = val
+	level := round + 1
+	if level < 1 {
+		return nil
 	}
-
-	p.round = round
-	var outs []sched.Outgoing
-	level := round + 1 // nodes stored this round have this path length
-	if level <= p.f {
-		// Relay: for every level-`level` node not containing self, send
-		// node path+[self] with the stored value.
-		for _, inst := range p.insts {
-			for _, path := range inst.levelNodes(level) {
-				if pathContains(path, p.self) {
-					continue
-				}
-				honest := inst.tree[pathKey(path)]
-				newPath := append(append([]int(nil), path...), p.self)
-				// A process knows its own honest relay: store it locally so
-				// the resolve majority sees the self-child too.
-				inst.tree[pathKey(newPath)] = honest
-				outs = append(outs, p.sendNode(inst.instance, newPath, honest)...)
+	if level <= eigDepth(p.f) {
+		lv, path := p.level(level), p.path[:level]
+		for i := range delivered {
+			if slot, val, ok := p.parse(&delivered[i], path); ok {
+				lv.put(slot, val)
 			}
 		}
-		return outs
+	}
+	if level <= p.f {
+		return p.relay(level)
 	}
 	// Gathering complete: decide every instance.
-	p.decided = make([][]byte, p.n)
-	for c, inst := range p.insts {
-		if c == p.self {
-			p.decided[c] = p.input
-			continue
-		}
-		p.decided[c] = inst.resolve([]int{inst.commander})
-	}
+	p.decided = p.resolve()
+	p.decided[p.self] = p.input
 	p.done = true
 	return nil
 }
 
+// relay sends node path+[self] for every stored level-l node whose path
+// does not contain self, walking the slots in order — instance, then
+// path, then (in sendNode) recipient.
+func (p *EIGNode) relay(l int) []sched.Outgoing {
+	lv, next := p.level(l), p.level(l+1)
+	path := p.path[:l+1]
+	fanout := 1
+	if p.behavior != nil {
+		fanout = p.n - 1
+	}
+	outs := make([]sched.Outgoing, 0, lv.count*fanout)
+	p.arena = make([]byte, 0, fanout*(lv.count*(4+1+4+2+2*len(path)+4)+lv.size))
+	for g, has := range lv.has {
+		if !has {
+			continue
+		}
+		pathAt(p.n, g, path[:l])
+		path[l] = p.self
+		child, ok := slotOf(p.n, path)
+		if !ok {
+			continue // the path already contains self
+		}
+		// A process knows its own honest relay: store it locally so the
+		// resolve majority sees the self-child too.
+		next.put(child, lv.vals[g])
+		outs = p.sendNode(outs, path, lv.vals[g])
+	}
+	return outs
+}
+
+// resolve computes every instance's recursive majority in one bottom-up
+// pass: the leaf level (absent leaves read as the default) is folded in
+// place, each parent's result written over the first slot of the child
+// blocks already consumed, until one value per commander is left.
+func (p *EIGNode) resolve() [][]byte {
+	leaf := p.level(eigDepth(p.f))
+	vals := leaf.vals
+	for g, has := range leaf.has {
+		if !has {
+			vals[g] = p.defaultVal
+		}
+	}
+	for l := p.f; l >= 1; l-- {
+		kids := p.n - l
+		parents := len(vals) / kids
+		for g := 0; g < parents; g++ {
+			vals[g] = majority(vals[g*kids:(g+1)*kids], p.defaultVal)
+		}
+		vals = vals[:parents]
+	}
+	return vals
+}
+
 // Done implements sched.SyncProcess.
 func (p *EIGNode) Done() bool { return p.done }
-
-func hasDuplicates(path []int) bool {
-	seen := make(map[int]bool, len(path))
-	for _, x := range path {
-		if seen[x] {
-			return true
-		}
-		seen[x] = true
-	}
-	return false
-}
 
 // AllToAllResult is the outcome of an all-to-all EIG broadcast.
 type AllToAllResult struct {
@@ -315,6 +394,9 @@ func RunAllToAllEIG(n, f int, inputs [][]byte, behaviors map[int]EIGBehavior, de
 	}
 	if len(behaviors) > f {
 		return nil, fmt.Errorf("broadcast: %d Byzantine processes exceeds f=%d", len(behaviors), f)
+	}
+	if f >= n {
+		return nil, fmt.Errorf("broadcast: f=%d faults among n=%d processes", f, n)
 	}
 	procs := make([]sched.SyncProcess, n)
 	eps := make([]*EIGNode, n)

@@ -72,6 +72,9 @@ type SyncProcess interface {
 	Start() []Outgoing
 	// Step handles the messages delivered at the beginning of the given
 	// round and returns messages to send (delivered next round).
+	// delivered is in SortInbox order and valid only for the duration of
+	// the call (a Message's Data may be kept); the driver reads the
+	// returned slice until the process's next Step.
 	Step(round int, delivered []Message) []Outgoing
 	// Done reports whether the process has terminated (it then receives
 	// no further Step calls and sends nothing).
@@ -133,18 +136,27 @@ func (e *SyncEngine) Run() (int, error) {
 		return rounds, err
 	}
 
-	// future[r] holds the messages scheduled for delivery in round r.
+	// sent[id] holds process id's sends of the round just stepped; they
+	// are routed (and counted) as they are posted but become messages
+	// only when the next round's inboxes are filled. count[to] is how
+	// many of them reach `to` in that round and, under a fault policy,
+	// arrivals records per logical message how many copies do (0..2).
+	// Copies a policy delays past the next round wait in future[r].
+	sent := make([][]Outgoing, n)
+	count := make([]int, n)
+	var arrivals []uint8
 	future := make(map[int][]Message)
 	seq := 0
-	route := func(m Message, deliverRound int) {
+	// route decides the fate of one logical message sent in round
+	// deliverRound-1 and returns how many copies arrive on time.
+	route := func(from, to int, o *Outgoing, deliverRound int) int {
 		if lf == nil {
-			future[deliverRound] = append(future[deliverRound], m)
-			return
+			return 1
 		}
 		s := seq
 		seq++
-		copies := 1
-		if lf.duplicates(m.From, m.To, s) {
+		copies, onTime := 1, 0
+		if lf.duplicates(from, to, s) {
 			copies = 2
 			stats.Duplicated++
 		}
@@ -153,17 +165,17 @@ func (e *SyncEngine) Run() (int, error) {
 			if c == 1 {
 				rid = -s - 1 // distinct roll identity for the duplicate copy
 			}
-			if lf.drops(m.From, m.To, rid, 0) {
+			if lf.drops(from, to, rid, 0) {
 				stats.Dropped++
 				continue
 			}
 			at := deliverRound
-			if d := lf.delay(m.From, m.To, rid); d > 0 {
+			if d := lf.delay(from, to, rid); d > 0 {
 				stats.Delayed++
 				at += d
 			}
-			if lf.blockedAt(m.From, m.To, at) {
-				t, ok := lf.clearFrom(m.From, m.To, at)
+			if lf.blockedAt(from, to, at) {
+				t, ok := lf.clearFrom(from, to, at)
 				if !ok {
 					stats.Lost++
 					continue
@@ -171,28 +183,97 @@ func (e *SyncEngine) Run() (int, error) {
 				at = t
 				stats.PartitionHeals++
 			}
-			future[at] = append(future[at], m)
-		}
-	}
-	expand := func(from int, outs []Outgoing, round int) {
-		for _, o := range outs {
-			if o.To == Broadcast {
-				for to := 0; to < n; to++ {
-					if to != from {
-						route(Message{From: from, To: to, Tag: o.Tag, Data: o.Data, SentRound: round}, round+1)
-					}
-				}
+			if at == deliverRound {
+				onTime++
 			} else {
+				future[at] = append(future[at], Message{From: from, To: to, Tag: o.Tag, Data: o.Data, SentRound: deliverRound - 1})
+			}
+		}
+		arrivals = append(arrivals, uint8(onTime))
+		return onTime
+	}
+	// eachSend calls fn for every recipient of every send in outs, in
+	// routing order: sends in the order the process returned them, a
+	// Broadcast's recipients ascending.
+	eachSend := func(from int, outs []Outgoing, fn func(to int, o *Outgoing)) {
+		for i := range outs {
+			o := &outs[i]
+			if o.To != Broadcast {
 				if o.To < 0 || o.To >= n {
 					panic(fmt.Sprintf("sched: send to invalid process %d", o.To))
 				}
-				route(Message{From: from, To: o.To, Tag: o.Tag, Data: o.Data, SentRound: round}, round+1)
+				fn(o.To, o)
+				continue
+			}
+			for to := 0; to < n; to++ {
+				if to != from {
+					fn(to, o)
+				}
 			}
 		}
 	}
+	// post routes process id's sends of one round and counts them toward
+	// the inboxes of deliverRound.
+	post := func(id int, outs []Outgoing, deliverRound int) {
+		sent[id] = outs
+		eachSend(id, outs, func(to int, o *Outgoing) { count[to] += route(id, to, o, deliverRound) })
+	}
+	// deliver builds the round's inboxes in one exactly-sized buffer:
+	// messages delayed into this round first, then the previous round's
+	// sends sender by sender, each inbox a cap-limited sub-slice so a
+	// process appending to its inbox cannot reach its neighbour's.
+	deliver := func(round int) [][]Message {
+		carried := future[round]
+		delete(future, round)
+		for i := range carried {
+			count[carried[i].To]++
+		}
+		total := 0
+		for _, c := range count {
+			total += c
+		}
+		roundMessages.Observe(float64(total))
+		msgsDelivered.Add(int64(total))
+		e.Messages += total
+		buf := make([]Message, total)
+		inbox := make([][]Message, n)
+		off := 0
+		for to, c := range count {
+			inbox[to] = buf[off : off : off+c]
+			off += c
+			count[to] = 0
+		}
+		place := func(m Message) {
+			if e.TraceFn != nil {
+				e.TraceFn(m)
+			}
+			inbox[m.To] = append(inbox[m.To], m)
+		}
+		for _, m := range carried {
+			place(m)
+		}
+		k := 0
+		for from, outs := range sent {
+			eachSend(from, outs, func(to int, o *Outgoing) {
+				copies := 1
+				if lf != nil {
+					copies = int(arrivals[k])
+					k++
+				}
+				for ; copies > 0; copies-- {
+					place(Message{From: from, To: to, Tag: o.Tag, Data: o.Data, SentRound: round - 1})
+				}
+			})
+		}
+		arrivals = arrivals[:0]
+		for to := range inbox {
+			SortInbox(inbox[to])
+		}
+		return inbox
+	}
 
 	for id, p := range e.procs {
-		expand(id, p.Start(), -1)
+		post(id, p.Start(), 0)
 	}
 	quiescent := 0
 	for round := 0; round < e.MaxRounds; round++ {
@@ -211,40 +292,19 @@ func (e *SyncEngine) Run() (int, error) {
 		if allDone {
 			return finish(round, nil)
 		}
-		pending := future[round]
-		delete(future, round)
 		//bvclint:allow nodeterminism -- metrics-only: wall time feeds the round-latency histogram, never delivery order
 		roundStart := time.Now()
-		roundMessages.Observe(float64(len(pending)))
-		msgsDelivered.Add(int64(len(pending)))
-		// Deliver: group by recipient, deterministic order by (From, Tag).
-		inbox := make([][]Message, n)
-		for _, m := range pending {
-			e.Messages++
-			if e.TraceFn != nil {
-				e.TraceFn(m)
-			}
-			inbox[m.To] = append(inbox[m.To], m)
-		}
-		for to := range inbox {
-			sort.SliceStable(inbox[to], func(i, j int) bool {
-				a, b := inbox[to][i], inbox[to][j]
-				if a.From != b.From {
-					return a.From < b.From
-				}
-				return a.Tag < b.Tag
-			})
-		}
+		inbox := deliver(round)
 		anyActivity := false
 		for id, p := range e.procs {
-			if p.Done() {
-				continue
+			var outs []Outgoing
+			if !p.Done() {
+				outs = p.Step(round, inbox[id])
 			}
-			outs := p.Step(round, inbox[id])
 			if len(outs) > 0 {
 				anyActivity = true
 			}
-			expand(id, outs, round)
+			post(id, outs, round+1)
 		}
 		if !anyActivity && len(future) == 0 {
 			// Quiescent: no sends and nothing in flight. Give processes a
@@ -269,6 +329,26 @@ func (e *SyncEngine) Run() (int, error) {
 		roundSeconds.Observe(time.Since(roundStart).Seconds())
 	}
 	return finish(e.MaxRounds, fmt.Errorf("sched: round limit %d exceeded", e.MaxRounds))
+}
+
+// SortInbox puts one round's inbox into the lockstep delivery order:
+// ascending (From, Tag), copies of one (From, Tag) in arrival order. It
+// is the single definition of that order, shared by SyncEngine and
+// transport.RunSync. An inbox filled sender by sender usually arrives
+// ordered, so the sort runs only when a linear check says it must.
+func SortInbox(inbox []Message) {
+	before := func(a, b *Message) bool {
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.Tag < b.Tag
+	}
+	for i := 1; i < len(inbox); i++ {
+		if before(&inbox[i], &inbox[i-1]) {
+			sort.SliceStable(inbox, func(i, j int) bool { return before(&inbox[i], &inbox[j]) })
+			return
+		}
+	}
 }
 
 // AsyncProcess is a deterministic state machine driven by single message

@@ -3,7 +3,7 @@ package transport
 // The distributed lockstep runner: RunSync drives ONE sched.SyncProcess
 // over a Transport while reproducing the delivery semantics of
 // sched.SyncEngine exactly — frames sent in round r are delivered at
-// Step(r+1), each round's inbox is stable-sorted by (From, Tag), and
+// Step(r+1), each round's inbox is put in sched.SortInbox order, and
 // termination is checked at the top of each round. Because the
 // processes are deterministic state machines, a cluster of RunSync
 // nodes decides bit-for-bit the same values as the single-engine
@@ -21,7 +21,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"relaxedbvc/internal/sched"
 )
@@ -125,13 +124,7 @@ func RunSync(ctx context.Context, t Transport, proc sched.SyncProcess, maxRounds
 		}
 		inbox := pending[round]
 		delete(pending, round)
-		sort.SliceStable(inbox, func(i, j int) bool {
-			a, b := inbox[i], inbox[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			return a.Tag < b.Tag
-		})
+		sched.SortInbox(inbox)
 		allDone := true
 		for peer := 0; peer < n; peer++ {
 			if peer != self && !eorDone[round][peer] {
