@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-batch bench-kernels bench-kernels-profile bench-guard bench-guard-kernels bench-acs bench-guard-acs bench-check bench-step1 experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-check bench-step1 experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -23,52 +23,6 @@ race:
 # One benchmark per reproduced table/figure plus the ablations.
 bench:
 	$(GO) test -bench=. -benchmem
-
-# Benchmark the batch execution engine: 200-trial delta-relaxed sweep,
-# sequential-uncached vs concurrent-cached, written to BENCH_batch.json.
-bench-batch:
-	$(GO) run ./cmd/bvcbench -batch-bench -batch-out BENCH_batch.json
-
-# Benchmark kernel parallelism: each combinatorial geometry kernel at
-# 1 worker vs the full pool, with bit-identical-output verification and
-# the zero-alloc warm cache lookup measurement, written to
-# BENCH_kernels.json.
-bench-kernels:
-	$(GO) run ./cmd/bvcbench -kernel-bench -kernel-out BENCH_kernels.json
-
-# Kernel bench under the profiler: same sweep, but the whole run (legacy,
-# sequential and parallel lanes) records a CPU profile and a post-run
-# heap profile into prof/. Inspect with
-#   go tool pprof prof/cpu.pprof
-# The report JSON goes to a scratch path so a profiled run never
-# perturbs the committed baseline.
-bench-kernels-profile:
-	$(GO) run ./cmd/bvcbench -kernel-bench -kernel-profile prof \
-		-kernel-out prof/BENCH_kernels.json
-
-# Bench-regression gate: rerun the sweep and compare against the
-# committed BENCH_batch.json; fails on >25% throughput loss. Refresh the
-# baseline for a new machine with `go run ./scripts -update`.
-bench-guard:
-	$(GO) run ./scripts
-
-# Kernel half of the gate: guard BENCH_kernels.json (output parity,
-# zero-alloc cache hits, per-kernel throughput, multicore speedup
-# gates). Refresh with `go run ./scripts -kernels -update`.
-bench-guard-kernels:
-	$(GO) run ./scripts -kernels
-
-# Benchmark the streaming ACS layer: epoch-batch throughput sweep on
-# the deterministic simulation with a scripted equivocator, written to
-# BENCH_acs.json.
-bench-acs:
-	$(GO) run ./scripts -acs -update
-
-# ACS third of the gate: guard BENCH_acs.json (cross-run stream
-# determinism plus per-case epochs/sec). Refresh with
-# `go run ./scripts -acs -update`.
-bench-guard-acs:
-	$(GO) run ./scripts -acs
 
 # The benchmark program (benchmark/, its own module, which the root's
 # build/test/lint patterns do not see) must keep compiling against the

@@ -1,9 +1,6 @@
 // Command bvcbench regenerates every table and figure of the paper's
 // reproduction (experiments E1-E21 of DESIGN.md), printing one
-// pass/fail-annotated table per experiment. It can also benchmark the
-// batch execution engine itself (-batch-bench), comparing a sequential
-// uncached sweep against the concurrent cached engine and writing the
-// measurements to a JSON report.
+// pass/fail-annotated table per experiment.
 //
 // Usage:
 //
@@ -13,69 +10,68 @@
 //	bvcbench -trials 10 -seed 3  # more repetitions, different seed
 //	bvcbench -csv                # append CSV dumps of each table
 //	bvcbench -parallel           # fan experiments across the batch engine
-//	bvcbench -batch-bench        # benchmark the engine, write BENCH_batch.json
-//	bvcbench -kernel-bench       # benchmark kernel parallelism, write BENCH_kernels.json
-//	bvcbench -kernel-bench -kernel-profile prof/  # also write cpu/heap pprof profiles
 //	bvcbench -metrics-out m.json # per-experiment metrics deltas + totals
 //	bvcbench -pprof :6060        # expose pprof/expvar while running
 //	bvcbench -fault-fuzz         # seed-sweeping fault/schedule fuzzer
 //	bvcbench -fault-fuzz -fault-regime out -fault-seeds 128
+//
+// Exit codes: 0 all pass, 1 a failed experiment or run-time error,
+// 2 usage error.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	bvc "relaxedbvc"
-	"relaxedbvc/internal/bench"
 	"relaxedbvc/internal/experiments"
 	"relaxedbvc/internal/simtest"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bvcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "", "run a single experiment id (e.g. E6); empty = all")
-		seed      = flag.Int64("seed", 1, "random seed")
-		trials    = flag.Int("trials", 5, "trials per configuration")
-		quick     = flag.Bool("quick", false, "restrict sweeps to small dimensions")
-		csv       = flag.Bool("csv", false, "also print each table as CSV")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		parallel  = flag.Bool("parallel", false, "run experiments concurrently on the batch engine")
-		workers   = flag.Int("workers", 0, "worker pool size for -parallel and -batch-bench (0 = GOMAXPROCS)")
-		bb        = flag.Bool("batch-bench", false, "benchmark the batch engine and exit")
-		bbOut     = flag.String("batch-out", "BENCH_batch.json", "output path for -batch-bench")
-		bbTrials  = flag.Int("batch-trials", 200, "sweep size for -batch-bench")
-		kb        = flag.Bool("kernel-bench", false, "benchmark kernel parallelism (1 vs N workers) and exit")
-		kbOut     = flag.String("kernel-out", "BENCH_kernels.json", "output path for -kernel-bench")
-		kbProf    = flag.String("kernel-profile", "", "write cpu.pprof and mem.pprof of the kernel bench into this directory (implies -kernel-bench)")
-		metOut    = flag.String("metrics-out", "", "write per-experiment metrics deltas and registry totals to this JSON file (runs experiments sequentially for exact attribution)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and an expvar metrics snapshot on this address (e.g. :6060) while running")
-		ffuzz     = flag.Bool("fault-fuzz", false, "run the invariant-checking fault/schedule fuzzer (internal/simtest) and exit")
-		fseeds    = flag.Int("fault-seeds", 64, "seed count for -fault-fuzz (seeds run -seed..-seed+N-1)")
-		fregime   = flag.String("fault-regime", "within", "fault pattern class for -fault-fuzz: none, within, out or mixed")
+		exp       = fs.String("exp", "", "run a single experiment id (e.g. E6); empty = all")
+		seed      = fs.Int64("seed", 1, "random seed")
+		trials    = fs.Int("trials", 5, "trials per configuration")
+		quick     = fs.Bool("quick", false, "restrict sweeps to small dimensions")
+		csv       = fs.Bool("csv", false, "also print each table as CSV")
+		list      = fs.Bool("list", false, "list experiment ids and exit")
+		parallel  = fs.Bool("parallel", false, "run experiments concurrently on the batch engine")
+		workers   = fs.Int("workers", 0, "worker pool size for -parallel and -fault-fuzz (0 = GOMAXPROCS)")
+		metOut    = fs.String("metrics-out", "", "write per-experiment metrics deltas and registry totals to this JSON file (runs experiments sequentially for exact attribution)")
+		pprofAddr = fs.String("pprof", "", "serve net/http/pprof and an expvar metrics snapshot on this address (e.g. :6060) while running")
+		ffuzz     = fs.Bool("fault-fuzz", false, "run the invariant-checking fault/schedule fuzzer (internal/simtest) and exit")
+		fseeds    = fs.Int("fault-seeds", 64, "seed count for -fault-fuzz (seeds run -seed..-seed+N-1)")
+		fregime   = fs.String("fault-regime", "within", "fault pattern class for -fault-fuzz: none, within, out or mixed")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
 	if *pprofAddr != "" {
 		addr, err := bvc.ServeDebug(*pprofAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvcbench: -pprof: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bvcbench: -pprof: %v\n", err)
+			return 1
 		}
-		fmt.Printf("pprof/expvar listening on http://%s/debug/pprof/\n", addr)
+		fmt.Fprintf(stdout, "pprof/expvar listening on http://%s/debug/pprof/\n", addr)
 	}
 
 	if *list {
 		for _, e := range experiments.Registry() {
-			fmt.Println(e.ID)
+			fmt.Fprintln(stdout, e.ID)
 		}
-		return
+		return 0
 	}
 
 	if *ffuzz {
@@ -90,8 +86,8 @@ func main() {
 		case "mixed":
 			regime = simtest.RegimeMixed
 		default:
-			fmt.Fprintf(os.Stderr, "bvcbench: -fault-regime %q (want none, within, out or mixed)\n", *fregime)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bvcbench: -fault-regime %q (want none, within, out or mixed)\n", *fregime)
+			return 2
 		}
 		// Inside the model every seed must pass; outside it, typed
 		// degradations are expected and only genuine failures (invariant
@@ -103,7 +99,7 @@ func main() {
 			Seeds: *fseeds, BaseSeed: *seed, Regime: regime,
 			StrictModelErrors: true, Workers: *workers,
 		})
-		sw.Render(os.Stdout)
+		sw.Render(stdout)
 		genuine := 0
 		for _, r := range sw.Reports {
 			if r.Failed(false) {
@@ -111,87 +107,21 @@ func main() {
 			}
 		}
 		if genuine > 0 || (strict && sw.Failed > 0) {
-			fmt.Fprintf(os.Stderr, "bvcbench: fault fuzz FAILED (%d genuine, %d strict)\n", genuine, sw.Failed)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bvcbench: fault fuzz FAILED (%d genuine, %d strict)\n", genuine, sw.Failed)
+			return 1
 		}
-		fmt.Println("fault fuzz PASS")
-		return
-	}
-
-	if *kb || *kbProf != "" {
-		// With -kernel-profile the whole bench (legacy, sequential and
-		// parallel lanes alike) runs under the CPU profiler, and a heap
-		// profile is written after the run — the inputs for deciding
-		// where the next fast-path optimization should go.
-		if *kbProf != "" {
-			if err := os.MkdirAll(*kbProf, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "bvcbench: -kernel-profile: %v\n", err)
-				os.Exit(1)
-			}
-			cpuFile, err := os.Create(filepath.Join(*kbProf, "cpu.pprof"))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bvcbench: -kernel-profile: %v\n", err)
-				os.Exit(1)
-			}
-			if err := pprof.StartCPUProfile(cpuFile); err != nil {
-				fmt.Fprintf(os.Stderr, "bvcbench: -kernel-profile: %v\n", err)
-				os.Exit(1)
-			}
-			defer func() {
-				pprof.StopCPUProfile()
-				cpuFile.Close()
-				memPath := filepath.Join(*kbProf, "mem.pprof")
-				memFile, err := os.Create(memPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bvcbench: -kernel-profile: %v\n", err)
-					os.Exit(1)
-				}
-				defer memFile.Close()
-				runtime.GC() // settle live-heap accounting before the snapshot
-				if err := pprof.WriteHeapProfile(memFile); err != nil {
-					fmt.Fprintf(os.Stderr, "bvcbench: -kernel-profile: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s and %s\n", filepath.Join(*kbProf, "cpu.pprof"), memPath)
-			}()
-		}
-		rep, err := bench.RunKernels(*workers, *seed, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvcbench: kernel-bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Summarize(os.Stdout)
-		if err := rep.Write(*kbOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bvcbench: kernel-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *kbOut)
-		return
-	}
-
-	if *bb {
-		rep, err := bench.Run(context.Background(), *bbTrials, *workers, *seed, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvcbench: batch-bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Summarize(os.Stdout)
-		if err := rep.Write(*bbOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bvcbench: batch-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bbOut)
-		return
+		fmt.Fprintln(stdout, "fault fuzz PASS")
+		return 0
 	}
 
 	opt := experiments.Options{Seed: *seed, Trials: *trials, Quick: *quick}
 	failures := 0
 	render := func(o *experiments.Outcome) {
-		o.Render(os.Stdout)
+		o.Render(stdout)
 		if *csv && o.Table != nil {
-			fmt.Println("-- csv --")
-			o.Table.CSV(os.Stdout)
-			fmt.Println()
+			fmt.Fprintln(stdout, "-- csv --")
+			o.Table.CSV(stdout)
+			fmt.Fprintln(stdout)
 		}
 		if !o.Pass {
 			failures++
@@ -201,19 +131,19 @@ func main() {
 	switch {
 	case *metOut != "":
 		if *exp != "" || *parallel {
-			fmt.Fprintln(os.Stderr, "bvcbench: -metrics-out runs every experiment sequentially; it is incompatible with -exp and -parallel")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "bvcbench: -metrics-out runs every experiment sequentially; it is incompatible with -exp and -parallel")
+			return 2
 		}
 		outcomes := experiments.RunAllInstrumented(context.Background(), opt)
 		for _, o := range outcomes {
 			render(o)
 		}
-		doc := bench.BuildMetricsDoc(outcomes, bvc.MetricsSnapshot())
+		doc := experiments.BuildMetricsDoc(outcomes, bvc.MetricsSnapshot())
 		if err := doc.Write(*metOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bvcbench: -metrics-out: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bvcbench: -metrics-out: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %s\n", *metOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *metOut)
 	case *exp != "":
 		found := false
 		for _, e := range experiments.Registry() {
@@ -223,8 +153,8 @@ func main() {
 			}
 		}
 		if !found {
-			fmt.Fprintf(os.Stderr, "bvcbench: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bvcbench: unknown experiment %q (use -list)\n", *exp)
+			return 2
 		}
 	case *parallel:
 		// The engine preserves registry order in its results, so the
@@ -239,8 +169,9 @@ func main() {
 	}
 
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "bvcbench: %d experiment(s) FAILED\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bvcbench: %d experiment(s) FAILED\n", failures)
+		return 1
 	}
-	fmt.Println("all experiments PASS")
+	fmt.Fprintln(stdout, "all experiments PASS")
+	return 0
 }

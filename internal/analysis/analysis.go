@@ -16,7 +16,8 @@
 //   - seedflow: a function that accepts a seed must derive every RNG
 //     it builds from that seed.
 //   - metriclabel: metric names are snake_case string literals, so
-//     bench.Compare and the golden metrics files stay stable.
+//     the benchmark's counter reads and the golden metrics file stay
+//     stable.
 //
 // The cmd/bvclint driver applies the analyzers over the module with
 // per-analyzer package scopes, honours //bvclint:allow suppression

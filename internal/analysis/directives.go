@@ -126,7 +126,7 @@ func applyDirectives(diags []Diagnostic, dirs []directive) ([]Diagnostic, []bool
 // entire bench harness that legitimately reads the wall clock).
 type Exception struct {
 	// PathSuffix matches diagnostics whose file path ends with it
-	// (slash-separated, e.g. "internal/bench/bench.go").
+	// (slash-separated, e.g. "internal/metrics/metrics.go").
 	PathSuffix string
 	Analyzer   string
 	Reason     string

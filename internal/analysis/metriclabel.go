@@ -8,15 +8,15 @@ import (
 
 // MetricLabel pins the metric-name discipline: every name passed to
 // the internal/metrics registration surface must be a string literal
-// matching the documented snake_case scheme. The bench-regression
-// guard (scripts/benchguard.go), bvcbench's -metrics-out golden files
-// and Snapshot.Diff all key on metric names; a computed or irregular
-// name would produce snapshots that differ between builds and break
-// bench.Compare silently.
+// matching the documented snake_case scheme. The benchmark program
+// (benchmark/, which reads counters by name), bvcbench's -metrics-out
+// golden file and Snapshot.Diff all key on metric names; a computed or
+// irregular name would produce snapshots that differ between builds and
+// make the benchmark read 0 silently.
 var MetricLabel = &Analyzer{
 	Name: "metriclabel",
 	Doc: "metric names passed to internal/metrics must be snake_case string literals " +
-		"(keeps golden metrics files and bench.Compare stable)",
+		"(keeps the golden metrics file and the benchmark's counter reads stable)",
 	Run: runMetricLabel,
 }
 

@@ -20,6 +20,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"relaxedbvc/internal/adversary"
 	"relaxedbvc/internal/broadcast"
@@ -171,9 +172,10 @@ func eigTranscript(s eigGoldenSpec) (eigTranscriptRecord, error) {
 }
 
 // meshDecided runs the spec as a cluster of RunSync nodes on the
-// in-process mesh and returns every node's decided values.
+// in-process mesh and returns every node's decided values. The
+// deadline turns a stalled barrier into an error instead of a hang.
 func meshDecided(s eigGoldenSpec) ([][][]byte, error) {
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	mesh := transport.NewMesh(s.n)
 	inputs, byz := s.inputs(), s.byzantine()
@@ -233,10 +235,7 @@ func TestEIGGoldenTranscripts(t *testing.T) {
 			if got != want[s.name()] {
 				t.Fatalf("transcript differs from the frozen one\n got %+v\nwant %+v", got, want[s.name()])
 			}
-			// The mesh's bounded inboxes hold one round of an n <= 7
-			// cluster; the larger shapes' fan-out needs a receiver running
-			// beside the sender, which RunSync does not have.
-			if s.dup || s.n > 7 {
+			if s.dup {
 				return
 			}
 			decided, err := meshDecided(s)

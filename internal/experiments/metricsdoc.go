@@ -1,10 +1,9 @@
-package bench
+package experiments
 
 import (
 	"encoding/json"
 	"os"
 
-	"relaxedbvc/internal/experiments"
 	"relaxedbvc/internal/metrics"
 )
 
@@ -38,8 +37,8 @@ type MetricsDoc struct {
 }
 
 // BuildMetricsDoc assembles the document from instrumented outcomes
-// (experiments.RunAllInstrumented) and the given cumulative snapshot.
-func BuildMetricsDoc(outcomes []*experiments.Outcome, totals *metrics.Snapshot) *MetricsDoc {
+// (RunAllInstrumented) and the given cumulative snapshot.
+func BuildMetricsDoc(outcomes []*Outcome, totals *metrics.Snapshot) *MetricsDoc {
 	doc := &MetricsDoc{Totals: totals}
 	for _, o := range outcomes {
 		doc.Experiments = append(doc.Experiments, ExperimentMetrics{

@@ -1,4 +1,4 @@
-package bench
+package experiments
 
 import (
 	"flag"
@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"relaxedbvc/internal/experiments"
 	"relaxedbvc/internal/metrics"
 )
 
@@ -27,7 +26,7 @@ func goldenDoc() *MetricsDoc {
 	h.Observe(0.005)
 	h.Observe(0.05)
 	snap := reg.Snapshot()
-	outcomes := []*experiments.Outcome{
+	outcomes := []*Outcome{
 		{ID: "E1", Title: "exact BVC bounds", Pass: true, Elapsed: 1500 * time.Millisecond, Metrics: snap, MetricsCumulative: snap},
 	}
 	return BuildMetricsDoc(outcomes, snap)
@@ -38,7 +37,7 @@ func goldenDoc() *MetricsDoc {
 // "+Inf" bound) and indentation. A diff here means downstream consumers
 // of metrics.json (the CI artifacts, ad-hoc jq pipelines) will see a
 // format change — update the golden file deliberately with
-// `go test ./internal/bench -run Golden -update-golden`.
+// `go test ./internal/experiments -run Golden -update-golden`.
 func TestMetricsDocGolden(t *testing.T) {
 	got, err := goldenDoc().Marshal()
 	if err != nil {

@@ -298,10 +298,6 @@ type standard struct {
 	// slack or surplus column, or its artificial when it has neither).
 	dualCol  []int
 	dualSign []float64
-	// capture, when non-nil, receives the final basis of an Optimal
-	// solve (if it is all-structural) for reuse by SolveWarm. It never
-	// influences the solve itself.
-	capture *WarmState
 }
 
 func (p *Problem) standardize(ws *workspace) (*standard, error) {

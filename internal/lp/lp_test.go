@@ -253,6 +253,83 @@ func TestHullMembership(t *testing.T) {
 	}
 }
 
+// TestResetReuseMatchesFresh walks one reused Problem through a
+// sequence of hull-membership LPs of varying width (Reset, then dense
+// and sparse rows drawn from the free list of the previous step) and
+// solves a freshly allocated twin of every step: status, objective and
+// solution bits must match, and an objective, bound or constraint set
+// before a Reset must not leak past it.
+func TestResetReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n, d = 8, 3
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	build := func(p *Problem, idx []int, q []float64, sparse bool) {
+		row := make([]float64, len(idx))
+		cols := make([]int, len(idx))
+		for i := range cols {
+			cols[i] = i
+		}
+		add := func(rhs float64) {
+			if sparse {
+				p.AddSparseConstraint(cols, row, EQ, rhs)
+			} else {
+				p.AddConstraint(row, EQ, rhs)
+			}
+		}
+		for k := 0; k < d; k++ {
+			for i, pi := range idx {
+				row[i] = pts[pi][k]
+			}
+			add(q[k])
+		}
+		for i := range row {
+			row[i] = 1
+		}
+		add(1)
+	}
+	reused := NewProblem(0)
+	feasible, infeasible := 0, 0
+	for step := 0; step < 60; step++ {
+		m := 2 + rng.Intn(n-1) // widths 2..n: rows on the free list are both too short and long enough
+		idx := rng.Perm(n)[:m]
+		q := []float64{rng.NormFloat64() / 2, rng.NormFloat64() / 2, rng.NormFloat64() / 2}
+		sparse := step%2 == 1
+
+		reused.Reset(m)
+		build(reused, idx, q, sparse)
+		got := mustSolve(t, reused)
+		fresh := NewProblem(m)
+		build(fresh, idx, q, sparse)
+		want := mustSolve(t, fresh)
+
+		if got.Status != want.Status || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || len(got.X) != len(want.X) {
+			t.Fatalf("step %d: reused %v obj %v, fresh %v obj %v", step, got.Status, got.Objective, want.Status, want.Objective)
+		}
+		for i := range got.X {
+			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+				t.Fatalf("step %d: X[%d] reused %v != fresh %v", step, i, got.X[i], want.X[i])
+			}
+		}
+		if got.Status == Optimal {
+			feasible++
+		} else {
+			infeasible++
+		}
+		// State the next Reset must clear.
+		obj := make([]float64, m)
+		obj[0] = 1
+		reused.SetObjective(obj, Maximize)
+		reused.SetBounds(0, -1, 0.5)
+		reused.AddConstraint(obj, GE, 2)
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("walk covered only one outcome: %d feasible, %d infeasible", feasible, infeasible)
+	}
+}
+
 // Randomized LP duality check: for feasible bounded problems, compare the
 // simplex optimum against a brute-force vertex enumeration on small random
 // instances with box bounds (the box makes enumeration easy: optimum of a

@@ -53,9 +53,6 @@ func (s *standard) solve() *Result {
 			y[bi] = t.b[i]
 		}
 	}
-	if s.capture != nil {
-		s.capture.store(t.basis, s.m, s.n)
-	}
 	dual := make([]float64, len(s.dualCol))
 	for i, col := range s.dualCol {
 		dual[i] = s.dualSign[i] * t.obj2[col]

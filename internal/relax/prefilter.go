@@ -84,22 +84,13 @@ type Intersector struct {
 
 // IntersectScratch carries the per-worker reusable state of repeated
 // Intersect calls: one lp.Problem whose constraint-row storage is
-// recycled across structurally similar joint LPs, the lp.WarmState
-// holding the standard-form basis of the previous candidate's solve
-// (adjacent sweep candidates share almost all structure, so SolveWarm
-// refactors it instead of re-pivoting from scratch), and the
+// recycled across structurally similar joint LPs, and the
 // geom.FilterScratch backing the certified separation screen. A scratch
 // must not be shared between concurrent goroutines.
 type IntersectScratch struct {
 	prob *lp.Problem
-	warm lp.WarmState
 	fsc  geom.FilterScratch
 }
-
-// ResetWarm forgets the warm-start basis, e.g. at the start of an
-// unrelated sweep. Purely a performance knob: a stale basis is repaired
-// or discarded by SolveWarm, never trusted.
-func (sc *IntersectScratch) ResetWarm() { sc.warm.Reset() }
 
 var intersectScratchPool = sync.Pool{New: func() any { return new(IntersectScratch) }}
 
@@ -303,7 +294,7 @@ func (it Intersector) solveLP(sets []*vec.Set, d int, sc *IntersectScratch) (vec
 		return nil, false
 	}
 	sc.prob = prob
-	res, err := prob.SolveWarm(&sc.warm)
+	res, err := prob.Solve()
 	if err != nil {
 		panic(err)
 	}

@@ -1,10 +1,10 @@
 package transport
 
-// The in-process channel mesh: n endpoints wired pairwise with
-// buffered Go channels. No sockets, no serialization — frames pass by
-// value — but real goroutine concurrency, which makes it the backend
-// of choice for running cluster tests under the race detector and for
-// multi-node runs inside one process (the facade's mesh dispatch).
+// The in-process mesh: n endpoints, each with an unbounded FIFO inbox.
+// No sockets, no serialization — frames pass by value — but real
+// goroutine concurrency, which makes it the backend of choice for
+// running cluster tests under the race detector and for multi-node runs
+// inside one process (the facade's mesh dispatch).
 
 import (
 	"context"
@@ -17,13 +17,8 @@ import (
 
 var meshFrames = metrics.DefaultCounter("transport_mesh_frames_total")
 
-// meshInboxCap bounds each node's inbox. Senders block when a
-// recipient's inbox is full (backpressure); the cap is far above any
-// per-round EIG volume, so lockstep runs never deadlock on it.
-const meshInboxCap = 1 << 12
-
-// Mesh is a cluster of channel-connected Transports. Build one with
-// NewMesh and hand Node(i) to each node's goroutine.
+// Mesh is a cluster of in-process Transports. Build one with NewMesh
+// and hand Node(i) to each node's goroutine.
 type Mesh struct {
 	nodes []*meshNode
 }
@@ -35,7 +30,7 @@ func NewMesh(n int) *Mesh {
 		m.nodes[i] = &meshNode{
 			mesh:   m,
 			self:   i,
-			inbox:  make(chan Frame, meshInboxCap),
+			wake:   make(chan struct{}, 1),
 			closed: make(chan struct{}),
 		}
 	}
@@ -45,10 +40,22 @@ func NewMesh(n int) *Mesh {
 // Node returns endpoint i of the mesh.
 func (m *Mesh) Node(i int) Transport { return m.nodes[i] }
 
+// meshNode's inbox is unbounded because RunSync sends a node's whole
+// round before it receives anything: with every node sending at once,
+// any fixed capacity below the largest round (over 4 500 frames per
+// inbox in the last EIG relay round at n=10 f=3) blocks every sender on
+// a receiver that is itself still sending.
 type meshNode struct {
-	mesh      *Mesh
-	self      int
-	inbox     chan Frame
+	mesh *Mesh
+	self int
+
+	mu    sync.Mutex
+	inbox []Frame // FIFO: inbox[head:] is pending
+	head  int
+	// wake holds a token whenever the inbox may be non-empty; one slot
+	// suffices because push and pop both refill it.
+	wake chan struct{}
+
 	closed    chan struct{}
 	closeOnce sync.Once
 	sent      atomic.Int64
@@ -58,9 +65,50 @@ type meshNode struct {
 func (t *meshNode) Self() int { return t.self }
 func (t *meshNode) N() int    { return len(t.mesh.nodes) }
 
-// Send delivers f into the recipient inbox(es), blocking for
-// backpressure. Sending to a closed peer fails with a per-link error
-// chaining ErrClosed; sending from a closed endpoint fails likewise.
+func (t *meshNode) signal() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (t *meshNode) push(f Frame) {
+	t.mu.Lock()
+	if len(t.inbox) == cap(t.inbox) && t.head > len(t.inbox)/2 {
+		// Reclaim the consumed prefix instead of growing; waiting until
+		// it is over half the slice keeps the copying amortized O(1).
+		n := copy(t.inbox, t.inbox[t.head:])
+		clear(t.inbox[n:])
+		t.inbox, t.head = t.inbox[:n], 0
+	}
+	t.inbox = append(t.inbox, f)
+	t.mu.Unlock()
+	t.signal()
+}
+
+func (t *meshNode) pop() (Frame, bool) {
+	t.mu.Lock()
+	if t.head == len(t.inbox) {
+		t.mu.Unlock()
+		return Frame{}, false
+	}
+	f := t.inbox[t.head]
+	t.inbox[t.head] = Frame{} // drop the payload reference
+	t.head++
+	more := t.head < len(t.inbox)
+	if !more {
+		t.inbox, t.head = t.inbox[:0], 0
+	}
+	t.mu.Unlock()
+	if more {
+		t.signal() // a concurrent Recv may be parked on wake
+	}
+	return f, true
+}
+
+// Send appends f to the recipient inbox(es); it never blocks. Sending
+// to a closed peer fails with a per-link error chaining ErrClosed;
+// sending from a closed endpoint fails likewise.
 func (t *meshNode) Send(f Frame) error {
 	select {
 	case <-t.closed:
@@ -89,8 +137,6 @@ func (t *meshNode) Send(f Frame) error {
 
 func (t *meshNode) deliver(f Frame) error {
 	peer := t.mesh.nodes[f.To]
-	// Check liveness before the inbox send: with buffer space free both
-	// cases are ready and select would pick arbitrarily.
 	select {
 	case <-peer.closed:
 		return fmt.Errorf("%w: link %d->%d: peer closed", ErrClosed, t.self, f.To)
@@ -98,41 +144,33 @@ func (t *meshNode) deliver(f Frame) error {
 		return fmt.Errorf("%w: node %d closed mid-send", ErrClosed, t.self)
 	default:
 	}
-	select {
-	case peer.inbox <- f:
-		t.sent.Add(1)
-		meshFrames.Inc()
-		return nil
-	case <-peer.closed:
-		return fmt.Errorf("%w: link %d->%d: peer closed", ErrClosed, t.self, f.To)
-	case <-t.closed:
-		return fmt.Errorf("%w: node %d closed mid-send", ErrClosed, t.self)
-	}
+	peer.push(f)
+	t.sent.Add(1)
+	meshFrames.Inc()
+	return nil
 }
 
 // Recv returns the next frame delivered to this node. Frames already
 // buffered remain receivable after Close until the buffer drains.
 func (t *meshNode) Recv(ctx context.Context) (Frame, error) {
-	select {
-	case f := <-t.inbox:
-		t.received.Add(1)
-		return f, nil
-	default:
-	}
-	select {
-	case f := <-t.inbox:
-		t.received.Add(1)
-		return f, nil
-	case <-t.closed:
-		return Frame{}, fmt.Errorf("%w: node %d recv after close", ErrClosed, t.self)
-	case <-ctx.Done():
-		return Frame{}, fmt.Errorf("%w: recv: %w", ErrTransport, ctx.Err())
+	for {
+		if f, ok := t.pop(); ok {
+			t.received.Add(1)
+			return f, nil
+		}
+		select {
+		case <-t.wake:
+		case <-t.closed:
+			return Frame{}, fmt.Errorf("%w: node %d recv after close", ErrClosed, t.self)
+		case <-ctx.Done():
+			return Frame{}, fmt.Errorf("%w: recv: %w", ErrTransport, ctx.Err())
+		}
 	}
 }
 
-// Close marks the endpoint closed. Peers' in-flight Sends to this node
-// unblock with a link error; this node's buffered frames stay
-// receivable (drained above) only via the non-blocking fast path.
+// Close marks the endpoint closed. Peers' later Sends to this node fail
+// with a link error; this node's buffered frames stay receivable until
+// the inbox drains.
 func (t *meshNode) Close() error {
 	t.closeOnce.Do(func() { close(t.closed) })
 	return nil

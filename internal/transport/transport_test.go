@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,6 +180,65 @@ func TestMeshRecvHonorsContext(t *testing.T) {
 	_, err := m.Node(0).Recv(ctx)
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrTransport) {
 		t.Fatalf("err = %v, want context.Canceled under ErrTransport", err)
+	}
+}
+
+// TestMeshSendNeverBlocks: a lockstep node sends its whole round before
+// it receives, so an inbox must take any number of frames with nobody
+// receiving (a bounded inbox deadlocked n=10 f=3 EIG). The frames then
+// drain in FIFO order — after Close too — across two concurrent
+// receivers, and only an empty closed inbox reports ErrClosed.
+func TestMeshSendNeverBlocks(t *testing.T) {
+	const frames = 3 << 12
+	m := NewMesh(2)
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			if err := m.Node(0).Send(Frame{To: 1, Round: i, Tag: "eig"}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Send blocked before %d frames with no receiver", frames)
+	}
+	if err := m.Node(1).Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	rounds := make([][]int, 2)
+	for w := range rounds {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				f, err := m.Node(1).Recv(context.Background())
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("receiver %d: err = %v, want ErrClosed", w, err)
+					}
+					return
+				}
+				rounds[w] = append(rounds[w], f.Round)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := len(rounds[0]) + len(rounds[1]); got != frames {
+		t.Fatalf("drained %d frames, want %d", got, frames)
+	}
+	for w, rs := range rounds {
+		if !sort.IntsAreSorted(rs) {
+			t.Errorf("receiver %d saw frames out of FIFO order", w)
+		}
 	}
 }
 

@@ -106,11 +106,6 @@ func newPartitionScan(y *vec.Set, parts, workers int, it relax.Intersector) *par
 			sets:   make([]*vec.Set, parts),
 			isc:    relax.GetIntersectScratch(),
 		}
-		// A pooled scratch may carry the warm-start basis of whatever sweep
-		// released it; this scan's candidates share no structure with that,
-		// so start the warm chain fresh (correctness never depends on it —
-		// SolveWarm repairs or discards any stale basis).
-		ws.isc.ResetWarm()
 		for b := 0; b < parts; b++ {
 			ws.blocks[b] = make([]int, 0, n)
 			ws.sets[b] = new(vec.Set)

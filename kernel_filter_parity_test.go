@@ -1,12 +1,11 @@
 package relaxedbvc_test
 
-// Filtered-predicate / warm-start parity property tests: every
-// engine-visible kernel decision must be bit-identical with the
-// certified float screens and the LP warm start enabled (the default,
-// fast path) and disabled (the exact-everything PR-5 path). The screens
-// only decide with exactly-verified certificates and the warm path only
-// short-circuits certified infeasibility, so any divergence here is a
-// soundness bug, not a tolerance choice. Named TestKernelParity* so the
+// Filtered-predicate parity property tests: every engine-visible
+// kernel decision must be bit-identical with the certified float
+// screens enabled (the default, fast path) and disabled (the
+// exact-everything path). The screens only decide with exactly-verified
+// certificates, so any divergence here is a soundness bug, not a
+// tolerance choice. Named TestKernelParity* so the
 // CI "Kernel parity under -race" step (-run KernelParity -race -count=2)
 // covers them automatically.
 
@@ -16,7 +15,6 @@ import (
 	"testing"
 
 	"relaxedbvc/internal/geom"
-	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
@@ -25,28 +23,17 @@ import (
 )
 
 // setupFilterParity is setupKernelParity plus a guaranteed restore of
-// the filtered-predicate and warm-start toggles.
+// the filtered-predicate toggle.
 func setupFilterParity(t *testing.T) {
 	t.Helper()
 	setupKernelParity(t)
-	t.Cleanup(func() {
-		geom.SetFilteredPredicates(true)
-		lp.SetWarmStart(true)
-	})
-}
-
-// withFilters runs fn under both toggle settings and hands it the
-// setting, so each case computes its fast and exact answers back to
-// back on identical inputs.
-func withFilters(on bool) {
-	geom.SetFilteredPredicates(on)
-	lp.SetWarmStart(on)
+	t.Cleanup(func() { geom.SetFilteredPredicates(true) })
 }
 
 // TestKernelParityFilteredPartition: the Tverberg partition scan —
 // whose per-candidate Intersect calls run the bbox, witness and
-// separation screens and warm-start the joint LP — must return the
-// same blocks, point and feasibility bit with everything disabled.
+// separation screens before the joint LP — must return the same
+// blocks, point and feasibility bit with the screens disabled.
 // Checked at 1 worker and at the parallel setting: the screens keep
 // per-worker scratch, so both composition orders are pinned.
 func TestKernelParityFilteredPartition(t *testing.T) {
@@ -61,9 +48,9 @@ func TestKernelParityFilteredPartition(t *testing.T) {
 			y := paritySet(rng, c.n, c.d)
 			for _, w := range []int{1, parityWorkers()} {
 				par.SetKernelWorkers(w)
-				withFilters(true)
+				geom.SetFilteredPredicates(true)
 				blocksF, ptF, okF := tverberg.Partition(y, c.f)
-				withFilters(false)
+				geom.SetFilteredPredicates(false)
 				blocksX, ptX, okX := tverberg.Partition(y, c.f)
 				if okF != okX {
 					t.Fatalf("seed %d n=%d d=%d f=%d w=%d: ok filtered=%v exact=%v",
@@ -120,8 +107,7 @@ func TestKernelParityFilteredInHull(t *testing.T) {
 
 // TestKernelParityFilteredIntersect: the relaxed-hull intersection
 // decision and witness point must survive toggling the separation
-// screen and the warm-started LP, across worker counts and both
-// polyhedral norms.
+// screen, across worker counts and both polyhedral norms.
 func TestKernelParityFilteredIntersect(t *testing.T) {
 	setupFilterParity(t)
 	for seed := int64(0); seed < 3; seed++ {
@@ -132,9 +118,9 @@ func TestKernelParityFilteredIntersect(t *testing.T) {
 			for _, delta := range []float64{0.01, 0.5, 4} {
 				for _, w := range []int{1, parityWorkers()} {
 					par.SetKernelWorkers(w)
-					withFilters(true)
+					geom.SetFilteredPredicates(true)
 					ptF, okF := relax.IntersectRelaxedHulls(family, delta, p)
-					withFilters(false)
+					geom.SetFilteredPredicates(false)
 					ptX, okX := relax.IntersectRelaxedHulls(family, delta, p)
 					if okF != okX {
 						t.Fatalf("seed %d p=%v delta=%v w=%d: ok filtered=%v exact=%v",
@@ -152,7 +138,7 @@ func TestKernelParityFilteredIntersect(t *testing.T) {
 
 // TestKernelParityFilteredDeltaStarP: the minimax descent consumes
 // thousands of screened distance evaluations; its (δ, point) output
-// must not move by a bit when the screens and warm start are off.
+// must not move by a bit when the screens are off.
 func TestKernelParityFilteredDeltaStarP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("minimax descent is slow under -race; skipped in -short")
@@ -162,9 +148,9 @@ func TestKernelParityFilteredDeltaStarP(t *testing.T) {
 		rng := rand.New(rand.NewSource(700 + seed))
 		s := paritySet(rng, 7, 2)
 		for _, p := range []float64{1, math.Inf(1)} {
-			withFilters(true)
+			geom.SetFilteredPredicates(true)
 			rF := minimax.DeltaStarP(s, 2, p)
-			withFilters(false)
+			geom.SetFilteredPredicates(false)
 			rX := minimax.DeltaStarP(s, 2, p)
 			if math.Float64bits(rF.Delta) != math.Float64bits(rX.Delta) {
 				t.Errorf("seed %d p=%v: filtered delta %v, exact %v", seed, p, rF.Delta, rX.Delta)

@@ -1,176 +1,42 @@
-// Command benchguard is the bench-regression gate behind `make
-// bench-guard` and the advisory CI job: it reruns the batch-engine
-// benchmark sweep (the same harness as `bvcbench -batch-bench`) and
-// compares the fresh measurements against the committed
-// BENCH_batch.json baseline, failing when parallel throughput regressed
-// by more than the threshold (default 25%) or when the engine's outputs
-// diverged from the sequential baseline.
-//
-// With -kernels it guards the kernel-parallelism report instead: it
-// reruns the 1-vs-N-worker kernel benchmark (`bvcbench -kernel-bench`)
-// and compares against BENCH_kernels.json, failing on output
-// divergence, allocating warm cache lookups, per-case throughput
-// regression, or a gated kernel missing its speedup floor on multicore
-// machines.
-//
-// With -acs it guards the streaming ACS throughput report instead: it
-// reruns the epoch-batch sweep on the deterministic simulation and
-// compares against BENCH_acs.json, failing on cross-run stream
-// divergence (nondeterminism) or a per-case epochs/sec regression
-// beyond the threshold.
-//
-// With -soak it gates a soak summary instead of running anything: it
-// loads the stable-JSON document `bvcsoak -summary` wrote and fails on
-// any unshrunk failure — a failing block whose reproducer did not
-// replay-confirm is either a nondeterminism bug or an untrustworthy
-// corpus entry, and neither may land.
+// Command benchguard gates a soak summary: it loads the stable-JSON
+// document `bvcsoak -summary` wrote and fails on any unshrunk failure —
+// a failing block whose reproducer did not replay-confirm is either a
+// nondeterminism bug or an untrustworthy corpus entry, and neither may
+// land. It runs nothing itself; performance is judged by
+// BENCHMARK.json and `bash benchmark/run.sh --compare`, not here.
 //
 // Usage:
 //
-//	go run ./scripts                  # guard against BENCH_batch.json
-//	go run ./scripts -update          # refresh the baseline instead of guarding
-//	go run ./scripts -kernels         # guard against BENCH_kernels.json
-//	go run ./scripts -kernels -update # refresh the kernel baseline
-//	go run ./scripts -acs             # guard against BENCH_acs.json
-//	go run ./scripts -acs -update     # refresh the ACS baseline
-//	go run ./scripts -soak            # gate soak-summary.json
+//	go run ./scripts -soak                                # gate soak-summary.json
+//	go run ./scripts -soak -soak-summary soak-smoke.json  # gate another summary
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"relaxedbvc/internal/bench"
 	"relaxedbvc/internal/soak"
 )
 
 func main() {
 	var (
-		base      = flag.String("base", "BENCH_batch.json", "committed baseline report")
-		trials    = flag.Int("trials", 200, "sweep size (match the baseline's trial count)")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		seed      = flag.Int64("seed", 1, "sweep seed (match the baseline)")
-		threshold = flag.Float64("threshold", bench.DefaultThreshold, "relative throughput loss that fails the guard")
-		update    = flag.Bool("update", false, "rewrite the baseline from this run instead of guarding")
-		kernels   = flag.Bool("kernels", false, "guard the kernel-parallelism report instead of the batch report")
-		kbase     = flag.String("kernel-base", "BENCH_kernels.json", "committed kernel baseline report")
-		acsMode   = flag.Bool("acs", false, "guard the streaming ACS throughput report instead of the batch report")
-		abase     = flag.String("acs-base", "BENCH_acs.json", "committed ACS baseline report")
-		soakMode  = flag.Bool("soak", false, "gate a soak summary document instead of benchmarking")
-		soakSum   = flag.String("soak-summary", "soak-summary.json", "soak summary written by bvcsoak -summary")
+		soakMode = flag.Bool("soak", false, "gate a soak summary document (the only mode)")
+		soakSum  = flag.String("soak-summary", "soak-summary.json", "soak summary written by bvcsoak -summary")
 	)
 	flag.Parse()
-
-	if *soakMode {
-		guardSoak(*soakSum)
-		return
+	if !*soakMode {
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *kernels {
-		guardKernels(*kbase, *workers, *seed, *threshold, *update)
-		return
-	}
-	if *acsMode {
-		guardACS(*abase, *seed, *threshold, *update)
-		return
-	}
-
-	rep, err := bench.Run(context.Background(), *trials, *workers, *seed, os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
-	}
-	rep.Summarize(os.Stdout)
-
-	if *update {
-		if err := rep.Write(*base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("updated %s\n", *base)
-		return
-	}
-
-	baseline, err := bench.Load(*base)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: loading baseline: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.Compare(rep, baseline, *threshold, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("bench guard PASS")
+	guardSoak(*soakSum)
 }
 
-// guardKernels is the -kernels mode: rerun the kernel benchmark and
-// guard (or refresh) the BENCH_kernels.json baseline.
-func guardKernels(base string, workers int, seed int64, threshold float64, update bool) {
-	rep, err := bench.RunKernels(workers, seed, os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: kernels: %v\n", err)
-		os.Exit(1)
-	}
-	rep.Summarize(os.Stdout)
-
-	if update {
-		if err := rep.Write(base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: kernels: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("updated %s\n", base)
-		return
-	}
-
-	baseline, err := bench.LoadKernels(base)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: loading kernel baseline: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.CompareKernels(rep, baseline, threshold, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("kernel bench guard PASS")
-}
-
-// guardACS is the -acs mode: rerun the streaming ACS benchmark and
-// guard (or refresh) the BENCH_acs.json baseline.
-func guardACS(base string, seed int64, threshold float64, update bool) {
-	rep, err := bench.RunACS(context.Background(), seed, os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: acs: %v\n", err)
-		os.Exit(1)
-	}
-	rep.Summarize(os.Stdout)
-
-	if update {
-		if err := rep.Write(base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: acs: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("updated %s\n", base)
-		return
-	}
-
-	baseline, err := bench.LoadACS(base)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: loading ACS baseline: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.CompareACS(rep, baseline, threshold, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("acs bench guard PASS")
-}
-
-// guardSoak is the -soak mode: load a soak summary and fail on any
-// unshrunk failure. Shrunk, replay-confirmed failures are allowed
-// through — they become corpus regression entries that the PR smoke
-// job's corpus replay keeps catching — but a reproducer that does not
-// reproduce is never acceptable.
+// guardSoak loads a soak summary and fails on any unshrunk failure.
+// Shrunk, replay-confirmed failures are allowed through — they become
+// corpus regression entries that the PR smoke job's corpus replay keeps
+// catching — but a reproducer that does not reproduce is never
+// acceptable.
 func guardSoak(path string) {
 	sum, err := soak.LoadSummary(path)
 	if err != nil {

@@ -75,6 +75,17 @@ func paritySpecs() map[string]Spec {
 				6: RandomLiar(7, 3, 10),
 			},
 		},
+		// The paper's n=3f+1 bound: the last EIG relay round puts
+		// thousands of frames in every inbox before anyone receives.
+		"n10-f3-k1": {
+			Protocol: ProtocolKRelaxed, N: 10, F: 3, D: 3, K: 1,
+			Inputs: []Vector{
+				NewVector(0, 0, 0), NewVector(1, 0, 0), NewVector(0, 1, 0),
+				NewVector(0, 0, 1), NewVector(1, 1, 0), NewVector(1, 0, 1),
+				NewVector(0, 1, 1), NewVector(1, 1, 1), NewVector(2, 2, 2),
+				NewVector(-1, 3, 0.5),
+			},
+		},
 	}
 }
 
