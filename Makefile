@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-check bench-step1 experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -36,6 +36,13 @@ bench-check:
 # tier-1 test (TestEIGAllToAllAllocationCeiling).
 bench-step1:
 	$(GO) test -run '^$$' -bench 'EIGAllToAll|SyncEngineFanout' -benchmem ./internal/broadcast ./internal/sched
+
+# Transport micro-benchmarks (allocations reported): one frame each way
+# over a loopback TCP link (Send, coalescing writer, buffered reader,
+# Recv), and one lockstep round of a 4-node RunSync mesh cluster (one
+# bundle per peer per round).
+bench-transport:
+	$(GO) test -run '^$$' -bench 'TCPRoundTrip|RunSyncRound' -benchmem ./internal/transport
 
 # Regenerate every experiment table (E1-E21); fails if any claim breaks.
 experiments:

@@ -38,7 +38,9 @@ type NodeResult struct {
 	// Rounds is the number of lockstep rounds (equal on all nodes and
 	// to the simulation's Rounds for the same instance).
 	Rounds int
-	// Delivered and FramesSent count this node's local Step-1 traffic.
+	// Delivered counts the Step-1 messages delivered to this node,
+	// FramesSent the round-bundle frames it sent (one per peer per
+	// round; transport.SyncNodeStats).
 	Delivered, FramesSent int
 	// Drops counts sends suppressed by a scripted local Byzantine
 	// behavior; TreeNodes is the local EIG tree size.

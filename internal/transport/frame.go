@@ -4,11 +4,14 @@ package transport
 // round) followed by two length-prefixed fields (tag, data) in the
 // exact field layout of internal/broadcast's message encodings
 // (broadcast.AppendField/ReadField), and travels on stream links as a
-// single 4-byte big-endian length prefix plus that payload. The codec
-// is total on arbitrary input: any byte string either decodes to a
-// Frame or returns an error chaining ErrBadFrame — never a panic
-// (fuzzed in frame_fuzz_test.go, including truncated and oversized
-// frames).
+// single 4-byte big-endian length prefix plus that payload. There is
+// one encoder, appendFrame, which appends to a caller-owned buffer:
+// EncodeFrame and WriteFrame size that buffer exactly (one allocation),
+// and the TCP writer appends a whole queue of frames to one reused
+// buffer (none). The codec is total on arbitrary input: any byte string
+// either decodes to a Frame or returns an error chaining ErrBadFrame —
+// never a panic (fuzzed in frame_fuzz_test.go, including truncated and
+// oversized frames).
 
 import (
 	"encoding/binary"
@@ -19,24 +22,62 @@ import (
 )
 
 // DefaultMaxFrame is the frame size limit applied when a config leaves
-// MaxFrame zero: 1 MiB, far above any EIG relay (vectors are tens of
-// bytes) yet small enough to bound a malicious length prefix.
+// MaxFrame zero: 1 MiB, far above a round chunk (bundleCap plus one
+// message, and vectors are tens of bytes) yet small enough to bound a
+// malicious length prefix.
 const DefaultMaxFrame = 1 << 20
 
 // frameHeaderLen is the fixed prefix of an encoded frame: u16 from,
 // u16 to, u32 round (two's complement for the -1 Start round).
 const frameHeaderLen = 8
 
+// streamPrefixLen is the length prefix a frame carries on a stream.
+const streamPrefixLen = 4
+
+// tagDataLen and appendTagData size and append a (tag, data) pair as
+// two broadcast.AppendField fields: the tail of a frame, and one
+// message inside a round bundle.
+func tagDataLen(tag string, data []byte) int { return 4 + len(tag) + 4 + len(data) }
+
+func appendTagData(dst []byte, tag string, data []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(tag)))
+	dst = append(dst, tag...)
+	return broadcast.AppendField(dst, data)
+}
+
+// readTagData reads one pair written by appendTagData; tag and data
+// alias b.
+func readTagData(b []byte) (tag, data, rest []byte, err error) {
+	if tag, rest, err = broadcast.ReadField(b); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: tag field: %v", ErrBadFrame, err)
+	}
+	if data, rest, err = broadcast.ReadField(rest); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: data field: %v", ErrBadFrame, err)
+	}
+	return tag, data, rest, nil
+}
+
+// encodedLen is len(EncodeFrame(f)), computed without encoding.
+func encodedLen(f *Frame) int { return frameHeaderLen + tagDataLen(f.Tag, f.Data) }
+
+// appendFrame appends f's wire payload to dst.
+func appendFrame(dst []byte, f *Frame) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.From))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.To))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(f.Round)))
+	return appendTagData(dst, f.Tag, f.Data)
+}
+
+// appendStreamFrame appends f as it travels on a stream: the length
+// prefix, then the payload.
+func appendStreamFrame(dst []byte, f *Frame) []byte {
+	return appendFrame(binary.BigEndian.AppendUint32(dst, uint32(encodedLen(f))), f)
+}
+
 // EncodeFrame flattens f to the wire payload (without the stream
 // length prefix).
 func EncodeFrame(f *Frame) []byte {
-	buf := make([]byte, frameHeaderLen, frameHeaderLen+8+len(f.Tag)+len(f.Data))
-	binary.BigEndian.PutUint16(buf[0:], uint16(f.From))
-	binary.BigEndian.PutUint16(buf[2:], uint16(f.To))
-	binary.BigEndian.PutUint32(buf[4:], uint32(int32(f.Round)))
-	buf = broadcast.AppendField(buf, []byte(f.Tag))
-	buf = broadcast.AppendField(buf, f.Data)
-	return buf
+	return appendFrame(make([]byte, 0, encodedLen(f)), f)
 }
 
 // DecodeFrame parses a payload produced by EncodeFrame. Trailing bytes
@@ -50,13 +91,9 @@ func DecodeFrame(b []byte) (Frame, error) {
 	f.From = int(binary.BigEndian.Uint16(b[0:]))
 	f.To = int(int16(binary.BigEndian.Uint16(b[2:])))
 	f.Round = int(int32(binary.BigEndian.Uint32(b[4:])))
-	tag, rest, err := broadcast.ReadField(b[frameHeaderLen:])
+	tag, data, rest, err := readTagData(b[frameHeaderLen:])
 	if err != nil {
-		return f, fmt.Errorf("%w: tag field: %v", ErrBadFrame, err)
-	}
-	data, rest, err := broadcast.ReadField(rest)
-	if err != nil {
-		return f, fmt.Errorf("%w: data field: %v", ErrBadFrame, err)
+		return f, err
 	}
 	if len(rest) != 0 {
 		return f, fmt.Errorf("%w: %d trailing bytes after data field", ErrBadFrame, len(rest))
@@ -75,14 +112,11 @@ func WriteFrame(w io.Writer, f *Frame, maxFrame int) (int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	payload := EncodeFrame(f)
-	if len(payload) > maxFrame {
-		return 0, fmt.Errorf("%w: %d-byte frame, limit %d", ErrFrameTooLarge, len(payload), maxFrame)
+	size := encodedLen(f)
+	if size > maxFrame {
+		return 0, fmt.Errorf("%w: %d-byte frame, limit %d", ErrFrameTooLarge, size, maxFrame)
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	n, err := w.Write(buf)
+	n, err := w.Write(appendStreamFrame(make([]byte, 0, streamPrefixLen+size), f))
 	if err != nil {
 		return n, fmt.Errorf("%w: write: %v", ErrTransport, err)
 	}
@@ -99,7 +133,7 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var prefix [4]byte
+	var prefix [streamPrefixLen]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return Frame{}, fmt.Errorf("%w: read length prefix: %w", ErrTransport, err)
 	}

@@ -5,18 +5,26 @@ package transport
 // peer, established lazily and re-established with exponential backoff
 // after any dial or write failure. Inbound connections authenticate
 // with a hello frame naming the sender id, then stream frames into the
-// shared inbox. Close drains the outbound queues (bounded by
-// DrainTimeout) before tearing links down, so a node that finishes a
-// protocol and shuts down does not strand the final round's frames.
+// shared inbox through one buffered reader per connection. Close drains
+// the outbound queues (bounded by DrainTimeout) before tearing links
+// down, so a node that finishes a protocol and shuts down does not
+// strand the final round's frames.
+//
+// Send checks a frame's encoded size against MaxFrame and rejects an
+// oversize frame synchronously, so the writers only ever see frames
+// the peer will accept. A peer's writer encodes the frame it dequeued
+// and every frame already queued behind it into one reused buffer and
+// issues a single Write; it never waits for more frames, so coalescing
+// adds no latency.
 //
 // Delivery is at-least-once across reconnects: a write error after the
-// peer already received the frame leads to one duplicate. That is
-// inside the protocols' delivery model — the EIG tree store is
-// idempotent and the lockstep runner deduplicates its control frames —
-// and matches the duplication tolerance the sim's fault layer already
-// exercises.
+// peer already received some of a batch leads to duplicates of those
+// frames. That is inside the protocols' delivery model — the lockstep
+// runner deduplicates its round bundles exactly — and matches the
+// duplication tolerance the sim's fault layer already exercises.
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -47,6 +55,15 @@ const tcpInboxCap = 1 << 13
 // tcpQueueCap bounds each outbound per-peer queue; Send blocks
 // (backpressure) when a peer falls this far behind.
 const tcpQueueCap = 1 << 12
+
+// tcpBatchBytes is the encoded size past which a writer stops
+// coalescing queued frames and writes what it has.
+const tcpBatchBytes = 64 << 10
+
+// tcpReadBuf sizes each connection's buffered reader: one read(2)
+// fetches every frame of that size already in the socket, and a larger
+// frame's payload is read straight into its own buffer.
+const tcpReadBuf = 16 << 10
 
 // TCPConfig configures one node's TCP endpoint.
 type TCPConfig struct {
@@ -122,9 +139,11 @@ type tcpPeer struct {
 	addr  string
 	queue chan Frame
 	// connected records that this link has succeeded at least once, so
-	// later re-establishments count as reconnects. Only the peer's
-	// writeLoop goroutine touches it.
+	// later re-establishments count as reconnects, and buf is the
+	// encode buffer reused across batches. Only the peer's writeLoop
+	// goroutine touches them.
 	connected bool
+	buf       []byte
 }
 
 // DialTCP opens node cfg.Self's endpoint: it listens on
@@ -189,12 +208,16 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // Send implements Transport: it enqueues f on the peer's outbound
 // queue (blocking for backpressure) and returns once queued; the
-// per-peer writer flushes asynchronously with reconnect.
+// per-peer writer flushes asynchronously with reconnect. A frame that
+// encodes to more than MaxFrame is rejected here with ErrFrameTooLarge.
 func (t *TCP) Send(f Frame) error {
 	select {
 	case <-t.closing:
 		return fmt.Errorf("%w: node %d send after close", ErrClosed, t.self)
 	default:
+	}
+	if size := encodedLen(&f); size > t.cfg.MaxFrame {
+		return fmt.Errorf("%w: node %d send: %d-byte frame, limit %d", ErrFrameTooLarge, t.self, size, t.cfg.MaxFrame)
 	}
 	f.From = t.self
 	if f.To == Broadcast {
@@ -368,10 +391,22 @@ func (t *TCP) connect(p *tcpPeer, deadline time.Time) net.Conn {
 	}
 }
 
-// writeOne flushes f to p, reconnecting on failure until it is written
-// or the deadline/closing applies. It returns the live connection (nil
-// when the frame had to be dropped).
-func (t *TCP) writeOne(p *tcpPeer, conn net.Conn, f Frame, deadline time.Time) net.Conn {
+// writeBatch encodes first and every frame already queued behind it
+// (up to tcpBatchBytes) into p.buf and writes the batch to p,
+// reconnecting and rewriting the whole batch on failure until it is
+// written or the deadline/closing applies. It returns the live
+// connection (nil when the batch had to be dropped).
+func (t *TCP) writeBatch(p *tcpPeer, conn net.Conn, first Frame, deadline time.Time) net.Conn {
+	p.buf = appendStreamFrame(p.buf[:0], &first)
+coalesce:
+	for len(p.buf) < tcpBatchBytes {
+		select {
+		case f := <-p.queue:
+			p.buf = appendStreamFrame(p.buf, &f)
+		default:
+			break coalesce
+		}
+	}
 	for {
 		if conn == nil {
 			conn = t.connect(p, deadline)
@@ -379,7 +414,7 @@ func (t *TCP) writeOne(p *tcpPeer, conn net.Conn, f Frame, deadline time.Time) n
 				return nil
 			}
 		}
-		n, err := WriteFrame(conn, &f, t.cfg.MaxFrame)
+		n, err := conn.Write(p.buf)
 		if err == nil {
 			t.bytesSent.Add(int64(n))
 			tcpBytesSent.Add(int64(n))
@@ -412,7 +447,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 	for {
 		select {
 		case f := <-p.queue:
-			conn = t.writeOne(p, conn, f, time.Time{})
+			conn = t.writeBatch(p, conn, f, time.Time{})
 		case <-t.closing:
 			// Drain what is already queued, bounded by DrainTimeout, so
 			// the final round of a finished protocol reaches the peer.
@@ -420,7 +455,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 			for {
 				select {
 				case f := <-p.queue:
-					conn = t.writeOne(p, conn, f, deadline)
+					conn = t.writeBatch(p, conn, f, deadline)
 				default:
 					return
 				}
@@ -459,7 +494,8 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.conns, conn)
 		t.mu.Unlock()
 	}()
-	hello, err := ReadFrame(conn, t.cfg.MaxFrame)
+	br := bufio.NewReaderSize(conn, tcpReadBuf)
+	hello, err := ReadFrame(br, t.cfg.MaxFrame)
 	if err != nil || hello.Tag != helloTag || hello.From < 0 || hello.From >= t.n || hello.From == t.self {
 		// Not a cluster peer (or a broken handshake): drop the
 		// connection without poisoning a link slot.
@@ -467,7 +503,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 	peer := hello.From
 	for {
-		f, err := ReadFrame(conn, t.cfg.MaxFrame)
+		f, err := ReadFrame(br, t.cfg.MaxFrame)
 		if err != nil {
 			select {
 			case <-t.closing:

@@ -23,7 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	v[0], v[1], v[2] = 1.5, -2.25, 1e-300
 	cases := []Frame{
 		{From: 0, To: 1, Round: 0, Tag: "eig", Data: []byte("payload")},
-		{From: 2, To: Broadcast, Round: -1, Tag: eorTag, Data: []byte{1}},
+		{From: 2, To: Broadcast, Round: -1, Tag: roundTag, Data: []byte{bundleLast, 0, 0, 0, 0}},
 		{From: 65535, To: 0, Round: 1<<31 - 1, Tag: ""},
 		{From: 1, To: 3, Round: 7, Tag: "vec", Data: broadcast.EncodeVec(v)},
 	}
@@ -290,8 +290,162 @@ func TestTCPPairExchange(t *testing.T) {
 	if f.From != 1 || f.Tag != "ack" {
 		t.Fatalf("delivered %+v", f)
 	}
+	// BytesSent counts bytes actually written, and the writer adds them
+	// after its Write returns — by when the peer may already have
+	// answered. Wait for the writer's accounting instead of racing it.
+	deadline := time.Now().Add(5 * time.Second)
+	for n0.Stats().BytesSent == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if s := n0.Stats(); s.FramesSent == 0 || s.FramesReceived == 0 || s.BytesSent == 0 {
 		t.Errorf("stats not counted: %+v", s)
+	}
+}
+
+// TestTCPSendRejectsOversizeFrame: a frame above MaxFrame is refused by
+// Send itself. It used to be queued, fail in the writer before a byte
+// was written, and be retried over a fresh connection forever, blocking
+// every later frame to that peer.
+func TestTCPSendRejectsOversizeFrame(t *testing.T) {
+	ln0, ln1 := listenLoopback(t), listenLoopback(t)
+	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0, MaxFrame: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close()
+	n1, err := DialTCP(TCPConfig{Self: 1, Peers: peers, Listener: ln1, MaxFrame: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n1.Close()
+
+	for _, to := range []int{1, Broadcast} {
+		err := n0.Send(Frame{To: to, Tag: "eig", Data: make([]byte, 1000)})
+		if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, ErrTransport) {
+			t.Fatalf("oversize send to %d: err = %v, want ErrFrameTooLarge", to, err)
+		}
+	}
+	if err := n0.Send(Frame{To: 1, Tag: "eig", Data: []byte("small")}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	f, err := n1.Recv(ctx)
+	if err != nil {
+		t.Fatalf("frame after the oversize one never arrived: %v", err)
+	}
+	if string(f.Data) != "small" {
+		t.Fatalf("delivered %+v", f)
+	}
+	if s := n0.Stats(); s.Reconnects != 0 || s.FramesSent != 1 {
+		t.Errorf("stats = %+v, want no reconnects and only the small frame counted", s)
+	}
+}
+
+// TestTCPWriterCoalesces: frames queued while the link is still being
+// established go out in batches, which must change nothing a peer or
+// the counters can see — order, one FramesSent per frame, and BytesSent
+// the sum of the frames' stream encodings.
+func TestTCPWriterCoalesces(t *testing.T) {
+	const k = 200
+	ln0, ln1 := listenLoopback(t), listenLoopback(t)
+	defer ln1.Close()
+	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes := 0
+	for i := 0; i < k; i++ {
+		f := Frame{To: 1, Round: i, Tag: "eig", Data: bytes.Repeat([]byte{byte(i)}, i)}
+		wantBytes += streamPrefixLen + encodedLen(&f)
+		if err := n0.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := ln1.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if hello, err := ReadFrame(conn, 0); err != nil || hello.Tag != helloTag {
+		t.Fatalf("handshake: frame %+v, err %v", hello, err)
+	}
+	for i := 0; i < k; i++ {
+		f, err := ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.From != 0 || f.Round != i || len(f.Data) != i {
+			t.Fatalf("frame %d arrived as %+v", i, f)
+		}
+	}
+	if err := n0.Close(); err != nil { // joins the writer: its accounting is final
+		t.Fatal(err)
+	}
+	if s := n0.Stats(); s.FramesSent != k || s.BytesSent != int64(wantBytes) || s.Reconnects != 0 {
+		t.Errorf("stats = %+v, want %d frames and %d bytes", s, k, wantBytes)
+	}
+}
+
+// BenchmarkTCPRoundTrip: one frame to a peer and one back over loopback
+// (two frames written, two read per iteration); allocations per
+// iteration cover the whole path, Send to Recv.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n0.Close()
+	n1, err := DialTCP(TCPConfig{Self: 1, Peers: peers, Listener: ln1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n1.Close()
+	ctx := context.Background()
+	echoed := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N+1; i++ {
+			f, err := n1.Recv(ctx)
+			if err == nil {
+				err = n1.Send(Frame{To: 0, Round: f.Round, Tag: f.Tag, Data: f.Data})
+			}
+			if err != nil {
+				echoed <- err
+				return
+			}
+		}
+		echoed <- nil
+	}()
+	payload := make([]byte, 64)
+	roundTrip := func(i int) {
+		if err := n0.Send(Frame{To: 1, Round: i, Tag: roundTag, Data: payload}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := n0.Recv(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	roundTrip(-1) // both links up before the clock starts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip(i)
+	}
+	b.StopTimer()
+	if err := <-echoed; err != nil {
+		b.Fatal(err)
 	}
 }
 

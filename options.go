@@ -81,7 +81,11 @@ type Transport struct {
 	// Peers[Self], letting tests bind ":0" first (TransportTCP only).
 	Listener net.Listener
 	// MaxFrame bounds frame sizes on the wire (0 = 1 MiB default;
-	// TransportTCP only).
+	// TransportTCP only). A frame is one chunk of a lockstep round —
+	// everything a node sends one peer in that round, split at 64 KiB —
+	// not a single protocol message, so the bound must admit 64 KiB plus
+	// the largest message; a round chunk above it fails the run with an
+	// error chaining ErrTransport instead of being sent.
 	MaxFrame int
 }
 
