@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -43,6 +43,14 @@ bench-step1:
 # bundle per peer per round).
 bench-transport:
 	$(GO) test -run '^$$' -bench 'TCPRoundTrip|RunSyncRound' -benchmem ./internal/transport
+
+# ACS protocol-layer micro-benchmarks (allocations reported): one counted
+# ECHO into a live Bracha instance that sends nothing (0 allocs/op), and
+# one epoch of the acs_protocol shape (n=7 f=2 d=1 p=+Inf) on the
+# lockstep engine. The per-epoch allocation ceiling itself is a tier-1
+# test (TestACSEpochAllocationCeiling).
+bench-acs:
+	$(GO) test -run '^$$' -bench 'BrachaHandle|ACSEpoch' -benchmem ./internal/broadcast ./internal/acs
 
 # Regenerate every experiment table (E1-E21); fails if any claim breaks.
 experiments:

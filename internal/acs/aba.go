@@ -14,6 +14,10 @@
 // the subset multiset) — HoneyBadger-style batching with the
 // relaxed-consensus decision rule.
 //
+// Per-message work is O(1): an ABA round is a flag byte per sender plus
+// BVAL/AUX counters, rounds exist only once a message names them, and
+// the handlers append their sends to one slice threaded through a Step.
+//
 // Every component is a deterministic message-driven state machine with
 // no clocks and no randomness beyond a deterministic common coin, so a
 // lockstep execution (sched.SyncEngine in-process, transport.RunSync
@@ -23,7 +27,7 @@ package acs
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 
 	"relaxedbvc/internal/sched"
 )
@@ -64,28 +68,34 @@ func encodeABA(epoch, slot, round int, phase, value byte) []byte {
 	return out
 }
 
+var errABALength = errors.New("acs: aba message length != 12")
+
 func decodeABA(b []byte) (epoch, slot, round int, phase, value byte, err error) {
 	if len(b) != 12 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("acs: aba message length %d != 12", len(b))
+		return 0, 0, 0, 0, 0, errABALength
 	}
 	return int(binary.BigEndian.Uint32(b)), int(binary.BigEndian.Uint16(b[4:])),
 		int(binary.BigEndian.Uint32(b[6:])), b[10], b[11] & 1, nil
 }
 
-// abaRound is the per-round message state of one instance.
+// abaRound is the per-round message state of one instance: a flag byte
+// per sender (the duplicate check) and the counts the thresholds read.
 type abaRound struct {
-	bvalSent  [2]bool         // we broadcast BVAL(b) this round
-	bval      [2]map[int]bool // senders of BVAL(b)
-	binValues [2]bool         // values with 2f+1 BVALs
+	seen      []byte  // per sender: bit b = BVAL(b) received, bit seenAux = AUX received
+	bvalCnt   [2]int  // senders of BVAL(b)
+	auxCnt    [2]int  // senders of AUX(b)
+	bvalSent  [2]bool // we broadcast BVAL(b) this round
+	binValues [2]bool // values with 2f+1 BVALs
 	auxSent   bool
-	aux       map[int]byte // sender -> AUX value
-	advanced  bool         // we moved past this round
 }
+
+const seenAux = 2
 
 // abaInst is one binary-agreement instance — MMR-style BVAL/AUX rounds
 // with the deterministic common coin. It is driven purely by handle()
-// and input(); a decided instance stops emitting (all correct processes
-// decide in the same lockstep round, so nobody is left waiting).
+// and input(), which append their sends to the caller's slice; a decided
+// instance stops emitting (all correct processes decide in the same
+// lockstep round, so nobody is left waiting).
 type abaInst struct {
 	n, f, self  int
 	epoch, slot int
@@ -98,82 +108,102 @@ type abaInst struct {
 	decision     byte
 	decidedRound int
 
-	rounds []*abaRound
+	// Round states are sparse: a message for round r creates that
+	// round's state and nothing else, so a peer that names a far round —
+	// a correct one many rounds ahead, or a Byzantine one naming 2^32-1 —
+	// costs O(1). Three of four instances decide within the first two
+	// rounds (the coin is fair), which sit inline; the rest go to later.
+	near  [2]abaRound
+	later map[int]*abaRound
 }
 
-func newABAInst(n, f, self, epoch, slot int) *abaInst {
-	return &abaInst{n: n, f: f, self: self, epoch: epoch, slot: slot}
+// newABAInsts builds the n instances of one epoch in two allocations.
+func newABAInsts(n, f, self, epoch int) []abaInst {
+	insts := make([]abaInst, n)
+	seen := make([]byte, len(insts[0].near)*n*n)
+	for s := range insts {
+		a := &insts[s]
+		*a = abaInst{n: n, f: f, self: self, epoch: epoch, slot: s}
+		for r := range a.near {
+			a.near[r].seen, seen = seen[:n:n], seen[n:]
+		}
+	}
+	return insts
 }
 
 func (a *abaInst) roundState(r int) *abaRound {
-	for len(a.rounds) <= r {
-		a.rounds = append(a.rounds, &abaRound{
-			bval: [2]map[int]bool{make(map[int]bool), make(map[int]bool)},
-			aux:  make(map[int]byte),
-		})
+	if r < len(a.near) {
+		return &a.near[r]
 	}
-	return a.rounds[r]
+	rd := a.later[r]
+	if rd == nil {
+		if a.later == nil {
+			a.later = make(map[int]*abaRound)
+		}
+		rd = &abaRound{seen: make([]byte, a.n)}
+		a.later[r] = rd
+	}
+	return rd
 }
 
 // input sets this process's vote (once) and starts round 0.
-func (a *abaInst) input(v byte) []sched.Outgoing {
+func (a *abaInst) input(outs []sched.Outgoing, v byte) []sched.Outgoing {
 	if a.haveInput {
-		return nil
+		return outs
 	}
 	a.haveInput = true
 	a.est = v & 1
-	outs := a.castBval(0, a.est)
-	return append(outs, a.tryAdvance()...)
+	return a.tryAdvance(a.castBval(outs, 0, a.est))
 }
 
-// castBval broadcasts BVAL(r, b) once and feeds the local copy back.
-func (a *abaInst) castBval(r int, b byte) []sched.Outgoing {
+// castBval broadcasts BVAL(r, b) once and counts the local copy.
+func (a *abaInst) castBval(outs []sched.Outgoing, r int, b byte) []sched.Outgoing {
 	rd := a.roundState(r)
 	if rd.bvalSent[b] {
-		return nil
+		return outs
 	}
 	rd.bvalSent[b] = true
-	data := encodeABA(a.epoch, a.slot, r, abaBval, b)
-	outs := []sched.Outgoing{{To: sched.Broadcast, Tag: ABATag, Data: data}}
-	return append(outs, a.handle(a.self, r, abaBval, b)...)
+	outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: ABATag, Data: encodeABA(a.epoch, a.slot, r, abaBval, b)})
+	return a.handle(outs, a.self, r, abaBval, b)
 }
 
 // handle processes one BVAL/AUX message (messages for any round are
 // accepted; thresholds are round-local, so early traffic simply
-// accumulates). It returns protocol sends, including cascades from
-// locally fed-back copies.
-func (a *abaInst) handle(from, round int, phase, value byte) []sched.Outgoing {
+// accumulates). It appends protocol sends, including cascades from
+// locally counted copies. The caller has checked that from is a process
+// and phase a phase (Node.handleABA, before it creates any state).
+func (a *abaInst) handle(outs []sched.Outgoing, from, round int, phase, value byte) []sched.Outgoing {
 	value &= 1
 	rd := a.roundState(round)
-	var outs []sched.Outgoing
 	switch phase {
 	case abaBval:
-		if rd.bval[value][from] {
-			return nil
+		if rd.seen[from]&(1<<value) != 0 {
+			return outs
 		}
-		rd.bval[value][from] = true
-		cnt := len(rd.bval[value])
+		rd.seen[from] |= 1 << value
+		rd.bvalCnt[value]++
+		cnt := rd.bvalCnt[value]
 		// Relay on f+1 (at least one correct process voted value).
 		if cnt >= relayQuorum(a.f) && !rd.bvalSent[value] {
-			outs = append(outs, a.castBval(round, value)...)
+			outs = a.castBval(outs, round, value)
 		}
 		// bin_values admission on 2f+1.
 		if cnt >= admitQuorum(a.f) && !rd.binValues[value] {
 			rd.binValues[value] = true
 			if !rd.auxSent {
 				rd.auxSent = true
-				data := encodeABA(a.epoch, a.slot, round, abaAux, value)
-				outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: ABATag, Data: data})
-				outs = append(outs, a.handle(a.self, round, abaAux, value)...)
+				outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: ABATag, Data: encodeABA(a.epoch, a.slot, round, abaAux, value)})
+				outs = a.handle(outs, a.self, round, abaAux, value)
 			}
-			outs = append(outs, a.tryAdvance()...)
+			outs = a.tryAdvance(outs)
 		}
 	case abaAux:
-		if _, dup := rd.aux[from]; dup {
-			return nil
+		if rd.seen[from]&(1<<seenAux) != 0 {
+			return outs
 		}
-		rd.aux[from] = value
-		outs = append(outs, a.tryAdvance()...)
+		rd.seen[from] |= 1 << seenAux
+		rd.auxCnt[value]++
+		outs = a.tryAdvance(outs)
 	}
 	return outs
 }
@@ -184,30 +214,22 @@ func (a *abaInst) handle(from, round int, phase, value byte) []sched.Outgoing {
 // adopts the coin. A decided instance stops advancing — in lockstep
 // delivery every correct process holds the identical instance state, so
 // all of them decide in the same round and none is left behind.
-func (a *abaInst) tryAdvance() []sched.Outgoing {
-	var outs []sched.Outgoing
+func (a *abaInst) tryAdvance(outs []sched.Outgoing) []sched.Outgoing {
 	for !a.decided && a.haveInput {
 		r := a.round
 		rd := a.roundState(r)
-		if rd.advanced {
-			a.round++
-			continue
-		}
-		if !rd.binValues[0] && !rd.binValues[1] {
-			return outs
-		}
+		// AUX votes count only for values inside bin_values.
 		var vals [2]bool
 		valid := 0
-		for _, v := range rd.aux {
+		for v := range vals {
 			if rd.binValues[v] {
-				valid++
-				vals[v] = true
+				valid += rd.auxCnt[v]
+				vals[v] = rd.auxCnt[v] > 0
 			}
 		}
 		if valid < auxQuorum(a.n, a.f) {
 			return outs
 		}
-		rd.advanced = true
 		c := coin(a.epoch, a.slot, r)
 		var next byte
 		switch {
@@ -228,7 +250,7 @@ func (a *abaInst) tryAdvance() []sched.Outgoing {
 		a.est = next
 		a.round = r + 1
 		if !a.decided {
-			outs = append(outs, a.castBval(a.round, next)...)
+			outs = a.castBval(outs, a.round, next)
 		}
 	}
 	return outs

@@ -3,7 +3,6 @@ package acs
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/minimax"
@@ -76,9 +75,10 @@ type Stats struct {
 
 // epochState is the per-epoch protocol state of a node.
 type epochState struct {
-	abas         []*abaInst
-	delivered    map[int]vec.V // slot -> decoded proposal
-	rawDelivered map[int]bool
+	// abas, delivered and rawDelivered are indexed by slot.
+	abas         []abaInst
+	delivered    []vec.V // decoded proposal
+	rawDelivered []bool  // the slot's proposal was reliably delivered
 	zeroCast     bool
 	sealed       bool
 }
@@ -91,7 +91,10 @@ type epochState struct {
 // arrive ahead of the receiver's current epoch accumulate in their
 // instances until the receiver catches up.
 type Node struct {
-	cfg     Config
+	cfg Config
+	// outs is the send buffer every Start/Step fills and returns; the
+	// driver is done with it by the next Step (sched.SyncProcess).
+	outs    []sched.Outgoing
 	rbc     *broadcast.BrachaState
 	epochs  map[int]*epochState
 	cur     int
@@ -137,12 +140,9 @@ func (n *Node) epoch(e int) *epochState {
 	es := n.epochs[e]
 	if es == nil {
 		es = &epochState{
-			abas:         make([]*abaInst, n.cfg.N),
-			delivered:    make(map[int]vec.V),
-			rawDelivered: make(map[int]bool),
-		}
-		for s := 0; s < n.cfg.N; s++ {
-			es.abas[s] = newABAInst(n.cfg.N, n.cfg.F, n.cfg.Self, e, s)
+			abas:         newABAInsts(n.cfg.N, n.cfg.F, n.cfg.Self, e),
+			delivered:    make([]vec.V, n.cfg.N),
+			rawDelivered: make([]bool, n.cfg.N),
 		}
 		n.epochs[e] = es
 	}
@@ -155,8 +155,8 @@ func (n *Node) Start() []sched.Outgoing {
 		n.done = true
 		return nil
 	}
-	outs := n.open(0)
-	return append(outs, n.pump()...)
+	n.outs = n.pump(n.open(n.outs[:0], 0))
+	return n.outs
 }
 
 // Done implements sched.SyncProcess.
@@ -168,16 +168,17 @@ func (n *Node) Step(round int, delivered []sched.Message) []sched.Outgoing {
 	if n.done {
 		return nil
 	}
-	var outs []sched.Outgoing
+	outs := n.outs[:0]
 	for _, m := range delivered {
 		switch m.Tag {
 		case broadcast.BrachaTag:
-			outs = append(outs, n.rbc.Handle(m)...)
+			outs = n.handleRBC(outs, m)
 		case ABATag:
-			outs = append(outs, n.handleABA(m)...)
+			outs = n.handleABA(outs, m)
 		}
 	}
-	return append(outs, n.pump()...)
+	n.outs = n.pump(outs)
+	return n.outs
 }
 
 // Receive implements sched.AsyncProcess with the identical transition
@@ -187,13 +188,16 @@ func (n *Node) Receive(m sched.Message) []sched.Outgoing {
 }
 
 // open broadcasts this node's epoch-e proposal on its RBC slot.
-func (n *Node) open(e int) []sched.Outgoing {
+func (n *Node) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 	id := broadcast.EpochID(e)
-	value := broadcast.EncodeVec(n.cfg.Proposals[e])
+	// The node's own instance always gets the true proposal.
+	own := sched.Message{
+		From: n.cfg.Self, To: n.cfg.Self, Tag: broadcast.BrachaTag,
+		Data: broadcast.EncodeInit(n.cfg.Self, id, broadcast.EncodeVec(n.cfg.Proposals[e])),
+	}
 	if n.cfg.Behavior == Equivocate {
 		// Per-recipient INITs with distinct values: recipient j sees the
 		// proposal shifted by j+1 in every coordinate.
-		var outs []sched.Outgoing
 		for j := 0; j < n.cfg.N; j++ {
 			if j == n.cfg.Self {
 				continue
@@ -207,43 +211,48 @@ func (n *Node) open(e int) []sched.Outgoing {
 				Data: broadcast.EncodeInit(n.cfg.Self, id, broadcast.EncodeVec(lie)),
 			})
 		}
-		// Feed the unshifted value to the local instance.
-		outs = append(outs, n.rbc.Handle(sched.Message{
-			From: n.cfg.Self, To: n.cfg.Self, Tag: broadcast.BrachaTag,
-			Data: broadcast.EncodeInit(n.cfg.Self, id, value),
-		})...)
+	} else {
+		outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: broadcast.BrachaTag, Data: own.Data})
+	}
+	return n.rbc.AppendHandle(outs, own)
+}
+
+// liveEpoch reports whether epoch e can still receive traffic: not yet
+// garbage-collected and inside the stream.
+func (n *Node) liveEpoch(e int) bool { return e >= n.pruneLo && e < len(n.cfg.Proposals) }
+
+// handleRBC feeds one rbc message to the reliable-broadcast layer,
+// unless it names an instance no live epoch owns: such an instance
+// would never be read by pump nor matched by prune.
+func (n *Node) handleRBC(outs []sched.Outgoing, m sched.Message) []sched.Outgoing {
+	if e, ok := broadcast.ParseEpochID(string(broadcast.RBCInstanceID(m.Data))); !ok || !n.liveEpoch(e) {
 		return outs
 	}
-	return n.rbc.Broadcast(id, value)
+	return n.rbc.AppendHandle(outs, m)
 }
 
 // handleABA routes one ABA message to its (epoch, slot) instance.
-func (n *Node) handleABA(m sched.Message) []sched.Outgoing {
+func (n *Node) handleABA(outs []sched.Outgoing, m sched.Message) []sched.Outgoing {
 	epoch, slot, round, phase, value, err := decodeABA(m.Data)
-	if err != nil {
-		return nil
+	if err != nil || slot >= n.cfg.N || !n.liveEpoch(epoch) || phase > abaAux || m.From < 0 || m.From >= n.cfg.N {
+		return outs // before any state is created
 	}
-	if slot < 0 || slot >= n.cfg.N || epoch < n.pruneLo || epoch >= len(n.cfg.Proposals) {
-		return nil
-	}
-	return n.epoch(epoch).abas[slot].handle(m.From, round, phase, value)
+	return n.epoch(epoch).abas[slot].handle(outs, m.From, round, phase, value)
 }
 
 // pump drives the BKR decision logic to a fixpoint: fold reliable
 // deliveries into votes, cast the 0-votes once n-f slots decided 1,
 // seal the epoch when every slot's agreement decided and every accepted
 // slot's proposal is locally delivered, then open the next epoch.
-func (n *Node) pump() []sched.Outgoing {
-	var outs []sched.Outgoing
+func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 	for {
 		progress := false
 		for _, d := range n.rbc.TakeDeliveries() {
 			e, ok := broadcast.ParseEpochID(d.ID)
-			if !ok || e < n.pruneLo || e >= len(n.cfg.Proposals) || d.Sender < 0 || d.Sender >= n.cfg.N {
+			if !ok || !n.liveEpoch(e) {
 				continue
 			}
-			es := n.epoch(e)
-			if !es.rawDelivered[d.Sender] {
+			if es := n.epoch(e); !es.rawDelivered[d.Sender] {
 				es.rawDelivered[d.Sender] = true
 				es.delivered[d.Sender] = n.decodeValue(d.Value)
 				progress = true
@@ -259,7 +268,7 @@ func (n *Node) pump() []sched.Outgoing {
 		// BKR rule 1: vote 1 for every reliably delivered slot.
 		for s := 0; s < n.cfg.N; s++ {
 			if es.rawDelivered[s] && !es.abas[s].haveInput {
-				outs = append(outs, es.abas[s].input(1)...)
+				outs = es.abas[s].input(outs, 1)
 				progress = true
 			}
 		}
@@ -274,7 +283,7 @@ func (n *Node) pump() []sched.Outgoing {
 			es.zeroCast = true
 			for s := 0; s < n.cfg.N; s++ {
 				if !es.abas[s].haveInput {
-					outs = append(outs, es.abas[s].input(0)...)
+					outs = es.abas[s].input(outs, 0)
 					progress = true
 				}
 			}
@@ -282,26 +291,21 @@ func (n *Node) pump() []sched.Outgoing {
 		// Seal: every agreement decided, every accepted slot delivered.
 		if !es.sealed {
 			ready := true
-			var subset []int
-			for s := 0; s < n.cfg.N; s++ {
-				if !es.abas[s].decided {
+			for s := range es.abas {
+				if a := &es.abas[s]; !a.decided || (a.decision == 1 && !es.rawDelivered[s]) {
 					ready = false
 					break
-				}
-				if es.abas[s].decision == 1 {
-					if !es.rawDelivered[s] {
-						ready = false
-						break
-					}
-					subset = append(subset, s)
 				}
 			}
 			if ready {
 				es.sealed = true
-				sort.Ints(subset)
-				values := make([]vec.V, len(subset))
-				for i, s := range subset {
-					values[i] = es.delivered[s]
+				subset := make([]int, 0, n.cfg.N)
+				values := make([]vec.V, 0, n.cfg.N)
+				for s := range es.abas {
+					if es.abas[s].decision == 1 {
+						subset = append(subset, s)
+						values = append(values, es.delivered[s])
+					}
 				}
 				output, delta := decideEpoch(values, n.cfg.F, n.cfg.NormP)
 				n.sealed = append(n.sealed, EpochDecision{
@@ -310,15 +314,15 @@ func (n *Node) pump() []sched.Outgoing {
 				})
 				n.stats.Epochs++
 				n.stats.Slots += len(subset)
-				for _, a := range es.abas {
-					if a.decided {
+				for s := range es.abas {
+					if a := &es.abas[s]; a.decided {
 						n.stats.ABARounds += a.decidedRound + 1
 					}
 				}
 				n.cur++
 				n.prune()
 				if n.cur < len(n.cfg.Proposals) {
-					outs = append(outs, n.open(n.cur)...)
+					outs = n.open(outs, n.cur)
 				} else {
 					n.done = true
 				}

@@ -1,0 +1,188 @@
+package acs
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"relaxedbvc/internal/broadcast"
+	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/vec"
+)
+
+// tamper is a node whose inbox gets extra messages appended in one
+// round — traffic a Byzantine peer (or a broken transport) could put on
+// the wire. after, if set, runs right after that round's Step.
+type tamper struct {
+	*Node
+	at    int
+	extra []sched.Message
+	after func()
+}
+
+func (p *tamper) Step(round int, delivered []sched.Message) []sched.Outgoing {
+	if round != p.at {
+		return p.Node.Step(round, delivered)
+	}
+	outs := p.Node.Step(round, append(delivered[:len(delivered):len(delivered)], p.extra...))
+	if p.after != nil {
+		p.after()
+	}
+	return outs
+}
+
+// newCluster is buildCluster for benchmarks and fuzz targets too: cfg
+// gives N, F, D and NormP, props[e][i] is node i's epoch-e proposal.
+func newCluster(tb testing.TB, cfg Config, props [][]vec.V, behaviors map[int]Behavior) ([]*Node, []sched.SyncProcess) {
+	nodes := make([]*Node, cfg.N)
+	procs := make([]sched.SyncProcess, cfg.N)
+	for i := range nodes {
+		cfg.Self, cfg.Behavior = i, behaviors[i]
+		cfg.Proposals = make([]vec.V, len(props))
+		for e := range props {
+			cfg.Proposals[e] = props[e][i]
+		}
+		node, err := NewNode(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		nodes[i], procs[i] = node, node
+	}
+	return nodes, procs
+}
+
+// runTampered runs a fresh n-node stream with extra delivered to node 0
+// in round at, and returns the nodes.
+func runTampered(t testing.TB, n, f int, props [][]vec.V, behaviors map[int]Behavior, at int, extra []sched.Message, after func(*Node)) []*Node {
+	nodes, procs := newCluster(t, Config{N: n, F: f, D: len(props[0][0])}, props, behaviors)
+	tp := &tamper{Node: nodes[0], at: at, extra: extra}
+	if after != nil {
+		tp.after = func() { after(nodes[0]) }
+	}
+	procs[0] = tp
+	if _, err := sched.NewSyncEngine(procs).Run(); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	return nodes
+}
+
+// One 12-byte aba message naming round 2^31 must cost what any other
+// message costs. With a dense round slice it allocated one state per
+// round up to the one named: 450 MB for round 2 000 000, the process
+// for 2^32-1. A far round is not an error — in the asynchronous engines
+// a correct peer can be many rounds ahead — so it is stored, sparsely.
+func TestABAFarRoundIsConstantCost(t *testing.T) {
+	const n, f, d, epochs = 4, 1, 2, 3
+	props := genProposals(rand.New(rand.NewSource(23)), epochs, n, d)
+	far := sched.Message{From: 3, To: 0, Tag: ABATag, Data: encodeABA(0, 1, 1<<31, abaBval, 1)}
+
+	clean := buildCluster(t, n, f, d, props, nil)
+	runCluster(t, clean, nil)
+
+	node := buildCluster(t, n, f, d, props, nil)[0]
+	node.Start()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	node.handleABA(nil, far)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+		t.Fatalf("far-round message allocated %d bytes, want < 4 KiB", got)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("far-round message took %v", elapsed)
+	}
+
+	nodes := runTampered(t, n, f, props, nil, 1, []sched.Message{far}, nil)
+	for i, node := range nodes {
+		if got, want := Fingerprint(node.Decisions()), Fingerprint(clean[i].Decisions()); got != want {
+			t.Fatalf("node %d sealed %s after a far-round message, clean run %s", i, got, want)
+		}
+	}
+}
+
+// DESIGN §13.3's bound — a node holds O(pipeline depth) protocol state —
+// must survive Byzantine traffic: messages that name no live instance
+// are dropped before any state exists for them. Before, every distinct
+// garbage (sender, id) opened an RBC instance that pump never read and
+// prune never matched.
+func TestACSGarbageCreatesNoState(t *testing.T) {
+	const n, f, d, epochs, at = 4, 1, 2, 4, 3
+	props := genProposals(rand.New(rand.NewSource(29)), epochs, n, d)
+	value := broadcast.EncodeVec(vec.Of(1, 2))
+	rbc := func(phase byte, sender int, id string) []byte {
+		data := broadcast.EncodeInit(sender, id, value)
+		data[0] = phase
+		return data
+	}
+	rng := rand.New(rand.NewSource(31))
+	var garbage []sched.Message
+	for len(garbage) < 10000 {
+		k := len(garbage)
+		m := sched.Message{From: 3, To: 0, Tag: broadcast.BrachaTag}
+		switch k % 10 {
+		case 0: // an id of another subsystem
+			m.Data = rbc(1, k%n, "x"+broadcast.EpochID(k))
+		case 1: // an epoch past the stream
+			m.Data = rbc(2, k%n, broadcast.EpochID(epochs+k))
+		case 2: // an epoch already garbage-collected, or negative
+			m.Data = rbc(1, k%n, broadcast.EpochID(-k))
+		case 3: // a second spelling of a live epoch
+			m.Data = rbc(1, k%n, "e0"+broadcast.EpochID(k % epochs)[1:])
+		case 4: // a sender that is no process
+			m.Data = rbc(1, n+k, broadcast.EpochID(k%epochs))
+		case 5: // an origin that is no process
+			m.From, m.Data = n+k, rbc(1, k%n, broadcast.EpochID(k%epochs))
+			if k%20 == 5 {
+				m.From = -1 - k
+			}
+		case 6: // no such phase
+			m.Data = rbc(3+byte(k%250), k%n, broadcast.EpochID(k%epochs))
+		case 7: // truncated
+			full := rbc(1, k%n, broadcast.EpochID(k%epochs))
+			m.Data = full[:rng.Intn(len(full))]
+		case 8: // aba: no such slot, epoch past the stream, wrong length
+			m.Tag, m.Data = ABATag, encodeABA(k%epochs, n+k%1000, k, abaBval, 1)
+			if k%20 == 8 {
+				m.Data = encodeABA(epochs+k, k%n, 0, abaAux, 0)
+			}
+		case 9: // aba: an origin that is no process, no such phase
+			m.Tag, m.From, m.Data = ABATag, n+k, encodeABA(1, k%n, k, abaBval, 1)
+			if k%20 == 9 {
+				m.From, m.Data = 3, encodeABA(1, k%n, k, 2+byte(k%250), 1)
+			}
+		}
+		garbage = append(garbage, m)
+	}
+
+	type size struct{ insts, epochs, rounds int }
+	measure := func(node *Node) size {
+		s := size{epochs: len(node.epochs)}
+		node.rbc.PruneInstances(func(int, string) bool { s.insts++; return false })
+		for _, es := range node.epochs {
+			for i := range es.abas {
+				s.rounds += len(es.abas[i].later)
+			}
+		}
+		return s
+	}
+	var cleanAt, dirtyAt size
+	clean := runTampered(t, n, f, props, nil, at, nil, func(node *Node) { cleanAt = measure(node) })
+	dirty := runTampered(t, n, f, props, nil, at, garbage, func(node *Node) { dirtyAt = measure(node) })
+	if cleanAt.insts == 0 || cleanAt.epochs == 0 {
+		t.Fatalf("round %d is a poor probe: clean node holds %+v", at, cleanAt)
+	}
+	if dirtyAt != cleanAt {
+		t.Fatalf("after %d garbage messages node 0 holds %+v, clean run %+v", len(garbage), dirtyAt, cleanAt)
+	}
+	if got, want := measure(dirty[0]), measure(clean[0]); got != want {
+		t.Fatalf("at the end node 0 holds %+v, clean run %+v", got, want)
+	}
+	for i := range dirty {
+		if got, want := Fingerprint(dirty[i].Decisions()), Fingerprint(clean[i].Decisions()); got != want {
+			t.Fatalf("node %d sealed %s under garbage, clean run %s", i, got, want)
+		}
+	}
+}

@@ -1,0 +1,166 @@
+package acs
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"sync"
+	"testing"
+
+	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
+)
+
+// Wire-level golden: testdata/acs_transcripts.json was written at the
+// commit before the flat-tally rewrite of Bracha and ABA by running
+// transcriptSpecs through runTranscript and dumping the results. Every
+// delivered message (From, To, Tag, Data) in TraceFn order is hashed, so
+// a change to any wire byte, to the order of any returned Outgoing or to
+// any decision shows up here.
+
+type transcriptSpec struct {
+	Name     string
+	N, F     int
+	Behavior Behavior // scripted on node N-1 (Honest: nobody)
+	DupProb  float64
+}
+
+type transcript struct {
+	Name        string `json:"name"`
+	Trace       string `json:"trace_sha256"`
+	Fingerprint string `json:"fingerprint"`
+	Messages    int    `json:"messages"`
+	Rounds      int    `json:"rounds"`
+}
+
+const transcriptEpochs, transcriptDim = 5, 2
+
+func transcriptSpecs() []transcriptSpec {
+	var specs []transcriptSpec
+	for _, nf := range [][2]int{{4, 1}, {7, 2}, {10, 3}} {
+		for _, b := range []Behavior{Honest, Equivocate, Mute} {
+			for _, dup := range []float64{0, 0.2} {
+				specs = append(specs, transcriptSpec{
+					Name: fmt.Sprintf("n%d_f%d_%s_dup%g", nf[0], nf[1],
+						[]string{"honest", "equivocate", "mute"}[b], dup),
+					N: nf[0], F: nf[1], Behavior: b, DupProb: dup,
+				})
+			}
+		}
+	}
+	return specs
+}
+
+func (s transcriptSpec) cluster(t *testing.T) []*Node {
+	rng := rand.New(rand.NewSource(int64(1000*s.N + s.F)))
+	props := genProposals(rng, transcriptEpochs, s.N, transcriptDim)
+	var behaviors map[int]Behavior
+	if s.Behavior != Honest {
+		behaviors = map[int]Behavior{s.N - 1: s.Behavior}
+	}
+	return buildCluster(t, s.N, s.F, transcriptDim, props, behaviors)
+}
+
+func runTranscript(t *testing.T, s transcriptSpec) transcript {
+	nodes := s.cluster(t)
+	procs := make([]sched.SyncProcess, len(nodes))
+	for i, n := range nodes {
+		procs[i] = n
+	}
+	eng := sched.NewSyncEngine(procs)
+	if s.DupProb > 0 {
+		eng.Faults = &sched.LinkFaults{Seed: 42, LinkProfile: sched.LinkProfile{DupProb: s.DupProb}}
+	}
+	h := sha256.New()
+	var hdr [12]byte
+	eng.TraceFn = func(m sched.Message) {
+		binary.BigEndian.PutUint32(hdr[0:], uint32(m.From))
+		binary.BigEndian.PutUint32(hdr[4:], uint32(m.To))
+		binary.BigEndian.PutUint32(hdr[8:], uint32(len(m.Data)))
+		h.Write(hdr[:])
+		h.Write([]byte(m.Tag))
+		h.Write(m.Data)
+	}
+	rounds, err := eng.Run()
+	if err != nil {
+		t.Fatalf("%s: engine: %v", s.Name, err)
+	}
+	fp := Fingerprint(nodes[0].Decisions())
+	for i, n := range nodes {
+		if i == s.N-1 && s.Behavior != Honest {
+			continue
+		}
+		if Fingerprint(n.Decisions()) != fp {
+			t.Fatalf("%s: node %d diverged from node 0", s.Name, i)
+		}
+	}
+	return transcript{
+		Name: s.Name, Trace: hex.EncodeToString(h.Sum(nil)), Fingerprint: fp,
+		Messages: eng.Messages, Rounds: rounds,
+	}
+}
+
+func goldenTranscripts(t *testing.T) []transcript {
+	raw, err := os.ReadFile("testdata/acs_transcripts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []transcript
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(transcriptSpecs()) {
+		t.Fatalf("golden holds %d transcripts, specs %d", len(want), len(transcriptSpecs()))
+	}
+	return want
+}
+
+func TestACSTranscriptsMatchGolden(t *testing.T) {
+	want := goldenTranscripts(t)
+	for i, s := range transcriptSpecs() {
+		if got := runTranscript(t, s); got != want[i] {
+			t.Errorf("%s:\n got %+v\nwant %+v", s.Name, got, want[i])
+		}
+	}
+}
+
+// The n <= 7 fault-free specs also run as a transport.RunSync mesh
+// cluster and must seal the golden's fingerprint.
+func TestACSTranscriptsOnMesh(t *testing.T) {
+	want := goldenTranscripts(t)
+	for i, s := range transcriptSpecs() {
+		if s.N > 7 || s.Behavior != Honest || s.DupProb != 0 {
+			continue
+		}
+		nodes := s.cluster(t)
+		mesh := transport.NewMesh(s.N)
+		ctx, cancel := context.WithCancel(context.Background())
+		errs := make([]error, s.N)
+		var wg sync.WaitGroup
+		for j := range nodes {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				if _, errs[j] = transport.RunSync(ctx, mesh.Node(j), nodes[j], 0, nil); errs[j] != nil {
+					cancel() // unblock peers stuck at the round barrier
+				}
+			}(j)
+		}
+		wg.Wait()
+		cancel()
+		for j := range nodes {
+			mesh.Node(j).Close() //nolint:errcheck // mesh close cannot fail
+			if errs[j] != nil {
+				t.Fatalf("%s: mesh node %d: %v", s.Name, j, errs[j])
+			}
+			if got := Fingerprint(nodes[j].Decisions()); got != want[i].Fingerprint {
+				t.Errorf("%s: mesh node %d sealed %s, golden %s", s.Name, j, got, want[i].Fingerprint)
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package broadcast
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/binary"
+	"errors"
 
 	"relaxedbvc/internal/sched"
 )
@@ -12,8 +14,19 @@ import (
 // delivers its value.
 //
 // BrachaState is a protocol component embedded in an asynchronous
-// process: the owner feeds incoming "rbc" messages to Handle and passes
-// the returned outgoing messages to the engine; Deliveries accumulate.
+// process: the owner feeds incoming "rbc" messages to Handle (or
+// AppendHandle) and passes the returned outgoing messages to the
+// engine; Deliveries accumulate.
+//
+// An instance is a flat tally, so a received message costs O(1) and
+// allocates nothing unless it opens an instance or makes this process
+// send: one flag byte per process (has it echoed, has it readied — the
+// duplicate check) and the list of distinct values voted for with their
+// ECHO and READY counts. Every correct process votes for the sender's
+// one value, so the list has a single entry in every fault-free run and
+// at most 2n entries under any traffic. The modal value of a phase is
+// the entry with the highest count, ties going to the lexicographically
+// smallest value.
 
 const (
 	rbcInit  = byte(0)
@@ -21,27 +34,38 @@ const (
 	rbcReady = byte(2)
 )
 
-// Delivery is a reliably-delivered broadcast.
+// Delivery is a reliably-delivered broadcast. Value is shared with the
+// instance that delivered it and must not be modified.
 type Delivery struct {
 	Sender int
 	ID     string
 	Value  []byte
 }
 
+// rbcTally is one distinct value of an instance with its vote counts,
+// indexed by phase (rbcEcho, rbcReady).
+type rbcTally struct {
+	value []byte
+	count [3]int
+}
+
 type brachaInst struct {
-	echoed    bool
+	sender    int
+	id        string
+	haveInit  bool // the sender's INIT arrived and was echoed
 	readied   bool
 	delivered bool
-	echoes    map[int]string // per echoing process: value
-	readies   map[int]string
-	initValue []byte
-	haveInit  bool
+	voted     []byte // per process: bit rbcEcho / rbcReady set once it voted in that phase
+	tallies   []rbcTally
 }
 
 // BrachaState holds all reliable-broadcast instances of one process.
 type BrachaState struct {
 	N, F, Self int
-	insts      map[string]*brachaInst // key: senderID | id
+	// insts is keyed by the instance's name as it stands in every one of
+	// its messages — the bytes from the sender id through the id field —
+	// so a lookup is one hash over a slice of the received message.
+	insts      map[string]*brachaInst
 	deliveries []Delivery
 }
 
@@ -50,41 +74,48 @@ func NewBrachaState(n, f, self int) *BrachaState {
 	return &BrachaState{N: n, F: f, Self: self, insts: make(map[string]*brachaInst)}
 }
 
-func rbcKey(sender int, id string) string { return fmt.Sprintf("%d|%s", sender, id) }
-
-func (b *BrachaState) inst(sender int, id string) *brachaInst {
-	k := rbcKey(sender, id)
-	in := b.insts[k]
-	if in == nil {
-		in = &brachaInst{echoes: make(map[int]string), readies: make(map[int]string)}
-		b.insts[k] = in
-	}
-	return in
-}
+// rbcHeader is the length of an rbc message up to its id bytes: phase,
+// sender (2 bytes), id length (4 bytes).
+const rbcHeader = 7
 
 // encodeRBC packs (phase, sender, id, value).
 func encodeRBC(phase byte, sender int, id string, value []byte) []byte {
-	out := []byte{phase, byte(sender >> 8), byte(sender)}
-	out = appendBytes(out, []byte(id))
-	out = appendBytes(out, value)
+	out := make([]byte, rbcHeader+len(id)+4+len(value))
+	out[0], out[1], out[2] = phase, byte(sender>>8), byte(sender)
+	binary.BigEndian.PutUint32(out[3:], uint32(len(id)))
+	copy(out[rbcHeader:], id)
+	binary.BigEndian.PutUint32(out[rbcHeader+len(id):], uint32(len(value)))
+	copy(out[rbcHeader+len(id)+4:], value)
 	return out
 }
 
-func decodeRBC(data []byte) (phase byte, sender int, id string, value []byte, err error) {
+var errShortRBC = errors.New("broadcast: short rbc message")
+
+// decodeRBC splits an rbc message; id and value alias data.
+func decodeRBC(data []byte) (phase byte, sender int, id, value []byte, err error) {
 	if len(data) < 3 {
-		return 0, 0, "", nil, fmt.Errorf("broadcast: short rbc message")
+		return 0, 0, nil, nil, errShortRBC
 	}
-	phase = data[0]
-	sender = int(data[1])<<8 | int(data[2])
-	idB, rest, err := readBytes(data[3:])
+	id, rest, err := ReadField(data[3:])
 	if err != nil {
-		return 0, 0, "", nil, err
+		return 0, 0, nil, nil, err
 	}
-	value, _, err = readBytes(rest)
-	if err != nil {
-		return 0, 0, "", nil, err
+	if value, _, err = ReadField(rest); err != nil {
+		return 0, 0, nil, nil, err
 	}
-	return phase, sender, string(idB), value, nil
+	return data[0], int(data[1])<<8 | int(data[2]), id, value, nil
+}
+
+// RBCInstanceID reads the instance id an rbc message names (nil if it
+// has none) without touching any state, so an owner multiplexing
+// instances can refuse ids it will never use before an instance exists.
+// The id aliases data.
+func RBCInstanceID(data []byte) []byte {
+	if len(data) < 3 {
+		return nil
+	}
+	id, _, _ := ReadField(data[3:]) // nil on error
+	return id
 }
 
 // Tag is the sched message tag used by the component.
@@ -95,108 +126,99 @@ const BrachaTag = "rbc"
 // processes its own INIT immediately (self-delivery without network).
 func (b *BrachaState) Broadcast(id string, value []byte) []sched.Outgoing {
 	init := encodeRBC(rbcInit, b.Self, id, value)
-	outs := []sched.Outgoing{{To: sched.Broadcast, Tag: BrachaTag, Data: init}}
-	// Feed own INIT locally.
-	outs = append(outs, b.Handle(sched.Message{From: b.Self, To: b.Self, Tag: BrachaTag, Data: init})...)
-	return outs
+	outs := append(make([]sched.Outgoing, 0, 3), sched.Outgoing{To: sched.Broadcast, Tag: BrachaTag, Data: init})
+	return b.AppendHandle(outs, sched.Message{From: b.Self, To: b.Self, Tag: BrachaTag, Data: init})
 }
 
 // Handle processes one incoming rbc message, returning protocol messages
-// to send. Deliveries are appended to b.Deliveries (drain with
-// TakeDeliveries).
+// to send. Deliveries accumulate (drain with TakeDeliveries).
 func (b *BrachaState) Handle(m sched.Message) []sched.Outgoing {
+	return b.AppendHandle(nil, m)
+}
+
+// AppendHandle is Handle writing its sends onto outs. Malformed
+// messages, unknown phases and process ids outside [0,N) — as the
+// message's origin or as the named sender — are dropped before any
+// state is created.
+func (b *BrachaState) AppendHandle(outs []sched.Outgoing, m sched.Message) []sched.Outgoing {
 	phase, sender, id, value, err := decodeRBC(m.Data)
-	if err != nil {
-		return nil
+	if err != nil || phase > rbcReady || sender >= b.N || m.From < 0 || m.From >= b.N {
+		return outs
 	}
-	in := b.inst(sender, id)
-	var outs []sched.Outgoing
-	feedSelf := func(data []byte) {
-		outs = append(outs, b.Handle(sched.Message{From: b.Self, To: b.Self, Tag: BrachaTag, Data: data})...)
+	// Only the claimed sender may originate its INIT.
+	if phase == rbcInit && m.From != sender {
+		return outs
 	}
-	switch phase {
-	case rbcInit:
-		// Only the claimed sender may originate its INIT.
-		if m.From != sender {
-			return nil
-		}
-		if in.haveInit {
-			return nil // duplicate/equivocating INIT ignored (first wins)
-		}
-		in.haveInit = true
-		in.initValue = value
-		if !in.echoed {
-			in.echoed = true
-			echo := encodeRBC(rbcEcho, sender, id, value)
-			outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: BrachaTag, Data: echo})
-			feedSelf(echo)
-		}
-	case rbcEcho:
-		if _, dup := in.echoes[m.From]; dup {
-			return nil
-		}
-		in.echoes[m.From] = string(value)
-		outs = append(outs, b.maybeReady(in, sender, id, feedSelfFn(&outs, b))...)
-	case rbcReady:
-		if _, dup := in.readies[m.From]; dup {
-			return nil
-		}
-		in.readies[m.From] = string(value)
-		outs = append(outs, b.maybeReady(in, sender, id, feedSelfFn(&outs, b))...)
-		// Deliver on 2f+1 matching READYs.
-		if !in.delivered {
-			if v, n := modalValue(in.readies); n >= deliverQuorum(b.F) {
-				in.delivered = true
-				b.deliveries = append(b.deliveries, Delivery{Sender: sender, ID: id, Value: []byte(v)})
-			}
-		}
+	name := m.Data[1 : rbcHeader+len(id)]
+	in := b.insts[string(name)] // the lookup does not allocate the string
+	if in == nil {
+		key := string(name)
+		in = &brachaInst{sender: sender, id: key[rbcHeader-1:], voted: make([]byte, b.N)}
+		b.insts[key] = in
 	}
-	return outs
+	if phase != rbcInit {
+		return b.vote(outs, in, m.From, phase, value)
+	}
+	if in.haveInit {
+		return outs // duplicate/equivocating INIT ignored (first wins)
+	}
+	in.haveInit = true
+	outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: BrachaTag, Data: encodeRBC(rbcEcho, sender, in.id, value)})
+	return b.vote(outs, in, b.Self, rbcEcho, value)
 }
 
-// feedSelfFn returns a closure that loops a locally generated message
-// back through Handle, accumulating any cascaded sends.
-func feedSelfFn(outs *[]sched.Outgoing, b *BrachaState) func([]byte) {
-	return func(data []byte) {
-		*outs = append(*outs, b.Handle(sched.Message{From: b.Self, To: b.Self, Tag: BrachaTag, Data: data})...)
+// vote counts from's ECHO or READY for value (one per process and
+// phase) and acts on the thresholds it crosses: READY on an echo quorum
+// or on f+1 READYs, delivery on 2f+1 READYs. This process's own votes
+// are counted by a direct call instead of a message to itself.
+func (b *BrachaState) vote(outs []sched.Outgoing, in *brachaInst, from int, phase byte, value []byte) []sched.Outgoing {
+	if in.voted[from]&(1<<phase) != 0 {
+		return outs
 	}
-}
+	in.voted[from] |= 1 << phase
+	t := 0
+	for t < len(in.tallies) && !bytes.Equal(in.tallies[t].value, value) {
+		t++
+	}
+	if t == len(in.tallies) {
+		in.tallies = append(in.tallies, rbcTally{value: append([]byte{}, value...)})
+	}
+	in.tallies[t].count[phase]++
 
-// maybeReady sends ECHO->READY and READY-amplification messages when the
-// thresholds are crossed.
-func (b *BrachaState) maybeReady(in *brachaInst, sender int, id string, feedSelf func([]byte)) []sched.Outgoing {
-	var outs []sched.Outgoing
 	if !in.readied {
-		// Echo threshold: > (n+f)/2 matching echoes.
-		if v, n := modalValue(in.echoes); echoQuorum(n, b.N, b.F) {
-			in.readied = true
-			ready := encodeRBC(rbcReady, sender, id, []byte(v))
-			outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: BrachaTag, Data: ready})
-			feedSelf(ready)
-			return outs
+		v, n := in.modal(rbcEcho)
+		ok := echoQuorum(n, b.N, b.F)
+		if !ok {
+			v, n = in.modal(rbcReady)
+			ok = n >= amplifyQuorum(b.F)
 		}
-		// Ready amplification: f+1 matching readies.
-		if v, n := modalValue(in.readies); n >= amplifyQuorum(b.F) {
+		if ok {
 			in.readied = true
-			ready := encodeRBC(rbcReady, sender, id, []byte(v))
-			outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: BrachaTag, Data: ready})
-			feedSelf(ready)
+			outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: BrachaTag, Data: encodeRBC(rbcReady, in.sender, in.id, v)})
+			outs = b.vote(outs, in, b.Self, rbcReady, v)
+		}
+	}
+	if phase == rbcReady && !in.delivered {
+		if v, n := in.modal(rbcReady); n >= deliverQuorum(b.F) {
+			in.delivered = true
+			b.deliveries = append(b.deliveries, Delivery{Sender: in.sender, ID: in.id, Value: v})
 		}
 	}
 	return outs
 }
 
-// modalValue returns the most frequent value and its count.
-func modalValue(m map[int]string) (string, int) {
-	counts := make(map[string]int)
-	bestV, bestN := "", 0
-	for _, v := range m {
-		counts[v]++
-		if counts[v] > bestN || (counts[v] == bestN && v < bestV) {
-			bestV, bestN = v, counts[v]
+// modal returns the value with the most votes in phase and its count;
+// ties go to the lexicographically smallest value.
+func (in *brachaInst) modal(phase byte) ([]byte, int) {
+	var best []byte
+	bestN := 0
+	for i := range in.tallies {
+		t := &in.tallies[i]
+		if n := t.count[phase]; n > bestN || (n == bestN && n > 0 && bytes.Compare(t.value, best) < 0) {
+			best, bestN = t.value, n
 		}
 	}
-	return bestV, bestN
+	return best, bestN
 }
 
 // TakeDeliveries returns and clears the accumulated deliveries.
@@ -223,29 +245,11 @@ func EncodeInit(sender int, id string, value []byte) []byte {
 // sealed past.
 func (b *BrachaState) PruneInstances(match func(sender int, id string) bool) int {
 	pruned := 0
-	for k := range b.insts {
-		sender, id, ok := splitRBCKey(k)
-		if ok && match(sender, id) {
+	for k, in := range b.insts {
+		if match(in.sender, in.id) {
 			delete(b.insts, k)
 			pruned++
 		}
 	}
 	return pruned
-}
-
-// splitRBCKey inverts rbcKey.
-func splitRBCKey(k string) (sender int, id string, ok bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '|' {
-			n := 0
-			for _, c := range k[:i] {
-				if c < '0' || c > '9' {
-					return 0, "", false
-				}
-				n = n*10 + int(c-'0')
-			}
-			return n, k[i+1:], true
-		}
-	}
-	return 0, "", false
 }

@@ -14,8 +14,10 @@ package broadcast
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"relaxedbvc/internal/vec"
 )
@@ -54,12 +56,14 @@ func DecodeVec(b []byte) (vec.V, error) {
 // Together with the Bracha sender id it names one (epoch, slot) RBC
 // instance: slot s of epoch e is the broadcast (sender=s, id=EpochID(e)).
 func EpochID(epoch int) string {
-	return fmt.Sprintf("e%d", epoch)
+	return "e" + strconv.Itoa(epoch)
 }
 
-// ParseEpochID inverts EpochID; ok=false for ids of other subsystems.
+// ParseEpochID inverts EpochID; ok=false for ids of other subsystems and
+// for spellings EpochID never produces (leading zeros, more digits than
+// an int holds), so an epoch has exactly one id.
 func ParseEpochID(id string) (epoch int, ok bool) {
-	if len(id) < 2 || id[0] != 'e' {
+	if len(id) < 2 || len(id) > 19 || id[0] != 'e' || (id[1] == '0' && len(id) > 2) {
 		return 0, false
 	}
 	n := 0
@@ -84,16 +88,21 @@ func AppendField(dst, field []byte) []byte {
 	return append(dst, field...)
 }
 
+var (
+	errShortField     = errors.New("broadcast: short field")
+	errTruncatedField = errors.New("broadcast: truncated field")
+)
+
 // ReadField reads a length-prefixed byte field written by AppendField,
 // returning the field and the remaining buffer.
 func ReadField(src []byte) (field, rest []byte, err error) {
 	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("broadcast: short field")
+		return nil, nil, errShortField
 	}
 	l := int(binary.BigEndian.Uint32(src))
 	src = src[4:]
 	if len(src) < l {
-		return nil, nil, fmt.Errorf("broadcast: truncated field")
+		return nil, nil, errTruncatedField
 	}
 	return src[:l], src[l:], nil
 }
