@@ -1,21 +1,17 @@
 package relaxedbvc
 
-// ProtocolACS execution on the three transport backends. The ACS node
-// is a deterministic lockstep state machine (internal/acs), so the
-// simulation runs it on sched.SyncEngine while the mesh and TCP
-// backends drive the identical machine through transport.RunSync —
-// the decision stream is bit-for-bit the same on every backend, and
-// ACSFingerprint is the parity predicate the selfchecks compare.
+// ProtocolACS execution. The ACS node is a deterministic lockstep state
+// machine (internal/acs), so transport.RunLockstep drives the identical
+// machine on every backend — the decision stream is bit-for-bit the
+// same on all three, and ACSFingerprint is the parity predicate the
+// selfchecks compare.
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"relaxedbvc/internal/acs"
-	"relaxedbvc/internal/consensus"
-	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/transport"
 )
 
@@ -132,15 +128,39 @@ func acsNode(spec *Spec, props [][]Vector, i int) (*acs.Node, error) {
 	})
 }
 
-// acsResultShell allocates the Result skeleton for an ACS run.
-func acsResultShell(spec *Spec) *Result {
-	return &Result{
+// runACS executes the stream on plane: one acs.Node per local process
+// under the lockstep driver, then each sealed stream copied out.
+func runACS(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, error) {
+	props, err := validateACS(spec)
+	if err != nil {
+		return nil, err
+	}
+	run, err := transport.RunLockstep(ctx, plane, spec.N, spec.Faults, spec.Trace, func(i int) (*acs.Node, error) {
+		node, err := acsNode(spec, props, i)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadInputs, err)
+		}
+		return node, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
 		Protocol: ProtocolACS,
 		Outputs:  make([]Vector, spec.N),
 		Delta:    make([]float64, spec.N),
 		ACS:      make([][]ACSEpoch, spec.N),
+		Rounds:   run.Rounds,
+		Messages: run.Messages,
 		Metrics:  &RunMetrics{},
 	}
+	fillFaultMetrics(res.Metrics, run.Faults)
+	fillTransportMetrics(res.Metrics, run.Stats)
+	for _, i := range run.Local {
+		fillACSNode(res, i, run.Machines[i])
+	}
+	fillACSStats(res, spec, run.Machines)
+	return res, nil
 }
 
 // fillACSNode copies one node's sealed stream into the Result.
@@ -161,162 +181,17 @@ func fillACSNode(res *Result, i int, node *acs.Node) {
 	}
 }
 
-// fillACSStats publishes the first filled node's protocol counters.
-func fillACSStats(res *Result, spec *Spec, nodes map[int]*acs.Node) {
+// fillACSStats publishes the protocol counters of the first honest node
+// that ran here (nodes is indexed by id, nil for a peer's).
+func fillACSStats(res *Result, spec *Spec, nodes []*acs.Node) {
 	for _, i := range spec.HonestIDs() {
-		node := nodes[i]
-		if node == nil {
+		if nodes[i] == nil {
 			continue
 		}
-		st := node.Stats()
+		st := nodes[i].Stats()
 		res.Metrics.ACSEpochs = st.Epochs
 		res.Metrics.ACSSlots = st.Slots
 		res.Metrics.ABARounds = st.ABARounds
 		return
 	}
-}
-
-// runSimACS executes the stream on the deterministic lockstep engine.
-func runSimACS(ctx context.Context, spec *Spec) (*Result, error) {
-	props, err := validateACS(spec)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]*acs.Node, spec.N)
-	procs := make([]sched.SyncProcess, spec.N)
-	for i := 0; i < spec.N; i++ {
-		if nodes[i], err = acsNode(spec, props, i); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInputs, err)
-		}
-		procs[i] = nodes[i]
-	}
-	eng := sched.NewSyncEngine(procs)
-	eng.Faults = spec.Faults
-	eng.TraceFn = spec.Trace
-	eng.StopFn = func() error {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("%w: %w", consensus.ErrCanceled, cerr)
-		}
-		return nil
-	}
-	rounds, runErr := eng.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	res := acsResultShell(spec)
-	res.Rounds = rounds
-	res.Messages = eng.Messages
-	fillFaultMetrics(res.Metrics, eng.FaultStats)
-	byID := make(map[int]*acs.Node, spec.N)
-	for i, node := range nodes {
-		fillACSNode(res, i, node)
-		byID[i] = node
-	}
-	fillACSStats(res, spec, byID)
-	return res, nil
-}
-
-// acsTransportGuard rejects Spec features only the simulation provides.
-func acsTransportGuard(spec *Spec) error {
-	if spec.Faults != nil {
-		return fmt.Errorf("%w: seeded link faults run only on the simulation backend", ErrUnsupportedTransport)
-	}
-	return nil
-}
-
-// runMeshACS executes all n stream nodes concurrently over the
-// in-process channel mesh.
-func runMeshACS(ctx context.Context, spec *Spec) (*Result, error) {
-	props, err := validateACS(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := acsTransportGuard(spec); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	mesh := transport.NewMesh(spec.N)
-	nodes := make([]*acs.Node, spec.N)
-	stats := make([]*transport.SyncNodeStats, spec.N)
-	errs := make([]error, spec.N)
-	for i := 0; i < spec.N; i++ {
-		if nodes[i], err = acsNode(spec, props, i); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInputs, err)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < spec.N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			stats[i], errs[i] = transport.RunSync(ctx, mesh.Node(i), nodes[i], 0, spec.Trace)
-			if errs[i] != nil {
-				cancel() // unblock peers stuck at the round barrier
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < spec.N; i++ {
-		mesh.Node(i).Close() //nolint:errcheck // mesh close cannot fail
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mesh node %d: %w", i, err)
-		}
-	}
-	res := acsResultShell(spec)
-	byID := make(map[int]*acs.Node, spec.N)
-	for i, node := range nodes {
-		fillACSNode(res, i, node)
-		byID[i] = node
-		res.Rounds = stats[i].Rounds
-		res.Messages += stats[i].Delivered
-		addTransportStats(res.Metrics, mesh.Node(i))
-	}
-	fillACSStats(res, spec, byID)
-	return res, nil
-}
-
-// runTCPACS executes THIS process's stream node over real sockets;
-// only the Self slices of the Result are filled.
-func runTCPACS(ctx context.Context, spec *Spec, tc *Transport) (*Result, error) {
-	props, err := validateACS(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := acsTransportGuard(spec); err != nil {
-		return nil, err
-	}
-	if len(tc.Peers) != spec.N {
-		return nil, fmt.Errorf("%w: %d peers for n=%d", ErrBadInputs, len(tc.Peers), spec.N)
-	}
-	node, err := acsNode(spec, props, tc.Self)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInputs, err)
-	}
-	tr, err := transport.DialTCP(transport.TCPConfig{
-		Self:     tc.Self,
-		Peers:    tc.Peers,
-		Listener: tc.Listener,
-		MaxFrame: tc.MaxFrame,
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats, runErr := transport.RunSync(ctx, tr, node, 0, spec.Trace)
-	closeErr := tr.Close()
-	if runErr != nil {
-		return nil, fmt.Errorf("tcp node %d: %w", tc.Self, runErr)
-	}
-	if closeErr != nil {
-		return nil, fmt.Errorf("tcp node %d: close: %w", tc.Self, closeErr)
-	}
-	res := acsResultShell(spec)
-	res.Rounds = stats.Rounds
-	res.Messages = stats.Delivered
-	fillACSNode(res, tc.Self, node)
-	fillACSStats(res, spec, map[int]*acs.Node{tc.Self: node})
-	addTransportStats(res.Metrics, tr)
-	return res, nil
 }

@@ -51,7 +51,7 @@ type BatchResult struct {
 // (including panics and cancellation) are recorded in the corresponding
 // BatchResult.Err.
 //
-// Trials share the process-wide geometry-kernel caches (see SetCaching),
+// Trials share the process-wide geometry-kernel caches (see CacheStats),
 // so batches with overlapping sub-problems — repeated configurations,
 // common point sets — pay for each LP solve only once across the whole
 // batch.

@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/consensus"
 	"relaxedbvc/internal/experiments"
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/minimax"
@@ -66,25 +65,24 @@ func BenchmarkE14Containment(b *testing.B)    { benchExperiment(b, "E14") }
 
 // delta* solver: closed form (Lemma 13) vs the cutting-plane loop on the
 // same simplex (four facets, so four Wolfe solves per iterate). The memo
-// cache is off: with it on, every iteration after the first is a lookup.
+// cache is dropped before every call: without that, every iteration
+// after the first is a lookup.
 func BenchmarkDeltaStarClosedForm(b *testing.B) {
-	minimax.SetCaching(false)
-	defer minimax.SetCaching(true)
 	rng := rand.New(rand.NewSource(21))
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		minimax.ResetCache()
 		minimax.DeltaStar2(s, 1)
 	}
 }
 
 func BenchmarkDeltaStarIterative(b *testing.B) {
-	minimax.SetCaching(false)
-	defer minimax.SetCaching(true)
 	rng := rand.New(rand.NewSource(21))
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		minimax.ResetCache()
 		minimax.DeltaStar2Iterative(s, 1)
 	}
 }
@@ -173,37 +171,29 @@ func BenchmarkBroadcastDolevStrong(b *testing.B) {
 }
 
 // Full protocol benchmarks across the headline configurations.
-func BenchmarkProtocolExactBVC(b *testing.B) {
-	rng := rand.New(rand.NewSource(24))
-	cfg := &consensus.SyncConfig{N: 5, F: 1, D: 3, Inputs: workload.Gaussian(rng, 5, 3, 2)}
+func benchSpec(b *testing.B, spec Spec) {
+	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := consensus.RunExactBVC(context.Background(), cfg); err != nil {
+		if _, err := Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkProtocolExactBVC(b *testing.B) {
+	rng := rand.New(rand.NewSource(24))
+	benchSpec(b, Spec{Protocol: ProtocolExact, N: 5, F: 1, D: 3, Inputs: workload.Gaussian(rng, 5, 3, 2)})
 }
 
 func BenchmarkProtocolALGO(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
-	cfg := &consensus.SyncConfig{N: 4, F: 1, D: 3, Inputs: workload.Gaussian(rng, 4, 3, 2)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSpec(b, Spec{Protocol: ProtocolDeltaRelaxed, N: 4, F: 1, D: 3, NormP: 2, Inputs: workload.Gaussian(rng, 4, 3, 2)})
 }
 
 func BenchmarkProtocolKRelaxed(b *testing.B) {
 	rng := rand.New(rand.NewSource(26))
-	cfg := &consensus.SyncConfig{N: 5, F: 1, D: 3, Inputs: workload.Gaussian(rng, 5, 3, 2)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consensus.RunKRelaxedBVC(context.Background(), cfg, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSpec(b, Spec{Protocol: ProtocolKRelaxed, N: 5, F: 1, D: 3, K: 2, Inputs: workload.Gaussian(rng, 5, 3, 2)})
 }
 
 // Async schedules ablation: RVA convergence cost under different
@@ -214,11 +204,11 @@ func benchAsyncSchedule(b *testing.B, mk func(i int) sched.Schedule) {
 	inputs := workload.Gaussian(rng, 5, 2, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := &consensus.AsyncConfig{
-			N: 5, F: 1, D: 2, Inputs: inputs, Rounds: 6,
-			Mode: consensus.ModeExact, Schedule: mk(i),
+		spec := Spec{
+			Protocol: ProtocolAsync, N: 5, F: 1, D: 2, Inputs: inputs, Rounds: 6,
+			Mode: ModeExact, Schedule: mk(i),
 		}
-		if _, err := consensus.RunAsyncBVC(context.Background(), cfg); err != nil {
+		if _, err := Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,17 +264,11 @@ func BenchmarkE16ConjectureSweep(b *testing.B) { benchExperiment(b, "E16") }
 // Signed vs oral Step 1 at the protocol level.
 func BenchmarkProtocolALGOSigned(b *testing.B) {
 	rng := rand.New(rand.NewSource(30))
-	cfg := &consensus.SyncConfig{
-		N: 4, F: 1, D: 3,
+	benchSpec(b, Spec{
+		Protocol: ProtocolDeltaRelaxed, N: 4, F: 1, D: 3, NormP: 2,
 		Inputs:          workload.Gaussian(rng, 4, 3, 2),
 		SignedBroadcast: true,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 // General-p delta* solver cost relative to the exact-norm paths.
@@ -303,17 +287,11 @@ func BenchmarkE18Iterative(b *testing.B) { benchExperiment(b, "E18") }
 
 func BenchmarkProtocolIterative(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
-	cfg := &consensus.IterConfig{
-		N: 5, F: 1, D: 2,
+	benchSpec(b, Spec{
+		Protocol: ProtocolIterative, N: 5, F: 1, D: 2,
 		Inputs: workload.Gaussian(rng, 5, 2, 3),
 		Rounds: 8,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consensus.RunIterativeBVC(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 func BenchmarkE19CostScaling(b *testing.B) { benchExperiment(b, "E19") }
@@ -401,10 +379,10 @@ func BenchmarkSweepAsyncByRounds(b *testing.B) {
 			inputs := workload.Gaussian(rng, 5, 2, 2)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := &consensus.AsyncConfig{
-					N: 5, F: 1, D: 2, Inputs: inputs, Rounds: rounds, Mode: consensus.ModeExact,
+				spec := Spec{
+					Protocol: ProtocolAsync, N: 5, F: 1, D: 2, Inputs: inputs, Rounds: rounds, Mode: ModeExact,
 				}
-				if _, err := consensus.RunAsyncBVC(context.Background(), cfg); err != nil {
+				if _, err := Run(context.Background(), spec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -418,12 +418,26 @@ func RunAllToAllEIG(n, f int, inputs [][]byte, behaviors map[int]EIGBehavior, de
 	res.Decided = make([][][]byte, n)
 	for i, ep := range eps {
 		res.Decided[i] = ep.decided
-		res.Drops += ep.drops
-		res.TreeNodes += ep.TreeNodes()
+	}
+	res.Drops, res.TreeNodes = CountEIGRun(eps)
+	return res, nil
+}
+
+// CountEIGRun publishes one finished all-to-all broadcast into the
+// registry — the single place its counters move, whichever plane drove
+// the machines — and returns the suppressed sends and the tree size
+// summed over nodes (nil entries, machines a peer process ran, are
+// skipped).
+func CountEIGRun(nodes []*EIGNode) (drops, treeNodes int) {
+	for _, ep := range nodes {
+		if ep != nil {
+			drops += ep.drops
+			treeNodes += ep.TreeNodes()
+		}
 	}
 	eigRunsTotal.Inc()
-	byzDropsTotal.Add(int64(res.Drops))
-	eigNodesTotal.Add(int64(res.TreeNodes))
-	eigTreeNodes.Observe(float64(res.TreeNodes))
-	return res, nil
+	byzDropsTotal.Add(int64(drops))
+	eigNodesTotal.Add(int64(treeNodes))
+	eigTreeNodes.Observe(float64(treeNodes))
+	return drops, treeNodes
 }

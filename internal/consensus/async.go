@@ -416,7 +416,7 @@ func RunAsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(cfg); err != nil {
 		return nil, err
 	}
-	if err := canceled(ctx); err != nil {
+	if err := sched.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	memo := &chooseMemo{m: make(map[string]memoEntry)}
@@ -438,7 +438,7 @@ func RunAsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
 	eng := sched.NewAsyncEngine(procs, cfg.Schedule)
 	eng.Faults = cfg.Faults
 	eng.TraceFn = cfg.Trace
-	eng.StopFn = func() error { return canceled(ctx) }
+	eng.StopFn = func() error { return sched.Canceled(ctx) }
 	steps, err := eng.Run()
 	if err != nil {
 		return nil, err

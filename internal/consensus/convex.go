@@ -8,6 +8,7 @@ import (
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/tverberg"
 	"relaxedbvc/internal/vec"
 )
@@ -31,6 +32,9 @@ type ConvexResult struct {
 	Rounds, Messages int
 	// Faults counts injected link-fault events during Step 1.
 	Faults sched.FaultStats
+	// Transport sums the local endpoints' traffic (zero on the
+	// simulation).
+	Transport transport.Stats
 }
 
 // minDirections is the floor on the direction-fan size: the 2d signed
@@ -123,9 +127,13 @@ func gammaAnchor(y *vec.Set, f int, fam []*vec.Set) (vec.V, bool) {
 // point, so the output polytope (possibly a single repeated vertex) is
 // always contained in Gamma(S).
 func RunConvexHullConsensus(ctx context.Context, cfg *SyncConfig, directions int) (*ConvexResult, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
+	return RunConvexHull(ctx, transport.Plane{}, cfg, directions)
+}
+
+// RunConvexHull is RunConvexHullConsensus on a chosen plane: the same
+// Step 1 as every synchronous protocol, then the support fan as the
+// Step-2 choice. On TCP only this process's polytope is filled.
+func RunConvexHull(ctx context.Context, plane transport.Plane, cfg *SyncConfig, directions int) (*ConvexResult, error) {
 	minN := 3*cfg.F + 1
 	if t := (cfg.D+1)*cfg.F + 1; t > minN {
 		minN = t
@@ -134,59 +142,50 @@ func RunConvexHullConsensus(ctx context.Context, cfg *SyncConfig, directions int
 		errorsTotal.Inc()
 		return nil, fmt.Errorf("%w: convex hull consensus requires n >= max(3f+1, (d+1)f+1) = %d, got n=%d", ErrTooFewProcesses, minN, cfg.N)
 	}
-	info, err := step1(cfg)
-	if err != nil {
-		errorsTotal.Inc()
-		return nil, err
-	}
-	sets := info.sets
 	if directions < minDirections(cfg.D) {
 		directions = minDirections(cfg.D)
 	}
 	fan := directionFan(cfg.D, directions)
-	cache := make(map[string][]vec.V)
-	res := &ConvexResult{
-		Vertices: make([][]vec.V, cfg.N),
-		Rounds:   info.rounds,
-		Messages: info.messages,
-		Faults:   info.faults,
+	info, verts, err := runSync(ctx, plane, cfg, func(s *vec.Set) ([]vec.V, error) {
+		return supportFan(cfg, s, fan)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < cfg.N; i++ {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
-		key := setKey(sets[i])
-		verts, ok := cache[key]
-		if !ok {
-			fam := relax.DroppedSubsets(sets[i], cfg.F)
-			var anchor vec.V
-			for _, dir := range fan {
-				pt, feasible := relax.SupportPoint(fam, dir)
-				if !feasible || !inEveryHull(fam, pt, convexTol) {
-					// Degenerate Gamma(S): substitute the certified
-					// anchor so the vertex stays inside the
-					// intersection. All honest processes hold the same
-					// multiset after step 1, so they substitute the
-					// same anchor and agreement is preserved.
-					if anchor == nil {
-						a, ok := gammaAnchor(sets[i], cfg.F, fam)
-						if !ok {
-							return nil, fmt.Errorf("%w: Gamma(S) is empty (n=%d, f=%d, d=%d)", ErrEmptyIntersection, cfg.N, cfg.F, cfg.D)
-						}
-						anchor = a
-					}
-					pt = anchor
+	return &ConvexResult{
+		Vertices:  verts,
+		Rounds:    info.rounds,
+		Messages:  info.messages,
+		Faults:    info.faults,
+		Transport: info.transport,
+	}, nil
+}
+
+// supportFan is the convex Step-2 choice: the support point of Gamma(S)
+// in every direction of fan.
+func supportFan(cfg *SyncConfig, s *vec.Set, fan []vec.V) ([]vec.V, error) {
+	fam := relax.DroppedSubsets(s, cfg.F)
+	var verts []vec.V
+	var anchor vec.V
+	for _, dir := range fan {
+		pt, feasible := relax.SupportPoint(fam, dir)
+		if !feasible || !inEveryHull(fam, pt, convexTol) {
+			// Degenerate Gamma(S): substitute the certified anchor so the
+			// vertex stays inside the intersection. All honest processes
+			// hold the same multiset after step 1, so they substitute the
+			// same anchor and agreement is preserved.
+			if anchor == nil {
+				a, ok := gammaAnchor(s, cfg.F, fam)
+				if !ok {
+					return nil, fmt.Errorf("%w: Gamma(S) is empty (n=%d, f=%d, d=%d)", ErrEmptyIntersection, cfg.N, cfg.F, cfg.D)
 				}
-				verts = append(verts, pt)
+				anchor = a
 			}
-			cache[key] = verts
+			pt = anchor
 		}
-		res.Vertices[i] = verts
+		verts = append(verts, pt)
 	}
-	runsTotal.Inc()
-	roundsTotal.Add(int64(res.Rounds))
-	messagesTotal.Add(int64(res.Messages))
-	return res, nil
+	return verts, nil
 }
 
 // PolytopeAgreementError returns the maximum over vertex indices of the

@@ -10,6 +10,7 @@ import (
 	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/relax"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -53,7 +54,7 @@ func TestConvexHullConsensusBasics(t *testing.T) {
 // res2set rebuilds the agreed multiset for a process from the sync run
 // (broadcast again deterministically for checking purposes).
 func res2set(cfg *SyncConfig, _ *ConvexResult, _ int) *vec.Set {
-	info, err := step1(cfg)
+	info, err := step1(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -1,9 +1,9 @@
 package consensus
 
 import (
-	"context"
 	"errors"
-	"fmt"
+
+	"relaxedbvc/internal/sched"
 )
 
 // Sentinel errors returned (wrapped, with instance detail) by the Run*
@@ -36,7 +36,7 @@ var (
 	// or its deadline expired. The context's own error is wrapped too, so
 	// errors.Is(err, context.Canceled / context.DeadlineExceeded) also
 	// matches.
-	ErrCanceled = errors.New("consensus: run canceled")
+	ErrCanceled = sched.ErrCanceled
 	// ErrBadFaults: the configured sched.LinkFaults policy has invalid
 	// parameters (probability outside [0,1], inverted delay bounds, ...).
 	ErrBadFaults = errors.New("consensus: invalid fault policy")
@@ -46,11 +46,3 @@ var (
 	// errors.Is rather than string matching.
 	ErrBadMessage = errors.New("consensus: malformed message")
 )
-
-// canceled returns a wrapped ErrCanceled if ctx is done, else nil.
-func canceled(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", ErrCanceled, err)
-	}
-	return nil
-}

@@ -253,7 +253,7 @@ func RunIterativeBVC(ctx context.Context, cfg *IterConfig) (*IterResult, error) 
 			return nil, fmt.Errorf("%w: %w", ErrBadFaults, err)
 		}
 	}
-	if err := canceled(ctx); err != nil {
+	if err := sched.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	procs := make([]sched.SyncProcess, cfg.N)
@@ -278,7 +278,7 @@ func RunIterativeBVC(ctx context.Context, cfg *IterConfig) (*IterResult, error) 
 	eng := sched.NewSyncEngine(procs)
 	eng.Faults = cfg.Faults
 	eng.TraceFn = cfg.Trace
-	eng.StopFn = func() error { return canceled(ctx) }
+	eng.StopFn = func() error { return sched.Canceled(ctx) }
 	if _, err := eng.Run(); err != nil {
 		return nil, err
 	}

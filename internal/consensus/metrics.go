@@ -24,11 +24,3 @@ var (
 	asyncRuns     = metrics.DefaultCounter("consensus_async_runs_total")
 	iterRuns      = metrics.DefaultCounter("consensus_iterative_runs_total")
 )
-
-// countSync records the aggregate counters of one finished synchronous
-// run.
-func countSync(res *SyncResult) {
-	runsTotal.Inc()
-	roundsTotal.Add(int64(res.Rounds))
-	messagesTotal.Add(int64(res.Messages))
-}

@@ -31,6 +31,7 @@ import (
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -67,6 +68,9 @@ type SyncConfig struct {
 	Trace func(sched.Message)
 }
 
+// validate checks the instance shape. A nil input stands for a process
+// whose machine a peer runs (a TCP node knows only its own vector); the
+// machine builder rejects a nil in a column this process executes.
 func (c *SyncConfig) validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("%w: n must be >= 2, got %d", ErrTooFewProcesses, c.N)
@@ -81,8 +85,8 @@ func (c *SyncConfig) validate() error {
 		return fmt.Errorf("%w: %d inputs for n=%d", ErrBadInputs, len(c.Inputs), c.N)
 	}
 	for i, v := range c.Inputs {
-		if v.Dim() != c.D {
-			return fmt.Errorf("%w: input %d has dimension %d, want %d", ErrBadDimension, i, v.Dim(), c.D)
+		if v != nil && v.Dim() != c.D {
+			return c.badInput(i)
 		}
 	}
 	if c.Faults != nil {
@@ -91,6 +95,10 @@ func (c *SyncConfig) validate() error {
 		}
 	}
 	return nil
+}
+
+func (c *SyncConfig) badInput(i int) error {
+	return fmt.Errorf("%w: input %d has dimension %d, want %d", ErrBadDimension, i, c.Inputs[i].Dim(), c.D)
 }
 
 func (c *SyncConfig) defaultVec() vec.V {
@@ -122,6 +130,9 @@ type SyncResult struct {
 	// Faults counts injected link-fault events during Step 1 (zero when
 	// no fault policy was configured).
 	Faults sched.FaultStats
+	// Transport sums the local endpoints' traffic (zero on the
+	// simulation).
+	Transport transport.Stats
 }
 
 // HonestIDs returns the non-Byzantine process ids of a config.
@@ -149,44 +160,53 @@ func (c *SyncConfig) NonFaultyInputs() *vec.Set {
 // step1Info carries the decoded multisets and the network statistics of
 // one Step-1 broadcast.
 type step1Info struct {
+	// local lists the ids whose machine ran in this process; sets is
+	// indexed by id and nil elsewhere.
+	local            []int
 	sets             []*vec.Set
 	rounds, messages int
 	drops, treeNodes int
 	faults           sched.FaultStats
+	transport        transport.Stats
 }
 
-// step1 runs the all-to-all Byzantine broadcast (oral-messages EIG by
-// default, Dolev-Strong signed when configured) and decodes, per process,
-// the agreed multiset of n vectors.
-func step1(cfg *SyncConfig) (*step1Info, error) {
+// step1 runs the all-to-all Byzantine broadcast on plane (oral-messages
+// EIG by default; Dolev-Strong signed, a sequence of n simulated
+// engines whatever the plane, when configured — the facade refuses that
+// pairing) and decodes, per local process, the agreed multiset of n
+// vectors.
+func step1(ctx context.Context, plane transport.Plane, cfg *SyncConfig) (*step1Info, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	def := cfg.defaultVec()
+	defEnc := broadcast.EncodeVec(def)
 	info := &step1Info{}
-	var decided [][][]byte
-	var err error
+	decided := make([][][]byte, cfg.N)
 	if cfg.SignedBroadcast {
-		decided, err = step1Signed(cfg, def, info)
+		if err := step1Signed(cfg, defEnc, info, decided); err != nil {
+			return nil, err
+		}
 	} else {
-		enc := make([][]byte, cfg.N)
-		for i, v := range cfg.Inputs {
-			enc[i] = broadcast.EncodeVec(v)
+		run, err := transport.RunLockstep(ctx, plane, cfg.N, cfg.Faults, cfg.Trace, func(id int) (*broadcast.EIGNode, error) {
+			if cfg.Inputs[id].Dim() != cfg.D {
+				return nil, cfg.badInput(id)
+			}
+			return broadcast.NewEIGNode(cfg.N, cfg.F, id, broadcast.EncodeVec(cfg.Inputs[id]), cfg.Byzantine[id], defEnc), nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		var res *broadcast.AllToAllResult
-		res, err = runEIG(cfg, enc, def)
-		if err == nil {
-			decided = res.Decided
-			info.rounds, info.messages = res.Rounds, res.Messages
-			info.drops, info.treeNodes = res.Drops, res.TreeNodes
-			info.faults = res.Faults
+		info.local = run.Local
+		info.rounds, info.messages = run.Rounds, run.Messages
+		info.faults, info.transport = run.Faults, run.Stats
+		info.drops, info.treeNodes = broadcast.CountEIGRun(run.Machines)
+		for _, i := range run.Local {
+			decided[i] = run.Machines[i].Decided()
 		}
-	}
-	if err != nil {
-		return nil, err
 	}
 	info.sets = make([]*vec.Set, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	for _, i := range info.local {
 		s := vec.NewSet()
 		for c := 0; c < cfg.N; c++ {
 			v, err := broadcast.DecodeVec(decided[i][c])
@@ -200,40 +220,30 @@ func step1(cfg *SyncConfig) (*step1Info, error) {
 	return info, nil
 }
 
-// runEIG dispatches the oral-messages Step 1 with the optional trace.
-func runEIG(cfg *SyncConfig, enc [][]byte, def vec.V) (*broadcast.AllToAllResult, error) {
-	if cfg.Trace != nil {
-		return broadcast.RunAllToAllEIG(cfg.N, cfg.F, enc, cfg.Byzantine, broadcast.EncodeVec(def), cfg.Faults, cfg.Trace)
-	}
-	return broadcast.RunAllToAllEIG(cfg.N, cfg.F, enc, cfg.Byzantine, broadcast.EncodeVec(def), cfg.Faults)
-}
-
 // step1Signed runs n Dolev-Strong instances, one per commander, filling
-// info's network statistics. With simulated signatures this tolerates any
-// f < n, which is what makes the footnote-3 configurations (n <= 3f)
-// work.
-func step1Signed(cfg *SyncConfig, def vec.V, info *step1Info) ([][][]byte, error) {
+// decided and info's network statistics. With simulated signatures this
+// tolerates any f < n, which is what makes the footnote-3 configurations
+// (n <= 3f) work.
+func step1Signed(cfg *SyncConfig, defEnc []byte, info *step1Info, decided [][][]byte) error {
 	seed := cfg.SigSeed
 	if seed == 0 {
 		seed = 1
 	}
 	scheme := broadcast.NewSigScheme(cfg.N, seed)
-	decided := make([][][]byte, cfg.N)
+	info.local = make([]int, cfg.N)
 	for i := range decided {
+		info.local[i] = i
 		decided[i] = make([][]byte, cfg.N)
 	}
+	var trace []func(sched.Message)
+	if cfg.Trace != nil {
+		trace = append(trace, cfg.Trace)
+	}
 	for c := 0; c < cfg.N; c++ {
-		var res *broadcast.DSResult
-		var err error
-		if cfg.Trace != nil {
-			res, err = broadcast.RunDolevStrong(cfg.N, cfg.F, c, broadcast.EncodeVec(cfg.Inputs[c]),
-				scheme, cfg.ByzantineSigned, broadcast.EncodeVec(def), cfg.Faults, cfg.Trace)
-		} else {
-			res, err = broadcast.RunDolevStrong(cfg.N, cfg.F, c, broadcast.EncodeVec(cfg.Inputs[c]),
-				scheme, cfg.ByzantineSigned, broadcast.EncodeVec(def), cfg.Faults)
-		}
+		res, err := broadcast.RunDolevStrong(cfg.N, cfg.F, c, broadcast.EncodeVec(cfg.Inputs[c]),
+			scheme, cfg.ByzantineSigned, defEnc, cfg.Faults, trace...)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if res.Rounds > info.rounds {
 			info.rounds = res.Rounds
@@ -245,7 +255,7 @@ func step1Signed(cfg *SyncConfig, def vec.V, info *step1Info) ([][][]byte, error
 			decided[i][c] = res.Decided[i]
 		}
 	}
-	return decided, nil
+	return nil
 }
 
 // setKey produces a canonical key of a multiset for memoizing Step 2.
@@ -257,59 +267,83 @@ func setKey(s *vec.Set) string {
 	return string(b)
 }
 
-// runSync is the shared driver: Step 1, then the per-process
-// deterministic choice function (memoized across identical multisets).
-// The context is checked before Step 1 and before each process's choice,
-// so cancellation lands between rounds of LP work.
-func runSync(ctx context.Context, cfg *SyncConfig, choose func(*vec.Set) (vec.V, float64, error)) (*SyncResult, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
+// runSync is the one driver of the two-step pattern: Step 1 on plane,
+// then the deterministic choice function applied to every local
+// process's multiset, memoized across identical multisets (all honest
+// ones). It returns Step 1's statistics and the choices by process id.
+// The context is polled every Step-1 round and before each process's
+// choice, so cancellation lands between rounds of LP work.
+func runSync[T any](ctx context.Context, plane transport.Plane, cfg *SyncConfig, choose func(*vec.Set) (T, error)) (*step1Info, []T, error) {
+	if err := sched.Canceled(ctx); err != nil {
+		return nil, nil, err
 	}
-	info, err := step1(cfg)
+	info, err := step1(ctx, plane, cfg)
 	if err != nil {
 		errorsTotal.Inc()
-		return nil, err
+		return nil, nil, err
 	}
-	sets := info.sets
 	type memo struct {
-		out   vec.V
-		delta float64
-		err   error
+		pick T
+		err  error
 	}
 	cache := make(map[string]memo)
+	picks := make([]T, cfg.N)
+	for _, i := range info.local {
+		if err := sched.Canceled(ctx); err != nil {
+			return nil, nil, err
+		}
+		k := setKey(info.sets[i])
+		m, ok := cache[k]
+		if !ok {
+			//bvclint:allow nodeterminism -- metrics-only: wall time feeds the step-2 latency histogram, never a protocol decision
+			chooseStart := time.Now()
+			m.pick, m.err = choose(info.sets[i])
+			//bvclint:allow nodeterminism -- metrics-only: observation of the timing started above
+			step2Seconds.Observe(time.Since(chooseStart).Seconds())
+			cache[k] = m
+		}
+		if m.err != nil {
+			errorsTotal.Inc()
+			return nil, nil, fmt.Errorf("consensus: process %d choice failed: %w", i, m.err)
+		}
+		picks[i] = m.pick
+	}
+	runsTotal.Inc()
+	roundsTotal.Add(int64(info.rounds))
+	messagesTotal.Add(int64(info.messages))
+	return info, picks, nil
+}
+
+// RunSync runs the synchronous instance cfg on plane and decides with
+// choose. On TCP only this process's slot of the result is filled; the
+// peers each produce their own.
+func RunSync(ctx context.Context, plane transport.Plane, cfg *SyncConfig, choose Chooser) (*SyncResult, error) {
+	type pick struct {
+		out   vec.V
+		delta float64
+	}
+	info, picks, err := runSync(ctx, plane, cfg, func(s *vec.Set) (pick, error) {
+		out, delta, err := choose(s)
+		return pick{out, delta}, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &SyncResult{
 		Outputs:   make([]vec.V, cfg.N),
-		AgreedSet: sets,
+		AgreedSet: info.sets,
 		Delta:     make([]float64, cfg.N),
 		Rounds:    info.rounds,
 		Messages:  info.messages,
 		Drops:     info.drops,
 		TreeNodes: info.treeNodes,
 		Faults:    info.faults,
+		Transport: info.transport,
 	}
-	for i := 0; i < cfg.N; i++ {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
-		k := setKey(sets[i])
-		m, ok := cache[k]
-		if !ok {
-			//bvclint:allow nodeterminism -- metrics-only: wall time feeds the step-2 latency histogram, never a protocol decision
-			chooseStart := time.Now()
-			out, delta, err := choose(sets[i])
-			//bvclint:allow nodeterminism -- metrics-only: observation of the timing started above
-			step2Seconds.Observe(time.Since(chooseStart).Seconds())
-			m = memo{out: out, delta: delta, err: err}
-			cache[k] = m
-		}
-		if m.err != nil {
-			errorsTotal.Inc()
-			return nil, fmt.Errorf("consensus: process %d choice failed: %w", i, m.err)
-		}
-		res.Outputs[i] = m.out.Clone()
-		res.Delta[i] = m.delta
+	for _, i := range info.local {
+		res.Outputs[i] = picks[i].out.Clone()
+		res.Delta[i] = picks[i].delta
 	}
-	countSync(res)
 	return res, nil
 }
 
@@ -317,8 +351,7 @@ func runSync(ctx context.Context, cfg *SyncConfig, choose func(*vec.Set) (vec.V,
 // multiset S from Step 1 it returns the decision vector and (for the
 // relaxed algorithm) the relaxation radius delta. Every honest process
 // applying the same Chooser to the same S decides identically — which
-// is why the same Chooser values drive both the simulated engine
-// (runSync) and the distributed per-node runner (RunSyncNode).
+// is why one Chooser drives every plane.
 type Chooser func(s *vec.Set) (vec.V, float64, error)
 
 // ExactChooser returns the exact-BVC choice: a deterministic point of
@@ -389,7 +422,7 @@ func ScalarChooser(cfg *SyncConfig) (Chooser, error) {
 // input set can make it empty, in which case ErrEmptyIntersection is
 // returned.
 func RunExactBVC(ctx context.Context, cfg *SyncConfig) (*SyncResult, error) {
-	return runSync(ctx, cfg, ExactChooser(cfg))
+	return RunSync(ctx, transport.Plane{}, cfg, ExactChooser(cfg))
 }
 
 // RunKRelaxedBVC runs k-relaxed exact BVC: the output is a deterministic
@@ -401,7 +434,7 @@ func RunKRelaxedBVC(ctx context.Context, cfg *SyncConfig, k int) (*SyncResult, e
 	if err != nil {
 		return nil, err
 	}
-	return runSync(ctx, cfg, choose)
+	return RunSync(ctx, transport.Plane{}, cfg, choose)
 }
 
 // scalarPerCoordinate applies the d=1 exact consensus choice to each
@@ -427,7 +460,7 @@ func RunScalarConsensus(ctx context.Context, cfg *SyncConfig) (*SyncResult, erro
 	if err != nil {
 		return nil, err
 	}
-	return runSync(ctx, cfg, choose)
+	return RunSync(ctx, transport.Plane{}, cfg, choose)
 }
 
 // RunDeltaRelaxedBVC runs Algorithm ALGO for (delta,p)-relaxed exact BVC
@@ -440,7 +473,7 @@ func RunDeltaRelaxedBVC(ctx context.Context, cfg *SyncConfig, p float64) (*SyncR
 	if err != nil {
 		return nil, err
 	}
-	return runSync(ctx, cfg, choose)
+	return RunSync(ctx, transport.Plane{}, cfg, choose)
 }
 
 // --- Result validation helpers (used by tests, experiments, examples) ---

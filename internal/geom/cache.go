@@ -14,8 +14,8 @@ import (
 // changing any result: keys preserve input order and float bit
 // patterns, so a hit returns exactly what the solver would recompute.
 //
-// The cache is safe for concurrent use (batch workers share it) and on
-// by default; SetCaching(false) restores the pre-cache behavior.
+// The cache is safe for concurrent use (batch workers share it); a miss
+// IS the uncached computation, so ResetCache gives a cold reference.
 var cache = memo.New(0)
 
 func init() { cache.RegisterMetrics("geom") }
@@ -28,9 +28,6 @@ const (
 	opDistInf = 'i'
 	opDistFW  = 'p'
 )
-
-// SetCaching enables or disables the geometry memo cache.
-func SetCaching(on bool) { cache.SetEnabled(on) }
 
 // CacheStats reports the geometry cache counters.
 func CacheStats() memo.Stats { return cache.Stats() }
@@ -57,9 +54,6 @@ func pointSetKey(op byte, q vec.V, s *vec.Set) *memo.Key {
 }
 
 func cachedDist(op byte, q vec.V, s *vec.Set, extra float64, compute func() (float64, vec.V)) (float64, vec.V) {
-	if !cache.Enabled() {
-		return compute()
-	}
 	k := memo.GetKey(op)
 	k.Float(extra)
 	k.Floats(q)

@@ -25,7 +25,6 @@ func randSet(rng *rand.Rand, n, d int) *vec.Set {
 // both on a cold cache (first call stores compute's own output) and on a
 // warm cache (second call replays the stored entry).
 func TestCacheBitForBit(t *testing.T) {
-	defer SetCaching(true)
 	rng := rand.New(rand.NewSource(7))
 	ps := []float64{1, 1.5, 2, 3, math.Inf(1)}
 	for trial := 0; trial < 40; trial++ {
@@ -38,11 +37,10 @@ func TestCacheBitForBit(t *testing.T) {
 		}
 		p := ps[rng.Intn(len(ps))]
 
-		SetCaching(false)
+		ResetCache() // a miss is the uncached computation
 		wantIn := InHull(q, s)
 		wantD, wantPt := DistP(q, s, p)
 
-		SetCaching(true)
 		ResetCache()
 		for pass := 0; pass < 2; pass++ { // cold then warm
 			if got := InHull(q, s); got != wantIn {
@@ -65,8 +63,6 @@ func TestCacheBitForBit(t *testing.T) {
 // TestCacheHitCounting checks that repeat queries hit and that the
 // returned point is a private copy the caller may mutate.
 func TestCacheHitCounting(t *testing.T) {
-	defer SetCaching(true)
-	SetCaching(true)
 	ResetCache()
 	rng := rand.New(rand.NewSource(11))
 	s := randSet(rng, 5, 2)

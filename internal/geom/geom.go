@@ -30,15 +30,12 @@ func InHull(q vec.V, s *vec.Set) bool {
 	if q.Dim() != s.Dim() {
 		panic("geom: InHull dimension mismatch")
 	}
-	if cache.Enabled() {
-		k := pointSetKey(opInHull, q, s)
-		defer k.Release()
-		if v, ok := cache.Get(k); ok {
-			return v.(bool)
-		}
-		return cache.Put(k, inHullLP(q, s)).(bool)
+	k := pointSetKey(opInHull, q, s)
+	defer k.Release()
+	if v, ok := cache.Get(k); ok {
+		return v.(bool)
 	}
-	return inHullLP(q, s)
+	return cache.Put(k, inHullLP(q, s)).(bool)
 }
 
 // hullScratch bundles a reusable LP problem and row buffer so the hot

@@ -79,7 +79,6 @@ type shard struct {
 type Cache struct {
 	shards    []shard
 	mask      uint64
-	enabled   atomic.Bool
 	hits      atomic.Int64
 	misses    atomic.Int64
 	overflow  atomic.Int64
@@ -89,7 +88,7 @@ type Cache struct {
 // DefaultCap is the total entry bound used by New(0).
 const DefaultCap = 1 << 16
 
-// New returns an enabled cache holding at most cap entries in total
+// New returns a cache holding at most cap entries in total
 // (cap <= 0 means DefaultCap). The capacity is split exactly across the
 // shards (the first cap mod shards shards take one extra entry), so the
 // sum of shard capacities equals cap.
@@ -107,16 +106,8 @@ func New(cap int) *Cache {
 		}
 		c.shards[i] = shard{m: make(map[string]*entry), cap: sc}
 	}
-	c.enabled.Store(true)
 	return c
 }
-
-// SetEnabled turns the cache on or off. Disabling does not drop stored
-// entries; use Reset for that.
-func (c *Cache) SetEnabled(on bool) { c.enabled.Store(on) }
-
-// Enabled reports whether lookups consult the cache.
-func (c *Cache) Enabled() bool { return c.enabled.Load() }
 
 // FNV-1a 64-bit parameters.
 const (
@@ -149,9 +140,6 @@ func (c *Cache) shardFor(h uint64) *shard { return &c.shards[h&c.mask] }
 // place, and a hit only flips the entry's reference bit. Get does not
 // consume k; the caller still owns (and should Release) it.
 func (c *Cache) Get(k *Key) (any, bool) {
-	if !c.enabled.Load() {
-		return nil, false
-	}
 	s := c.shardFor(fnvBytes(k.b))
 	s.mu.RLock()
 	e, ok := s.m[string(k.b)]
@@ -171,9 +159,6 @@ func (c *Cache) Get(k *Key) (any, bool) {
 // the key string (one allocation); it is only reached on misses. The
 // caller still owns k.
 func (c *Cache) Put(k *Key, v any) any {
-	if !c.enabled.Load() {
-		return v
-	}
 	s := c.shardFor(fnvBytes(k.b))
 	s.mu.Lock()
 	if prev, ok := s.m[string(k.b)]; ok {
@@ -224,9 +209,6 @@ func (s *shard) insertLocked(key string, v any, c *Cache) {
 // equal value. Do is the string-keyed path; hot call sites use
 // GetKey/Get/Put to avoid the closure and key allocations.
 func (c *Cache) Do(key string, compute func() any) any {
-	if !c.enabled.Load() {
-		return compute()
-	}
 	s := c.shardFor(fnvString(key))
 	s.mu.RLock()
 	e, ok := s.m[key]
@@ -251,9 +233,6 @@ func (c *Cache) Do(key string, compute func() any) any {
 // DoKey is Do for a pooled key builder: zero-allocation on hits, one
 // key-string allocation on misses. The caller still owns k.
 func (c *Cache) DoKey(k *Key, compute func() any) any {
-	if !c.enabled.Load() {
-		return compute()
-	}
 	if v, ok := c.Get(k); ok {
 		return v
 	}

@@ -44,27 +44,6 @@ func TestCapacityBound(t *testing.T) {
 	}
 }
 
-func TestDisabledBypasses(t *testing.T) {
-	c := New(10)
-	c.SetEnabled(false)
-	calls := 0
-	for i := 0; i < 3; i++ {
-		c.Do("k", func() any { calls++; return 1 })
-	}
-	if calls != 3 {
-		t.Errorf("disabled cache still memoized: %d calls", calls)
-	}
-	if c.Enabled() {
-		t.Error("Enabled() = true after SetEnabled(false)")
-	}
-	c.SetEnabled(true)
-	c.Do("k", func() any { calls++; return 1 })
-	c.Do("k", func() any { calls++; return 1 })
-	if calls != 4 {
-		t.Errorf("re-enabled cache did not memoize: %d calls", calls)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New(10)
 	c.Do("k", func() any { return 1 })

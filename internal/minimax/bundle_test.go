@@ -179,14 +179,14 @@ func TestBundleDegenerateInputs(t *testing.T) {
 // kernel worker count.
 func TestBundleDeterministic(t *testing.T) {
 	defer par.SetKernelWorkers(par.KernelWorkersSetting())
-	defer SetCaching(true)
-	SetCaching(false)
 	for k := 0; k < 40; k++ {
 		s := randInstance(int64(500+k), 7, 3)
 		par.SetKernelWorkers(0)
+		ResetCache() // every call below is a miss, i.e. a fresh solve
 		want := DeltaStar2Iterative(s, 2)
 		for _, w := range []int{0, 1, 4} {
 			par.SetKernelWorkers(w)
+			ResetCache()
 			got := DeltaStar2Iterative(s, 2)
 			same := math.Float64bits(got.Delta) == math.Float64bits(want.Delta) &&
 				math.Float64bits(got.Lower) == math.Float64bits(want.Lower) &&

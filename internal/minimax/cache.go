@@ -10,7 +10,7 @@ import (
 // deterministic in (S, f), and consensus sweeps re-ask the same instance
 // across processes and trials, so a memo table keyed on the exact binary
 // encoding of the inputs returns bit-identical results for free. Safe
-// for concurrent use; on by default.
+// for concurrent use.
 var cache = memo.New(0)
 
 func init() { cache.RegisterMetrics("minimax") }
@@ -19,9 +19,6 @@ const (
 	opDeltaStar2 = 's'
 	opDeltaIter  = 't'
 )
-
-// SetCaching enables or disables the minimax memo cache.
-func SetCaching(on bool) { cache.SetEnabled(on) }
 
 // CacheStats reports the minimax cache counters.
 func CacheStats() memo.Stats { return cache.Stats() }
@@ -42,9 +39,6 @@ func setKey(op byte, s *vec.Set, f int) *memo.Key {
 }
 
 func cachedDeltaStar(op byte, s *vec.Set, f int, compute func() Result) Result {
-	if !cache.Enabled() {
-		return compute()
-	}
 	k := setKey(op, s, f)
 	defer k.Release()
 	var r Result

@@ -9,8 +9,7 @@ import (
 // subsets and solve one LP per subset, and consensus runs re-issue them
 // with identical (S, f) arguments across processes and trials. The memo
 // table keys on the exact binary encoding of the inputs, so a hit is
-// bit-for-bit what the solver would recompute. Safe for concurrent use;
-// on by default.
+// bit-for-bit what the solver would recompute. Safe for concurrent use.
 var cache = memo.New(0)
 
 func init() { cache.RegisterMetrics("relax") }
@@ -19,9 +18,6 @@ const (
 	opGamma     = 'G'
 	opDeltaPoly = 'D'
 )
-
-// SetCaching enables or disables the relax memo cache.
-func SetCaching(on bool) { cache.SetEnabled(on) }
 
 // CacheStats reports the relax cache counters.
 func CacheStats() memo.Stats { return cache.Stats() }

@@ -110,9 +110,6 @@ func IntersectHulls(sets []*vec.Set) (point vec.V, ok bool) {
 // with |T| = |Y| - f, or ok=false when Gamma(Y) is empty (memoized). By
 // Tverberg's theorem Gamma(Y) is non-empty whenever |Y| >= (d+1)f + 1.
 func GammaPoint(y *vec.Set, f int) (vec.V, bool) {
-	if !cache.Enabled() {
-		return IntersectHulls(DroppedSubsets(y, f))
-	}
 	k := setKey(opGamma, y, f, 0)
 	defer k.Release()
 	var e gammaEntry
@@ -323,9 +320,6 @@ func GammaDeltaPoint(s *vec.Set, f int, delta, p float64) (vec.V, bool) {
 // {1, inf}: the smallest delta making Gamma_(delta,p)(S) non-empty,
 // together with the deterministic point chosen at that delta (memoized).
 func DeltaStarPoly(s *vec.Set, f int, p float64) (float64, vec.V) {
-	if !cache.Enabled() {
-		return MinIntersectionDelta(DroppedSubsets(s, f), p)
-	}
 	k := setKey(opDeltaPoly, s, f, p)
 	defer k.Release()
 	var e deltaEntry

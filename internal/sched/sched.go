@@ -22,6 +22,8 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -98,6 +100,19 @@ type SyncEngine struct {
 	// StopFn, when set, is polled once per round; a non-nil return aborts
 	// the run with that error (used for context cancellation).
 	StopFn func() error
+}
+
+// ErrCanceled reports that a run's context ended before the run did.
+var ErrCanceled = errors.New("sched: run canceled")
+
+// Canceled returns nil while ctx is live and otherwise an error matching
+// both ErrCanceled and the context's own error. It is the StopFn of every
+// context-driven SyncEngine run.
+func Canceled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	return nil
 }
 
 // NewSyncEngine builds a synchronous engine over the given processes

@@ -1,0 +1,157 @@
+package transport
+
+// The one lockstep driver. A synchronous protocol is a set of
+// deterministic sched.SyncProcess machines and a plane is where they
+// run: all n in one sched.SyncEngine (the simulation), a goroutine each
+// over the in-process mesh, or this process's machine alone over TCP.
+// Delivery is the engine's on every plane (see RunSync): same bits.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"relaxedbvc/internal/sched"
+)
+
+// PlaneKind names a message plane, in the facade's TransportKind order.
+type PlaneKind int
+
+const (
+	PlaneSim PlaneKind = iota
+	PlaneMesh
+	PlaneTCP
+)
+
+// Plane says where RunLockstep runs (zero value: the simulation); TCP
+// configures this process's endpoint on PlaneTCP.
+type Plane struct {
+	Kind PlaneKind
+	TCP  TCPConfig
+}
+
+// Lockstep is the outcome of RunLockstep.
+type Lockstep[M sched.SyncProcess] struct {
+	// Local lists the ids run in this process (all n on the simulation
+	// and the mesh, TCP.Self on TCP); Machines holds them by id.
+	Local    []int
+	Machines []M
+	// Rounds is the same on every plane; Messages counts the protocol
+	// messages delivered to local machines.
+	Rounds, Messages int
+	Faults           sched.FaultStats // injected link faults (simulation)
+	Stats            Stats            // local endpoints' traffic (mesh, TCP)
+}
+
+// RunLockstep builds one machine per local id and runs the n-machine
+// cluster on plane. faults (may be nil) arms the simulation's seeded
+// link faults and is refused on a real plane; trace (may be nil) sees
+// every message delivered to a local machine, concurrently from the
+// nodes' goroutines on the mesh. A build error aborts before anything
+// is sent; once ctx ends the run stops at its next round with an error
+// matching sched.ErrCanceled and ctx's own.
+func RunLockstep[M sched.SyncProcess](ctx context.Context, plane Plane, n int, faults *sched.LinkFaults, trace func(sched.Message), build func(id int) (M, error)) (*Lockstep[M], error) {
+	run := &Lockstep[M]{Machines: make([]M, n)}
+	if faults != nil && plane.Kind != PlaneSim {
+		return nil, fmt.Errorf("%w: seeded link faults run only on the simulation backend", ErrUnsupported)
+	}
+	lo, hi := 0, n // the local ids
+	switch plane.Kind {
+	case PlaneSim, PlaneMesh:
+	case PlaneTCP:
+		if len(plane.TCP.Peers) != n {
+			return nil, fmt.Errorf("%w: %d peers for n=%d", ErrBadPeer, len(plane.TCP.Peers), n)
+		}
+		if lo, hi = plane.TCP.Self, plane.TCP.Self+1; lo < 0 || lo >= n {
+			return nil, fmt.Errorf("%w: self id %d outside [0,%d)", ErrBadPeer, lo, n)
+		}
+	default:
+		return nil, fmt.Errorf("%w: plane kind %d", ErrUnsupported, int(plane.Kind))
+	}
+	run.Local = make([]int, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		m, err := build(id)
+		if err != nil {
+			return nil, err
+		}
+		run.Local, run.Machines[id] = append(run.Local, id), m
+	}
+	var err error
+	switch plane.Kind {
+	case PlaneSim:
+		procs := make([]sched.SyncProcess, n)
+		for i, m := range run.Machines {
+			procs[i] = m
+		}
+		eng := sched.NewSyncEngine(procs)
+		eng.Faults, eng.TraceFn = faults, trace
+		eng.StopFn = func() error { return sched.Canceled(ctx) }
+		run.Rounds, err = eng.Run()
+		run.Messages, run.Faults = eng.Messages, eng.FaultStats
+	case PlaneMesh:
+		eps := make([]endpoint, n)
+		for i, node := range NewMesh(n).nodes {
+			eps[i] = node
+		}
+		err = run.drive(ctx, "mesh", eps, trace)
+	case PlaneTCP:
+		eps := make([]endpoint, n)
+		if eps[plane.TCP.Self], err = DialTCP(plane.TCP); err == nil {
+			err = run.drive(ctx, "tcp", eps, trace)
+		}
+	}
+	if err != nil {
+		if cerr := sched.Canceled(ctx); cerr != nil && !errors.Is(err, sched.ErrCanceled) {
+			err = fmt.Errorf("%w: %w", cerr, err)
+		}
+		return nil, err
+	}
+	return run, nil
+}
+
+type endpoint interface { // what either real plane gives a local node
+	Transport
+	Instrumented
+}
+
+// drive runs every local machine over its endpoint, a goroutine each,
+// then closes the endpoints (draining queued frames). The first node to
+// fail cancels the rest, else stuck at the round barrier, and its error
+// is the run's.
+func (run *Lockstep[M]) drive(ctx context.Context, plane string, eps []endpoint, trace func(sched.Message)) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	var once sync.Once
+	var first error
+	fail := func(id int, err error) {
+		once.Do(func() { first = fmt.Errorf("%s node %d: %w", plane, id, err) })
+		cancel()
+	}
+	stats := make([]*SyncNodeStats, len(eps))
+	for _, id := range run.Local {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			var err error
+			if stats[id], err = RunSync(ctx, eps[id], run.Machines[id], 0, trace); err != nil {
+				fail(id, err)
+			}
+		}(id)
+	}
+	wg.Wait()
+	for _, id := range run.Local {
+		if err := eps[id].Close(); err != nil {
+			fail(id, fmt.Errorf("close: %w", err))
+		}
+		s := eps[id].Stats()
+		run.Rounds = stats[id].Rounds
+		run.Messages += stats[id].Delivered
+		run.Stats.FramesSent += s.FramesSent
+		run.Stats.FramesReceived += s.FramesReceived
+		run.Stats.BytesSent += s.BytesSent
+		run.Stats.Reconnects += s.Reconnects
+	}
+	return first
+}

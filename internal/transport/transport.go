@@ -1,24 +1,18 @@
-// Package transport is the pluggable message plane of the library: a
-// Transport moves typed, length-prefixed frames between node IDs, and
-// the consensus engines — deterministic state machines emitting
-// sched.Outgoing and consuming sched.Message — run unchanged over any
-// backend. Three backends ship:
+// Package transport is the message plane of the library: a Transport
+// moves typed, length-prefixed frames between node IDs, and RunLockstep
+// (lockstep.go) drives the protocols' deterministic state machines —
+// sched.SyncProcess values emitting sched.Outgoing and consuming
+// sched.Message — unchanged on any of three planes:
 //
-//   - the deterministic simulation (internal/sched): all n processes in
-//     one engine, seeded link faults, bit-for-bit replay. It remains
-//     the default and the fuzz/replay substrate; the facade selects it
-//     without touching this package.
-//   - Mesh: an in-process channel mesh (NewMesh) — one goroutine per
-//     node, real concurrency, no sockets. The race-detector-friendly
-//     backend for concurrency tests.
-//   - TCP: real sockets (DialTCP) with length-prefixed frames on the
-//     wire, per-peer reconnect with exponential backoff, and graceful
-//     draining shutdown.
+//   - the deterministic simulation (default, and the fuzz substrate):
+//     all n in one sched.SyncEngine, seeded link faults, exact replay.
+//   - Mesh (NewMesh): an in-process channel mesh, one goroutine per
+//     node, real concurrency, no sockets — the race-detector backend.
+//   - TCP (DialTCP): real sockets, per-peer reconnect with exponential
+//     backoff, graceful draining shutdown.
 //
-// Every error this package returns chains to ErrTransport, so network
-// failures stay matchable with errors.Is across the facade — the same
-// contract sched.ErrDeliveryViolated provides for the simulated
-// substrate (enforced by the transporterr analyzer in cmd/bvclint).
+// Every error this package mints chains to ErrTransport, matchable with
+// errors.Is across the facade (cmd/bvclint's transporterr enforces it).
 package transport
 
 import (
@@ -97,9 +91,8 @@ type Transport interface {
 	Close() error
 }
 
-// Stats counts one endpoint's traffic. Backends that can, report them
-// via the Instrumented extension; the facade copies them into the
-// run's RunMetrics.
+// Stats counts one endpoint's traffic (see Instrumented); RunLockstep
+// sums the local endpoints' into its result.
 type Stats struct {
 	// FramesSent and FramesReceived count data+control frames through
 	// this endpoint.

@@ -14,9 +14,9 @@ import (
 	"math/rand"
 	"testing"
 
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/minimax"
-	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/tverberg"
 	"relaxedbvc/internal/vec"
@@ -27,7 +27,14 @@ import (
 func setupFilterParity(t *testing.T) {
 	t.Helper()
 	setupKernelParity(t)
-	t.Cleanup(func() { geom.SetFilteredPredicates(true) })
+	t.Cleanup(func() { setFiltered(true) })
+}
+
+// setFiltered switches the certified screens and drops every cached
+// kernel result, so the exact path cannot replay the filtered one's.
+func setFiltered(on bool) {
+	geom.SetFilteredPredicates(on)
+	bvc.ResetCaches()
 }
 
 // TestKernelParityFilteredPartition: the Tverberg partition scan —
@@ -47,10 +54,10 @@ func TestKernelParityFilteredPartition(t *testing.T) {
 			rng := rand.New(rand.NewSource(400 + seed))
 			y := paritySet(rng, c.n, c.d)
 			for _, w := range []int{1, parityWorkers()} {
-				par.SetKernelWorkers(w)
-				geom.SetFilteredPredicates(true)
+				setWorkers(w)
+				setFiltered(true)
 				blocksF, ptF, okF := tverberg.Partition(y, c.f)
-				geom.SetFilteredPredicates(false)
+				setFiltered(false)
 				blocksX, ptX, okX := tverberg.Partition(y, c.f)
 				if okF != okX {
 					t.Fatalf("seed %d n=%d d=%d f=%d w=%d: ok filtered=%v exact=%v",
@@ -92,9 +99,9 @@ func TestKernelParityFilteredInHull(t *testing.T) {
 				paritySet(rng, 1, d).At(0),
 			}
 			for qi, q := range queries {
-				geom.SetFilteredPredicates(true)
+				setFiltered(true)
 				inF := geom.InHull(q, s)
-				geom.SetFilteredPredicates(false)
+				setFiltered(false)
 				inX := geom.InHull(q, s)
 				if inF != inX {
 					t.Errorf("seed %d d=%d query %d: filtered InHull=%v, exact=%v",
@@ -117,10 +124,10 @@ func TestKernelParityFilteredIntersect(t *testing.T) {
 		for _, p := range []float64{1, math.Inf(1)} {
 			for _, delta := range []float64{0.01, 0.5, 4} {
 				for _, w := range []int{1, parityWorkers()} {
-					par.SetKernelWorkers(w)
-					geom.SetFilteredPredicates(true)
+					setWorkers(w)
+					setFiltered(true)
 					ptF, okF := relax.IntersectRelaxedHulls(family, delta, p)
-					geom.SetFilteredPredicates(false)
+					setFiltered(false)
 					ptX, okX := relax.IntersectRelaxedHulls(family, delta, p)
 					if okF != okX {
 						t.Fatalf("seed %d p=%v delta=%v w=%d: ok filtered=%v exact=%v",
@@ -148,9 +155,9 @@ func TestKernelParityFilteredDeltaStarP(t *testing.T) {
 		rng := rand.New(rand.NewSource(700 + seed))
 		s := paritySet(rng, 7, 2)
 		for _, p := range []float64{1, math.Inf(1)} {
-			geom.SetFilteredPredicates(true)
+			setFiltered(true)
 			rF := minimax.DeltaStarP(s, 2, p)
-			geom.SetFilteredPredicates(false)
+			setFiltered(false)
 			rX := minimax.DeltaStarP(s, 2, p)
 			if math.Float64bits(rF.Delta) != math.Float64bits(rX.Delta) {
 				t.Errorf("seed %d p=%v: filtered delta %v, exact %v", seed, p, rF.Delta, rX.Delta)

@@ -3,9 +3,10 @@ package relaxedbvc_test
 // Kernel parity property tests: the parallel combinatorial geometry
 // kernels must return bit-identical results at workers=1 (the
 // sequential scan) and workers=GOMAXPROCS (the chunked/first-hit
-// parallel paths). Caching is disabled so the second worker setting
-// cannot replay the first's memo entries — both settings do the full
-// work. CI runs these under `-race -count=2` (see the "Kernel parity
+// parallel paths). The kernel caches are dropped at every switch of
+// setting (a miss is the uncached computation), so the second setting
+// cannot replay the first's memo entries — both do the full work. CI
+// runs these under `-race -count=2` (see the "Kernel parity
 // under -race" step) so a schedule-dependent race in the first-hit
 // reductions cannot hide behind one lucky interleaving.
 
@@ -17,7 +18,6 @@ import (
 
 	bvc "relaxedbvc"
 	"relaxedbvc/internal/minimax"
-	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/tverberg"
 	"relaxedbvc/internal/vec"
@@ -33,18 +33,18 @@ func parityWorkers() int {
 	return 4
 }
 
-// setupKernelParity disables caching for the duration of the test (so
-// both worker settings compute fresh) and restores the default worker
-// and caching state afterwards.
+// setupKernelParity restores the default worker budget and empty caches
+// after the test.
 func setupKernelParity(t *testing.T) {
 	t.Helper()
-	bvc.SetCaching(false)
+	t.Cleanup(func() { setWorkers(0) })
+}
+
+// setWorkers switches the kernel worker budget and drops every cached
+// kernel result, so whatever runs next computes from scratch.
+func setWorkers(w int) {
+	bvc.SetKernelWorkers(w)
 	bvc.ResetCaches()
-	t.Cleanup(func() {
-		par.SetKernelWorkers(0)
-		bvc.SetCaching(true)
-		bvc.ResetCaches()
-	})
 }
 
 func paritySet(rng *rand.Rand, n, d int) *vec.Set {
@@ -115,9 +115,9 @@ func TestKernelParityPartition(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			y := paritySet(rng, c.n, c.d)
 
-			par.SetKernelWorkers(1)
+			setWorkers(1)
 			blocks1, pt1, ok1 := tverberg.Partition(y, c.f)
-			par.SetKernelWorkers(W)
+			setWorkers(W)
 			blocksN, ptN, okN := tverberg.Partition(y, c.f)
 
 			if ok1 != okN {
@@ -156,9 +156,9 @@ func TestKernelParityInHullK(t *testing.T) {
 			farPoint(center),              // far outside: early-exit path
 		}
 		for qi, q := range queries {
-			par.SetKernelWorkers(1)
+			setWorkers(1)
 			in1 := relax.InHullK(q, s, k)
-			par.SetKernelWorkers(W)
+			setWorkers(W)
 			inN := relax.InHullK(q, s, k)
 			if in1 != inN {
 				t.Errorf("seed %d query %d: InHullK %v at 1 worker, %v at %d workers",
@@ -180,9 +180,9 @@ func TestKernelParityIntersectRelaxedHulls(t *testing.T) {
 		family := relax.DroppedSubsets(y, 2) // C(7,2) = 21 subsets
 		for _, p := range []float64{1, math.Inf(1)} {
 			for _, delta := range []float64{0.01, 0.5, 4} {
-				par.SetKernelWorkers(1)
+				setWorkers(1)
 				pt1, ok1 := relax.IntersectRelaxedHulls(family, delta, p)
-				par.SetKernelWorkers(W)
+				setWorkers(W)
 				ptN, okN := relax.IntersectRelaxedHulls(family, delta, p)
 				if ok1 != okN {
 					t.Fatalf("seed %d p=%v delta=%v: ok %v vs %v", seed, p, delta, ok1, okN)
@@ -210,9 +210,9 @@ func TestKernelParityDeltaStarP(t *testing.T) {
 		rng := rand.New(rand.NewSource(300 + seed))
 		s := paritySet(rng, 7, 2) // C(7,5) = 21 dropped subsets per probe
 		for _, p := range []float64{1, math.Inf(1)} {
-			par.SetKernelWorkers(1)
+			setWorkers(1)
 			r1 := minimax.DeltaStarP(s, 2, p)
-			par.SetKernelWorkers(W)
+			setWorkers(W)
 			rN := minimax.DeltaStarP(s, 2, p)
 			if math.Float64bits(r1.Delta) != math.Float64bits(rN.Delta) {
 				t.Errorf("seed %d p=%v: delta %v at 1 worker, %v at %d workers",

@@ -4,18 +4,15 @@ package relaxedbvc
 // selection. The default backend is the deterministic simulation —
 // bit-for-bit replayable, fault-injectable, and the substrate of every
 // fuzz and parity test. The alternative backends run one consensus
-// process per goroutine (mesh) or per OS process/machine (TCP) over
-// internal/transport's lockstep runner, which reproduces the
-// simulation's delivery semantics exactly; a cluster therefore decides
-// the same vectors as the simulation of the same Spec.
+// process per goroutine (mesh) or per OS process/machine (TCP); on all
+// three the machines are driven by internal/transport's RunLockstep,
+// which reproduces the simulation's delivery semantics exactly, so a
+// cluster decides the same vectors as the simulation of the same Spec.
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"sync"
 
-	"relaxedbvc/internal/consensus"
 	"relaxedbvc/internal/transport"
 )
 
@@ -41,16 +38,16 @@ const (
 	// TransportSim is the deterministic in-process simulation (default):
 	// every protocol, scripted adversaries, seeded link faults,
 	// bit-for-bit replay.
-	TransportSim TransportKind = iota
+	TransportSim = TransportKind(transport.PlaneSim)
 	// TransportMesh runs one goroutine per process over an in-process
 	// channel mesh — real concurrency (race-detector friendly), same
-	// decisions as the simulation. Synchronous oral-message protocols
-	// only.
-	TransportMesh
+	// decisions as the simulation. Lockstep protocols only (see
+	// WithTransport).
+	TransportMesh = TransportKind(transport.PlaneMesh)
 	// TransportTCP runs THIS process's node over real TCP sockets
 	// against a peer set; each peer runs its own Run (or cmd/bvcnode).
-	// Synchronous oral-message protocols only.
-	TransportTCP
+	// Lockstep protocols only.
+	TransportTCP = TransportKind(transport.PlaneTCP)
 )
 
 // String returns the kind's canonical name.
@@ -91,22 +88,21 @@ type Transport struct {
 
 // runOptions collects the effects of Run's functional options.
 type runOptions struct {
-	transport     Transport
-	sink          func(*RunMetrics)
-	kernelWorkers int
-	setWorkers    bool
+	transport Transport
+	sink      func(*RunMetrics)
 }
 
 // Option customizes one Run call; build them with the With* helpers.
 type Option func(*runOptions)
 
 // WithTransport selects the message-plane backend (default: the
-// deterministic simulation). Non-sim backends support the synchronous
-// oral-message protocols (ProtocolDeltaRelaxed, ProtocolExact,
-// ProtocolKRelaxed, ProtocolScalar) and the streaming ProtocolACS;
-// anything else fails with ErrUnsupportedTransport. A Spec.Trace hook runs concurrently from
-// every node's goroutine on non-sim backends and must be safe for
-// concurrent use there.
+// deterministic simulation). Every protocol that is a set of lockstep
+// machines runs on every backend — the synchronous oral-message
+// protocols, ProtocolConvex and the streaming ProtocolACS; the
+// asynchronous and iterative protocols, signed broadcast and seeded
+// link faults fail with ErrUnsupportedTransport. A Spec.Trace hook runs
+// concurrently from every node's goroutine on the mesh and must be safe
+// for concurrent use there.
 func WithTransport(t Transport) Option {
 	return func(o *runOptions) { o.transport = t }
 }
@@ -119,145 +115,26 @@ func WithMetricsSink(fn func(*RunMetrics)) Option {
 	return func(o *runOptions) { o.sink = fn }
 }
 
-// WithKernelWorkers scopes a kernel worker budget (see
-// SetKernelWorkers) to this Run call: the previous setting is restored
-// when the run returns. The budget is process-wide while the run is in
-// flight, so concurrent runs with different budgets race on the knob —
-// prefer one setting per process, or this option on isolated runs.
-func WithKernelWorkers(w int) Option {
-	return func(o *runOptions) { o.kernelWorkers = w; o.setWorkers = true }
-}
-
-// syncChooser maps a Spec to the Step-2 choice function shared by the
-// simulated and distributed paths, rejecting protocols that require
-// the simulation backend.
-func syncChooser(spec *Spec, cfg *consensus.SyncConfig) (consensus.Chooser, error) {
-	switch spec.Protocol {
-	case ProtocolDeltaRelaxed:
-		return consensus.DeltaRelaxedChooser(cfg, spec.norm())
-	case ProtocolExact:
-		return consensus.ExactChooser(cfg), nil
-	case ProtocolKRelaxed:
-		return consensus.KRelaxedChooser(cfg, spec.K)
-	case ProtocolScalar:
-		return consensus.ScalarChooser(cfg)
+// plane resolves the option into the driver's plane for spec, once per
+// Run: the kinds map one to one, and what spec cannot do off the
+// simulation is refused here (seeded link faults excepted — the driver
+// refuses those itself, where a fault-injecting transport will later
+// take their place).
+func (t *Transport) plane(spec *Spec) (transport.Plane, error) {
+	plane := transport.Plane{Kind: transport.PlaneKind(t.Kind)}
+	if t.Kind == TransportSim {
+		return plane, nil
 	}
-	return nil, fmt.Errorf("%w: protocol %s runs only on the simulation backend", ErrUnsupportedTransport, spec.Protocol)
-}
-
-// addTransportStats copies an endpoint's traffic counters into the
-// run's metrics (summing across endpoints on the mesh).
-func addTransportStats(m *RunMetrics, t transport.Transport) {
-	if inst, ok := t.(transport.Instrumented); ok {
-		st := inst.Stats()
-		m.TransportFramesSent += st.FramesSent
-		m.TransportFramesReceived += st.FramesReceived
-		m.TransportReconnects += st.Reconnects
+	if why := simOnly(spec); why != "" {
+		return plane, fmt.Errorf("%w: %s: %s", ErrUnsupportedTransport, spec.Protocol, why)
 	}
-}
-
-// runMesh executes all n nodes of the instance concurrently over an
-// in-process channel mesh and assembles the same Result shape as the
-// simulation (identical Outputs/Delta/AgreedSet/Rounds/Messages for
-// the same Spec).
-func runMesh(ctx context.Context, spec *Spec) (*Result, error) {
-	if spec.Protocol == ProtocolACS {
-		return runMeshACS(ctx, spec)
-	}
-	cfg := spec.syncConfig()
-	choose, err := syncChooser(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	mesh := transport.NewMesh(spec.N)
-	nodes := make([]*consensus.NodeResult, spec.N)
-	errs := make([]error, spec.N)
-	var wg sync.WaitGroup
-	for i := 0; i < spec.N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			nodes[i], errs[i] = consensus.RunSyncNode(ctx, mesh.Node(i), cfg, choose)
-			if errs[i] != nil {
-				cancel() // unblock peers stuck at the round barrier
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < spec.N; i++ {
-		mesh.Node(i).Close() //nolint:errcheck // mesh close cannot fail
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mesh node %d: %w", i, err)
+	if t.Kind == TransportTCP {
+		// The driver checks this too; here a peer map of the wrong size is
+		// a bad input to Run, the sentinel the facade has always answered.
+		if len(t.Peers) != spec.N {
+			return plane, fmt.Errorf("%w: %d peers for n=%d", ErrBadInputs, len(t.Peers), spec.N)
 		}
+		plane.TCP = transport.TCPConfig{Self: t.Self, Peers: t.Peers, Listener: t.Listener, MaxFrame: t.MaxFrame}
 	}
-	res := &Result{
-		Protocol:  spec.Protocol,
-		Outputs:   make([]Vector, spec.N),
-		Delta:     make([]float64, spec.N),
-		AgreedSet: make([]*PointSet, spec.N),
-		Metrics:   &RunMetrics{},
-	}
-	for i, nr := range nodes {
-		res.Outputs[i] = nr.Output
-		res.Delta[i] = nr.Delta
-		res.AgreedSet[i] = nr.AgreedSet
-		res.Rounds = nr.Rounds
-		res.Messages += nr.Delivered
-		res.Metrics.ByzantineDrops += nr.Drops
-		res.Metrics.EIGTreeNodes += nr.TreeNodes
-		addTransportStats(res.Metrics, mesh.Node(i))
-	}
-	return res, nil
-}
-
-// runTCP executes THIS process's node over real sockets. Only the
-// local slices of the Result are filled (Outputs[Self], Delta[Self],
-// AgreedSet[Self]); the peers each produce their own.
-func runTCP(ctx context.Context, spec *Spec, tc *Transport) (*Result, error) {
-	if spec.Protocol == ProtocolACS {
-		return runTCPACS(ctx, spec, tc)
-	}
-	cfg := spec.syncConfig()
-	choose, err := syncChooser(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(tc.Peers) != spec.N {
-		return nil, fmt.Errorf("%w: %d peers for n=%d", ErrBadInputs, len(tc.Peers), spec.N)
-	}
-	tr, err := transport.DialTCP(transport.TCPConfig{
-		Self:     tc.Self,
-		Peers:    tc.Peers,
-		Listener: tc.Listener,
-		MaxFrame: tc.MaxFrame,
-	})
-	if err != nil {
-		return nil, err
-	}
-	nr, runErr := consensus.RunSyncNode(ctx, tr, cfg, choose)
-	closeErr := tr.Close()
-	if runErr != nil {
-		return nil, fmt.Errorf("tcp node %d: %w", tc.Self, runErr)
-	}
-	if closeErr != nil {
-		return nil, fmt.Errorf("tcp node %d: close: %w", tc.Self, closeErr)
-	}
-	res := &Result{
-		Protocol:  spec.Protocol,
-		Outputs:   make([]Vector, spec.N),
-		Delta:     make([]float64, spec.N),
-		AgreedSet: make([]*PointSet, spec.N),
-		Rounds:    nr.Rounds,
-		Messages:  nr.Delivered,
-		Metrics:   &RunMetrics{ByzantineDrops: nr.Drops, EIGTreeNodes: nr.TreeNodes},
-	}
-	res.Outputs[tc.Self] = nr.Output
-	res.Delta[tc.Self] = nr.Delta
-	res.AgreedSet[tc.Self] = nr.AgreedSet
-	addTransportStats(res.Metrics, tr)
-	return res, nil
+	return plane, nil
 }

@@ -1,10 +1,7 @@
 package relaxedbvc_test
 
-// Parity tests: every deprecated Run* wrapper must produce bit-for-bit
-// the same outcome as Run(ctx, Spec{...}) on identical inputs. Each case
-// runs both paths with caching disabled first (independent solves), then
-// re-runs the Spec path with caching on to confirm cache hits replay the
-// same bits.
+// Parity tests of the front door: Spec defaults mean what they say, and
+// a batch returns at each index exactly what a sequential Run returns.
 
 import (
 	"context"
@@ -65,169 +62,21 @@ func checkFloats(t *testing.T, name string, old, new []float64) {
 	}
 }
 
-// runBoth executes spec through Run three ways — uncached, cached-cold,
-// cached-warm — and checks all three agree before returning the first.
-func runBoth(t *testing.T, spec bvc.Spec) *bvc.Result {
-	t.Helper()
-	bvc.SetCaching(false)
-	raw, err := bvc.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("Run (uncached): %v", err)
-	}
-	bvc.SetCaching(true)
-	bvc.ResetCaches()
-	for pass := 0; pass < 2; pass++ {
-		cached, err := bvc.Run(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("Run (cached pass %d): %v", pass, err)
-		}
-		checkVecs(t, "cached outputs", raw.Outputs, cached.Outputs)
-		checkFloats(t, "cached delta", raw.Delta, cached.Delta)
-	}
-	return raw
-}
-
-func TestParityExact(t *testing.T) {
-	inputs := parityInputs(t, 1, 5, 2)
-	cfg := &bvc.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs}
-	old, err := bvc.RunExactBVC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolExact, N: 5, F: 1, D: 2, Inputs: inputs})
-	checkVecs(t, "exact", old.Outputs, res.Outputs)
-	if old.Rounds != res.Rounds || old.Messages != res.Messages {
-		t.Errorf("stats differ: %d/%d vs %d/%d", old.Rounds, old.Messages, res.Rounds, res.Messages)
-	}
-}
-
-func TestParityKRelaxed(t *testing.T) {
-	inputs := parityInputs(t, 2, 4, 2)
-	cfg := &bvc.SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs}
-	old, err := bvc.RunKRelaxedBVC(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolKRelaxed, N: 4, F: 1, D: 2, K: 1, Inputs: inputs})
-	checkVecs(t, "k-relaxed", old.Outputs, res.Outputs)
-}
-
-func TestParityDeltaRelaxed(t *testing.T) {
-	for _, p := range []float64{1, 2, bvc.LInf} {
-		inputs := parityInputs(t, 3, 4, 3)
-		cfg := &bvc.SyncConfig{N: 4, F: 1, D: 3, Inputs: inputs}
-		old, err := bvc.RunDeltaRelaxedBVC(cfg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolDeltaRelaxed, N: 4, F: 1, D: 3, NormP: p, Inputs: inputs})
-		checkVecs(t, "delta-relaxed", old.Outputs, res.Outputs)
-		checkFloats(t, "delta-relaxed delta", old.Delta, res.Delta)
-	}
-}
-
 func TestParityDeltaRelaxedDefaultNorm(t *testing.T) {
-	// Spec.NormP = 0 must mean p = 2.
+	// Spec.NormP = 0 must mean p = 2, and the zero Protocol ALGO.
 	inputs := parityInputs(t, 4, 4, 2)
-	old, err := bvc.RunDeltaRelaxedBVC(&bvc.SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs}, 2)
+	explicit, err := bvc.Run(context.Background(), bvc.Spec{Protocol: bvc.ProtocolDeltaRelaxed, NormP: 2, N: 4, F: 1, D: 2, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runBoth(t, bvc.Spec{N: 4, F: 1, D: 2, Inputs: inputs}) // all defaults
-	checkVecs(t, "default norm", old.Outputs, res.Outputs)
-	checkFloats(t, "default norm delta", old.Delta, res.Delta)
-}
-
-func TestParityScalar(t *testing.T) {
-	inputs := parityInputs(t, 5, 4, 1)
-	old, err := bvc.RunScalarConsensus(&bvc.SyncConfig{N: 4, F: 1, D: 1, Inputs: inputs})
+	// The second run must solve, not replay the first.
+	bvc.ResetCaches()
+	res, err := bvc.Run(context.Background(), bvc.Spec{N: 4, F: 1, D: 2, Inputs: inputs}) // all defaults
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolScalar, N: 4, F: 1, D: 1, Inputs: inputs})
-	checkVecs(t, "scalar", old.Outputs, res.Outputs)
-}
-
-func TestParityConvex(t *testing.T) {
-	inputs := parityInputs(t, 6, 5, 2)
-	old, err := bvc.RunConvexHullConsensus(&bvc.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolConvex, N: 5, F: 1, D: 2, Directions: 8, Inputs: inputs})
-	if len(old.Vertices) != len(res.Vertices) {
-		t.Fatalf("vertex sets: %d vs %d", len(old.Vertices), len(res.Vertices))
-	}
-	for i := range old.Vertices {
-		checkVecs(t, "convex vertices", old.Vertices[i], res.Vertices[i])
-	}
-}
-
-func TestParityIterative(t *testing.T) {
-	inputs := parityInputs(t, 7, 5, 1)
-	old, err := bvc.RunIterativeBVC(&bvc.IterConfig{N: 5, F: 1, D: 1, Inputs: inputs, Rounds: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolIterative, N: 5, F: 1, D: 1, Rounds: 12, Inputs: inputs})
-	checkVecs(t, "iterative", old.Outputs, res.Outputs)
-	checkFloats(t, "iterative range", old.RangeHistory, res.RangeHistory)
-}
-
-func TestParityAsync(t *testing.T) {
-	inputs := parityInputs(t, 8, 4, 2)
-	old, err := bvc.RunAsyncBVC(&bvc.AsyncConfig{N: 4, F: 1, D: 2, Inputs: inputs, Rounds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolAsync, N: 4, F: 1, D: 2, Rounds: 3, Inputs: inputs})
-	checkVecs(t, "async", old.Outputs, res.Outputs)
-	checkFloats(t, "async delta", old.Delta, res.Delta)
-	checkFloats(t, "async spread", old.RoundSpread, res.RoundSpread)
-	if old.Steps != res.Steps || old.Messages != res.Messages {
-		t.Errorf("stats differ: %d/%d vs %d/%d", old.Steps, old.Messages, res.Steps, res.Messages)
-	}
-}
-
-func TestParityK1Async(t *testing.T) {
-	inputs := parityInputs(t, 9, 4, 3)
-	old, err := bvc.RunK1AsyncBVC(&bvc.AsyncConfig{N: 4, F: 1, D: 3, Inputs: inputs, Rounds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runBoth(t, bvc.Spec{Protocol: bvc.ProtocolK1Async, N: 4, F: 1, D: 3, Rounds: 3, Inputs: inputs})
-	checkVecs(t, "k1-async", old.Outputs, res.Outputs)
-}
-
-func TestParityWithByzantine(t *testing.T) {
-	inputs := parityInputs(t, 10, 5, 2)
-	byz := map[int]bvc.ByzantineBehavior{0: bvc.Equivocator(bvc.NewVector(9, 9), bvc.NewVector(-9, -9))}
-	old, err := bvc.RunDeltaRelaxedBVC(&bvc.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: byz}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runBoth(t, bvc.Spec{N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: byz})
-	checkVecs(t, "byzantine", old.Outputs, res.Outputs)
-	checkFloats(t, "byzantine delta", old.Delta, res.Delta)
-}
-
-func TestParityDeltaStar(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, p := range []float64{1, 2, 3, bvc.LInf} {
-		pts := make([]bvc.Vector, 6)
-		for i := range pts {
-			pts[i] = bvc.NewVector(rng.NormFloat64(), rng.NormFloat64())
-		}
-		s := bvc.NewPointSet(pts...)
-		oldD, oldPt := bvc.DeltaStar(s, 1, p)
-		newD, newPt, err := bvc.ComputeDeltaStar(s, 1, p)
-		if err != nil {
-			t.Fatalf("p=%v: %v", p, err)
-		}
-		if math.Float64bits(oldD) != math.Float64bits(newD) || !sameVec(oldPt, newPt) {
-			t.Errorf("p=%v: (%v, %v) vs (%v, %v)", p, oldD, oldPt, newD, newPt)
-		}
-	}
+	checkVecs(t, "default norm", explicit.Outputs, res.Outputs)
+	checkFloats(t, "default norm delta", explicit.Delta, res.Delta)
 }
 
 func TestComputeDeltaStarErrors(t *testing.T) {
@@ -259,7 +108,6 @@ func TestRunBatchParity(t *testing.T) {
 		{Protocol: bvc.ProtocolScalar, N: 4, F: 1, D: 1, Inputs: parityInputs(t, 22, 4, 1)},
 		{Protocol: bvc.ProtocolAsync, N: 4, F: 1, D: 2, Rounds: 3, Inputs: parityInputs(t, 23, 4, 2)},
 	}
-	bvc.SetCaching(true)
 	bvc.ResetCaches()
 	sequential := make([]*bvc.Result, len(specs))
 	for i, spec := range specs {

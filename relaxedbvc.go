@@ -44,7 +44,6 @@
 package relaxedbvc
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
@@ -76,114 +75,17 @@ func NewPointSet(pts ...Vector) *PointSet { return vec.NewSet(pts...) }
 // norm.
 var LInf = math.Inf(1)
 
-// --- Synchronous consensus (exact, Section 9 / prior work) ---
-
-// SyncConfig configures a synchronous consensus run; see
-// consensus.SyncConfig.
-//
-// Deprecated: build a Spec instead; the deprecated Run* wrappers are
-// the only consumers of this alias.
-type SyncConfig = consensus.SyncConfig
-
-// SyncResult is the outcome of a synchronous run.
-type SyncResult = consensus.SyncResult
+// --- Adversary scripting and protocol modes (Spec fields) ---
 
 // ByzantineBehavior scripts a Byzantine process's broadcast-level
 // behavior (see the adversary constructors below).
 type ByzantineBehavior = broadcast.EIGBehavior
-
-// RunExactBVC runs exact Byzantine vector consensus [Vaidya-Garg 2013]:
-// Byzantine-broadcast all inputs, decide a deterministic point of
-// Gamma(S). Requires n >= max(3f+1, (d+1)f+1).
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolExact}, which adds
-// context cancellation and the unified Result.
-func RunExactBVC(cfg *SyncConfig) (*SyncResult, error) {
-	return consensus.RunExactBVC(context.Background(), cfg)
-}
-
-// RunKRelaxedBVC runs k-relaxed exact BVC (Definition 7). k = 1 needs
-// only n >= 3f+1; 2 <= k <= d needs n >= (d+1)f+1 (Theorem 3).
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolKRelaxed, K: k}.
-func RunKRelaxedBVC(cfg *SyncConfig, k int) (*SyncResult, error) {
-	return consensus.RunKRelaxedBVC(context.Background(), cfg, k)
-}
-
-// RunDeltaRelaxedBVC runs Algorithm ALGO (Section 9): (delta,p)-relaxed
-// exact BVC with the smallest input-dependent delta. p may be 1, 2 or
-// LInf. Works with n >= 3f+1 processes; the achieved delta per process is
-// in SyncResult.Delta and obeys the Table 1 bounds.
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolDeltaRelaxed, NormP: p}.
-func RunDeltaRelaxedBVC(cfg *SyncConfig, p float64) (*SyncResult, error) {
-	return consensus.RunDeltaRelaxedBVC(context.Background(), cfg, p)
-}
-
-// RunScalarConsensus runs exact scalar (d = 1) Byzantine consensus.
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolScalar}.
-func RunScalarConsensus(cfg *SyncConfig) (*SyncResult, error) {
-	return consensus.RunScalarConsensus(context.Background(), cfg)
-}
-
-// ConvexResult is the outcome of convex hull consensus.
-type ConvexResult = consensus.ConvexResult
-
-// RunConvexHullConsensus runs the convex hull consensus generalization
-// ([Tseng-Vaidya]): non-faulty processes agree on an identical polytope
-// (an inner approximation of Gamma(S) by support points along a
-// deterministic direction fan) contained in the hull of the non-faulty
-// inputs. Requires the exact-BVC process counts.
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolConvex, Directions: n}.
-func RunConvexHullConsensus(cfg *SyncConfig, directions int) (*ConvexResult, error) {
-	return consensus.RunConvexHullConsensus(context.Background(), cfg, directions)
-}
-
-// CheckConvexValidity reports whether every polytope vertex lies in the
-// hull of the non-faulty inputs.
-func CheckConvexValidity(vertices []Vector, nonFaulty *PointSet, tol float64) bool {
-	return consensus.CheckConvexValidity(vertices, nonFaulty, tol)
-}
-
-// IterConfig configures an iterative approximate BVC run (the [18]
-// algorithm family: per-round value exchange with safe-area updates).
-//
-// Deprecated: build a Spec instead; the deprecated RunIterativeBVC
-// wrapper is the only consumer of this alias.
-type IterConfig = consensus.IterConfig
-
-// IterResult is the outcome of an iterative run, including the per-round
-// honest range history.
-type IterResult = consensus.IterResult
 
 // IterByzantine scripts a Byzantine process in the iterative protocol.
 type IterByzantine = consensus.IterByzantine
 
 // IterByzantineFunc adapts a function to IterByzantine.
 type IterByzantineFunc = consensus.IterByzantineFunc
-
-// RunIterativeBVC runs iterative approximate Byzantine vector consensus:
-// each round every process sends its current estimate to all others and
-// moves to a deterministic interior point of Gamma(received, f). The
-// honest estimates' range contracts geometrically for n >= (d+2)f+1.
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolIterative}.
-func RunIterativeBVC(cfg *IterConfig) (*IterResult, error) {
-	return consensus.RunIterativeBVC(context.Background(), cfg)
-}
-
-// --- Asynchronous consensus (approximate, Section 10) ---
-
-// AsyncConfig configures an asynchronous run; see consensus.AsyncConfig.
-//
-// Deprecated: build a Spec instead; the deprecated Run*Async wrappers
-// are the only consumers of this alias.
-type AsyncConfig = consensus.AsyncConfig
-
-// AsyncResult is the outcome of an asynchronous run.
-type AsyncResult = consensus.AsyncResult
 
 // AsyncByzantine scripts an asynchronous Byzantine process.
 type AsyncByzantine = consensus.AsyncByzantine
@@ -200,23 +102,6 @@ const (
 
 // NeverMisbehave marks an AsyncByzantine field as "never".
 const NeverMisbehave = consensus.NeverMisbehave
-
-// RunAsyncBVC runs the asynchronous approximate consensus algorithm
-// (Relaxed Verified Averaging in ModeRelaxed).
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolAsync}.
-func RunAsyncBVC(cfg *AsyncConfig) (*AsyncResult, error) {
-	return consensus.RunAsyncBVC(context.Background(), cfg)
-}
-
-// RunK1AsyncBVC runs 1-relaxed approximate BVC asynchronously via the
-// Section 5.3 per-coordinate reduction; n >= 3f+1 suffices for every
-// dimension d.
-//
-// Deprecated: use Run with Spec{Protocol: ProtocolK1Async}.
-func RunK1AsyncBVC(cfg *AsyncConfig) (*AsyncResult, error) {
-	return consensus.RunK1AsyncBVC(context.Background(), cfg)
-}
 
 // --- Validity / agreement checks ---
 
@@ -240,6 +125,12 @@ func CheckKValidity(out Vector, nonFaulty *PointSet, k int, tol float64) bool {
 // CheckDeltaValidity reports (delta,p)-relaxed validity (Definition 10).
 func CheckDeltaValidity(out Vector, nonFaulty *PointSet, delta, p, tol float64) bool {
 	return consensus.CheckDeltaValidity(out, nonFaulty, delta, p, tol)
+}
+
+// CheckConvexValidity reports whether every polytope vertex lies in the
+// hull of the non-faulty inputs.
+func CheckConvexValidity(vertices []Vector, nonFaulty *PointSet, tol float64) bool {
+	return consensus.CheckConvexValidity(vertices, nonFaulty, tol)
 }
 
 // --- Byzantine behavior library (synchronous broadcast level) ---
@@ -282,28 +173,6 @@ func DistToHull(q Vector, s *PointSet, p float64) (float64, Vector) { return geo
 // of the hulls of all (|S|-f)-subsets), or ok=false when empty.
 func GammaPoint(s *PointSet, f int) (Vector, bool) { return relax.GammaPoint(s, f) }
 
-// DeltaStar returns delta*_p(S): the smallest delta for which
-// Gamma_(delta,p)(S) is non-empty, with an attaining point. p = 1 and
-// p = LInf are exact LPs; p = 2 uses the Lemma 13 closed form or the L2
-// minimax solver; any other p >= 1 uses the generic (iterative) Lp
-// minimax solver and returns a tight upper bound on the true value.
-//
-// Deprecated: use ComputeDeltaStar, which returns an error instead of
-// panicking on p < 1 or an out-of-range f.
-func DeltaStar(s *PointSet, f int, p float64) (float64, Vector) {
-	switch {
-	case p == 2:
-		r := minimax.DeltaStar2(s, f)
-		return r.Delta, r.Point
-	case p == 1 || math.IsInf(p, 1):
-		return relax.DeltaStarPoly(s, f, p)
-	case p > 1:
-		r := minimax.DeltaStarP(s, f, p)
-		return r.Delta, r.Point
-	}
-	panic("relaxedbvc: DeltaStar requires p >= 1")
-}
-
 // TverbergPartition searches for a partition of s into f+1 parts with
 // intersecting hulls (Theorem 7) and returns the blocks and a common
 // point.
@@ -341,7 +210,7 @@ type Message = sched.Message
 // Schedule controls asynchronous delivery order.
 type Schedule = sched.Schedule
 
-// Delivery schedules for AsyncConfig.Schedule.
+// Delivery schedules for Spec.Schedule.
 func FIFOSchedule() Schedule { return sched.FIFOSchedule{} }
 func LIFOSchedule() Schedule { return sched.LIFOSchedule{} }
 func RandomSchedule(seed int64) Schedule {
@@ -373,7 +242,7 @@ type Partition = sched.Partition
 type FaultStats = sched.FaultStats
 
 // SignedByzantineBehavior scripts a Byzantine process under the signed
-// (Dolev-Strong) broadcast mode of SyncConfig.SignedBroadcast.
+// (Dolev-Strong) broadcast mode of Spec.SignedBroadcast.
 type SignedByzantineBehavior = broadcast.DSBehavior
 
 // SignedEquivocator builds the canonical signed-mode attack: per-
@@ -383,7 +252,7 @@ func SignedEquivocator(values map[int]Vector) SignedByzantineBehavior {
 }
 
 // TraceRecorder captures message-level transcripts; install its Hook as
-// a config's Trace field and inspect the summary afterwards.
+// Spec.Trace and inspect the summary afterwards.
 type TraceRecorder = trace.Recorder
 
 // NewTraceRecorder returns a recorder retaining up to limit events

@@ -1,6 +1,8 @@
 package relaxedbvc
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -16,12 +18,13 @@ func TestFacadeSyncALGO(t *testing.T) {
 		NewVector(0, 1, 0.3),
 		NewVector(0.1, 0, 1),
 	}
-	cfg := &SyncConfig{
+	cfg := Spec{
+		Protocol: ProtocolDeltaRelaxed, NormP: 2,
 		N: 4, F: 1, D: 3,
 		Inputs:    inputs,
 		Byzantine: map[int]ByzantineBehavior{3: Equivocator(NewVector(9, 9, 9), NewVector(-9, -9, -9))},
 	}
-	res, err := RunDeltaRelaxedBVC(cfg, 2)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,19 +48,20 @@ func TestFacadeExactAndKRelaxed(t *testing.T) {
 	inputs := []Vector{
 		NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1), NewVector(0.5, 0.5),
 	}
-	cfg := &SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: map[int]ByzantineBehavior{4: Silent()}}
-	if res, err := RunExactBVC(cfg); err != nil {
+	cfg := Spec{Protocol: ProtocolExact, N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: map[int]ByzantineBehavior{4: Silent()}}
+	if res, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	} else if !CheckExactValidity(res.Outputs[0], cfg.NonFaultyInputs(), 1e-6) {
 		t.Fatal("exact validity violated")
 	}
-	if res, err := RunKRelaxedBVC(cfg, 1); err != nil {
+	cfg.Protocol, cfg.K = ProtocolKRelaxed, 1
+	if res, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	} else if !CheckKValidity(res.Outputs[0], cfg.NonFaultyInputs(), 1, 1e-6) {
 		t.Fatal("1-relaxed validity violated")
 	}
-	if _, err := RunScalarConsensus(&SyncConfig{
-		N: 4, F: 1, D: 1,
+	if _, err := Run(context.Background(), Spec{
+		Protocol: ProtocolScalar, N: 4, F: 1, D: 1,
 		Inputs: []Vector{NewVector(1), NewVector(2), NewVector(3), NewVector(4)},
 	}); err != nil {
 		t.Fatal(err)
@@ -65,18 +69,18 @@ func TestFacadeExactAndKRelaxed(t *testing.T) {
 }
 
 func TestFacadeAsync(t *testing.T) {
-	cfg := &AsyncConfig{
-		N: 4, F: 1, D: 3,
+	cfg := Spec{
+		Protocol: ProtocolAsync, N: 4, F: 1, D: 3,
 		Inputs: []Vector{
 			NewVector(0, 0, 0), NewVector(1, 0, 0), NewVector(0, 1, 0), NewVector(0, 0, 1),
 		},
 		Rounds: 8,
 		Mode:   ModeRelaxed,
-		Byzantine: map[int]*AsyncByzantine{
+		AsyncByzantine: map[int]*AsyncByzantine{
 			3: {Input: NewVector(2, 2, 2), SilentFrom: NeverMisbehave, CorruptFrom: NeverMisbehave},
 		},
 	}
-	res, err := RunAsyncBVC(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +107,9 @@ func TestFacadeGeometry(t *testing.T) {
 	if _, ok := GammaPoint(s, 1); ok {
 		t.Fatal("Gamma of a triangle with f=1 should be empty")
 	}
-	dstar, pt := DeltaStar(s, 1, 2)
-	if dstar <= 0 || pt.Dim() != 2 {
-		t.Fatalf("DeltaStar = %v, %v", dstar, pt)
+	dstar, pt, err := ComputeDeltaStar(s, 1, 2)
+	if err != nil || dstar <= 0 || pt.Dim() != 2 {
+		t.Fatalf("ComputeDeltaStar = %v, %v, %v", dstar, pt, err)
 	}
 	// delta* of a triangle with f=1 is its inradius.
 	want := (2 - math.Sqrt2) / 2 // inradius of right isoceles with legs 1
@@ -133,20 +137,20 @@ func TestFacadeBounds(t *testing.T) {
 	}
 }
 
-func TestFacadeDeltaStarPanicsOnBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	DeltaStar(NewPointSet(NewVector(0), NewVector(1)), 1, 0.5)
+func TestFacadeDeltaStarRejectsBadP(t *testing.T) {
+	if _, _, err := ComputeDeltaStar(NewPointSet(NewVector(0), NewVector(1)), 1, 0.5); !errors.Is(err, ErrBadNorm) {
+		t.Fatalf("err = %v, want ErrBadNorm", err)
+	}
 }
 
 func TestFacadeDeltaStarGeneralP(t *testing.T) {
 	s := NewPointSet(NewVector(0, 0), NewVector(1, 0), NewVector(0, 1))
-	d2, _ := DeltaStar(s, 1, 2)
-	d3, _ := DeltaStar(s, 1, 3)
-	dInf, _ := DeltaStar(s, 1, LInf)
+	d2, _, _ := ComputeDeltaStar(s, 1, 2)
+	d3, _, _ := ComputeDeltaStar(s, 1, 3)
+	dInf, _, err := ComputeDeltaStar(s, 1, LInf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Monotone in p: delta*_inf <= delta*_3 <= delta*_2 (solver tolerance).
 	if dInf > d3+5e-3 || d3 > d2+5e-3 {
 		t.Fatalf("delta* ordering violated: inf=%v 3=%v 2=%v", dInf, d3, d2)
@@ -169,7 +173,8 @@ func TestFacadeByzantineConstructors(t *testing.T) {
 func TestFacadeSignedBroadcastAndSchedules(t *testing.T) {
 	// Footnote-3 configuration through the public API, with a trace.
 	rec := NewTraceRecorder(0)
-	cfg := &SyncConfig{
+	cfg := Spec{
+		Protocol: ProtocolDeltaRelaxed, NormP: 2,
 		N: 3, F: 1, D: 2,
 		Inputs:          []Vector{NewVector(1, 1), NewVector(1, 1), NewVector(0, 0)},
 		SignedBroadcast: true,
@@ -178,7 +183,7 @@ func TestFacadeSignedBroadcastAndSchedules(t *testing.T) {
 		},
 		Trace: rec.Hook(),
 	}
-	res, err := RunDeltaRelaxedBVC(cfg, 2)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,43 +195,43 @@ func TestFacadeSignedBroadcastAndSchedules(t *testing.T) {
 	}
 	// Schedules construct and run.
 	for _, sch := range []Schedule{FIFOSchedule(), LIFOSchedule(), RandomSchedule(3), StarveSchedule(0)} {
-		acfg := &AsyncConfig{
-			N: 4, F: 1, D: 2,
+		acfg := Spec{
+			Protocol: ProtocolAsync, N: 4, F: 1, D: 2,
 			Inputs:   []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1)},
 			Rounds:   4,
 			Mode:     ModeRelaxed,
 			Schedule: sch,
 		}
-		if _, err := RunAsyncBVC(acfg); err != nil {
+		if _, err := Run(context.Background(), acfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 func TestFacadeIterativeAndK1Async(t *testing.T) {
-	icfg := &IterConfig{
-		N: 5, F: 1, D: 2,
+	icfg := Spec{
+		Protocol: ProtocolIterative, N: 5, F: 1, D: 2,
 		Inputs: []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1), NewVector(2, 2)},
 		Rounds: 6,
-		Byzantine: map[int]IterByzantine{4: IterByzantineFunc(func(round, to int, _ Vector) Vector {
+		IterByzantine: map[int]IterByzantine{4: IterByzantineFunc(func(round, to int, _ Vector) Vector {
 			return NewVector(float64(round*to), -5)
 		})},
 	}
-	ires, err := RunIterativeBVC(icfg)
+	ires, err := Run(context.Background(), icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h := ires.RangeHistory; h[len(h)-1] > h[0]*0.1 {
 		t.Fatalf("no contraction: %v", h)
 	}
-	k1 := &AsyncConfig{
-		N: 4, F: 1, D: 4,
+	k1 := Spec{
+		Protocol: ProtocolK1Async, N: 4, F: 1, D: 4,
 		Inputs: []Vector{
 			NewVector(0, 0, 0, 0), NewVector(1, 0, 1, 0), NewVector(0, 1, 0, 1), NewVector(1, 1, 1, 1),
 		},
 		Rounds: 6,
 	}
-	kres, err := RunK1AsyncBVC(k1)
+	kres, err := Run(context.Background(), k1)
 	if err != nil {
 		t.Fatal(err)
 	}

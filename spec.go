@@ -3,7 +3,6 @@ package relaxedbvc
 // The unified front door of the library: one Spec describes any consensus
 // instance — protocol, system size, inputs, adversary, network — and
 // Run(ctx, spec) executes it with context cancellation and typed errors.
-// The per-protocol Run* functions remain as thin deprecated wrappers.
 
 import (
 	"context"
@@ -19,6 +18,7 @@ import (
 	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 )
 
 // RunMetrics is the per-run metrics snapshot attached to every Result
@@ -289,44 +289,28 @@ func (s *Spec) norm() float64 {
 }
 
 // Run executes the consensus instance described by spec. It honors ctx:
-// cancellation or deadline expiry aborts the run between protocol steps
-// with an error matching both ErrCanceled and the context's own error.
-// All failures wrap the package's typed sentinels (errors.Is-matchable).
+// cancellation or deadline expiry aborts the run at the next protocol
+// round or Step-2 choice with an error matching both ErrCanceled and the
+// context's own error. All failures wrap the package's typed sentinels
+// (errors.Is-matchable).
 //
 // Options customize the execution without changing the instance: the
 // message-plane backend (WithTransport — deterministic simulation by
-// default, in-process mesh or real TCP otherwise), a per-run metrics
-// callback (WithMetricsSink) and a run-scoped kernel worker budget
-// (WithKernelWorkers). Bare Run(ctx, spec) behaves exactly as before
-// options existed.
+// default, in-process mesh or real TCP otherwise) and a per-run metrics
+// callback (WithMetricsSink).
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	var o runOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.setWorkers {
-		prev := par.KernelWorkersSetting()
-		par.SetKernelWorkers(o.kernelWorkers)
-		defer par.SetKernelWorkers(prev)
-	}
 	start := time.Now()
-	var res *Result
-	var err error
-	switch o.transport.Kind {
-	case TransportSim:
-		res, err = runSim(ctx, &spec)
-	case TransportMesh:
-		res, err = runMesh(ctx, &spec)
-	case TransportTCP:
-		res, err = runTCP(ctx, &spec, &o.transport)
-	default:
-		err = fmt.Errorf("%w: transport kind %d", ErrUnsupportedTransport, int(o.transport.Kind))
-	}
+	plane, err := o.transport.plane(&spec)
 	if err != nil {
 		return nil, err
 	}
-	if res.Metrics == nil {
-		res.Metrics = &RunMetrics{}
+	res, err := runOn(ctx, plane, &spec)
+	if err != nil {
+		return nil, err
 	}
 	res.Metrics.Protocol = spec.Protocol.String()
 	res.Metrics.Transport = o.transport.Kind.String()
@@ -344,44 +328,50 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	return res, nil
 }
 
-// runSim executes spec on the default deterministic simulation backend.
-func runSim(ctx context.Context, spec *Spec) (*Result, error) {
-	res := &Result{Protocol: spec.Protocol}
+// simOnly names why spec cannot leave the simulation, or "" when every
+// plane runs it. Everything else is a set of lockstep machines and runs
+// wherever transport.RunLockstep does; DESIGN section 11.4 prints this
+// table and TestPlaneMatrix pins both.
+func simOnly(spec *Spec) string {
+	switch spec.Protocol {
+	case ProtocolAsync, ProtocolK1Async:
+		return "asynchronous delivery order is the Schedule's choice, made by the simulated event-queue engine"
+	case ProtocolIterative:
+		return "RangeHistory samples every honest estimate each round, a global view no single node has"
+	case ProtocolDeltaRelaxed, ProtocolExact, ProtocolKRelaxed, ProtocolScalar, ProtocolConvex:
+		if spec.SignedBroadcast || len(spec.ByzantineSigned) > 0 {
+			return "signed broadcast is n sequential Dolev-Strong engines sharing one simulated PKI"
+		}
+	}
+	return ""
+}
+
+// runOn executes spec's protocol on an already resolved plane.
+func runOn(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, error) {
+	res := &Result{Protocol: spec.Protocol, Metrics: &RunMetrics{}}
+	cfg := spec.syncConfig()
+	var choose consensus.Chooser
+	var err error
 	switch spec.Protocol {
 	case ProtocolDeltaRelaxed:
-		sr, err := consensus.RunDeltaRelaxedBVC(ctx, spec.syncConfig(), spec.norm())
-		if err != nil {
-			return nil, err
-		}
-		fromSync(res, sr)
+		choose, err = consensus.DeltaRelaxedChooser(cfg, spec.norm())
 	case ProtocolExact:
-		sr, err := consensus.RunExactBVC(ctx, spec.syncConfig())
-		if err != nil {
-			return nil, err
-		}
-		fromSync(res, sr)
+		choose = consensus.ExactChooser(cfg)
 	case ProtocolKRelaxed:
-		sr, err := consensus.RunKRelaxedBVC(ctx, spec.syncConfig(), spec.K)
-		if err != nil {
-			return nil, err
-		}
-		fromSync(res, sr)
+		choose, err = consensus.KRelaxedChooser(cfg, spec.K)
 	case ProtocolScalar:
-		sr, err := consensus.RunScalarConsensus(ctx, spec.syncConfig())
-		if err != nil {
-			return nil, err
-		}
-		fromSync(res, sr)
+		choose, err = consensus.ScalarChooser(cfg)
 	case ProtocolConvex:
-		cr, err := consensus.RunConvexHullConsensus(ctx, spec.syncConfig(), spec.Directions)
+		cr, err := consensus.RunConvexHull(ctx, plane, cfg, spec.Directions)
 		if err != nil {
 			return nil, err
 		}
 		res.Vertices = cr.Vertices
 		res.Rounds = cr.Rounds
 		res.Messages = cr.Messages
-		res.Metrics = &RunMetrics{}
 		fillFaultMetrics(res.Metrics, cr.Faults)
+		fillTransportMetrics(res.Metrics, cr.Transport)
+		return res, nil
 	case ProtocolIterative:
 		ir, err := consensus.RunIterativeBVC(ctx, &consensus.IterConfig{
 			N: spec.N, F: spec.F, D: spec.D,
@@ -397,46 +387,46 @@ func runSim(ctx context.Context, spec *Spec) (*Result, error) {
 		res.Outputs = ir.Outputs
 		res.RangeHistory = ir.RangeHistory
 		res.Messages = ir.Messages
-		res.Metrics = &RunMetrics{}
 		fillFaultMetrics(res.Metrics, ir.Faults)
-	case ProtocolAsync:
-		ar, err := consensus.RunAsyncBVC(ctx, spec.asyncConfig())
+		return res, nil
+	case ProtocolAsync, ProtocolK1Async:
+		run := consensus.RunAsyncBVC
+		if spec.Protocol == ProtocolK1Async {
+			run = consensus.RunK1AsyncBVC
+		}
+		ar, err := run(ctx, spec.asyncConfig())
 		if err != nil {
 			return nil, err
 		}
-		fromAsync(res, ar)
-	case ProtocolK1Async:
-		ar, err := consensus.RunK1AsyncBVC(ctx, spec.asyncConfig())
-		if err != nil {
-			return nil, err
-		}
-		fromAsync(res, ar)
+		res.Outputs = ar.Outputs
+		res.Delta = ar.Delta
+		res.RoundSpread = ar.RoundSpread
+		res.Steps = ar.Steps
+		res.Messages = ar.Messages
+		fillFaultMetrics(res.Metrics, ar.Faults)
+		return res, nil
 	case ProtocolACS:
-		return runSimACS(ctx, spec)
+		return runACS(ctx, plane, spec)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownProtocol, int(spec.Protocol))
 	}
-	return res, nil
-}
-
-func fromSync(res *Result, sr *SyncResult) {
+	if err != nil {
+		return nil, err
+	}
+	sr, err := consensus.RunSync(ctx, plane, cfg, choose)
+	if err != nil {
+		return nil, err
+	}
 	res.Outputs = sr.Outputs
 	res.Delta = sr.Delta
 	res.AgreedSet = sr.AgreedSet
 	res.Rounds = sr.Rounds
 	res.Messages = sr.Messages
-	res.Metrics = &RunMetrics{ByzantineDrops: sr.Drops, EIGTreeNodes: sr.TreeNodes}
+	res.Metrics.ByzantineDrops = sr.Drops
+	res.Metrics.EIGTreeNodes = sr.TreeNodes
 	fillFaultMetrics(res.Metrics, sr.Faults)
-}
-
-func fromAsync(res *Result, ar *AsyncResult) {
-	res.Outputs = ar.Outputs
-	res.Delta = ar.Delta
-	res.RoundSpread = ar.RoundSpread
-	res.Steps = ar.Steps
-	res.Messages = ar.Messages
-	res.Metrics = &RunMetrics{}
-	fillFaultMetrics(res.Metrics, ar.Faults)
+	fillTransportMetrics(res.Metrics, sr.Transport)
+	return res, nil
 }
 
 func fillFaultMetrics(m *RunMetrics, fs sched.FaultStats) {
@@ -447,12 +437,17 @@ func fillFaultMetrics(m *RunMetrics, fs sched.FaultStats) {
 	m.PartitionHeals = fs.PartitionHeals
 }
 
+func fillTransportMetrics(m *RunMetrics, st transport.Stats) {
+	m.TransportFramesSent = st.FramesSent
+	m.TransportFramesReceived = st.FramesReceived
+	m.TransportReconnects = st.Reconnects
+}
+
 // ComputeDeltaStar returns delta*_p(S) — the smallest delta for which
-// Gamma_(delta,p)(S) is non-empty — with an attaining point. It is the
-// error-returning replacement for the deprecated DeltaStar, which panics
-// on invalid arguments. p = 1 and p = LInf are exact LPs; p = 2 uses the
-// Lemma 13 closed form or the L2 minimax solver; any other p > 1 uses the
-// generic iterative Lp minimax solver and returns a tight upper bound.
+// Gamma_(delta,p)(S) is non-empty — with an attaining point. p = 1 and
+// p = LInf are exact LPs; p = 2 uses the Lemma 13 closed form or the L2
+// minimax solver; any other p > 1 uses the generic iterative Lp minimax
+// solver and returns a tight upper bound.
 func ComputeDeltaStar(s *PointSet, f int, p float64) (float64, Vector, error) {
 	if s == nil || s.Len() == 0 {
 		return 0, nil, fmt.Errorf("%w: empty point set", ErrBadInputs)
@@ -527,16 +522,6 @@ func SetKernelWorkers(w int) { par.SetKernelWorkers(w) }
 // KernelWorkers reports the current kernel worker budget with the 0
 // default resolved to GOMAXPROCS.
 func KernelWorkers() int { return par.KernelWorkers() }
-
-// SetCaching enables or disables every geometry-kernel memo cache. The
-// caches are on by default; they never change results (keys are exact
-// binary encodings of the inputs, hits are bit-for-bit replays), only
-// speed. Disable them to benchmark the raw solvers.
-func SetCaching(on bool) {
-	geom.SetCaching(on)
-	relax.SetCaching(on)
-	minimax.SetCaching(on)
-}
 
 // CacheStats reports the current kernel cache statistics.
 func CacheStats() KernelCacheStats {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"relaxedbvc/internal/broadcast"
+	"relaxedbvc/internal/par"
 )
 
 // The transport parity contract: a cluster of nodes running over the
@@ -86,6 +87,20 @@ func paritySpecs() map[string]Spec {
 				NewVector(-1, 3, 0.5),
 			},
 		},
+		// Convex hull consensus is the same Step 1 with a polytope as the
+		// Step-2 choice, at its n = max(3f+1, (d+1)f+1) bound.
+		"convex-n4-f1-byz": {
+			Protocol: ProtocolConvex, N: 4, F: 1, D: 2, Inputs: in4,
+			Byzantine: map[int]ByzantineBehavior{3: RandomLiar(11, 2, 10)},
+		},
+		"convex-n7-f2-byz": {
+			Protocol: ProtocolConvex, N: 7, F: 2, D: 2, Directions: 8,
+			Inputs: []Vector{
+				NewVector(0, 0), NewVector(4, 0), NewVector(0, 4), NewVector(3, 3),
+				NewVector(1, 2), NewVector(2, 1), NewVector(-1, 5),
+			},
+			Byzantine: map[int]ByzantineBehavior{6: RandomLiar(12, 2, 10)},
+		},
 	}
 }
 
@@ -97,6 +112,18 @@ func requireParity(t *testing.T, want, got *Result, ids []int) {
 		t.Errorf("rounds: got %d, sim %d", got.Rounds, want.Rounds)
 	}
 	for _, i := range ids {
+		if want.Vertices != nil { // ProtocolConvex decides a polytope
+			if len(got.Vertices[i]) != len(want.Vertices[i]) {
+				t.Errorf("node %d: got %d vertices, sim %d", i, len(got.Vertices[i]), len(want.Vertices[i]))
+				continue
+			}
+			for k, v := range want.Vertices[i] {
+				if fingerprint(got.Vertices[i][k]) != fingerprint(v) {
+					t.Errorf("node %d vertex %d: got %v, sim %v", i, k, got.Vertices[i][k], v)
+				}
+			}
+			continue
+		}
 		if fingerprint(got.Outputs[i]) != fingerprint(want.Outputs[i]) {
 			t.Errorf("node %d output: got %v, sim %v", i, got.Outputs[i], want.Outputs[i])
 		}
@@ -107,6 +134,38 @@ func requireParity(t *testing.T, want, got *Result, ids []int) {
 			t.Errorf("node %d agreed set diverges from sim", i)
 		}
 	}
+}
+
+// runTCPCluster runs spec as an n-process loopback-TCP cluster, one Run
+// per node on real sockets, and returns every node's result.
+func runTCPCluster(t *testing.T, ctx context.Context, spec Spec) ([]*Result, []error) {
+	t.Helper()
+	// Bind every node's listener on :0 first so the peer map is complete
+	// before any node dials.
+	listeners := make([]net.Listener, spec.N)
+	peers := make(map[int]string, spec.N)
+	for i := 0; i < spec.N; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen %d: %v", i, err)
+		}
+		listeners[i] = ln
+		peers[i] = ln.Addr().String()
+	}
+	results := make([]*Result, spec.N)
+	errs := make([]error, spec.N)
+	var wg sync.WaitGroup
+	for i := 0; i < spec.N; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Run(ctx, spec, WithTransport(Transport{
+				Kind: TransportTCP, Self: i, Peers: peers, Listener: listeners[i],
+			}))
+		}(i)
+	}
+	wg.Wait()
+	return results, errs
 }
 
 func allIDs(n int) []int {
@@ -148,49 +207,27 @@ func TestMeshClusterMatchesSim(t *testing.T) {
 // cluster (one Run per node, real sockets) decides the same vectors as
 // the simulation of the same Spec, fingerprint-equal.
 func TestTCPClusterMatchesSim(t *testing.T) {
-	spec := paritySpecs()["delta-relaxed-p1-byz"]
-	sim, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-
-	// Bind every node's listener on :0 first so the peer map is complete
-	// before any node dials.
-	listeners := make([]net.Listener, spec.N)
-	peers := make(map[int]string, spec.N)
-	for i := 0; i < spec.N; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen %d: %v", i, err)
-		}
-		listeners[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-
-	results := make([]*Result, spec.N)
-	errs := make([]error, spec.N)
-	var wg sync.WaitGroup
-	for i := 0; i < spec.N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = Run(context.Background(), spec, WithTransport(Transport{
-				Kind: TransportTCP, Self: i, Peers: peers, Listener: listeners[i],
-			}))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("tcp node %d: %v", i, err)
-		}
-	}
-	for i, res := range results {
-		// Each TCP Run fills only its own slot.
-		requireParity(t, sim, res, []int{i})
-		if res.Metrics.Transport != "tcp" {
-			t.Errorf("node %d metrics transport label = %q, want tcp", i, res.Metrics.Transport)
-		}
+	for _, name := range []string{"delta-relaxed-p1-byz", "convex-n4-f1-byz", "convex-n7-f2-byz"} {
+		spec := paritySpecs()[name]
+		t.Run(name, func(t *testing.T) {
+			sim, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("sim: %v", err)
+			}
+			results, errs := runTCPCluster(t, context.Background(), spec)
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("tcp node %d: %v", i, err)
+				}
+			}
+			for i, res := range results {
+				// Each TCP Run fills only its own slot.
+				requireParity(t, sim, res, []int{i})
+				if res.Metrics.Transport != "tcp" {
+					t.Errorf("node %d metrics transport label = %q, want tcp", i, res.Metrics.Transport)
+				}
+			}
+		})
 	}
 }
 
@@ -201,7 +238,6 @@ func TestNonSimTransportRejectsSimOnlyFeatures(t *testing.T) {
 	}
 	cases := map[string]Spec{
 		"async-protocol":   func() Spec { s := base; s.Protocol = ProtocolAsync; s.Rounds = 3; return s }(),
-		"convex-protocol":  func() Spec { s := base; s.Protocol = ProtocolConvex; return s }(),
 		"iterative":        func() Spec { s := base; s.Protocol = ProtocolIterative; s.Rounds = 3; return s }(),
 		"signed-broadcast": func() Spec { s := base; s.SignedBroadcast = true; return s }(),
 		"link-faults": func() Spec {
@@ -242,21 +278,15 @@ func TestRunOptions(t *testing.T) {
 			t.Errorf("transport label = %q, want sim", sunk.Transport)
 		}
 	})
-	t.Run("kernel workers scoped", func(t *testing.T) {
-		prev := KernelWorkers()
-		if _, err := Run(context.Background(), spec, WithKernelWorkers(1)); err != nil {
-			t.Fatal(err)
-		}
-		if got := KernelWorkers(); got != prev {
-			t.Fatalf("kernel workers not restored: got %d, want %d", got, prev)
-		}
-	})
 	t.Run("same result with one worker", func(t *testing.T) {
 		a, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(context.Background(), spec, WithKernelWorkers(1))
+		defer par.SetKernelWorkers(par.KernelWorkersSetting())
+		SetKernelWorkers(1)
+		ResetCaches() // or the second run replays the first's memo entries
+		b, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,5 +323,16 @@ func TestTCPPeerValidation(t *testing.T) {
 	}
 	if fmt.Sprint(err) == "" {
 		t.Fatal("empty error text")
+	}
+	// The same peer checks guard every protocol: an out-of-range Self is
+	// a typed error before any machine is built, not an index panic.
+	for _, self := range []int{7, -1} {
+		_, err = Run(context.Background(), acsParitySpec(), WithTransport(Transport{
+			Kind: TransportTCP, Self: self,
+			Peers: map[int]string{0: "a", 1: "b", 2: "c", 3: "d"},
+		}))
+		if !errors.Is(err, ErrTransport) {
+			t.Fatalf("ACS with Self=%d: err = %v, want ErrTransport", self, err)
+		}
 	}
 }
