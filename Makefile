@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs bench-lp experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -20,8 +20,9 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# One benchmark per reproduced table/figure plus the ablations.
-bench:
+# One benchmark per reproduced table/figure plus the ablations, then the
+# solver micro-benchmarks.
+bench: bench-lp
 	$(GO) test -bench=. -benchmem
 
 # The benchmark program (benchmark/, its own module, which the root's
@@ -51,6 +52,14 @@ bench-transport:
 # test (TestACSEpochAllocationCeiling).
 bench-acs:
 	$(GO) test -run '^$$' -bench 'BrachaHandle|ACSEpoch' -benchmem ./internal/broadcast ./internal/acs
+
+# LP-layer micro-benchmarks (allocations reported): build + one-shot
+# Solve of the n=9 f=2 d=2 Gamma LP and of a small delta*_2 dual master,
+# and the convex support fan (one phase 1, then 4 or 16 phase 2s) at the
+# same shape. Attribution for batch_lp; the claim itself is
+# benchmark/run.sh's.
+bench-lp:
+	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|SupportFan' -benchmem ./internal/lp ./internal/relax
 
 # Regenerate every experiment table (E1-E21); fails if any claim breaks.
 experiments:

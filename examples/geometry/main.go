@@ -42,12 +42,12 @@ func main() {
 	g, ok := relaxedbvc.GammaPoint(s, 1)
 	fmt.Printf("Gamma point (f=1): %v (nonempty=%v)\n", g, ok)
 	fam := relax.DroppedSubsets(s, 1)
-	for _, dir := range []relaxedbvc.Vector{
+	dirs := []relaxedbvc.Vector{
 		relaxedbvc.NewVector(1, 0), relaxedbvc.NewVector(-1, 0),
 		relaxedbvc.NewVector(0, 1), relaxedbvc.NewVector(0, -1),
-	} {
-		sp, _ := relax.SupportPoint(fam, dir)
-		fmt.Printf("  support in %v: %v\n", dir, sp)
+	}
+	for i, sp := range relax.SupportPoints(fam, dirs) {
+		fmt.Printf("  support in %v: %v\n", dirs[i], sp)
 	}
 
 	fmt.Println("\n-- Tverberg partition --")

@@ -162,28 +162,27 @@ func RunConvexHull(ctx context.Context, plane transport.Plane, cfg *SyncConfig, 
 }
 
 // supportFan is the convex Step-2 choice: the support point of Gamma(S)
-// in every direction of fan.
+// in every direction of fan, all solved off one feasible basis.
 func supportFan(cfg *SyncConfig, s *vec.Set, fan []vec.V) ([]vec.V, error) {
 	fam := relax.DroppedSubsets(s, cfg.F)
-	var verts []vec.V
+	verts := relax.SupportPoints(fam, fan)
 	var anchor vec.V
-	for _, dir := range fan {
-		pt, feasible := relax.SupportPoint(fam, dir)
-		if !feasible || !inEveryHull(fam, pt, convexTol) {
-			// Degenerate Gamma(S): substitute the certified anchor so the
-			// vertex stays inside the intersection. All honest processes
-			// hold the same multiset after step 1, so they substitute the
-			// same anchor and agreement is preserved.
-			if anchor == nil {
-				a, ok := gammaAnchor(s, cfg.F, fam)
-				if !ok {
-					return nil, fmt.Errorf("%w: Gamma(S) is empty (n=%d, f=%d, d=%d)", ErrEmptyIntersection, cfg.N, cfg.F, cfg.D)
-				}
-				anchor = a
-			}
-			pt = anchor
+	for i, pt := range verts {
+		if pt != nil && inEveryHull(fam, pt, convexTol) {
+			continue
 		}
-		verts = append(verts, pt)
+		// Degenerate Gamma(S): substitute the certified anchor so the
+		// vertex stays inside the intersection. All honest processes
+		// hold the same multiset after step 1, so they substitute the
+		// same anchor and agreement is preserved.
+		if anchor == nil {
+			a, ok := gammaAnchor(s, cfg.F, fam)
+			if !ok {
+				return nil, fmt.Errorf("%w: Gamma(S) is empty (n=%d, f=%d, d=%d)", ErrEmptyIntersection, cfg.N, cfg.F, cfg.D)
+			}
+			anchor = a
+		}
+		verts[i] = anchor
 	}
 	return verts, nil
 }

@@ -152,21 +152,22 @@ func (p *iterProcess) Done() bool { return p.done }
 func safeGammaCentroid(s *vec.Set, f int) (vec.V, bool) {
 	fam := relax.DroppedSubsets(s, f)
 	d := s.Dim()
-	sum := vec.New(d)
-	count := 0
+	dirs := make([]vec.V, 0, 2*d)
 	for j := 0; j < d; j++ {
 		for _, sign := range []float64{1, -1} {
 			dir := vec.New(d)
 			dir[j] = sign
-			pt, ok := relax.SupportPoint(fam, dir)
-			if !ok {
-				return nil, false
-			}
-			sum.AddInPlace(pt)
-			count++
+			dirs = append(dirs, dir)
 		}
 	}
-	return projectIntoIntersection(sum.Scale(1/float64(count)), fam), true
+	sum := vec.New(d)
+	for _, pt := range relax.SupportPoints(fam, dirs) {
+		if pt == nil {
+			return nil, false
+		}
+		sum.AddInPlace(pt)
+	}
+	return projectIntoIntersection(sum.Scale(1/float64(len(dirs))), fam), true
 }
 
 // projectIntoIntersection moves pt into the intersection of the hulls of

@@ -21,6 +21,13 @@ func goldenDoc() *MetricsDoc {
 	reg.Counter("consensus_messages_total").Add(240)
 	reg.Counter("geom_cache_hits_total").Add(15)
 	reg.Counter("geom_cache_misses_total").Add(20)
+	// One feasible basis serving four objectives: solves / phase-1 runs is
+	// the objectives-per-basis rate, phase-1 pivots / pivots the share of
+	// pivoting no objective influenced.
+	reg.Counter("lp_solves_total").Add(4)
+	reg.Counter("lp_phase1_runs_total").Add(1)
+	reg.Counter("lp_pivots_total").Add(132)
+	reg.Counter("lp_phase1_pivots_total").Add(104)
 	reg.Gauge("batch_queue_depth").Set(0)
 	h := reg.Histogram("batch_trial_seconds", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)

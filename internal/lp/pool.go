@@ -6,14 +6,21 @@ import (
 	"relaxedbvc/internal/metrics"
 )
 
-// Solver observability: every Solve bumps lp_solves_total and
-// lp_ws_pool_gets_total; lp_ws_pool_news_total counts pool misses that
-// allocated a fresh workspace, so gets-vs-news is the sync.Pool churn
-// (steady state: news flat, gets climbing). Pivot work is tracked as a
-// cumulative counter plus a fixed-bucket per-solve histogram.
+// Solver observability: every objective solved bumps lp_solves_total,
+// every Prepare (one per Problem.Solve) lp_phase1_runs_total and
+// lp_ws_pool_gets_total, so solves / phase-1 runs is the number of
+// objectives a feasible basis served and lp_phase1_pivots_total /
+// lp_pivots_total the share of pivoting that no objective influenced.
+// lp_ws_pool_news_total counts pool misses that allocated a fresh
+// workspace, so gets-vs-news is the sync.Pool churn (steady state: news
+// flat, gets climbing). lp_pivots_per_solve observes once per objective:
+// its phase-2 pivots, plus the phase-1 pivots for the first objective
+// solved from a basis.
 var (
 	lpSolves       = metrics.DefaultCounter("lp_solves_total")
 	lpPivots       = metrics.DefaultCounter("lp_pivots_total")
+	lpPhase1Runs   = metrics.DefaultCounter("lp_phase1_runs_total")
+	lpPhase1Pivots = metrics.DefaultCounter("lp_phase1_pivots_total")
 	lpPivotsPerRun = metrics.DefaultHistogram("lp_pivots_per_solve", metrics.CountBuckets())
 	lpPoolGets     = metrics.DefaultCounter("lp_ws_pool_gets_total")
 	lpPoolNews     = metrics.DefaultCounter("lp_ws_pool_news_total")
@@ -25,18 +32,20 @@ var (
 )
 
 // workspace is a reusable arena for the float and int scratch storage of
-// one Solve call: the standardized constraint matrix, the simplex
-// tableau, its objective rows and the basis bookkeeping. Solve draws a
-// workspace from a sync.Pool, so steady-state solves stop allocating
+// one Prepared: the simplex tableau, its cost rows, the basis and
+// substitution bookkeeping, the copy phase 2 pivots on, and the phase-1
+// elimination log. Prepare draws a workspace from a sync.Pool and the
+// Prepared owns it until Release, so steady-state solves stop allocating
 // tableaux — the dominant allocation cost when the geometry predicates
 // fire thousands of LPs per consensus trial. Nothing handed out by a
-// workspace may escape the Solve call that grabbed it; escaping slices
-// (Result.X) are allocated fresh.
+// workspace may outlive that Release; escaping slices (Result.X,
+// Result.Dual) are allocated fresh.
 type workspace struct {
-	f  []float64
-	i  []int
-	fo int
-	io int
+	f   []float64
+	i   []int
+	fo  int
+	io  int
+	log elimLog
 }
 
 var wsPool = sync.Pool{New: func() any {
@@ -44,7 +53,10 @@ var wsPool = sync.Pool{New: func() any {
 	return new(workspace)
 }}
 
-func (w *workspace) reset() { w.fo, w.io = 0, 0 }
+func (w *workspace) reset() {
+	w.fo, w.io = 0, 0
+	w.log.reset()
+}
 
 // floats returns a zeroed length-n slice carved out of the arena. The
 // slice is full (three-index) so appends by callers cannot clobber

@@ -4,150 +4,104 @@ import "math"
 
 // tableau is a dense simplex tableau for the standard form
 // min c^T y, A y = b (b >= 0), y >= 0, with artificial columns appended
-// for phase 1.
+// for phase 1. It is one contiguous block: row i is
+// a[i*stride : (i+1)*stride].
 type tableau struct {
-	m, n  int // constraint rows, structural columns (incl. slack/surplus)
-	nart  int
-	a     [][]float64 // m rows of n+nart entries
-	b     []float64
-	basis []int
-	// objective rows: reduced costs and current value, maintained by pivots
-	obj1, obj2   []float64
-	val1, val2   float64
+	m, n   int // constraint rows, structural columns (incl. slack/surplus)
+	nart   int
+	stride int // n + nart
+	a      []float64
+	b      []float64
+	basis  []int
+	// The cost row in play — phase 1's sum of artificials, then the priced
+	// objective — as reduced costs and current value, maintained by pivots.
+	obj          []float64
+	val          float64
 	blandMode    bool
 	sinceImprove int
 	lastVal      float64
 	feasScale    float64
-	pivots       int // pivot operations performed (both phases)
+	pivots       int // pivot operations performed in the current phase
+	// The non-zeros of the normalized pivot row, collected by every pivot
+	// and, while log is set, appended to it.
+	nzIdx []int
+	nzVal []float64
+	log   *elimLog
 }
 
-func (s *standard) solve() *Result {
-	t := newTableau(s)
-	// One atomic add per solve (not per pivot) keeps the hot loop clean.
-	defer func() {
-		lpPivots.Add(int64(t.pivots))
-		lpPivotsPerRun.Observe(float64(t.pivots))
-	}()
-	// ---- Phase 1: minimize the sum of artificials.
-	status := t.iterate(t.obj1, &t.val1, false)
-	if status == IterationLimit {
-		return &Result{Status: IterationLimit}
+// elimLog records the eliminations of phase 1 and of the expulsion of
+// artificials: per pivot the entering column, the non-zeros of the
+// normalized pivot row and its right-hand side. That is all a cost row
+// ever sees of a pivot, so replaying the log on a cost vector prices it
+// exactly as carrying it through those pivots would have.
+type elimLog struct {
+	elims []elim
+	idx   []int
+	val   []float64
+}
+
+type elim struct {
+	col      int
+	from, to int // the pivot row's non-zeros are idx/val[from:to]
+	b        float64
+}
+
+func (l *elimLog) reset() { l.elims, l.idx, l.val = l.elims[:0], l.idx[:0], l.val[:0] }
+
+// price turns the cost vector c into the reduced-cost row of the logged
+// basis and returns the objective value there.
+func (l *elimLog) price(c []float64) (val float64) {
+	for _, e := range l.elims {
+		f := c[e.col]
+		if f == 0 {
+			continue
+		}
+		idx, v := l.idx[e.from:e.to], l.val[e.from:e.to]
+		for k, j := range idx {
+			c[j] -= f * v[k]
+		}
+		c[e.col] = 0
+		val += f * e.b
 	}
-	if t.val1 > 1e-7*t.feasScale {
-		return &Result{Status: Infeasible}
+	return val
+}
+
+// phase1 minimizes the sum of artificials from the all-slack/artificial
+// start (t.obj and t.val hold that cost row), logging every elimination
+// into log, and reports Optimal when a feasible basis was found.
+func (t *tableau) phase1(log *elimLog) Status {
+	t.log = log
+	status := Optimal
+	switch {
+	case t.iterate(false) == IterationLimit:
+		status = IterationLimit
+	case t.val > 1e-7*t.feasScale:
+		status = Infeasible
+	default:
+		t.expelArtificials()
 	}
-	t.expelArtificials()
-	// ---- Phase 2: minimize the real objective; artificials may not enter.
+	t.log = nil
+	return status
+}
+
+// phase2 minimizes the priced cost row obj (value val at the current
+// basis); artificials may not enter.
+func (t *tableau) phase2(obj []float64, val float64) Status {
+	t.obj, t.val = obj, val
 	t.blandMode = false
 	t.sinceImprove = 0
-	status = t.iterate(t.obj2, &t.val2, true)
-	switch status {
-	case Unbounded:
-		return &Result{Status: Unbounded}
-	case IterationLimit:
-		return &Result{Status: IterationLimit}
-	}
-	y := make([]float64, s.n)
-	for i, bi := range t.basis {
-		if bi < s.n {
-			y[bi] = t.b[i]
-		}
-	}
-	dual := make([]float64, len(s.dualCol))
-	for i, col := range s.dualCol {
-		dual[i] = s.dualSign[i] * t.obj2[col]
-	}
-	return &Result{Status: Optimal, X: y, Objective: t.val2, Dual: dual}
+	t.pivots = 0
+	return t.iterate(true)
 }
 
-func newTableau(s *standard) *tableau {
-	nart := 0
-	for _, ar := range s.artRow {
-		if ar {
-			nart++
-		}
-	}
-	ws := s.ws
-	t := &tableau{m: s.m, n: s.n, nart: nart}
-	total := s.n + nart
-	t.a = make([][]float64, s.m)
-	t.b = ws.floats(s.m)
-	copy(t.b, s.b)
-	t.basis = ws.ints(s.m)
-	art := s.n
-	t.feasScale = 1.0
-	for _, bi := range s.b {
-		if a := math.Abs(bi); a > t.feasScale {
-			t.feasScale = a
-		}
-	}
-	for i := 0; i < s.m; i++ {
-		t.a[i] = ws.floats(total)
-		copy(t.a[i], s.a[i])
-		if s.artRow[i] {
-			t.a[i][art] = 1
-			t.basis[i] = art
-			art++
-		} else {
-			// The slack column of this row is its identity column: find it.
-			// standardize() placed exactly one +1 slack for LE rows; locate
-			// the last column with coefficient 1 that is a slack.
-			t.basis[i] = findSlack(s, i)
-		}
-	}
-	// Phase-1 reduced costs: cost 1 on artificials, priced out against the
-	// artificial basis rows.
-	t.obj1 = ws.floats(total)
-	for j := s.n; j < total; j++ {
-		t.obj1[j] = 1
-	}
-	for i := 0; i < s.m; i++ {
-		if s.artRow[i] {
-			for j := 0; j < total; j++ {
-				t.obj1[j] -= t.a[i][j]
-			}
-			t.val1 += t.b[i]
-		}
-	}
-	// Phase-2 reduced costs: the real costs (initial basis has zero cost).
-	t.obj2 = ws.floats(total)
-	copy(t.obj2, s.c)
-	t.val2 = 0
-	return t
-}
-
-// findSlack locates the slack column serving as the identity basis column
-// of a non-artificial row.
-func findSlack(s *standard, row int) int {
-	// Slack columns live in [structural, s.n); each belongs to exactly one
-	// row with coefficient +1 (LE rows after rhs normalization).
-	for j := s.n - 1; j >= 0; j-- {
-		if s.a[row][j] == 1 {
-			// Verify it's an identity column across all rows.
-			identity := true
-			for i := 0; i < s.m; i++ {
-				if i != row && s.a[i][j] != 0 {
-					identity = false
-					break
-				}
-			}
-			if identity {
-				return j
-			}
-		}
-	}
-	// Unreachable if standardize() is correct.
-	panic("lp: no identity column for slack row")
-}
-
-// iterate runs simplex pivots on the given objective row until optimality,
+// iterate runs simplex pivots on the cost row until optimality,
 // unboundedness or the iteration cap. When blockArtificials is set,
 // artificial columns never enter the basis.
-func (t *tableau) iterate(obj []float64, val *float64, blockArtificials bool) Status {
+func (t *tableau) iterate(blockArtificials bool) Status {
 	limit := 5000 + 60*(t.m+t.n+t.nart)
-	t.lastVal = *val
+	t.lastVal = t.val
 	for iter := 0; iter < limit; iter++ {
-		enter := t.chooseEntering(obj, blockArtificials)
+		enter := t.chooseEntering(blockArtificials)
 		if enter < 0 {
 			return Optimal
 		}
@@ -158,8 +112,8 @@ func (t *tableau) iterate(obj []float64, val *float64, blockArtificials bool) St
 		t.pivot(leave, enter)
 		// Degeneracy watchdog: if the objective stalls for long, switch to
 		// Bland's rule, which guarantees termination.
-		if *val < t.lastVal-1e-12*(1+math.Abs(t.lastVal)) {
-			t.lastVal = *val
+		if t.val < t.lastVal-1e-12*(1+math.Abs(t.lastVal)) {
+			t.lastVal = t.val
 			t.sinceImprove = 0
 		} else {
 			t.sinceImprove++
@@ -171,23 +125,24 @@ func (t *tableau) iterate(obj []float64, val *float64, blockArtificials bool) St
 	return IterationLimit
 }
 
-func (t *tableau) chooseEntering(obj []float64, blockArtificials bool) int {
+func (t *tableau) chooseEntering(blockArtificials bool) int {
 	limit := t.n + t.nart
 	if blockArtificials {
 		limit = t.n
 	}
+	obj := t.obj[:limit]
 	if t.blandMode {
-		for j := 0; j < limit; j++ {
-			if obj[j] < -eps {
+		for j, c := range obj {
+			if c < -eps {
 				return j
 			}
 		}
 		return -1
 	}
 	best, bestVal := -1, -eps
-	for j := 0; j < limit; j++ {
-		if obj[j] < bestVal {
-			best, bestVal = j, obj[j]
+	for j, c := range obj {
+		if c < bestVal {
+			best, bestVal = j, c
 		}
 	}
 	return best
@@ -197,7 +152,7 @@ func (t *tableau) ratioTest(enter int) int {
 	best := -1
 	bestRatio := math.Inf(1)
 	for i := 0; i < t.m; i++ {
-		aie := t.a[i][enter]
+		aie := t.a[i*t.stride+enter]
 		if aie <= pivotEps {
 			continue
 		}
@@ -209,53 +164,91 @@ func (t *tableau) ratioTest(enter int) int {
 	return best
 }
 
-// pivot performs the pivot on (row, col), updating both objective rows so
-// phase 2 stays priced out during phase 1.
+// pivot performs the pivot on (row, col) and carries the cost row along.
+// Normalizing the pivot row collects its non-zeros; every other row is
+// then updated over those entries alone when they are the minority, and
+// by the dense loop otherwise. A skipped entry would have had f*0
+// subtracted from it, which changes at most the sign of a zero in a —
+// nothing a comparison, b, the cost row or any result can see.
 func (t *tableau) pivot(row, col int) {
 	t.pivots++
-	p := t.a[row][col]
-	inv := 1 / p
-	ar := t.a[row]
-	for j := range ar {
-		ar[j] *= inv
+	w := t.stride
+	ar := t.a[row*w : row*w+w]
+	inv := 1 / ar[col]
+	nnz := 0
+	idx, val := t.nzIdx[:w], t.nzVal[:w]
+	for j, v := range ar {
+		if v != 0 {
+			v *= inv
+			ar[j] = v
+			idx[nnz], val[nnz] = j, v
+			nnz++
+		}
 	}
+	idx, val = idx[:nnz], val[:nnz]
 	ar[col] = 1 // exact
 	t.b[row] *= inv
+	br := t.b[row]
+	sparse := 2*nnz < w
 	for i := 0; i < t.m; i++ {
 		if i == row {
 			continue
 		}
-		f := t.a[i][col]
+		ai := t.a[i*w : i*w+w]
+		f := ai[col]
 		if f == 0 {
 			continue
 		}
-		ai := t.a[i]
-		for j := range ai {
-			ai[j] -= f * ar[j]
+		if sparse {
+			for k, j := range idx {
+				ai[j] -= f * val[k]
+			}
+		} else {
+			subScaled(ai, ar, f)
 		}
 		ai[col] = 0 // exact
-		t.b[i] -= f * t.b[row]
+		t.b[i] -= f * br
 		if t.b[i] < 0 && t.b[i] > -1e-11 {
 			t.b[i] = 0 // clamp tiny negative drift
 		}
 	}
 	// Objective value update: entering with reduced cost f at step length
 	// b[row] changes z by f*b[row] (f < 0 on improving pivots).
-	if f := t.obj1[col]; f != 0 {
-		for j := range t.obj1 {
-			t.obj1[j] -= f * ar[j]
+	if f := t.obj[col]; f != 0 {
+		if sparse {
+			for k, j := range idx {
+				t.obj[j] -= f * val[k]
+			}
+		} else {
+			subScaled(t.obj, ar, f)
 		}
-		t.obj1[col] = 0
-		t.val1 += f * t.b[row]
-	}
-	if f := t.obj2[col]; f != 0 {
-		for j := range t.obj2 {
-			t.obj2[j] -= f * ar[j]
-		}
-		t.obj2[col] = 0
-		t.val2 += f * t.b[row]
+		t.obj[col] = 0
+		t.val += f * br
 	}
 	t.basis[row] = col
+	if l := t.log; l != nil {
+		from := len(l.idx)
+		l.idx = append(l.idx, idx...)
+		l.val = append(l.val, val...)
+		l.elims = append(l.elims, elim{col: col, from: from, to: len(l.idx), b: br})
+	}
+}
+
+// subScaled is dst[j] -= f*src[j] over the whole row, four entries per
+// iteration.
+func subScaled(dst, src []float64, f float64) {
+	src = src[:len(dst)]
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		d, s := dst[j:j+4:j+4], src[j:j+4:j+4]
+		d[0] -= f * s[0]
+		d[1] -= f * s[1]
+		d[2] -= f * s[2]
+		d[3] -= f * s[3]
+	}
+	for ; j < len(dst); j++ {
+		dst[j] -= f * src[j]
+	}
 }
 
 // expelArtificials pivots basic artificial variables (all at value ~0
@@ -268,8 +261,8 @@ func (t *tableau) expelArtificials() {
 			continue
 		}
 		pivCol := -1
-		for j := 0; j < t.n; j++ {
-			if math.Abs(t.a[i][j]) > 1e-8 {
+		for j, v := range t.a[i*t.stride : i*t.stride+t.n] {
+			if math.Abs(v) > 1e-8 {
 				pivCol = j
 				break
 			}

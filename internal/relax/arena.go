@@ -18,7 +18,7 @@ var (
 // row indices/values, a second pair for derived bound rows, the
 // per-set variable offsets and a dense objective row. Pooled so the
 // steady-state Γ/Ψ sweep builds LPs with zero allocations (the
-// lp.Problem side reuses rows via its Reset free list).
+// lp.Problem side keeps its flat sparse row storage across Reset).
 type rowScratch struct {
 	idx  []int
 	val  []float64

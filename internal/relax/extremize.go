@@ -19,57 +19,41 @@ import (
 // coordinate 1 over Psi^1(S) is 2*eps while its maximum over Psi^2(S) is
 // 0, certifying the epsilon-agreement violation.
 func ExtremizeKCoordinate(sets []*vec.Set, k, coord int) (lo, hi float64, feasible bool) {
-	build := func() (*lp.Problem, int) { return buildKIntersectionLP(sets, k) }
-	return extremize(build, coord)
+	prob, d := buildKIntersectionLP(sets, k)
+	return extremize(prob, d, coord)
 }
 
 // ExtremizeRelaxedCoordinate is the (delta,p)-relaxed analogue for
 // p in {1, +Inf}: min/max of the coordinate over the intersection of the
 // relaxed hulls.
 func ExtremizeRelaxedCoordinate(sets []*vec.Set, delta, p float64, coord int) (lo, hi float64, feasible bool) {
-	build := func() (*lp.Problem, int) {
-		d := delta
-		return buildRelaxedLP(sets, p, &d)
-	}
-	return extremize(build, coord)
+	prob, d := buildRelaxedLP(sets, p, &delta)
+	return extremize(prob, d, coord)
 }
 
-func extremize(build func() (*lp.Problem, int), coord int) (lo, hi float64, feasible bool) {
-	solve := func(sense lp.Sense) (float64, bool, bool) {
-		prob, d := build()
-		if prob == nil {
-			return 0, false, false
-		}
-		if coord < 0 || coord >= d {
-			panic("relax: extremize coordinate out of range")
-		}
-		obj := make([]float64, prob.NumVars())
-		obj[coord] = 1
-		prob.SetObjective(obj, sense)
-		res, err := prob.Solve()
-		if err != nil {
-			panic(err)
-		}
-		switch res.Status {
-		case lp.Optimal:
-			return res.X[coord], true, true
-		case lp.Unbounded:
-			return 0, false, true
-		default:
-			return 0, false, false
-		}
-	}
-	loV, loBounded, feasible := solve(lp.Minimize)
-	if !feasible {
+// extremize minimizes and maximizes variable coord of prob (nil: a set
+// was empty) from one feasible basis.
+func extremize(prob *lp.Problem, d, coord int) (lo, hi float64, feasible bool) {
+	if prob == nil {
 		return 0, 0, false
 	}
-	hiV, hiBounded, _ := solve(lp.Maximize)
-	lo, hi = math.Inf(-1), math.Inf(1)
-	if loBounded {
-		lo = loV
+	if coord < 0 || coord >= d {
+		panic("relax: extremize coordinate out of range")
 	}
-	if hiBounded {
-		hi = hiV
+	obj := make([]float64, prob.NumVars())
+	obj[coord] = 1
+	basis := prob.Prepare()
+	defer basis.Release()
+	lo, hi = math.Inf(-1), math.Inf(1)
+	switch res := basis.Solve(obj, lp.Minimize); res.Status {
+	case lp.Optimal:
+		lo = res.X[coord]
+	case lp.Unbounded:
+	default:
+		return 0, 0, false
+	}
+	if res := basis.Solve(obj, lp.Maximize); res.Status == lp.Optimal {
+		hi = res.X[coord]
 	}
 	return lo, hi, true
 }
@@ -149,36 +133,38 @@ func buildRelaxedLP(sets []*vec.Set, p float64, fixedDelta *float64) (*lp.Proble
 	return prob, d
 }
 
-// SupportPoint returns the maximizer of <dir, x> over the intersection of
-// the convex hulls of the sets, or ok=false when the intersection is
-// empty. Because the intersection of hulls is a bounded polytope, the
-// maximum always exists when the intersection is non-empty. The returned
-// point is an extreme point of the intersection in direction dir, used by
-// convex hull consensus to build identical inner approximations of
-// Gamma(S) at every process.
-func SupportPoint(sets []*vec.Set, dir vec.V) (vec.V, bool) {
+// SupportPoints returns, for every direction of dirs, the maximizer of
+// <dir, x> over the intersection of the convex hulls of the sets: one LP
+// build and one phase 1, then one phase 2 per direction off the shared
+// feasible basis. Entry i is nil when direction i has no optimum — every
+// entry when the intersection is empty. Because the intersection of
+// hulls is a bounded polytope, the maximum exists whenever it is
+// non-empty. Each point is an extreme point of the intersection in its
+// direction; convex hull consensus builds identical inner approximations
+// of Gamma(S) at every process from them.
+func SupportPoints(sets []*vec.Set, dirs []vec.V) []vec.V {
 	if len(sets) == 0 {
 		panic("relax: empty family")
 	}
 	d := sets[0].Dim()
-	if dir.Dim() != d {
-		panic("relax: SupportPoint direction dimension mismatch")
-	}
+	pts := make([]vec.V, len(dirs))
 	prob := buildHullIntersectionLP(sets)
 	if prob == nil {
-		return nil, false
+		return pts
 	}
+	basis := prob.Prepare()
+	defer basis.Release()
 	obj := make([]float64, prob.NumVars())
-	copy(obj[:d], dir)
-	prob.SetObjective(obj, lp.Maximize)
-	res, err := prob.Solve()
-	if err != nil {
-		panic(err)
+	for i, dir := range dirs {
+		if dir.Dim() != d {
+			panic("relax: SupportPoints direction dimension mismatch")
+		}
+		copy(obj, dir)
+		if res := basis.Solve(obj, lp.Maximize); res.Status == lp.Optimal {
+			pts[i] = vec.V(res.X[:d]).Clone()
+		}
 	}
-	if res.Status != lp.Optimal {
-		return nil, false
-	}
-	return vec.V(res.X[:d]).Clone(), true
+	return pts
 }
 
 // buildHullIntersectionLP constructs the IntersectHulls feasibility LP
@@ -230,9 +216,4 @@ func buildHullIntersectionLPInto(reuse *lp.Problem, sets []*vec.Set) *lp.Problem
 		}
 	}
 	return p
-}
-
-// GammaSupportPoint maximizes <dir, x> over Gamma(Y) with parameter f.
-func GammaSupportPoint(y *vec.Set, f int, dir vec.V) (vec.V, bool) {
-	return SupportPoint(DroppedSubsets(y, f), dir)
 }
