@@ -75,17 +75,16 @@ var DefaultScope = map[string][]string{
 	// and registries they drain into.
 	LockSafe.Name: {
 		"internal/transport", "internal/soak", "internal/acs", "internal/batch",
-		"internal/par", "internal/memo", "internal/metrics", "internal/trace",
-		"internal/tverberg",
+		"internal/memo", "internal/metrics", "internal/trace",
 	},
 	CtxLeak.Name: {
 		"internal/transport", "internal/soak", "internal/acs", "internal/batch",
-		"internal/par", "internal/sched",
+		"internal/sched",
 	},
 	AtomicMix.Name: nil, // module-wide
 	ChanLife.Name: {
 		"internal/transport", "internal/soak", "internal/acs", "internal/batch",
-		"internal/par", "internal/sched",
+		"internal/sched",
 	},
 }
 

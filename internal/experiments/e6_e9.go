@@ -7,7 +7,6 @@ import (
 
 	"relaxedbvc/internal/adversary"
 	"relaxedbvc/internal/minimax"
-	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/report"
 	"relaxedbvc/internal/simplexgeo"
@@ -29,18 +28,14 @@ func E6Table1(opt Options) *Outcome {
 	t := report.NewTable("", "regime", "d", "f", "n", "workload", "trials", "max delta*/bound", "Gamma empty", "bound source", "got")
 	o.Table = t
 
-	// Trials are independent, so they run on a worker pool; each trial
-	// derives its own RNG from (seed, regime, d, n, trial) so the results
-	// are deterministic regardless of scheduling.
+	// Each trial derives its own RNG from (seed, regime, d, n, trial).
 	rowSeed := int64(0)
 	check := func(regime string, d, f, n int, wl string, trials int, gen func(rng *rand.Rand) ([]vec.V, []int)) {
 		rowSeed++
-		type trialOut struct {
-			ratio float64
-			ok    bool
-			empty bool // Lower > 0: Gamma(S) is certified empty
-		}
-		outs := par.Map(trials, 0, func(trial int) trialOut {
+		worst := 0.0
+		ok := true
+		empty := 0 // trials with Lower > 0: Gamma(S) is certified empty
+		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(opt.Seed + rowSeed*1_000_003 + int64(trial)*7919))
 			pts, faulty := gen(rng)
 			s := vec.NewSet(pts...)
@@ -65,37 +60,26 @@ func E6Table1(opt Options) *Outcome {
 			}
 			nonFaulty := s.Subset(keep)
 			var bound float64
-			var src string
 			switch regime {
 			case "f=1, n=d+1":
 				bound = minimax.Theorem9Bound(nonFaulty, n)
-				src = "Theorem 9"
 			case "f>=2, n=(d+1)f":
 				bound = minimax.Theorem12Bound(nonFaulty, d)
-				src = "Theorem 12"
 			default:
 				bound = minimax.Conjecture1Bound(nonFaulty, n, f)
-				src = "Conjecture 1"
 			}
 			if bound <= 0 {
-				return trialOut{ratio: 0, ok: true}
+				continue
 			}
-			_ = src
-			ok := res.Converged && res.Delta < bound
+			trialOK := res.Converged && res.Delta < bound
 			if f == 1 {
-				ok = ok && res.Lower > 0
+				trialOK = trialOK && res.Lower > 0
 			}
-			return trialOut{ratio: res.Delta / bound, ok: ok, empty: res.Lower > 0}
-		})
-		worst := 0.0
-		ok := true
-		empty := 0
-		for _, o := range outs {
-			if o.ratio > worst {
-				worst = o.ratio
+			if ratio := res.Delta / bound; ratio > worst {
+				worst = ratio
 			}
-			ok = ok && o.ok
-			if o.empty {
+			ok = ok && trialOK
+			if res.Lower > 0 {
 				empty++
 			}
 		}

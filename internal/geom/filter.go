@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/vec"
@@ -48,20 +47,6 @@ const filterRejectMargin = 1e-5
 // screen costlier than the LP it guards.
 const sepMaxPoints = 96
 
-// filteredPredicates gates every certified screen; disable to time or
-// parity-test the pure exact-LP path (the PR-5 code path).
-var filteredPredicates atomic.Bool
-
-func init() { filteredPredicates.Store(true) }
-
-// SetFilteredPredicates enables or disables the certified float screens
-// in front of the exact predicates. Decisions are identical either way;
-// only the code path (and speed) changes.
-func SetFilteredPredicates(on bool) { filteredPredicates.Store(on) }
-
-// FilteredPredicatesEnabled reports whether the certified screens run.
-func FilteredPredicatesEnabled() bool { return filteredPredicates.Load() }
-
 // Screen observability: accepts and rejects are decisions made without
 // an LP; fallbacks paid the screen and still ran the exact LP.
 var (
@@ -75,7 +60,7 @@ var (
 // FilterScratch holds the reusable buffers of one screen evaluation:
 // the flattened working point set, the Wolfe corral state and the KKT
 // system of the corral projection. A scratch must not be shared between
-// concurrent goroutines; the kernel sweeps keep one per worker.
+// concurrent goroutines.
 type FilterScratch struct {
 	pts    []float64 // flattened n x d working points
 	x      []float64 // current min-norm iterate
@@ -438,9 +423,6 @@ func hullMembershipScreen(q vec.V, s *vec.Set, sc *FilterScratch) (in, decided b
 // when delta > 0 and must then be 1 or +Inf (the polyhedral norms of
 // the relaxed-hull LP).
 func HullsSeparated(a, b *vec.Set, delta, p float64, sc *FilterScratch) bool {
-	if !filteredPredicates.Load() {
-		return false
-	}
 	na, nb, d := a.Len(), b.Len(), a.Dim()
 	if na == 0 || nb == 0 || d == 0 || na*nb > sepMaxPoints {
 		return false

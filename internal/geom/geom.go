@@ -21,8 +21,8 @@ import (
 const Eps = 1e-7
 
 // InHull reports whether q lies in the convex hull of the points of s,
-// decided by LP feasibility of the convex-combination system. Results
-// are memoized (see cache.go).
+// decided by LP feasibility of the convex-combination system behind a
+// certified screen (see inHull). Results are memoized (see cache.go).
 func InHull(q vec.V, s *vec.Set) bool {
 	if s.Len() == 0 {
 		return false
@@ -35,7 +35,27 @@ func InHull(q vec.V, s *vec.Set) bool {
 	if v, ok := cache.Get(k); ok {
 		return v.(bool)
 	}
-	return cache.Put(k, inHullLP(q, s)).(bool)
+	return cache.Put(k, inHull(q, s)).(bool)
+}
+
+// inHull is the uncached decision behind InHull: a certified float
+// screen decides the easy cases (its accept/reject certificates are
+// verified against the input with margin over the LP tolerance) and
+// only near-boundary queries fall through to the exact LP.
+func inHull(q vec.V, s *vec.Set) bool {
+	fsc := GetFilterScratch()
+	in, decided := hullMembershipScreen(q, s, fsc)
+	fsc.Release()
+	if !decided {
+		filterFallbacks.Inc()
+		return inHullLP(q, s)
+	}
+	if in {
+		filterAccepts.Inc()
+	} else {
+		filterRejects.Inc()
+	}
+	return in
 }
 
 // hullScratch bundles a reusable LP problem and row buffer so the hot
@@ -56,27 +76,8 @@ func (h *hullScratch) rowBuf(n int) []float64 {
 	return h.row
 }
 
-// inHullLP is the uncached feasibility test behind InHull. With
-// filtered predicates enabled, a certified float screen decides the
-// easy cases (the accept/reject certificates are exactly verified with
-// margin over the LP tolerance, so the answer matches the LP
-// bit-for-bit); only near-boundary queries fall through to the exact
-// LP, which runs on a pooled Problem.
+// inHullLP is the exact LP membership test, on a pooled Problem.
 func inHullLP(q vec.V, s *vec.Set) bool {
-	if filteredPredicates.Load() {
-		fsc := GetFilterScratch()
-		in, decided := hullMembershipScreen(q, s, fsc)
-		fsc.Release()
-		if decided {
-			if in {
-				filterAccepts.Inc()
-			} else {
-				filterRejects.Inc()
-			}
-			return in
-		}
-		filterFallbacks.Inc()
-	}
 	h := hullScratchPool.Get().(*hullScratch)
 	defer hullScratchPool.Put(h)
 	m := s.Len()

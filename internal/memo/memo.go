@@ -6,11 +6,10 @@
 // is a pure win: a hit returns exactly the value the solver would have
 // recomputed, so cached and uncached runs agree bit-for-bit.
 //
-// Caches are safe for concurrent use by the batch engine's workers and
-// by the in-kernel parallel scans. The table is split into power-of-two
-// shards selected by an FNV-1a hash of the exact binary key, so workers
-// hammering different keys lock different mutexes instead of contending
-// on one global table. Two workers may still race to compute the same
+// Caches are safe for concurrent use by the batch engine's workers. The
+// table is split into power-of-two shards selected by an FNV-1a hash of
+// the exact binary key, so workers hammering different keys lock
+// different mutexes instead of contending on one global table. Two workers may still race to compute the same
 // key; both compute the same deterministic value and one insert wins,
 // so results never depend on scheduling.
 //
@@ -39,9 +38,9 @@ import (
 
 // maxShards bounds the lock striping; shard counts are powers of two
 // so the hash can be masked. 32 shards keep worst-case contention
-// negligible at the worker counts the batch engine and kernel scans
-// use. Small caches use fewer shards so the per-shard capacity split
-// still honors the total bound exactly.
+// negligible at the worker counts the batch engine uses. Small caches
+// use fewer shards so the per-shard capacity split still honors the
+// total bound exactly.
 const maxShards = 32
 
 // shardCount picks the largest power of two <= maxShards that keeps
@@ -124,15 +123,6 @@ func fnvBytes(b []byte) uint64 {
 	return h
 }
 
-func fnvString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
 func (c *Cache) shardFor(h uint64) *shard { return &c.shards[h&c.mask] }
 
 // Get returns the cached value for the key accumulated in k. It is the
@@ -201,42 +191,6 @@ func (s *shard) insertLocked(key string, v any, c *Cache) {
 		c.evictions.Add(1)
 		return
 	}
-}
-
-// Do returns the cached value for key, computing and storing it on a
-// miss (evicting a cold entry under capacity pressure). compute must be
-// deterministic in key: every call with the same key must return an
-// equal value. Do is the string-keyed path; hot call sites use
-// GetKey/Get/Put to avoid the closure and key allocations.
-func (c *Cache) Do(key string, compute func() any) any {
-	s := c.shardFor(fnvString(key))
-	s.mu.RLock()
-	e, ok := s.m[key]
-	s.mu.RUnlock()
-	if ok {
-		e.ref.Store(true)
-		c.hits.Add(1)
-		return e.v
-	}
-	c.misses.Add(1)
-	v := compute()
-	s.mu.Lock()
-	if prev, ok := s.m[key]; ok {
-		v = prev.v
-	} else {
-		s.insertLocked(key, v, c)
-	}
-	s.mu.Unlock()
-	return v
-}
-
-// DoKey is Do for a pooled key builder: zero-allocation on hits, one
-// key-string allocation on misses. The caller still owns k.
-func (c *Cache) DoKey(k *Key, compute func() any) any {
-	if v, ok := c.Get(k); ok {
-		return v
-	}
-	return c.Put(k, compute())
 }
 
 // Stats is a point-in-time snapshot of cache counters.

@@ -7,15 +7,27 @@ import (
 	"testing"
 )
 
+// do is the lookup idiom of every kernel call site: Get, and on a miss
+// compute and Put. The key is the bytes of key under op tag 's'.
+func do(c *Cache, key string, compute func() any) any {
+	k := GetKey('s')
+	defer k.Release()
+	k.b = append(k.b, key...)
+	if v, ok := c.Get(k); ok {
+		return v
+	}
+	return c.Put(k, compute())
+}
+
 func TestDoCachesAndCounts(t *testing.T) {
 	c := New(10)
 	calls := 0
 	f := func() any { calls++; return 42 }
-	if v := c.Do("k", f); v.(int) != 42 {
-		t.Fatalf("Do = %v", v)
+	if v := do(c, "k", f); v.(int) != 42 {
+		t.Fatalf("do = %v", v)
 	}
-	if v := c.Do("k", f); v.(int) != 42 {
-		t.Fatalf("Do = %v", v)
+	if v := do(c, "k", f); v.(int) != 42 {
+		t.Fatalf("do = %v", v)
 	}
 	if calls != 1 {
 		t.Errorf("compute called %d times, want 1", calls)
@@ -33,20 +45,20 @@ func TestCapacityBound(t *testing.T) {
 	c := New(3)
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("k%d", i)
-		c.Do(k, func() any { return i })
+		do(c, k, func() any { return i })
 	}
 	if st := c.Stats(); st.Entries != 3 {
 		t.Errorf("entries = %d, want 3 (bounded)", st.Entries)
 	}
 	// Uncached keys still compute correctly.
-	if v := c.Do("k9", func() any { return 9 }); v.(int) != 9 {
+	if v := do(c, "k9", func() any { return 9 }); v.(int) != 9 {
 		t.Errorf("overflow key = %v", v)
 	}
 }
 
 func TestReset(t *testing.T) {
 	c := New(10)
-	c.Do("k", func() any { return 1 })
+	do(c, "k", func() any { return 1 })
 	c.Reset()
 	st := c.Stats()
 	if st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
@@ -65,7 +77,7 @@ func TestConcurrentSameKey(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				v := c.Do("shared", func() any { return 7 })
+				v := do(c, "shared", func() any { return 7 })
 				if v.(int) != 7 {
 					mismatches.Add(1)
 				}
@@ -93,7 +105,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				k := fmt.Sprintf("g%d-i%d", g, i%10)
 				want := g*1000 + i%10
-				v := c.Do(k, func() any { return want })
+				v := do(c, k, func() any { return want })
 				if v.(int) != want {
 					t.Errorf("key %s = %v, want %d", k, v, want)
 					return
@@ -141,12 +153,12 @@ func TestEvictionHotKeySurvives(t *testing.T) {
 	c := New(8) // single shard (small cap), capacity 8
 	hotCalls := 0
 	hot := func() any { hotCalls++; return "hot" }
-	c.Do("hot", hot)
+	do(c, "hot", hot)
 	for i := 0; i < 100; i++ {
-		c.Do(fmt.Sprintf("cold%d", i), func() any { return i })
+		do(c, fmt.Sprintf("cold%d", i), func() any { return i })
 		// Touch the hot key so its reference bit is set before any sweep
 		// reaches it.
-		if v := c.Do("hot", hot); v.(string) != "hot" {
+		if v := do(c, "hot", hot); v.(string) != "hot" {
 			t.Fatalf("hot value = %v", v)
 		}
 	}
@@ -170,11 +182,11 @@ func TestEvictionHotKeySurvives(t *testing.T) {
 func TestEvictionColdKeyReplaced(t *testing.T) {
 	c := New(4)
 	calls := 0
-	c.Do("first", func() any { calls++; return 1 })
+	do(c, "first", func() any { calls++; return 1 })
 	for i := 0; i < 50; i++ {
-		c.Do(fmt.Sprintf("churn%d", i), func() any { return i })
+		do(c, fmt.Sprintf("churn%d", i), func() any { return i })
 	}
-	c.Do("first", func() any { calls++; return 1 })
+	do(c, "first", func() any { calls++; return 1 })
 	if calls != 2 {
 		t.Errorf("cold key computed %d times, want 2 (evicted then recomputed)", calls)
 	}
@@ -189,7 +201,7 @@ func TestShardedCapacitySplit(t *testing.T) {
 		t.Fatalf("total capacity = %d, want %d", got, cap)
 	}
 	for i := 0; i < 10*cap; i++ {
-		c.Do(fmt.Sprintf("k%d", i), func() any { return i })
+		do(c, fmt.Sprintf("k%d", i), func() any { return i })
 	}
 	if st := c.Stats(); st.Entries > cap {
 		t.Errorf("entries = %d exceeds capacity %d", st.Entries, cap)
@@ -217,18 +229,25 @@ func TestGetPutCanonical(t *testing.T) {
 	k1.Release()
 }
 
-// TestDoKeyMatchesDo: DoKey and Do address the same table for the same
-// byte key.
-func TestDoKeyMatchesDo(t *testing.T) {
+// TestPooledKeyMatchesNewKey: a pooled and an unpooled key with the
+// same bytes address the same entry.
+func TestPooledKeyMatchesNewKey(t *testing.T) {
 	c := New(100)
+	calls := 0
+	lookup := func(k *Key) any {
+		if v, ok := c.Get(k); ok {
+			return v
+		}
+		calls++
+		return c.Put(k, 99)
+	}
 	k := GetKey('q')
 	k.Int(42).Float(1.5)
-	calls := 0
-	v1 := c.DoKey(k, func() any { calls++; return 99 })
-	v2 := c.Do(NewKey('q').Int(42).Float(1.5).String(), func() any { calls++; return 99 })
+	v1 := lookup(k)
 	k.Release()
+	v2 := lookup(NewKey('q').Int(42).Float(1.5))
 	if v1.(int) != 99 || v2.(int) != 99 || calls != 1 {
-		t.Errorf("v1=%v v2=%v calls=%d; DoKey and Do must share entries", v1, v2, calls)
+		t.Errorf("v1=%v v2=%v calls=%d; pooled and unpooled keys must share entries", v1, v2, calls)
 	}
 }
 
@@ -270,7 +289,7 @@ func TestConcurrentEviction(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				k := fmt.Sprintf("g%d-%d", g, i%40)
 				want := g*1000 + i%40
-				if v := c.Do(k, func() any { return want }); v.(int) != want {
+				if v := do(c, k, func() any { return want }); v.(int) != want {
 					t.Errorf("key %s = %v want %d", k, v, want)
 					return
 				}

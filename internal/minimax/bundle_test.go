@@ -7,7 +7,6 @@ import (
 	"os"
 	"testing"
 
-	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/vec"
 )
@@ -175,25 +174,19 @@ func TestBundleDegenerateInputs(t *testing.T) {
 	}
 }
 
-// The loop is sequential: the same bits on every call and for every
-// kernel worker count.
+// The loop is sequential: the same bits on every cold call.
 func TestBundleDeterministic(t *testing.T) {
-	defer par.SetKernelWorkers(par.KernelWorkersSetting())
 	for k := 0; k < 40; k++ {
 		s := randInstance(int64(500+k), 7, 3)
-		par.SetKernelWorkers(0)
 		ResetCache() // every call below is a miss, i.e. a fresh solve
 		want := DeltaStar2Iterative(s, 2)
-		for _, w := range []int{0, 1, 4} {
-			par.SetKernelWorkers(w)
-			ResetCache()
-			got := DeltaStar2Iterative(s, 2)
-			same := math.Float64bits(got.Delta) == math.Float64bits(want.Delta) &&
-				math.Float64bits(got.Lower) == math.Float64bits(want.Lower) &&
-				got.Converged == want.Converged && got.Point.Equal(want.Point)
-			if !same {
-				t.Fatalf("instance %d workers %d: %+v, first call gave %+v", k, w, got, want)
-			}
+		ResetCache()
+		got := DeltaStar2Iterative(s, 2)
+		same := math.Float64bits(got.Delta) == math.Float64bits(want.Delta) &&
+			math.Float64bits(got.Lower) == math.Float64bits(want.Lower) &&
+			got.Converged == want.Converged && got.Point.Equal(want.Point)
+		if !same {
+			t.Fatalf("instance %d: %+v, first call gave %+v", k, got, want)
 		}
 	}
 }

@@ -5,36 +5,14 @@ import (
 	"sort"
 
 	"relaxedbvc/internal/geom"
-	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/vec"
 )
 
-// minParallelFamily is the smallest subset family for which the probes
-// fan the per-set hull-distance solves out over the kernel workers; below
-// it the hand-off costs more than the solves. Every parallel path reduces
-// in index order with the same comparisons as the sequential loop, so
-// results are bit-identical for any worker count.
-const minParallelFamily = 8
-
-// distHit is one per-set distance probe result.
-type distHit struct {
-	d    float64
-	near vec.V
-}
-
 // MaxDistP evaluates F(x) = max over the family of dist_p(x, H(set)).
 // Like MaxDist2, it bypasses the geometry memo cache: solver iterates
 // are unique, so caching them costs encoding without ever hitting.
-// Large families run on the kernel workers (exact float max is
-// order-independent, so the result is bit-identical either way).
 func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
-	if workers := par.KernelWorkers(); workers > 1 && len(sets) >= minParallelFamily {
-		return par.MaxFloat(len(sets), workers, func(i int) float64 {
-			d, _ := geom.DistPUncached(x, sets[i], p)
-			return d
-		})
-	}
 	m := 0.0
 	for _, s := range sets {
 		if d, _ := geom.DistPUncached(x, s, p); d > m {
@@ -42,27 +20,6 @@ func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
 		}
 	}
 	return m
-}
-
-// familyDistsPInto evaluates dist_p(x, H(sets_i)) for every i, in index
-// order, on the kernel workers when the family is large enough, reusing
-// dst's storage: the descent calls it once per step.
-func familyDistsPInto(dst []distHit, x vec.V, sets []*vec.Set, p float64, workers int) []distHit {
-	if workers > 1 && len(sets) >= minParallelFamily {
-		return par.MapInto(dst, len(sets), workers, func(i int) distHit {
-			d, near := geom.DistPUncached(x, sets[i], p)
-			return distHit{d: d, near: near}
-		})
-	}
-	if cap(dst) < len(sets) {
-		dst = make([]distHit, len(sets))
-	}
-	dst = dst[:len(sets)]
-	for i, s := range sets {
-		d, near := geom.DistPUncached(x, s, p)
-		dst[i] = distHit{d: d, near: near}
-	}
-	return dst
 }
 
 // DeltaStarP computes delta*_p(S) — the smallest delta for which
@@ -131,18 +88,14 @@ func subgradientDescentP(x0 vec.V, sets []*vec.Set, p float64, scale float64) (v
 	bestX := x.Clone()
 	bestF := MaxDistP(x, sets, p)
 	step := scale / 4
-	workers := par.KernelWorkers()
-	var hits []distHit
 	const iters = 200
 	for k := 0; k < iters; k++ {
-		// Index-ordered first-strictly-greater reduction over the
-		// parallel probes: identical to the sequential scan.
+		// The farthest hull, first strictly greater in index order.
 		var nearest vec.V
 		maxD := -1.0
-		hits = familyDistsPInto(hits, x, sets, p, workers)
-		for _, h := range hits {
-			if h.d > maxD {
-				maxD, nearest = h.d, h.near
+		for _, s := range sets {
+			if d, near := geom.DistPUncached(x, s, p); d > maxD {
+				maxD, nearest = d, near
 			}
 		}
 		if maxD < bestF {

@@ -73,8 +73,7 @@ const (
 //     built, bailing out at the first subset that rejects it.
 //
 // Both prefilters are pure functions of the candidate family, so the
-// accept/reject decision — and the returned point — are identical no
-// matter how many workers scan candidate families in parallel.
+// decision and the returned point depend on the family alone.
 type Intersector struct {
 	Kind  HullKind
 	K     int     // HullKProj: projection size k
@@ -82,7 +81,7 @@ type Intersector struct {
 	P     float64 // HullDeltaP: norm, 1 or +Inf
 }
 
-// IntersectScratch carries the per-worker reusable state of repeated
+// IntersectScratch carries the reusable state of repeated
 // Intersect calls: one lp.Problem whose constraint-row storage is
 // recycled across structurally similar joint LPs, and the
 // geom.FilterScratch backing the certified separation screen. A scratch

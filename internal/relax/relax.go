@@ -22,7 +22,6 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/lp"
-	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/vec"
 )
 
@@ -31,17 +30,9 @@ import (
 // nothing.
 var projScratchPool = sync.Pool{New: func() any { return new(vec.ProjScratch) }}
 
-// minParallelCombos is the minimum number of coordinate subsets before
-// InHullK fans its projection tests out over the kernel workers; below
-// it the goroutine hand-off costs more than the memoized LP tests.
-const minParallelCombos = 8
-
 // InHullK reports whether q lies in H_k(S): for every size-k index subset
 // D of the coordinates, the D-projection of q lies in the convex hull of
-// the D-projections of S (Definition 6). Large C(d,k) families evaluate
-// the projection tests on the kernel workers; the conjunction is
-// order-independent, so the result is bit-identical to the sequential
-// sweep for any worker count.
+// the D-projections of S (Definition 6).
 func InHullK(q vec.V, s *vec.Set, k int) bool {
 	d := q.Dim()
 	if k < 1 || k > d {
@@ -52,20 +43,16 @@ func InHullK(q vec.V, s *vec.Set, k int) bool {
 	// D-projections — so one full-space membership accept certifies all
 	// C(d,k) projection tests at once. Sound in both directions it is
 	// used: an accept is exact, a miss just falls through to the sweep.
-	// Gated with the certified screens so the filters-off path stays the
-	// pure per-projection sweep.
-	if k < d && geom.FilteredPredicatesEnabled() && geom.InHull(q, s) {
+	if k < d && geom.InHull(q, s) {
 		kprojConvAccepts.Inc()
 		return true
 	}
-	if workers := par.KernelWorkers(); workers > 1 && vec.CountCombinations(d, k) >= minParallelCombos {
-		Ds := vec.AllCombinationsGray(d, k)
-		return par.AllOf(len(Ds), workers, func(i int) bool {
-			ps := projScratchPool.Get().(*vec.ProjScratch)
-			defer projScratchPool.Put(ps)
-			return geom.InHull(ps.ProjectInto(q, Ds[i]), ps.ProjectSetInto(s, Ds[i]))
-		})
-	}
+	return inHullKSweep(q, s, k)
+}
+
+// inHullKSweep is Definition 6 itself: the conjunction of the C(d,k)
+// projected membership tests.
+func inHullKSweep(q vec.V, s *vec.Set, k int) bool {
 	ps := projScratchPool.Get().(*vec.ProjScratch)
 	defer projScratchPool.Put(ps)
 	in := true
@@ -73,7 +60,7 @@ func InHullK(q vec.V, s *vec.Set, k int) bool {
 	// coordinate, keeping the reused projection buffers and the memo
 	// cache's working set maximally warm. The conjunction is
 	// order-independent, so the answer matches the lexicographic sweep.
-	vec.CombinationsGray(d, k, func(D []int) bool {
+	vec.CombinationsGray(q.Dim(), k, func(D []int) bool {
 		if !geom.InHull(ps.ProjectInto(q, D), ps.ProjectSetInto(s, D)) {
 			in = false
 			return false

@@ -302,21 +302,10 @@ func CombinationsGray(n, k int, fn func(idx []int) bool) {
 	}
 }
 
-// AllCombinationsGray returns every size-k subset of {0,...,n-1} in
-// revolving-door order (see CombinationsGray).
-func AllCombinationsGray(n, k int) [][]int {
-	var out [][]int
-	CombinationsGray(n, k, func(idx []int) bool {
-		out = append(out, append([]int(nil), idx...))
-		return true
-	})
-	return out
-}
-
 // ProjScratch holds reusable storage for repeated projections, so sweep
 // loops that project the same set onto many coordinate subsets stop
 // allocating per subset. Not safe for concurrent use; keep one per
-// worker. The Set and vectors returned by its methods are valid until
+// goroutine. The Set and vectors returned by its methods are valid until
 // the next call on the same scratch.
 type ProjScratch struct {
 	flat []float64

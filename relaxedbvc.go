@@ -175,7 +175,7 @@ func GammaPoint(s *PointSet, f int) (Vector, bool) { return relax.GammaPoint(s, 
 
 // TverbergPartition searches for a partition of s into f+1 parts with
 // intersecting hulls (Theorem 7) and returns the blocks and a common
-// point.
+// point. f must be >= 0; TverbergPartition panics otherwise.
 func TverbergPartition(s *PointSet, f int) (blocks [][]int, point Vector, ok bool) {
 	return tverberg.Partition(s, f)
 }

@@ -15,7 +15,6 @@ import (
 	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/minimax"
-	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/transport"
@@ -510,18 +509,16 @@ func (k KernelCacheStats) Totals() CacheCounters {
 	}
 }
 
-// SetKernelWorkers sets the worker budget used inside the combinatorial
-// geometry kernels: the Tverberg partition scan, the H_k projection
-// sweeps, and the delta* minimax probes. 0 (the default) means
-// GOMAXPROCS; 1 forces fully sequential kernels. Kernel results are
-// bit-identical for every setting — the parallel scans use
-// lowest-index-wins first-hit semantics and index-ordered reductions —
-// so this only trades wall-clock for cores.
-func SetKernelWorkers(w int) { par.SetKernelWorkers(w) }
+// SetKernelWorkers does nothing: the geometry kernels are sequential.
+//
+// Deprecated: there is no kernel worker budget to set.
+func SetKernelWorkers(int) {}
 
-// KernelWorkers reports the current kernel worker budget with the 0
-// default resolved to GOMAXPROCS.
-func KernelWorkers() int { return par.KernelWorkers() }
+// KernelWorkers returns 1: the geometry kernels run on the caller's
+// goroutine.
+//
+// Deprecated: there is no kernel worker budget.
+func KernelWorkers() int { return 1 }
 
 // CacheStats reports the current kernel cache statistics.
 func CacheStats() KernelCacheStats {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/par"
 )
 
 // The transport parity contract: a cluster of nodes running over the
@@ -278,13 +277,11 @@ func TestRunOptions(t *testing.T) {
 			t.Errorf("transport label = %q, want sim", sunk.Transport)
 		}
 	})
-	t.Run("same result with one worker", func(t *testing.T) {
+	t.Run("same result cold", func(t *testing.T) {
 		a, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer par.SetKernelWorkers(par.KernelWorkersSetting())
-		SetKernelWorkers(1)
 		ResetCaches() // or the second run replays the first's memo entries
 		b, err := Run(context.Background(), spec)
 		if err != nil {
