@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"sync"
 
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/sched"
@@ -39,6 +41,41 @@ func (f EIGBehaviorFunc) RelayValue(instance int, path []int, to int, honest []b
 	return f(instance, path, to, honest)
 }
 
+// MaxEIGLeafSlots bounds the leaf level of one process's EIG trees,
+// n(n-1)...(n-f) slots: a level is one slice, so a larger tree does not
+// fit in memory (n=40 f=13 would need about 2·10^21 slots).
+const MaxEIGLeafSlots = 1 << 22
+
+// CheckEIGTree refuses an all-to-all EIG broadcast (0 <= f < n) whose
+// leaf level, n(n-1)...(n-f) slots per process, exceeds
+// MaxEIGLeafSlots. The exact product stops at the limit, so it never
+// overflows; the error gives the rest as a float.
+func CheckEIGTree(n, f int) error {
+	slots := 1
+	for k := 0; k <= f; k++ {
+		factor := n - k
+		if slots > MaxEIGLeafSlots/factor {
+			size := float64(slots)
+			for ; k <= f; k++ {
+				size *= float64(n - k)
+			}
+			return fmt.Errorf("broadcast: n=%d f=%d needs %.3g EIG leaf slots per process, over the %d limit", n, f, size, MaxEIGLeafSlots)
+		}
+		slots *= factor
+	}
+	return nil
+}
+
+// permutations is n(n-1)...(n-l+1): the slots of tree level l at a
+// process, the l-permutations of the n process ids.
+func permutations(n, l int) int {
+	size := 1
+	for k := 0; k < l; k++ {
+		size *= n - k
+	}
+	return size
+}
+
 // eigLevel is level l of all n EIG trees at one process (one tree per
 // commander). Slot g holds the node whose path is the g-th l-permutation
 // of the process ids in lexicographic order: the commander is the
@@ -62,29 +99,8 @@ func (lv *eigLevel) put(g int, val []byte) {
 	lv.vals[g] = val // a duplicate or conflicting copy overwrites: last one wins
 }
 
-// slotOf returns the rank of path among the len(path)-permutations of
-// the n process ids; ok=false if an id is out of range or repeated.
-func slotOf(n int, path []int) (g int, ok bool) {
-	for k, id := range path {
-		if id < 0 || id >= n {
-			return 0, false
-		}
-		digit := id // ids below id not used by path[:k]
-		for _, earlier := range path[:k] {
-			if earlier == id {
-				return 0, false
-			}
-			if earlier < id {
-				digit--
-			}
-		}
-		g = g*(n-k) + digit
-	}
-	return g, true
-}
-
-// pathAt is the inverse of slotOf: it fills path with the
-// len(path)-permutation of rank g.
+// pathAt fills path with the len(path)-permutation of the n process ids
+// of rank g: the path of slot g of level len(path).
 func pathAt(n, g int, path []int) {
 	for k := len(path) - 1; k >= 0; k-- {
 		path[k] = g % (n - k)
@@ -128,6 +144,149 @@ func majority(vals [][]byte, def []byte) []byte {
 	return def
 }
 
+// The EIG wire format. In round l-1 a process sends each peer one body
+// listing its level-l nodes — the children, ending in the sender, of
+// the level-(l-1) nodes without it — in slot order:
+//
+//	level u32 | first u32 | count u32 | entry*count
+//	entry = len u32 | value    (len = eigAbsent: no value)
+//
+// An entry is absent when the sender does not hold the parent or its
+// behaviour suppressed the send. Paths never travel: the receiver maps
+// entry first+i of sender m.From to its slot through the level's plan.
+// A body is cut at entry boundaries into messages of eigBodyCap bytes
+// plus at most one entry, so none nears a transport frame limit, and a
+// message whose entries are all absent is not sent.
+const (
+	eigTag       = "eig"
+	eigHeaderLen = 12
+	eigAbsent    = math.MaxUint32
+	eigBodyCap   = 32 << 10
+)
+
+// eigPlan is the slot plan of one tree level l: for every sender s, the
+// level-l nodes whose path ends in s, in slot order — the entries of s's
+// body — as the parent's slot on level l-1 and the node's slot on level
+// l. Sender s owns entries s*per .. (s+1)*per-1, per = (n-1)...(n-l+1).
+type eigPlan struct {
+	per           int
+	parent, child []int32
+}
+
+// of returns sender s's entries.
+func (pl *eigPlan) of(s int) (parent, child []int32) {
+	lo, hi := s*pl.per, (s+1)*pl.per
+	return pl.parent[lo:hi], pl.child[lo:hi]
+}
+
+func buildEIGPlan(n, l int) *eigPlan {
+	parents := permutations(n, l-1)
+	kids := n - l + 1 // children per parent
+	per := parents * kids / n
+	pl := &eigPlan{per: per, parent: make([]int32, n*per), child: make([]int32, n*per)}
+	next := make([]int, n) // per sender: entries placed
+	path := make([]int, l-1)
+	used := make([]bool, n)
+	for g := 0; g < parents; g++ {
+		pathAt(n, g, path)
+		clear(used)
+		for _, id := range path {
+			used[id] = true
+		}
+		digit := 0 // children of g ascend by the appended id
+		for s, inPath := range used {
+			if inPath {
+				continue
+			}
+			k := s*per + next[s]
+			next[s]++
+			pl.parent[k], pl.child[k] = int32(g), int32(g*kids+digit)
+			digit++
+		}
+	}
+	return pl
+}
+
+// eigPlans shares the slot plans across machines and runs: a plan is
+// immutable and depends on (n, level) only. The cache is dropped whole
+// when a new plan would take it past eigPlanBudget entries.
+var eigPlans struct {
+	sync.Mutex
+	byShape map[[2]int]*eigPlan
+	entries int
+}
+
+const eigPlanBudget = 1 << 23
+
+func eigPlanFor(n, l int) *eigPlan {
+	eigPlans.Lock()
+	defer eigPlans.Unlock()
+	key := [2]int{n, l}
+	if pl := eigPlans.byShape[key]; pl != nil {
+		return pl
+	}
+	pl := buildEIGPlan(n, l)
+	if eigPlans.byShape == nil || eigPlans.entries+len(pl.child) > eigPlanBudget {
+		eigPlans.byShape, eigPlans.entries = make(map[[2]int]*eigPlan), 0
+	}
+	eigPlans.byShape[key] = pl
+	eigPlans.entries += len(pl.child)
+	return pl
+}
+
+// eigBody accumulates the body one recipient (sched.Broadcast for an
+// honest sender) gets for one level and cuts it into messages.
+type eigBody struct {
+	to, level   int
+	buf         []byte
+	msg         int  // offset of the open message in buf
+	first, next int  // entry index of the open message's first entry and of the next entry
+	present     bool // the open message holds a value
+}
+
+var eigNoHeader [eigHeaderLen]byte
+
+// add appends one entry (nil: absent), closing the open message onto
+// outs once it reaches eigBodyCap.
+func (b *eigBody) add(outs []sched.Outgoing, val []byte) []sched.Outgoing {
+	if b.next == b.first {
+		b.msg = len(b.buf)
+		b.buf = append(b.buf, eigNoHeader[:]...)
+	}
+	if val == nil {
+		b.buf = binary.BigEndian.AppendUint32(b.buf, eigAbsent)
+	} else {
+		b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(val)))
+		b.buf = append(b.buf, val...)
+		b.present = true
+	}
+	b.next++
+	if len(b.buf)-b.msg >= eigBodyCap {
+		outs = b.flush(outs)
+	}
+	return outs
+}
+
+// flush closes the open message onto outs, or discards it when it holds
+// no value: the receiver reads a missing entry as an absent one.
+func (b *eigBody) flush(outs []sched.Outgoing) []sched.Outgoing {
+	if b.next == b.first {
+		return outs
+	}
+	if b.present {
+		h := b.buf[b.msg:]
+		binary.BigEndian.PutUint32(h, uint32(b.level))
+		binary.BigEndian.PutUint32(h[4:], uint32(b.first))
+		binary.BigEndian.PutUint32(h[8:], uint32(b.next-b.first))
+		end := len(b.buf)
+		outs = append(outs, sched.Outgoing{To: b.to, Tag: eigTag, Data: b.buf[b.msg:end:end]})
+	} else {
+		b.buf = b.buf[:b.msg]
+	}
+	b.first, b.present = b.next, false
+	return outs
+}
+
 // EIGNode is the per-process state machine of the all-to-all EIG
 // broadcast: n parallel EIG instances (one per commander) at a single
 // process — the "each process Byzantine-broadcasts its input" pattern
@@ -143,8 +302,7 @@ type EIGNode struct {
 	defaultVal []byte
 	behavior   EIGBehavior // nil for honest
 	levels     []eigLevel  // levels[l-1], allocated when round l-1 begins
-	path       []int       // scratch for the path being parsed or relayed
-	arena      []byte      // the current Step's message bodies
+	path       []int       // scratch for the path a behavior is shown
 	done       bool
 	decided    [][]byte
 	// drops counts sends this process's Byzantine behavior suppressed
@@ -186,97 +344,116 @@ func (p *EIGNode) TreeNodes() int {
 func (p *EIGNode) level(l int) *eigLevel {
 	lv := &p.levels[l-1]
 	if lv.has == nil {
-		size := 1
-		for k := 0; k < l; k++ {
-			size *= p.n - k
-		}
+		size := permutations(p.n, l)
 		lv.vals, lv.has = make([][]byte, size), make([]bool, size)
 	}
 	return lv
 }
 
-// encode appends the wire form of tree node path with value v —
-// three length-prefixed fields: instance byte, encoded path, value — to
-// the arena and returns it. A full arena is replaced, never regrown, so
-// bodies already handed out stay put.
-func (p *EIGNode) encode(path []int, v []byte) []byte {
-	size := 4 + 1 + 4 + 2 + 2*len(path) + 4 + len(v)
-	if cap(p.arena)-len(p.arena) < size {
-		p.arena = make([]byte, 0, max(size, 2*cap(p.arena)))
-	}
-	start := len(p.arena)
-	b := appendBytes(p.arena, []byte{byte(path[0])})
-	b = binary.BigEndian.AppendUint32(b, uint32(2+2*len(path)))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(path)))
-	for _, id := range path {
-		b = binary.BigEndian.AppendUint16(b, uint16(id))
-	}
-	p.arena = appendBytes(b, v)
-	return p.arena[start:len(p.arena):len(p.arena)]
+// Start implements sched.SyncProcess: round 1 of every instance, in
+// which every process is commander of its own.
+func (p *EIGNode) Start() []sched.Outgoing {
+	return p.send(1, [][]byte{p.input}, []bool{true}, len(p.input))
 }
 
-// sendNode appends the sends of tree node path (self already appended)
-// to outs: one broadcast of the honest value, or whatever the Byzantine
-// behavior hands each recipient.
-func (p *EIGNode) sendNode(outs []sched.Outgoing, path []int, honest []byte) []sched.Outgoing {
+// send stores and sends this process's level-l nodes: the child ending
+// in self of every level-(l-1) node it holds (vals, has) and that does
+// not contain it, walking the plan in slot order — instance, then path,
+// then (for a behavior) recipient. size bounds the values' total length.
+func (p *EIGNode) send(l int, vals [][]byte, has []bool, size int) []sched.Outgoing {
+	lv := p.level(l)
+	parents, children := eigPlanFor(p.n, l).of(p.self)
+	hint := eigHeaderLen*(1+size/eigBodyCap) + 4*len(parents) + size
+	var outs []sched.Outgoing
 	if p.behavior == nil {
-		if honest == nil { // a nil input is a process with nothing to say
-			p.drops += p.n - 1
-			return outs
+		body := eigBody{to: sched.Broadcast, level: l, buf: make([]byte, 0, hint)}
+		for i, g := range parents {
+			v := vals[g]
+			if has[g] {
+				// A process knows its own honest relay: store it locally
+				// so the resolve majority sees the self-child too.
+				lv.put(int(children[i]), v)
+				if v == nil { // a nil input is a process with nothing to say
+					p.drops += p.n - 1
+				}
+			}
+			outs = body.add(outs, v)
 		}
-		return append(outs, sched.Outgoing{To: sched.Broadcast, Tag: "eig", Data: p.encode(path, honest)})
+		return body.flush(outs)
 	}
+	bodies := make([]eigBody, 0, p.n-1)
 	for to := 0; to < p.n; to++ {
-		if to == p.self {
+		if to != p.self {
+			bodies = append(bodies, eigBody{to: to, level: l, buf: make([]byte, 0, hint)})
+		}
+	}
+	path := p.path[:l]
+	for i, g := range parents {
+		if !has[g] {
+			for k := range bodies {
+				outs = bodies[k].add(outs, nil)
+			}
 			continue
 		}
-		v := p.behavior.RelayValue(path[0], path, to, honest)
-		if v == nil {
-			p.drops++
-			continue
+		lv.put(int(children[i]), vals[g])
+		pathAt(p.n, int(children[i]), path)
+		for k := range bodies {
+			v := p.behavior.RelayValue(path[0], path, bodies[k].to, vals[g])
+			if v == nil {
+				p.drops++
+			}
+			outs = bodies[k].add(outs, v)
 		}
-		outs = append(outs, sched.Outgoing{To: to, Tag: "eig", Data: p.encode(path, v)})
+	}
+	for k := range bodies {
+		outs = bodies[k].flush(outs)
 	}
 	return outs
 }
 
-// Start implements sched.SyncProcess: round 1 of every instance, in
-// which every process is commander of its own.
-func (p *EIGNode) Start() []sched.Outgoing {
-	path := p.path[:1]
-	path[0] = p.self
-	p.level(1).put(p.self, p.input)
-	return p.sendNode(nil, path, p.input)
-}
-
-// parse validates one delivered message as a level-len(path) tree node
-// and returns its slot and value. The path must have exactly that
-// length, start at the instance's commander, end at the actual sender
-// (honest enforcement of the relay discipline) and name distinct
-// processes; anything else is a Byzantine sender's and is dropped.
-func (p *EIGNode) parse(m *sched.Message, path []int) (slot int, val []byte, ok bool) {
-	if m.Tag != "eig" {
-		return 0, nil, false
+// receive stores the entries of one delivered message as sender
+// m.From's level-l nodes. A message that does not parse exactly — tag,
+// sender, header, every entry, no trailing byte — is a Byzantine
+// sender's and is dropped whole.
+func (p *EIGNode) receive(lv *eigLevel, plan *eigPlan, l int, m *sched.Message) {
+	if m.Tag != eigTag || m.From < 0 || m.From >= p.n || m.From == p.self || len(m.Data) < eigHeaderLen {
+		return
 	}
-	instB, rest, err := readBytes(m.Data)
-	if err != nil || len(instB) != 1 {
-		return 0, nil, false
+	_, children := plan.of(m.From)
+	level := binary.BigEndian.Uint32(m.Data)
+	first := uint64(binary.BigEndian.Uint32(m.Data[4:]))
+	count := uint64(binary.BigEndian.Uint32(m.Data[8:]))
+	if uint64(l) != uint64(level) || count == 0 || first+count > uint64(len(children)) {
+		return
 	}
-	pathB, rest, err := readBytes(rest)
-	if err != nil || len(pathB) < 2+2*len(path) || int(binary.BigEndian.Uint16(pathB)) != len(path) {
-		return 0, nil, false
+	entries := m.Data[eigHeaderLen:]
+	rest := entries
+	for k := uint64(0); k < count; k++ {
+		if len(rest) < 4 {
+			return
+		}
+		size := binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+		if size == eigAbsent {
+			continue
+		}
+		if uint64(len(rest)) < uint64(size) {
+			return
+		}
+		rest = rest[size:]
 	}
-	if val, _, err = readBytes(rest); err != nil {
-		return 0, nil, false
+	if len(rest) != 0 {
+		return
 	}
-	for k := range path {
-		path[k] = int(binary.BigEndian.Uint16(pathB[2+2*k:]))
+	rest = entries
+	for _, c := range children[first : first+count] {
+		size := binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+		if size != eigAbsent {
+			lv.put(int(c), rest[:size:size])
+			rest = rest[size:]
+		}
 	}
-	if path[0] != int(instB[0]) || path[len(path)-1] != m.From {
-		return 0, nil, false
-	}
-	slot, ok = slotOf(p.n, path)
-	return slot, val, ok
 }
 
 // Step implements sched.SyncProcess: store the delivered tree nodes,
@@ -287,51 +464,20 @@ func (p *EIGNode) Step(round int, delivered []sched.Message) []sched.Outgoing {
 		return nil
 	}
 	if level <= eigDepth(p.f) {
-		lv, path := p.level(level), p.path[:level]
+		lv, plan := p.level(level), eigPlanFor(p.n, level)
 		for i := range delivered {
-			if slot, val, ok := p.parse(&delivered[i], path); ok {
-				lv.put(slot, val)
-			}
+			p.receive(lv, plan, level, &delivered[i])
 		}
 	}
 	if level <= p.f {
-		return p.relay(level)
+		lv := p.level(level)
+		return p.send(level+1, lv.vals, lv.has, lv.size)
 	}
 	// Gathering complete: decide every instance.
 	p.decided = p.resolve()
 	p.decided[p.self] = p.input
 	p.done = true
 	return nil
-}
-
-// relay sends node path+[self] for every stored level-l node whose path
-// does not contain self, walking the slots in order — instance, then
-// path, then (in sendNode) recipient.
-func (p *EIGNode) relay(l int) []sched.Outgoing {
-	lv, next := p.level(l), p.level(l+1)
-	path := p.path[:l+1]
-	fanout := 1
-	if p.behavior != nil {
-		fanout = p.n - 1
-	}
-	outs := make([]sched.Outgoing, 0, lv.count*fanout)
-	p.arena = make([]byte, 0, fanout*(lv.count*(4+1+4+2+2*len(path)+4)+lv.size))
-	for g, has := range lv.has {
-		if !has {
-			continue
-		}
-		pathAt(p.n, g, path[:l])
-		path[l] = p.self
-		child, ok := slotOf(p.n, path)
-		if !ok {
-			continue // the path already contains self
-		}
-		// A process knows its own honest relay: store it locally so the
-		// resolve majority sees the self-child too.
-		next.put(child, lv.vals[g])
-		outs = p.sendNode(outs, path, lv.vals[g])
-	}
-	return outs
 }
 
 // resolve computes every instance's recursive majority in one bottom-up
@@ -397,6 +543,9 @@ func RunAllToAllEIG(n, f int, inputs [][]byte, behaviors map[int]EIGBehavior, de
 	}
 	if f >= n {
 		return nil, fmt.Errorf("broadcast: f=%d faults among n=%d processes", f, n)
+	}
+	if err := CheckEIGTree(n, f); err != nil {
+		return nil, err
 	}
 	procs := make([]sched.SyncProcess, n)
 	eps := make([]*EIGNode, n)

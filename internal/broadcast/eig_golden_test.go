@@ -1,15 +1,18 @@
 package broadcast_test
 
 // Golden transcript parity for the all-to-all EIG broadcast. The table
-// in testdata/eig_transcripts.json was written by the map-keyed EIG
-// tree and the append-and-sort SyncEngine this code replaced (a
-// throwaway generator run on that commit, calling eigTranscript below):
-// per spec the sha256 over every delivered message in TraceFn order,
-// the decided values and the run's counters. The flat tree and the
-// counting-pass delivery must reproduce every entry, and a mesh cluster
-// of transport.RunSync nodes must decide the same values.
+// in testdata/eig_transcripts.json holds per spec the sha256 over every
+// delivered message in TraceFn order, the decided values and the run's
+// counters, written by eigTranscript below. Its decided, rounds, drops
+// and tree-node columns date from the map-keyed EIG tree and have not
+// moved since; the trace and message columns were re-recorded when one
+// message per tree node became one body per link and round. A mesh
+// cluster of transport.RunSync nodes must decide the same values, and
+// TestEIGMatchesReference holds the machine to the per-node one it
+// replaced on seeded scripts.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -50,7 +53,7 @@ func (s eigGoldenSpec) name() string {
 func eigGoldenSpecs() []eigGoldenSpec {
 	var specs []eigGoldenSpec
 	for _, shape := range [][2]int{{4, 1}, {7, 2}, {10, 3}, {13, 3}} {
-		for _, b := range []string{"honest", "silent", "garbage", "randomliar", "relayonlyliar", "equivocator", "perrecipient"} {
+		for _, b := range eigGoldenBehaviors {
 			for _, dup := range []bool{false, true} {
 				specs = append(specs, eigGoldenSpec{n: shape[0], f: shape[1], behavior: b, dup: dup})
 			}
@@ -59,8 +62,39 @@ func eigGoldenSpecs() []eigGoldenSpec {
 	return specs
 }
 
-// byzantine returns fresh behaviours (a RandomLiar carries RNG state)
-// for the spec's Byzantine processes: id 1, and id n-1 too when f >= 2.
+// eigGoldenBehaviors are the behaviour kinds of the golden table and of
+// TestEIGMatchesReference.
+var eigGoldenBehaviors = []string{"honest", "silent", "garbage", "randomliar", "relayonlyliar", "equivocator", "perrecipient"}
+
+// goldenBehavior returns a fresh behaviour (a RandomLiar carries RNG
+// state) of the given kind for Byzantine process id of n; "honest" is a
+// Byzantine process that relays what an honest one would.
+func goldenBehavior(kind string, id, n int) broadcast.EIGBehavior {
+	switch kind {
+	case "honest":
+		return adversary.Honest()
+	case "silent":
+		return adversary.Silent()
+	case "garbage":
+		return adversary.Garbage()
+	case "randomliar":
+		return adversary.RandomLiar(int64(100+id), eigGoldenDim, 10)
+	case "relayonlyliar":
+		return adversary.RelayOnlyLiar(id, vec.Of(7, -7, 7))
+	case "equivocator":
+		return adversary.Equivocator(vec.Of(9, 9, 9), vec.Of(-9, -9, -9))
+	case "perrecipient":
+		per := make(map[int]vec.V)
+		for to := 0; to < n; to += 2 {
+			per[to] = vec.Of(float64(to), float64(id), -1)
+		}
+		return adversary.PerRecipient(per)
+	}
+	panic("unknown behaviour " + kind)
+}
+
+// byzantine returns fresh behaviours for the spec's Byzantine
+// processes: id 1, and id n-1 too when f >= 2 (none when "honest").
 func (s eigGoldenSpec) byzantine() map[int]broadcast.EIGBehavior {
 	if s.behavior == "honest" {
 		return nil
@@ -71,26 +105,7 @@ func (s eigGoldenSpec) byzantine() map[int]broadcast.EIGBehavior {
 	}
 	byz := make(map[int]broadcast.EIGBehavior, len(ids))
 	for _, id := range ids {
-		switch s.behavior {
-		case "silent":
-			byz[id] = adversary.Silent()
-		case "garbage":
-			byz[id] = adversary.Garbage()
-		case "randomliar":
-			byz[id] = adversary.RandomLiar(int64(100+id), eigGoldenDim, 10)
-		case "relayonlyliar":
-			byz[id] = adversary.RelayOnlyLiar(id, vec.Of(7, -7, 7))
-		case "equivocator":
-			byz[id] = adversary.Equivocator(vec.Of(9, 9, 9), vec.Of(-9, -9, -9))
-		case "perrecipient":
-			per := make(map[int]vec.V)
-			for to := 0; to < s.n; to += 2 {
-				per[to] = vec.Of(float64(to), float64(id), -1)
-			}
-			byz[id] = adversary.PerRecipient(per)
-		default:
-			panic("unknown behaviour " + s.behavior)
-		}
+		byz[id] = goldenBehavior(s.behavior, id, s.n)
 	}
 	return byz
 }
@@ -246,5 +261,107 @@ func TestEIGGoldenTranscripts(t *testing.T) {
 				t.Fatalf("mesh cluster decided %s, simulator %s", h, got.Decided)
 			}
 		})
+	}
+}
+
+// eigMachine is what TestEIGMatchesReference reads off both machines.
+type eigMachine interface {
+	sched.SyncProcess
+	Decided() [][]byte
+	Drops() int
+	TreeNodes() int
+}
+
+// TestEIGMatchesReference drives EIGNode and the per-node machine it
+// replaced (broadcast.RefEIGNode) through the same seeded scripts —
+// n in {4, 7, 10, 13} with f up to the golden table's (the n >= 3f+1
+// bound but for n=13, whose f=4 tree is 9x f=3's), every golden
+// behaviour on random Byzantine ids, inputs that repeat, are empty or
+// are nil, duplication faults on and off — and requires the same
+// rounds, and at every process the same decisions, drops and tree
+// nodes.
+func TestEIGMatchesReference(t *testing.T) {
+	scripts, byzantine := 0, 0
+	for _, shape := range []struct{ n, maxF, scripts int }{{4, 1, 400}, {7, 2, 400}, {10, 3, 300}, {13, 3, 100}} {
+		n := shape.n
+		for seed := 0; seed < shape.scripts; seed++ {
+			rng := rand.New(rand.NewSource(int64(1000*n + seed)))
+			f := rng.Intn(shape.maxF + 1)
+			kinds := make(map[int]string)
+			for _, id := range rng.Perm(n)[:min(f, rng.Intn(f+2))] { // f Byzantine twice as often
+				kinds[id] = eigGoldenBehaviors[rng.Intn(len(eigGoldenBehaviors))]
+			}
+			d := 1 + rng.Intn(eigGoldenDim)
+			inputs := make([][]byte, n)
+			for i := range inputs {
+				switch r := rng.Intn(12); {
+				case r == 0: // a process with nothing to say
+				case r == 1:
+					inputs[i] = []byte{}
+				case r < 5 && i > 0:
+					inputs[i] = inputs[rng.Intn(i)] // repeats make majorities tie
+				default:
+					v := vec.New(d)
+					for j := range v {
+						v[j] = rng.NormFloat64()
+					}
+					inputs[i] = broadcast.EncodeVec(v)
+				}
+			}
+			var faults *sched.LinkFaults
+			if rng.Intn(2) == 0 {
+				faults = &sched.LinkFaults{Seed: rng.Int63(), LinkProfile: sched.LinkProfile{DupProb: 0.2}}
+			}
+			def := broadcast.EncodeVec(vec.New(d))
+			run := func(build func(id int, b broadcast.EIGBehavior) eigMachine) ([]eigMachine, int) {
+				machines := make([]eigMachine, n)
+				procs := make([]sched.SyncProcess, n)
+				for i := range machines {
+					var b broadcast.EIGBehavior
+					if kind, ok := kinds[i]; ok {
+						b = goldenBehavior(kind, i, n)
+					}
+					machines[i] = build(i, b)
+					procs[i] = machines[i]
+				}
+				eng := sched.NewSyncEngine(procs)
+				eng.Faults = faults
+				rounds, err := eng.Run()
+				if err != nil {
+					t.Fatalf("n=%d seed %d: %v", n, seed, err)
+				}
+				return machines, rounds
+			}
+			got, gotRounds := run(func(id int, b broadcast.EIGBehavior) eigMachine {
+				return broadcast.NewEIGNode(n, f, id, inputs[id], b, def)
+			})
+			want, wantRounds := run(func(id int, b broadcast.EIGBehavior) eigMachine {
+				return broadcast.NewRefEIGNode(n, f, id, inputs[id], b, def)
+			})
+			label := fmt.Sprintf("n=%d f=%d seed %d behaviours %v dup %v", n, f, seed, kinds, faults != nil)
+			if gotRounds != wantRounds {
+				t.Fatalf("%s: %d rounds, referee %d", label, gotRounds, wantRounds)
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				if g.Drops() != w.Drops() || g.TreeNodes() != w.TreeNodes() {
+					t.Fatalf("%s: process %d drops %d tree nodes %d, referee %d and %d", label, i, g.Drops(), g.TreeNodes(), w.Drops(), w.TreeNodes())
+				}
+				gd, wd := g.Decided(), w.Decided()
+				if len(gd) != len(wd) {
+					t.Fatalf("%s: process %d decided %d values, referee %d", label, i, len(gd), len(wd))
+				}
+				for c := range wd {
+					if !bytes.Equal(gd[c], wd[c]) || (gd[c] == nil) != (wd[c] == nil) {
+						t.Fatalf("%s: process %d commander %d: decided %x, referee %x", label, i, c, gd[c], wd[c])
+					}
+				}
+			}
+			scripts++
+			byzantine += len(kinds)
+		}
+	}
+	if scripts < 1200 || byzantine < scripts/2 {
+		t.Fatalf("scripts too weak: %d scripts, %d Byzantine processes", scripts, byzantine)
 	}
 }

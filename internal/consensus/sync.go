@@ -81,6 +81,11 @@ func (c *SyncConfig) validate() error {
 	if c.F >= c.N {
 		return fmt.Errorf("%w: f=%d >= n=%d", ErrTooManyFaults, c.F, c.N)
 	}
+	if !c.SignedBroadcast {
+		if err := broadcast.CheckEIGTree(c.N, c.F); err != nil {
+			return fmt.Errorf("%w: oral-messages Step 1: %w (use SignedBroadcast)", ErrTooManyFaults, err)
+		}
+	}
 	if len(c.Inputs) != c.N {
 		return fmt.Errorf("%w: %d inputs for n=%d", ErrBadInputs, len(c.Inputs), c.N)
 	}

@@ -2,9 +2,10 @@ package consensus
 
 import (
 	"context"
-
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"relaxedbvc/internal/broadcast"
@@ -276,6 +277,35 @@ func TestConfigValidation(t *testing.T) {
 	for name, cfg := range cases {
 		if _, err := RunExactBVC(context.Background(), cfg); err == nil {
 			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
+func TestEIGTreeLimit(t *testing.T) {
+	// The oral-messages Step 1 holds n(n-1)...(n-f) leaf slots per
+	// process; past broadcast.MaxEIGLeafSlots the config is refused, with
+	// the way out named, unless Step 1 is signed.
+	inputs := func(n int) []vec.V {
+		in := make([]vec.V, n)
+		for i := range in {
+			in[i] = vec.Of(float64(i))
+		}
+		return in
+	}
+	for _, c := range []struct {
+		n, f   int
+		signed bool
+		ok     bool
+	}{
+		{23, 4, false, true}, // 4 037 880 slots
+		{24, 4, false, false},
+		{40, 13, false, false},
+		{40, 13, true, true},
+	} {
+		cfg := &SyncConfig{N: c.n, F: c.f, D: 1, Inputs: inputs(c.n), SignedBroadcast: c.signed}
+		err := cfg.validate()
+		if c.ok != (err == nil) || (err != nil && (!errors.Is(err, ErrTooManyFaults) || !strings.Contains(err.Error(), "SignedBroadcast"))) {
+			t.Errorf("n=%d f=%d signed=%v: %v", c.n, c.f, c.signed, err)
 		}
 	}
 }

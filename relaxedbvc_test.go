@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 )
 
 // The root package is a facade; these tests pin the re-exported API
@@ -239,5 +241,23 @@ func TestFacadeIterativeAndK1Async(t *testing.T) {
 		if !CheckKValidity(kres.Outputs[i], k1.NonFaultyInputs(), 1, 1e-6) {
 			t.Fatal("k=1 validity violated")
 		}
+	}
+}
+
+func TestRunRefusesUnboundedEIGTree(t *testing.T) {
+	// n=40 f=13 meets n >= 3f+1, but its oral-messages Step 1 needs
+	// 40·39·…·27 ≈ 2e21 EIG leaf slots per process: the relay rounds ran
+	// the machine out of memory. Run refuses it before building one.
+	spec := Spec{Protocol: ProtocolScalar, N: 40, F: 13, D: 1, Inputs: make([]Vector, 40)}
+	for i := range spec.Inputs {
+		spec.Inputs[i] = NewVector(float64(i))
+	}
+	start := time.Now()
+	_, err := Run(context.Background(), spec)
+	if !errors.Is(err, ErrTooManyFaults) || !strings.Contains(err.Error(), "SignedBroadcast") {
+		t.Fatalf("err = %v, want ErrTooManyFaults naming SignedBroadcast", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("refusal took %v", took)
 	}
 }

@@ -230,6 +230,46 @@ func TestTCPClusterMatchesSim(t *testing.T) {
 	}
 }
 
+// TestLargeEIGTreeOnRealPlanes runs n=13 f=4 d=3, the n=3f+1 bound,
+// on all three planes. The last relay round lists 11 880 tree nodes per
+// body, which the EIG layer cuts into messages of at most 32 KiB plus
+// one entry (a 28-byte vector and its 4-byte length) after a 12-byte
+// header; mesh and TCP must decide what the simulation does.
+func TestLargeEIGTreeOnRealPlanes(t *testing.T) {
+	const n, limit = 13, 32<<10 + 12 + 4 + 28
+	spec := Spec{Protocol: ProtocolKRelaxed, N: n, F: 4, D: 3, K: 1, Inputs: make([]Vector, n),
+		Byzantine: map[int]ByzantineBehavior{5: RandomLiar(13, 3, 10), 12: Equivocator(NewVector(9, 9, 9), NewVector(-9, -9, -9))}}
+	for i := range spec.Inputs {
+		spec.Inputs[i] = NewVector(float64(i), float64(i*i%7), -float64(i%3))
+	}
+	var mu sync.Mutex
+	largest := 0
+	spec.Trace = func(m Message) {
+		mu.Lock()
+		largest = max(largest, len(m.Data))
+		mu.Unlock()
+	}
+	sim, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	mesh, err := Run(context.Background(), spec, WithTransport(Transport{Kind: TransportMesh}))
+	if err != nil {
+		t.Fatalf("mesh: %v", err)
+	}
+	requireParity(t, sim, mesh, allIDs(n))
+	results, errs := runTCPCluster(t, context.Background(), spec)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("tcp node %d: %v", i, err)
+		}
+		requireParity(t, sim, results[i], []int{i})
+	}
+	if largest > limit || largest < 32<<10 {
+		t.Fatalf("largest EIG message %d bytes, want a cut one within %d", largest, limit)
+	}
+}
+
 func TestNonSimTransportRejectsSimOnlyFeatures(t *testing.T) {
 	base := Spec{
 		Protocol: ProtocolDeltaRelaxed, N: 4, F: 1, D: 2,
