@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs bench-lp experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs bench-lp bench-kernel experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -22,7 +22,7 @@ race:
 
 # One benchmark per reproduced table/figure plus the ablations, then the
 # solver micro-benchmarks.
-bench: bench-lp
+bench: bench-lp bench-kernel
 	$(GO) test -bench=. -benchmem
 
 # The benchmark program (benchmark/, its own module, which the root's
@@ -60,6 +60,14 @@ bench-acs:
 # benchmark/run.sh's.
 bench-lp:
 	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|SupportFan' -benchmem ./internal/lp ./internal/relax
+
+# delta*_2 kernel micro-benchmarks (allocations reported) at the
+# acs_kernel shape: one Wolfe distance from a point to a 4-point hull in
+# R^3, and one cold delta*_2 solve of |S| = 6, f = 2, d = 3. The
+# allocation ceilings themselves are tier-1 tests
+# (TestDist2UncachedAllocationCeiling, TestDeltaStar2AllocationCeiling).
+bench-kernel:
+	$(GO) test -run '^$$' -bench 'Dist2Uncached|DeltaStar2$$' -benchmem ./internal/geom ./internal/minimax
 
 # Regenerate every experiment table (E1-E21); fails if any claim breaks.
 experiments:

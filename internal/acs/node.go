@@ -2,11 +2,9 @@ package acs
 
 import (
 	"fmt"
-	"math"
 
 	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/minimax"
-	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/vec"
 )
@@ -369,21 +367,13 @@ func (n *Node) decodeValue(b []byte) vec.V {
 }
 
 // decideEpoch reduces the agreed subset multiset to the epoch's decided
-// vector with the paper's delta*_p kernel — the same dispatch as the
-// public ComputeDeltaStar, so the oracle can recompute it bit-for-bit.
+// vector with the paper's delta*_p kernel — minimax.DeltaStarP, the
+// dispatch behind the public ComputeDeltaStar, so the oracle can
+// recompute it bit-for-bit. p = 0 means 2.
 func decideEpoch(values []vec.V, f int, p float64) (vec.V, float64) {
-	s := vec.NewSet(values...)
 	if p == 0 {
 		p = 2
 	}
-	switch {
-	case p == 2:
-		r := minimax.DeltaStar2(s, f)
-		return r.Point, r.Delta
-	case p == 1 || math.IsInf(p, 1):
-		delta, pt := relax.DeltaStarPoly(s, f, p)
-		return pt, delta
-	}
-	r := minimax.DeltaStarP(s, f, p)
+	r := minimax.DeltaStarP(vec.NewSet(values...), f, p)
 	return r.Point, r.Delta
 }

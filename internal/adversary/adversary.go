@@ -6,6 +6,8 @@
 package adversary
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 
 	"relaxedbvc/internal/broadcast"
@@ -56,15 +58,18 @@ func PerRecipient(vectors map[int]vec.V) broadcast.EIGBehavior {
 }
 
 // RandomLiar sends independent random vectors (seeded, deterministic per
-// run) of the given dimension and scale.
+// run) of the given dimension and scale. Each value is written straight
+// into the EncodeVec layout (dimension u32, then the coordinates' IEEE754
+// bits, big-endian): one allocation per relay.
 func RandomLiar(seed int64, d int, scale float64) broadcast.EIGBehavior {
 	rng := rand.New(rand.NewSource(seed))
 	return broadcast.EIGBehaviorFunc(func(int, []int, int, []byte) []byte {
-		v := vec.New(d)
-		for i := range v {
-			v[i] = rng.NormFloat64() * scale
+		out := make([]byte, 4+8*d)
+		binary.BigEndian.PutUint32(out, uint32(d))
+		for i := 0; i < d; i++ {
+			binary.BigEndian.PutUint64(out[4+8*i:], math.Float64bits(rng.NormFloat64()*scale))
 		}
-		return broadcast.EncodeVec(v)
+		return out
 	})
 }
 

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"relaxedbvc/internal/broadcast"
@@ -57,6 +58,25 @@ func TestRandomLiarDeterministic(t *testing.T) {
 	va, _ := broadcast.DecodeVec(a)
 	if va.Dim() != 3 {
 		t.Errorf("dim = %d", va.Dim())
+	}
+}
+
+// RandomLiar writes the wire layout itself: 10^4 relays must be the
+// bytes EncodeVec gives the same draws, in one allocation each.
+func TestRandomLiarMatchesEncodeVec(t *testing.T) {
+	const d, scale = 3, 10
+	liar, rng := RandomLiar(21, d, scale), rand.New(rand.NewSource(21))
+	for k := 0; k < 10_000; k++ {
+		v := vec.New(d)
+		for i := range v {
+			v[i] = rng.NormFloat64() * scale
+		}
+		if got, want := liar.RelayValue(0, nil, 0, nil), broadcast.EncodeVec(v); !bytes.Equal(got, want) {
+			t.Fatalf("relay %d: %x, EncodeVec gives %x", k, got, want)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { liar.RelayValue(0, nil, 0, nil) }); got > 1 {
+		t.Fatalf("%.0f allocations per relay, want 1", got)
 	}
 }
 

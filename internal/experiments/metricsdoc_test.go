@@ -28,6 +28,10 @@ func goldenDoc() *MetricsDoc {
 	reg.Counter("lp_phase1_runs_total").Add(1)
 	reg.Counter("lp_pivots_total").Add(132)
 	reg.Counter("lp_phase1_pivots_total").Add(104)
+	// The delta*_2 probe screen: 44 of 96 set evaluations skipped, one
+	// probe swept again because F(x) came out below a skipped reach.
+	reg.Counter("minimax_probe_screened_total").Add(44)
+	reg.Counter("minimax_probe_rescans_total").Add(1)
 	reg.Gauge("batch_queue_depth").Set(0)
 	h := reg.Histogram("batch_trial_seconds", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)

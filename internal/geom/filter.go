@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"relaxedbvc/internal/linalg"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/vec"
 )
@@ -57,17 +58,20 @@ var (
 	sepFallbacks    = metrics.DefaultCounter("geom_filter_separation_fallbacks_total")
 )
 
-// FilterScratch holds the reusable buffers of one screen evaluation:
-// the flattened working point set, the Wolfe corral state and the KKT
-// system of the corral projection. A scratch must not be shared between
-// concurrent goroutines.
+// FilterScratch holds the reusable buffers of one Wolfe solve, a screen's
+// or Dist2's: the flattened working point set, the corral state and the
+// KKT system of the corral projection. A scratch must not be shared
+// between concurrent goroutines.
 type FilterScratch struct {
 	pts    []float64 // flattened n x d working points
 	x      []float64 // current min-norm iterate
 	lam    []float64 // corral weights
 	alpha  []float64 // affine minimizer candidate
 	corral []int
-	gram   []float64 // (k+1) x (k+2) augmented KKT system
+	gram   []float64 // KKT system: (k+1) x (k+2) augmented, or Dist2's (k+1) x (k+1)
+	rhs    []float64 // Dist2's KKT right-hand side
+	kkt    linalg.Matrix
+	lu     linalg.LU
 }
 
 var filterScratchPool = sync.Pool{New: func() any { return new(FilterScratch) }}

@@ -9,6 +9,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -175,23 +176,43 @@ func (m *Matrix) ApproxEqual(b *Matrix, tol float64) bool {
 	return true
 }
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
+// LU holds an LU factorization with partial pivoting: P*A = L*U. Its
+// zero value is an empty factorization for FactorInto to fill.
 type LU struct {
-	lu    *Matrix
+	lu    Matrix
 	piv   []int
 	signP float64 // determinant sign of P
 	n     int
 }
 
+var errSingular = errors.New("linalg: matrix is singular")
+
 // Factor computes the LU factorization of square A. It never fails; a
 // singular matrix is detected later by Solve/Inverse/Det.
 func Factor(a *Matrix) *LU {
+	f := new(LU)
+	f.FactorInto(a)
+	return f
+}
+
+// FactorInto overwrites f with the LU factorization of square A, reusing
+// f's storage once it is large enough; A is not modified. Factor is
+// FactorInto on a fresh LU, so both produce the same bits.
+func (f *LU) FactorInto(a *Matrix) {
 	if a.Rows != a.Cols {
 		panic("linalg: Factor requires a square matrix")
 	}
 	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	if cap(f.lu.Data) < n*n {
+		f.lu.Data = make([]float64, n*n)
+	}
+	f.lu = Matrix{Rows: n, Cols: n, Data: f.lu.Data[:n*n]}
+	copy(f.lu.Data, a.Data)
+	if cap(f.piv) < n {
+		f.piv = make([]int, n)
+	}
+	f.piv = f.piv[:n]
+	lu, piv := &f.lu, f.piv
 	for i := range piv {
 		piv[i] = i
 	}
@@ -226,7 +247,7 @@ func Factor(a *Matrix) *LU {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, signP: sign, n: n}
+	f.signP, f.n = sign, n
 }
 
 // Singular reports whether the factored matrix is (numerically) singular
@@ -261,14 +282,23 @@ func (f *LU) Det() float64 {
 // Solve solves A x = b for the factored A. Returns an error if A is
 // numerically singular.
 func (f *LU) Solve(b vec.V) (vec.V, error) {
-	if b.Dim() != f.n {
+	x := make(vec.V, f.n)
+	if err := f.SolveInto(x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveInto is Solve writing the solution into x (length n, not aliasing
+// b); x is untouched when A is numerically singular.
+func (f *LU) SolveInto(x, b vec.V) error {
+	if b.Dim() != f.n || x.Dim() != f.n {
 		panic("linalg: Solve dimension mismatch")
 	}
 	if f.Singular(1e-13) {
-		return nil, fmt.Errorf("linalg: matrix is singular")
+		return errSingular
 	}
 	n := f.n
-	x := make(vec.V, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -288,7 +318,7 @@ func (f *LU) Solve(b vec.V) (vec.V, error) {
 		}
 		x[i] = s / f.lu.At(i, i)
 	}
-	return x, nil
+	return nil
 }
 
 // Solve solves A x = b directly.
@@ -301,7 +331,7 @@ func Det(a *Matrix) float64 { return Factor(a).Det() }
 func Inverse(a *Matrix) (*Matrix, error) {
 	f := Factor(a)
 	if f.Singular(1e-13) {
-		return nil, fmt.Errorf("linalg: matrix is singular")
+		return nil, errSingular
 	}
 	n := a.Rows
 	inv := NewMatrix(n, n)

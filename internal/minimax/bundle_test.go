@@ -232,3 +232,46 @@ func TestBundleMetrics(t *testing.T) {
 		t.Fatal("minimax_bundle_not_converged_total did not count the open bracket")
 	}
 }
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// share of Puts at random: pooled scratch then allocates by design.
+var raceEnabled bool
+
+// deltaStar2Allocs is the measured mean allocation count of a cold delta*_2
+// solve at the acs_kernel shape (|S| = 6, f = 2, d = 3; 5.8 probes): the
+// returned nearest point and the cut of each evaluated set, and the
+// master LP. Wolfe's KKT matrices, LUs and solutions took 3 126.
+const deltaStar2Allocs = 330
+
+func TestDeltaStar2AllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops scratch at random")
+	}
+	fams := make([][]*vec.Set, 50)
+	for k := range fams {
+		fams[k] = relax.DroppedSubsets(randInstance(int64(900+k), 6, 3), 2)
+	}
+	k := 0
+	got := testing.AllocsPerRun(200, func() {
+		MinMaxDist2(fams[k%len(fams)])
+		k++
+	})
+	t.Logf("%.0f allocations per solve (pinned %d)", got, deltaStar2Allocs)
+	if got > 1.5*deltaStar2Allocs {
+		t.Fatalf("%.0f allocations per solve, ceiling %.0f", got, 1.5*deltaStar2Allocs)
+	}
+}
+
+// BenchmarkDeltaStar2 is one cold delta*_2 solve at the acs_kernel shape
+// (|S| = 6, f = 2, d = 3) over 50 seeded inputs (make bench-kernel).
+func BenchmarkDeltaStar2(b *testing.B) {
+	sets := make([]*vec.Set, 50)
+	for k := range sets {
+		sets[k] = randInstance(int64(900+k), 6, 3)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ResetCache()
+		DeltaStar2(sets[i%len(sets)], 2)
+	}
+}

@@ -24,19 +24,24 @@ func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
 
 // DeltaStarP computes delta*_p(S) — the smallest delta for which
 // Gamma_(delta,p)(S) is non-empty — for a general Lp norm (p >= 1,
-// math.Inf(1) allowed). This is the Section 9.3 quantity. p = 2 uses the
-// specialized DeltaStar2 (closed forms + L2 minimax); other p run the
-// generic minimax solver over the Frank-Wolfe Lp hull distances, which
-// yields an upper bound on the true delta*_p accurate to roughly 1e-4
-// relative at unit scale.
+// math.Inf(1) allowed). This is the Section 9.3 quantity and the one
+// dispatch of the delta* kernels: p = 2 uses DeltaStar2 (closed forms +
+// L2 minimax); p = 1 and p = +Inf are exact LPs (relax.DeltaStarPoly,
+// returned as Exact with Lower = Delta); other p run the generic minimax
+// solver over the Frank-Wolfe Lp hull distances, which yields an upper
+// bound on the true delta*_p accurate to roughly 1e-4 relative at unit
+// scale.
 func DeltaStarP(s *vec.Set, f int, p float64) Result {
 	if f < 1 || f >= s.Len() {
 		panic("minimax: DeltaStarP requires 1 <= f < |S|")
 	}
-	if p == 2 {
+	switch {
+	case p == 2:
 		return DeltaStar2(s, f)
-	}
-	if p < 1 {
+	case p == 1 || math.IsInf(p, 1):
+		delta, pt := relax.DeltaStarPoly(s, f, p)
+		return Result{Delta: delta, Lower: delta, Point: pt, Exact: true, Converged: true}
+	case p < 1:
 		panic("minimax: DeltaStarP requires p >= 1")
 	}
 	fam := relax.DroppedSubsets(s, f)

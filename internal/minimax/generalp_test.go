@@ -18,21 +18,20 @@ func TestDeltaStarPDispatchesToL2(t *testing.T) {
 }
 
 func TestDeltaStarPMatchesExactLPNorms(t *testing.T) {
-	// For p = 1 and p = inf we have exact LP values; the generic solver
-	// must agree to solver tolerance (and never undercut them: it is an
-	// upper bound on the true minimum).
+	// p = 1 and p = inf are the exact LP values, certified: the dispatch
+	// returns relax.DeltaStarPoly's delta and point with Lower = Delta.
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 4; trial++ {
 		d := 2 + rng.Intn(2)
 		s := randSimplexSet(rng, d)
 		for _, p := range []float64{1, math.Inf(1)} {
-			exact, _ := relax.DeltaStarPoly(s, 1, p)
-			got := DeltaStarP(s, 1, p).Delta
-			if got < exact-1e-6 {
-				t.Fatalf("p=%v: iterative %v below exact %v", p, got, exact)
+			exact, pt := relax.DeltaStarPoly(s, 1, p)
+			got := DeltaStarP(s, 1, p)
+			if math.Float64bits(got.Delta) != math.Float64bits(exact) || !got.Point.Equal(pt) {
+				t.Fatalf("p=%v: DeltaStarP (%v, %v), exact LP (%v, %v)", p, got.Delta, got.Point, exact, pt)
 			}
-			if math.Abs(got-exact) > 2e-2*(1+exact) {
-				t.Fatalf("p=%v: iterative %v vs exact %v", p, got, exact)
+			if !got.Exact || !got.Converged || got.Lower != got.Delta {
+				t.Fatalf("p=%v: exact LP value not certified: %+v", p, got)
 			}
 		}
 	}

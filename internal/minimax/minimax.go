@@ -75,6 +75,8 @@ const (
 var (
 	bundleIterations   = metrics.DefaultHistogram("minimax_bundle_iterations", metrics.CountBuckets())
 	bundleNotConverged = metrics.DefaultCounter("minimax_bundle_not_converged_total")
+	probeScreened      = metrics.DefaultCounter("minimax_probe_screened_total")
+	probeRescans       = metrics.DefaultCounter("minimax_probe_rescans_total")
 )
 
 // cut is a supporting hyperplane of one family member's distance
@@ -99,6 +101,7 @@ type bundle struct {
 	width        vec.V   // its half-widths: |q_j| <= width_j/half
 	tol          float64 // absolute gap tolerance
 	cuts         []cut
+	near         []vec.V // each set's nearest point at its last evaluation; nil: no screen
 	master       *lp.Problem
 	best         vec.V
 	upper, lower float64
@@ -106,13 +109,14 @@ type bundle struct {
 }
 
 // MinMaxDist2 minimizes F(x) = max_i dist_2(x, H(sets_i)) over x in R^d
-// by a multi-cut cutting-plane (Kelley) loop. Each iterate x costs one
-// Wolfe evaluation per set and yields F(x) (an upper bound, and the
-// incumbent if it improves) plus a globally valid cut for every set at or
-// above the current lower bound. The master LP, min t over the cuts
+// by a multi-cut cutting-plane (Kelley) loop. Each iterate x costs at
+// most one Wolfe evaluation per set and yields F(x) (an upper bound, and
+// the incumbent if it improves) plus a globally valid cut for every set
+// at or above the current lower bound. The master LP, min t over the cuts
 // inside the box, supplies the next iterate and the lower bound. The loop
 // stops at a certified gap; if the LP reports no optimum or the iteration
-// cap is hit, the incumbent is returned with Converged = false.
+// cap is hit, the incumbent is returned with Converged = false, exactly
+// as a loop that evaluates every set at every iterate returns it.
 //
 // seedPoints are evaluated first, in order (default: the box centre). The
 // incumbent only moves to a strictly better point, so a seed already
@@ -129,15 +133,12 @@ func MinMaxDist2(sets []*vec.Set, seedPoints ...vec.V) Result {
 	if len(seedPoints) == 0 {
 		seedPoints = []vec.V{b.center}
 	}
-	for _, x := range seedPoints {
-		b.probe(x.Clone())
-	}
-	for !b.converged() && b.probes < maxBundleIters {
-		x, ok := b.solveMaster()
-		if !ok || b.converged() {
-			break
-		}
-		b.probe(x)
+	if !b.solve(seedPoints) {
+		// Wolfe stopped short of its certificate, the screen's premise:
+		// solve again evaluating every set.
+		b = newBundle(sets)
+		b.near = nil
+		b.solve(seedPoints)
 	}
 	bundleIterations.Observe(float64(b.probes))
 	if !b.converged() {
@@ -161,7 +162,7 @@ func newBundle(sets []*vec.Set) *bundle {
 		}
 		spread = math.Min(spread, s.MaxEdge(2))
 	}
-	b := &bundle{sets: sets, lo: lo, hi: hi, center: vec.Lerp(lo, hi, 0.5), upper: math.Inf(1), master: lp.NewProblem(0)}
+	b := &bundle{sets: sets, lo: lo, hi: hi, center: vec.Lerp(lo, hi, 0.5), upper: math.Inf(1), near: make([]vec.V, len(sets)), master: lp.NewProblem(0)}
 	b.width = hi.Sub(b.center)
 	b.half = b.width.NormP(math.Inf(1))
 	if spread == 0 { // singletons, or a member of identical points
@@ -173,14 +174,72 @@ func newBundle(sets []*vec.Set) *bundle {
 
 func (b *bundle) converged() bool { return b.upper-b.lower <= b.tol }
 
+// solve probes the seeds, then the master's minimisers until the gap
+// closes, the master fails or the iteration cap is hit. A probe that
+// returns false abandons it.
+func (b *bundle) solve(seedPoints []vec.V) bool {
+	for _, x := range seedPoints {
+		if !b.probe(x.Clone()) {
+			return false
+		}
+	}
+	for !b.converged() && b.probes < maxBundleIters {
+		x, ok := b.solveMaster()
+		if !ok || b.converged() {
+			break
+		}
+		if !b.probe(x) {
+			return false
+		}
+	}
+	return true
+}
+
 // probe evaluates the family at x: F(x) may improve the incumbent, and
 // every set at or above the lower bound contributes its cut (one below
-// it cannot be active at the optimum).
-func (b *bundle) probe(x vec.V) {
+// it cannot be active at the optimum). Sets certified below the lower
+// bound are skipped, and the probe is redone without skipping if F(x)
+// comes out below such a certificate, so F(x) and the cuts are those of
+// evaluating every set (DESIGN.md §10.6). It returns false when Wolfe
+// stops short of its own certificate, which the screen rests on.
+func (b *bundle) probe(x vec.V) bool {
 	b.probes++
-	f := 0.0
-	for _, s := range b.sets {
-		d, near := geom.Dist2Uncached(x, s)
+	from := len(b.cuts)
+	f, maxReach, skipped, ok := b.sweep(x, b.near != nil && b.lower > 0)
+	if ok && f < maxReach {
+		probeRescans.Inc()
+		b.cuts = b.cuts[:from]
+		f, _, _, ok = b.sweep(x, false)
+	} else if ok {
+		probeScreened.Add(int64(skipped))
+	}
+	if ok && f < b.upper {
+		b.best, b.upper = x, f
+	}
+	return ok
+}
+
+// sweep appends the cuts of the family at x in set order and returns F
+// over the sets it evaluated. With screen, it skips every set whose
+// reach is under the lower bound, and also returns the largest skipped
+// reach and the number of sets skipped. In a screened solve (b.near set)
+// a Wolfe stop short of its certificate ends the sweep with ok false.
+func (b *bundle) sweep(x vec.V, screen bool) (f, maxReach float64, skipped int, ok bool) {
+	for i, s := range b.sets {
+		if screen && b.near[i] != nil {
+			if r := reach(x, b.near[i], s); r < b.lower {
+				maxReach = math.Max(maxReach, r)
+				skipped++
+				continue
+			}
+		}
+		d, near, certified := geom.Dist2Certified(x, s)
+		if b.near != nil {
+			if !certified {
+				return f, maxReach, skipped, false
+			}
+			b.near[i] = near
+		}
 		f = math.Max(f, d)
 		if d <= 0 || d < b.lower {
 			continue
@@ -192,9 +251,33 @@ func (b *bundle) probe(x vec.V) {
 		}
 		b.cuts = append(b.cuts, cut{u: u, support: (support - u.Dot(b.center)) / b.half, probe: b.probes})
 	}
-	if f < b.upper {
-		b.best, b.upper = x, f
+	return f, maxReach, skipped, true
+}
+
+// reach bounds from above the distance geom.Dist2 reports from x to
+// conv(s), given near, a point of the hull from an earlier probe. The
+// true distance is at most u = |x - near|; Wolfe's method stops once no
+// vertex improves by more than eps = (1e-9 + 1e-12) s^2, s = max(1,
+// max_j |p_j - x|), and such a point is no farther than
+// (u + sqrt(u^2 + 4 eps))/2. The pads cover rounding: 1e-12 s on u for
+// the translations and near's own arithmetic (s here also >= |near|_inf),
+// 9e-12 s^2 on eps for Wolfe's stopping test, 1e-15 relative for this
+// formula.
+func reach(x, near vec.V, s *vec.Set) float64 {
+	s2 := 1.0
+	for _, p := range s.Points() {
+		d2 := 0.0
+		for j, v := range p {
+			d2 += (v - x[j]) * (v - x[j])
+		}
+		s2 = math.Max(s2, d2)
 	}
+	for _, v := range near {
+		s2 = math.Max(s2, v*v)
+	}
+	u := x.Dist2(near) + 1e-12*math.Sqrt(s2)
+	eps := (1e-9 + 1e-11) * s2
+	return (u + math.Sqrt(u*u+4*eps)) / 2 * (1 + 1e-15)
 }
 
 // solveMaster solves the master LP, min tau s.t. tau >= u_i.q - support_i

@@ -446,7 +446,7 @@ func fillTransportMetrics(m *RunMetrics, st transport.Stats) {
 // Gamma_(delta,p)(S) is non-empty — with an attaining point. p = 1 and
 // p = LInf are exact LPs; p = 2 uses the Lemma 13 closed form or the L2
 // minimax solver; any other p > 1 uses the generic iterative Lp minimax
-// solver and returns a tight upper bound.
+// solver and returns a tight upper bound (minimax.DeltaStarP dispatches).
 func ComputeDeltaStar(s *PointSet, f int, p float64) (float64, Vector, error) {
 	if s == nil || s.Len() == 0 {
 		return 0, nil, fmt.Errorf("%w: empty point set", ErrBadInputs)
@@ -454,18 +454,11 @@ func ComputeDeltaStar(s *PointSet, f int, p float64) (float64, Vector, error) {
 	if f < 1 || f >= s.Len() {
 		return 0, nil, fmt.Errorf("%w: need 1 <= f < |S|, got f=%d with |S|=%d", ErrTooManyFaults, f, s.Len())
 	}
-	switch {
-	case p == 2:
-		r := minimax.DeltaStar2(s, f)
-		return r.Delta, r.Point, nil
-	case p == 1 || p == LInf:
-		delta, pt := relax.DeltaStarPoly(s, f, p)
-		return delta, pt, nil
-	case p > 1:
-		r := minimax.DeltaStarP(s, f, p)
-		return r.Delta, r.Point, nil
+	if !(p >= 1) {
+		return 0, nil, fmt.Errorf("%w: p=%v (need p >= 1)", ErrBadNorm, p)
 	}
-	return 0, nil, fmt.Errorf("%w: p=%v (need p >= 1)", ErrBadNorm, p)
+	r := minimax.DeltaStarP(s, f, p)
+	return r.Delta, r.Point, nil
 }
 
 // CacheCounters reports one kernel cache's hit/miss statistics.
