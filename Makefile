@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs bench-lp bench-kernel experiments fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs bench-lp bench-kernel experiments experiments-quick fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
 
 all: vet lint test
 
@@ -76,18 +76,20 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/bvcbench -quick -trials 3
 
-# Randomized invariant hammering across all protocol modes.
+# Randomized invariant hammering across all protocols: fault-free,
+# then within-model faults (where a typed degradation fails the seed).
 fuzz:
-	$(GO) run ./cmd/bvcfuzz -runs 200
+	$(GO) run ./cmd/bvcsoak -budget 2000 -shards 4 -regime none
+	$(GO) run ./cmd/bvcsoak -budget 2000 -shards 4 -regime within-model
 
 # Deterministic fleet soak: 50k seeds across 4 worker subprocesses
 # under the mixed fault regime, coverage-guided mutation, discoveries
-# written into corpus/. Interrupt with ctrl-C and rerun to resume from
-# the manifest; the gate fails on any unshrunk failure.
+# written into corpus/. Interrupt with ctrl-C and rerun with -resume to
+# continue from the manifest; bvcsoak exits 1 on a failed seed or an
+# unshrunk failure.
 soak:
 	$(GO) run ./cmd/bvcsoak -budget 50000 -shards 4 -regime mixed \
 		-corpus corpus -manifest soak.manifest -summary soak-summary.json
-	$(GO) run ./scripts -soak -soak-summary soak-summary.json
 
 # Replay the committed corpus: every shrunk reproducer and interesting
 # seed must still produce its recorded outcome and signature.
@@ -100,7 +102,6 @@ soak-acs:
 	$(GO) run ./cmd/bvcsoak -budget 10000 -shards 4 -regime mixed \
 		-protocols acs -corpus corpus -manifest soak-acs.manifest \
 		-summary soak-acs-summary.json
-	$(GO) run ./scripts -soak -soak-summary soak-acs-summary.json
 
 vet:
 	$(GO) vet ./...
@@ -117,8 +118,8 @@ lint:
 	$(GO) run ./cmd/bvclint ./...
 
 # Strict scope: the concurrency/protocol analyzers additionally cover
-# the binaries (cmd/bvcnode, bvcsoak, bvcbench, bvcfuzz, bvcsim) and
-# scripts/, not just the protocol packages.
+# the binaries (cmd/bvcnode, bvcsoak, bvcbench, bvcsim), not just the
+# protocol packages.
 lint-strict:
 	$(GO) run ./cmd/bvclint -strict ./...
 

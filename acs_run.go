@@ -4,7 +4,7 @@ package relaxedbvc
 // machine (internal/acs), so transport.RunLockstep drives the identical
 // machine on every backend — the decision stream is bit-for-bit the
 // same on all three, and ACSFingerprint is the parity predicate the
-// selfchecks compare.
+// cross-transport tests compare.
 
 import (
 	"context"
@@ -43,7 +43,7 @@ type ACSEpoch struct {
 
 // ACSFingerprint digests a process's decision stream into a stable hex
 // string; equal fingerprints mean bit-identical streams. Use it to
-// compare runs across transports (the bvcnode -stream selfcheck does).
+// compare runs across transports (bvcnode's -stream records carry it).
 func ACSFingerprint(decisions []ACSEpoch) string {
 	conv := make([]acs.EpochDecision, len(decisions))
 	for i, d := range decisions {

@@ -72,7 +72,7 @@ func BenchmarkDeltaStarClosedForm(b *testing.B) {
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		minimax.ResetCache()
+		minimax.Cache.Reset()
 		minimax.DeltaStar2(s, 1)
 	}
 }
@@ -82,7 +82,7 @@ func BenchmarkDeltaStarIterative(b *testing.B) {
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		minimax.ResetCache()
+		minimax.Cache.Reset()
 		minimax.DeltaStar2Iterative(s, 1)
 	}
 }

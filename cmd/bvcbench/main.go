@@ -12,8 +12,6 @@
 //	bvcbench -parallel           # fan experiments across the batch engine
 //	bvcbench -metrics-out m.json # per-experiment metrics deltas + totals
 //	bvcbench -pprof :6060        # expose pprof/expvar while running
-//	bvcbench -fault-fuzz         # seed-sweeping fault/schedule fuzzer
-//	bvcbench -fault-fuzz -fault-regime out -fault-seeds 128
 //
 // Exit codes: 0 all pass, 1 a failed experiment or run-time error,
 // 2 usage error.
@@ -29,7 +27,6 @@ import (
 
 	bvc "relaxedbvc"
 	"relaxedbvc/internal/experiments"
-	"relaxedbvc/internal/simtest"
 )
 
 func main() {
@@ -47,12 +44,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		csv       = fs.Bool("csv", false, "also print each table as CSV")
 		list      = fs.Bool("list", false, "list experiment ids and exit")
 		parallel  = fs.Bool("parallel", false, "run experiments concurrently on the batch engine")
-		workers   = fs.Int("workers", 0, "worker pool size for -parallel and -fault-fuzz (0 = GOMAXPROCS)")
+		workers   = fs.Int("workers", 0, "worker pool size for -parallel (0 = GOMAXPROCS)")
 		metOut    = fs.String("metrics-out", "", "write per-experiment metrics deltas and registry totals to this JSON file (runs experiments sequentially for exact attribution)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof and an expvar metrics snapshot on this address (e.g. :6060) while running")
-		ffuzz     = fs.Bool("fault-fuzz", false, "run the invariant-checking fault/schedule fuzzer (internal/simtest) and exit")
-		fseeds    = fs.Int("fault-seeds", 64, "seed count for -fault-fuzz (seeds run -seed..-seed+N-1)")
-		fregime   = fs.String("fault-regime", "within", "fault pattern class for -fault-fuzz: none, within, out or mixed")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -71,46 +65,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		for _, e := range experiments.Registry() {
 			fmt.Fprintln(stdout, e.ID)
 		}
-		return 0
-	}
-
-	if *ffuzz {
-		var regime simtest.Regime
-		switch *fregime {
-		case "none":
-			regime = simtest.RegimeNone
-		case "within":
-			regime = simtest.RegimeWithinModel
-		case "out":
-			regime = simtest.RegimeOutOfModel
-		case "mixed":
-			regime = simtest.RegimeMixed
-		default:
-			fmt.Fprintf(stderr, "bvcbench: -fault-regime %q (want none, within, out or mixed)\n", *fregime)
-			return 2
-		}
-		// Inside the model every seed must pass; outside it, typed
-		// degradations are expected and only genuine failures (invariant
-		// violations, untyped errors) are fatal. The sweep itself always
-		// runs strict so the minimal failing seed is shrunk, replayed and
-		// reported either way.
-		strict := regime == simtest.RegimeNone || regime == simtest.RegimeWithinModel
-		sw := simtest.Sweep(context.Background(), simtest.FuzzConfig{
-			Seeds: *fseeds, BaseSeed: *seed, Regime: regime,
-			StrictModelErrors: true, Workers: *workers,
-		})
-		sw.Render(stdout)
-		genuine := 0
-		for _, r := range sw.Reports {
-			if r.Failed(false) {
-				genuine++
-			}
-		}
-		if genuine > 0 || (strict && sw.Failed > 0) {
-			fmt.Fprintf(stderr, "bvcbench: fault fuzz FAILED (%d genuine, %d strict)\n", genuine, sw.Failed)
-			return 1
-		}
-		fmt.Fprintln(stdout, "fault fuzz PASS")
 		return 0
 	}
 

@@ -10,7 +10,7 @@
 // entry that no longer suppresses anything is reported stale.
 //
 // Run it via `make lint` (or `make lint-strict`, which widens the
-// concurrency analyzers to the binaries and scripts) or directly:
+// concurrency analyzers to the binaries) or directly:
 //
 //	go run ./cmd/bvclint ./...
 //	go run ./cmd/bvclint -json ./...
@@ -49,7 +49,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		list           = fs.Bool("list", false, "list analyzers and exit")
 		only           = fs.String("only", "", "single analyzer name to run (default: all)")
 		jsonOut        = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		strict         = fs.Bool("strict", false, "widen analyzer scopes to cmd/ binaries and scripts/")
+		strict         = fs.Bool("strict", false, "widen analyzer scopes to the cmd/ binaries")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return exitError

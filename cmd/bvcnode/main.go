@@ -14,14 +14,8 @@
 //	bvcnode -id 0 -peers 127.0.0.1:9000,127.0.0.1:9001 -protocol exact -f 0 -input 1,2
 //	bvcnode -id 1 -peers 127.0.0.1:9000,127.0.0.1:9001 -protocol exact -f 0 -input 3,4
 //
-//	# in-process 4-node cluster smoke test (CI uses this)
-//	bvcnode -selfcheck
-//
 //	# streaming decisions: one ACS epoch per queued proposal
 //	bvcnode -id 0 -peers ... -stream -epochs 5 -input 1,2
-//
-//	# streaming parity smoke test: sim vs mesh vs TCP (CI uses this)
-//	bvcnode -stream -selfcheck
 package main
 
 import (
@@ -59,38 +53,13 @@ func main() {
 		interval  = flag.Duration("interval", 0, "pause between epochs (use with -epochs 0)")
 		front     = flag.String("front", "", "front-door HTTP address for proposals/decisions (off if empty)")
 		debugAddr = flag.String("debug", "", "metrics/pprof HTTP address (off if empty)")
-		selfcheck = flag.Bool("selfcheck", false, "run an in-process 4-node loopback cluster and exit")
 		stream    = flag.Bool("stream", false, "run the streaming ACS decision layer: -epochs proposals decide as one multi-epoch stream")
 	)
 	flag.Parse()
 
-	if *selfcheck {
-		check := runSelfcheck
-		if *stream {
-			check = runStreamSelfcheck
-		}
-		if err := check(); err != nil {
-			fatalf("selfcheck: %v", err)
-		}
-		fmt.Println("selfcheck ok")
-		return
-	}
-
-	spec, err := buildSpec(*protocol, *f, *d, *k, *p)
+	spec, err := buildSpec(*protocol, *f, *d, *k, *p, *stream)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *stream {
-		// Streaming mode pipelines epochs through ACS instead of running
-		// one-shot instances; the -protocol kernel flags still pick the
-		// per-epoch decision norm.
-		if *f < 1 {
-			fatalf("-stream needs -f >= 1 (ACS tolerates f Byzantine slots per epoch)")
-		}
-		spec.Protocol = bvc.ProtocolACS
-		if spec.NormP == 0 && *p != 0 {
-			spec.NormP = *p
-		}
 	}
 	peers, err := parsePeers(*peersFlag)
 	if err != nil {
@@ -359,7 +328,10 @@ func (s *nodeState) handleDecision(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildSpec maps the protocol flags onto a Spec (inputs filled later).
-func buildSpec(protocol string, f, d, k int, p float64) (bvc.Spec, error) {
+// Streaming mode pipelines epochs through ACS instead of running
+// one-shot instances; the -protocol kernel flags still pick the
+// per-epoch decision norm.
+func buildSpec(protocol string, f, d, k int, p float64, stream bool) (bvc.Spec, error) {
 	spec := bvc.Spec{F: f, D: d}
 	switch protocol {
 	case "algo":
@@ -380,6 +352,15 @@ func buildSpec(protocol string, f, d, k int, p float64) (bvc.Spec, error) {
 		spec.Protocol = bvc.ProtocolScalar
 	default:
 		return spec, fmt.Errorf("unknown -protocol %q (use algo, exact, k or scalar)", protocol)
+	}
+	if stream {
+		if f < 1 {
+			return spec, fmt.Errorf("-stream needs -f >= 1 (ACS tolerates f Byzantine slots per epoch)")
+		}
+		spec.Protocol = bvc.ProtocolACS
+		if spec.NormP == 0 && p != 0 {
+			spec.NormP = p
+		}
 	}
 	return spec, nil
 }
@@ -423,164 +404,6 @@ func parseInput(s string, d int) (bvc.Vector, error) {
 		v[i] = x
 	}
 	return bvc.NewVector(v...), nil
-}
-
-// runSelfcheck spins up an in-process 4-node loopback-TCP cluster
-// (n=4, f=1, one scripted equivocator) and verifies agreement and
-// (delta,2)-relaxed validity of the decisions — the same path CI's
-// multi-node smoke test exercises.
-func runSelfcheck() error {
-	const n, f, d = 4, 1, 2
-	spec := bvc.Spec{
-		Protocol: bvc.ProtocolDeltaRelaxed, N: n, F: f, D: d,
-		Inputs: []bvc.Vector{
-			bvc.NewVector(0, 0), bvc.NewVector(4, 0), bvc.NewVector(0, 4), bvc.NewVector(3, 3),
-		},
-		Byzantine: map[int]bvc.ByzantineBehavior{
-			3: bvc.Equivocator(bvc.NewVector(50, 50), bvc.NewVector(-50, -50)),
-		},
-	}
-	listeners := make([]net.Listener, n)
-	peers := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("listen %d: %w", i, err)
-		}
-		listeners[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	results := make([]*bvc.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = bvc.Run(ctx, spec, bvc.WithTransport(bvc.Transport{
-				Kind: bvc.TransportTCP, Self: i, Peers: peers, Listener: listeners[i],
-			}))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("node %d: %w", i, err)
-		}
-	}
-	outputs := make([]bvc.Vector, n)
-	for i, res := range results {
-		outputs[i] = res.Outputs[i]
-	}
-	honest := []int{0, 1, 2}
-	if spread := bvc.AgreementError(outputs, honest); spread != 0 {
-		return fmt.Errorf("honest outputs disagree (spread %g): %v", spread, outputs)
-	}
-	nonFaulty := bvc.NewPointSet(spec.Inputs[0], spec.Inputs[1], spec.Inputs[2])
-	for _, i := range honest {
-		if !bvc.CheckDeltaValidity(outputs[i], nonFaulty, results[i].Delta[i], 2, 1e-9) {
-			return fmt.Errorf("node %d output %v violates (delta,2)-validity (delta=%g)", i, outputs[i], results[i].Delta[i])
-		}
-	}
-	fmt.Printf("4-node TCP cluster agreed on %v (delta=%g, rounds=%d)\n",
-		outputs[0], results[0].Delta[0], results[0].Rounds)
-	return nil
-}
-
-// runStreamSelfcheck is the streaming acceptance smoke test: a 4-node
-// multi-epoch ACS instance with one scripted equivocator must decide
-// the identical slot sequence — fingerprint-equal, byte for byte — on
-// the deterministic simulation (clean AND under within-model link
-// faults), the in-process mesh, and a real loopback-TCP cluster.
-func runStreamSelfcheck() error {
-	const n, f, d = 4, 1, 2
-	spec := bvc.Spec{
-		Protocol: bvc.ProtocolACS, N: n, F: f, D: d,
-		Proposals: [][]bvc.Vector{
-			{bvc.NewVector(0, 0), bvc.NewVector(4, 0), bvc.NewVector(0, 4), bvc.NewVector(3, 3)},
-			{bvc.NewVector(1, 1), bvc.NewVector(5, 1), bvc.NewVector(1, 5), bvc.NewVector(-2, 2)},
-			{bvc.NewVector(2, -1), bvc.NewVector(0, 3), bvc.NewVector(-3, 0), bvc.NewVector(6, 6)},
-		},
-		ACSByzantine: map[int]bvc.ACSBehavior{3: bvc.ACSEquivocate},
-	}
-	honest := []int{0, 1, 2}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	sim, err := bvc.Run(ctx, spec)
-	if err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	want := bvc.ACSFingerprint(sim.ACS[0])
-	for _, i := range honest {
-		if got := bvc.ACSFingerprint(sim.ACS[i]); got != want {
-			return fmt.Errorf("sim node %d stream fingerprint diverged", i)
-		}
-	}
-
-	// Within-model link faults (duplication) must not move the stream.
-	faulty := spec
-	faulty.Faults = &bvc.LinkFaults{Seed: 7, LinkProfile: bvc.LinkProfile{DupProb: 0.5}}
-	fres, err := bvc.Run(ctx, faulty)
-	if err != nil {
-		return fmt.Errorf("sim with link faults: %w", err)
-	}
-	for _, i := range honest {
-		if got := bvc.ACSFingerprint(fres.ACS[i]); got != want {
-			return fmt.Errorf("node %d stream moved under within-model duplication", i)
-		}
-	}
-
-	mesh, err := bvc.Run(ctx, spec, bvc.WithTransport(bvc.Transport{Kind: bvc.TransportMesh}))
-	if err != nil {
-		return fmt.Errorf("mesh: %w", err)
-	}
-	for _, i := range honest {
-		if got := bvc.ACSFingerprint(mesh.ACS[i]); got != want {
-			return fmt.Errorf("mesh node %d stream diverged from sim", i)
-		}
-	}
-
-	listeners := make([]net.Listener, n)
-	peers := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("listen %d: %w", i, err)
-		}
-		listeners[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-	results := make([]*bvc.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = bvc.Run(ctx, spec, bvc.WithTransport(bvc.Transport{
-				Kind: bvc.TransportTCP, Self: i, Peers: peers, Listener: listeners[i],
-			}))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("tcp node %d: %w", i, err)
-		}
-	}
-	for _, i := range honest {
-		if got := bvc.ACSFingerprint(results[i].ACS[i]); got != want {
-			return fmt.Errorf("tcp node %d stream diverged from sim", i)
-		}
-	}
-
-	last := sim.ACS[0][len(sim.ACS[0])-1]
-	fmt.Printf("4-node stream sealed %d epochs on sim+faults+mesh+tcp (fingerprint %s..., last subset %v)\n",
-		len(sim.ACS[0]), want[:12], last.Subset)
-	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -7,6 +7,12 @@
 // itself with -worker per shard and speaks length-prefixed JSON over
 // the workers' stdin/stdout.
 //
+// A soak exits 1 when any seed failed (an invariant violation, an
+// untyped error, a typed degradation under no or within-model faults,
+// or a mesh/sim divergence) or when a failing seed's reproducer did not
+// replay to its signature; shrunk degradations of a strict out-of-model
+// soak pass.
+//
 // Usage examples:
 //
 //	# 50k-seed soak across 4 worker processes, checkpointed and corpus-backed
@@ -47,8 +53,8 @@ func main() {
 		baseSeed  = flag.Int64("seed", 0, "base seed folded into every generated instance")
 		regime    = flag.String("regime", "mixed", "fault regime: none|within-model|out-of-model|mixed")
 		protocols = flag.String("protocols", "", "comma-separated protocol subset (empty = all)")
-		strict    = flag.Bool("strict", false, "count graceful out-of-model degradations as failures")
-		transport = flag.String("transport", "sim", "sim, or mesh to cross-check eligible seeds on the channel mesh")
+		strict    = flag.Bool("strict", false, "shrink and replay-confirm graceful out-of-model degradations like failures (they do not fail the soak)")
+		transport = flag.String("transport", "sim", "sim, or mesh to cross-check every passing seed the mesh accepts")
 		mutFrac   = flag.Float64("mut-frac", 0.25, "fraction of the seed budget spent on coverage-guided mutation")
 
 		corpusDir = flag.String("corpus", "", "corpus directory (replayed first, failing/novel seeds persisted)")
@@ -165,6 +171,10 @@ func runSoak(ctx context.Context, o soakOptions) int {
 			fmt.Fprintf(os.Stderr, "bvcsoak: write summary: %v\n", err)
 			return 1
 		}
+	}
+	if err := sum.Gate(); err != nil {
+		fmt.Fprintf(os.Stderr, "bvcsoak: FAIL: %v\n", err)
+		return 1
 	}
 	return 0
 }

@@ -11,7 +11,7 @@ import (
 // epoch indices, subset membership, the decided vectors and deltas, all
 // in canonical binary form. Two transports executed the same stream iff
 // their fingerprints match byte for byte — this is the parity predicate
-// of the bvcnode -stream selfcheck and the cross-transport tests.
+// of the cross-transport tests and of bvcnode's -stream records.
 func Fingerprint(decisions []EpochDecision) string {
 	h := sha256.New()
 	var b [8]byte

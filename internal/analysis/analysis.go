@@ -139,7 +139,7 @@ func CheckPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 type RunOptions struct {
 	// Scope decides which analyzers apply to which package; nil means
 	// InScope (the DefaultScope table). The -strict driver flag passes
-	// InScopeStrict to widen coverage to the binaries and scripts.
+	// InScopeStrict to widen coverage to the binaries.
 	Scope func(a *Analyzer, pkgPath string) bool
 	// StaleExceptionsPath, when non-empty, names the exceptions file
 	// the run's exceptions came from: every entry that exempts no

@@ -90,14 +90,14 @@ var DefaultScope = map[string][]string{
 
 // StrictExtraScope widens DefaultScope for `bvclint -strict` (the
 // `make lint-strict` target): the concurrency and protocol analyzers
-// also sweep the binaries and the CI guard scripts, which sit outside
-// DefaultScope because their violations cannot corrupt a transcript —
-// but can still deadlock a node.
+// also sweep the binaries, which sit outside DefaultScope because their
+// violations cannot corrupt a transcript — but can still deadlock a
+// node.
 var StrictExtraScope = map[string][]string{
-	QuorumGate.Name: {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcfuzz", "cmd/bvcsim", "scripts"},
-	LockSafe.Name:   {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcfuzz", "cmd/bvcsim", "scripts"},
-	CtxLeak.Name:    {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcfuzz", "cmd/bvcsim", "scripts"},
-	ChanLife.Name:   {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcfuzz", "cmd/bvcsim", "scripts"},
+	QuorumGate.Name: {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
+	LockSafe.Name:   {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
+	CtxLeak.Name:    {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
+	ChanLife.Name:   {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
 }
 
 // InScope reports whether analyzer a applies to the package path.

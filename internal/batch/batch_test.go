@@ -134,7 +134,7 @@ func TestPerTrialDeadline(t *testing.T) {
 // no race (run with -race), (b) bit-identical results, (c) the cache
 // actually absorbed the repeats.
 func TestConcurrentTrialsShareCache(t *testing.T) {
-	geom.ResetCache()
+	geom.Cache.Reset()
 	rng := rand.New(rand.NewSource(21))
 	sets := make([]*vec.Set, 8)
 	queries := make([]vec.V, 8)
@@ -164,7 +164,7 @@ func TestConcurrentTrialsShareCache(t *testing.T) {
 			t.Fatalf("trial %d: %v differs from trial %d: %v", i, r.Value, i%8, base.Value)
 		}
 	}
-	if st := geom.CacheStats(); st.Hits == 0 {
+	if st := geom.Cache.Stats(); st.Hits == 0 {
 		t.Fatalf("expected shared-cache hits, got %+v", st)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -257,38 +258,30 @@ func RunIterativeBVC(ctx context.Context, cfg *IterConfig) (*IterResult, error) 
 	if err := sched.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	procs := make([]sched.SyncProcess, cfg.N)
 	ips := make([]*iterProcess, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		ip := &iterProcess{cfg: cfg, self: i, value: cfg.Inputs[i].Clone(), byz: cfg.Byzantine[i]}
-		ips[i] = ip
-		procs[i] = ip
-	}
 	var honest []int
 	for i := 0; i < cfg.N; i++ {
+		ips[i] = &iterProcess{cfg: cfg, self: i, value: cfg.Inputs[i].Clone(), byz: cfg.Byzantine[i]}
 		if _, bad := cfg.Byzantine[i]; !bad {
 			honest = append(honest, i)
 		}
 	}
 	history := []float64{honestRange(ips, honest)}
-	// Wrap the processes so the honest range is sampled once per round.
+	// Wrap the processes so the honest range is sampled once per round:
+	// a global view only the simulation plane has.
 	recorder := &rangeRecorder{ips: ips, honest: honest}
-	for i := range procs {
-		procs[i] = &recordingProcess{inner: ips[i], rec: recorder}
-	}
-	eng := sched.NewSyncEngine(procs)
-	eng.Faults = cfg.Faults
-	eng.TraceFn = cfg.Trace
-	eng.StopFn = func() error { return sched.Canceled(ctx) }
-	if _, err := eng.Run(); err != nil {
+	run, err := transport.RunLockstep(ctx, transport.Plane{}, cfg.N, cfg.Faults, cfg.Trace, func(i int) (*recordingProcess, error) {
+		return &recordingProcess{inner: ips[i], rec: recorder}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	history = append(history, recorder.samples...)
 	res := &IterResult{
 		Outputs:      make([]vec.V, cfg.N),
 		RangeHistory: history,
-		Messages:     eng.Messages,
-		Faults:       eng.FaultStats,
+		Messages:     run.Messages,
+		Faults:       run.Faults,
 	}
 	for i, ip := range ips {
 		res.Outputs[i] = ip.value.Clone()

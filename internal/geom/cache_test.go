@@ -37,11 +37,11 @@ func TestCacheBitForBit(t *testing.T) {
 		}
 		p := ps[rng.Intn(len(ps))]
 
-		ResetCache() // a miss is the uncached computation
+		Cache.Reset() // a miss is the uncached computation
 		wantIn := InHull(q, s)
 		wantD, wantPt := DistP(q, s, p)
 
-		ResetCache()
+		Cache.Reset()
 		for pass := 0; pass < 2; pass++ { // cold then warm
 			if got := InHull(q, s); got != wantIn {
 				t.Fatalf("trial %d pass %d: InHull cached=%v uncached=%v", trial, pass, got, wantIn)
@@ -63,7 +63,7 @@ func TestCacheBitForBit(t *testing.T) {
 // TestCacheHitCounting checks that repeat queries hit and that the
 // returned point is a private copy the caller may mutate.
 func TestCacheHitCounting(t *testing.T) {
-	ResetCache()
+	Cache.Reset()
 	rng := rand.New(rand.NewSource(11))
 	s := randSet(rng, 5, 2)
 	q := vec.V{0.25, -0.75}
@@ -77,7 +77,7 @@ func TestCacheHitCounting(t *testing.T) {
 	if math.IsNaN(pt2[0]) {
 		t.Fatal("mutating a returned point corrupted the cached entry")
 	}
-	st := CacheStats()
+	st := Cache.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("expected a cache hit, got stats %+v", st)
 	}

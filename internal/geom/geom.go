@@ -14,15 +14,50 @@ import (
 	"sync"
 
 	"relaxedbvc/internal/lp"
+	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/vec"
 )
 
 // Eps is the default geometric tolerance used by membership predicates.
 const Eps = 1e-7
 
+// The hull predicates are pure functions of their inputs, and consensus
+// sweeps re-issue them with bit-identical arguments across trials,
+// rounds and processes. The memo table keys on the exact input bits, so
+// a hit returns exactly what the solver would recompute.
+var Cache = memo.Register("geom")
+
+// Cache op tags (key namespaces).
+const (
+	opInHull  = 'h'
+	opDist1   = '1'
+	opDist2   = '2'
+	opDistInf = 'i'
+	opDistFW  = 'p'
+)
+
+// distEntry is the cached value of a distance solve.
+type distEntry struct {
+	d  float64
+	pt vec.V
+}
+
+// cachedDist memoizes one distance solve under (op, extra, q, s). The
+// point is cloned: callers may mutate it, the cached copy must stay
+// pristine.
+func cachedDist(op byte, q vec.V, s *vec.Set, extra float64, compute func() (float64, vec.V)) (float64, vec.V) {
+	k := memo.GetKey(op).Float(extra).Floats(q).Set(s)
+	defer k.Release()
+	e := memo.Cached(Cache, k, func() distEntry {
+		d, pt := compute()
+		return distEntry{d: d, pt: pt}
+	})
+	return e.d, e.pt.Clone()
+}
+
 // InHull reports whether q lies in the convex hull of the points of s,
 // decided by LP feasibility of the convex-combination system behind a
-// certified screen (see inHull). Results are memoized (see cache.go).
+// certified screen (see inHull). Results are memoized.
 func InHull(q vec.V, s *vec.Set) bool {
 	if s.Len() == 0 {
 		return false
@@ -30,12 +65,9 @@ func InHull(q vec.V, s *vec.Set) bool {
 	if q.Dim() != s.Dim() {
 		panic("geom: InHull dimension mismatch")
 	}
-	k := pointSetKey(opInHull, q, s)
+	k := memo.GetKey(opInHull).Floats(q).Set(s)
 	defer k.Release()
-	if v, ok := cache.Get(k); ok {
-		return v.(bool)
-	}
-	return cache.Put(k, inHull(q, s)).(bool)
+	return memo.Cached(Cache, k, func() bool { return inHull(q, s) })
 }
 
 // inHull is the uncached decision behind InHull: a certified float

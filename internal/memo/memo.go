@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"relaxedbvc/internal/metrics"
+	"relaxedbvc/internal/vec"
 )
 
 // maxShards bounds the lock striping; shard counts are powers of two
@@ -258,20 +259,34 @@ func (c *Cache) Reset() {
 	c.evictions.Store(0)
 }
 
-// RegisterMetrics publishes the cache's counters into the default
-// metrics registry as read callbacks named
-// <prefix>_cache_{hits,misses,overflow,evictions}_total and
-// <prefix>_cache_entries. The counters are cumulative (reset only via
+// Register returns a new DefaultCap cache with its counters published
+// into the default metrics registry as read callbacks named
+// <name>_cache_{hits,misses,overflow,evictions}_total and
+// <name>_cache_entries. The counters are cumulative (reset only via
 // Reset); entries reports the current table size, so its
-// per-experiment diff is entry growth.
-func (c *Cache) RegisterMetrics(prefix string) {
-	metrics.RegisterFunc(prefix+"_cache_hits_total", c.hits.Load)
-	metrics.RegisterFunc(prefix+"_cache_misses_total", c.misses.Load)
-	metrics.RegisterFunc(prefix+"_cache_overflow_total", c.overflow.Load)
-	metrics.RegisterFunc(prefix+"_cache_evictions_total", c.evictions.Load)
-	metrics.RegisterFunc(prefix+"_cache_entries", func() int64 {
+// per-experiment diff is entry growth. A kernel package registers its
+// one cache in an exported package-level var.
+func Register(name string) *Cache {
+	c := New(0)
+	metrics.RegisterFunc(name+"_cache_hits_total", c.hits.Load)
+	metrics.RegisterFunc(name+"_cache_misses_total", c.misses.Load)
+	metrics.RegisterFunc(name+"_cache_overflow_total", c.overflow.Load)
+	metrics.RegisterFunc(name+"_cache_evictions_total", c.evictions.Load)
+	metrics.RegisterFunc(name+"_cache_entries", func() int64 {
 		return int64(c.entries())
 	})
+	return c
+}
+
+// Cached returns the value stored under k's key, or computes, stores
+// and returns it. A hit allocates nothing; a miss stores one entry, and
+// when concurrent workers race on one key every caller gets the value
+// that won. The caller still owns k.
+func Cached[T any](c *Cache, k *Key, compute func() T) T {
+	if v, ok := c.Get(k); ok {
+		return v.(T)
+	}
+	return c.Put(k, compute()).(T)
 }
 
 // Key builds canonical binary cache keys. It preserves input order and
@@ -339,6 +354,16 @@ func (k *Key) Floats(vs []float64) *Key {
 	k.Int(len(vs))
 	for _, v := range vs {
 		k.Float(v)
+	}
+	return k
+}
+
+// Set appends a point set: its size, then every point (length-prefixed,
+// exact bits) in order.
+func (k *Key) Set(s *vec.Set) *Key {
+	k.Int(s.Len())
+	for i := 0; i < s.Len(); i++ {
+		k.Floats(s.At(i))
 	}
 	return k
 }

@@ -7,10 +7,9 @@
 // drops, EIG tree nodes, per-round wall time), the batch engine (queue
 // depth, trial latency, panics, cancellations), and the geometry kernels
 // (cache hits/misses/overflow, LP solves and pivot counts, sync.Pool
-// churn). Snapshots back three consumers: the per-experiment metrics
-// tables of internal/report, bvcbench's -metrics-out JSON document, and
-// the bench-regression guard (scripts/benchguard.go), which compares
-// structured metrics rather than raw timings.
+// churn). Snapshots back the per-experiment metrics tables of
+// internal/report, bvcbench's -metrics-out JSON document, and the
+// per-layer counters of the benchmark program (benchmark/).
 //
 // Counters and histograms are cumulative and monotone; Snapshot.Diff
 // subtracts them to isolate one experiment's contribution. Gauges are

@@ -26,10 +26,10 @@ func TestDeltaStar2CacheBitForBit(t *testing.T) {
 		}
 		s := vec.NewSet(pts...)
 
-		ResetCache() // a miss is the uncached computation
+		Cache.Reset() // a miss is the uncached computation
 		want := DeltaStar2(s, 1)
 
-		ResetCache()
+		Cache.Reset()
 		for pass := 0; pass < 2; pass++ {
 			got := DeltaStar2(s, 1)
 			if math.Float64bits(got.Delta) != math.Float64bits(want.Delta) || got.Exact != want.Exact {
@@ -42,7 +42,7 @@ func TestDeltaStar2CacheBitForBit(t *testing.T) {
 				}
 			}
 		}
-		st := CacheStats()
+		st := Cache.Stats()
 		if st.Hits == 0 {
 			t.Fatalf("trial %d: expected warm-pass hits, stats %+v", trial, st)
 		}

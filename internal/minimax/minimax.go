@@ -23,6 +23,7 @@ import (
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/linalg"
 	"relaxedbvc/internal/lp"
+	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/simplexgeo"
@@ -355,6 +356,27 @@ func (b *bundle) solveMaster() (x vec.V, ok bool) {
 		x[j] = math.Min(math.Max(b.center[j]-b.half*res.Dual[1+j], b.lo[j]), b.hi[j])
 	}
 	return x, true
+}
+
+// Every step of the δ*₂ solvers is deterministic in (S, f), and
+// consensus sweeps re-ask the same instance across processes and
+// trials, so a memo table keyed on the exact input bits returns
+// bit-identical results for free.
+var Cache = memo.Register("minimax")
+
+const (
+	opDeltaStar2 = 's'
+	opDeltaIter  = 't'
+)
+
+// cachedDeltaStar memoizes one δ*₂ solve; the point is cloned so the
+// cached copy stays pristine.
+func cachedDeltaStar(op byte, s *vec.Set, f int, compute func() Result) Result {
+	k := memo.GetKey(op).Int(f).Set(s)
+	defer k.Release()
+	r := memo.Cached(Cache, k, compute)
+	r.Point = r.Point.Clone()
+	return r
 }
 
 // DeltaStar2 computes delta*_2(S) for the Gamma family of Algorithm ALGO:

@@ -31,11 +31,11 @@ func TestGammaPointCacheBitForBit(t *testing.T) {
 		n := (d+1)*f + 1 + rng.Intn(3)
 		s := fuzzSet(rng, n, d)
 
-		ResetCache() // a miss is the uncached computation
+		Cache.Reset() // a miss is the uncached computation
 		wantPt, wantOK := GammaPoint(s, f)
 		wantDelta, wantDP := DeltaStarPoly(s, f, math.Inf(1))
 
-		ResetCache()
+		Cache.Reset()
 		for pass := 0; pass < 2; pass++ {
 			gotPt, gotOK := GammaPoint(s, f)
 			if gotOK != wantOK {
@@ -62,7 +62,7 @@ func TestGammaPointCacheBitForBit(t *testing.T) {
 
 // TestGammaPointCacheClone ensures callers cannot corrupt cached points.
 func TestGammaPointCacheClone(t *testing.T) {
-	ResetCache()
+	Cache.Reset()
 	rng := rand.New(rand.NewSource(5))
 	s := fuzzSet(rng, 5, 1)
 	pt, ok := GammaPoint(s, 1)

@@ -22,8 +22,30 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/lp"
+	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/vec"
 )
+
+// GammaPoint and DeltaStarPoly solve one LP over C(n,f) subset blocks,
+// and consensus runs re-issue them with identical (S, f) arguments
+// across processes and trials. The memo table keys on the exact input
+// bits, so a hit is bit-for-bit what the solver would recompute.
+var Cache = memo.Register("relax")
+
+const (
+	opGamma     = 'G'
+	opDeltaPoly = 'D'
+)
+
+type gammaEntry struct {
+	pt vec.V
+	ok bool
+}
+
+type deltaEntry struct {
+	delta float64
+	pt    vec.V
+}
 
 // projScratchPool recycles projection buffers across InHullK sweeps so
 // the per-subset projections of the steady-state inner loop allocate
@@ -97,15 +119,12 @@ func IntersectHulls(sets []*vec.Set) (point vec.V, ok bool) {
 // with |T| = |Y| - f, or ok=false when Gamma(Y) is empty (memoized). By
 // Tverberg's theorem Gamma(Y) is non-empty whenever |Y| >= (d+1)f + 1.
 func GammaPoint(y *vec.Set, f int) (vec.V, bool) {
-	k := setKey(opGamma, y, f, 0)
+	k := memo.GetKey(opGamma).Int(f).Float(0).Set(y)
 	defer k.Release()
-	var e gammaEntry
-	if v, hit := cache.Get(k); hit {
-		e = v.(gammaEntry)
-	} else {
+	e := memo.Cached(Cache, k, func() gammaEntry {
 		pt, ok := IntersectHulls(DroppedSubsets(y, f))
-		e = cache.Put(k, gammaEntry{pt: pt, ok: ok}).(gammaEntry)
-	}
+		return gammaEntry{pt: pt, ok: ok}
+	})
 	if !e.ok {
 		return nil, false
 	}
@@ -307,14 +326,11 @@ func GammaDeltaPoint(s *vec.Set, f int, delta, p float64) (vec.V, bool) {
 // {1, inf}: the smallest delta making Gamma_(delta,p)(S) non-empty,
 // together with the deterministic point chosen at that delta (memoized).
 func DeltaStarPoly(s *vec.Set, f int, p float64) (float64, vec.V) {
-	k := setKey(opDeltaPoly, s, f, p)
+	k := memo.GetKey(opDeltaPoly).Int(f).Float(p).Set(s)
 	defer k.Release()
-	var e deltaEntry
-	if v, hit := cache.Get(k); hit {
-		e = v.(deltaEntry)
-	} else {
+	e := memo.Cached(Cache, k, func() deltaEntry {
 		delta, pt := MinIntersectionDelta(DroppedSubsets(s, f), p)
-		e = cache.Put(k, deltaEntry{delta: delta, pt: pt}).(deltaEntry)
-	}
+		return deltaEntry{delta: delta, pt: pt}
+	})
 	return e.delta, e.pt.Clone()
 }

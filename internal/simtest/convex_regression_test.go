@@ -29,7 +29,7 @@ func TestConvexCorpusRegressions(t *testing.T) {
 			t.Fatalf("seed %d generates n=%d f=%d d=%d, want the degenerate 5/1/3 regime", seed, spec.N, spec.F, spec.D)
 		}
 		rep := RunChecked(context.Background(), spec, CheckOptions{})
-		if rep.Failed(false) {
+		if rep.Failed() {
 			t.Fatalf("seed %d regressed: %s", seed, rep.Signature)
 		}
 	}

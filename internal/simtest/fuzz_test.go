@@ -1,4 +1,4 @@
-package simtest
+package simtest_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"time"
 
 	bvc "relaxedbvc"
+	"relaxedbvc/internal/simtest"
 )
 
 // FuzzConsensusFaults is the consensus-level fuzz target: the fuzzer
@@ -27,19 +28,19 @@ func FuzzConsensusFaults(f *testing.F) {
 	f.Add(int64(3000), uint8(2), uint8(0))
 	f.Add(int64(1000), uint8(1), uint8(77))
 	f.Fuzz(func(t *testing.T, seed int64, regime, roster uint8) {
-		cfg := FuzzConfig{Regime: Regime(regime % 3)}
+		cfg := simtest.FuzzConfig{Regime: simtest.Regime(regime % 3)}
 		// The roster byte salts the seed so the fuzzer can vary the
 		// Byzantine cast independently of the fault pattern.
 		s := seed ^ int64(roster)<<40
-		spec := GenSpec(s, cfg)
+		spec := simtest.GenSpec(s, cfg)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		rep := RunChecked(ctx, spec, cfg.Check)
+		rep := simtest.RunChecked(ctx, spec, simtest.CheckOptions{})
 		if rep.Err != nil {
 			if errors.Is(rep.Err, bvc.ErrCanceled) {
 				t.Skipf("seed %d: timed out under fuzzing load", s)
 			}
-			if cfg.Regime != RegimeOutOfModel {
+			if cfg.Regime != simtest.RegimeOutOfModel {
 				t.Fatalf("seed %d regime %v (%s): run errored inside the delivery model: %v",
 					s, cfg.Regime, spec.Protocol, rep.Err)
 			}
@@ -69,19 +70,19 @@ func FuzzACS(f *testing.F) {
 	f.Add(int64(64), uint8(1))
 	f.Add(int64(501), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, regime uint8) {
-		cfg := FuzzConfig{
-			Regime:    Regime(regime % 3),
+		cfg := simtest.FuzzConfig{
+			Regime:    simtest.Regime(regime % 3),
 			Protocols: []bvc.Protocol{bvc.ProtocolACS},
 		}
-		spec := GenSpec(seed, cfg)
+		spec := simtest.GenSpec(seed, cfg)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		rep := RunChecked(ctx, spec, cfg.Check)
+		rep := simtest.RunChecked(ctx, spec, simtest.CheckOptions{})
 		if rep.Err != nil {
 			if errors.Is(rep.Err, bvc.ErrCanceled) {
 				t.Skipf("seed %d: timed out under fuzzing load", seed)
 			}
-			if cfg.Regime != RegimeOutOfModel {
+			if cfg.Regime != simtest.RegimeOutOfModel {
 				t.Fatalf("seed %d regime %v: ACS run errored inside the delivery model: %v",
 					seed, cfg.Regime, rep.Err)
 			}
@@ -94,4 +95,19 @@ func FuzzACS(f *testing.F) {
 			t.Errorf("seed %d regime %v: %s", seed, cfg.Regime, v)
 		}
 	})
+}
+
+// typedError reports whether err wraps one of the library's sentinels.
+func typedError(err error) bool {
+	for _, s := range []error{
+		bvc.ErrDeliveryViolated, bvc.ErrEmptyIntersection, bvc.ErrCanceled,
+		bvc.ErrBadFaults, bvc.ErrBadInputs, bvc.ErrTooFewProcesses,
+		bvc.ErrTooManyFaults, bvc.ErrBadDimension, bvc.ErrBadRounds,
+		bvc.ErrBadNorm, bvc.ErrBadK,
+	} {
+		if errors.Is(err, s) {
+			return true
+		}
+	}
+	return false
 }

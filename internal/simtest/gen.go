@@ -41,11 +41,10 @@ func (r Regime) String() string {
 	return "regime(?)"
 }
 
-// FuzzConfig drives the schedule fuzzer.
+// FuzzConfig is the generator's recipe: with a seed it fixes the
+// instance GenSpec builds.
 type FuzzConfig struct {
-	// Seeds is the number of consecutive seeds to sweep (0 = 32).
-	Seeds int
-	// BaseSeed offsets the seed range (sweeps run BaseSeed..BaseSeed+Seeds-1).
+	// BaseSeed is folded into every instance GenSpec expands.
 	BaseSeed int64
 	// Protocols restricts generation (empty = the default one-shot
 	// roster). ProtocolACS is generated only when listed here explicitly:
@@ -54,21 +53,6 @@ type FuzzConfig struct {
 	Protocols []bvc.Protocol
 	// Regime selects the fault-pattern class.
 	Regime Regime
-	// StrictModelErrors counts graceful degradations (typed
-	// ErrDeliveryViolated errors) as failing seeds, so out-of-model
-	// sweeps report their minimal failing seed.
-	StrictModelErrors bool
-	// Workers bounds the batch pool (0 = GOMAXPROCS).
-	Workers int
-	// Check tunes the invariant checker.
-	Check CheckOptions
-}
-
-func (c FuzzConfig) seeds() int {
-	if c.Seeds <= 0 {
-		return 32
-	}
-	return c.Seeds
 }
 
 func (c FuzzConfig) protocols() []bvc.Protocol {

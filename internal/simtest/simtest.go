@@ -6,14 +6,11 @@
 // (typed errors such as ErrDeliveryViolated from an out-of-model fault
 // pattern) versus genuine invariant violations.
 //
-// On top of the checker sits a seed-sweeping schedule fuzzer (GenSpec,
-// Sweep): each seed deterministically generates a protocol instance —
+// GenSpec deterministically expands a seed into a protocol instance —
 // system size at the paper's bounds, random inputs, a Byzantine roster
-// and a link-fault pattern drawn from the requested Regime — runs it on
-// the batch engine, and checks the invariants. Failing seeds are shrunk
-// to the minimal one and replayed to confirm the failure signature is
-// reproducible (the fault layer is seed-deterministic, so a failing seed
-// is a complete bug report).
+// and a link-fault pattern drawn from the requested Regime. The fault
+// layer is seed-deterministic, so a failing seed is a complete bug
+// report. internal/soak sweeps, shrinks and replays seeds at scale.
 package simtest
 
 import (
@@ -378,8 +375,6 @@ func sameVertices(a, b []bvc.Vector, tol float64) bool {
 
 // Report is the outcome of one checked run.
 type Report struct {
-	// Seed is the generator seed (set by Sweep; zero for direct calls).
-	Seed int64
 	// Spec is the instance that ran.
 	Spec bvc.Spec
 	// Result is the run's outcome (nil when Err != nil).
@@ -399,40 +394,31 @@ type Report struct {
 }
 
 // Failed reports whether the run is a genuine failure: an invariant
-// violation or an untyped error. When strict is true, graceful
-// degradations count as failures too (used by out-of-model sweeps that
-// want to surface their minimal failing seed).
-func (r *Report) Failed(strict bool) bool {
-	if len(r.Violations) > 0 {
-		return true
-	}
-	if r.Err == nil {
-		return false
-	}
-	return strict || !r.Graceful
+// violation or an untyped error.
+func (r *Report) Failed() bool {
+	return len(r.Violations) > 0 || (r.Err != nil && !r.Graceful)
 }
 
-// RunChecked executes spec and checks the invariants of a successful
-// run, classifying errors into graceful degradations versus failures.
+// RunChecked executes spec and classifies the outcome.
 func RunChecked(ctx context.Context, spec bvc.Spec, opt CheckOptions) *Report {
-	rep := &Report{Spec: spec}
 	res, err := bvc.Run(ctx, spec)
-	rep.Result, rep.Err = res, err
+	return Classify(spec, res, err, opt)
+}
+
+// Classify turns one run of spec into a Report: an error is a graceful
+// degradation when it wraps ErrDeliveryViolated, a completed run is
+// checked against the invariants, and either way the outcome gets its
+// replay signature. RunChecked and the soak workers both classify here.
+func Classify(spec bvc.Spec, res *bvc.Result, err error, opt CheckOptions) *Report {
+	rep := &Report{Spec: spec, Result: res, Err: err}
 	if err != nil {
 		rep.Graceful = errors.Is(err, bvc.ErrDeliveryViolated)
-	} else {
+	} else if res != nil {
 		rep.Violations = Check(spec, res, opt)
 	}
 	rep.Signature = signature(rep)
 	return rep
 }
-
-// SignatureOf builds the deterministic outcome fingerprint of a
-// caller-assembled Report (Seed/Spec/Result/Err/Violations filled in):
-// the same digest RunChecked and Sweep attach. The soak engine runs
-// specs through the batch engine and classifies afterwards, so it needs
-// the signature separately from RunChecked.
-func SignatureOf(r *Report) string { return signature(r) }
 
 // signature builds a deterministic outcome fingerprint: protocol, error
 // text, violations, outputs and fault counters — everything that must
@@ -504,11 +490,4 @@ func Fingerprint(ctx context.Context, spec bvc.Spec) (string, error) {
 		return b.String(), err
 	}
 	return b.String(), nil
-}
-
-// sortedSeeds returns a sorted copy.
-func sortedSeeds(seeds []int64) []int64 {
-	out := append([]int64(nil), seeds...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,7 +2,6 @@ package simtest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -75,97 +74,13 @@ func TestRunCheckedCleanRun(t *testing.T) {
 	if len(rep.Violations) > 0 {
 		t.Fatalf("violations on a clean run: %v", rep.Violations)
 	}
-	if rep.Failed(true) {
+	if rep.Failed() {
 		t.Fatal("clean run classified as failed")
 	}
 	m := rep.Result.Metrics
 	if m.LinkDrops == 0 && m.LinkDuplicates == 0 && m.LinkDelays == 0 {
 		t.Fatalf("fault counters empty despite injected faults: %+v", m)
 	}
-}
-
-func TestWithinModelSweepPasses(t *testing.T) {
-	// Every within-model seed must satisfy the paper's invariants: no
-	// violations, no errors, across all protocols.
-	sw := Sweep(context.Background(), FuzzConfig{
-		Seeds: 32, BaseSeed: 1000, Regime: RegimeWithinModel, StrictModelErrors: true,
-	})
-	if sw.Failed != 0 || sw.Degraded != 0 {
-		for _, r := range sw.Reports {
-			if r.Failed(true) || r.Err != nil {
-				t.Errorf("seed %d (%s): err=%v violations=%v", r.Seed, r.Spec.Protocol, r.Err, r.Violations)
-			}
-		}
-		t.Fatalf("within-model sweep: %d failed, %d degraded of %d", sw.Failed, sw.Degraded, len(sw.Reports))
-	}
-	if sw.Passed != len(sw.Reports) {
-		t.Fatalf("passed %d != %d", sw.Passed, len(sw.Reports))
-	}
-}
-
-func TestNoFaultSweepPasses(t *testing.T) {
-	sw := Sweep(context.Background(), FuzzConfig{
-		Seeds: 16, BaseSeed: 2000, Regime: RegimeNone, StrictModelErrors: true,
-	})
-	if sw.Failed != 0 || sw.Degraded != 0 {
-		for _, r := range sw.Reports {
-			if r.Err != nil || len(r.Violations) > 0 {
-				t.Errorf("seed %d (%s): err=%v violations=%v", r.Seed, r.Spec.Protocol, r.Err, r.Violations)
-			}
-		}
-		t.Fatal("fault-free sweep did not pass cleanly")
-	}
-}
-
-func TestOutOfModelSweepReportsMinimalSeed(t *testing.T) {
-	// Out-of-model patterns must degrade into typed errors; with
-	// StrictModelErrors the sweep surfaces the minimal failing seed and
-	// confirms its replay.
-	sw := Sweep(context.Background(), FuzzConfig{
-		Seeds: 16, BaseSeed: 3000, Regime: RegimeOutOfModel, StrictModelErrors: true,
-	})
-	if sw.Failed == 0 {
-		t.Fatal("out-of-model sweep found no failing seed")
-	}
-	if sw.MinFailingSeed != sw.FailingSeeds[0] {
-		t.Fatalf("MinFailingSeed %d != FailingSeeds[0] %d", sw.MinFailingSeed, sw.FailingSeeds[0])
-	}
-	if sw.MinFailingReport == nil || sw.MinFailingReport.Seed != sw.MinFailingSeed {
-		t.Fatal("minimal failing report missing or mismatched")
-	}
-	if !sw.ReplayConfirmed {
-		t.Fatalf("minimal failing seed %d did not replay to the same signature", sw.MinFailingSeed)
-	}
-	// Degradations must be typed — never silent wrong outputs.
-	for _, r := range sw.Reports {
-		if len(r.Violations) > 0 {
-			t.Errorf("seed %d (%s): out-of-model run emitted outputs violating invariants: %v",
-				r.Seed, r.Spec.Protocol, r.Violations)
-		}
-		if r.Err != nil && !typedError(r.Err) {
-			t.Errorf("seed %d (%s): untyped error: %v", r.Seed, r.Spec.Protocol, r.Err)
-		}
-	}
-	var buf strings.Builder
-	sw.Render(&buf)
-	if !strings.Contains(buf.String(), "minimal failing seed") {
-		t.Fatalf("Render missing the minimal seed line:\n%s", buf.String())
-	}
-}
-
-// typedError reports whether err wraps one of the library's sentinels.
-func typedError(err error) bool {
-	for _, s := range []error{
-		bvc.ErrDeliveryViolated, bvc.ErrEmptyIntersection, bvc.ErrCanceled,
-		bvc.ErrBadFaults, bvc.ErrBadInputs, bvc.ErrTooFewProcesses,
-		bvc.ErrTooManyFaults, bvc.ErrBadDimension, bvc.ErrBadRounds,
-		bvc.ErrBadNorm, bvc.ErrBadK,
-	} {
-		if errors.Is(err, s) {
-			return true
-		}
-	}
-	return false
 }
 
 func TestPlantedViolationsDetected(t *testing.T) {
@@ -199,41 +114,6 @@ func TestPlantedViolationsDetected(t *testing.T) {
 	res = &bvc.Result{Outputs: []bvc.Vector{in, in, in, in}}
 	if vs := Check(spec, res, CheckOptions{}); len(vs) != 0 {
 		t.Fatalf("clean planted run flagged: %v", vs)
-	}
-}
-
-func TestACSWithinModelSweepPasses(t *testing.T) {
-	// Streaming ACS seeds under within-model (duplication-only) faults
-	// must seal every epoch and satisfy the extended stream invariants.
-	sw := Sweep(context.Background(), FuzzConfig{
-		Seeds: 24, BaseSeed: 5000, Regime: RegimeWithinModel, StrictModelErrors: true,
-		Protocols: []bvc.Protocol{bvc.ProtocolACS},
-	})
-	if sw.Failed != 0 || sw.Degraded != 0 {
-		for _, r := range sw.Reports {
-			if r.Failed(true) || r.Err != nil {
-				t.Errorf("seed %d: err=%v violations=%v", r.Seed, r.Err, r.Violations)
-			}
-		}
-		t.Fatalf("ACS within-model sweep: %d failed, %d degraded of %d", sw.Failed, sw.Degraded, len(sw.Reports))
-	}
-}
-
-func TestACSOutOfModelDegradesTyped(t *testing.T) {
-	// Drops break lockstep synchrony: ACS runs must end in typed
-	// ErrDeliveryViolated degradations, never hang or emit a stream that
-	// breaks the invariants.
-	sw := Sweep(context.Background(), FuzzConfig{
-		Seeds: 16, BaseSeed: 6000, Regime: RegimeOutOfModel,
-		Protocols: []bvc.Protocol{bvc.ProtocolACS},
-	})
-	for _, r := range sw.Reports {
-		if len(r.Violations) > 0 {
-			t.Errorf("seed %d: out-of-model ACS run emitted a violating stream: %v", r.Seed, r.Violations)
-		}
-		if r.Err != nil && !typedError(r.Err) {
-			t.Errorf("seed %d: untyped error: %v", r.Seed, r.Err)
-		}
 	}
 }
 
@@ -296,18 +176,4 @@ func hasInvariant(vs []Violation, inv string) bool {
 		}
 	}
 	return false
-}
-
-func TestSweepBatchMatchesDirectRuns(t *testing.T) {
-	// The sweep runs specs on the concurrent batch engine; signatures
-	// must match a direct sequential run of the same seeds.
-	cfg := FuzzConfig{Seeds: 8, BaseSeed: 4000, Regime: RegimeMixed, Workers: 4}
-	sw := Sweep(context.Background(), cfg)
-	for _, r := range sw.Reports {
-		direct := RunChecked(context.Background(), GenSpec(r.Seed, cfg), cfg.Check)
-		if direct.Signature != r.Signature {
-			t.Fatalf("seed %d: batch signature diverged from direct run:\n%s\n%s",
-				r.Seed, r.Signature, direct.Signature)
-		}
-	}
 }

@@ -87,11 +87,10 @@ const (
 	// TransportSim runs every seed on the deterministic simulation
 	// backend only.
 	TransportSim = "sim"
-	// TransportMesh additionally runs every mesh-eligible spec
-	// (synchronous oral-message protocol, no link faults, no signed
-	// broadcast) over the in-process channel mesh and fails the seed if
-	// the mesh decisions diverge from the simulation's — the soak
-	// doubles as the load generator for the transport backends.
+	// TransportMesh additionally runs every passing seed over the
+	// in-process channel mesh (unless Run refuses the spec there with
+	// ErrUnsupportedTransport) and fails the seed if the mesh decisions
+	// diverge from the simulation's.
 	TransportMesh = "mesh"
 )
 
@@ -108,9 +107,8 @@ type JobConfig struct {
 	Regime string `json:"regime"`
 	// Protocols restricts generation (empty = all eight protocols).
 	Protocols []string `json:"protocols,omitempty"`
-	// Strict counts graceful typed-error degradations as failures
-	// (simtest.FuzzConfig.StrictModelErrors) — the switch that makes
-	// out-of-model soaks surface their minimal degrading seeds.
+	// Strict shrinks degrading seeds like failing ones, so out-of-model
+	// soaks surface their minimal degrading seeds.
 	Strict bool `json:"strict,omitempty"`
 	// Transport is TransportSim or TransportMesh.
 	Transport string `json:"transport"`
@@ -134,12 +132,7 @@ func (c JobConfig) FuzzConfig() (simtest.FuzzConfig, error) {
 	if err != nil {
 		return simtest.FuzzConfig{}, err
 	}
-	return simtest.FuzzConfig{
-		BaseSeed:          c.BaseSeed,
-		Regime:            regime,
-		Protocols:         protos,
-		StrictModelErrors: c.Strict,
-	}, nil
+	return simtest.FuzzConfig{BaseSeed: c.BaseSeed, Regime: regime, Protocols: protos}, nil
 }
 
 // Job is one unit of work sent to a worker: expand and run every seed
@@ -157,21 +150,22 @@ type Job struct {
 const (
 	// OutcomePass: the run completed and every invariant held.
 	OutcomePass = "pass"
-	// OutcomeDegraded: the run ended in a typed graceful degradation
-	// (an out-of-model fault pattern, reported via ErrDeliveryViolated).
+	// OutcomeDegraded: an out-of-model fault pattern ended the run in a
+	// typed graceful degradation (ErrDeliveryViolated).
 	OutcomeDegraded = "degraded"
-	// OutcomeFailed: an invariant violation, an untyped error, or (in a
-	// mesh soak) a divergence between the mesh and sim decisions.
+	// OutcomeFailed: an invariant violation, an untyped error, a typed
+	// degradation although the seed's fault pattern was within the model
+	// (or absent), or (in a mesh soak) a mesh/sim divergence.
 	OutcomeFailed = "failed"
 )
 
 // SeedVerdict is one seed's classified result.
 type SeedVerdict struct {
 	Seed int64 `json:"seed"`
-	// Outcome is OutcomePass, OutcomeDegraded or OutcomeFailed. Strict
-	// classification (degraded-counts-as-failing) is applied by the
-	// coordinator from Cfg.Strict; the verdict always records the raw
-	// class.
+	// Outcome is OutcomePass, OutcomeDegraded or OutcomeFailed. A typed
+	// degradation is OutcomeDegraded only when the seed's effective
+	// regime is out-of-model; otherwise it is OutcomeFailed. Cfg.Strict
+	// never changes the outcome, only which seeds are shrunk.
 	Outcome string `json:"outcome"`
 	// Protocol is the generated instance's protocol name.
 	Protocol string `json:"protocol"`
@@ -201,8 +195,7 @@ type FailingSeed struct {
 	Signature string    `json:"signature"`
 	// ReplayConfirmed reports that two fresh re-runs reproduced the
 	// identical signature. A false value is an "unshrunk" failure — the
-	// reproducer is not trustworthy — and fails the benchguard -soak
-	// gate.
+	// reproducer is not trustworthy — and fails Summary.Gate.
 	ReplayConfirmed bool `json:"replay_confirmed"`
 }
 

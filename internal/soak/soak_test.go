@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	bvc "relaxedbvc"
+	"relaxedbvc/internal/simtest"
 )
 
 // testOptions is a small but structurally complete soak: several base
@@ -439,19 +443,74 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestMeshSoakCrossChecks(t *testing.T) {
-	sum, err := Run(context.Background(), Options{
-		SeedBudget: 48, Shards: 2, BlockSize: 16,
-		Regime: "none", Transport: TransportMesh,
-		Protocols: []string{"delta-relaxed", "exact", "scalar"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, protos := range [][]string{{"delta-relaxed", "exact", "scalar"}, {"convex", "acs"}} {
+		sum, err := Run(context.Background(), Options{
+			SeedBudget: 48, Shards: 2, BlockSize: 16,
+			Regime: "none", Transport: TransportMesh, Protocols: protos,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.MeshCompared == 0 {
+			t.Fatalf("%v: mesh soak compared no seeds:\n%s", protos, encodeSummary(t, sum))
+		}
+		if sum.Outcomes.Failed != 0 {
+			t.Fatalf("%v: mesh divergence reported:\n%s", protos, encodeSummary(t, sum))
+		}
+		for _, p := range protos {
+			if sum.PerProtocol[p].Pass == 0 {
+				t.Fatalf("%v: no passing %s seed to compare:\n%s", protos, p, encodeSummary(t, sum))
+			}
+		}
 	}
-	if sum.MeshCompared == 0 {
-		t.Fatalf("mesh soak compared no seeds:\n%s", encodeSummary(t, sum))
+}
+
+// TestGateExitRule pins bvcsoak's exit rule end to end from one seed's
+// checked report: the worker's classification, the block record and
+// the summary built from it, then Summary.Gate (exit 1 on an error).
+func TestGateExitRule(t *testing.T) {
+	spec := bvc.Spec{Protocol: bvc.ProtocolExact}
+	degraded := &simtest.Report{Spec: spec, Err: fmt.Errorf("%w: drop", bvc.ErrDeliveryViolated), Graceful: true}
+	violated := &simtest.Report{Spec: spec, Result: &bvc.Result{}, Violations: []simtest.Violation{{Invariant: "agreement", Process: -1}}}
+	clean := &simtest.Report{Spec: spec, Result: &bvc.Result{}}
+	cases := []struct {
+		name       string
+		regime     string
+		strict     bool
+		rep        *simtest.Report
+		unreplayed bool // the shrunk reproducer's replay diverged
+		want       int
+	}{
+		{"unshrunk failure", "out-of-model", true, degraded, true, 1},
+		{"genuine failure", "out-of-model", false, violated, false, 1},
+		{"within-model degradation", "within-model", false, degraded, false, 1},
+		{"strict out-of-model degradations", "out-of-model", true, degraded, false, 0},
+		{"clean", "mixed", false, clean, false, 0},
 	}
-	if sum.Outcomes.Failed != 0 {
-		t.Fatalf("mesh divergence reported:\n%s", encodeSummary(t, sum))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const seed = 6
+			cfg := JobConfig{Regime: c.regime, Strict: c.strict, Transport: TransportSim}
+			regime, err := ParseRegime(c.regime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := classify(seed, cfg, simtest.EffectiveRegime(seed, regime), c.rep)
+			br := &BlockResult{Verdicts: []SeedVerdict{v}}
+			if failing(v, c.strict) {
+				br.MinFailing = &FailingSeed{Seed: seed, Cfg: cfg, Outcome: v.Outcome, ReplayConfirmed: !c.unreplayed}
+			}
+			co := &coordinator{seen: map[string]bool{}}
+			rec := co.buildRecord(blockKindBase, &Job{Seeds: []int64{seed}, Cfg: cfg}, br)
+			sum := buildSummary(&manifestState{Blocks: []BlockRecord{*rec}}, Options{Shards: 1})
+			got := 0
+			if err := sum.Gate(); err != nil {
+				got = 1
+			}
+			if got != c.want {
+				t.Fatalf("exit %d, want %d (verdict %s, gate %v)", got, c.want, v.Outcome, sum.Gate())
+			}
+		})
 	}
 }
 
@@ -466,15 +525,11 @@ func TestSummaryStableAcrossReEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := encodeSummary(t, sum)
-	path := filepath.Join(dir, "summary.json")
-	if err := os.WriteFile(path, []byte(first), 0o644); err != nil {
+	var loaded Summary
+	if err := json.Unmarshal([]byte(first), &loaded); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSummary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second := encodeSummary(t, loaded); second != first {
+	if second := encodeSummary(t, &loaded); second != first {
 		t.Fatalf("summary not stable across decode/encode:\n%s\n---\n%s", first, second)
 	}
 	names := make([]string, 0)

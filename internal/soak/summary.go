@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"relaxedbvc/internal/metrics"
 )
@@ -49,7 +48,7 @@ type FailingRecord struct {
 	Block int    `json:"block"`
 	Kind  string `json:"kind"`
 	// Shrunk reports the reproducer was minimized and replay-confirmed;
-	// the benchguard -soak gate fails on any unshrunk failure.
+	// Gate fails on any unshrunk failure.
 	Shrunk bool        `json:"shrunk"`
 	Seed   FailingSeed `json:"seed"`
 }
@@ -74,8 +73,8 @@ type Summary struct {
 	Version int           `json:"version"`
 	Config  SummaryConfig `json:"config"`
 
-	// Seed counters (raw outcome classes; Strict is applied by readers
-	// via Config.Strict when deciding what counts as a failure).
+	// Seed counters (raw outcome classes: Strict decides only which
+	// seeds are shrunk, never what counts as failed).
 	SeedsRun int64         `json:"seeds_run"`
 	Outcomes OutcomeCounts `json:"outcomes"`
 	// MeshCompared counts seeds whose decisions were cross-checked
@@ -100,7 +99,7 @@ type Summary struct {
 
 	// Failing lists each failing block's shrunk reproducer, in block
 	// order. UnshrunkFailures counts reproducers whose replay
-	// confirmation failed — the condition the -soak guard rejects.
+	// confirmation failed.
 	Failing          []FailingRecord `json:"failing,omitempty"`
 	UnshrunkFailures int             `json:"unshrunk_failures"`
 
@@ -141,18 +140,22 @@ func (s *Summary) Render(w io.Writer) {
 	}
 }
 
-// LoadSummary reads a summary document written by Summary.Encode (the
-// benchguard -soak gate's input).
-func LoadSummary(path string) (*Summary, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read summary %s: %v", ErrSoak, path, err)
+// Gate is the soak's pass/fail rule: it fails on any seed whose outcome
+// is failed, and on any unshrunk failure (a reproducer that did not
+// replay to its signature is a nondeterminism bug or an untrustworthy
+// corpus entry). Shrunk, replay-confirmed degradations of a strict
+// out-of-model soak pass: they become corpus regression entries.
+func (s *Summary) Gate() error {
+	for _, f := range s.Failing {
+		if !f.Shrunk {
+			return fmt.Errorf("%w: block %d seed %d (%s, %s) failed but its replay did not reproduce the signature",
+				ErrSoak, f.Block, f.Seed.Seed, f.Seed.Protocol, f.Seed.Outcome)
+		}
 	}
-	var s Summary
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%w: decode summary %s: %v", ErrSoak, path, err)
+	if s.Outcomes.Failed > 0 {
+		return fmt.Errorf("%w: %d of %d seeds failed", ErrSoak, s.Outcomes.Failed, s.SeedsRun)
 	}
-	return &s, nil
+	return nil
 }
 
 // publishMetrics folds one freshly committed block into the library's

@@ -76,8 +76,6 @@ func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, e
 	if err != nil {
 		return nil, err
 	}
-	fcfg.Check = opt.Check
-
 	specs := make([]bvc.Spec, len(job.Seeds))
 	for i, seed := range job.Seeds {
 		specs[i] = simtest.GenSpec(seed, fcfg)
@@ -89,14 +87,9 @@ func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, e
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("%w: block %d: %v", ErrInterrupted, job.Block, ctx.Err())
 		}
-		rep := &simtest.Report{Seed: job.Seeds[i], Spec: specs[i], Result: br.Result, Err: br.Err}
-		if br.Err != nil {
-			rep.Graceful = errors.Is(br.Err, bvc.ErrDeliveryViolated)
-		} else if br.Result != nil {
-			rep.Violations = simtest.Check(specs[i], br.Result, fcfg.Check)
-		}
-		rep.Signature = simtest.SignatureOf(rep)
-		v := classify(job.Seeds[i], job.Cfg, rep)
+		seed := job.Seeds[i]
+		v := classify(seed, job.Cfg, simtest.EffectiveRegime(seed, fcfg.Regime),
+			simtest.Classify(specs[i], br.Result, br.Err, opt.Check))
 		if v.Outcome == OutcomePass && job.Cfg.Transport == TransportMesh {
 			meshCheck(ctx, specs[i], br.Result, &v)
 		}
@@ -108,11 +101,13 @@ func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, e
 	return out, nil
 }
 
-// classify folds a checked report into a verdict.
-func classify(seed int64, cfg JobConfig, rep *simtest.Report) SeedVerdict {
+// classify folds a checked report into a verdict. Without faults, or
+// with faults the delivery model tolerates, every run must complete: a
+// typed degradation there is a failure, not a degradation.
+func classify(seed int64, cfg JobConfig, regime simtest.Regime, rep *simtest.Report) SeedVerdict {
 	outcome := OutcomePass
 	switch {
-	case len(rep.Violations) > 0 || (rep.Err != nil && !rep.Graceful):
+	case rep.Failed(), rep.Err != nil && regime != simtest.RegimeOutOfModel:
 		outcome = OutcomeFailed
 	case rep.Err != nil:
 		outcome = OutcomeDegraded
@@ -160,29 +155,19 @@ func shrinkSeed(ctx context.Context, job *Job, fcfg simtest.FuzzConfig, v SeedVe
 	return fs
 }
 
-// meshEligible reports whether a generated spec can run on the channel
-// mesh: synchronous oral-message protocol, no seeded link faults, no
-// signed broadcast (both are simulation-only features).
-func meshEligible(spec bvc.Spec) bool {
-	switch spec.Protocol {
-	case bvc.ProtocolDeltaRelaxed, bvc.ProtocolExact, bvc.ProtocolKRelaxed, bvc.ProtocolScalar:
-	default:
-		return false
-	}
-	return spec.Faults == nil && !spec.SignedBroadcast
-}
-
 // meshCheck re-runs a passing spec over the in-process channel mesh and
 // compares the decisions bit-for-bit against the simulation result,
-// demoting the verdict to a failure on any divergence. Exact binary
-// vector encodings are compared (no tolerance): the transport parity
-// contract says a cluster decides the same bytes as the simulation.
+// demoting the verdict to a failure on any divergence. A spec Run
+// refuses off the simulation (ErrUnsupportedTransport) is skipped.
+// Exact binary vector encodings are compared (no tolerance): the
+// transport parity contract says a cluster decides the same bytes as
+// the simulation.
 func meshCheck(ctx context.Context, spec bvc.Spec, sim *bvc.Result, v *SeedVerdict) {
-	if !meshEligible(spec) || sim == nil {
+	mesh, err := bvc.Run(ctx, spec, bvc.WithTransport(bvc.Transport{Kind: bvc.TransportMesh}))
+	if errors.Is(err, bvc.ErrUnsupportedTransport) {
 		return
 	}
 	v.MeshCompared = true
-	mesh, err := bvc.Run(ctx, spec, bvc.WithTransport(bvc.Transport{Kind: bvc.TransportMesh}))
 	if err != nil {
 		v.Outcome = OutcomeFailed
 		v.Signature = fmt.Sprintf("mesh-error: %v", err)
@@ -200,9 +185,11 @@ func meshDiff(sim, mesh *bvc.Result, n int) string {
 	if mesh.Rounds != sim.Rounds {
 		return fmt.Sprintf("rounds mesh=%d sim=%d", mesh.Rounds, sim.Rounds)
 	}
-	if len(mesh.Outputs) != len(sim.Outputs) || len(mesh.Delta) != len(sim.Delta) {
-		return fmt.Sprintf("shape mesh=(%d outputs, %d deltas) sim=(%d outputs, %d deltas)",
-			len(mesh.Outputs), len(mesh.Delta), len(sim.Outputs), len(sim.Delta))
+	if len(mesh.Outputs) != len(sim.Outputs) || len(mesh.Delta) != len(sim.Delta) ||
+		len(mesh.Vertices) != len(sim.Vertices) || len(mesh.ACS) != len(sim.ACS) {
+		return fmt.Sprintf("shape mesh=(%d outputs, %d deltas, %d polytopes, %d streams) sim=(%d, %d, %d, %d)",
+			len(mesh.Outputs), len(mesh.Delta), len(mesh.Vertices), len(mesh.ACS),
+			len(sim.Outputs), len(sim.Delta), len(sim.Vertices), len(sim.ACS))
 	}
 	for i := 0; i < n && i < len(sim.Outputs); i++ {
 		if vecFingerprint(mesh.Outputs[i]) != vecFingerprint(sim.Outputs[i]) {
@@ -214,6 +201,21 @@ func meshDiff(sim, mesh *bvc.Result, n int) string {
 	for i := 0; i < len(sim.Delta); i++ {
 		if mesh.Delta[i] != sim.Delta[i] {
 			return fmt.Sprintf("node %d delta mesh=%v sim=%v", i, mesh.Delta[i], sim.Delta[i])
+		}
+	}
+	for i, poly := range sim.Vertices {
+		if len(mesh.Vertices[i]) != len(poly) {
+			return fmt.Sprintf("node %d polytope mesh=%d vertices sim=%d", i, len(mesh.Vertices[i]), len(poly))
+		}
+		for k, v := range poly {
+			if vecFingerprint(mesh.Vertices[i][k]) != vecFingerprint(v) {
+				return fmt.Sprintf("node %d vertex %d mesh=%v sim=%v", i, k, mesh.Vertices[i][k], v)
+			}
+		}
+	}
+	for i, stream := range sim.ACS {
+		if bvc.ACSFingerprint(mesh.ACS[i]) != bvc.ACSFingerprint(stream) {
+			return fmt.Sprintf("node %d decision stream differs from the simulation's", i)
 		}
 	}
 	return ""

@@ -515,20 +515,20 @@ func KernelWorkers() int { return 1 }
 
 // CacheStats reports the current kernel cache statistics.
 func CacheStats() KernelCacheStats {
-	g, r, m := geom.CacheStats(), relax.CacheStats(), minimax.CacheStats()
-	conv := func(s memo.Stats) CacheCounters {
+	conv := func(c *memo.Cache) CacheCounters {
+		s := c.Stats()
 		return CacheCounters{
 			Hits: s.Hits, Misses: s.Misses,
 			Overflow: s.Overflow, Evictions: s.Evictions,
 			Entries: s.Entries, Capacity: s.Capacity,
 		}
 	}
-	return KernelCacheStats{Geometry: conv(g), Relax: conv(r), Minimax: conv(m)}
+	return KernelCacheStats{Geometry: conv(geom.Cache), Relax: conv(relax.Cache), Minimax: conv(minimax.Cache)}
 }
 
 // ResetCaches drops all cached kernel results and zeroes the counters.
 func ResetCaches() {
-	geom.ResetCache()
-	relax.ResetCache()
-	minimax.ResetCache()
+	geom.Cache.Reset()
+	relax.Cache.Reset()
+	minimax.Cache.Reset()
 }

@@ -51,6 +51,10 @@ func paritySpecs() map[string]Spec {
 			Protocol: ProtocolDeltaRelaxed, N: 4, F: 1, D: 2, NormP: 1, Inputs: in4,
 			Byzantine: map[int]ByzantineBehavior{3: Equivocator(NewVector(50, 50), NewVector(-50, -50))},
 		},
+		"delta-relaxed-p2-byz": {
+			Protocol: ProtocolDeltaRelaxed, N: 4, F: 1, D: 2, Inputs: in4,
+			Byzantine: map[int]ByzantineBehavior{3: Equivocator(NewVector(50, 50), NewVector(-50, -50))},
+		},
 		"exact": {
 			Protocol: ProtocolExact, N: 4, F: 1, D: 2, Inputs: in4,
 		},
@@ -206,7 +210,7 @@ func TestMeshClusterMatchesSim(t *testing.T) {
 // cluster (one Run per node, real sockets) decides the same vectors as
 // the simulation of the same Spec, fingerprint-equal.
 func TestTCPClusterMatchesSim(t *testing.T) {
-	for _, name := range []string{"delta-relaxed-p1-byz", "convex-n4-f1-byz", "convex-n7-f2-byz"} {
+	for _, name := range []string{"delta-relaxed-p1-byz", "delta-relaxed-p2-byz", "convex-n4-f1-byz", "convex-n7-f2-byz"} {
 		spec := paritySpecs()[name]
 		t.Run(name, func(t *testing.T) {
 			sim, err := Run(context.Background(), spec)
