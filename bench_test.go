@@ -27,6 +27,7 @@ import (
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/tverberg"
 	"relaxedbvc/internal/vec"
 	"relaxedbvc/internal/workload"
@@ -131,43 +132,37 @@ func BenchmarkGammaPointTverberg(b *testing.B) {
 	}
 }
 
-// Broadcast: oral messages (EIG) vs signed (Dolev-Strong), message cost.
-func BenchmarkBroadcastEIG(b *testing.B) {
-	n, f := 5, 1
-	inputs := make([][]byte, n)
-	for i := range inputs {
-		inputs[i] = broadcast.EncodeVec(vec.Of(float64(i), 1))
-	}
+// Broadcast: oral messages (EIG) vs signed (Dolev-Strong), message cost
+// of one all-to-all broadcast on the simulation.
+func benchBroadcast(b *testing.B, n int, build func(id int, input []byte) broadcast.Node) {
+	b.Helper()
 	b.ReportAllocs()
 	var msgs int
 	for i := 0; i < b.N; i++ {
-		res, err := broadcast.RunAllToAllEIG(n, f, inputs, nil, broadcast.EncodeVec(vec.New(2)), nil)
+		run, err := transport.RunLockstep(context.Background(), transport.Plane{}, n, nil, nil, func(id int) (broadcast.Node, error) {
+			return build(id, broadcast.EncodeVec(vec.Of(float64(id), 1))), nil
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		msgs = res.Messages
+		msgs = run.Messages
 	}
 	b.ReportMetric(float64(msgs), "msgs/run")
+}
+
+func BenchmarkBroadcastEIG(b *testing.B) {
+	n, f := 5, 1
+	benchBroadcast(b, n, func(id int, input []byte) broadcast.Node {
+		return broadcast.NewEIGNode(n, f, id, input, nil, broadcast.EncodeVec(vec.New(2)))
+	})
 }
 
 func BenchmarkBroadcastDolevStrong(b *testing.B) {
 	n, f := 5, 1
 	scheme := broadcast.NewSigScheme(n, 1)
-	b.ReportAllocs()
-	var msgs int
-	for i := 0; i < b.N; i++ {
-		// n commanders to match the all-to-all EIG workload.
-		total := 0
-		for c := 0; c < n; c++ {
-			res, err := broadcast.RunDolevStrong(n, f, c, broadcast.EncodeVec(vec.Of(float64(c), 1)), scheme, nil, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += res.Messages
-		}
-		msgs = total
-	}
-	b.ReportMetric(float64(msgs), "msgs/run")
+	benchBroadcast(b, n, func(id int, input []byte) broadcast.Node {
+		return broadcast.NewDSNode(n, f, id, input, scheme, nil, nil)
+	})
 }
 
 // Full protocol benchmarks across the headline configurations.
@@ -321,16 +316,9 @@ func BenchmarkSweepEIGByN(b *testing.B) {
 	for _, n := range []int{4, 6, 8, 10} {
 		n := n
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			inputs := make([][]byte, n)
-			for i := range inputs {
-				inputs[i] = broadcast.EncodeVec(vec.Of(float64(i), 1))
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := broadcast.RunAllToAllEIG(n, 1, inputs, nil, broadcast.EncodeVec(vec.New(2)), nil); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchBroadcast(b, n, func(id int, input []byte) broadcast.Node {
+				return broadcast.NewEIGNode(n, 1, id, input, nil, broadcast.EncodeVec(vec.New(2)))
+			})
 		})
 	}
 }

@@ -31,7 +31,7 @@ func TestVecCodecRoundTrip(t *testing.T) {
 func TestPathCodec(t *testing.T) {
 	for _, p := range [][]int{{}, {0}, {3, 1, 4, 1, 5}} {
 		enc := encodePath(p)
-		got, rest, err := decodePath(enc)
+		got, rest, err := decodePath(enc, 5)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decodePath error %v rest %v", err, rest)
 		}
@@ -54,7 +54,55 @@ func honestInputs(n int, base string) [][]byte {
 	return in
 }
 
-func checkEIGAgreementValidity(t *testing.T, n, f int, res *AllToAllResult, inputs [][]byte, byz map[int]bool) {
+// runEngine drives one machine per process on the lockstep engine and
+// returns the finished engine for its counters.
+func runEngine[M sched.SyncProcess](tb testing.TB, nodes []M, faults *sched.LinkFaults, trace func(sched.Message)) *sched.SyncEngine {
+	tb.Helper()
+	procs := make([]sched.SyncProcess, len(nodes))
+	for i, nd := range nodes {
+		procs[i] = nd
+	}
+	eng := sched.NewSyncEngine(procs)
+	eng.Faults, eng.TraceFn = faults, trace
+	if _, err := eng.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
+// runEIG is an all-to-all EIG broadcast of inputs; it returns every
+// process's decisions and the finished engine.
+func runEIG(tb testing.TB, f int, inputs [][]byte, byz map[int]EIGBehavior, def []byte, trace func(sched.Message)) ([][][]byte, []*EIGNode, *sched.SyncEngine) {
+	tb.Helper()
+	nodes := make([]*EIGNode, len(inputs))
+	for i := range nodes {
+		nodes[i] = NewEIGNode(len(inputs), f, i, inputs[i], byz[i], def)
+	}
+	eng := runEngine(tb, nodes, nil, trace)
+	return decisions(nodes), nodes, eng
+}
+
+// runDS is runEIG's signed twin.
+func runDS(tb testing.TB, f int, inputs [][]byte, seed int64, byz map[int]DSBehavior, def []byte) ([][][]byte, *sched.SyncEngine) {
+	tb.Helper()
+	scheme := NewSigScheme(len(inputs), seed)
+	nodes := make([]*DSNode, len(inputs))
+	for i := range nodes {
+		nodes[i] = NewDSNode(len(inputs), f, i, inputs[i], scheme, byz[i], def)
+	}
+	eng := runEngine(tb, nodes, nil, nil)
+	return decisions(nodes), eng
+}
+
+func decisions[M Node](nodes []M) [][][]byte {
+	decided := make([][][]byte, len(nodes))
+	for i, nd := range nodes {
+		decided[i] = nd.Decided()
+	}
+	return decided
+}
+
+func checkEIGAgreementValidity(t *testing.T, n, f int, decided [][][]byte, inputs [][]byte, byz map[int]bool) {
 	t.Helper()
 	// Agreement: all honest processes decide identically on every
 	// commander; Validity: for honest commanders they decide the input.
@@ -64,20 +112,20 @@ func checkEIGAgreementValidity(t *testing.T, n, f int, res *AllToAllResult, inpu
 			honest = append(honest, i)
 		}
 	}
-	ref := res.Decided[honest[0]]
+	ref := decided[honest[0]]
 	for _, i := range honest[1:] {
 		for c := 0; c < n; c++ {
-			if !bytes.Equal(res.Decided[i][c], ref[c]) {
+			if !bytes.Equal(decided[i][c], ref[c]) {
 				t.Fatalf("agreement violated: process %d and %d differ on commander %d: %q vs %q",
-					honest[0], i, c, ref[c], res.Decided[i][c])
+					honest[0], i, c, ref[c], decided[i][c])
 			}
 		}
 	}
 	for _, c := range honest {
 		for _, i := range honest {
-			if !bytes.Equal(res.Decided[i][c], inputs[c]) {
+			if !bytes.Equal(decided[i][c], inputs[c]) {
 				t.Fatalf("validity violated: process %d decided %q for honest commander %d (input %q)",
-					i, res.Decided[i][c], c, inputs[c])
+					i, decided[i][c], c, inputs[c])
 			}
 		}
 	}
@@ -86,14 +134,11 @@ func checkEIGAgreementValidity(t *testing.T, n, f int, res *AllToAllResult, inpu
 func TestEIGAllHonest(t *testing.T) {
 	for _, c := range []struct{ n, f int }{{4, 1}, {5, 1}, {7, 2}} {
 		inputs := honestInputs(c.n, "v")
-		res, err := RunAllToAllEIG(c.n, c.f, inputs, nil, []byte("default"), nil)
-		if err != nil {
-			t.Fatal(err)
+		decided, _, eng := runEIG(t, c.f, inputs, nil, []byte("default"), nil)
+		if eng.RoundsRun != c.f+1 {
+			t.Errorf("n=%d f=%d rounds = %d, want %d", c.n, c.f, eng.RoundsRun, c.f+1)
 		}
-		if res.Rounds != c.f+1 {
-			t.Errorf("n=%d f=%d rounds = %d, want %d", c.n, c.f, res.Rounds, c.f+1)
-		}
-		checkEIGAgreementValidity(t, c.n, c.f, res, inputs, nil)
+		checkEIGAgreementValidity(t, c.n, c.f, decided, inputs, nil)
 	}
 }
 
@@ -124,7 +169,7 @@ func (r *randomLiar) RelayValue(instance int, path []int, to int, honest []byte)
 
 func TestEIGByzantineLieutenant(t *testing.T) {
 	for _, c := range []struct{ n, f int }{{4, 1}, {5, 1}, {7, 2}} {
-		for name, mk := range map[string]func() EIGBehavior{
+		for _, mk := range map[string]func() EIGBehavior{
 			"twofaced": func() EIGBehavior { return &twoFaced{[]byte("X"), []byte("Y")} },
 			"silent":   func() EIGBehavior { return silentB{} },
 			"random":   func() EIGBehavior { return &randomLiar{rand.New(rand.NewSource(9))} },
@@ -136,11 +181,8 @@ func TestEIGByzantineLieutenant(t *testing.T) {
 				byz[3] = mk()
 				byzSet[3] = true
 			}
-			res, err := RunAllToAllEIG(c.n, c.f, inputs, byz, []byte("default"), nil)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", name, c.n, err)
-			}
-			checkEIGAgreementValidity(t, c.n, c.f, res, inputs, byzSet)
+			decided, _, _ := runEIG(t, c.f, inputs, byz, []byte("default"), nil)
+			checkEIGAgreementValidity(t, c.n, c.f, decided, inputs, byzSet)
 		}
 	}
 }
@@ -151,23 +193,8 @@ func TestEIGByzantineCommanderStillAgrees(t *testing.T) {
 	n, f := 4, 1
 	inputs := honestInputs(n, "v")
 	byz := map[int]EIGBehavior{0: &twoFaced{[]byte("P"), []byte("Q")}}
-	res, err := RunAllToAllEIG(n, f, inputs, byz, []byte("default"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEIGAgreementValidity(t, n, f, res, inputs, map[int]bool{0: true})
-}
-
-func TestEIGRejectsTooManyByzantine(t *testing.T) {
-	if _, err := RunAllToAllEIG(4, 1, honestInputs(4, "v"), map[int]EIGBehavior{0: silentB{}, 1: silentB{}}, nil, nil); err == nil {
-		t.Error("f exceeded without error")
-	}
-	if _, err := RunAllToAllEIG(4, 1, honestInputs(3, "v"), nil, nil, nil); err == nil {
-		t.Error("wrong input count without error")
-	}
-	if _, err := RunAllToAllEIG(3, 3, honestInputs(3, "v"), nil, nil, nil); err == nil {
-		t.Error("f >= n without error")
-	}
+	decided, _, _ := runEIG(t, f, inputs, byz, []byte("default"), nil)
+	checkEIGAgreementValidity(t, n, f, decided, inputs, map[int]bool{0: true})
 }
 
 func TestEIGVectorPayloads(t *testing.T) {
@@ -179,16 +206,13 @@ func TestEIGVectorPayloads(t *testing.T) {
 		vecs[i] = vec.Of(float64(i), float64(i)*2, -1)
 		inputs[i] = EncodeVec(vecs[i])
 	}
-	res, err := RunAllToAllEIG(n, f, inputs, map[int]EIGBehavior{2: &twoFaced{EncodeVec(vec.Of(9, 9, 9)), EncodeVec(vec.Of(-9, -9, -9))}}, EncodeVec(vec.New(3)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	decided, _, _ := runEIG(t, f, inputs, map[int]EIGBehavior{2: &twoFaced{EncodeVec(vec.Of(9, 9, 9)), EncodeVec(vec.Of(-9, -9, -9))}}, EncodeVec(vec.New(3)), nil)
 	for i := 0; i < n; i++ {
 		if i == 2 {
 			continue
 		}
 		for c := 0; c < n; c++ {
-			v, err := DecodeVec(res.Decided[i][c])
+			v, err := DecodeVec(decided[i][c])
 			if err != nil {
 				t.Fatalf("process %d commander %d: decode: %v", i, c, err)
 			}
@@ -201,53 +225,38 @@ func TestEIGVectorPayloads(t *testing.T) {
 
 func TestDolevStrongHonest(t *testing.T) {
 	n, f := 5, 2
-	scheme := NewSigScheme(n, 1)
-	res, err := RunDolevStrong(n, f, 0, []byte("hello"), scheme, nil, []byte("def"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range res.Decided {
-		if !bytes.Equal(d, []byte("hello")) {
-			t.Fatalf("process %d decided %q", i, d)
-		}
-	}
-	if res.Rounds != f+1 {
-		t.Errorf("rounds = %d", res.Rounds)
+	decided, eng := runDS(t, f, honestInputs(n, "hello"), 1, nil, []byte("def"))
+	checkEIGAgreementValidity(t, n, f, decided, honestInputs(n, "hello"), nil)
+	if eng.RoundsRun != f+1 {
+		t.Errorf("rounds = %d", eng.RoundsRun)
 	}
 }
 
 func TestDolevStrongEquivocatingCommander(t *testing.T) {
 	n, f := 4, 1
-	scheme := NewSigScheme(n, 2)
 	beh := map[int]DSBehavior{0: NewDSEquivocator(map[int][]byte{
 		1: []byte("A"), 2: []byte("B"), 3: []byte("A"),
 	})}
-	res, err := RunDolevStrong(n, f, 0, []byte("ignored"), scheme, beh, []byte("def"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Agreement among honest (1,2,3): all must decide the same.
-	if !bytes.Equal(res.Decided[1], res.Decided[2]) || !bytes.Equal(res.Decided[2], res.Decided[3]) {
-		t.Fatalf("agreement violated: %q %q %q", res.Decided[1], res.Decided[2], res.Decided[3])
-	}
+	decided, _ := runDS(t, f, honestInputs(n, "v"), 2, beh, []byte("def"))
+	// Agreement among honest (1,2,3) on every commander, validity for
+	// the honest ones.
+	checkEIGAgreementValidity(t, n, f, decided, honestInputs(n, "v"), map[int]bool{0: true})
 	// With an equivocating commander and f=1, honest processes see both
 	// values by round f+1 and fall to the default.
-	if !bytes.Equal(res.Decided[1], []byte("def")) {
-		t.Errorf("decided %q, want default", res.Decided[1])
+	if !bytes.Equal(decided[1][0], []byte("def")) {
+		t.Errorf("decided %q, want default", decided[1][0])
 	}
 }
 
 func TestDolevStrongToleratesLargeF(t *testing.T) {
-	// Signed broadcast works even with n = f+2 (no n >= 3f+1 needed).
-	n, f := 4, 2
-	scheme := NewSigScheme(n, 3)
-	res, err := RunDolevStrong(n, f, 1, []byte("big-f"), scheme, nil, []byte("def"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range res.Decided {
-		if !bytes.Equal(d, []byte("big-f")) {
-			t.Fatalf("process %d decided %q", i, d)
+	// Signed broadcast works even with n = f+2 (no n >= 3f+1 needed),
+	// and at f >= 4, silent from round 2 until it decides at round f.
+	for _, c := range []struct{ n, f int }{{4, 2}, {6, 4}, {7, 5}} {
+		inputs := honestInputs(c.n, "big-f")
+		decided, eng := runDS(t, c.f, inputs, 3, nil, []byte("def"))
+		checkEIGAgreementValidity(t, c.n, c.f, decided, inputs, nil)
+		if eng.RoundsRun != c.f+1 {
+			t.Errorf("n=%d f=%d: %d rounds", c.n, c.f, eng.RoundsRun)
 		}
 	}
 }

@@ -9,7 +9,9 @@
 //   - Bracha reliable broadcast [4] for asynchronous systems, used by the
 //     Relaxed Verified Averaging algorithm.
 //
-// All three run on the deterministic engines of internal/sched.
+// EIGNode and DSNode are lockstep machines (sched.SyncProcess) that
+// internal/transport.RunLockstep drives on any plane; Bracha runs inside
+// the asynchronous and ACS machines.
 package broadcast
 
 import (
@@ -107,12 +109,6 @@ func ReadField(src []byte) (field, rest []byte, err error) {
 	return src[:l], src[l:], nil
 }
 
-// appendBytes and readBytes are the historical internal names; the
-// broadcast encoders below still use them.
-func appendBytes(dst, field []byte) []byte { return AppendField(dst, field) }
-
-func readBytes(src []byte) (field, rest []byte, err error) { return ReadField(src) }
-
 // encodePath serializes a process-id path (ids < 2^16).
 func encodePath(path []int) []byte {
 	out := make([]byte, 2+2*len(path))
@@ -123,14 +119,15 @@ func encodePath(path []int) []byte {
 	return out
 }
 
-func decodePath(b []byte) ([]int, []byte, error) {
+// decodePath parses a path encoded by encodePath of at most max ids.
+func decodePath(b []byte, max int) ([]int, []byte, error) {
 	if len(b) < 2 {
 		return nil, nil, fmt.Errorf("broadcast: short path")
 	}
 	l := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
-	if len(b) < 2*l {
-		return nil, nil, fmt.Errorf("broadcast: truncated path")
+	if len(b) < 2*l || l > max {
+		return nil, nil, fmt.Errorf("broadcast: truncated or overlong path")
 	}
 	path := make([]int, l)
 	for i := range path {

@@ -45,7 +45,7 @@ func (s *SigScheme) Verify(id int, msg, sig []byte) bool {
 	return hmac.Equal(s.Sign(id, msg), sig)
 }
 
-// dsMessage is a value plus a chain of (signer, signature) pairs. The
+// dsChain is a value plus a chain of (signer, signature) pairs. The
 // signed payload of the k-th signer is value || signer ids so far, which
 // binds the chain order.
 type dsChain struct {
@@ -55,40 +55,46 @@ type dsChain struct {
 }
 
 func dsPayload(value []byte, signers []int) []byte {
-	out := appendBytes(nil, value)
+	out := AppendField(nil, value)
 	return append(out, encodePath(signers)...)
 }
 
-func encodeChain(c dsChain) []byte {
-	out := appendBytes(nil, c.value)
-	out = append(out, encodePath(c.signers)...)
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(c.sigs)))
-	out = append(out, l[:]...)
+// appendChain appends c's wire form: value field | signer path |
+// count u32 | signature field*count.
+func appendChain(dst []byte, c dsChain) []byte {
+	dst = AppendField(dst, c.value)
+	dst = append(dst, encodePath(c.signers)...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(c.sigs)))
 	for _, s := range c.sigs {
-		out = appendBytes(out, s)
+		dst = AppendField(dst, s)
 	}
-	return out
+	return dst
 }
 
-func decodeChain(b []byte) (dsChain, error) {
+// decodeChain parses a chain of at most n signers. Every count is checked
+// against n and the bytes left before anything is allocated, so a
+// crafted length cannot make a receiver allocate more than it was sent.
+func decodeChain(b []byte, n int) (dsChain, error) {
 	var c dsChain
-	val, rest, err := readBytes(b)
+	val, rest, err := ReadField(b)
 	if err != nil {
 		return c, err
 	}
-	signers, rest, err := decodePath(rest)
+	signers, rest, err := decodePath(rest, n)
 	if err != nil {
 		return c, err
 	}
 	if len(rest) < 4 {
 		return c, fmt.Errorf("broadcast: short sig count")
 	}
-	nsig := int(binary.BigEndian.Uint32(rest))
+	nsig := binary.BigEndian.Uint32(rest)
 	rest = rest[4:]
+	if uint64(nsig) > uint64(n) || uint64(nsig) > uint64(len(rest)/4) {
+		return c, fmt.Errorf("broadcast: %d signatures in a chain of n=%d with %d bytes left", nsig, n, len(rest))
+	}
 	sigs := make([][]byte, nsig)
-	for i := 0; i < nsig; i++ {
-		sigs[i], rest, err = readBytes(rest)
+	for i := range sigs {
+		sigs[i], rest, err = ReadField(rest)
 		if err != nil {
 			return c, err
 		}
@@ -99,9 +105,16 @@ func decodeChain(b []byte) (dsChain, error) {
 
 // validChain verifies a signature chain: distinct signers starting with
 // the commander, each signature valid over the value and the chain prefix.
+// The shape — at most one signer per key, every id a key's — is checked
+// before any HMAC.
 func validChain(s *SigScheme, commander int, c dsChain) bool {
 	if len(c.signers) == 0 || len(c.signers) != len(c.sigs) {
 		return false
+	}
+	for _, id := range c.signers {
+		if id < 0 || id >= len(s.keys) {
+			return false
+		}
 	}
 	if c.signers[0] != commander || hasDuplicates(c.signers) {
 		return false
@@ -144,9 +157,11 @@ func (e *dsEquivocator) Send(round, to int, honest []dsChain, sign func([]byte, 
 // each recipient in round 0 and nothing later.
 func NewDSEquivocator(values map[int][]byte) DSBehavior { return &dsEquivocator{values: values} }
 
-// dsProcess implements the Dolev-Strong protocol: a chain with k valid
-// signatures received in round k-1 (0-based: delivered at Step(k)) is
-// accepted, countersigned and forwarded. After f+1 rounds a process
+const dsTag = "ds"
+
+// dsProcess is one Dolev-Strong instance at one process: a chain with k
+// valid signatures received in round k-1 (0-based: delivered at Step(k))
+// is accepted, countersigned and forwarded. After f+1 rounds a process
 // decides the unique accepted value, or the default when zero or several
 // values were accepted.
 type dsProcess struct {
@@ -155,167 +170,162 @@ type dsProcess struct {
 	input                 []byte // commander only
 	behavior              DSBehavior
 	accepted              map[string]dsChain // by value
-	forwarded             map[string]bool
+	fresh                 []dsChain          // accepted this round, countersigned
 	decided               []byte
 	defaultVal            []byte
-	done                  bool
-	// drops accumulates chains the Byzantine behavior suppressed relative
-	// to honest forwarding (run-wide; the lockstep engine is
-	// single-threaded so a plain int is safe).
-	drops *int
+	drops                 int // chains the behavior suppressed relative to honest forwarding
 }
 
-// extendChain appends self's signature to an existing valid chain.
+// extendChain appends self's signature to a chain (a fresh one when c
+// has no signers).
 func (p *dsProcess) extendChain(c dsChain) dsChain {
-	payload := dsPayload(c.value, c.signers)
 	return dsChain{
 		value:   c.value,
 		signers: append(append([]int(nil), c.signers...), p.self),
-		sigs:    append(append([][]byte(nil), c.sigs...), p.scheme.Sign(p.self, payload)),
+		sigs:    append(append([][]byte(nil), c.sigs...), p.scheme.Sign(p.self, dsPayload(c.value, c.signers))),
 	}
 }
 
-func (p *dsProcess) emit(round int, chains []dsChain) []sched.Outgoing {
-	var outs []sched.Outgoing
+// emit appends this instance's round sends: each chain as one "ds"
+// message, commander u32 | chain, to every peer in recipient order.
+func (p *dsProcess) emit(outs []sched.Outgoing, round int, chains []dsChain) []sched.Outgoing {
+	encode := func(c dsChain) []byte {
+		return appendChain(binary.BigEndian.AppendUint32(nil, uint32(p.commander)), c)
+	}
+	if p.behavior == nil {
+		for _, c := range chains {
+			outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: dsTag, Data: encode(c)})
+		}
+		return outs
+	}
+	sign := func(v []byte, signers []int) dsChain { return p.extendChain(dsChain{value: v, signers: signers}) }
 	for to := 0; to < p.n; to++ {
 		if to == p.self {
 			continue
 		}
-		send := chains
-		if p.behavior != nil {
-			send = p.behavior.Send(round, to, chains, func(v []byte, signers []int) dsChain {
-				base := dsChain{value: v, signers: signers}
-				if len(signers) == 0 {
-					// Fresh chain from this (Byzantine) process.
-					return dsChain{
-						value:   v,
-						signers: []int{p.self},
-						sigs:    [][]byte{p.scheme.Sign(p.self, dsPayload(v, nil))},
-					}
-				}
-				return p.extendChain(base)
-			})
-			if p.drops != nil && len(send) < len(chains) {
-				*p.drops += len(chains) - len(send)
-			}
+		send := p.behavior.Send(round, to, chains, sign)
+		if len(send) < len(chains) {
+			p.drops += len(chains) - len(send)
 		}
 		for _, c := range send {
-			outs = append(outs, sched.Outgoing{To: to, Tag: "ds", Data: encodeChain(c)})
+			outs = append(outs, sched.Outgoing{To: to, Tag: dsTag, Data: encode(c)})
 		}
 	}
 	return outs
 }
 
-func (p *dsProcess) Start() []sched.Outgoing {
+func (p *dsProcess) start(outs []sched.Outgoing) []sched.Outgoing {
 	if p.self != p.commander {
-		if p.behavior != nil {
-			return p.emit(0, nil)
-		}
-		return nil
+		return p.emit(outs, 0, nil)
 	}
-	c := dsChain{
-		value:   p.input,
-		signers: []int{p.self},
-		sigs:    [][]byte{p.scheme.Sign(p.self, dsPayload(p.input, nil))},
-	}
+	c := p.extendChain(dsChain{value: p.input})
 	p.accepted[string(p.input)] = c
-	p.forwarded[string(p.input)] = true
-	return p.emit(0, []dsChain{c})
+	return p.emit(outs, 0, []dsChain{c})
 }
 
-func (p *dsProcess) Step(round int, delivered []sched.Message) []sched.Outgoing {
-	var fresh []dsChain
-	for _, m := range delivered {
-		if m.Tag != "ds" {
-			continue
-		}
-		c, err := decodeChain(m.Data)
-		if err != nil {
-			continue
-		}
-		// Delivered at round r (sent in round r-1... here Step(round) sees
-		// messages sent previously): require at least round+1 signatures
-		// (Dolev-Strong round rule) and a valid chain.
-		if len(c.signers) < round+1 || !validChain(p.scheme, p.commander, c) {
-			continue
-		}
-		key := string(c.value)
-		if p.forwarded[key] {
-			continue
-		}
-		p.accepted[key] = c
-		p.forwarded[key] = true
-		if !pathContains(c.signers, p.self) && len(c.signers) <= p.f {
-			fresh = append(fresh, p.extendChain(c))
-		}
+// receive takes one chain delivered at round: it needs round+1 valid
+// signatures (the Dolev-Strong round rule) and a value not yet accepted.
+func (p *dsProcess) receive(round int, b []byte) {
+	c, err := decodeChain(b, p.n)
+	if err != nil || len(c.signers) < round+1 || !validChain(p.scheme, p.commander, c) {
+		return
 	}
+	key := string(c.value)
+	if _, seen := p.accepted[key]; seen {
+		return
+	}
+	p.accepted[key] = c
+	if !pathContains(c.signers, p.self) && len(c.signers) <= p.f {
+		p.fresh = append(p.fresh, p.extendChain(c))
+	}
+}
+
+// step ends round: forward what was accepted in it, or decide.
+func (p *dsProcess) step(outs []sched.Outgoing, round int) []sched.Outgoing {
 	if round < p.f {
-		return p.emit(round+1, fresh)
+		outs = p.emit(outs, round+1, p.fresh)
+		p.fresh = nil
+		return outs
 	}
-	// Decide.
+	p.decided = p.defaultVal
 	if len(p.accepted) == 1 {
 		for _, c := range p.accepted {
 			p.decided = c.value
 		}
-	} else {
-		p.decided = p.defaultVal
 	}
-	p.done = true
-	return nil
+	return outs
 }
 
-func (p *dsProcess) Done() bool { return p.done }
-
-// DSResult is the outcome of a Dolev-Strong broadcast.
-type DSResult struct {
-	Decided  [][]byte // per process (commander included)
-	Rounds   int
-	Messages int
-	// Drops is the number of chains suppressed by Byzantine behaviors
-	// relative to honest forwarding.
-	Drops int
-	// Faults counts injected link-fault events (when faults were given).
-	Faults sched.FaultStats
+// DSNode is the signed twin of EIGNode: one process's machine of the
+// all-to-all Dolev-Strong broadcast, the n instances (one per commander)
+// over one SigScheme. It tolerates any f < n in f+1 rounds, at the cost
+// of the simulated PKI. Instances emit in commander order, so after the
+// (From, Tag) inbox sort each sees its messages in the order a run of it
+// alone would deliver them.
+type DSNode struct {
+	inst    []dsProcess
+	decided [][]byte
 }
 
-// RunDolevStrong broadcasts the commander's value with signed messages in
-// f+1 rounds. Unlike the oral-messages algorithm it tolerates any f < n,
-// at the cost of the simulated PKI. behaviors maps Byzantine ids to their
-// behavior (the commander may be Byzantine). faults (may be nil) injects
-// seeded link faults; patterns beyond duplication break lockstep
-// synchrony and surface as errors wrapping sched.ErrDeliveryViolated.
-func RunDolevStrong(n, f, commander int, value []byte, scheme *SigScheme, behaviors map[int]DSBehavior, defaultVal []byte, faults *sched.LinkFaults, trace ...func(sched.Message)) (*DSResult, error) {
-	procs := make([]sched.SyncProcess, n)
-	dps := make([]*dsProcess, n)
-	var drops int
-	for i := 0; i < n; i++ {
-		dp := &dsProcess{
-			n: n, f: f, self: i, commander: commander, scheme: scheme,
-			behavior: behaviors[i], defaultVal: defaultVal,
-			accepted: make(map[string]dsChain), forwarded: make(map[string]bool),
-			drops: &drops,
+// NewDSNode builds the machine of process self out of n tolerating
+// f < n faults, broadcasting input, optionally scripted by behavior (nil
+// = honest), with defaultVal as the decision of an instance that
+// accepted zero or several values.
+func NewDSNode(n, f, self int, input []byte, scheme *SigScheme, behavior DSBehavior, defaultVal []byte) *DSNode {
+	p := &DSNode{inst: make([]dsProcess, n)}
+	for c := range p.inst {
+		p.inst[c] = dsProcess{n: n, f: f, self: self, commander: c, scheme: scheme,
+			behavior: behavior, defaultVal: defaultVal, accepted: make(map[string]dsChain)}
+	}
+	p.inst[self].input = input
+	return p
+}
+
+// Start implements sched.SyncProcess.
+func (p *DSNode) Start() []sched.Outgoing {
+	var outs []sched.Outgoing
+	for c := range p.inst {
+		outs = p.inst[c].start(outs)
+	}
+	return outs
+}
+
+// Step implements sched.SyncProcess: hand every chain to its instance
+// (a body too short for the commander prefix, or naming none, is
+// dropped), then step the instances in commander order.
+func (p *DSNode) Step(round int, delivered []sched.Message) []sched.Outgoing {
+	for i := range delivered {
+		m := &delivered[i]
+		if m.Tag == dsTag && len(m.Data) >= 4 {
+			if c := binary.BigEndian.Uint32(m.Data); uint64(c) < uint64(len(p.inst)) {
+				p.inst[c].receive(round, m.Data[4:])
+			}
 		}
-		if i == commander {
-			dp.input = value
+	}
+	var outs []sched.Outgoing
+	for c := range p.inst {
+		outs = p.inst[c].step(outs, round)
+	}
+	if round >= p.inst[0].f {
+		p.decided = make([][]byte, len(p.inst))
+		for c := range p.inst {
+			p.decided[c] = p.inst[c].decided
 		}
-		dps[i] = dp
-		procs[i] = dp
 	}
-	eng := sched.NewSyncEngine(procs)
-	eng.Faults = faults
-	if len(trace) > 0 {
-		eng.TraceFn = trace[0]
+	return outs
+}
+
+// Done implements sched.SyncProcess.
+func (p *DSNode) Done() bool { return p.decided != nil }
+
+// Decided returns, after Done, this node's decided value per commander.
+func (p *DSNode) Decided() [][]byte { return p.decided }
+
+// Drops returns the chains this node's Byzantine behavior suppressed.
+func (p *DSNode) Drops() int {
+	drops := 0
+	for c := range p.inst {
+		drops += p.inst[c].drops
 	}
-	rounds, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	res := &DSResult{Rounds: rounds, Messages: eng.Messages, Drops: drops, Faults: eng.FaultStats}
-	res.Decided = make([][]byte, n)
-	for i, dp := range dps {
-		res.Decided[i] = dp.decided
-	}
-	dsRunsTotal.Inc()
-	byzDropsTotal.Add(int64(res.Drops))
-	return res, nil
+	return drops
 }

@@ -290,10 +290,9 @@ func (b *eigBody) flush(outs []sched.Outgoing) []sched.Outgoing {
 // EIGNode is the per-process state machine of the all-to-all EIG
 // broadcast: n parallel EIG instances (one per commander) at a single
 // process — the "each process Byzantine-broadcasts its input" pattern
-// of Algorithm ALGO Step 1. It implements sched.SyncProcess, so the
-// same state machine can be driven by the simulated lockstep engine
-// (RunAllToAllEIG) or, one node per machine, by a distributed lockstep
-// runner over a real transport (internal/transport.RunSync). Rounds are
+// of Algorithm ALGO Step 1. It implements sched.SyncProcess, so
+// internal/transport.RunLockstep drives it on the simulation, the mesh
+// or, one node per machine, over TCP. Rounds are
 // 0-based: round r delivers the level r+1 nodes (round 0 the
 // commanders' sends); levels 1..f are relayed, level f+1 decides.
 type EIGNode struct {
@@ -506,86 +505,37 @@ func (p *EIGNode) resolve() [][]byte {
 // Done implements sched.SyncProcess.
 func (p *EIGNode) Done() bool { return p.done }
 
-// AllToAllResult is the outcome of an all-to-all EIG broadcast.
-type AllToAllResult struct {
-	// Decided[i][c] is process i's decided value for commander c
-	// (nil rows for Byzantine processes, whose decisions are meaningless).
-	Decided [][][]byte
-	Rounds  int
-	// Messages is the total number of point-to-point messages delivered.
-	Messages int
-	// Drops is the number of sends suppressed by Byzantine behaviors
-	// (returning nil from RelayValue) relative to honest relaying.
-	Drops int
-	// TreeNodes is the total number of EIG tree nodes stored across all
-	// processes and instances — the memory footprint of the broadcast.
-	TreeNodes int
-	// Faults counts injected link-fault events (when faults were given).
-	Faults sched.FaultStats
+// Node is one process's machine of an all-to-all broadcast: an
+// EIGNode (oral messages) or a DSNode (signed).
+type Node interface {
+	sched.SyncProcess
+	Decided() [][]byte // after Done: the agreed value of every commander
+	Drops() int
 }
 
-// RunAllToAllEIG has every process Byzantine-broadcast its input to all
-// others using parallel EIG instances (f+1 rounds). behaviors maps
-// Byzantine process ids to their behavior; all other processes are
-// honest. defaultVal is the fallback value used when majority fails.
-// faults (may be nil) injects seeded link faults; patterns beyond
-// duplication break lockstep synchrony and surface as errors wrapping
-// sched.ErrDeliveryViolated.
-//
-// Correctness (agreement on every instance and validity for honest
-// commanders) requires n >= 3f+1.
-func RunAllToAllEIG(n, f int, inputs [][]byte, behaviors map[int]EIGBehavior, defaultVal []byte, faults *sched.LinkFaults, trace ...func(sched.Message)) (*AllToAllResult, error) {
-	if len(inputs) != n {
-		return nil, fmt.Errorf("broadcast: %d inputs for %d processes", len(inputs), n)
-	}
-	if len(behaviors) > f {
-		return nil, fmt.Errorf("broadcast: %d Byzantine processes exceeds f=%d", len(behaviors), f)
-	}
-	if f >= n {
-		return nil, fmt.Errorf("broadcast: f=%d faults among n=%d processes", f, n)
-	}
-	if err := CheckEIGTree(n, f); err != nil {
-		return nil, err
-	}
-	procs := make([]sched.SyncProcess, n)
-	eps := make([]*EIGNode, n)
-	for i := 0; i < n; i++ {
-		ep := NewEIGNode(n, f, i, inputs[i], behaviors[i], defaultVal)
-		eps[i] = ep
-		procs[i] = ep
-	}
-	eng := sched.NewSyncEngine(procs)
-	eng.Faults = faults
-	if len(trace) > 0 {
-		eng.TraceFn = trace[0]
-	}
-	rounds, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	res := &AllToAllResult{Rounds: rounds, Messages: eng.Messages, Faults: eng.FaultStats}
-	res.Decided = make([][][]byte, n)
-	for i, ep := range eps {
-		res.Decided[i] = ep.decided
-	}
-	res.Drops, res.TreeNodes = CountEIGRun(eps)
-	return res, nil
-}
-
-// CountEIGRun publishes one finished all-to-all broadcast into the
+// CountRun publishes one finished all-to-all broadcast into the
 // registry — the single place its counters move, whichever plane drove
-// the machines — and returns the suppressed sends and the tree size
+// the machines — and returns the suppressed sends and the EIG tree size
 // summed over nodes (nil entries, machines a peer process ran, are
 // skipped).
-func CountEIGRun(nodes []*EIGNode) (drops, treeNodes int) {
-	for _, ep := range nodes {
-		if ep != nil {
-			drops += ep.drops
-			treeNodes += ep.TreeNodes()
+func CountRun(nodes []Node) (drops, treeNodes int) {
+	signed := false
+	for _, nd := range nodes {
+		switch nd := nd.(type) {
+		case *EIGNode:
+			drops += nd.drops
+			treeNodes += nd.TreeNodes()
+		case *DSNode:
+			drops += nd.Drops()
+			signed = true
 		}
 	}
-	eigRunsTotal.Inc()
 	byzDropsTotal.Add(int64(drops))
+	if signed {
+		dsRunsTotal.Inc()
+		return drops, 0
+	}
+	eigRunsTotal.Inc()
 	eigNodesTotal.Add(int64(treeNodes))
 	eigTreeNodes.Observe(float64(treeNodes))
 	return drops, treeNodes

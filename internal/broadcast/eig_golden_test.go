@@ -171,19 +171,22 @@ func eigTranscript(s eigGoldenSpec) (eigTranscriptRecord, error) {
 		hashField(h, m.Data)
 	}
 	def := broadcast.EncodeVec(vec.New(eigGoldenDim))
-	res, err := broadcast.RunAllToAllEIG(s.n, s.f, s.inputs(), s.byzantine(), def, s.faults(), trace)
+	inputs, byz := s.inputs(), s.byzantine()
+	run, err := transport.RunLockstep(context.Background(), transport.Plane{}, s.n, s.faults(), trace, func(id int) (*broadcast.EIGNode, error) {
+		return broadcast.NewEIGNode(s.n, s.f, id, inputs[id], byz[id], def), nil
+	})
 	if err != nil {
 		return eigTranscriptRecord{}, err
 	}
-	return eigTranscriptRecord{
-		Name:      s.name(),
-		Trace:     hex.EncodeToString(h.Sum(nil)),
-		Decided:   decidedHash(res.Decided),
-		Messages:  res.Messages,
-		Rounds:    res.Rounds,
-		Drops:     res.Drops,
-		TreeNodes: res.TreeNodes,
-	}, nil
+	rec := eigTranscriptRecord{Name: s.name(), Trace: hex.EncodeToString(h.Sum(nil)), Messages: run.Messages, Rounds: run.Rounds}
+	decided := make([][][]byte, s.n)
+	for i, node := range run.Machines {
+		decided[i] = node.Decided()
+		rec.Drops += node.Drops()
+		rec.TreeNodes += node.TreeNodes()
+	}
+	rec.Decided = decidedHash(decided)
+	return rec, nil
 }
 
 // meshDecided runs the spec as a cluster of RunSync nodes on the

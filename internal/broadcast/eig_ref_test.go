@@ -86,13 +86,13 @@ func (p *refEIGNode) encode(path []int, v []byte) []byte {
 		p.arena = make([]byte, 0, max(size, 2*cap(p.arena)))
 	}
 	start := len(p.arena)
-	b := appendBytes(p.arena, []byte{byte(path[0])})
+	b := AppendField(p.arena, []byte{byte(path[0])})
 	b = binary.BigEndian.AppendUint32(b, uint32(2+2*len(path)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(path)))
 	for _, id := range path {
 		b = binary.BigEndian.AppendUint16(b, uint16(id))
 	}
-	p.arena = appendBytes(b, v)
+	p.arena = AppendField(b, v)
 	return p.arena[start:len(p.arena):len(p.arena)]
 }
 
@@ -129,15 +129,15 @@ func (p *refEIGNode) parse(m *sched.Message, path []int) (slot int, val []byte, 
 	if m.Tag != "eig" {
 		return 0, nil, false
 	}
-	instB, rest, err := readBytes(m.Data)
+	instB, rest, err := ReadField(m.Data)
 	if err != nil || len(instB) != 1 {
 		return 0, nil, false
 	}
-	pathB, rest, err := readBytes(rest)
+	pathB, rest, err := ReadField(rest)
 	if err != nil || len(pathB) < 2+2*len(path) || int(binary.BigEndian.Uint16(pathB)) != len(path) {
 		return 0, nil, false
 	}
-	if val, _, err = readBytes(rest); err != nil {
+	if val, _, err = ReadField(rest); err != nil {
 		return 0, nil, false
 	}
 	for k := range path {

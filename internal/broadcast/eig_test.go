@@ -307,13 +307,14 @@ func eigBenchRun(tb testing.TB) {
 	for i := range inputs {
 		inputs[i] = bytes.Repeat([]byte{byte(i)}, 28) // the size of an encoded d=3 vector
 	}
-	res, err := RunAllToAllEIG(n, f, inputs, map[int]EIGBehavior{n - 1: liar}, make([]byte, 28), nil)
-	if err != nil {
-		tb.Fatal(err)
+	_, nodes, eng := runEIG(tb, f, inputs, map[int]EIGBehavior{n - 1: liar}, make([]byte, 28), nil)
+	treeNodes := 0
+	for _, nd := range nodes {
+		treeNodes += nd.TreeNodes()
 	}
 	// One message per link per round: n(n-1)(f+1).
-	if res.Messages != 360 || res.TreeNodes != 58600 {
-		tb.Fatalf("messages %d tree nodes %d, want 360 and 58600", res.Messages, res.TreeNodes)
+	if eng.Messages != 360 || treeNodes != 58600 {
+		tb.Fatalf("messages %d tree nodes %d, want 360 and 58600", eng.Messages, treeNodes)
 	}
 }
 
@@ -352,9 +353,7 @@ func TestEIGRelayOrderIsInstancePathRecipient(t *testing.T) {
 		return honest
 	})
 	const n, f = 5, 2
-	if _, err := RunAllToAllEIG(n, f, honestInputs(n, "v"), map[int]EIGBehavior{2: rec}, []byte("def"), nil); err != nil {
-		t.Fatal(err)
-	}
+	runEIG(t, f, honestInputs(n, "v"), map[int]EIGBehavior{2: rec}, []byte("def"), nil)
 	if want := (n - 1) * (1 + (n - 1) + (n-1)*(n-2)); len(calls) != want {
 		t.Fatalf("%d RelayValue calls, want %d", len(calls), want)
 	}
@@ -456,27 +455,20 @@ func TestEIGBodiesCutAtEntryBoundaries(t *testing.T) {
 			cut++
 		}
 	}
-	res, err := RunAllToAllEIG(n, f, inputs, mk(), []byte("def"), nil, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	decided, _, _ := runEIG(t, f, inputs, mk(), []byte("def"), trace)
 	if limit := eigBodyCap + eigHeaderLen + 4 + 10<<10; largest > limit || cut == 0 {
 		t.Fatalf("largest message %d bytes (limit %d), %d cut messages", largest, limit, cut)
 	}
-	procs := make([]sched.SyncProcess, n)
 	refs := make([]*refEIGNode, n)
 	behaviors := mk()
-	for i := range procs {
+	for i := range refs {
 		refs[i] = NewRefEIGNode(n, f, i, inputs[i], behaviors[i], []byte("def"))
-		procs[i] = refs[i]
 	}
-	if _, err := sched.NewSyncEngine(procs).Run(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, refs, nil, nil)
 	for i, ref := range refs {
 		for c, v := range ref.Decided() {
-			if !bytes.Equal(res.Decided[i][c], v) {
-				t.Fatalf("process %d commander %d: decided %.8q, referee %.8q", i, c, res.Decided[i][c], v)
+			if !bytes.Equal(decided[i][c], v) {
+				t.Fatalf("process %d commander %d: decided %.8q, referee %.8q", i, c, decided[i][c], v)
 			}
 		}
 	}

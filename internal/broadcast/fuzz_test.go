@@ -40,7 +40,7 @@ func TestDecodeChainNeverPanicsOnGarbage(t *testing.T) {
 					t.Fatal("decodeChain panicked")
 				}
 			}()
-			decodeChain(b)
+			decodeChain(b, 8)
 		}()
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"math"
 	"testing"
 
+	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -75,7 +77,7 @@ func TestIterativeCancelMidRound(t *testing.T) {
 			}
 		},
 	}
-	_, err := RunIterativeBVC(ctx, cfg)
+	_, err := RunIterativeBVC(ctx, transport.Plane{}, cfg)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -97,6 +99,10 @@ func TestTypedSentinels(t *testing.T) {
 		}, ErrTooFewProcesses},
 		{"f >= n", func() error {
 			_, err := RunExactBVC(ctx, &SyncConfig{N: 4, F: 4, D: 2, Inputs: good})
+			return err
+		}, ErrTooManyFaults},
+		{"too many byzantine", func() error {
+			_, err := RunExactBVC(ctx, &SyncConfig{N: 4, F: 1, D: 2, Inputs: good, Byzantine: map[int]broadcast.EIGBehavior{0: nil, 1: nil}})
 			return err
 		}, ErrTooManyFaults},
 		{"input count", func() error {
@@ -132,7 +138,7 @@ func TestTypedSentinels(t *testing.T) {
 			return err
 		}, ErrTooFewProcesses},
 		{"iter rounds", func() error {
-			_, err := RunIterativeBVC(ctx, &IterConfig{N: 4, F: 1, D: 2, Inputs: good})
+			_, err := RunIterativeBVC(ctx, transport.Plane{}, &IterConfig{N: 4, F: 1, D: 2, Inputs: good})
 			return err
 		}, ErrBadRounds},
 	}

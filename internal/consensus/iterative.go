@@ -72,15 +72,17 @@ type IterResult struct {
 	// Faults counts injected link-fault events (zero when no fault policy
 	// was configured).
 	Faults sched.FaultStats
+	// Transport sums the local endpoints' traffic (zero on the
+	// simulation).
+	Transport transport.Stats
 }
 
 type iterProcess struct {
-	cfg    *IterConfig
-	self   int
-	value  vec.V
-	byz    IterByzantine
-	rounds int
-	done   bool
+	cfg     *IterConfig
+	self    int
+	value   vec.V
+	byz     IterByzantine
+	history []vec.V // the value entering every round, then the output
 }
 
 func (p *iterProcess) emit(round int) []sched.Outgoing {
@@ -128,15 +130,14 @@ func (p *iterProcess) Step(round int, delivered []sched.Message) []sched.Outgoin
 			p.value = pt
 		}
 	}
-	p.rounds++
-	if p.rounds >= p.cfg.Rounds {
-		p.done = true
+	p.history = append(p.history, p.value)
+	if p.Done() {
 		return nil
 	}
 	return p.emit(round + 1)
 }
 
-func (p *iterProcess) Done() bool { return p.done }
+func (p *iterProcess) Done() bool { return len(p.history) > p.cfg.Rounds }
 
 // safeGammaCentroid returns the mean of the +/- axis support points of
 // Gamma(S, f) — an interior-leaning point of the safe area — refined by
@@ -229,10 +230,12 @@ func projectIntoIntersection(pt vec.V, fam []*vec.Set) vec.V {
 	return vec.Lerp(pt, res.Point, hi)
 }
 
-// RunIterativeBVC runs the iterative protocol for the configured number
-// of rounds and returns the final estimates plus the per-round honest
-// range history. The context is polled once per round.
-func RunIterativeBVC(ctx context.Context, cfg *IterConfig) (*IterResult, error) {
+// RunIterativeBVC runs the iterative protocol on plane for the
+// configured number of rounds and returns the final estimates plus the
+// per-round honest range history. On TCP only this process's estimate is
+// filled, and the range history, which needs every honest estimate, is
+// nil. The context is polled once per round.
+func RunIterativeBVC(ctx context.Context, plane transport.Plane, cfg *IterConfig) (*IterResult, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("%w: n must be >= 2, got %d", ErrTooFewProcesses, cfg.N)
 	}
@@ -245,9 +248,13 @@ func RunIterativeBVC(ctx context.Context, cfg *IterConfig) (*IterResult, error) 
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadRounds, cfg.Rounds)
 	}
+	badInput := func(i int) error {
+		return fmt.Errorf("%w: input %d dimension %d != %d", ErrBadDimension, i, cfg.Inputs[i].Dim(), cfg.D)
+	}
 	for i, v := range cfg.Inputs {
-		if v.Dim() != cfg.D {
-			return nil, fmt.Errorf("%w: input %d dimension %d != %d", ErrBadDimension, i, v.Dim(), cfg.D)
+		// nil: a process a peer runs (a TCP node knows only its own input)
+		if v != nil && v.Dim() != cfg.D {
+			return nil, badInput(i)
 		}
 	}
 	if cfg.Faults != nil {
@@ -258,33 +265,30 @@ func RunIterativeBVC(ctx context.Context, cfg *IterConfig) (*IterResult, error) 
 	if err := sched.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	ips := make([]*iterProcess, cfg.N)
-	var honest []int
-	for i := 0; i < cfg.N; i++ {
-		ips[i] = &iterProcess{cfg: cfg, self: i, value: cfg.Inputs[i].Clone(), byz: cfg.Byzantine[i]}
-		if _, bad := cfg.Byzantine[i]; !bad {
-			honest = append(honest, i)
+	run, err := transport.RunLockstep(ctx, plane, cfg.N, cfg.Faults, cfg.Trace, func(i int) (*iterProcess, error) {
+		if cfg.Inputs[i].Dim() != cfg.D {
+			return nil, badInput(i)
 		}
-	}
-	history := []float64{honestRange(ips, honest)}
-	// Wrap the processes so the honest range is sampled once per round:
-	// a global view only the simulation plane has.
-	recorder := &rangeRecorder{ips: ips, honest: honest}
-	run, err := transport.RunLockstep(ctx, transport.Plane{}, cfg.N, cfg.Faults, cfg.Trace, func(i int) (*recordingProcess, error) {
-		return &recordingProcess{inner: ips[i], rec: recorder}, nil
+		v := cfg.Inputs[i].Clone()
+		return &iterProcess{cfg: cfg, self: i, value: v, byz: cfg.Byzantine[i], history: []vec.V{v}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	history = append(history, recorder.samples...)
-	res := &IterResult{
-		Outputs:      make([]vec.V, cfg.N),
-		RangeHistory: history,
-		Messages:     run.Messages,
-		Faults:       run.Faults,
+	res := &IterResult{Outputs: make([]vec.V, cfg.N), Messages: run.Messages, Faults: run.Faults, Transport: run.Stats}
+	for _, i := range run.Local {
+		res.Outputs[i] = run.Machines[i].value.Clone()
 	}
-	for i, ip := range ips {
-		res.Outputs[i] = ip.value.Clone()
+	if len(run.Local) == cfg.N {
+		var honest []*iterProcess
+		for i, ip := range run.Machines {
+			if _, bad := cfg.Byzantine[i]; !bad {
+				honest = append(honest, ip)
+			}
+		}
+		for r := 0; r <= cfg.Rounds; r++ {
+			res.RangeHistory = append(res.RangeHistory, honestRange(honest, r))
+		}
 	}
 	iterRuns.Inc()
 	runsTotal.Inc()
@@ -293,44 +297,16 @@ func RunIterativeBVC(ctx context.Context, cfg *IterConfig) (*IterResult, error) 
 	return res, nil
 }
 
-func honestRange(ips []*iterProcess, honest []int) float64 {
+// honestRange is the largest pairwise L-inf distance between the honest
+// estimates entering round r (r = Rounds: the outputs).
+func honestRange(honest []*iterProcess, r int) float64 {
 	worst := 0.0
 	for a := 0; a < len(honest); a++ {
 		for b := a + 1; b < len(honest); b++ {
-			if d := ips[honest[a]].value.Sub(ips[honest[b]].value).NormP(math.Inf(1)); d > worst {
+			if d := honest[a].history[r].Sub(honest[b].history[r]).NormP(math.Inf(1)); d > worst {
 				worst = d
 			}
 		}
 	}
 	return worst
 }
-
-// rangeRecorder samples the honest range once per round, after every
-// process has updated (triggered by the designated first honest process
-// completing its Step — process updates within a round are independent,
-// and the engine steps processes in id order, so sampling when the LAST
-// honest process finished the round is correct; we sample from the
-// recording wrapper of the highest-id honest process instead).
-type rangeRecorder struct {
-	ips     []*iterProcess
-	honest  []int
-	samples []float64
-}
-
-type recordingProcess struct {
-	inner *iterProcess
-	rec   *rangeRecorder
-}
-
-func (r *recordingProcess) Start() []sched.Outgoing { return r.inner.Start() }
-
-func (r *recordingProcess) Step(round int, delivered []sched.Message) []sched.Outgoing {
-	outs := r.inner.Step(round, delivered)
-	// Sample after the last honest process of this round has stepped.
-	if r.inner.self == r.rec.honest[len(r.rec.honest)-1] {
-		r.rec.samples = append(r.rec.samples, honestRange(r.rec.ips, r.rec.honest))
-	}
-	return outs
-}
-
-func (r *recordingProcess) Done() bool { return r.inner.Done() }

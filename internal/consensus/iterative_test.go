@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -27,7 +28,7 @@ func TestIterativeConvergesAllHonest(t *testing.T) {
 		Inputs: randInputs(rng, 5, 2, 5),
 		Rounds: 15,
 	}
-	res, err := RunIterativeBVC(context.Background(), cfg)
+	res, err := RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestIterativeConvergesUnderAttack(t *testing.T) {
 			Rounds:    18,
 			Byzantine: map[int]IterByzantine{4: mk()},
 		}
-		res, err := RunIterativeBVC(context.Background(), cfg)
+		res, err := RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -98,7 +99,7 @@ func TestIterativeRangeMonotone(t *testing.T) {
 		Rounds:    10,
 		Byzantine: map[int]IterByzantine{5: iterLiar(rand.New(rand.NewSource(3)), 3, 30)},
 	}
-	res, err := RunIterativeBVC(context.Background(), cfg)
+	res, err := RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestIterativeValidation(t *testing.T) {
 		{N: 5, F: 1, D: 3, Inputs: good, Rounds: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := RunIterativeBVC(context.Background(), cfg); err == nil {
+		if _, err := RunIterativeBVC(context.Background(), transport.Plane{}, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -138,7 +139,7 @@ func TestIterativeInstantConvergenceWithoutEquivocation(t *testing.T) {
 		Inputs: randInputs(rng, 5, 2, 5),
 		Rounds: 3,
 	}
-	res, err := RunIterativeBVC(context.Background(), cfg)
+	res, err := RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestIterativeGeometricDecayUnderEquivocation(t *testing.T) {
 			return v.Scale(10)
 		})},
 	}
-	res, err := RunIterativeBVC(context.Background(), cfg)
+	res, err := RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestIterativeSliverRegimeRegression(t *testing.T) {
 			}),
 		},
 	}
-	res, err := RunIterativeBVC(context.Background(), cfg)
+	res, err := RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

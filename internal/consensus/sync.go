@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"relaxedbvc/internal/broadcast"
@@ -175,46 +174,47 @@ type step1Info struct {
 	transport        transport.Stats
 }
 
-// step1 runs the all-to-all Byzantine broadcast on plane (oral-messages
-// EIG by default; Dolev-Strong signed, a sequence of n simulated
-// engines whatever the plane, when configured — the facade refuses that
-// pairing) and decodes, per local process, the agreed multiset of n
-// vectors.
+// step1 runs the all-to-all Byzantine broadcast on plane — one
+// lockstep machine per process, oral-messages EIG by default or
+// Dolev-Strong when signed — and decodes, per local process, the agreed
+// multiset of n vectors.
 func step1(ctx context.Context, plane transport.Plane, cfg *SyncConfig) (*step1Info, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	def := cfg.defaultVec()
 	defEnc := broadcast.EncodeVec(def)
-	info := &step1Info{}
-	decided := make([][][]byte, cfg.N)
-	if cfg.SignedBroadcast {
-		if err := step1Signed(cfg, defEnc, info, decided); err != nil {
-			return nil, err
+	var scheme *broadcast.SigScheme
+	if cfg.SignedBroadcast { // every node derives every key from the seed
+		seed := cfg.SigSeed
+		if seed == 0 {
+			seed = 1
 		}
-	} else {
-		run, err := transport.RunLockstep(ctx, plane, cfg.N, cfg.Faults, cfg.Trace, func(id int) (*broadcast.EIGNode, error) {
-			if cfg.Inputs[id].Dim() != cfg.D {
-				return nil, cfg.badInput(id)
-			}
-			return broadcast.NewEIGNode(cfg.N, cfg.F, id, broadcast.EncodeVec(cfg.Inputs[id]), cfg.Byzantine[id], defEnc), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		info.local = run.Local
-		info.rounds, info.messages = run.Rounds, run.Messages
-		info.faults, info.transport = run.Faults, run.Stats
-		info.drops, info.treeNodes = broadcast.CountEIGRun(run.Machines)
-		for _, i := range run.Local {
-			decided[i] = run.Machines[i].Decided()
-		}
+		scheme = broadcast.NewSigScheme(cfg.N, seed)
 	}
-	info.sets = make([]*vec.Set, cfg.N)
-	for _, i := range info.local {
+	run, err := transport.RunLockstep(ctx, plane, cfg.N, cfg.Faults, cfg.Trace, func(id int) (broadcast.Node, error) {
+		if cfg.Inputs[id].Dim() != cfg.D {
+			return nil, cfg.badInput(id)
+		}
+		in := broadcast.EncodeVec(cfg.Inputs[id])
+		if scheme != nil {
+			return broadcast.NewDSNode(cfg.N, cfg.F, id, in, scheme, cfg.ByzantineSigned[id], defEnc), nil
+		}
+		return broadcast.NewEIGNode(cfg.N, cfg.F, id, in, cfg.Byzantine[id], defEnc), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	info := &step1Info{
+		local: run.Local, sets: make([]*vec.Set, cfg.N),
+		rounds: run.Rounds, messages: run.Messages,
+		faults: run.Faults, transport: run.Stats,
+	}
+	info.drops, info.treeNodes = broadcast.CountRun(run.Machines)
+	for _, i := range run.Local {
 		s := vec.NewSet()
-		for c := 0; c < cfg.N; c++ {
-			v, err := broadcast.DecodeVec(decided[i][c])
+		for _, b := range run.Machines[i].Decided() {
+			v, err := broadcast.DecodeVec(b)
 			if err != nil || v.Dim() != cfg.D {
 				v = def.Clone()
 			}
@@ -223,44 +223,6 @@ func step1(ctx context.Context, plane transport.Plane, cfg *SyncConfig) (*step1I
 		info.sets[i] = s
 	}
 	return info, nil
-}
-
-// step1Signed runs n Dolev-Strong instances, one per commander, filling
-// decided and info's network statistics. With simulated signatures this
-// tolerates any f < n, which is what makes the footnote-3 configurations
-// (n <= 3f) work.
-func step1Signed(cfg *SyncConfig, defEnc []byte, info *step1Info, decided [][][]byte) error {
-	seed := cfg.SigSeed
-	if seed == 0 {
-		seed = 1
-	}
-	scheme := broadcast.NewSigScheme(cfg.N, seed)
-	info.local = make([]int, cfg.N)
-	for i := range decided {
-		info.local[i] = i
-		decided[i] = make([][]byte, cfg.N)
-	}
-	var trace []func(sched.Message)
-	if cfg.Trace != nil {
-		trace = append(trace, cfg.Trace)
-	}
-	for c := 0; c < cfg.N; c++ {
-		res, err := broadcast.RunDolevStrong(cfg.N, cfg.F, c, broadcast.EncodeVec(cfg.Inputs[c]),
-			scheme, cfg.ByzantineSigned, defEnc, cfg.Faults, trace...)
-		if err != nil {
-			return err
-		}
-		if res.Rounds > info.rounds {
-			info.rounds = res.Rounds
-		}
-		info.messages += res.Messages
-		info.drops += res.Drops
-		info.faults.Add(res.Faults)
-		for i := 0; i < cfg.N; i++ {
-			decided[i][c] = res.Decided[i]
-		}
-	}
-	return nil
 }
 
 // setKey produces a canonical key of a multiset for memoizing Step 2.
@@ -526,15 +488,4 @@ func CheckKValidity(out vec.V, nonFaulty *vec.Set, k int, tol float64) bool {
 func CheckDeltaValidity(out vec.V, nonFaulty *vec.Set, delta, p, tol float64) bool {
 	dist, _ := geom.DistP(out, nonFaulty, p)
 	return dist <= delta+tol
-}
-
-// SortedIDs returns ids sorted ascending (utility for deterministic
-// reporting).
-func SortedIDs(m map[int]broadcast.EIGBehavior) []int {
-	var ids []int
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

@@ -5,6 +5,7 @@ import (
 
 	"relaxedbvc/internal/consensus"
 	"relaxedbvc/internal/report"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 	"relaxedbvc/internal/workload"
 )
@@ -50,7 +51,7 @@ func E18Iterative(opt Options) *Outcome {
 		if a.mk != nil {
 			cfg.Byzantine = map[int]consensus.IterByzantine{n - 1: a.mk}
 		}
-		res, err := consensus.RunIterativeBVC(context.Background(), cfg)
+		res, err := consensus.RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
 		if err != nil {
 			o.Pass = false
 			note(o, "%s: %v", a.name, err)

@@ -5,6 +5,7 @@ import (
 
 	"relaxedbvc/internal/consensus"
 	"relaxedbvc/internal/report"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/workload"
 )
 
@@ -98,7 +99,7 @@ func E19CostScaling(opt Options) *Outcome {
 	// cheapest substrate, n*(n-1) per round).
 	nIter := 5
 	cfgI := &consensus.IterConfig{N: nIter, F: 1, D: d, Inputs: workload.Gaussian(rng, nIter, d, 1), Rounds: 6}
-	resI, err := consensus.RunIterativeBVC(context.Background(), cfgI)
+	resI, err := consensus.RunIterativeBVC(context.Background(), transport.Plane{}, cfgI)
 	if err != nil {
 		o.Pass = false
 	} else {

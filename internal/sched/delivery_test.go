@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -206,10 +207,23 @@ func TestSyncEngineInboxesAreCapLimited(t *testing.T) {
 }
 
 func TestSyncEngineTerminationErrorsUnchanged(t *testing.T) {
-	e := NewSyncEngine([]SyncProcess{neverDone{}, neverDone{}})
+	// Once injected faults broke delivery, three rounds with nothing sent
+	// and nothing in flight end a run whose processes wait for what was
+	// lost.
+	lost := &LinkFaults{Seed: 1, LinkProfile: LinkProfile{DropProb: 1}}
+	e := NewSyncEngine([]SyncProcess{&scripted{script: [][]Outgoing{{{To: 1, Tag: "x"}}, nil, nil, nil, nil}}, neverDone{}})
+	e.Faults = lost
 	rounds, err := e.Run()
-	if err == nil || err.Error() != "sched: quiescent with 2 processes not done" || rounds != 3 {
+	if err == nil || !strings.HasPrefix(err.Error(), "sched: quiescent with 2 processes not done; ") || !errors.Is(err, ErrDeliveryViolated) || rounds != 3 {
 		t.Errorf("quiescent run: rounds %d err %v", rounds, err)
+	}
+	// Without faults silence is no deadlock (Dolev-Strong is silent
+	// between relaying and deciding): only the round limit ends it.
+	e = NewSyncEngine([]SyncProcess{neverDone{}, neverDone{}})
+	e.MaxRounds = 5
+	rounds, err = e.Run()
+	if err == nil || err.Error() != "sched: round limit 5 exceeded" || rounds != 5 {
+		t.Errorf("silent run: rounds %d err %v", rounds, err)
 	}
 	// A process that keeps sending never goes quiescent: the round limit
 	// ends it, with every round's message delivered and counted.

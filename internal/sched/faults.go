@@ -283,7 +283,7 @@ type FaultStats struct {
 }
 
 // Add accumulates another run's counts (used when one consensus
-// execution spans several engine runs, e.g. per-commander broadcasts).
+// execution spans several engine runs, e.g. per-coordinate scalar runs).
 func (s *FaultStats) Add(o FaultStats) {
 	s.Dropped += o.Dropped
 	s.Duplicated += o.Duplicated
@@ -291,6 +291,12 @@ func (s *FaultStats) Add(o FaultStats) {
 	s.PartitionHeals += o.PartitionHeals
 	s.Delayed += o.Delayed
 	s.Lost += o.Lost
+}
+
+// brokeLockstep reports whether the faults broke lockstep delivery:
+// anything but duplication, which the processes absorb.
+func (s FaultStats) brokeLockstep() bool {
+	return s.Dropped > 0 || s.Delayed > 0 || s.PartitionHeals > 0 || s.Lost > 0
 }
 
 // publish adds the run's counts to the process-wide metrics registry.

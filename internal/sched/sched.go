@@ -121,7 +121,8 @@ func NewSyncEngine(procs []SyncProcess) *SyncEngine {
 	return &SyncEngine{procs: procs, MaxRounds: 1 << 16}
 }
 
-// Run drives rounds until every process is Done or MaxRounds elapse.
+// Run drives rounds until every process is Done or MaxRounds elapse
+// (or, after injected faults broke delivery, the network goes quiet).
 // It returns the number of rounds executed and an error on round
 // exhaustion, or one wrapping ErrDeliveryViolated if injected faults
 // broke the lockstep delivery model.
@@ -138,7 +139,7 @@ func (e *SyncEngine) Run() (int, error) {
 		e.RoundsRun = rounds
 		e.FaultStats = stats
 		stats.publish()
-		if stats.Dropped > 0 || stats.Delayed > 0 || stats.PartitionHeals > 0 || stats.Lost > 0 {
+		if stats.brokeLockstep() {
 			violation := fmt.Errorf("%w: lockstep synchrony broken (%d dropped, %d delayed, %d partition-held, %d lost)",
 				ErrDeliveryViolated, stats.Dropped, stats.Delayed, stats.PartitionHeals, stats.Lost)
 			if err != nil {
@@ -321,10 +322,11 @@ func (e *SyncEngine) Run() (int, error) {
 			}
 			post(id, outs, round+1)
 		}
-		if !anyActivity && len(future) == 0 {
-			// Quiescent: no sends and nothing in flight. Give processes a
-			// couple of empty rounds to finish internal countdowns, then
-			// report a deadlock if some still have not terminated.
+		if !anyActivity && len(future) == 0 && stats.brokeLockstep() {
+			// Quiescent after faults broke delivery: whoever waits on a lost
+			// message waits forever. Allow two empty rounds for countdowns,
+			// then report the deadlock. A fault-free run is never cut short
+			// (Dolev-Strong is silent between relaying and deciding).
 			quiescent++
 			if quiescent >= 3 {
 				stillRunning := 0

@@ -541,3 +541,21 @@ func TestSummaryStableAcrossReEncode(t *testing.T) {
 		t.Fatal("no per-protocol counters")
 	}
 }
+
+func TestMeshDiffComparesRangeHistory(t *testing.T) {
+	sim := &bvc.Result{Outputs: []bvc.Vector{bvc.NewVector(1)}, RangeHistory: []float64{2, 1, 0.5}}
+	same := *sim
+	same.RangeHistory = []float64{2, 1, 0.5}
+	moved := *sim
+	moved.RangeHistory = []float64{2, 1, 0.5000000000000001}
+	short := *sim
+	short.RangeHistory = nil
+	for _, c := range []struct {
+		mesh *bvc.Result
+		want string
+	}{{&same, ""}, {&moved, "range at round 2"}, {&short, "range history mesh=0 rounds sim=3"}} {
+		if got := meshDiff(sim, c.mesh, 1); !strings.HasPrefix(got, c.want) || (c.want == "") != (got == "") {
+			t.Errorf("meshDiff = %q, want %q", got, c.want)
+		}
+	}
+}

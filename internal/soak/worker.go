@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	bvc "relaxedbvc"
 	"relaxedbvc/internal/broadcast"
@@ -180,7 +181,8 @@ func meshCheck(ctx context.Context, spec bvc.Spec, sim *bvc.Result, v *SeedVerdi
 }
 
 // meshDiff returns a description of the first decision-relevant field
-// where the mesh result diverges from the simulation's ("" = parity).
+// (the iterative range history included) where the mesh result diverges
+// from the simulation's ("" = parity).
 func meshDiff(sim, mesh *bvc.Result, n int) string {
 	if mesh.Rounds != sim.Rounds {
 		return fmt.Sprintf("rounds mesh=%d sim=%d", mesh.Rounds, sim.Rounds)
@@ -201,6 +203,14 @@ func meshDiff(sim, mesh *bvc.Result, n int) string {
 	for i := 0; i < len(sim.Delta); i++ {
 		if mesh.Delta[i] != sim.Delta[i] {
 			return fmt.Sprintf("node %d delta mesh=%v sim=%v", i, mesh.Delta[i], sim.Delta[i])
+		}
+	}
+	if len(mesh.RangeHistory) != len(sim.RangeHistory) {
+		return fmt.Sprintf("range history mesh=%d rounds sim=%d", len(mesh.RangeHistory), len(sim.RangeHistory))
+	}
+	for r, x := range sim.RangeHistory {
+		if math.Float64bits(mesh.RangeHistory[r]) != math.Float64bits(x) {
+			return fmt.Sprintf("range at round %d mesh=%v sim=%v", r, mesh.RangeHistory[r], x)
 		}
 	}
 	for i, poly := range sim.Vertices {

@@ -25,9 +25,8 @@ var (
 	// never returns it.
 	ErrTransport = transport.ErrTransport
 	// ErrUnsupportedTransport: the Spec asks for a feature only the
-	// simulation backend provides (an asynchronous or iterative
-	// protocol, signed broadcast, seeded link faults) on a non-sim
-	// transport. It chains ErrTransport.
+	// simulation backend provides (an asynchronous protocol, seeded link
+	// faults) on a non-sim transport. It chains ErrTransport.
 	ErrUnsupportedTransport = transport.ErrUnsupported
 )
 
@@ -97,10 +96,11 @@ type Option func(*runOptions)
 
 // WithTransport selects the message-plane backend (default: the
 // deterministic simulation). Every protocol that is a set of lockstep
-// machines runs on every backend — the synchronous oral-message
-// protocols, ProtocolConvex and the streaming ProtocolACS; the
-// asynchronous and iterative protocols, signed broadcast and seeded
-// link faults fail with ErrUnsupportedTransport. A Spec.Trace hook runs
+// machines runs on every backend — the synchronous protocols (oral or
+// signed Step 1), ProtocolConvex, ProtocolIterative (RangeHistory is
+// nil on TCP, where a node holds only its own estimate) and the
+// streaming ProtocolACS; the asynchronous protocols and seeded link
+// faults fail with ErrUnsupportedTransport. A Spec.Trace hook runs
 // concurrently from every node's goroutine on the mesh and must be safe
 // for concurrent use there.
 func WithTransport(t Transport) Option {

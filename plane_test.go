@@ -37,61 +37,56 @@ func matrixSpecs() map[Protocol]Spec {
 
 func TestPlaneMatrix(t *testing.T) {
 	// The refusals that remain, as DESIGN.md section 11.4 prints them.
-	refused := map[Protocol]string{
-		ProtocolIterative: "RangeHistory samples every honest estimate each round, a global view no single node has",
-		ProtocolAsync:     "asynchronous delivery order is the Schedule's choice, made by the simulated event-queue engine",
-		ProtocolK1Async:   "asynchronous delivery order is the Schedule's choice, made by the simulated event-queue engine",
-	}
+	const async = "asynchronous delivery order is the Schedule's choice, made by the simulated event-queue engine"
+	refused := map[Protocol]string{ProtocolAsync: async, ProtocolK1Async: async}
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := matrixSpecs()
+	// Signed broadcast is a Spec feature, not a Protocol; same table.
+	signed := specs[ProtocolExact]
+	signed.SignedBroadcast = true
+	rows := map[string]Spec{"`Spec.SignedBroadcast`": signed}
 	for p := ProtocolDeltaRelaxed; p <= ProtocolACS; p++ {
 		spec, ok := specs[p]
 		if !ok {
 			t.Fatalf("no matrix spec for protocol %s", p)
 		}
 		spec.Protocol = p
-		row := fmt.Sprintf("| `%s` | runs | |", p)
-		if why, no := refused[p]; no {
-			row = fmt.Sprintf("| `%s` | `ErrUnsupportedTransport` | %s |", p, why)
+		rows[fmt.Sprintf("`%s`", p)] = spec
+	}
+	for name, spec := range rows {
+		row := fmt.Sprintf("| %s | runs | |", name)
+		why, no := refused[spec.Protocol]
+		if no {
+			row = fmt.Sprintf("| %s | `ErrUnsupportedTransport` | %s |", name, why)
 		}
 		if !strings.Contains(string(design), row) {
 			t.Errorf("DESIGN.md section 11.4 lacks the row %q", row)
 		}
 		sim, err := Run(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("%s on sim: %v", p, err)
+			t.Fatalf("%s on sim: %v", name, err)
 		}
 		mesh, err := Run(context.Background(), spec, WithTransport(Transport{Kind: TransportMesh}))
-		if why, no := refused[p]; no {
+		if no {
 			if !errors.Is(err, ErrUnsupportedTransport) || !strings.Contains(err.Error(), why) {
-				t.Errorf("%s on mesh: err = %v, want ErrUnsupportedTransport (%s)", p, err, why)
+				t.Errorf("%s on mesh: err = %v, want ErrUnsupportedTransport (%s)", name, err, why)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("%s on mesh: %v", p, err)
+			t.Errorf("%s on mesh: %v", name, err)
 			continue
 		}
-		for _, f := range []string{"Outputs", "Delta", "AgreedSet", "Vertices", "ACS", "Rounds", "Messages"} {
+		for _, f := range []string{"Outputs", "Delta", "AgreedSet", "Vertices", "RangeHistory", "ACS", "Rounds", "Messages"} {
 			got := reflect.ValueOf(*mesh).FieldByName(f).Interface()
 			want := reflect.ValueOf(*sim).FieldByName(f).Interface()
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: %s on mesh = %v, on sim %v", p, f, got, want)
+				t.Errorf("%s: %s on mesh = %v, on sim %v", name, f, got, want)
 			}
 		}
-	}
-	// Signed broadcast is a Spec feature, not a Protocol; same table.
-	signed := specs[ProtocolExact]
-	signed.Protocol, signed.SignedBroadcast = ProtocolExact, true
-	const why = "signed broadcast is n sequential Dolev-Strong engines sharing one simulated PKI"
-	if _, err := Run(context.Background(), signed, WithTransport(Transport{Kind: TransportMesh})); !errors.Is(err, ErrUnsupportedTransport) || !strings.Contains(err.Error(), why) {
-		t.Errorf("signed broadcast on mesh: err = %v, want ErrUnsupportedTransport (%s)", err, why)
-	}
-	if row := "| `Spec.SignedBroadcast` | `ErrUnsupportedTransport` | " + why + " |"; !strings.Contains(string(design), row) {
-		t.Errorf("DESIGN.md section 11.4 lacks the row %q", row)
 	}
 }
 

@@ -207,7 +207,8 @@ type Result struct {
 	// (ProtocolAsync).
 	RoundSpread []float64
 	// RangeHistory traces the honest estimate range per round
-	// (ProtocolIterative).
+	// (ProtocolIterative; nil on TCP, where a node holds only its own
+	// estimate).
 	RangeHistory []float64
 	// ACS[i] is process i's sealed epoch-decision sequence
 	// (ProtocolACS; nil for processes another node executed, as on the
@@ -317,9 +318,8 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	res.Metrics.Rounds = res.Rounds
 	res.Metrics.Steps = res.Steps
 	res.Metrics.Messages = res.Messages
-	if res.Metrics.Rounds == 0 && len(res.RangeHistory) > 0 {
-		// Iterative runs report rounds only through the range history.
-		res.Metrics.Rounds = len(res.RangeHistory) - 1
+	if spec.Protocol == ProtocolIterative {
+		res.Metrics.Rounds = spec.Rounds // Result.Rounds stays 0 for iterative runs
 	}
 	if o.sink != nil {
 		o.sink(res.Metrics)
@@ -335,12 +335,6 @@ func simOnly(spec *Spec) string {
 	switch spec.Protocol {
 	case ProtocolAsync, ProtocolK1Async:
 		return "asynchronous delivery order is the Schedule's choice, made by the simulated event-queue engine"
-	case ProtocolIterative:
-		return "RangeHistory samples every honest estimate each round, a global view no single node has"
-	case ProtocolDeltaRelaxed, ProtocolExact, ProtocolKRelaxed, ProtocolScalar, ProtocolConvex:
-		if spec.SignedBroadcast || len(spec.ByzantineSigned) > 0 {
-			return "signed broadcast is n sequential Dolev-Strong engines sharing one simulated PKI"
-		}
 	}
 	return ""
 }
@@ -372,7 +366,7 @@ func runOn(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, err
 		fillTransportMetrics(res.Metrics, cr.Transport)
 		return res, nil
 	case ProtocolIterative:
-		ir, err := consensus.RunIterativeBVC(ctx, &consensus.IterConfig{
+		ir, err := consensus.RunIterativeBVC(ctx, plane, &consensus.IterConfig{
 			N: spec.N, F: spec.F, D: spec.D,
 			Inputs:    spec.Inputs,
 			Rounds:    spec.Rounds,
@@ -387,6 +381,7 @@ func runOn(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, err
 		res.RangeHistory = ir.RangeHistory
 		res.Messages = ir.Messages
 		fillFaultMetrics(res.Metrics, ir.Faults)
+		fillTransportMetrics(res.Metrics, ir.Transport)
 		return res, nil
 	case ProtocolAsync, ProtocolK1Async:
 		run := consensus.RunAsyncBVC

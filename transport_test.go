@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -104,6 +105,33 @@ func paritySpecs() map[string]Spec {
 			},
 			Byzantine: map[int]ByzantineBehavior{6: RandomLiar(12, 2, 10)},
 		},
+		// Signed Step 1: every node derives the simulated PKI from SigSeed.
+		"signed-f1-equivocator": {
+			Protocol: ProtocolDeltaRelaxed, N: 4, F: 1, D: 2, Inputs: in4,
+			SignedBroadcast: true, SigSeed: 7,
+			ByzantineSigned: map[int]SignedByzantineBehavior{3: SignedEquivocator(map[int]Vector{0: NewVector(9, 9), 1: NewVector(-9, -9)})},
+		},
+		// n <= 3f, where only signed broadcast agrees. Dolev-Strong is
+		// silent from round 2 until it decides at round f: a deadlock rule
+		// that fired on silence alone would end these runs on the
+		// simulation at f >= 4 but not on the mesh.
+		"signed-n7-f5": {
+			Protocol: ProtocolDeltaRelaxed, N: 7, F: 5, D: 2, SignedBroadcast: true,
+			Inputs: append(in4[:4:4], NewVector(1, 2), NewVector(2, 1), NewVector(-1, 5)),
+		},
+		"signed-n9-f4-equivocator": {
+			Protocol: ProtocolKRelaxed, N: 9, F: 4, D: 2, K: 1, Inputs: append(in4[:4:4],
+				NewVector(1, 2), NewVector(2, 1), NewVector(-1, 5), NewVector(5, -1), NewVector(2, 2)),
+			SignedBroadcast: true,
+			ByzantineSigned: map[int]SignedByzantineBehavior{0: SignedEquivocator(map[int]Vector{2: NewVector(50, 0), 5: NewVector(0, 50)})},
+		},
+		"iterative-byz": {
+			Protocol: ProtocolIterative, N: 5, F: 1, D: 2, Rounds: 4,
+			Inputs: append(in4[:4:4], NewVector(1, 2)),
+			IterByzantine: map[int]IterByzantine{1: IterByzantineFunc(func(round, to int, _ Vector) Vector {
+				return NewVector(float64(10*to-round), float64(-7*to))
+			})},
+		},
 	}
 }
 
@@ -130,13 +158,30 @@ func requireParity(t *testing.T, want, got *Result, ids []int) {
 		if fingerprint(got.Outputs[i]) != fingerprint(want.Outputs[i]) {
 			t.Errorf("node %d output: got %v, sim %v", i, got.Outputs[i], want.Outputs[i])
 		}
-		if got.Delta[i] != want.Delta[i] {
+		if want.Delta != nil && got.Delta[i] != want.Delta[i] {
 			t.Errorf("node %d delta: got %v, sim %v", i, got.Delta[i], want.Delta[i])
 		}
-		if setFingerprint(got.AgreedSet[i]) != setFingerprint(want.AgreedSet[i]) {
+		if want.AgreedSet != nil && setFingerprint(got.AgreedSet[i]) != setFingerprint(want.AgreedSet[i]) {
 			t.Errorf("node %d agreed set diverges from sim", i)
 		}
 	}
+	// The range history needs every honest estimate: a cluster run here
+	// whole reports the simulation's bit for bit, a TCP node none.
+	wantRange := want.RangeHistory
+	if len(ids) < len(want.Outputs) {
+		wantRange = nil
+	}
+	if fmt.Sprint(floatBits(got.RangeHistory)) != fmt.Sprint(floatBits(wantRange)) {
+		t.Errorf("range history: got %v, want %v", got.RangeHistory, wantRange)
+	}
+}
+
+func floatBits(xs []float64) []uint64 {
+	var bits []uint64
+	for _, x := range xs {
+		bits = append(bits, math.Float64bits(x))
+	}
+	return bits
 }
 
 // runTCPCluster runs spec as an n-process loopback-TCP cluster, one Run
@@ -210,7 +255,8 @@ func TestMeshClusterMatchesSim(t *testing.T) {
 // cluster (one Run per node, real sockets) decides the same vectors as
 // the simulation of the same Spec, fingerprint-equal.
 func TestTCPClusterMatchesSim(t *testing.T) {
-	for _, name := range []string{"delta-relaxed-p1-byz", "delta-relaxed-p2-byz", "convex-n4-f1-byz", "convex-n7-f2-byz"} {
+	for _, name := range []string{"delta-relaxed-p1-byz", "delta-relaxed-p2-byz", "convex-n4-f1-byz", "convex-n7-f2-byz",
+		"signed-f1-equivocator", "signed-n9-f4-equivocator", "iterative-byz"} {
 		spec := paritySpecs()[name]
 		t.Run(name, func(t *testing.T) {
 			sim, err := Run(context.Background(), spec)
@@ -280,9 +326,7 @@ func TestNonSimTransportRejectsSimOnlyFeatures(t *testing.T) {
 		Inputs: []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1)},
 	}
 	cases := map[string]Spec{
-		"async-protocol":   func() Spec { s := base; s.Protocol = ProtocolAsync; s.Rounds = 3; return s }(),
-		"iterative":        func() Spec { s := base; s.Protocol = ProtocolIterative; s.Rounds = 3; return s }(),
-		"signed-broadcast": func() Spec { s := base; s.SignedBroadcast = true; return s }(),
+		"async-protocol": func() Spec { s := base; s.Protocol = ProtocolAsync; s.Rounds = 3; return s }(),
 		"link-faults": func() Spec {
 			s := base
 			s.Faults = &LinkFaults{Seed: 1, LinkProfile: LinkProfile{DropProb: 0.1}}
