@@ -33,8 +33,10 @@ bench-check:
 
 # Step 1 micro-benchmarks (allocations reported): one n=10 f=3
 # all-to-all EIG broadcast with a random liar, and the lockstep engine
-# alone under the same fan-out. The allocation ceiling itself is a
-# tier-1 test (TestEIGAllToAllAllocationCeiling).
+# alone in two shapes (wide rounds, the acs_protocol epoch;
+# TestSyncEngineSteadyStateAllocs pins its per-round allocations). The
+# EIG allocation ceiling itself is a tier-1 test
+# (TestEIGAllToAllAllocationCeiling).
 bench-step1:
 	$(GO) test -run '^$$' -bench 'EIGAllToAll|SyncEngineFanout' -benchmem ./internal/broadcast ./internal/sched
 

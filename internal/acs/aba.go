@@ -131,6 +131,17 @@ func newABAInsts(n, f, self, epoch int) []abaInst {
 	return insts
 }
 
+// reset makes the instance equal to a fresh one of the given epoch,
+// keeping the inline rounds' flag bytes and dropping the later rounds.
+func (a *abaInst) reset(epoch int) {
+	near := a.near
+	for r := range near {
+		clear(near[r].seen)
+		near[r] = abaRound{seen: near[r].seen}
+	}
+	*a = abaInst{n: a.n, f: a.f, self: a.self, epoch: epoch, slot: a.slot, near: near}
+}
+
 func (a *abaInst) roundState(r int) *abaRound {
 	if r < len(a.near) {
 		return &a.near[r]

@@ -95,6 +95,7 @@ type Node struct {
 	outs    []sched.Outgoing
 	rbc     *broadcast.BrachaState
 	epochs  map[int]*epochState
+	spare   []*epochState // pruned states, reset when an epoch reuses one
 	cur     int
 	done    bool
 	sealed  []EpochDecision
@@ -136,15 +137,33 @@ func (n *Node) Stats() Stats { return n.stats }
 
 func (n *Node) epoch(e int) *epochState {
 	es := n.epochs[e]
-	if es == nil {
+	if es != nil {
+		return es
+	}
+	if k := len(n.spare); k > 0 {
+		es, n.spare = n.spare[k-1], n.spare[:k-1]
+		es.reset(e)
+	} else {
 		es = &epochState{
 			abas:         newABAInsts(n.cfg.N, n.cfg.F, n.cfg.Self, e),
 			delivered:    make([]vec.V, n.cfg.N),
 			rawDelivered: make([]bool, n.cfg.N),
 		}
-		n.epochs[e] = es
 	}
+	n.epochs[e] = es
 	return es
+}
+
+// reset makes a pruned state equal to a fresh one for epoch e. The
+// delivered vectors live on in sealed decisions, so only the slice's
+// references are cleared.
+func (es *epochState) reset(e int) {
+	for s := range es.abas {
+		es.abas[s].reset(e)
+	}
+	clear(es.delivered)
+	clear(es.rawDelivered)
+	es.zeroCast, es.sealed = false, false
 }
 
 // Start implements sched.SyncProcess: open epoch 0.
@@ -216,8 +235,14 @@ func (n *Node) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 }
 
 // liveEpoch reports whether epoch e can still receive traffic: not yet
-// garbage-collected and inside the stream.
-func (n *Node) liveEpoch(e int) bool { return e >= n.pruneLo && e < len(n.cfg.Proposals) }
+// garbage-collected, inside the stream, and at most one epoch ahead of
+// this node. That is prune's slack seen from the other side: in lockstep
+// delivery no correct peer runs further ahead, so only a Byzantine one
+// could make the node hold state for a later epoch.
+func (n *Node) liveEpoch(e int) bool {
+	ahead := e - n.cur
+	return e >= n.pruneLo && ahead <= 1 && e < len(n.cfg.Proposals)
+}
 
 // handleRBC feeds one rbc message to the reliable-broadcast layer,
 // unless it names an instance no live epoch owns: such an instance
@@ -343,7 +368,10 @@ func (n *Node) prune() {
 		return
 	}
 	for e := n.pruneLo; e < lo; e++ {
-		delete(n.epochs, e) // sealed decisions live on n.sealed
+		if es := n.epochs[e]; es != nil { // sealed decisions live on n.sealed
+			delete(n.epochs, e)
+			n.spare = append(n.spare, es)
+		}
 	}
 	old := n.pruneLo
 	n.pruneLo = lo

@@ -111,12 +111,6 @@ func TestABAFarRoundIsConstantCost(t *testing.T) {
 func TestACSGarbageCreatesNoState(t *testing.T) {
 	const n, f, d, epochs, at = 4, 1, 2, 4, 3
 	props := genProposals(rand.New(rand.NewSource(29)), epochs, n, d)
-	value := broadcast.EncodeVec(vec.Of(1, 2))
-	rbc := func(phase byte, sender int, id string) []byte {
-		data := broadcast.EncodeInit(sender, id, value)
-		data[0] = phase
-		return data
-	}
 	rng := rand.New(rand.NewSource(31))
 	var garbage []sched.Message
 	for len(garbage) < 10000 {
@@ -124,24 +118,24 @@ func TestACSGarbageCreatesNoState(t *testing.T) {
 		m := sched.Message{From: 3, To: 0, Tag: broadcast.BrachaTag}
 		switch k % 10 {
 		case 0: // an id of another subsystem
-			m.Data = rbc(1, k%n, "x"+broadcast.EpochID(k))
+			m.Data = rbcMessage(1, k%n, "x"+broadcast.EpochID(k))
 		case 1: // an epoch past the stream
-			m.Data = rbc(2, k%n, broadcast.EpochID(epochs+k))
+			m.Data = rbcMessage(2, k%n, broadcast.EpochID(epochs+k))
 		case 2: // an epoch already garbage-collected, or negative
-			m.Data = rbc(1, k%n, broadcast.EpochID(-k))
+			m.Data = rbcMessage(1, k%n, broadcast.EpochID(-k))
 		case 3: // a second spelling of a live epoch
-			m.Data = rbc(1, k%n, "e0"+broadcast.EpochID(k % epochs)[1:])
+			m.Data = rbcMessage(1, k%n, "e0"+broadcast.EpochID(k % epochs)[1:])
 		case 4: // a sender that is no process
-			m.Data = rbc(1, n+k, broadcast.EpochID(k%epochs))
+			m.Data = rbcMessage(1, n+k, broadcast.EpochID(k%epochs))
 		case 5: // an origin that is no process
-			m.From, m.Data = n+k, rbc(1, k%n, broadcast.EpochID(k%epochs))
+			m.From, m.Data = n+k, rbcMessage(1, k%n, broadcast.EpochID(k%epochs))
 			if k%20 == 5 {
 				m.From = -1 - k
 			}
 		case 6: // no such phase
-			m.Data = rbc(3+byte(k%250), k%n, broadcast.EpochID(k%epochs))
+			m.Data = rbcMessage(3+byte(k%250), k%n, broadcast.EpochID(k%epochs))
 		case 7: // truncated
-			full := rbc(1, k%n, broadcast.EpochID(k%epochs))
+			full := rbcMessage(1, k%n, broadcast.EpochID(k%epochs))
 			m.Data = full[:rng.Intn(len(full))]
 		case 8: // aba: no such slot, epoch past the stream, wrong length
 			m.Tag, m.Data = ABATag, encodeABA(k%epochs, n+k%1000, k, abaBval, 1)
@@ -157,32 +151,69 @@ func TestACSGarbageCreatesNoState(t *testing.T) {
 		garbage = append(garbage, m)
 	}
 
-	type size struct{ insts, epochs, rounds int }
-	measure := func(node *Node) size {
-		s := size{epochs: len(node.epochs)}
-		node.rbc.PruneInstances(func(int, string) bool { s.insts++; return false })
-		for _, es := range node.epochs {
-			for i := range es.abas {
-				s.rounds += len(es.abas[i].later)
-			}
-		}
-		return s
+	checkNoState(t, n, f, props, at, garbage)
+}
+
+// A stream's future epochs are live only one epoch ahead, the slack
+// prune already assumes. Before that bound, one BVAL and one ECHO from a
+// Byzantine peer naming each later epoch of a 200-epoch stream left node
+// 0 holding 199 epoch states and 202 Bracha instances.
+func TestACSFutureEpochsCreateNoState(t *testing.T) {
+	const n, f, d, epochs, at = 4, 1, 2, 200, 1
+	props := genProposals(rand.New(rand.NewSource(37)), epochs, n, d)
+	var future []sched.Message
+	for e := 2; e < epochs; e++ {
+		future = append(future,
+			sched.Message{From: 3, To: 0, Tag: ABATag, Data: encodeABA(e, e%n, 0, abaBval, 1)},
+			sched.Message{From: 3, To: 0, Tag: broadcast.BrachaTag, Data: rbcMessage(1, e%n, broadcast.EpochID(e))})
 	}
-	var cleanAt, dirtyAt size
+	checkNoState(t, n, f, props, at, future)
+}
+
+// rbcMessage is an rbc message of the given phase for instance (sender,
+// id) carrying a fixed 2-vector.
+func rbcMessage(phase byte, sender int, id string) []byte {
+	data := broadcast.EncodeInit(sender, id, broadcast.EncodeVec(vec.Of(1, 2)))
+	data[0] = phase
+	return data
+}
+
+// holdings is the protocol state a node holds: Bracha instances, epoch
+// states and ABA rounds past the inline two.
+type holdings struct{ insts, epochs, rounds int }
+
+func measure(node *Node) holdings {
+	h := holdings{epochs: len(node.epochs)}
+	node.rbc.PruneInstances(func(int, string) bool { h.insts++; return false })
+	for _, es := range node.epochs {
+		for i := range es.abas {
+			h.rounds += len(es.abas[i].later)
+		}
+	}
+	return h
+}
+
+// checkNoState runs an honest stream twice, once with extra delivered to
+// node 0 in round at, and requires node 0 to hold the clean run's state
+// right after that round and at the end, and every node to seal the
+// clean stream.
+func checkNoState(t *testing.T, n, f int, props [][]vec.V, at int, extra []sched.Message) {
+	t.Helper()
+	var cleanAt, dirtyAt holdings
 	clean := runTampered(t, n, f, props, nil, at, nil, func(node *Node) { cleanAt = measure(node) })
-	dirty := runTampered(t, n, f, props, nil, at, garbage, func(node *Node) { dirtyAt = measure(node) })
+	dirty := runTampered(t, n, f, props, nil, at, extra, func(node *Node) { dirtyAt = measure(node) })
 	if cleanAt.insts == 0 || cleanAt.epochs == 0 {
 		t.Fatalf("round %d is a poor probe: clean node holds %+v", at, cleanAt)
 	}
 	if dirtyAt != cleanAt {
-		t.Fatalf("after %d garbage messages node 0 holds %+v, clean run %+v", len(garbage), dirtyAt, cleanAt)
+		t.Fatalf("after %d extra messages node 0 holds %+v, clean run %+v", len(extra), dirtyAt, cleanAt)
 	}
 	if got, want := measure(dirty[0]), measure(clean[0]); got != want {
 		t.Fatalf("at the end node 0 holds %+v, clean run %+v", got, want)
 	}
 	for i := range dirty {
 		if got, want := Fingerprint(dirty[i].Decisions()), Fingerprint(clean[i].Decisions()); got != want {
-			t.Fatalf("node %d sealed %s under garbage, clean run %s", i, got, want)
+			t.Fatalf("node %d sealed %s with extra traffic, clean run %s", i, got, want)
 		}
 	}
 }

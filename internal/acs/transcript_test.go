@@ -21,13 +21,17 @@ import (
 // transcriptSpecs through runTranscript and dumping the results. Every
 // delivered message (From, To, Tag, Data) in TraceFn order is hashed, so
 // a change to any wire byte, to the order of any returned Outgoing or to
-// any decision shows up here.
+// any decision shows up here. The long n=7 streams were appended at the
+// commit before epoch states were recycled: each node reuses a sealed
+// epoch's state dozens of times there, ABA rounds past the inline two
+// included.
 
 type transcriptSpec struct {
 	Name     string
 	N, F     int
 	Behavior Behavior // scripted on node N-1 (Honest: nobody)
 	DupProb  float64
+	Epochs   int // stream length
 }
 
 type transcript struct {
@@ -38,27 +42,31 @@ type transcript struct {
 	Rounds      int    `json:"rounds"`
 }
 
-const transcriptEpochs, transcriptDim = 5, 2
+const transcriptDim = 2
 
 func transcriptSpecs() []transcriptSpec {
 	var specs []transcriptSpec
-	for _, nf := range [][2]int{{4, 1}, {7, 2}, {10, 3}} {
+	add := func(n, f, epochs int, suffix string) {
 		for _, b := range []Behavior{Honest, Equivocate, Mute} {
 			for _, dup := range []float64{0, 0.2} {
 				specs = append(specs, transcriptSpec{
-					Name: fmt.Sprintf("n%d_f%d_%s_dup%g", nf[0], nf[1],
-						[]string{"honest", "equivocate", "mute"}[b], dup),
-					N: nf[0], F: nf[1], Behavior: b, DupProb: dup,
+					Name: fmt.Sprintf("n%d_f%d_%s_dup%g%s", n, f,
+						[]string{"honest", "equivocate", "mute"}[b], dup, suffix),
+					N: n, F: f, Behavior: b, DupProb: dup, Epochs: epochs,
 				})
 			}
 		}
 	}
+	for _, nf := range [][2]int{{4, 1}, {7, 2}, {10, 3}} {
+		add(nf[0], nf[1], 5, "")
+	}
+	add(7, 2, 40, "_e40")
 	return specs
 }
 
 func (s transcriptSpec) cluster(t *testing.T) []*Node {
 	rng := rand.New(rand.NewSource(int64(1000*s.N + s.F)))
-	props := genProposals(rng, transcriptEpochs, s.N, transcriptDim)
+	props := genProposals(rng, s.Epochs, s.N, transcriptDim)
 	var behaviors map[int]Behavior
 	if s.Behavior != Honest {
 		behaviors = map[int]Behavior{s.N - 1: s.Behavior}

@@ -269,26 +269,56 @@ func (f *fanout) Step(round int, delivered []Message) []Outgoing {
 
 func (f *fanout) Done() bool { return f.rounds == 0 }
 
-func BenchmarkSyncEngineFanout(b *testing.B) {
-	// The shape of EIG's last relay round: 10 processes, each
-	// broadcasting 500 small messages a round.
-	const n, width, rounds = 10, 500, 4
+// runFanout runs n fanout processes, each broadcasting width small
+// messages a round for the given number of rounds.
+func runFanout(tb testing.TB, n, width, rounds int) {
 	outs := make([]Outgoing, width)
 	for i := range outs {
-		outs[i] = Outgoing{To: Broadcast, Tag: "eig", Data: []byte{byte(i)}}
+		outs[i] = Outgoing{To: Broadcast, Tag: "m", Data: []byte{byte(i)}}
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		procs := make([]SyncProcess, n)
-		for id := range procs {
-			procs[id] = &fanout{outs: outs, rounds: rounds}
-		}
-		e := NewSyncEngine(procs)
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		if e.Messages != n*(n-1)*width*rounds {
-			b.Fatalf("%d messages delivered", e.Messages)
-		}
+	procs := make([]SyncProcess, n)
+	for id := range procs {
+		procs[id] = &fanout{outs: outs, rounds: rounds}
+	}
+	e := NewSyncEngine(procs)
+	if _, err := e.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	if e.Messages != n*(n-1)*width*rounds {
+		tb.Fatalf("%d messages delivered", e.Messages)
+	}
+}
+
+func BenchmarkSyncEngineFanout(b *testing.B) {
+	for _, c := range []struct {
+		name             string
+		n, width, rounds int
+	}{
+		// Wide rounds: 10 processes each broadcasting 500 small messages,
+		// the shape EIG's relay rounds had when every tree node was a
+		// message of its own.
+		{"wide", 10, 500, 4},
+		// The acs_protocol epoch: 7 processes, 13 rounds of about three
+		// broadcasts each (126 deliveries a round).
+		{"acs", 7, 3, 13},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runFanout(b, c.n, c.width, c.rounds)
+			}
+		})
+	}
+}
+
+func TestSyncEngineSteadyStateAllocs(t *testing.T) {
+	// Inboxes are reused from round to round, so a run's allocations do
+	// not grow with its length: ten times the rounds, the same count.
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() { runFanout(t, 7, 3, rounds) })
+	}
+	short, long := allocs(4), allocs(40)
+	if long > short+4 {
+		t.Fatalf("%.0f allocations over 40 rounds, %.0f over 4", long, short)
 	}
 }

@@ -65,6 +65,11 @@ type Outgoing struct {
 // Broadcast is the special destination meaning "all other processes".
 const Broadcast = -1
 
+// reaches reports whether o, sent by process from, has a copy for to.
+func (o *Outgoing) reaches(from, to int) bool {
+	return o.To == to || o.To == Broadcast && to != from
+}
+
 // SyncProcess is a deterministic state machine driven in lockstep rounds.
 // Start is called once before round 0; Step is called each round with the
 // messages delivered in that round (the messages sent in the previous
@@ -75,8 +80,9 @@ type SyncProcess interface {
 	// Step handles the messages delivered at the beginning of the given
 	// round and returns messages to send (delivered next round).
 	// delivered is in SortInbox order and valid only for the duration of
-	// the call (a Message's Data may be kept); the driver reads the
-	// returned slice until the process's next Step.
+	// the call (a Message's Data may be kept): the engine reuses its
+	// backing array next round. The driver reads the returned slice
+	// until the process's next Step.
 	Step(round int, delivered []Message) []Outgoing
 	// Done reports whether the process has terminated (it then receives
 	// no further Step calls and sends nothing).
@@ -125,7 +131,9 @@ func NewSyncEngine(procs []SyncProcess) *SyncEngine {
 // (or, after injected faults broke delivery, the network goes quiet).
 // It returns the number of rounds executed and an error on round
 // exhaustion, or one wrapping ErrDeliveryViolated if injected faults
-// broke the lockstep delivery model.
+// broke the lockstep delivery model. Each process keeps one inbox for
+// the whole run, refilled every round, so once the inboxes have grown a
+// round allocates nothing but the copies a fault policy delays.
 func (e *SyncEngine) Run() (int, error) {
 	n := len(e.procs)
 	lf := e.Faults
@@ -153,25 +161,22 @@ func (e *SyncEngine) Run() (int, error) {
 	}
 
 	// sent[id] holds process id's sends of the round just stepped; they
-	// are routed (and counted) as they are posted but become messages
-	// only when the next round's inboxes are filled. count[to] is how
-	// many of them reach `to` in that round and, under a fault policy,
-	// arrivals records per logical message how many copies do (0..2).
-	// Copies a policy delays past the next round wait in future[r].
+	// become messages only when the next round's inboxes are filled.
+	// Under a fault policy, arrivals records per logical message, in
+	// routing order, how many copies arrive on time (0..2); copies a
+	// policy delays past the next round wait in future[r]. inbox[id] is
+	// process id's inbox, its backing array reused every round.
 	sent := make([][]Outgoing, n)
-	count := make([]int, n)
+	inbox := make([][]Message, n)
 	var arrivals []uint8
 	future := make(map[int][]Message)
 	seq := 0
 	// route decides the fate of one logical message sent in round
 	// deliverRound-1 and returns how many copies arrive on time.
-	route := func(from, to int, o *Outgoing, deliverRound int) int {
-		if lf == nil {
-			return 1
-		}
+	route := func(from, to int, o *Outgoing, deliverRound int) uint8 {
 		s := seq
 		seq++
-		copies, onTime := 1, 0
+		copies, onTime := 1, uint8(0)
 		if lf.duplicates(from, to, s) {
 			copies = 2
 			stats.Duplicated++
@@ -205,59 +210,35 @@ func (e *SyncEngine) Run() (int, error) {
 				future[at] = append(future[at], Message{From: from, To: to, Tag: o.Tag, Data: o.Data, SentRound: deliverRound - 1})
 			}
 		}
-		arrivals = append(arrivals, uint8(onTime))
 		return onTime
 	}
-	// eachSend calls fn for every recipient of every send in outs, in
-	// routing order: sends in the order the process returned them, a
-	// Broadcast's recipients ascending.
-	eachSend := func(from int, outs []Outgoing, fn func(to int, o *Outgoing)) {
+	// post records process id's sends of one round. It validates every
+	// destination, so a bad one panics at send time, and under a fault
+	// policy routes each logical message in routing order: sends in the
+	// order the process returned them, a Broadcast's recipients ascending.
+	post := func(id int, outs []Outgoing, deliverRound int) {
+		sent[id] = outs
 		for i := range outs {
 			o := &outs[i]
-			if o.To != Broadcast {
-				if o.To < 0 || o.To >= n {
-					panic(fmt.Sprintf("sched: send to invalid process %d", o.To))
-				}
-				fn(o.To, o)
+			if o.To != Broadcast && (o.To < 0 || o.To >= n) {
+				panic(fmt.Sprintf("sched: send to invalid process %d", o.To))
+			}
+			if lf == nil {
 				continue
 			}
 			for to := 0; to < n; to++ {
-				if to != from {
-					fn(to, o)
+				if o.reaches(id, to) {
+					arrivals = append(arrivals, route(id, to, o, deliverRound))
 				}
 			}
 		}
 	}
-	// post routes process id's sends of one round and counts them toward
-	// the inboxes of deliverRound.
-	post := func(id int, outs []Outgoing, deliverRound int) {
-		sent[id] = outs
-		eachSend(id, outs, func(to int, o *Outgoing) { count[to] += route(id, to, o, deliverRound) })
-	}
-	// deliver builds the round's inboxes in one exactly-sized buffer:
-	// messages delayed into this round first, then the previous round's
-	// sends sender by sender, each inbox a cap-limited sub-slice so a
-	// process appending to its inbox cannot reach its neighbour's.
-	deliver := func(round int) [][]Message {
-		carried := future[round]
-		delete(future, round)
-		for i := range carried {
-			count[carried[i].To]++
-		}
-		total := 0
-		for _, c := range count {
-			total += c
-		}
-		roundMessages.Observe(float64(total))
-		msgsDelivered.Add(int64(total))
-		e.Messages += total
-		buf := make([]Message, total)
-		inbox := make([][]Message, n)
-		off := 0
-		for to, c := range count {
-			inbox[to] = buf[off : off : off+c]
-			off += c
-			count[to] = 0
+	// deliver refills the inboxes in one pass over what arrives this
+	// round: messages delayed into it first, then the previous round's
+	// sends sender by sender in routing order.
+	deliver := func(round int) {
+		for to := range inbox {
+			inbox[to] = inbox[to][:0]
 		}
 		place := func(m Message) {
 			if e.TraceFn != nil {
@@ -265,27 +246,38 @@ func (e *SyncEngine) Run() (int, error) {
 			}
 			inbox[m.To] = append(inbox[m.To], m)
 		}
-		for _, m := range carried {
+		for _, m := range future[round] {
 			place(m)
 		}
+		delete(future, round)
 		k := 0
 		for from, outs := range sent {
-			eachSend(from, outs, func(to int, o *Outgoing) {
-				copies := 1
-				if lf != nil {
-					copies = int(arrivals[k])
-					k++
+			for i := range outs {
+				o := &outs[i]
+				for to := 0; to < n; to++ {
+					if !o.reaches(from, to) {
+						continue
+					}
+					copies := uint8(1)
+					if lf != nil {
+						copies = arrivals[k]
+						k++
+					}
+					for ; copies > 0; copies-- {
+						place(Message{From: from, To: to, Tag: o.Tag, Data: o.Data, SentRound: round - 1})
+					}
 				}
-				for ; copies > 0; copies-- {
-					place(Message{From: from, To: to, Tag: o.Tag, Data: o.Data, SentRound: round - 1})
-				}
-			})
+			}
 		}
 		arrivals = arrivals[:0]
+		total := 0
 		for to := range inbox {
+			total += len(inbox[to])
 			SortInbox(inbox[to])
 		}
-		return inbox
+		roundMessages.Observe(float64(total))
+		msgsDelivered.Add(int64(total))
+		e.Messages += total
 	}
 
 	for id, p := range e.procs {
@@ -310,7 +302,7 @@ func (e *SyncEngine) Run() (int, error) {
 		}
 		//bvclint:allow nodeterminism -- metrics-only: wall time feeds the round-latency histogram, never delivery order
 		roundStart := time.Now()
-		inbox := deliver(round)
+		deliver(round)
 		anyActivity := false
 		for id, p := range e.procs {
 			var outs []Outgoing
