@@ -75,6 +75,9 @@ func validateACS(spec *Spec) ([][]Vector, error) {
 	if spec.N < 3*spec.F+1 {
 		return nil, fmt.Errorf("%w: ACS requires n >= 3f+1 (n=%d, f=%d)", ErrTooFewProcesses, spec.N, spec.F)
 	}
+	if err := acs.CheckProcesses(spec.N); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadInputs, err)
+	}
 	if spec.D < 1 {
 		return nil, fmt.Errorf("%w: need d >= 1, got d=%d", ErrBadDimension, spec.D)
 	}

@@ -220,11 +220,12 @@ func TestACSSpecValidation(t *testing.T) {
 			},
 			ErrTooManyFaults,
 		},
-		"no proposals":  {func(s *Spec) { s.Proposals, s.Inputs = nil, nil }, ErrBadInputs},
-		"ragged epoch":  {func(s *Spec) { s.Proposals[1] = s.Proposals[1][:3] }, ErrBadInputs},
-		"wrong dim":     {func(s *Spec) { s.Proposals[0][2] = NewVector(1) }, ErrBadInputs},
-		"bad dimension": {func(s *Spec) { s.D = 0 }, ErrBadDimension},
-		"bad norm":      {func(s *Spec) { s.NormP = 0.5 }, ErrBadNorm},
+		"no proposals":     {func(s *Spec) { s.Proposals, s.Inputs = nil, nil }, ErrBadInputs},
+		"ragged epoch":     {func(s *Spec) { s.Proposals[1] = s.Proposals[1][:3] }, ErrBadInputs},
+		"wrong dim":        {func(s *Spec) { s.Proposals[0][2] = NewVector(1) }, ErrBadInputs},
+		"ids past 16 bits": {func(s *Spec) { s.N = 1<<16 + 1 }, ErrBadInputs},
+		"bad dimension":    {func(s *Spec) { s.D = 0 }, ErrBadDimension},
+		"bad norm":         {func(s *Spec) { s.NormP = 0.5 }, ErrBadNorm},
 	}
 	for name, tc := range cases {
 		tc := tc

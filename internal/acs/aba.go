@@ -14,9 +14,10 @@
 // the subset multiset) — HoneyBadger-style batching with the
 // relaxed-consensus decision rule.
 //
-// Per-message work is O(1): an ABA round is a flag byte per sender plus
-// BVAL/AUX counters, rounds exist only once a message names them, and
-// the handlers append their sends to one slice threaded through a Step.
+// Per-vote work is O(1): an ABA round is a flag byte per sender plus
+// BVAL/AUX counters, rounds exist only once a vote names them, and the
+// handlers append their votes to one buffer threaded through a Step,
+// which leaves as one body per round.
 //
 // Every component is a deterministic message-driven state machine with
 // no clocks and no randomness beyond a deterministic common coin, so a
@@ -27,9 +28,6 @@ package acs
 
 import (
 	"encoding/binary"
-	"errors"
-
-	"relaxedbvc/internal/sched"
 )
 
 // ABATag is the sched/transport message tag of all binary-agreement
@@ -56,26 +54,37 @@ func coin(epoch, slot, round int) byte {
 	return byte(x & 1)
 }
 
-// encodeABA packs (epoch, slot, round, phase, value) into a fixed
-// 12-byte wire form.
-func encodeABA(epoch, slot, round int, phase, value byte) []byte {
-	out := make([]byte, 12)
-	binary.BigEndian.PutUint32(out, uint32(epoch))
-	binary.BigEndian.PutUint16(out[4:], uint16(slot))
-	binary.BigEndian.PutUint32(out[6:], uint32(round))
-	out[10] = phase
-	out[11] = value & 1
-	return out
+// abaVoteLen is the wire size of one vote: epoch u32 | slot u16 |
+// round u32 | phase u8 | value u8. An aba message is a body of one or
+// more votes back to back, in send order.
+const abaVoteLen = 12
+
+// appendABA appends the vote (epoch, slot, round, phase, value).
+func appendABA(dst []byte, epoch, slot, round int, phase, value byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(epoch))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(slot))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(round))
+	return append(dst, phase, value&1)
 }
 
-var errABALength = errors.New("acs: aba message length != 12")
-
-func decodeABA(b []byte) (epoch, slot, round int, phase, value byte, err error) {
-	if len(b) != 12 {
-		return 0, 0, 0, 0, 0, errABALength
-	}
+// decodeABA reads the vote at the front of b (at least abaVoteLen bytes).
+func decodeABA(b []byte) (epoch, slot, round int, phase, value byte) {
 	return int(binary.BigEndian.Uint32(b)), int(binary.BigEndian.Uint16(b[4:])),
-		int(binary.BigEndian.Uint32(b[6:])), b[10], b[11] & 1, nil
+		int(binary.BigEndian.Uint32(b[6:])), b[10], b[11] & 1
+}
+
+// abaFramed reports whether an aba body is one or more whole votes, each
+// with a known phase and a slot that names a process.
+func abaFramed(body []byte, procs int) bool {
+	if len(body) == 0 || len(body)%abaVoteLen != 0 {
+		return false
+	}
+	for ; len(body) > 0; body = body[abaVoteLen:] {
+		if _, slot, _, phase, _ := decodeABA(body); slot >= procs || phase > abaAux {
+			return false
+		}
+	}
+	return true
 }
 
 // abaRound is the per-round message state of one instance: a flag byte
@@ -93,7 +102,7 @@ const seenAux = 2
 
 // abaInst is one binary-agreement instance — MMR-style BVAL/AUX rounds
 // with the deterministic common coin. It is driven purely by handle()
-// and input(), which append their sends to the caller's slice; a decided
+// and input(), which append their votes to the caller's buffer; a decided
 // instance stops emitting (all correct processes decide in the same
 // lockstep round, so nobody is left waiting).
 type abaInst struct {
@@ -111,9 +120,10 @@ type abaInst struct {
 	// Round states are sparse: a message for round r creates that
 	// round's state and nothing else, so a peer that names a far round —
 	// a correct one many rounds ahead, or a Byzantine one naming 2^32-1 —
-	// costs O(1). Three of four instances decide within the first two
-	// rounds (the coin is fair), which sit inline; the rest go to later.
-	near  [2]abaRound
+	// costs O(1). Fifteen of sixteen instances decide within the first
+	// four rounds (the coin is fair), which sit inline; the rest go to
+	// later.
+	near  [4]abaRound
 	later map[int]*abaRound
 }
 
@@ -158,65 +168,63 @@ func (a *abaInst) roundState(r int) *abaRound {
 }
 
 // input sets this process's vote (once) and starts round 0.
-func (a *abaInst) input(outs []sched.Outgoing, v byte) []sched.Outgoing {
+func (a *abaInst) input(buf []byte, v byte) []byte {
 	if a.haveInput {
-		return outs
+		return buf
 	}
 	a.haveInput = true
 	a.est = v & 1
-	return a.tryAdvance(a.castBval(outs, 0, a.est))
+	return a.tryAdvance(a.castBval(buf, 0, a.est))
 }
 
 // castBval broadcasts BVAL(r, b) once and counts the local copy.
-func (a *abaInst) castBval(outs []sched.Outgoing, r int, b byte) []sched.Outgoing {
+func (a *abaInst) castBval(buf []byte, r int, b byte) []byte {
 	rd := a.roundState(r)
 	if rd.bvalSent[b] {
-		return outs
+		return buf
 	}
 	rd.bvalSent[b] = true
-	outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: ABATag, Data: encodeABA(a.epoch, a.slot, r, abaBval, b)})
-	return a.handle(outs, a.self, r, abaBval, b)
+	return a.handle(appendABA(buf, a.epoch, a.slot, r, abaBval, b), a.self, r, abaBval, b)
 }
 
-// handle processes one BVAL/AUX message (messages for any round are
-// accepted; thresholds are round-local, so early traffic simply
-// accumulates). It appends protocol sends, including cascades from
-// locally counted copies. The caller has checked that from is a process
-// and phase a phase (Node.handleABA, before it creates any state).
-func (a *abaInst) handle(outs []sched.Outgoing, from, round int, phase, value byte) []sched.Outgoing {
+// handle processes one BVAL/AUX vote (votes for any round are accepted;
+// thresholds are round-local, so early traffic simply accumulates). It
+// appends this process's votes, including cascades from locally counted
+// copies. The caller has checked that from is a process and phase a
+// phase (Node.handleABA, before it creates any state).
+func (a *abaInst) handle(buf []byte, from, round int, phase, value byte) []byte {
 	value &= 1
 	rd := a.roundState(round)
 	switch phase {
 	case abaBval:
 		if rd.seen[from]&(1<<value) != 0 {
-			return outs
+			return buf
 		}
 		rd.seen[from] |= 1 << value
 		rd.bvalCnt[value]++
 		cnt := rd.bvalCnt[value]
 		// Relay on f+1 (at least one correct process voted value).
 		if cnt >= relayQuorum(a.f) && !rd.bvalSent[value] {
-			outs = a.castBval(outs, round, value)
+			buf = a.castBval(buf, round, value)
 		}
 		// bin_values admission on 2f+1.
 		if cnt >= admitQuorum(a.f) && !rd.binValues[value] {
 			rd.binValues[value] = true
 			if !rd.auxSent {
 				rd.auxSent = true
-				outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: ABATag, Data: encodeABA(a.epoch, a.slot, round, abaAux, value)})
-				outs = a.handle(outs, a.self, round, abaAux, value)
+				buf = a.handle(appendABA(buf, a.epoch, a.slot, round, abaAux, value), a.self, round, abaAux, value)
 			}
-			outs = a.tryAdvance(outs)
+			buf = a.tryAdvance(buf)
 		}
 	case abaAux:
 		if rd.seen[from]&(1<<seenAux) != 0 {
-			return outs
+			return buf
 		}
 		rd.seen[from] |= 1 << seenAux
 		rd.auxCnt[value]++
-		outs = a.tryAdvance(outs)
+		buf = a.tryAdvance(buf)
 	}
-	return outs
+	return buf
 }
 
 // tryAdvance closes the current round when n-f AUX values, all inside
@@ -225,7 +233,7 @@ func (a *abaInst) handle(outs []sched.Outgoing, from, round int, phase, value by
 // adopts the coin. A decided instance stops advancing — in lockstep
 // delivery every correct process holds the identical instance state, so
 // all of them decide in the same round and none is left behind.
-func (a *abaInst) tryAdvance(outs []sched.Outgoing) []sched.Outgoing {
+func (a *abaInst) tryAdvance(buf []byte) []byte {
 	for !a.decided && a.haveInput {
 		r := a.round
 		rd := a.roundState(r)
@@ -239,7 +247,7 @@ func (a *abaInst) tryAdvance(outs []sched.Outgoing) []sched.Outgoing {
 			}
 		}
 		if valid < auxQuorum(a.n, a.f) {
-			return outs
+			return buf
 		}
 		c := coin(a.epoch, a.slot, r)
 		var next byte
@@ -261,8 +269,8 @@ func (a *abaInst) tryAdvance(outs []sched.Outgoing) []sched.Outgoing {
 		a.est = next
 		a.round = r + 1
 		if !a.decided {
-			outs = a.castBval(outs, a.round, next)
+			buf = a.castBval(buf, a.round, next)
 		}
 	}
-	return outs
+	return buf
 }

@@ -177,12 +177,14 @@ func (a *refABAInst) tryAdvance() []sched.Outgoing {
 	return outs
 }
 
-func sameOuts(a, b []sched.Outgoing) bool {
-	if len(a) != len(b) {
+// sameVotes reports whether body holds, vote by vote, the broadcast aba
+// messages outs.
+func sameVotes(body []byte, outs []sched.Outgoing) bool {
+	if len(body) != abaVoteLen*len(outs) {
 		return false
 	}
-	for i := range a {
-		if a[i].To != b[i].To || a[i].Tag != b[i].Tag || !bytes.Equal(a[i].Data, b[i].Data) {
+	for i, o := range outs {
+		if o.To != sched.Broadcast || o.Tag != ABATag || !bytes.Equal(body[abaVoteLen*i:abaVoteLen*(i+1)], o.Data) {
 			return false
 		}
 	}
@@ -193,9 +195,10 @@ func sameOuts(a, b []sched.Outgoing) bool {
 // map-based reference with the same seeded scripts — duplicates,
 // arbitrary sender order, both values from the same sender, traffic for
 // rounds ahead of the instance, traffic after the decision, the input
-// arriving early, late or never — and requires the same sends (To, Tag,
-// bytes, order) from every call and the same
-// decided/decision/decidedRound, round and estimate after each.
+// arriving early, late or never — and requires every call's body to be
+// the reference's sends (bytes, order), one 12-byte vote per message,
+// and the same decided/decision/decidedRound, round and estimate after
+// each.
 func TestABAMatchesReference(t *testing.T) {
 	scripts, sends, decided, lateRounds, afterDecision := 0, 0, 0, 0, 0
 	for _, n := range []int{4, 7, 10} {
@@ -212,7 +215,8 @@ func TestABAMatchesReference(t *testing.T) {
 			steps := 30*n + rng.Intn(30*n)
 			for step := 0; step < steps; step++ {
 				label := fmt.Sprintf("n=%d seed=%d step=%d", n, seed, step)
-				var g, w []sched.Outgoing
+				var g []byte
+				var w []sched.Outgoing
 				if step == inputAt {
 					v := byte(rng.Intn(2))
 					g, w = got.input(nil, v), want.input(v)
@@ -232,7 +236,7 @@ func TestABAMatchesReference(t *testing.T) {
 					}
 					g, w = got.handle(nil, from, round, phase, value), want.handle(from, round, phase, value)
 				}
-				if !sameOuts(g, w) {
+				if !sameVotes(g, w) {
 					t.Fatalf("%s: sends differ\n got %v\nwant %v", label, g, w)
 				}
 				if got.decided != want.decided || got.decision != want.decision || got.decidedRound != want.decidedRound ||
@@ -241,7 +245,7 @@ func TestABAMatchesReference(t *testing.T) {
 						got.decided, got.decision, got.decidedRound, got.round, got.est,
 						want.decided, want.decision, want.decidedRound, want.round, want.est)
 				}
-				sends += len(g)
+				sends += len(w)
 			}
 			if got.decided {
 				decided++

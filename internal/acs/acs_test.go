@@ -1,6 +1,7 @@
 package acs
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -220,5 +221,17 @@ func TestACSConfigValidation(t *testing.T) {
 		if _, err := NewNode(cfg); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// The wire names a process in 16 bits: at n = 2^16+1, process 2^16's
+// INIT would read as process 0's and its ABA votes would land on slot 0.
+// Such a cluster is refused before any node exists.
+func TestACSRefusesIDsPast16Bits(t *testing.T) {
+	if _, err := NewNode(Config{N: MaxProcesses + 1, F: 1, D: 1}); !errors.Is(err, ErrTooManyProcesses) {
+		t.Fatalf("n = 2^16+1: err = %v, want ErrTooManyProcesses", err)
+	}
+	if _, err := NewNode(Config{N: MaxProcesses, F: 1, Self: MaxProcesses - 1, D: 1}); err != nil {
+		t.Fatalf("n = 2^16: %v", err)
 	}
 }

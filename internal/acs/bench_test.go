@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/sched"
 )
 
@@ -37,14 +38,15 @@ func BenchmarkACSEpoch(b *testing.B) {
 // acsEpochAllocs and acsEpochBytes are the measured heap allocations and
 // bytes per epoch of protocolStream (all seven nodes, the engine and the
 // epoch kernel, its caches cold). The same function measured
-// parentACSEpochAllocs on the map-based Bracha/ABA, and
-// parentACSEpochBytes on an engine that built fresh inboxes every round
-// and nodes that built a fresh state every epoch.
+// parentACSEpochAllocs and parentACSEpochBytes on nodes that sent every
+// ECHO/READY and BVAL/AUX as a message of its own. (BenchmarkACSEpoch,
+// whose kernel caches are warm, read 735 allocations and 29.1 KiB per
+// epoch there and reads 284 and 20.2 KiB with one body per link.)
 const (
-	acsEpochAllocs       = 834
-	acsEpochBytes        = 77 << 10
-	parentACSEpochAllocs = 5630
-	parentACSEpochBytes  = 196 << 10
+	acsEpochAllocs       = 393
+	acsEpochBytes        = 60 << 10
+	parentACSEpochAllocs = 832
+	parentACSEpochBytes  = 68 << 10
 )
 
 // raceEnabled is set under the race detector, whose sync.Pool drops a
@@ -71,4 +73,57 @@ func TestACSEpochAllocationCeiling(t *testing.T) {
 	if bytes > 1.5*acsEpochBytes && !raceEnabled {
 		t.Errorf("%.1f KiB per epoch, ceiling %.1f KiB", bytes/1024, 1.5*acsEpochBytes/1024)
 	}
+}
+
+// TestACSBodiesPerLink runs the acs_protocol shape with its equivocating
+// node 6 and requires every (sender, recipient, round) to carry at most
+// one aba body and one Bracha vote message besides the INITs, every INIT
+// to travel alone, and bodies of several votes to occur on both layers.
+func TestACSBodiesPerLink(t *testing.T) {
+	const epochs = 20
+	cfg := Config{N: 7, F: 2, D: 1, NormP: math.Inf(1)}
+	props := genProposals(rand.New(rand.NewSource(1)), epochs, cfg.N, cfg.D)
+	nodes, procs := newCluster(t, cfg, props, map[int]Behavior{6: Equivocate})
+	type link struct{ from, to, round int }
+	aba, rbc := make(map[link]int), make(map[link]int)
+	inits, abaBodies, rbcBodies := 0, 0, 0
+	eng := sched.NewSyncEngine(procs)
+	eng.TraceFn = func(m sched.Message) {
+		l := link{m.From, m.To, m.SentRound}
+		switch {
+		case m.Tag == ABATag:
+			aba[l]++
+			if len(m.Data) > abaVoteLen {
+				abaBodies++
+			}
+		case m.Data[0] == 0: // an INIT: id and value fields, nothing after
+			_, rest, _ := broadcast.ReadField(m.Data[3:])
+			if _, rest, err := broadcast.ReadField(rest); err != nil || len(rest) != 0 {
+				t.Fatalf("%+v: an INIT shares its message", l)
+			}
+			inits++
+		default:
+			rbc[l]++
+			if m.Data[0] == 3 {
+				rbcBodies++
+			}
+		}
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for l, k := range aba {
+		if k > 1 {
+			t.Fatalf("%+v carried %d aba messages", l, k)
+		}
+	}
+	for l, k := range rbc {
+		if k > 1 {
+			t.Fatalf("%+v carried %d rbc vote messages", l, k)
+		}
+	}
+	if len(nodes[0].Decisions()) != epochs || inits < epochs*cfg.N || abaBodies == 0 || rbcBodies == 0 {
+		t.Fatalf("%d epochs sealed, %d INITs, %d aba and %d rbc bodies of several votes", len(nodes[0].Decisions()), inits, abaBodies, rbcBodies)
+	}
+	t.Logf("%d messages per epoch: %d INITs, %d aba and %d rbc links", eng.Messages/epochs, inits, len(aba), len(rbc))
 }

@@ -71,6 +71,18 @@ func FuzzACSStep(f *testing.F) {
 	f.Add(1, n, true, echo)
 	f.Add(1, -1, false, encodeABA(0, 1, 0, abaBval, 0))
 	f.Add(1, byz, true, append([]byte{7}, echo[1:]...))
+	// Bodies: several aba votes, one cut mid-vote; an rbc body holding an
+	// INIT, an entry naming sender n, a trailing byte, the marker alone.
+	votes := append(encodeABA(0, 1, 0, abaBval, 0), encodeABA(0, 2, 0, abaAux, 1)...)
+	f.Add(2, byz, false, votes)
+	f.Add(2, byz, false, votes[:abaVoteLen+5])
+	body := append([]byte{3}, echo...)
+	f.Add(1, byz, true, append(body[:len(body):len(body)], broadcast.EncodeInit(1, broadcast.EpochID(0), value)...))
+	stranger := broadcast.EncodeInit(n, broadcast.EpochID(0), value)
+	stranger[0] = 1
+	f.Add(1, byz, true, append(body[:len(body):len(body)], stranger...))
+	f.Add(1, byz, true, append(body[:len(body):len(body)], 0))
+	f.Add(1, byz, true, []byte{3})
 
 	f.Fuzz(func(t *testing.T, at, from int, rbc bool, data []byte) {
 		if from >= 0 && from < n {

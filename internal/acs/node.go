@@ -1,6 +1,7 @@
 package acs
 
 import (
+	"errors"
 	"fmt"
 
 	"relaxedbvc/internal/broadcast"
@@ -92,7 +93,12 @@ type Node struct {
 	cfg Config
 	// outs is the send buffer every Start/Step fills and returns; the
 	// driver is done with it by the next Step (sched.SyncProcess).
-	outs    []sched.Outgoing
+	outs []sched.Outgoing
+	// votes is the Step's ABA body; it and the pending Bracha votes leave
+	// as copies carved from arena, an append-only chunk that is never
+	// reused, because receivers may keep a delivered message's Data.
+	votes   []byte
+	arena   []byte
 	rbc     *broadcast.BrachaState
 	epochs  map[int]*epochState
 	spare   []*epochState // pruned states, reset when an epoch reuses one
@@ -103,6 +109,21 @@ type Node struct {
 	pruneLo int // epochs below this are garbage-collected
 }
 
+// MaxProcesses bounds N: the wire names a process (an rbc sender, an
+// aba slot) in 16 bits, so a larger id would alias a smaller one.
+const MaxProcesses = 1 << 16
+
+// ErrTooManyProcesses refuses a cluster of more than MaxProcesses.
+var ErrTooManyProcesses = errors.New("acs: more processes than 16-bit wire ids can name")
+
+// CheckProcesses refuses n > MaxProcesses with ErrTooManyProcesses.
+func CheckProcesses(n int) error {
+	if n > MaxProcesses {
+		return fmt.Errorf("%w: n=%d > %d", ErrTooManyProcesses, n, MaxProcesses)
+	}
+	return nil
+}
+
 // NewNode validates cfg and builds the node.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.F < 1 {
@@ -110,6 +131,9 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.N < minProcesses(cfg.F) {
 		return nil, fmt.Errorf("acs: reliable broadcast requires n >= 3f+1 (n=%d, f=%d)", cfg.N, cfg.F)
+	}
+	if err := CheckProcesses(cfg.N); err != nil {
+		return nil, err
 	}
 	if cfg.Self < 0 || cfg.Self >= cfg.N {
 		return nil, fmt.Errorf("acs: self %d out of range [0,%d)", cfg.Self, cfg.N)
@@ -172,30 +196,28 @@ func (n *Node) Start() []sched.Outgoing {
 		n.done = true
 		return nil
 	}
-	n.outs = n.pump(n.open(n.outs[:0], 0))
-	return n.outs
+	return n.flush(n.pump(n.open(n.outs[:0], 0)))
 }
 
 // Done implements sched.SyncProcess.
 func (n *Node) Done() bool { return n.done }
 
-// Step implements sched.SyncProcess: dispatch the round's inbox to the
-// RBC and ABA layers, then pump the BKR vote/seal logic to fixpoint.
+// Step implements sched.SyncProcess: walk the round's inbox into the
+// RBC and ABA layers, pump the BKR vote/seal logic to fixpoint, then
+// send this round's INITs, Bracha vote body and ABA body, in that order.
 func (n *Node) Step(round int, delivered []sched.Message) []sched.Outgoing {
 	if n.done {
 		return nil
 	}
-	outs := n.outs[:0]
 	for _, m := range delivered {
 		switch m.Tag {
 		case broadcast.BrachaTag:
-			outs = n.handleRBC(outs, m)
+			n.rbc.Receive(m.From, m.Data, n.liveRBC)
 		case ABATag:
-			outs = n.handleABA(outs, m)
+			n.handleABA(m.From, m.Data)
 		}
 	}
-	n.outs = n.pump(outs)
-	return n.outs
+	return n.flush(n.pump(n.outs[:0]))
 }
 
 // Receive implements sched.AsyncProcess with the identical transition
@@ -204,14 +226,39 @@ func (n *Node) Receive(m sched.Message) []sched.Outgoing {
 	return n.Step(m.SentRound, []sched.Message{m})
 }
 
+// flush appends the pending Bracha votes and the ABA body to outs, each
+// as one broadcast copied into the arena.
+func (n *Node) flush(outs []sched.Outgoing) []sched.Outgoing {
+	if body := n.rbc.TakeVotes(); body != nil {
+		outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: broadcast.BrachaTag, Data: n.carve(body)})
+	}
+	if len(n.votes) > 0 {
+		outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: ABATag, Data: n.carve(n.votes)})
+		n.votes = n.votes[:0]
+	}
+	n.outs = outs
+	return outs
+}
+
+// arenaChunk is the arena's allocation unit, a few epochs of one node's
+// votes at the benchmark shapes.
+const arenaChunk = 4 << 10
+
+// carve copies b into an exact-size slice of the arena.
+func (n *Node) carve(b []byte) []byte {
+	if free := cap(n.arena) - len(n.arena); free < len(b) {
+		n.arena = make([]byte, 0, max(arenaChunk, len(b)))
+	}
+	start := len(n.arena)
+	n.arena = append(n.arena, b...)
+	return n.arena[start:len(n.arena):len(n.arena)]
+}
+
 // open broadcasts this node's epoch-e proposal on its RBC slot.
 func (n *Node) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 	id := broadcast.EpochID(e)
 	// The node's own instance always gets the true proposal.
-	own := sched.Message{
-		From: n.cfg.Self, To: n.cfg.Self, Tag: broadcast.BrachaTag,
-		Data: broadcast.EncodeInit(n.cfg.Self, id, broadcast.EncodeVec(n.cfg.Proposals[e])),
-	}
+	own := broadcast.EncodeInit(n.cfg.Self, id, broadcast.EncodeVec(n.cfg.Proposals[e]))
 	if n.cfg.Behavior == Equivocate {
 		// Per-recipient INITs with distinct values: recipient j sees the
 		// proposal shifted by j+1 in every coordinate.
@@ -229,9 +276,10 @@ func (n *Node) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 			})
 		}
 	} else {
-		outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: broadcast.BrachaTag, Data: own.Data})
+		outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: broadcast.BrachaTag, Data: own})
 	}
-	return n.rbc.AppendHandle(outs, own)
+	n.rbc.Receive(n.cfg.Self, own, nil)
+	return outs
 }
 
 // liveEpoch reports whether epoch e can still receive traffic: not yet
@@ -244,23 +292,37 @@ func (n *Node) liveEpoch(e int) bool {
 	return e >= n.pruneLo && ahead <= 1 && e < len(n.cfg.Proposals)
 }
 
-// handleRBC feeds one rbc message to the reliable-broadcast layer,
-// unless it names an instance no live epoch owns: such an instance
-// would never be read by pump nor matched by prune.
-func (n *Node) handleRBC(outs []sched.Outgoing, m sched.Message) []sched.Outgoing {
-	if e, ok := broadcast.ParseEpochID(string(broadcast.RBCInstanceID(m.Data))); !ok || !n.liveEpoch(e) {
-		return outs
-	}
-	return n.rbc.AppendHandle(outs, m)
+// liveRBC reports whether an rbc instance id is the canonical id of a
+// live epoch: an instance no live epoch owns would never be read by pump
+// nor matched by prune.
+func (n *Node) liveRBC(id []byte) bool {
+	e, ok := broadcast.ParseEpochID(string(id))
+	return ok && n.liveEpoch(e)
 }
 
-// handleABA routes one ABA message to its (epoch, slot) instance.
-func (n *Node) handleABA(outs []sched.Outgoing, m sched.Message) []sched.Outgoing {
-	epoch, slot, round, phase, value, err := decodeABA(m.Data)
-	if err != nil || slot >= n.cfg.N || !n.liveEpoch(epoch) || phase > abaAux || m.From < 0 || m.From >= n.cfg.N {
-		return outs // before any state is created
+// handleABA walks an aba body's votes, in send order, into their (epoch,
+// slot) instances, with one liveness check and one epoch lookup per run
+// of equal epochs; votes outside the epoch window are skipped. A body
+// from no peer, or one that is not whole votes with known phases and
+// process slots, is dropped whole before any state is created.
+func (n *Node) handleABA(from int, body []byte) {
+	if from < 0 || from >= n.cfg.N || from == n.cfg.Self || !abaFramed(body, n.cfg.N) {
+		return
 	}
-	return n.epoch(epoch).abas[slot].handle(outs, m.From, round, phase, value)
+	var es *epochState
+	run := -1
+	for ; len(body) > 0; body = body[abaVoteLen:] {
+		epoch, slot, round, phase, value := decodeABA(body)
+		if epoch != run {
+			run, es = epoch, nil
+			if n.liveEpoch(epoch) {
+				es = n.epoch(epoch)
+			}
+		}
+		if es != nil {
+			n.votes = es.abas[slot].handle(n.votes, from, round, phase, value)
+		}
+	}
 }
 
 // pump drives the BKR decision logic to a fixpoint: fold reliable
@@ -291,7 +353,7 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 		// BKR rule 1: vote 1 for every reliably delivered slot.
 		for s := 0; s < n.cfg.N; s++ {
 			if es.rawDelivered[s] && !es.abas[s].haveInput {
-				outs = es.abas[s].input(outs, 1)
+				n.votes = es.abas[s].input(n.votes, 1)
 				progress = true
 			}
 		}
@@ -306,7 +368,7 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 			es.zeroCast = true
 			for s := 0; s < n.cfg.N; s++ {
 				if !es.abas[s].haveInput {
-					outs = es.abas[s].input(outs, 0)
+					n.votes = es.abas[s].input(n.votes, 0)
 					progress = true
 				}
 			}

@@ -85,7 +85,7 @@ func TestABAFarRoundIsConstantCost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	node.handleABA(nil, far)
+	node.handleABA(far.From, far.Data)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
@@ -132,15 +132,35 @@ func TestACSGarbageCreatesNoState(t *testing.T) {
 			if k%20 == 5 {
 				m.From = -1 - k
 			}
-		case 6: // no such phase
-			m.Data = rbcMessage(3+byte(k%250), k%n, broadcast.EpochID(k%epochs))
+		case 6: // no such phase (3 opens a body), or a body that fails
+			// framing after a live vote: it is dropped whole
+			m.Data = rbcMessage(4+byte(k%250), k%n, broadcast.EpochID(k%epochs))
+			if k%20 == 16 {
+				live := rbcMessage(1, k%n, broadcast.EpochID(1)) // opens an instance
+				bad := [][]byte{
+					rbcMessage(0, k%n, broadcast.EpochID(1)), // an INIT
+					rbcMessage(2, n+k%7, broadcast.EpochID(1)),
+					live[:1+rng.Intn(len(live)-1)],
+					{0},
+				}[k/20%4]
+				m.Data = append(append([]byte{3}, live...), bad...)
+				if k%100 == 96 {
+					m.Data = []byte{3}
+				}
+			}
 		case 7: // truncated
 			full := rbcMessage(1, k%n, broadcast.EpochID(k%epochs))
 			m.Data = full[:rng.Intn(len(full))]
-		case 8: // aba: no such slot, epoch past the stream, wrong length
+		case 8: // aba: no such slot, epoch past the stream, a body that
+			// fails framing after a live vote
 			m.Tag, m.Data = ABATag, encodeABA(k%epochs, n+k%1000, k, abaBval, 1)
-			if k%20 == 8 {
+			switch k % 40 {
+			case 18:
 				m.Data = encodeABA(epochs+k, k%n, 0, abaAux, 0)
+			case 28: // a live vote that opens epoch 1, then a vote for slot n
+				m.Data = append(encodeABA(1, k%n, k%3, abaBval, 1), encodeABA(0, n, 0, abaAux, 0)...)
+			case 38: // the same live vote, then half a vote or a trailing byte
+				m.Data = append(encodeABA(1, k%n, k%3, abaBval, 1), make([]byte, 1+k%200/40*5)...)
 			}
 		case 9: // aba: an origin that is no process, no such phase
 			m.Tag, m.From, m.Data = ABATag, n+k, encodeABA(1, k%n, k, abaBval, 1)

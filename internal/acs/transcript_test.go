@@ -24,7 +24,9 @@ import (
 // any decision shows up here. The long n=7 streams were appended at the
 // commit before epoch states were recycled: each node reuses a sealed
 // epoch's state dozens of times there, ABA rounds past the inline two
-// included.
+// included. When votes began to travel as one body per link and round,
+// only the trace_sha256 and messages columns were re-recorded; the
+// fingerprint and rounds columns are the per-message node's.
 
 type transcriptSpec struct {
 	Name     string

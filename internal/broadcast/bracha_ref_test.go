@@ -58,7 +58,7 @@ func (b *refBracha) Broadcast(id string, value []byte) []sched.Outgoing {
 }
 
 func (b *refBracha) Handle(m sched.Message) []sched.Outgoing {
-	phase, sender, idB, value, err := decodeRBC(m.Data)
+	phase, sender, idB, value, _, err := decodeRBC(m.Data)
 	if err != nil {
 		return nil
 	}
@@ -262,7 +262,7 @@ func TestBrachaModalValueMatchesReference(t *testing.T) {
 		for _, from := range rng.Perm(n)[:1+rng.Intn(n)] {
 			v := values[rng.Intn(1+rng.Intn(len(values)))]
 			ref[from] = v
-			b.vote(nil, in, from, rbcEcho, []byte(v))
+			b.vote(in, from, rbcEcho, []byte(v))
 		}
 		wantV, wantN := refModalValue(ref)
 		gotV, gotN := in.modal(rbcEcho)

@@ -16,9 +16,7 @@ func silentEcho() (*BrachaState, func() []sched.Outgoing) {
 	value := EncodeVec([]float64{1})
 	b.Handle(sched.Message{From: 1, Tag: BrachaTag, Data: EncodeInit(1, EpochID(0), value)})
 	echo := sched.Message{From: 2, Tag: BrachaTag, Data: encodeRBC(rbcEcho, 1, EpochID(0), value)}
-	var in *brachaInst
-	for _, in = range b.insts {
-	}
+	in := b.insts[EpochID(0)].insts[1]
 	return b, func() []sched.Outgoing {
 		outs := b.Handle(echo)
 		in.voted[2] = 0

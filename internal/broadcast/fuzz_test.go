@@ -1,7 +1,9 @@
 package broadcast
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -123,4 +125,87 @@ func TestPropertySignatureBinding(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzBrachaBody hands a 4-process component holding live instances
+// arbitrary bytes after the body marker, from an arbitrary origin. It
+// must not panic. A body that fails framing — an origin that is no peer,
+// a byte that is not part of a whole ECHO/READY, an INIT, a sender that
+// is no process — must leave the instances, the deliveries and the
+// pending votes as they were; a body that frames must act exactly as its
+// votes sent one message each.
+//
+// Run with: go test -run=^$ -fuzz=FuzzBrachaBody ./internal/broadcast
+func FuzzBrachaBody(f *testing.F) {
+	const n = 4
+	v, w := EncodeVec([]float64{1}), EncodeVec([]float64{2})
+	echo, ready := encodeRBC(rbcEcho, 1, EpochID(0), v), encodeRBC(rbcReady, 1, EpochID(0), v)
+	f.Add(2, append(echo, ready...))
+	f.Add(2, append(append(echo, encodeRBC(rbcEcho, 2, EpochID(1), w)...), encodeRBC(rbcReady, 1, EpochID(0), w)...))
+	f.Add(3, append(echo, encodeRBC(rbcInit, 3, EpochID(0), v)...))
+	f.Add(2, append(echo, encodeRBC(rbcEcho, n, EpochID(0), v)...))
+	f.Add(2, append(echo, 0))
+	f.Add(2, echo[:len(echo)-1])
+	f.Add(2, []byte{})
+	f.Add(0, echo)
+	f.Add(n, echo)
+	// primed is a component with process 1's instance open, echoed and
+	// readied by process 3, and its own ECHO pending.
+	primed := func() *BrachaState {
+		b := NewBrachaState(n, 1, 0)
+		b.Receive(1, EncodeInit(1, EpochID(0), v), nil)
+		b.Receive(3, echo, nil)
+		b.Receive(3, ready, nil)
+		return b
+	}
+	f.Fuzz(func(t *testing.T, from int, entries []byte) {
+		body, single := primed(), primed()
+		instances := func(b *BrachaState) (k int) {
+			b.PruneInstances(func(int, string) bool { k++; return false })
+			return k
+		}
+		before := instances(body)
+		body.Receive(from, append([]byte{rbcBody}, entries...), nil)
+		if !bodyFrames(from, entries) {
+			if instances(body) != before || len(body.deliveries) != len(single.deliveries) || !bytes.Equal(body.votes, single.votes) {
+				t.Fatalf("a body that fails framing changed the component: %d -> %d instances, %d deliveries, votes %x",
+					before, instances(body), len(body.deliveries), body.votes)
+			}
+			return
+		}
+		for rest := entries; len(rest) > 0; {
+			_, _, _, _, next, _ := decodeRBC(rest)
+			single.Receive(from, rest[:len(rest)-len(next)], nil)
+			rest = next
+		}
+		if g, w := body.TakeVotes(), single.TakeVotes(); !bytes.Equal(g, w) {
+			t.Fatalf("body votes %x, one message each %x", g, w)
+		}
+		if g, w := body.TakeDeliveries(), single.TakeDeliveries(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("body delivered %v, one message each %v", g, w)
+		}
+	})
+}
+
+// bodyFrames is the body framing rule restated: a peer's non-empty run
+// of whole ECHO/READY messages naming processes, nothing after them.
+func bodyFrames(from int, body []byte) bool {
+	const n, self = 4, 0
+	if from < 0 || from >= n || from == self || len(body) == 0 {
+		return false
+	}
+	for len(body) > 0 {
+		if len(body) < 3 || (body[0] != rbcEcho && body[0] != rbcReady) || int(body[1])<<8|int(body[2]) >= n {
+			return false
+		}
+		_, rest, err := ReadField(body[3:])
+		if err == nil {
+			_, rest, err = ReadField(rest)
+		}
+		if err != nil {
+			return false
+		}
+		body = rest
+	}
+	return true
 }
