@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -26,27 +28,49 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag set has printed what was wrong and the usage
+	default:
+		fmt.Fprintf(os.Stderr, "bvcsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line the flag set rejected.
+var errUsage = errors.New("usage")
+
+// run parses args, runs one instance and writes its summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bvcsim", flag.ContinueOnError)
 	var (
-		mode    = flag.String("mode", "algo", "algo | exact | k | scalar | convex | iterative | async | async-exact")
-		n       = flag.Int("n", 4, "number of processes")
-		f       = flag.Int("f", 1, "max Byzantine processes")
-		d       = flag.Int("d", 3, "input dimension")
-		k       = flag.Int("k", 2, "projection size for -mode k")
-		p       = flag.Float64("p", 2, "Lp norm for -mode algo (1, 2, or 0 meaning inf)")
-		rounds  = flag.Int("rounds", 10, "averaging rounds for async modes")
-		seed    = flag.Int64("seed", 1, "random seed for inputs and schedules")
-		adv     = flag.String("adversary", "equivocate", "none | silent | equivocate | fixed | random")
-		wl      = flag.String("workload", "gauss", "input family: cube | gauss | sphere | cluster")
-		verbose = flag.Bool("v", false, "print the agreed multiset")
-		doTrace = flag.Bool("trace", false, "print a message-trace summary and the first events")
-		svgOut  = flag.String("svg", "", "write a picture of the run to this file (2-D sync modes only)")
+		mode    = fs.String("mode", "algo", "algo | exact | k | scalar | convex | iterative | async | async-exact")
+		n       = fs.Int("n", 4, "number of processes")
+		f       = fs.Int("f", 1, "max Byzantine processes")
+		d       = fs.Int("d", 3, "input dimension")
+		k       = fs.Int("k", 2, "projection size for -mode k")
+		p       = fs.Float64("p", 2, "Lp norm for -mode algo (1, 2, or 0 meaning inf)")
+		rounds  = fs.Int("rounds", 10, "averaging rounds for async modes")
+		seed    = fs.Int64("seed", 1, "random seed for inputs and schedules")
+		adv     = fs.String("adversary", "equivocate", "none | silent | equivocate | fixed | random")
+		wl      = fs.String("workload", "gauss", "input family: cube | gauss | sphere | cluster")
+		verbose = fs.Bool("v", false, "print the agreed multiset")
+		doTrace = fs.Bool("trace", false, "print a message-trace summary and the first events")
+		svgOut  = fs.String("svg", "", "write a picture of the run to this file (2-D sync modes only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	gen, ok := workload.Generators()[*wl]
 	if !ok {
-		fatalf("unknown workload %q", *wl)
+		return fmt.Errorf("unknown workload %q", *wl)
 	}
 	inputs := gen(rng, *n, *d)
 	norm := *p
@@ -54,12 +78,12 @@ func main() {
 		norm = math.Inf(1)
 	}
 
-	fmt.Printf("relaxed byzantine vector consensus simulator\n")
-	fmt.Printf("mode=%s n=%d f=%d d=%d adversary=%s workload=%s seed=%d\n\n", *mode, *n, *f, *d, *adv, *wl, *seed)
+	fmt.Fprintf(stdout, "relaxed byzantine vector consensus simulator\n")
+	fmt.Fprintf(stdout, "mode=%s n=%d f=%d d=%d adversary=%s workload=%s seed=%d\n\n", *mode, *n, *f, *d, *adv, *wl, *seed)
 	for i, in := range inputs {
-		fmt.Printf("  input %d: %v\n", i, in)
+		fmt.Fprintf(stdout, "  input %d: %v\n", i, in)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	var rec *bvc.TraceRecorder
 	if *doTrace {
@@ -82,7 +106,7 @@ func main() {
 		spec.K = *k
 	case "scalar":
 		if *d != 1 {
-			fatalf("-mode scalar requires -d 1")
+			return errors.New("-mode scalar requires -d 1")
 		}
 		spec.Protocol = bvc.ProtocolScalar
 	case "convex":
@@ -100,39 +124,44 @@ func main() {
 		}
 		spec.Schedule = bvc.RandomSchedule(*seed + 7)
 	default:
-		fatalf("unknown mode %q", *mode)
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
-	installAdversary(&spec, *mode, *adv, *seed)
+	if err := installAdversary(&spec, *mode, *adv, *seed); err != nil {
+		return err
+	}
 
 	res, err := bvc.Run(context.Background(), spec)
 	if err != nil {
-		fatalf("run failed: %v", err)
+		return fmt.Errorf("run failed: %w", err)
 	}
 
 	honest := honestIDs(&spec)
 	nonFaulty := nonFaultyInputs(&spec, honest)
 	switch *mode {
 	case "algo", "exact", "k", "scalar":
-		printSync(&spec, res, *mode, *k, norm, *verbose, *svgOut)
+		if err := printSync(stdout, &spec, res, *mode, *k, norm, *verbose, *svgOut); err != nil {
+			return err
+		}
 	case "convex":
-		printConvex(res, honest, nonFaulty)
+		printConvex(stdout, res, honest, nonFaulty)
 	case "iterative":
-		printIterative(&spec, res)
+		printIterative(stdout, &spec, res)
 	case "async", "async-exact":
-		printAsync(&spec, res, honest, *rounds)
+		printAsync(stdout, &spec, res, honest, *rounds)
 	}
 
 	if rec != nil {
-		fmt.Println()
-		rec.Summary(os.Stdout)
-		fmt.Println("first events:")
-		rec.Dump(os.Stdout, 12)
+		fmt.Fprintln(stdout)
+		rec.Summary(stdout)
+		fmt.Fprintln(stdout, "first events:")
+		rec.Dump(stdout, 12)
 	}
+	return nil
 }
 
 // installAdversary scripts process n-1 with the named behavior in
 // whichever Byzantine field the mode consults.
-func installAdversary(spec *bvc.Spec, mode, adv string, seed int64) {
+func installAdversary(spec *bvc.Spec, mode, adv string, seed int64) error {
 	bad := spec.N - 1
 	rng := rand.New(rand.NewSource(seed + 100))
 	switch mode {
@@ -140,7 +169,7 @@ func installAdversary(spec *bvc.Spec, mode, adv string, seed int64) {
 		var b bvc.ByzantineBehavior
 		switch adv {
 		case "none":
-			return
+			return nil
 		case "silent":
 			b = bvc.Silent()
 		case "equivocate":
@@ -152,13 +181,13 @@ func installAdversary(spec *bvc.Spec, mode, adv string, seed int64) {
 		case "random":
 			b = bvc.RandomLiar(seed, spec.D, 10)
 		default:
-			fatalf("unknown adversary %q", adv)
+			return fmt.Errorf("unknown adversary %q", adv)
 		}
 		spec.Byzantine = map[int]bvc.ByzantineBehavior{bad: b}
 	case "iterative":
 		switch adv {
 		case "none":
-			return
+			return nil
 		case "silent":
 			spec.IterByzantine = map[int]bvc.IterByzantine{
 				bad: bvc.IterByzantineFunc(func(int, int, bvc.Vector) bvc.Vector { return nil }),
@@ -193,9 +222,10 @@ func installAdversary(spec *bvc.Spec, mode, adv string, seed int64) {
 				},
 			}
 		default:
-			fatalf("unknown adversary %q", adv)
+			return fmt.Errorf("unknown adversary %q", adv)
 		}
 	}
+	return nil
 }
 
 // honestIDs returns the process ids with no scripted behavior.
@@ -220,73 +250,78 @@ func nonFaultyInputs(spec *bvc.Spec, honest []int) *bvc.PointSet {
 	return bvc.NewPointSet(pts...)
 }
 
-func printSync(spec *bvc.Spec, res *bvc.Result, mode string, k int, p float64, verbose bool, svgOut string) {
+func printSync(w io.Writer, spec *bvc.Spec, res *bvc.Result, mode string, k int, p float64, verbose bool, svgOut string) error {
 	honest := honestIDs(spec)
 	nonFaulty := nonFaultyInputs(spec, honest)
-	fmt.Printf("broadcast: %d rounds, %d messages\n\n", res.Rounds, res.Messages)
+	fmt.Fprintf(w, "broadcast: %d rounds, %d messages\n\n", res.Rounds, res.Messages)
 	if verbose {
-		fmt.Printf("agreed multiset at process %d:\n", honest[0])
+		fmt.Fprintf(w, "agreed multiset at process %d:\n", honest[0])
 		for c := 0; c < spec.N; c++ {
-			fmt.Printf("  from %d: %v\n", c, res.AgreedSet[honest[0]].At(c))
+			fmt.Fprintf(w, "  from %d: %v\n", c, res.AgreedSet[honest[0]].At(c))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, i := range honest {
-		fmt.Printf("  process %d output: %v", i, res.Outputs[i])
+		fmt.Fprintf(w, "  process %d output: %v", i, res.Outputs[i])
 		if mode == "algo" {
-			fmt.Printf("   (delta = %.6g)", res.Delta[i])
+			fmt.Fprintf(w, "   (delta = %.6g)", res.Delta[i])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
-	fmt.Printf("agreement error (Linf): %.3g\n", bvc.AgreementError(res.Outputs, honest))
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "agreement error (Linf): %.3g\n", bvc.AgreementError(res.Outputs, honest))
 	out := res.Outputs[honest[0]]
 	switch mode {
 	case "exact", "scalar":
-		fmt.Printf("exact validity: %v\n", bvc.CheckExactValidity(out, nonFaulty, 1e-6))
+		fmt.Fprintf(w, "exact validity: %v\n", bvc.CheckExactValidity(out, nonFaulty, 1e-6))
 	case "k":
-		fmt.Printf("%d-relaxed validity: %v\n", k, bvc.CheckKValidity(out, nonFaulty, k, 1e-6))
+		fmt.Fprintf(w, "%d-relaxed validity: %v\n", k, bvc.CheckKValidity(out, nonFaulty, k, 1e-6))
 	case "algo":
 		delta := res.Delta[honest[0]]
 		dist, _ := bvc.DistToHull(out, nonFaulty, p)
-		fmt.Printf("(delta,p)-relaxed validity: %v (distance %.6g <= delta %.6g)\n",
+		fmt.Fprintf(w, "(delta,p)-relaxed validity: %v (distance %.6g <= delta %.6g)\n",
 			bvc.CheckDeltaValidity(out, nonFaulty, delta, p, 1e-6), dist, delta)
 	}
-	if svgOut != "" {
-		if spec.D != 2 {
-			fmt.Println("\n-svg requires -d 2; skipping picture")
-			return
-		}
-		var byzClaims []bvc.Vector
-		for id := range spec.Byzantine {
-			byzClaims = append(byzClaims, res.AgreedSet[honest[0]].At(id))
-		}
-		cs := viz.ConsensusScene{
-			HonestInputs: nonFaulty.Points(),
-			ByzInputs:    byzClaims,
-			Output:       out,
-			Title:        fmt.Sprintf("%s n=%d f=%d", mode, spec.N, spec.F),
-		}
-		if mode == "algo" {
-			cs.Delta = res.Delta[honest[0]]
-		}
-		fh, err := os.Create(svgOut)
-		if err != nil {
-			fatalf("svg: %v", err)
-		}
-		defer fh.Close()
-		if err := viz.RenderConsensus(fh, cs, 520, 520); err != nil {
-			fatalf("svg: %v", err)
-		}
-		fmt.Printf("\nwrote %s\n", svgOut)
+	if svgOut == "" {
+		return nil
 	}
+	if spec.D != 2 {
+		fmt.Fprintln(w, "\n-svg requires -d 2; skipping picture")
+		return nil
+	}
+	var byzClaims []bvc.Vector
+	for id := range spec.Byzantine {
+		byzClaims = append(byzClaims, res.AgreedSet[honest[0]].At(id))
+	}
+	cs := viz.ConsensusScene{
+		HonestInputs: nonFaulty.Points(),
+		ByzInputs:    byzClaims,
+		Output:       out,
+		Title:        fmt.Sprintf("%s n=%d f=%d", mode, spec.N, spec.F),
+	}
+	if mode == "algo" {
+		cs.Delta = res.Delta[honest[0]]
+	}
+	fh, err := os.Create(svgOut)
+	if err != nil {
+		return fmt.Errorf("svg: %w", err)
+	}
+	err = viz.RenderConsensus(fh, cs, 520, 520)
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("svg: %w", err)
+	}
+	fmt.Fprintf(w, "\nwrote %s\n", svgOut)
+	return nil
 }
 
-func printConvex(res *bvc.Result, honest []int, nonFaulty *bvc.PointSet) {
-	fmt.Printf("broadcast: %d rounds, %d messages\n\n", res.Rounds, res.Messages)
-	fmt.Printf("agreed polytope (%d support points) at process %d:\n", len(res.Vertices[honest[0]]), honest[0])
+func printConvex(w io.Writer, res *bvc.Result, honest []int, nonFaulty *bvc.PointSet) {
+	fmt.Fprintf(w, "broadcast: %d rounds, %d messages\n\n", res.Rounds, res.Messages)
+	fmt.Fprintf(w, "agreed polytope (%d support points) at process %d:\n", len(res.Vertices[honest[0]]), honest[0])
 	for i, v := range res.Vertices[honest[0]] {
-		fmt.Printf("  vertex %2d: %v\n", i, v)
+		fmt.Fprintf(w, "  vertex %2d: %v\n", i, v)
 	}
 	agree := true
 	base := res.Vertices[honest[0]]
@@ -304,39 +339,34 @@ func printConvex(res *bvc.Result, honest []int, nonFaulty *bvc.PointSet) {
 			}
 		}
 	}
-	fmt.Printf("\npolytope agreement: %v\n", agree)
-	fmt.Printf("convex validity:    %v\n", bvc.CheckConvexValidity(base, nonFaulty, 1e-6))
+	fmt.Fprintf(w, "\npolytope agreement: %v\n", agree)
+	fmt.Fprintf(w, "convex validity:    %v\n", bvc.CheckConvexValidity(base, nonFaulty, 1e-6))
 }
 
-func printIterative(spec *bvc.Spec, res *bvc.Result) {
-	fmt.Printf("honest range per round:\n")
+func printIterative(w io.Writer, spec *bvc.Spec, res *bvc.Result) {
+	fmt.Fprintf(w, "honest range per round:\n")
 	for r, v := range res.RangeHistory {
-		fmt.Printf("  round %2d: %.6g\n", r, v)
+		fmt.Fprintf(w, "  round %2d: %.6g\n", r, v)
 	}
-	fmt.Printf("\nfinal estimates:\n")
+	fmt.Fprintf(w, "\nfinal estimates:\n")
 	for i := 0; i < spec.N; i++ {
 		if _, bad := spec.IterByzantine[i]; bad {
 			continue
 		}
-		fmt.Printf("  process %d: %v\n", i, res.Outputs[i])
+		fmt.Fprintf(w, "  process %d: %v\n", i, res.Outputs[i])
 	}
-	fmt.Printf("\nmessages delivered: %d\n", res.Messages)
+	fmt.Fprintf(w, "\nmessages delivered: %d\n", res.Messages)
 }
 
-func printAsync(spec *bvc.Spec, res *bvc.Result, honest []int, rounds int) {
-	fmt.Printf("delivered %d messages in %d steps\n\n", res.Messages, res.Steps)
+func printAsync(w io.Writer, spec *bvc.Spec, res *bvc.Result, honest []int, rounds int) {
+	fmt.Fprintf(w, "delivered %d messages in %d steps\n\n", res.Messages, res.Steps)
 	for _, i := range honest {
-		fmt.Printf("  process %d output: %v", i, res.Outputs[i])
+		fmt.Fprintf(w, "  process %d output: %v", i, res.Outputs[i])
 		if spec.Mode == bvc.ModeRelaxed {
-			fmt.Printf("   (round-0 delta = %.6g)", res.Delta[i])
+			fmt.Fprintf(w, "   (round-0 delta = %.6g)", res.Delta[i])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
-	fmt.Printf("epsilon-agreement after %d rounds: %.3g\n", rounds, bvc.AgreementError(res.Outputs, honest))
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bvcsim: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "epsilon-agreement after %d rounds: %.3g\n", rounds, bvc.AgreementError(res.Outputs, honest))
 }

@@ -60,12 +60,13 @@ func PerRecipient(vectors map[int]vec.V) broadcast.EIGBehavior {
 // RandomLiar sends independent random vectors (seeded, deterministic per
 // run) of the given dimension and scale. Each value is written straight
 // into the EncodeVec layout (dimension u32, then the coordinates' IEEE754
-// bits, big-endian): one allocation per relay.
+// bits, big-endian) of one buffer the liar owns: the library copies a
+// relay before asking for the next, so relays allocate nothing.
 func RandomLiar(seed int64, d int, scale float64) broadcast.EIGBehavior {
 	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, 4+8*d)
+	binary.BigEndian.PutUint32(out, uint32(d))
 	return broadcast.EIGBehaviorFunc(func(int, []int, int, []byte) []byte {
-		out := make([]byte, 4+8*d)
-		binary.BigEndian.PutUint32(out, uint32(d))
 		for i := 0; i < d; i++ {
 			binary.BigEndian.PutUint64(out[4+8*i:], math.Float64bits(rng.NormFloat64()*scale))
 		}

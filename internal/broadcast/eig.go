@@ -28,7 +28,10 @@ var (
 // given tree node. Returning nil suppresses the send (a crash/silence on
 // that edge). Calls come in instance, then path (lexicographic), then
 // recipient order, so a behavior drawing from one RNG stream is
-// reproducible; path is valid only for the duration of the call.
+// reproducible; path is valid only for the duration of the call. The
+// library copies the returned value into the body before the next call
+// and never keeps it, so a behavior may return the same buffer every
+// time.
 type EIGBehavior interface {
 	RelayValue(instance int, path []int, to int, honest []byte) []byte
 }
@@ -90,13 +93,34 @@ type eigLevel struct {
 	size  int      // total length of the stored values
 }
 
+// put stores val at slot g. It reads the old value only where has[g] is
+// set, so a recycled leaf's stale values never count.
 func (lv *eigLevel) put(g int, val []byte) {
-	if !lv.has[g] {
+	if lv.has[g] {
+		lv.size -= len(lv.vals[g])
+	} else {
 		lv.has[g] = true
 		lv.count++
 	}
-	lv.size += len(val) - len(lv.vals[g])
+	lv.size += len(val)
 	lv.vals[g] = val // a duplicate or conflicting copy overwrites: last one wins
+}
+
+// eigLeaves recycles leaf levels between deciding Steps: a leaf lives
+// only inside the Step that decides (EIGNode.decide).
+var eigLeaves sync.Pool
+
+// getEIGLeaf returns an empty level of size slots for the leaf. Its vals
+// may hold stale values, which put and resolve never read.
+func getEIGLeaf(size int) *eigLevel {
+	lv, _ := eigLeaves.Get().(*eigLevel)
+	if lv == nil || cap(lv.has) < size {
+		return &eigLevel{vals: make([][]byte, size), has: make([]bool, size)}
+	}
+	lv.vals, lv.has = lv.vals[:size], lv.has[:size]
+	clear(lv.has)
+	lv.count, lv.size = 0, 0
+	return lv
 }
 
 // pathAt fills path with the len(path)-permutation of the n process ids
@@ -117,12 +141,32 @@ func pathAt(n, g int, path []int) {
 	}
 }
 
-// majority returns the value a strict majority of vals holds (Boyer-Moore
-// vote, then a verifying count); ties and absence fall to def.
+// majority returns the value a strict majority of vals holds (a
+// Boyer-Moore vote, then a verifying count); ties and absence fall to
+// def. While vals[0] stays the candidate the vote also counts its
+// matches, so the verifying pass runs only when the candidate changes:
+// one comparison per value when a majority leads from the start.
 func majority(vals [][]byte, def []byte) []byte {
-	var cand []byte
-	votes := 0
-	for _, v := range vals {
+	if len(vals) == 0 {
+		return def
+	}
+	cand, votes, same := vals[0], 1, 1
+	i := 1
+	for ; i < len(vals) && votes > 0; i++ {
+		if bytes.Equal(vals[i], cand) {
+			votes++
+			same++
+		} else {
+			votes--
+		}
+	}
+	if i == len(vals) { // the candidate never changed: same is its count
+		if 2*same > len(vals) {
+			return cand
+		}
+		return def
+	}
+	for _, v := range vals[i:] {
 		switch {
 		case votes == 0:
 			cand, votes = v, 1
@@ -300,7 +344,8 @@ type EIGNode struct {
 	input      []byte // this node's own input (commander value)
 	defaultVal []byte
 	behavior   EIGBehavior // nil for honest
-	levels     []eigLevel  // levels[l-1], allocated when round l-1 begins
+	levels     []eigLevel  // the relayed levels[l-1], l <= f, allocated when round l-1 begins
+	leafNodes  int         // leaf nodes stored: own relays once sent, all of them once decided
 	path       []int       // scratch for the path a behavior is shown
 	done       bool
 	decided    [][]byte
@@ -317,7 +362,7 @@ type EIGNode struct {
 func NewEIGNode(n, f, self int, input []byte, behavior EIGBehavior, defaultVal []byte) *EIGNode {
 	return &EIGNode{
 		n: n, f: f, self: self, input: input, defaultVal: defaultVal, behavior: behavior,
-		levels: make([]eigLevel, eigDepth(f)), path: make([]int, eigDepth(f)),
+		levels: make([]eigLevel, f), path: make([]int, eigDepth(f)),
 	}
 }
 
@@ -331,15 +376,15 @@ func (p *EIGNode) Drops() int { return p.drops }
 // TreeNodes returns the total EIG tree nodes stored across this node's
 // instances — its share of the broadcast memory footprint.
 func (p *EIGNode) TreeNodes() int {
-	total := 0
+	total := p.leafNodes
 	for i := range p.levels {
 		total += p.levels[i].count
 	}
 	return total
 }
 
-// level returns level l (1-based) of the trees, allocating its
-// n(n-1)...(n-l+1) slots on first use.
+// level returns relayed level l (1-based, l <= f) of the trees,
+// allocating its n(n-1)...(n-l+1) slots on first use.
 func (p *EIGNode) level(l int) *eigLevel {
 	lv := &p.levels[l-1]
 	if lv.has == nil {
@@ -360,7 +405,10 @@ func (p *EIGNode) Start() []sched.Outgoing {
 // not contain it, walking the plan in slot order — instance, then path,
 // then (for a behavior) recipient. size bounds the values' total length.
 func (p *EIGNode) send(l int, vals [][]byte, has []bool, size int) []sched.Outgoing {
-	lv := p.level(l)
+	var lv *eigLevel // nil for the leaf: the deciding Step stores own relays there
+	if l <= p.f {
+		lv = p.level(l)
+	}
 	parents, children := eigPlanFor(p.n, l).of(p.self)
 	hint := eigHeaderLen*(1+size/eigBodyCap) + 4*len(parents) + size
 	var outs []sched.Outgoing
@@ -369,9 +417,7 @@ func (p *EIGNode) send(l int, vals [][]byte, has []bool, size int) []sched.Outgo
 		for i, g := range parents {
 			v := vals[g]
 			if has[g] {
-				// A process knows its own honest relay: store it locally
-				// so the resolve majority sees the self-child too.
-				lv.put(int(children[i]), v)
+				p.keep(lv, children[i], v)
 				if v == nil { // a nil input is a process with nothing to say
 					p.drops += p.n - 1
 				}
@@ -394,7 +440,7 @@ func (p *EIGNode) send(l int, vals [][]byte, has []bool, size int) []sched.Outgo
 			}
 			continue
 		}
-		lv.put(int(children[i]), vals[g])
+		p.keep(lv, children[i], vals[g])
 		pathAt(p.n, int(children[i]), path)
 		for k := range bodies {
 			v := p.behavior.RelayValue(path[0], path, bodies[k].to, vals[g])
@@ -408,6 +454,17 @@ func (p *EIGNode) send(l int, vals [][]byte, has []bool, size int) []sched.Outgo
 		outs = bodies[k].flush(outs)
 	}
 	return outs
+}
+
+// keep records this process's own honest relay v as slot g of level lv,
+// so the resolve majority sees the self-child too; on the leaf (lv nil)
+// it only counts it.
+func (p *EIGNode) keep(lv *eigLevel, g int32, v []byte) {
+	if lv == nil {
+		p.leafNodes++
+		return
+	}
+	lv.put(int(g), v)
 }
 
 // receive stores the entries of one delivered message as sender
@@ -462,29 +519,54 @@ func (p *EIGNode) Step(round int, delivered []sched.Message) []sched.Outgoing {
 	if level < 1 {
 		return nil
 	}
-	if level <= eigDepth(p.f) {
-		lv, plan := p.level(level), eigPlanFor(p.n, level)
-		for i := range delivered {
-			p.receive(lv, plan, level, &delivered[i])
+	if level > p.f {
+		p.decide(level, delivered)
+		return nil
+	}
+	lv, plan := p.level(level), eigPlanFor(p.n, level)
+	for i := range delivered {
+		p.receive(lv, plan, level, &delivered[i])
+	}
+	return p.send(level+1, lv.vals, lv.has, lv.size)
+}
+
+// decide gathers the leaf level in scratch — this process's own relays
+// of level f, then the round's deliveries — resolves every instance and
+// keeps only the n decisions, which alias the delivered messages. The
+// leaf is taken and returned within this one Step: all n machines of an
+// engine sit between rounds f-1 and f together, so a leaf held across
+// Steps would be n leaves alive at once.
+func (p *EIGNode) decide(level int, delivered []sched.Message) {
+	depth := eigDepth(p.f)
+	leaf := getEIGLeaf(permutations(p.n, depth))
+	plan := eigPlanFor(p.n, depth)
+	if p.f == 0 {
+		leaf.put(p.self, p.input)
+	} else if lv := &p.levels[p.f-1]; lv.has != nil {
+		parents, children := plan.of(p.self)
+		for i, g := range parents {
+			if lv.has[g] {
+				leaf.put(int(children[i]), lv.vals[g])
+			}
 		}
 	}
-	if level <= p.f {
-		lv := p.level(level)
-		return p.send(level+1, lv.vals, lv.has, lv.size)
+	if level == depth {
+		for i := range delivered {
+			p.receive(leaf, plan, level, &delivered[i])
+		}
 	}
-	// Gathering complete: decide every instance.
-	p.decided = p.resolve()
+	p.decided = append(make([][]byte, 0, p.n), p.resolve(leaf)...)
 	p.decided[p.self] = p.input
+	p.leafNodes = leaf.count
+	eigLeaves.Put(leaf)
 	p.done = true
-	return nil
 }
 
 // resolve computes every instance's recursive majority in one bottom-up
 // pass: the leaf level (absent leaves read as the default) is folded in
 // place, each parent's result written over the first slot of the child
 // blocks already consumed, until one value per commander is left.
-func (p *EIGNode) resolve() [][]byte {
-	leaf := p.level(eigDepth(p.f))
+func (p *EIGNode) resolve(leaf *eigLevel) [][]byte {
 	vals := leaf.vals
 	for g, has := range leaf.has {
 		if !has {

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"relaxedbvc/internal/sched"
@@ -209,9 +210,37 @@ func (p *refEIGNode) resolve() [][]byte {
 		kids := p.n - l
 		parents := len(vals) / kids
 		for g := 0; g < parents; g++ {
-			vals[g] = majority(vals[g*kids:(g+1)*kids], p.defaultVal)
+			vals[g] = refMajority(vals[g*kids:(g+1)*kids], p.defaultVal)
 		}
 		vals = vals[:parents]
 	}
 	return vals
+}
+
+// refMajority is the two-pass majority the one-pass vote replaced, kept
+// as its referee: a Boyer-Moore vote over every value, then a verifying
+// count over every value.
+func refMajority(vals [][]byte, def []byte) []byte {
+	var cand []byte
+	votes := 0
+	for _, v := range vals {
+		switch {
+		case votes == 0:
+			cand, votes = v, 1
+		case bytes.Equal(v, cand):
+			votes++
+		default:
+			votes--
+		}
+	}
+	count := 0
+	for _, v := range vals {
+		if bytes.Equal(v, cand) {
+			count++
+		}
+	}
+	if 2*count > len(vals) {
+		return cand
+	}
+	return def
 }

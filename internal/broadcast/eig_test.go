@@ -3,9 +3,12 @@ package broadcast
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"relaxedbvc/internal/sched"
@@ -197,7 +200,7 @@ func TestResolveMatchesRecursiveReference(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		f := rng.Intn(min(n, 4))
 		p := NewEIGNode(n, f, 0, []byte("in"), nil, def)
-		leaf := p.level(f + 1)
+		leaf := getEIGLeaf(permutations(n, f+1))
 		tree := make(map[string][]byte)
 		path := make([]int, f+1)
 		missing := rng.Float64() * 0.6
@@ -214,7 +217,7 @@ func TestResolveMatchesRecursiveReference(t *testing.T) {
 		for c := range want {
 			want[c] = refResolve(n, f, tree, def, []int{c})
 		}
-		got := p.resolve()
+		got := p.resolve(leaf)
 		if len(got) != n {
 			t.Fatalf("n=%d f=%d: resolve returned %d values", n, f, len(got))
 		}
@@ -246,6 +249,102 @@ func TestMajorityTiesAndAbsence(t *testing.T) {
 			t.Errorf("majority(%q) = %q, want %q", c.vals, got, c.want)
 		}
 	}
+}
+
+// ownCopy copies v into a backing array of its own with one spare byte
+// of capacity, so sameSlice tells byte-equal copies (empty ones too)
+// apart; nil stays nil.
+func ownCopy(v []byte) []byte {
+	if v == nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(v)+1), v...)
+}
+
+// sameSlice reports whether a and b are the same slice: both nil, or the
+// same length, capacity and backing array (every non-nil slice here has
+// capacity, see ownCopy).
+func sameSlice(a, b []byte) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return len(a) == len(b) && cap(a) == cap(b) && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
+// checkMajority requires majority to return the element refMajority
+// does: the same index of vals (first match), or def itself.
+func checkMajority(t *testing.T, vals [][]byte, def []byte) {
+	t.Helper()
+	which := func(v []byte) int {
+		for i, w := range vals {
+			if sameSlice(v, w) {
+				return i
+			}
+		}
+		if sameSlice(v, def) {
+			return -1
+		}
+		t.Fatalf("majority(%q) returned a slice of neither vals nor def", vals)
+		return 0
+	}
+	if got, want := which(majority(vals, def)), which(refMajority(vals, def)); got != want {
+		t.Fatalf("majority(%q): element %d, two-pass referee %d (-1: def)", vals, got, want)
+	}
+}
+
+func TestMajorityMatchesTwoPass(t *testing.T) {
+	// Groups of 0-12 values drawn from nil, empty, def itself, copies of
+	// def and 1-3 distinct values, every copy in its own backing array:
+	// the one-pass vote must return the very element the two-pass one
+	// does, which pins nil-ness and which copy wins.
+	rng := rand.New(rand.NewSource(32))
+	def := ownCopy([]byte("def"))
+	palette := [][]byte{[]byte("a"), []byte("ab"), []byte("b")}
+	vals := make([][]byte, 0, 12)
+	for group := 0; group < 100_000; group++ {
+		distinct := palette[:1+rng.Intn(len(palette))]
+		vals = vals[:0]
+		for k := rng.Intn(13); k > 0; k-- {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				vals = append(vals, nil)
+			case r == 1:
+				vals = append(vals, ownCopy([]byte{}))
+			case r == 2:
+				vals = append(vals, def)
+			case r == 3:
+				vals = append(vals, ownCopy(def))
+			default:
+				vals = append(vals, ownCopy(distinct[rng.Intn(len(distinct))]))
+			}
+		}
+		checkMajority(t, vals, def)
+	}
+}
+
+// FuzzMajority holds the one-pass majority to the two-pass referee on
+// values cut from the fuzzer's bytes at every 0xff: a lone 0xfe piece is
+// nil, and the literal piece "def" is the default itself.
+func FuzzMajority(f *testing.F) {
+	f.Add([]byte("a\xffa\xffb"))
+	f.Add([]byte("a\xffb\xffb\xffa\xffb"))
+	f.Add([]byte("\xff\xff\xfe\xffdef\xffdef\xffa"))
+	f.Add([]byte("b\xffa\xffa\xffb\xffa\xffc\xffa"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		def := ownCopy([]byte("def"))
+		var vals [][]byte
+		for _, piece := range bytes.Split(data, []byte{0xff}) {
+			switch string(piece) {
+			case "\xfe":
+				vals = append(vals, nil)
+			case "def":
+				vals = append(vals, def)
+			default:
+				vals = append(vals, ownCopy(piece))
+			}
+		}
+		checkMajority(t, vals, def)
+	})
 }
 
 // FuzzEIGStep feeds one arbitrary message, at an arbitrary round, to an
@@ -325,14 +424,98 @@ func BenchmarkEIGAllToAll(b *testing.B) {
 	}
 }
 
+// eigRunBytes is the measured heap bytes of one eigBenchRun, the liar's
+// own 28-byte relays included; parentEIGRunBytes is the same run when
+// every process kept its 5 040-slot leaf level from round f-1 until it
+// was dropped.
+const (
+	eigRunBytes       = 1.0e6
+	parentEIGRunBytes = 2.22e6
+)
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// share of Puts at random: the deciding Step's leaf then allocates.
+var raceEnabled bool
+
 func TestEIGAllToAllAllocationCeiling(t *testing.T) {
 	// Step 1 allocates per round, process and recipient, not per tree
-	// node: ~280 allocations plus the liar's own 5 274 (the map-keyed
-	// tree took ~640 000). The ceiling leaves room for runtime noise, not
-	// for a per-entry allocation (58 600 tree nodes).
+	// node: ~300 allocations plus the liar's own 5 274 (the map-keyed
+	// tree took ~640 000). The ceilings leave room for runtime noise, not
+	// for a per-entry allocation (58 600 tree nodes) or a leaf level per
+	// process.
+	const runs = 5
 	eigBenchRun(t) // the slot plans are built once per (n, level)
-	if got := testing.AllocsPerRun(3, func() { eigBenchRun(t) }); got > 6000 {
-		t.Fatalf("%.0f allocations per n=10 f=3 all-to-all run, ceiling 6000", got)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		eigBenchRun(t)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f allocations and %.2f MB per run (pinned %.2f MB; parent %.2f MB)", allocs, bytes/1e6, eigRunBytes/1e6, parentEIGRunBytes/1e6)
+	if allocs > 6000 {
+		t.Errorf("%.0f allocations per n=10 f=3 all-to-all run, ceiling 6000", allocs)
+	}
+	if bytes > 1.25*eigRunBytes && !raceEnabled {
+		t.Errorf("%.2f MB per n=10 f=3 all-to-all run, ceiling %.2f MB", bytes/1e6, 1.25*eigRunBytes/1e6)
+	}
+}
+
+func TestEIGConcurrentRunsMatchReferee(t *testing.T) {
+	// Two n=10 f=3 all-to-all broadcasts deciding at once on two
+	// goroutines, the shape of RunBatch's workers, share the leaf pool:
+	// every decision must still be the referee's.
+	const n, f, runs = 10, 3, 3
+	inputs := make([][]byte, n)
+	for i := range inputs {
+		inputs[i] = bytes.Repeat([]byte{byte(i)}, 28)
+	}
+	def := make([]byte, 28)
+	liar := func() EIGBehavior { return &randomLiar{rand.New(rand.NewSource(5))} }
+	refs := make([]*refEIGNode, n)
+	for i := range refs {
+		refs[i] = NewRefEIGNode(n, f, i, inputs[i], nil, def)
+	}
+	refs[n-1] = NewRefEIGNode(n, f, n-1, inputs[n-1], liar(), def)
+	runEngine(t, refs, nil, nil)
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < runs && errs[w] == nil; r++ {
+				nodes := make([]sched.SyncProcess, n)
+				eig := make([]*EIGNode, n)
+				for i := range eig {
+					var b EIGBehavior
+					if i == n-1 {
+						b = liar()
+					}
+					eig[i] = NewEIGNode(n, f, i, inputs[i], b, def)
+					nodes[i] = eig[i]
+				}
+				if _, err := sched.NewSyncEngine(nodes).Run(); err != nil {
+					errs[w] = err
+					break
+				}
+				for i, nd := range eig {
+					for c, v := range nd.Decided() {
+						if want := refs[i].Decided()[c]; !bytes.Equal(v, want) {
+							errs[w] = fmt.Errorf("run %d process %d commander %d: decided %x, referee %x", r, i, c, v, want)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", w, err)
+		}
 	}
 }
 
