@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs bench-lp bench-kernel experiments experiments-quick fuzz soak soak-replay soak-acs vet lint lint-strict fmt cover cover-html clean
+.PHONY: all build test test-short race bench bench-check bench-step1 bench-transport bench-acs bench-lp bench-kernel experiments experiments-quick fuzz soak soak-replay soak-acs vet lint fmt cover cover-html clean
 
 all: vet lint test
 
@@ -111,21 +111,14 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own static-analysis suite (internal/analysis, driven by
-# cmd/bvclint): twelve passes — the intraprocedural six (nodeterminism,
-# maporder, errwrap, floateq, seedflow, metriclabel) plus the
-# interprocedural/protocol five (quorumgate, locksafe, ctxleak,
-# atomicmix, chanlife) and the staleness audit. Suppress one line with
+# cmd/bvclint): six passes guarding same-Spec-same-bits and the paper's
+# thresholds (nodeterminism, maporder, errwrap, floateq, seedflow,
+# quorumgate). The one suppression form covers one line:
 #   //bvclint:allow <analyzer> -- <justification>
-# or add a whole-file entry to lint/exceptions.txt; a suppression that
-# suppresses nothing is itself reported. See DESIGN.md §9.
+# and a directive that suppresses nothing is itself reported. See
+# DESIGN.md §9.
 lint:
 	$(GO) run ./cmd/bvclint ./...
-
-# Strict scope: the concurrency/protocol analyzers additionally cover
-# the binaries (cmd/bvcnode, bvcsoak, bvcbench, bvcsim), not just the
-# protocol packages.
-lint-strict:
-	$(GO) run ./cmd/bvclint -strict ./...
 
 fmt:
 	gofmt -w .

@@ -1,16 +1,16 @@
-// Command bvclint is the repo's multichecker: it runs the twelve
-// internal/analysis passes (see `bvclint -list`) over the module and
-// exits non-zero on any finding. Suppress a single line with
+// Command bvclint is the repo's multichecker: it runs the six
+// internal/analysis passes (nodeterminism, maporder, errwrap, floateq,
+// seedflow, quorumgate; see `bvclint -list`) over the module and exits
+// non-zero on any finding. The one suppression form covers a single
+// line:
 //
 //	//bvclint:allow <analyzer> -- <justification>
 //
 // (own-line directives cover the next line, trailing directives their
-// own line) or add a whole-file entry to lint/exceptions.txt. Both
-// suppression forms are themselves audited: a directive or exceptions
-// entry that no longer suppresses anything is reported stale.
+// own line). Directives are themselves audited: one that no longer
+// suppresses anything is reported stale.
 //
-// Run it via `make lint` (or `make lint-strict`, which widens the
-// concurrency analyzers to the binaries) or directly:
+// Run it via `make lint` or directly:
 //
 //	go run ./cmd/bvclint ./...
 //	go run ./cmd/bvclint -json ./...
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"relaxedbvc/internal/analysis"
 )
@@ -44,12 +43,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bvclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir            = fs.String("C", ".", "run in this directory (module root)")
-		exceptionsPath = fs.String("exceptions", "lint/exceptions.txt", "curated exceptions file, relative to -C (empty or missing file = no exceptions)")
-		list           = fs.Bool("list", false, "list analyzers and exit")
-		only           = fs.String("only", "", "single analyzer name to run (default: all)")
-		jsonOut        = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		strict         = fs.Bool("strict", false, "widen analyzer scopes to the cmd/ binaries")
+		dir     = fs.String("C", ".", "run in this directory (module root)")
+		list    = fs.Bool("list", false, "list analyzers and exit")
+		only    = fs.String("only", "", "single analyzer name to run (default: all)")
+		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return exitError
@@ -71,41 +68,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		analyzers = []*analysis.Analyzer{a}
 	}
 
-	var exceptions []analysis.Exception
-	excFile := *exceptionsPath
-	if excFile != "" && !filepath.IsAbs(excFile) {
-		excFile = filepath.Join(*dir, excFile)
-	}
-	if excFile != "" {
-		var err error
-		exceptions, err = analysis.ParseExceptions(excFile)
-		if err != nil && !os.IsNotExist(err) {
-			fmt.Fprintf(stderr, "bvclint: %v\n", err)
-			return exitError
-		}
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	opts := analysis.RunOptions{}
-	if *strict {
-		opts.Scope = analysis.InScopeStrict
-	}
-	// Exceptions staleness is only decidable on a full-suite,
-	// whole-tree run: a single package or single analyzer legitimately
-	// leaves other entries unmatched.
-	if *only == "" && len(patterns) == 1 && patterns[0] == "./..." {
-		opts.StaleExceptionsPath = *exceptionsPath
-	}
-
 	pkgs, err := analysis.Load(*dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "bvclint: %v\n", err)
 		return exitError
 	}
-	diags, err := analysis.RunAnalyzersOpts(pkgs, analyzers, exceptions, opts)
+	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "bvclint: %v\n", err)
 		return exitError

@@ -31,14 +31,17 @@ func TestRunExitCodes(t *testing.T) {
 		want int
 	}{
 		{"list", []string{"-list"}, exitClean},
-		{"clean package", []string{"-C", root, "-exceptions", "", "./cmd/bvclint/testdata/clean"}, exitClean},
-		{"findings", []string{"-C", root, "-exceptions", "", "./cmd/bvclint/testdata/lintme"}, exitFindings},
-		{"findings single analyzer", []string{"-C", root, "-exceptions", "", "-only", "seedflow", "./cmd/bvclint/testdata/lintme"}, exitFindings},
-		{"other analyzer stays clean", []string{"-C", root, "-exceptions", "", "-only", "floateq", "./cmd/bvclint/testdata/lintme"}, exitClean},
+		{"clean package", []string{"-C", root, "./cmd/bvclint/testdata/clean"}, exitClean},
+		{"findings", []string{"-C", root, "./cmd/bvclint/testdata/lintme"}, exitFindings},
+		{"findings single analyzer", []string{"-C", root, "-only", "seedflow", "./cmd/bvclint/testdata/lintme"}, exitFindings},
+		{"other analyzer stays clean", []string{"-C", root, "-only", "floateq", "./cmd/bvclint/testdata/lintme"}, exitClean},
 		{"unknown analyzer", []string{"-only", "nosuchanalyzer"}, exitError},
 		{"bad flag", []string{"-no-such-flag"}, exitError},
-		{"bad pattern", []string{"-C", root, "-exceptions", "", "./cmd/bvclint/testdata/nosuchdir"}, exitError},
-		{"malformed exceptions file", []string{"-C", root, "-exceptions", "cmd/bvclint/testdata/badexceptions.txt", "./cmd/bvclint/testdata/clean"}, exitError},
+		{"bad pattern", []string{"-C", root, "./cmd/bvclint/testdata/nosuchdir"}, exitError},
+		// //bvclint:allow is the one suppression form: the removed
+		// scope-widening and exceptions-file flags are usage errors.
+		{"strict flag removed", []string{"-strict", "-list"}, exitError},
+		{"exceptions flag removed", []string{"-exceptions", "x", "-list"}, exitError},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -52,13 +55,30 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
+// TestListNamesTheSuite pins the analyzer roster -list prints, in
+// order: the determinism and protocol checks, nothing else.
+func TestListNamesTheSuite(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-list"}, &stdout, &stderr); got != exitClean {
+		t.Fatalf("run(-list) = %d, want %d\nstderr: %s", got, exitClean, stderr.String())
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := "nodeterminism maporder errwrap floateq seedflow quorumgate"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("-list names = %s, want %s", got, want)
+	}
+}
+
 // TestRunJSON checks the -json output: a JSON array of findings with
 // the stable field names CI tooling keys on, and a literal [] when
 // clean.
 func TestRunJSON(t *testing.T) {
 	root := moduleRoot(t)
 	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-C", root, "-exceptions", "", "-json", "./cmd/bvclint/testdata/lintme"}, &stdout, &stderr); got != exitFindings {
+	if got := run([]string{"-C", root, "-json", "./cmd/bvclint/testdata/lintme"}, &stdout, &stderr); got != exitFindings {
 		t.Fatalf("run = %d, want %d\nstderr: %s", got, exitFindings, stderr.String())
 	}
 	var diags []jsonDiag
@@ -74,7 +94,7 @@ func TestRunJSON(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if got := run([]string{"-C", root, "-exceptions", "", "-json", "./cmd/bvclint/testdata/clean"}, &stdout, &stderr); got != exitClean {
+	if got := run([]string{"-C", root, "-json", "./cmd/bvclint/testdata/clean"}, &stdout, &stderr); got != exitClean {
 		t.Fatalf("clean -json run = %d, want %d", got, exitClean)
 	}
 	if s := strings.TrimSpace(stdout.String()); s != "[]" {
@@ -117,7 +137,7 @@ func TestProblemMatcherMatchesOutput(t *testing.T) {
 	}
 
 	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-C", root, "-exceptions", "", "./cmd/bvclint/testdata/lintme"}, &stdout, &stderr); got != exitFindings {
+	if got := run([]string{"-C", root, "./cmd/bvclint/testdata/lintme"}, &stdout, &stderr); got != exitFindings {
 		t.Fatalf("run = %d, want findings", got)
 	}
 	line := strings.Split(strings.TrimSpace(stdout.String()), "\n")[0]

@@ -30,8 +30,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -42,49 +44,64 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs one soak, worker or corpus replay, and returns
+// the exit code: 0 clean, 1 a failed soak or a bad option, 2 a command
+// line the flag set rejected.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bvcsoak", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		worker       = flag.Bool("worker", false, "run as a worker process (internal; speaks the soak protocol on stdin/stdout)")
-		replayCorpus = flag.Bool("replay-corpus", false, "replay every corpus entry and verify it reproduces, then exit")
-		prune        = flag.Bool("prune-stale", false, "with -replay-corpus: delete entries that now pass")
+		worker       = fs.Bool("worker", false, "run as a worker process (internal; speaks the soak protocol on stdin/stdout)")
+		replayCorpus = fs.Bool("replay-corpus", false, "replay every corpus entry and verify it reproduces, then exit")
+		prune        = fs.Bool("prune-stale", false, "with -replay-corpus: delete entries that now pass")
 
-		budget    = flag.String("budget", "10000", "seed count (e.g. 50000) or wall-clock duration (e.g. 10m)")
-		shards    = flag.Int("shards", 4, "worker processes")
-		blockSize = flag.Int("block", 256, "seeds per work block")
-		baseSeed  = flag.Int64("seed", 0, "base seed folded into every generated instance")
-		regime    = flag.String("regime", "mixed", "fault regime: none|within-model|out-of-model|mixed")
-		protocols = flag.String("protocols", "", "comma-separated protocol subset (empty = all)")
-		strict    = flag.Bool("strict", false, "shrink and replay-confirm graceful out-of-model degradations like failures (they do not fail the soak)")
-		transport = flag.String("transport", "sim", "sim, or mesh to cross-check every passing seed the mesh accepts")
-		mutFrac   = flag.Float64("mut-frac", 0.25, "fraction of the seed budget spent on coverage-guided mutation")
+		budget    = fs.String("budget", "10000", "seed count (e.g. 50000) or wall-clock duration (e.g. 10m)")
+		shards    = fs.Int("shards", 4, "worker processes")
+		blockSize = fs.Int("block", 256, "seeds per work block")
+		baseSeed  = fs.Int64("seed", 0, "base seed folded into every generated instance")
+		regime    = fs.String("regime", "mixed", "fault regime: none|within-model|out-of-model|mixed")
+		protocols = fs.String("protocols", "", "comma-separated protocol subset (empty = all)")
+		strict    = fs.Bool("strict", false, "shrink and replay-confirm graceful out-of-model degradations like failures (they do not fail the soak)")
+		transport = fs.String("transport", "sim", "sim, or mesh to cross-check every passing seed the mesh accepts")
+		mutFrac   = fs.Float64("mut-frac", 0.25, "fraction of the seed budget spent on coverage-guided mutation")
 
-		corpusDir = flag.String("corpus", "", "corpus directory (replayed first, failing/novel seeds persisted)")
-		manifest  = flag.String("manifest", "", "checkpoint manifest path (enables kill-safe -resume)")
-		resume    = flag.Bool("resume", false, "resume from the manifest's last committed block")
-		summary   = flag.String("summary", "", "write the stable-JSON summary to this path")
-		inproc    = flag.Bool("inproc", false, "run workers in-process instead of forking (debugging)")
-		jobs      = flag.Int("j", 1, "batch workers inside each worker process")
+		corpusDir = fs.String("corpus", "", "corpus directory (replayed first, failing/novel seeds persisted)")
+		manifest  = fs.String("manifest", "", "checkpoint manifest path (enables kill-safe -resume)")
+		resume    = fs.Bool("resume", false, "resume from the manifest's last committed block")
+		summary   = fs.String("summary", "", "write the stable-JSON summary to this path")
+		inproc    = fs.Bool("inproc", false, "run workers in-process instead of forking (debugging)")
+		jobs      = fs.Int("j", 1, "batch workers inside each worker process")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	switch {
 	case *worker:
-		if err := soak.ServeWorker(ctx, os.Stdin, os.Stdout, workerOptions(*jobs)); err != nil {
-			fmt.Fprintf(os.Stderr, "bvcsoak worker: %v\n", err)
-			os.Exit(1)
+		if err := soak.ServeWorker(ctx, os.Stdin, stdout, workerOptions(*jobs)); err != nil {
+			fmt.Fprintf(stderr, "bvcsoak worker: %v\n", err)
+			return 1
 		}
+		return 0
 	case *replayCorpus:
-		os.Exit(runReplay(ctx, *corpusDir, *jobs, *prune))
+		return runReplay(ctx, stdout, stderr, *corpusDir, *jobs, *prune)
 	default:
-		os.Exit(runSoak(ctx, soakOptions{
+		return runSoak(ctx, stdout, stderr, soakOptions{
 			budget: *budget, shards: *shards, blockSize: *blockSize,
 			baseSeed: *baseSeed, regime: *regime, protocols: *protocols,
 			strict: *strict, transport: *transport, mutFrac: *mutFrac,
 			corpus: *corpusDir, manifest: *manifest, resume: *resume,
 			summary: *summary, inproc: *inproc, jobs: *jobs,
-		}))
+		})
 	}
 }
 
@@ -118,15 +135,15 @@ func parseBudget(s string) (int64, time.Duration, error) {
 	return 0, 0, fmt.Errorf("budget %q is neither a seed count nor a duration", s)
 }
 
-func runSoak(ctx context.Context, o soakOptions) int {
+func runSoak(ctx context.Context, stdout, stderr io.Writer, o soakOptions) int {
 	seeds, dur, err := parseBudget(o.budget)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bvcsoak: %v\n", err)
+		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 		return 1
 	}
 	protos, err := soak.NormalizeProtocols(o.protocols)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bvcsoak: %v\n", err)
+		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 		return 1
 	}
 	opt := soak.Options{
@@ -144,12 +161,12 @@ func runSoak(ctx context.Context, o soakOptions) int {
 		Manifest:   o.manifest,
 		Resume:     o.resume,
 		Worker:     workerOptions(o.jobs),
-		Log:        os.Stderr,
+		Log:        stderr,
 	}
 	if !o.inproc {
 		self, err := os.Executable()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvcsoak: resolve own binary: %v\n", err)
+			fmt.Fprintf(stderr, "bvcsoak: resolve own binary: %v\n", err)
 			return 1
 		}
 		opt.Spawn = soak.SpawnProc(self, []string{"-worker", "-j", strconv.Itoa(o.jobs)})
@@ -157,31 +174,31 @@ func runSoak(ctx context.Context, o soakOptions) int {
 
 	sum, err := soak.Run(ctx, opt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bvcsoak: %v\n", err)
+		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 		return 1
 	}
-	sum.Render(os.Stdout)
+	sum.Render(stdout)
 	if o.summary != "" {
 		data, err := sum.Encode()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvcsoak: %v\n", err)
+			fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 			return 1
 		}
 		if err := os.WriteFile(o.summary, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bvcsoak: write summary: %v\n", err)
+			fmt.Fprintf(stderr, "bvcsoak: write summary: %v\n", err)
 			return 1
 		}
 	}
 	if err := sum.Gate(); err != nil {
-		fmt.Fprintf(os.Stderr, "bvcsoak: FAIL: %v\n", err)
+		fmt.Fprintf(stderr, "bvcsoak: FAIL: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-func runReplay(ctx context.Context, dir string, jobs int, prune bool) int {
+func runReplay(ctx context.Context, stdout, stderr io.Writer, dir string, jobs int, prune bool) int {
 	if dir == "" {
-		fmt.Fprintln(os.Stderr, "bvcsoak: -replay-corpus needs -corpus")
+		fmt.Fprintln(stderr, "bvcsoak: -replay-corpus needs -corpus")
 		return 1
 	}
 	results, err := soak.ReplayCorpus(ctx, dir, workerOptions(jobs), prune)
@@ -190,12 +207,12 @@ func runReplay(ctx context.Context, dir string, jobs int, prune bool) int {
 		if r.Detail != "" {
 			line += " — " + r.Detail
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bvcsoak: %v\n", err)
+		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 		return 1
 	}
-	fmt.Printf("corpus replay: %d entries verified\n", len(results))
+	fmt.Fprintf(stdout, "corpus replay: %d entries verified\n", len(results))
 	return 0
 }

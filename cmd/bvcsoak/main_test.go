@@ -1,0 +1,41 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestRunSmallSoak drives a fault-free 64-seed soak in-process through
+// the command line: it must pass the gate and print its summary.
+func TestRunSmallSoak(t *testing.T) {
+	var stdout, stderr strings.Builder
+	args := []string{"-budget", "64", "-shards", "1", "-inproc", "-regime", "none"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, want 0\nstdout:\n%s\nstderr:\n%s", args, code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "soak: 64 seeds — 64 passed, 0 degraded, 0 failed") {
+		t.Errorf("summary line missing:\n%s", stdout.String())
+	}
+}
+
+// TestRunRejectsBadOptions requires each bad option to exit 1 with a
+// message naming it, before any seed runs.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-budget", "0"}, "seed budget 0 must be positive"},
+		{[]string{"-protocols", "bogus"}, `unknown protocol "bogus"`},
+		{[]string{"-replay-corpus"}, "-replay-corpus needs -corpus"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(c.args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("run(%v) = %d, stderr %q; want 1 and a message containing %q", c.args, code, stderr.String(), c.want)
+		}
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
+		t.Errorf("run(-no-such-flag) = %d, want 2", code)
+	}
+}

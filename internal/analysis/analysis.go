@@ -3,25 +3,25 @@
 // module to zero external dependencies, so golang.org/x/tools is
 // deliberately not imported) plus six analyzers that enforce the
 // invariants the Vaidya–Garg-style BVC proofs assume of every
-// execution:
+// execution — the same Spec gives the same bits, and every quorum
+// threshold is the one the proof uses:
 //
 //   - nodeterminism: no wall-clock / global-RNG / process-identity
-//     entropy inside protocol packages (seeded replay, PR 3).
+//     entropy inside protocol packages (seeded replay).
 //   - maporder: no order-sensitive work (message emission, escaping
 //     appends, float accumulation) inside `for range` over a map.
 //   - errwrap: package sentinels reach errors.Is — %w wrapping and no
-//     ad-hoc errors from the consensus/sched entry points.
+//     ad-hoc errors from the consensus/sched/transport entry points.
 //   - floateq: no exact ==/!= on computed floats in the geometry
 //     packages that validate the Table 1 δ*(S) bounds.
 //   - seedflow: a function that accepts a seed must derive every RNG
-//     it builds from that seed.
-//   - metriclabel: metric names are snake_case string literals, so
-//     the benchmark's counter reads and the golden metrics file stay
-//     stable.
+//     it builds from that seed, through in-package callees too.
+//   - quorumgate: quorum comparisons in the protocol packages go
+//     through named threshold helpers.
 //
 // The cmd/bvclint driver applies the analyzers over the module with
 // per-analyzer package scopes, honours //bvclint:allow suppression
-// directives and a curated exceptions file, and exits non-zero on any
+// directives (the one suppression form), and exits non-zero on any
 // finding. See DESIGN.md §9.
 package analysis
 
@@ -135,41 +135,16 @@ func CheckPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunOptions tunes a driver run of the analyzer suite.
-type RunOptions struct {
-	// Scope decides which analyzers apply to which package; nil means
-	// InScope (the DefaultScope table). The -strict driver flag passes
-	// InScopeStrict to widen coverage to the binaries.
-	Scope func(a *Analyzer, pkgPath string) bool
-	// StaleExceptionsPath, when non-empty, names the exceptions file
-	// the run's exceptions came from: every entry that exempts no
-	// diagnostic across the whole run is then reported stale at its
-	// line in that file. Only meaningful for whole-tree runs — on a
-	// partial package list most entries legitimately match nothing.
-	StaleExceptionsPath string
-}
-
 // RunAnalyzers is the driver entry point: it applies each analyzer to
-// each package it is in scope for (DefaultScope), runs the directive
-// pipeline, and drops findings covered by the curated exceptions
-// list. Diagnostics come back sorted by file, line, column.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, exceptions []Exception) ([]Diagnostic, error) {
-	return RunAnalyzersOpts(pkgs, analyzers, exceptions, RunOptions{})
-}
-
-// RunAnalyzersOpts is RunAnalyzers with an explicit scope function and
-// optional exceptions-staleness accounting.
-func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, exceptions []Exception, opts RunOptions) ([]Diagnostic, error) {
-	scope := opts.Scope
-	if scope == nil {
-		scope = InScope
-	}
-	usedExc := make([]bool, len(exceptions))
+// each package it is in scope for (DefaultScope) and runs the
+// directive pipeline. Diagnostics come back sorted by file, line,
+// column.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		var scoped []*Analyzer
 		for _, a := range analyzers {
-			if scope(a, pkg.PkgPath) {
+			if InScope(a, pkg.PkgPath) {
 				scoped = append(scoped, a)
 			}
 		}
@@ -177,18 +152,7 @@ func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, exceptions []Excep
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, applyExceptionsTracked(diags, exceptions, usedExc)...)
-	}
-	if opts.StaleExceptionsPath != "" {
-		for i, e := range exceptions {
-			if !usedExc[i] {
-				out = append(out, Diagnostic{
-					Analyzer: "bvclint",
-					Pos:      token.Position{Filename: opts.StaleExceptionsPath, Line: e.Line, Column: 1},
-					Message:  fmt.Sprintf("stale exception: %s exempts no %s diagnostic in this run; delete the entry", e.PathSuffix, e.Analyzer),
-				})
-			}
-		}
+		out = append(out, diags...)
 	}
 	sortDiagnostics(out)
 	return out, nil

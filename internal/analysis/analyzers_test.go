@@ -31,32 +31,8 @@ func TestSeedFlow(t *testing.T) {
 	analysistest.Run(t, analysis.SeedFlow, "seedflow")
 }
 
-func TestMetricLabel(t *testing.T) {
-	analysistest.Run(t, analysis.MetricLabel, "metriclabel")
-}
-
-func TestTransportErr(t *testing.T) {
-	analysistest.Run(t, analysis.TransportErr, "transporterr")
-}
-
 func TestQuorumGate(t *testing.T) {
 	analysistest.Run(t, analysis.QuorumGate, "quorumgate")
-}
-
-func TestLockSafe(t *testing.T) {
-	analysistest.Run(t, analysis.LockSafe, "locksafe")
-}
-
-func TestCtxLeak(t *testing.T) {
-	analysistest.Run(t, analysis.CtxLeak, "ctxleak")
-}
-
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, analysis.AtomicMix, "atomicmix")
-}
-
-func TestChanLife(t *testing.T) {
-	analysistest.Run(t, analysis.ChanLife, "chanlife")
 }
 
 // TestAllowDirective proves the suppression contract: an own-line

@@ -3,30 +3,27 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // This file is the interprocedural half of the framework: a
 // package-level call graph plus a memoized, fixpoint-safe summary
-// store. Analyzers that must follow a fact across function boundaries
-// (seedflow's taint, ctxleak's spawned loops) build the graph once per
-// pass and compute function summaries on demand; everything outside
-// the current package (other modules' packages, the stdlib) stays a
-// conservative unknown, which keeps the engine exact on the facts it
-// does track and silent on the ones it cannot.
+// store. seedflow follows its taint across function boundaries: it
+// builds the graph once per pass and computes function summaries on
+// demand. Everything outside the current package (other modules'
+// packages, the stdlib) and every dynamic call (an interface method, a
+// function value the graph cannot bind) stays a conservative unknown,
+// which keeps the engine exact on the facts it does track and silent
+// on the ones it cannot.
 
 // CallSite is one call expression inside a function body, resolved as
 // far as the package-level information allows.
 type CallSite struct {
 	Call *ast.CallExpr
-	// Callee is the static callee: a package function, a concrete
-	// method, or — for dynamic dispatch — the interface method itself.
-	// Nil when the call goes through an unresolvable function value.
+	// Callee is the static callee: a package function or a method (for
+	// a call through an interface, the interface method, which has no
+	// node and so no summary). Nil when the call goes through an
+	// unresolvable function value.
 	Callee *types.Func
-	// Dynamic marks interface-method dispatch; Impls then lists every
-	// in-package concrete method that may be the runtime target.
-	Dynamic bool
-	Impls   []*types.Func
 }
 
 // FuncNode is one declared function (or method) of the package.
@@ -40,7 +37,6 @@ type FuncNode struct {
 // types object, with resolved outgoing call edges.
 type CallGraph struct {
 	Nodes map[*types.Func]*FuncNode
-	info  *types.Info
 }
 
 // NodeFor returns the graph node for fn, or nil when fn is not
@@ -53,19 +49,15 @@ func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode {
 }
 
 // BuildCallGraph constructs the package-level call graph for the
-// pass's files. Three edge shapes beyond plain static calls are
+// pass's files. Two edge shapes beyond plain static calls are
 // resolved:
 //
 //   - method calls with a concrete receiver (the usual case);
 //   - calls through a local function-typed variable that is bound
 //     exactly once to a method value or function identifier
-//     (f := t.handle; ...; f(x));
-//   - interface dispatch: the edge records the interface method and
-//     every in-package concrete type implementing the interface, so an
-//     analyzer can fan out over the possible targets (e.g. the three
-//     Transport backends).
+//     (f := t.handle; ...; f(x)).
 func BuildCallGraph(pass *Pass) *CallGraph {
-	g := &CallGraph{Nodes: map[*types.Func]*FuncNode{}, info: pass.TypesInfo}
+	g := &CallGraph{Nodes: map[*types.Func]*FuncNode{}}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -79,7 +71,6 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 			g.Nodes[obj] = &FuncNode{Obj: obj, Decl: fd}
 		}
 	}
-	impls := packageMethodIndex(pass.Pkg)
 	for _, node := range g.Nodes {
 		bindings := localFuncBindings(pass.TypesInfo, node.Decl)
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
@@ -89,9 +80,6 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 			}
 			site := resolveCall(pass.TypesInfo, call, bindings)
 			if site.Callee != nil {
-				if site.Dynamic {
-					site.Impls = impls.implementationsOf(site.Callee)
-				}
 				node.Calls = append(node.Calls, site)
 			}
 			return true
@@ -105,7 +93,7 @@ func resolveCall(info *types.Info, call *ast.CallExpr, bindings map[types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return CallSite{Call: call, Callee: f, Dynamic: isInterfaceMethod(f)}
+			return CallSite{Call: call, Callee: f}
 		}
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
@@ -116,21 +104,11 @@ func resolveCall(info *types.Info, call *ast.CallExpr, bindings map[types.Object
 			// when the variable is bound exactly once to a known
 			// function (method value or function identifier).
 			if target, ok := bindings[obj]; ok {
-				return CallSite{Call: call, Callee: target, Dynamic: isInterfaceMethod(target)}
+				return CallSite{Call: call, Callee: target}
 			}
 		}
 	}
 	return CallSite{Call: call}
-}
-
-// isInterfaceMethod reports whether f is declared on an interface
-// type, i.e. a call through it is dynamic dispatch.
-func isInterfaceMethod(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return types.IsInterface(sig.Recv().Type())
 }
 
 // localFuncBindings maps single-assignment function-typed locals to
@@ -192,66 +170,6 @@ func localFuncBindings(info *types.Info, decl *ast.FuncDecl) map[types.Object]*t
 		return true
 	})
 	return bindings
-}
-
-// methodIndex maps interface methods to the package's concrete
-// implementations.
-type methodIndex struct {
-	// concrete lists every named non-interface type declared in the
-	// package (value and pointer forms are derived on lookup).
-	concrete []*types.Named
-}
-
-// packageMethodIndex collects the package's named concrete types once;
-// implementationsOf then answers per interface method.
-func packageMethodIndex(pkg *types.Package) *methodIndex {
-	idx := &methodIndex{}
-	if pkg == nil {
-		return idx
-	}
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok || types.IsInterface(named) {
-			continue
-		}
-		idx.concrete = append(idx.concrete, named)
-	}
-	return idx
-}
-
-// implementationsOf returns the in-package concrete methods that a
-// dynamic call to interface method m may dispatch to, in stable
-// (type-name) order.
-func (idx *methodIndex) implementationsOf(m *types.Func) []*types.Func {
-	sig, ok := m.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	var out []*types.Func
-	for _, named := range idx.concrete {
-		var recv types.Type = named
-		if !types.Implements(recv, iface) {
-			recv = types.NewPointer(named)
-			if !types.Implements(recv, iface) {
-				continue
-			}
-		}
-		obj, _, _ := types.LookupFieldOrMethod(recv, true, m.Pkg(), m.Name())
-		if f, ok := obj.(*types.Func); ok {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
-	return out
 }
 
 // --- summary store ---

@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"go/token"
-	"os"
 	"strings"
 )
 
@@ -117,85 +115,4 @@ func applyDirectives(diags []Diagnostic, dirs []directive) ([]Diagnostic, []bool
 		kept = append(kept, d)
 	}
 	return kept, used
-}
-
-// Exception is one entry of the curated exceptions file: a whole-file
-// exemption from one analyzer, carrying its justification. Inline
-// //bvclint:allow directives are preferred; the file exists for
-// exemptions that are structural rather than line-local (e.g. an
-// entire bench harness that legitimately reads the wall clock).
-type Exception struct {
-	// PathSuffix matches diagnostics whose file path ends with it
-	// (slash-separated, e.g. "internal/metrics/metrics.go").
-	PathSuffix string
-	Analyzer   string
-	Reason     string
-	// Line is the entry's line number in the exceptions file, so a
-	// stale entry can be reported at its own position.
-	Line int
-}
-
-// ParseExceptions reads the exceptions file: one exception per line,
-// `<path-suffix> <analyzer> -- <justification>`, with blank lines and
-// #-comments ignored. Every field is mandatory.
-func ParseExceptions(path string) ([]Exception, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var excs []Exception
-	sc := bufio.NewScanner(f)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		head, reason, ok := strings.Cut(line, "--")
-		fields := strings.Fields(head)
-		if !ok || len(fields) != 2 || strings.TrimSpace(reason) == "" {
-			return nil, fmt.Errorf("%s:%d: want `<path-suffix> <analyzer> -- <justification>`", path, lineno)
-		}
-		excs = append(excs, Exception{
-			PathSuffix: fields[0],
-			Analyzer:   fields[1],
-			Reason:     strings.TrimSpace(reason),
-			Line:       lineno,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return excs, nil
-}
-
-func applyExceptions(diags []Diagnostic, excs []Exception) []Diagnostic {
-	return applyExceptionsTracked(diags, excs, make([]bool, len(excs)))
-}
-
-// applyExceptionsTracked is applyExceptions with cross-package usage
-// accounting: used[i] is set when entry i exempts at least one
-// diagnostic, so the driver can report entries that exempt nothing
-// over a whole-tree run.
-func applyExceptionsTracked(diags []Diagnostic, excs []Exception, used []bool) []Diagnostic {
-	if len(excs) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		exempt := false
-		for i, e := range excs {
-			if d.Analyzer == e.Analyzer && strings.HasSuffix(d.Pos.Filename, e.PathSuffix) {
-				exempt = true
-				used[i] = true
-				break
-			}
-		}
-		if !exempt {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }

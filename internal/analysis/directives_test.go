@@ -125,90 +125,6 @@ func cmp(a, b float64) bool {
 	}
 }
 
-func TestParseExceptions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "exceptions.txt")
-	content := `# comment
-
-internal/metrics/metrics.go metriclabel -- registration surface
-internal/memo/memo.go metriclabel -- composed literal names
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	excs, err := ParseExceptions(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(excs) != 2 {
-		t.Fatalf("want 2 exceptions, got %d", len(excs))
-	}
-	if excs[0].PathSuffix != "internal/metrics/metrics.go" || excs[0].Analyzer != "metriclabel" || excs[0].Reason != "registration surface" {
-		t.Fatalf("bad parse: %+v", excs[0])
-	}
-}
-
-func TestParseExceptionsRejectsMissingReason(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "exceptions.txt")
-	if err := os.WriteFile(path, []byte("foo.go metriclabel\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseExceptions(path); err == nil {
-		t.Fatal("want error for exception line without justification")
-	}
-}
-
-func TestApplyExceptions(t *testing.T) {
-	diags := []Diagnostic{
-		{Analyzer: "metriclabel", Pos: token.Position{Filename: "/repo/internal/metrics/metrics.go", Line: 3}},
-		{Analyzer: "metriclabel", Pos: token.Position{Filename: "/repo/internal/consensus/metrics.go", Line: 9}},
-		{Analyzer: "floateq", Pos: token.Position{Filename: "/repo/internal/metrics/metrics.go", Line: 5}},
-	}
-	excs := []Exception{{PathSuffix: "internal/metrics/metrics.go", Analyzer: "metriclabel", Reason: "r"}}
-	kept := applyExceptions(diags, excs)
-	if len(kept) != 2 {
-		t.Fatalf("want 2 kept, got %v", kept)
-	}
-	for _, d := range kept {
-		if d.Analyzer == "metriclabel" && strings.HasSuffix(d.Pos.Filename, "internal/metrics/metrics.go") {
-			t.Fatalf("exception not applied: %v", d)
-		}
-	}
-}
-
-// A whole-tree run reports exceptions-file entries that exempt
-// nothing; a partial run (no StaleExceptionsPath) stays silent.
-func TestStaleExceptionReported(t *testing.T) {
-	fset := token.NewFileSet()
-	path := filepath.Join(t.TempDir(), "a.go")
-	if err := os.WriteFile(path, []byte("package p\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := TypeCheck(fset, "p", []string{path}, exportImporter(fset, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	excs := []Exception{{PathSuffix: "gone/forever.go", Analyzer: "floateq", Reason: "r", Line: 7}}
-
-	diags, err := RunAnalyzersOpts([]*Package{pkg}, All(), excs, RunOptions{StaleExceptionsPath: "lint/exceptions.txt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "stale exception: gone/forever.go") {
-		t.Fatalf("want one stale-exception diagnostic, got %v", diags)
-	}
-	if diags[0].Pos.Filename != "lint/exceptions.txt" || diags[0].Pos.Line != 7 {
-		t.Fatalf("stale exception reported at %s:%d, want lint/exceptions.txt:7", diags[0].Pos.Filename, diags[0].Pos.Line)
-	}
-
-	diags, err = RunAnalyzersOpts([]*Package{pkg}, All(), excs, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("partial run must not report stale exceptions, got %v", diags)
-	}
-}
-
 func TestInScope(t *testing.T) {
 	cases := []struct {
 		a    *Analyzer
@@ -221,7 +137,7 @@ func TestInScope(t *testing.T) {
 		{FloatEq, "relaxedbvc/internal/geom", true},
 		{FloatEq, "relaxedbvc/internal/consensus", false},
 		{SeedFlow, "relaxedbvc/internal/workload", true},
-		{MetricLabel, "relaxedbvc", true},
+		{ErrWrap, "relaxedbvc/internal/transport", true},
 		{ErrWrap, "relaxedbvc", true},
 		{ErrWrap, "relaxedbvc/internal/viz", false},
 	}

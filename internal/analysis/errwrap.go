@@ -27,7 +27,6 @@ var ErrWrap = &Analyzer{
 }
 
 func runErrWrap(pass *Pass) error {
-	info := pass.TypesInfo
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -42,7 +41,6 @@ func runErrWrap(pass *Pass) error {
 			}
 			return true
 		})
-		_ = info
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"relaxedbvc/internal/analysis"
@@ -27,17 +26,13 @@ func TestLoadRealPackage(t *testing.T) {
 }
 
 // TestRepoTreeClean is the same gate `make lint` enforces: the full
-// module must produce zero findings once the committed exceptions file
-// and the in-tree //bvclint:allow annotations are applied. It compiles
+// module must produce zero findings once the in-tree //bvclint:allow
+// annotations are applied, and none of them may be stale. It compiles
 // the whole module via `go list -export`, so it is skipped in -short
 // runs (CI runs it through the lint step anyway).
 func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole module; covered by `make lint` in CI")
-	}
-	exceptions, err := analysis.ParseExceptions(filepath.Join("..", "..", "lint", "exceptions.txt"))
-	if err != nil {
-		t.Fatal(err)
 	}
 	pkgs, err := analysis.Load("../..", "./...")
 	if err != nil {
@@ -46,7 +41,7 @@ func TestRepoTreeClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	diags, err := analysis.RunAnalyzers(pkgs, analysis.All(), exceptions)
+	diags, err := analysis.RunAnalyzers(pkgs, analysis.All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,7 @@ func All() []*Analyzer {
 		ErrWrap,
 		FloatEq,
 		SeedFlow,
-		MetricLabel,
-		TransportErr,
 		QuorumGate,
-		LockSafe,
-		CtxLeak,
-		AtomicMix,
-		ChanLife,
 	}
 }
 
@@ -49,55 +43,22 @@ var DefaultScope = map[string][]string{
 		"internal/simplexgeo", "internal/tverberg", "internal/vec",
 	},
 	// The errors.Is contract is declared on the consensus/sched
-	// surface (plus the facade and batch engine that re-wrap them).
+	// surface, the facade and batch engine that re-wrap them, and the
+	// message plane, whose errors all chain transport.ErrTransport.
 	ErrWrap.Name: {
-		"internal/consensus", "internal/sched", "internal/batch", "relaxedbvc",
+		"internal/consensus", "internal/sched", "internal/batch", "internal/transport", "relaxedbvc",
 	},
 	// Exact-vs-tolerance float discipline in the geometry kernels
 	// validating the delta*(S) bounds.
 	FloatEq.Name: {
 		"internal/geom", "internal/lp", "internal/minimax", "internal/relax",
 	},
-	SeedFlow.Name:    nil, // module-wide
-	MetricLabel.Name: nil, // module-wide
-	// The message plane's single-root error chain: every transport
-	// failure must satisfy errors.Is(err, transport.ErrTransport).
-	TransportErr.Name: {
-		"internal/transport",
-	},
+	SeedFlow.Name: nil, // module-wide
 	// Quorum thresholds: every BVAL/AUX/readiness/resilience comparison
 	// in the protocol layers must trace to a named helper.
 	QuorumGate.Name: {
 		"internal/acs", "internal/broadcast", "internal/consensus",
 	},
-	// Concurrency-heavy packages: the transport backends, the soak
-	// coordinator/worker plane, the batch pool, and the shared caches
-	// and registries they drain into.
-	LockSafe.Name: {
-		"internal/transport", "internal/soak", "internal/acs", "internal/batch",
-		"internal/memo", "internal/metrics", "internal/trace",
-	},
-	CtxLeak.Name: {
-		"internal/transport", "internal/soak", "internal/acs", "internal/batch",
-		"internal/sched",
-	},
-	AtomicMix.Name: nil, // module-wide
-	ChanLife.Name: {
-		"internal/transport", "internal/soak", "internal/acs", "internal/batch",
-		"internal/sched",
-	},
-}
-
-// StrictExtraScope widens DefaultScope for `bvclint -strict` (the
-// `make lint-strict` target): the concurrency and protocol analyzers
-// also sweep the binaries, which sit outside DefaultScope because their
-// violations cannot corrupt a transcript — but can still deadlock a
-// node.
-var StrictExtraScope = map[string][]string{
-	QuorumGate.Name: {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
-	LockSafe.Name:   {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
-	CtxLeak.Name:    {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
-	ChanLife.Name:   {"cmd/bvcnode", "cmd/bvcsoak", "cmd/bvcbench", "cmd/bvcsim"},
 }
 
 // InScope reports whether analyzer a applies to the package path.
@@ -106,15 +67,6 @@ func InScope(a *Analyzer, pkgPath string) bool {
 	if len(suffixes) == 0 {
 		return true
 	}
-	return matchSuffix(suffixes, pkgPath)
-}
-
-// InScopeStrict is InScope plus the StrictExtraScope widening.
-func InScopeStrict(a *Analyzer, pkgPath string) bool {
-	return InScope(a, pkgPath) || matchSuffix(StrictExtraScope[a.Name], pkgPath)
-}
-
-func matchSuffix(suffixes []string, pkgPath string) bool {
 	for _, s := range suffixes {
 		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
 			return true

@@ -275,7 +275,7 @@ func computeSeedflowSummary(info *types.Info, node *FuncNode, get func(*types.Fu
 			// taints. Callee parameter i's bit translates to the union
 			// of taints of our argument i.
 			cs, ok := sites[n]
-			if !ok || cs.Callee == nil || cs.Dynamic {
+			if !ok || cs.Callee == nil {
 				return true
 			}
 			callee := get(cs.Callee)

@@ -18,7 +18,7 @@ func (emitter) Broadcast(int) {}
 
 func emits(m map[int]int, e emitter) {
 	for k := range m {
-		e.Send(k) // want `Send call inside .for range. over a map`
+		e.Send(k)    // want `Send call inside .for range. over a map`
 		e.Observe(k) // ok: not an emission method
 	}
 }

@@ -16,7 +16,7 @@ func wallClock() {
 }
 
 func globalRand() int {
-	_ = mrand.Float64() // want `global math/rand\.Float64 draws from the shared process-wide source`
+	_ = mrand.Float64()   // want `global math/rand\.Float64 draws from the shared process-wide source`
 	return mrand.Intn(10) // want `global math/rand\.Intn`
 }
 

@@ -16,11 +16,20 @@
 // point-in-time. Read-callback metrics (RegisterFunc) fold external
 // cumulative counters — the memo caches' hit/miss counts — into the
 // counter section of every snapshot.
+//
+// Metric names follow one scheme, lowercase snake_case
+// (consensus_runs_total, batch_trial_seconds): the benchmark program
+// reads counters by name, and bvcbench's golden metrics file and
+// Snapshot.Diff key on them. A Registry checks each name when it first
+// creates the metric and panics on a bad one, as expvar.Publish does
+// on a reused name.
 package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -211,6 +220,19 @@ type Registry struct {
 	funcs    map[string]func() int64
 }
 
+// namePattern is the metric-name scheme: snake_case segments of
+// lowercase letters and digits, starting with a letter.
+var namePattern = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// checkName panics unless name follows namePattern. Counter, Gauge and
+// Histogram call it only when they create the metric, so lookups of an
+// existing name skip it; RegisterFunc calls it on every registration.
+func checkName(name string) {
+	if !namePattern.MatchString(name) {
+		panic(fmt.Sprintf("metrics: name %q is not snake_case (want %s)", name, namePattern))
+	}
+}
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
@@ -221,24 +243,28 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use. It
+// panics if a new name is not snake_case.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
+		checkName(name)
 		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use. It panics
+// if a new name is not snake_case.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
+		checkName(name)
 		g = &Gauge{}
 		r.gauges[name] = g
 	}
@@ -247,11 +273,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it with the given
 // bucket upper bounds on first use (later calls reuse the first layout).
+// It panics if a new name is not snake_case.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
+		checkName(name)
 		h = newHistogram(bounds)
 		r.hists[name] = h
 	}
@@ -260,8 +288,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // RegisterFunc registers a read callback reporting an external cumulative
 // counter (e.g. a memo cache's hit count). The value is read at snapshot
-// time and folded into the snapshot's counter section.
+// time and folded into the snapshot's counter section. It panics if
+// name is not snake_case.
 func (r *Registry) RegisterFunc(name string, fn func() int64) {
+	checkName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.funcs[name] = fn

@@ -61,6 +61,40 @@ func TestGetOrCreateReturnsSameHandle(t *testing.T) {
 	}
 }
 
+// registrars creates one metric of each kind under a name.
+var registrars = []struct {
+	kind string
+	reg  func(r *Registry, name string)
+}{
+	{"Counter", func(r *Registry, name string) { r.Counter(name) }},
+	{"Gauge", func(r *Registry, name string) { r.Gauge(name) }},
+	{"Histogram", func(r *Registry, name string) { r.Histogram(name, CountBuckets()) }},
+	{"RegisterFunc", func(r *Registry, name string) { r.RegisterFunc(name, func() int64 { return 0 }) }},
+}
+
+// TestRegistryRejectsBadNames pins the snake_case scheme at
+// registration: every bad name panics through every registrar, and
+// every good name registers.
+func TestRegistryRejectsBadNames(t *testing.T) {
+	good := []string{"a", "runs_total", "k1_async", "lp_pivots_per_solve", "x2"}
+	bad := []string{"_leading", "double__underscore", "Upper", "has-dash", "", "trailing_", "9lives", "sp ace"}
+	for _, rg := range registrars {
+		for _, name := range good {
+			rg.reg(NewRegistry(), name)
+		}
+		for _, name := range bad {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q) did not panic", rg.kind, name)
+					}
+				}()
+				rg.reg(NewRegistry(), name)
+			}()
+		}
+	}
+}
+
 // TestConcurrentHammer drives counters, gauges and histograms from many
 // goroutines while snapshots are taken concurrently; run under -race in
 // CI it proves the registry is data-race free, and the final counts

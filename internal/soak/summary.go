@@ -161,8 +161,8 @@ func (s *Summary) Gate() error {
 // publishMetrics folds one freshly committed block into the library's
 // cumulative metrics registry (expvar/pprof visibility for a running
 // soak; the summary itself is computed from manifest records so resumed
-// runs stay byte-identical). Counter names are literals — the
-// metriclabel analyzer enforces the snake_case golden-file scheme.
+// runs stay byte-identical). Counter names are snake_case literals;
+// the metrics registry panics on any other name.
 func publishMetrics(rec *BlockRecord) {
 	metrics.DefaultCounter("soak_blocks_total").Inc()
 	var c OutcomeCounts
@@ -188,8 +188,8 @@ func publishMetrics(rec *BlockRecord) {
 
 // protoCounter maps a protocol name onto its literal-named per-protocol
 // soak counter. The protocol set is closed, so the mapping stays a
-// switch over literals rather than a computed name (which would break
-// the stable-snapshot contract the metriclabel analyzer guards).
+// switch over literals rather than a computed name: protocol names
+// carry dashes, which the registry's snake_case check rejects.
 func protoCounter(proto string) *metrics.Counter {
 	switch proto {
 	case "delta-relaxed":

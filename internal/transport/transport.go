@@ -12,7 +12,8 @@
 //     backoff, graceful draining shutdown.
 //
 // Every error this package mints chains to ErrTransport, matchable with
-// errors.Is across the facade (cmd/bvclint's transporterr enforces it).
+// errors.Is across the facade (TestTransportErrorsChainRoot holds every
+// sentinel to it; bvclint's errwrap bans ad-hoc errors at return sites).
 package transport
 
 import (
