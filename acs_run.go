@@ -107,8 +107,8 @@ func validateACS(spec *Spec) ([][]Vector, error) {
 	return props, nil
 }
 
-// acsNode builds process i's state machine.
-func acsNode(spec *Spec, props [][]Vector, i int) (*acs.Node, error) {
+// acsNode builds process i's state machine, its epoch kernels on lane.
+func acsNode(spec *Spec, props [][]Vector, i int, lane *acs.Lane) (*acs.Node, error) {
 	own := make([]Vector, len(props))
 	for e := range props {
 		own[e] = props[e][i]
@@ -128,18 +128,23 @@ func acsNode(spec *Spec, props [][]Vector, i int) (*acs.Node, error) {
 		Proposals: own,
 		Behavior:  behavior,
 		Default:   spec.Default,
+		Lane:      lane,
 	})
 }
 
 // runACS executes the stream on plane: one acs.Node per local process
-// under the lockstep driver, then each sealed stream copied out.
+// under the lockstep driver, then each sealed stream copied out. The
+// local nodes share one kernel lane, joined on every return path, so no
+// kernel goroutine outlives the run and a kernel panic surfaces here.
 func runACS(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, error) {
 	props, err := validateACS(spec)
 	if err != nil {
 		return nil, err
 	}
+	lane := acs.NewLane()
+	defer lane.Wait()
 	run, err := transport.RunLockstep(ctx, plane, spec.N, spec.Faults, spec.Trace, func(i int) (*acs.Node, error) {
-		node, err := acsNode(spec, props, i)
+		node, err := acsNode(spec, props, i, lane)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInputs, err)
 		}

@@ -40,6 +40,9 @@ func runCluster(t *testing.T, nodes []*Node, faults *sched.LinkFaults) *sched.Sy
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	for _, n := range nodes {
+		n.Decisions() // join the kernel lanes
+	}
 	return eng
 }
 

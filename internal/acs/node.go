@@ -44,6 +44,10 @@ type Config struct {
 	// Default substitutes for garbage subset values (nil: zero vector
 	// of dimension D).
 	Default vec.V
+	// Lane runs the sealed epochs' kernels (nil: a lane of the node's
+	// own). Nodes of one run share a lane so that their identical calls
+	// of an epoch run one after another.
+	Lane *Lane
 }
 
 // EpochDecision is one epoch's sealed outcome.
@@ -56,7 +60,8 @@ type EpochDecision struct {
 	// in Subset order (garbage decodes replaced by the default vector).
 	Values []vec.V
 	// Output and Delta are the relaxed-BVC reduction of Values: the
-	// delta*_p minimizer over the subset multiset with fault bound F.
+	// delta*_p minimizer over the subset multiset with fault bound F,
+	// computed on the node's lane (Node.Decisions joins it).
 	Output vec.V
 	Delta  float64
 }
@@ -105,6 +110,7 @@ type Node struct {
 	cur     int
 	done    bool
 	sealed  []EpochDecision
+	lane    *Lane
 	stats   Stats
 	pruneLo int // epochs below this are garbage-collected
 }
@@ -146,15 +152,25 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("acs: epoch %d proposal dimension %d != %d", e, len(p), cfg.D)
 		}
 	}
+	lane := cfg.Lane
+	if lane == nil {
+		lane = NewLane()
+	}
 	return &Node{
 		cfg:    cfg,
 		rbc:    broadcast.NewBrachaState(cfg.N, cfg.F, cfg.Self),
 		epochs: make(map[int]*epochState),
+		lane:   lane,
 	}, nil
 }
 
-// Decisions returns the sealed epoch decisions, in epoch order.
-func (n *Node) Decisions() []EpochDecision { return n.sealed }
+// Decisions returns the sealed epoch decisions, in epoch order, once the
+// kernel jobs queued on the node's lane have finished. A panic in one of
+// them is re-raised here, on the caller's goroutine.
+func (n *Node) Decisions() []EpochDecision {
+	n.lane.Wait()
+	return n.sealed
+}
 
 // Stats reports the node's protocol-work counters.
 func (n *Node) Stats() Stats { return n.stats }
@@ -328,7 +344,9 @@ func (n *Node) handleABA(from int, body []byte) {
 // pump drives the BKR decision logic to a fixpoint: fold reliable
 // deliveries into votes, cast the 0-votes once n-f slots decided 1,
 // seal the epoch when every slot's agreement decided and every accepted
-// slot's proposal is locally delivered, then open the next epoch.
+// slot's proposal is locally delivered, queue its kernel on the lane,
+// then open the next epoch. Nothing in the protocol reads a decision's
+// Output, so the next epochs' rounds go on while the kernel runs.
 func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 	for {
 		progress := false
@@ -392,11 +410,13 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 						values = append(values, es.delivered[s])
 					}
 				}
-				output, delta := decideEpoch(values, n.cfg.F, n.cfg.NormP)
-				n.sealed = append(n.sealed, EpochDecision{
-					Epoch: n.cur, Subset: subset, Values: values,
-					Output: output, Delta: delta,
-				})
+				// Room for the whole stream, so that appends never move a
+				// decision whose kernel job is still pending.
+				if n.sealed == nil {
+					n.sealed = make([]EpochDecision, 0, len(n.cfg.Proposals))
+				}
+				n.sealed = append(n.sealed, EpochDecision{Epoch: n.cur, Subset: subset, Values: values})
+				n.lane.push(kernelJob{dec: &n.sealed[len(n.sealed)-1], f: n.cfg.F, p: n.cfg.NormP})
 				n.stats.Epochs++
 				n.stats.Slots += len(subset)
 				for s := range es.abas {

@@ -37,6 +37,9 @@ func (p *tamper) Step(round int, delivered []sched.Message) []sched.Outgoing {
 func newCluster(tb testing.TB, cfg Config, props [][]vec.V, behaviors map[int]Behavior) ([]*Node, []sched.SyncProcess) {
 	nodes := make([]*Node, cfg.N)
 	procs := make([]sched.SyncProcess, cfg.N)
+	if cfg.Lane == nil {
+		cfg.Lane = NewLane() // one per cluster, as the facade does per run
+	}
 	for i := range nodes {
 		cfg.Self, cfg.Behavior = i, behaviors[i]
 		cfg.Proposals = make([]vec.V, len(props))
@@ -64,6 +67,7 @@ func runTampered(t testing.TB, n, f int, props [][]vec.V, behaviors map[int]Beha
 	if _, err := sched.NewSyncEngine(procs).Run(); err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	nodes[0].Decisions() // join the cluster's lane
 	return nodes
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -633,6 +634,56 @@ func TestTCPLinkErrorSurfaced(t *testing.T) {
 			t.Fatal("link error never surfaced")
 		case <-time.After(2 * time.Millisecond):
 		}
+	}
+}
+
+// TestTCPWriteLinkErrorSurfaced pins the writer's side: peer 1 reads
+// node 0's hello and resets the connection, so a later conn.Write fails,
+// and the error recorded against peer 1 must name the write and chain
+// ErrLink/ErrTransport. Peer 1 accepts and drains the reconnects, so no
+// dial error takes the write error's place.
+func TestTCPWriteLinkErrorSurfaced(t *testing.T) {
+	ln0, ln1 := listenLoopback(t), listenLoopback(t)
+	defer ln1.Close()
+	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close()
+	go func() {
+		for reset := true; ; reset = false {
+			conn, err := ln1.Accept()
+			if err != nil {
+				return
+			}
+			if reset {
+				ReadFrame(conn, 0)               //nolint:errcheck // the hello
+				conn.(*net.TCPConn).SetLinger(0) //nolint:errcheck // close with RST
+				conn.Close()                     //nolint:errcheck // the reset
+				continue
+			}
+			go func() {
+				io.Copy(io.Discard, conn) //nolint:errcheck // until node 0 closes
+				conn.Close()              //nolint:errcheck // drained
+			}()
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if err := n0.LinkError(1); err != nil {
+			if !errors.Is(err, ErrLink) || !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "write 0->1") {
+				t.Fatalf("link error %v is not a write error chaining ErrLink/ErrTransport", err)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("write error never surfaced")
+		}
+		if err := n0.Send(Frame{To: 1, Tag: "x", Data: make([]byte, 1<<10)}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

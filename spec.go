@@ -172,7 +172,8 @@ type Spec struct {
 	Proposals [][]Vector
 
 	// Default is the fallback vector when broadcast resolves to garbage
-	// (zero vector of dimension D if nil; synchronous protocols).
+	// (zero vector of dimension D if nil; synchronous protocols and ACS).
+	// A non-nil Default of another dimension than D is ErrBadDimension.
 	Default Vector
 	// Schedule controls asynchronous delivery order (FIFO if nil).
 	Schedule Schedule
@@ -341,6 +342,9 @@ func simOnly(spec *Spec) string {
 
 // runOn executes spec's protocol on an already resolved plane.
 func runOn(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, error) {
+	if spec.Default != nil && spec.Default.Dim() != spec.D {
+		return nil, fmt.Errorf("%w: Default has dimension %d, want %d", ErrBadDimension, spec.Default.Dim(), spec.D)
+	}
 	res := &Result{Protocol: spec.Protocol, Metrics: &RunMetrics{}}
 	cfg := spec.syncConfig()
 	var choose consensus.Chooser
