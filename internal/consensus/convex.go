@@ -76,36 +76,17 @@ func directionFan(d, count int) []vec.V {
 	return dirs
 }
 
-// convexTol is the hull-membership tolerance for accepting an LP support
-// point as a genuine point of Gamma(S): loose enough to absorb simplex
-// round-off, an order of magnitude tighter than the simtest oracle's
-// validity tolerance so accepted vertices always pass it.
-//
-//bvclint:allow floateq -- convexTol is the package's certified-vertex hull-membership gate, an order tighter than the oracle tolerance
-const convexTol = 1e-7
-
-// inEveryHull reports whether pt lies within tol of every hull in fam,
-// i.e. pt is (approximately) a point of the intersection Gamma(S).
-func inEveryHull(fam []*vec.Set, pt vec.V, tol float64) bool {
-	for _, s := range fam {
-		if d, _ := geom.Dist2(pt, s); d > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // gammaAnchor computes a certified point of Gamma(S) = the intersection
-// of the dropped-subset hulls: first the memoized feasibility LP over the
-// family, then an exhaustive Tverberg partition scan as backup (a
-// depth-(f+1) Tverberg point lies in every dropped-subset hull, because
-// each subset drops only f points and so keeps at least one partition
-// block intact). ok=false means Gamma(S) is genuinely empty.
+// of the dropped-subset hulls: first the memoized relax.GammaPoint, then
+// an exhaustive Tverberg partition scan as backup (a depth-(f+1)
+// Tverberg point lies in every dropped-subset hull, because each subset
+// drops only f points and so keeps at least one partition block
+// intact). ok=false means Gamma(S) is genuinely empty.
 func gammaAnchor(y *vec.Set, f int, fam []*vec.Set) (vec.V, bool) {
-	if pt, ok := relax.GammaPoint(y, f); ok && inEveryHull(fam, pt, convexTol) {
+	if pt, ok := relax.GammaPoint(y, f); ok && relax.InEveryHull(fam, pt) {
 		return pt, true
 	}
-	if pt, ok := tverberg.Point(y, f); ok && inEveryHull(fam, pt, convexTol) {
+	if pt, ok := tverberg.Point(y, f); ok && relax.InEveryHull(fam, pt) {
 		return pt, true
 	}
 	return nil, false
@@ -162,13 +143,14 @@ func RunConvexHull(ctx context.Context, plane transport.Plane, cfg *SyncConfig, 
 }
 
 // supportFan is the convex Step-2 choice: the support point of Gamma(S)
-// in every direction of fan, all solved off one feasible basis.
+// in every direction of fan, all solved by one lazy block-generation
+// loop, which certifies every point it returns against every hull.
 func supportFan(cfg *SyncConfig, s *vec.Set, fan []vec.V) ([]vec.V, error) {
 	fam := relax.DroppedSubsets(s, cfg.F)
 	verts := relax.SupportPoints(fam, fan)
 	var anchor vec.V
 	for i, pt := range verts {
-		if pt != nil && inEveryHull(fam, pt, convexTol) {
+		if pt != nil {
 			continue
 		}
 		// Degenerate Gamma(S): substitute the certified anchor so the

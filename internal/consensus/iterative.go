@@ -139,10 +139,10 @@ func (p *iterProcess) Step(round int, delivered []sched.Message) []sched.Outgoin
 
 func (p *iterProcess) Done() bool { return len(p.history) > p.cfg.Rounds }
 
-// safeGammaCentroid returns the mean of the +/- axis support points of
-// Gamma(S, f) — an interior-leaning point of the safe area — refined by
-// cyclic projections so it truly lies in every subset hull. ok=false
-// when Gamma is empty.
+// safeGammaCentroid returns the mean of the certified +/- axis support
+// points of Gamma(S, f) — an interior-leaning point of the safe area —
+// refined by cyclic projections so it truly lies in every subset hull.
+// ok=false when Gamma is empty.
 //
 // The refinement matters: when a Byzantine value is far from a tight
 // honest cluster, the subset hulls containing it are near-degenerate
@@ -162,14 +162,23 @@ func safeGammaCentroid(s *vec.Set, f int) (vec.V, bool) {
 			dirs = append(dirs, dir)
 		}
 	}
-	sum := vec.New(d)
+	sum, got := vec.New(d), 0
 	for _, pt := range relax.SupportPoints(fam, dirs) {
-		if pt == nil {
+		if pt != nil {
+			sum.AddInPlace(pt)
+			got++
+		}
+	}
+	if got == 0 {
+		// No support point certified (the sliver regime below): start
+		// from the LP's Gamma point instead.
+		pt, ok := relax.GammaPoint(s, f)
+		if !ok {
 			return nil, false
 		}
-		sum.AddInPlace(pt)
+		return projectIntoIntersection(pt, fam), true
 	}
-	return projectIntoIntersection(sum.Scale(1/float64(len(dirs))), fam), true
+	return projectIntoIntersection(sum.Scale(1/float64(got)), fam), true
 }
 
 // projectIntoIntersection moves pt into the intersection of the hulls of

@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkSupportFan is the convex Step-2 kernel at the batch workload's
-// largest shape (n=9 f=2 d=2: 36 dropped subsets): one build and phase 1,
-// then one phase 2 per direction.
+// largest shape (n=9 f=2 d=2: 36 dropped subsets): one lazy
+// block-generation loop over the whole fan.
 func BenchmarkSupportFan(b *testing.B) {
 	fam := DroppedSubsets(randSet(rand.New(rand.NewSource(9)), 9, 2, 3), 2)
 	for _, k := range []int{4, 16} {
@@ -30,5 +30,17 @@ func BenchmarkSupportFan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGammaPoint is the exact Step-2 kernel at n=9 f=2 d=3 (36
+// dropped subsets of 7 points in R^3): one uncached Gamma(S) point.
+func BenchmarkGammaPoint(b *testing.B) {
+	fam := DroppedSubsets(randSet(rand.New(rand.NewSource(9)), 9, 3, 3), 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := IntersectHulls(fam); !ok {
+			b.Fatal("Gamma(S) is empty")
+		}
 	}
 }

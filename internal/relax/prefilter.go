@@ -272,15 +272,18 @@ func (it Intersector) witness(sets []*vec.Set) (pt vec.V, decided, nonEmpty bool
 	}
 }
 
-// solveLP builds (reusing sc.prob's storage) and solves the joint
-// feasibility LP for the family.
+// solveLP decides the family by LP, reusing sc.prob's storage: the lazy
+// block-generation loop for exact hulls (a point it cannot certify is
+// the joint LP's own answer, returned as it is), one joint feasibility
+// LP for the relaxed kinds.
 func (it Intersector) solveLP(sets []*vec.Set, d int, sc *IntersectScratch) (vec.V, bool) {
 	var prob *lp.Problem
 	switch it.Kind {
 	case HullExact:
-		prob = buildHullIntersectionLPInto(sc.prob, sets)
+		pts, _ := lazyHulls(sets, []vec.V{nil}, sc)
+		return pts[0], pts[0] != nil
 	case HullKProj:
-		prob, _ = buildKIntersectionLPInto(sc.prob, sets, it.K)
+		prob = buildKIntersectionLPInto(sc.prob, sets, it.K)
 	default:
 		delta := it.Delta
 		var feasible bool

@@ -3,8 +3,9 @@
 //
 //   - H_k(S), the k-relaxed convex hull of Definition 6, via projection
 //     membership tests;
-//   - Gamma(Y) = intersection over |T| = |Y|-f of H(T) (Section 3), as a
-//     single exact LP with one weight simplex per subset;
+//   - Gamma(Y) = intersection over |T| = |Y|-f of H(T) (Section 3), by
+//     lazy block generation: an LP with one weight simplex per subset of
+//     a working family that grows until every hull accepts its point;
 //   - Psi_k(Y) = intersection over T of H_k(T) (proof of Theorem 3);
 //   - Gamma_(delta,p)(S) = intersection over T of H_(delta,p)(T)
 //     (Algorithm ALGO, Section 9), exactly for p in {1, inf} via LP, with
@@ -26,9 +27,10 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// GammaPoint and DeltaStarPoly solve one LP over C(n,f) subset blocks,
-// and consensus runs re-issue them with identical (S, f) arguments
-// across processes and trials. The memo table keys on the exact input
+// GammaPoint solves LPs over a working family of the C(n,f) subset
+// blocks and DeltaStarPoly one LP over all of them; consensus runs
+// re-issue both with identical (S, f) arguments across processes and
+// trials. The memo table keys on the exact input
 // bits, so a hit is bit-for-bit what the solver would recompute.
 var Cache = memo.Register("relax")
 
@@ -108,9 +110,10 @@ func DroppedSubsets(y *vec.Set, f int) []*vec.Set {
 
 // IntersectHulls finds a point in the intersection of the convex hulls of
 // the given sets, or ok=false if the intersection is empty. The decision
-// is an exact LP feasibility with a shared free point x and one convex
-// weight simplex per set, short-cut by the Intersector prefilters when
-// they can settle the family without an LP.
+// is LP feasibility with a shared free point x and one convex weight
+// simplex per set of a lazily grown working family (lazyHulls), short-cut
+// by the Intersector prefilters when they can settle the family without
+// an LP.
 func IntersectHulls(sets []*vec.Set) (point vec.V, ok bool) {
 	return Intersector{Kind: HullExact}.Intersect(sets, nil)
 }
@@ -129,12 +132,6 @@ func GammaPoint(y *vec.Set, f int) (vec.V, bool) {
 		return nil, false
 	}
 	return e.pt.Clone(), true
-}
-
-// projBlock identifies one (set, D) pair of a k-relaxed intersection.
-type projBlock struct {
-	set *vec.Set
-	D   []int
 }
 
 // IntersectKHulls finds a point in the intersection of the k-relaxed
@@ -167,47 +164,22 @@ func IntersectRelaxedHulls(sets []*vec.Set, delta, p float64) (vec.V, bool) {
 // This is the exact LP analogue of the minimax definition of delta* in
 // Section 9.2.2 for polyhedral norms.
 func MinIntersectionDelta(sets []*vec.Set, p float64) (delta float64, point vec.V) {
-	x, val, feasible := relaxedLP(sets, p, nil)
-	if !feasible {
+	prob, d, ok := relaxedLPProblemInto(nil, sets, p, nil)
+	var res *lp.Result
+	if ok {
+		res, _ = prob.Solve()
+	}
+	if !ok || res.Status != lp.Optimal {
 		panic("relax: MinIntersectionDelta infeasible (cannot happen: delta is free)")
 	}
-	return val, x
+	return math.Max(res.X[d], 0), vec.V(res.X[:d]).Clone()
 }
 
-// relaxedLP builds and solves the shared LP behind IntersectRelaxedHulls
-// and MinIntersectionDelta. If fixedDelta is nil, delta is a variable and
-// the LP minimizes it; otherwise delta is fixed and the LP is a pure
-// feasibility problem.
-func relaxedLP(sets []*vec.Set, p float64, fixedDelta *float64) (vec.V, float64, bool) {
-	prob, d, ok := relaxedLPProblem(sets, p, fixedDelta)
-	if !ok {
-		return nil, 0, false
-	}
-	res, err := prob.Solve()
-	if err != nil {
-		panic(err)
-	}
-	if res.Status != lp.Optimal {
-		return nil, 0, false
-	}
-	x := vec.V(res.X[:d]).Clone()
-	val := 0.0
-	if fixedDelta == nil {
-		val = math.Max(res.X[d], 0)
-	}
-	return x, val, true
-}
-
-// relaxedLPProblem constructs the LP without solving it. The returned
-// problem places x in variables [0,d) and (when fixedDelta is nil) delta
-// at variable d with a minimize-delta objective preset. ok=false when a
-// set is empty (trivially infeasible).
-func relaxedLPProblem(sets []*vec.Set, p float64, fixedDelta *float64) (*lp.Problem, int, bool) {
-	return relaxedLPProblemInto(nil, sets, p, fixedDelta)
-}
-
-// relaxedLPProblemInto is relaxedLPProblem writing into a reusable
-// Problem (nil allocates a fresh one).
+// relaxedLPProblemInto builds the LP of the (delta,p)-relaxed hull
+// intersection into a reusable Problem (nil allocates a fresh one),
+// without solving it. x is in variables [0,d); when fixedDelta is nil,
+// delta is variable d under a minimize-delta objective, otherwise the LP
+// is a pure feasibility problem. ok=false when a set is empty.
 func relaxedLPProblemInto(reuse *lp.Problem, sets []*vec.Set, p float64, fixedDelta *float64) (*lp.Problem, int, bool) {
 	if len(sets) == 0 {
 		panic("relax: empty family")

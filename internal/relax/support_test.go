@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"relaxedbvc/internal/geom"
-	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/vec"
 )
 
@@ -14,97 +13,6 @@ import (
 func supportPoint(sets []*vec.Set, dir vec.V) (vec.V, bool) {
 	pt := SupportPoints(sets, []vec.V{dir})[0]
 	return pt, pt != nil
-}
-
-// oneShotSupportPoint is SupportPoint as it was before the fan form: its
-// own LP build and a full two-phase solve for a single direction.
-func oneShotSupportPoint(sets []*vec.Set, dir vec.V) vec.V {
-	prob := buildHullIntersectionLP(sets)
-	if prob == nil {
-		return nil
-	}
-	d := sets[0].Dim()
-	obj := make([]float64, prob.NumVars())
-	copy(obj[:d], dir)
-	prob.SetObjective(obj, lp.Maximize)
-	res, err := prob.Solve()
-	if err != nil {
-		panic(err)
-	}
-	if res.Status != lp.Optimal {
-		return nil
-	}
-	return vec.V(res.X[:d]).Clone()
-}
-
-// TestSupportFanMatchesPerDirection: the fan (one build, one phase 1,
-// one phase 2 per direction) returns bit for bit what a separate
-// two-phase solve per direction returns, on the convex workload's shapes
-// (n = 8 and 9, f = 2, d = 2), below the Tverberg floor where Gamma(S)
-// is empty and no direction has an optimum, and on degenerate families
-// (collinear and repeated points) where Gamma(S) collapses and convex
-// consensus takes its anchor fallback.
-func TestSupportFanMatchesPerDirection(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	fan := func(k int) []vec.V {
-		dirs := make([]vec.V, k)
-		for i := range dirs {
-			a := 2 * math.Pi * float64(i) / float64(k)
-			dirs[i] = vec.Of(math.Cos(a), math.Sin(a))
-		}
-		return dirs
-	}
-	families := []struct {
-		name string
-		draw func() *vec.Set
-	}{
-		{"n=8", func() *vec.Set { return randSet(rng, 8, 2, 3) }},
-		{"n=9", func() *vec.Set { return randSet(rng, 9, 2, 3) }},
-		{"n=5, Gamma empty", func() *vec.Set { return randSet(rng, 5, 2, 3) }},
-		{"collinear", func() *vec.Set {
-			s := vec.NewSet()
-			for i := 0; i < 7; i++ {
-				x := float64(rng.Intn(5))
-				s.Append(vec.Of(x, 2*x+1))
-			}
-			return s
-		}},
-		{"two clusters", func() *vec.Set {
-			s := vec.NewSet()
-			for i := 0; i < 6; i++ {
-				s.Append(vec.Of(float64(i%2)*1e3, float64(i%2)))
-			}
-			return s
-		}},
-	}
-	points, missing := 0, 0
-	for _, f := range families {
-		name := f.name
-		for trial := 0; trial < 12; trial++ {
-			fam := DroppedSubsets(f.draw(), 2)
-			dirs := fan(4 + 12*(trial%2))
-			got := SupportPoints(fam, dirs)
-			for i, dir := range dirs {
-				want := oneShotSupportPoint(fam, dir)
-				if (got[i] == nil) != (want == nil) {
-					t.Fatalf("%s trial %d dir %d: fan %v, per-direction %v", name, trial, i, got[i], want)
-				}
-				if want == nil {
-					missing++
-					continue
-				}
-				points++
-				for j := range want {
-					if math.Float64bits(got[i][j]) != math.Float64bits(want[j]) {
-						t.Fatalf("%s trial %d dir %d: fan %v != per-direction %v", name, trial, i, got[i], want)
-					}
-				}
-			}
-		}
-	}
-	if points == 0 || missing == 0 {
-		t.Fatalf("compared %d support points and %d directions without one; want both", points, missing)
-	}
 }
 
 func TestSupportPointSingleHull(t *testing.T) {
