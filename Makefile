@@ -59,12 +59,13 @@ bench-acs:
 
 # LP-layer micro-benchmarks (allocations reported): build + one-shot
 # Solve of the joint n=9 f=2 d=2 Gamma LP and of a small delta*_2 dual
-# master, the convex support fan of 4 or 16 directions at the same shape
-# and one uncached Gamma(S) point at n=9 f=2 d=3, both by lazy block
-# generation. Attribution for batch_lp; the claim itself is
+# master, the convex support fan of 4 or 16 directions at the same shape,
+# one uncached Gamma(S) point at n=9 f=2 d=3, and one uncached
+# delta*_1 and delta*_inf at n=7 f=2 d=2 and n=9 f=2 d=3, all three by
+# lazy block generation. Attribution for batch_lp; the claim itself is
 # benchmark/run.sh's.
 bench-lp:
-	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|SupportFan|GammaPoint' -benchmem ./internal/lp ./internal/relax
+	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|SupportFan|GammaPoint|DeltaStarPoly' -benchmem ./internal/lp ./internal/relax
 
 # delta*_2 kernel micro-benchmarks (allocations reported) at the
 # acs_kernel shape: one Wolfe distance from a point to a 4-point hull in

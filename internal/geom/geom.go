@@ -203,10 +203,53 @@ func Caratheodory(q vec.V, s *vec.Set) (idx []int, weights []float64, ok bool) {
 //
 //	min t  s.t.  |q - sum lambda_i s_i|_k <= t for all k, lambda in simplex.
 func DistInf(q vec.V, s *vec.Set) (float64, vec.V) {
-	return cachedDist(opDistInf, q, s, 0, func() (float64, vec.V) { return distInfLP(q, s) })
+	return cachedDist(opDistInf, q, s, 0, func() (float64, vec.V) { return polyDistNear(q, s, math.Inf(1)) })
 }
 
-func distInfLP(q vec.V, s *vec.Set) (float64, vec.V) {
+// Dist1 returns the L1 distance from q to conv(s) and the nearest hull
+// point (memoized), via the exact LP with per-coordinate deviation
+// variables.
+func Dist1(q vec.V, s *vec.Set) (float64, vec.V) {
+	return cachedDist(opDist1, q, s, 0, func() (float64, vec.V) { return polyDistNear(q, s, 1) })
+}
+
+// DistPolyLP is the exact L1 (p = 1) or L-infinity (p = +Inf) distance
+// from q to conv(s) by its LP, uncached and without the nearest point.
+// ok=false when the float simplex fails on the LP (feasible and bounded
+// in exact arithmetic), where DistP and DistPUncached panic.
+func DistPolyLP(q vec.V, s *vec.Set, p float64) (dist float64, ok bool) {
+	if p != 1 && !math.IsInf(p, 1) {
+		panic(fmt.Sprintf("geom: DistPolyLP requires p in {1, +Inf}, got %v", p))
+	}
+	dist, w := polyDistLP(q, s, p)
+	return dist, w != nil
+}
+
+// polyDistNear is the exact L1 or L-infinity distance with the nearest
+// hull point; it panics when the LP fails.
+func polyDistNear(q vec.V, s *vec.Set, p float64) (float64, vec.V) {
+	dist, w := polyDistLP(q, s, p)
+	if w == nil {
+		name := "DistInf"
+		if p == 1 {
+			name = "Dist1"
+		}
+		panic("geom: " + name + " LP failed")
+	}
+	return dist, combine(s, w)
+}
+
+// polyDistLP solves the distance LP of p = 1 or p = +Inf and returns the
+// distance and the hull weights, or nil weights when the LP has no
+// optimum.
+func polyDistLP(q vec.V, s *vec.Set, p float64) (float64, []float64) {
+	if p == 1 {
+		return dist1LP(q, s)
+	}
+	return distInfLP(q, s)
+}
+
+func distInfLP(q vec.V, s *vec.Set) (float64, []float64) {
 	m, d := s.Len(), q.Dim()
 	if m == 0 {
 		panic("geom: DistInf on empty set")
@@ -236,19 +279,12 @@ func distInfLP(q vec.V, s *vec.Set) (float64, vec.V) {
 	p.AddConstraint(row, lp.EQ, 1)
 	res, err := p.Solve()
 	if err != nil || res.Status != lp.Optimal {
-		panic(fmt.Sprintf("geom: DistInf LP failed: %v %v", err, res))
+		return 0, nil
 	}
-	return math.Max(res.X[m], 0), combine(s, res.X[:m])
+	return math.Max(res.X[m], 0), res.X[:m]
 }
 
-// Dist1 returns the L1 distance from q to conv(s) and the nearest hull
-// point (memoized), via the exact LP with per-coordinate deviation
-// variables.
-func Dist1(q vec.V, s *vec.Set) (float64, vec.V) {
-	return cachedDist(opDist1, q, s, 0, func() (float64, vec.V) { return dist1LP(q, s) })
-}
-
-func dist1LP(q vec.V, s *vec.Set) (float64, vec.V) {
+func dist1LP(q vec.V, s *vec.Set) (float64, []float64) {
 	m, d := s.Len(), q.Dim()
 	if m == 0 {
 		panic("geom: Dist1 on empty set")
@@ -280,9 +316,9 @@ func dist1LP(q vec.V, s *vec.Set) (float64, vec.V) {
 	p.AddConstraint(row, lp.EQ, 1)
 	res, err := p.Solve()
 	if err != nil || res.Status != lp.Optimal {
-		panic(fmt.Sprintf("geom: Dist1 LP failed: %v %v", err, res))
+		return 0, nil
 	}
-	return math.Max(res.Objective, 0), combine(s, res.X[:m])
+	return math.Max(res.Objective, 0), res.X[:m]
 }
 
 func combine(s *vec.Set, w []float64) vec.V {
@@ -314,12 +350,10 @@ func DistP(q vec.V, s *vec.Set, p float64) (float64, vec.V) {
 // when that is the right call.
 func DistPUncached(q vec.V, s *vec.Set, p float64) (float64, vec.V) {
 	switch {
-	case p == 1:
-		return dist1LP(q, s)
+	case p == 1 || math.IsInf(p, 1):
+		return polyDistNear(q, s, p)
 	case p == 2:
 		return Dist2Uncached(q, s)
-	case math.IsInf(p, 1):
-		return distInfLP(q, s)
 	case p > 1:
 		return distFW(q, s, p)
 	}

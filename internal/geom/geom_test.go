@@ -161,6 +161,26 @@ func TestDist1Known(t *testing.T) {
 	}
 }
 
+// DistPolyLP is DistPUncached's distance, bit for bit, without the
+// nearest point.
+func TestDistPolyLPMatchesDistPUncached(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		d := 1 + rng.Intn(4)
+		pts := make([]vec.V, 1+rng.Intn(7))
+		for i := range pts {
+			pts[i] = randVec(rng, d, 2)
+		}
+		s, q := vec.NewSet(pts...), randVec(rng, d, 3)
+		for _, p := range []float64{1, math.Inf(1)} {
+			want, _ := DistPUncached(q, s, p)
+			if got, ok := DistPolyLP(q, s, p); !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d p=%v: DistPolyLP (%v, %v), DistPUncached %v", trial, p, got, ok, want)
+			}
+		}
+	}
+}
+
 func TestDistPGeneral(t *testing.T) {
 	s := triangle()
 	// For a point straight below the hull, nearest point is (0.5,-0) edge...

@@ -24,7 +24,7 @@ func Dist2(q vec.V, s *vec.Set) (float64, vec.V) {
 // whose inner loops query a fresh point every step (so keys never
 // repeat) should use it: caching those lookups costs key encoding and
 // table growth without ever producing a hit. It allocates only the
-// nearest point it returns.
+// nearest point it returns; Dist2Into allocates nothing.
 func Dist2Uncached(q vec.V, s *vec.Set) (float64, vec.V) {
 	d, near, _ := Dist2Certified(q, s)
 	return d, near
@@ -34,11 +34,27 @@ func Dist2Uncached(q vec.V, s *vec.Set) (float64, vec.V) {
 // method stopped at its optimality test, not at a numerical stall or its
 // iteration cap (after which the distance may be far above the true one).
 func Dist2Certified(q vec.V, s *vec.Set) (float64, vec.V, bool) {
+	near := make(vec.V, q.Dim())
+	d, certified := dist2Into(q, s, near)
+	return d, near, certified
+}
+
+// Dist2Into is Dist2Uncached writing the nearest point into near, a
+// caller-owned buffer of q's dimension, so a sweep of one point over
+// many hulls allocates nothing. near is a convex combination of s's
+// points even when Wolfe stalls, so ||q - near||_p bounds the Lp
+// distance from q to conv(s) from above in every norm.
+func Dist2Into(q vec.V, s *vec.Set, near vec.V) float64 {
+	d, _ := dist2Into(q, s, near)
+	return d
+}
+
+func dist2Into(q vec.V, s *vec.Set, near vec.V) (float64, bool) {
 	n, d := s.Len(), q.Dim()
 	if n == 0 {
 		panic("geom: Dist2 on empty set")
 	}
-	if s.Dim() != d {
+	if s.Dim() != d || len(near) != d {
 		panic("geom: Dist2 dimension mismatch")
 	}
 	sc := GetFilterScratch()
@@ -51,11 +67,10 @@ func Dist2Certified(q vec.V, s *vec.Set) (float64, vec.V, bool) {
 		}
 	}
 	certified := sc.minNorm(n, d)
-	near := make(vec.V, d)
 	for j := range near {
 		near[j] = sc.x[j] + q[j]
 	}
-	return vec.V(sc.x).Norm2(), near, certified
+	return vec.V(sc.x).Norm2(), certified
 }
 
 // MinNormPoint returns the point of minimum Euclidean norm in the convex

@@ -323,8 +323,12 @@ func TestWolfeMatchesReference(t *testing.T) {
 			t.Fatalf("instance %d: MinNormPoint (%v, %v), reference (%v, %v)", k, x, w, rx, rw)
 		}
 		d, near := Dist2Uncached(q, s)
-		if rd, rnear := rx.Norm2(), rx.Add(q); math.Float64bits(d) != math.Float64bits(rd) || !sameBits(near, rnear) {
+		rd, rnear := rx.Norm2(), rx.Add(q)
+		if math.Float64bits(d) != math.Float64bits(rd) || !sameBits(near, rnear) {
 			t.Fatalf("instance %d: Dist2 (%v, %v), reference (%v, %v)", k, d, near, rd, rnear)
+		}
+		if d := Dist2Into(q, s, near); math.Float64bits(d) != math.Float64bits(rd) || !sameBits(near, rnear) {
+			t.Fatalf("instance %d: Dist2Into (%v, %v), reference (%v, %v)", k, d, near, rd, rnear)
 		}
 	}
 }
@@ -364,6 +368,8 @@ var raceEnabled bool
 // Dist2Uncached runs Wolfe in pooled scratch and allocates only the
 // nearest point it returns: one allocation per call, here at the
 // acs_kernel shape (4-point hulls in R^3) and on a 40-point set in R^6.
+// Dist2Into, which writes that point into the caller's buffer,
+// allocates nothing.
 func TestDist2UncachedAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops scratch at random")
@@ -373,6 +379,10 @@ func TestDist2UncachedAllocationCeiling(t *testing.T) {
 		s, q := randSet(rng, shape.n, shape.d), randVec(rng, shape.d, 3)
 		if got := testing.AllocsPerRun(200, func() { Dist2Uncached(q, s) }); got > 1 {
 			t.Fatalf("%.0f allocations per Dist2Uncached over %d points in R^%d, want 1", got, shape.n, shape.d)
+		}
+		near := make(vec.V, shape.d)
+		if got := testing.AllocsPerRun(200, func() { Dist2Into(q, s, near) }); got > 0 {
+			t.Fatalf("%.0f allocations per Dist2Into over %d points in R^%d, want 0", got, shape.n, shape.d)
 		}
 	}
 }

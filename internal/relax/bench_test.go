@@ -44,3 +44,21 @@ func BenchmarkGammaPoint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeltaStarPoly is the δ-relaxed Step-2 kernel for p = 1 and
+// p = +Inf at batch_lp's δ-relaxed shape (n=7 f=2 d=2: 21 dropped
+// subsets) and at n=9 f=2 d=3 (84): one uncached δ*_p solve by lazy
+// block generation.
+func BenchmarkDeltaStarPoly(b *testing.B) {
+	for _, c := range []struct{ n, f, d int }{{7, 2, 2}, {9, 2, 3}} {
+		fam := DroppedSubsets(randSet(rand.New(rand.NewSource(9)), c.n, c.d, 3), c.f)
+		for _, p := range []float64{1, math.Inf(1)} {
+			b.Run(fmt.Sprintf("n=%d_d=%d_p=%v", c.n, c.d, p), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MinIntersectionDelta(fam, p)
+				}
+			})
+		}
+	}
+}

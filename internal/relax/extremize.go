@@ -99,14 +99,11 @@ func buildBlockLPInto(reuse *lp.Problem, sets []*vec.Set, ds [][]int) *lp.Proble
 		panic("relax: empty family")
 	}
 	d := sets[0].Dim()
+	if !checkFamily(sets, d) {
+		return nil
+	}
 	nv := d
 	for _, s := range sets {
-		if s.Len() == 0 {
-			return nil
-		}
-		if s.Dim() != d {
-			panic("relax: dimension mismatch")
-		}
 		nv += len(ds) * s.Len()
 	}
 	p := newOrReset(reuse, nv)

@@ -1,18 +1,24 @@
 package relax
 
 import (
+	"math"
+
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/vec"
 )
 
-// Lazy block generation observability: LP solves inside the loop, and
-// the blocks of each solve's final working family (their ratio to the
-// family size is the share of the joint LP the loop never built).
+// Lazy block generation observability, per kind of hull: LP solves in
+// the loop, blocks of each final working family, and for δ*_p how the
+// hull tests were settled (near-point bound or exact distance LP).
 var (
-	gammaRounds = metrics.DefaultCounter("relax_gamma_rounds_total")
-	gammaBlocks = metrics.DefaultCounter("relax_gamma_blocks_total")
+	gammaRounds        = metrics.DefaultCounter("relax_gamma_rounds_total")
+	gammaBlocks        = metrics.DefaultCounter("relax_gamma_blocks_total")
+	deltaRounds        = metrics.DefaultCounter("relax_deltastar_rounds_total")
+	deltaBlocks        = metrics.DefaultCounter("relax_deltastar_blocks_total")
+	deltaScreenAccepts = metrics.DefaultCounter("relax_deltastar_screen_accepts_total")
+	deltaDistLPs       = metrics.DefaultCounter("relax_deltastar_dist_lps_total")
 )
 
 // CertTol is the hull-membership tolerance that certifies a point of an
@@ -25,46 +31,85 @@ const CertTol = 1e-7
 // fam. The Wolfe distances are uncached: pt is a fresh LP output, so a
 // memo key would never repeat.
 func InEveryHull(fam []*vec.Set, pt vec.V) bool {
-	_, ok := worstHull(fam, nil, pt)
+	h := hullTest{near: make(vec.V, pt.Dim())}
+	_, ok := h.worst(fam, nil, pt, CertTol)
 	return ok
 }
 
-// worstHull returns the index of the hull of fam that rejects pt by the
-// widest margin among those not marked in skip (-1 when none does), and
-// whether every hull of fam accepts pt.
-func worstHull(fam []*vec.Set, skip []bool, pt vec.V) (worst int, ok bool) {
-	worst, ok = -1, true
-	far := CertTol
+// hullTest measures distances from a point to hulls: exact hulls
+// (p = 0) by Wolfe's Dist2, (δ,p)-relaxed ones (p in {1, +Inf}) in the
+// p-norm. near is its Wolfe scratch.
+type hullTest struct {
+	p    float64
+	near vec.V
+}
+
+// dist returns the distance from x to conv(s) or, for the relaxed kind,
+// an upper bound within tol when there is one: ||x - near||_p, sound
+// because Wolfe's near point is a convex combination of s's points even
+// when Wolfe stalls. Otherwise the exact distance LP decides; a hull
+// whose LP fails is at +Inf, so it never accepts x.
+func (h *hullTest) dist(x vec.V, s *vec.Set, tol float64) float64 {
+	dist := geom.Dist2Into(x, s, h.near)
+	if h.p == 0 {
+		return dist
+	}
+	for j, v := range x {
+		h.near[j] -= v
+	}
+	if bound := h.near.NormP(h.p); bound <= tol {
+		deltaScreenAccepts.Inc()
+		return bound
+	}
+	deltaDistLPs.Inc()
+	if dist, ok := geom.DistPolyLP(x, s, h.p); ok {
+		return dist
+	}
+	return math.Inf(1)
+}
+
+// worst returns the hull of fam outside the family marked in (nil: no
+// family) that x is furthest from beyond tol, the first on ties (-1
+// when none is), and whether every hull accepts x (a NaN distance does
+// not). The family's hulls are measured only when no other rejects x.
+func (h *hullTest) worst(fam []*vec.Set, in []bool, x vec.V, tol float64) (worst int, ok bool) {
+	worst, far, ok := -1, tol, true
 	for i, s := range fam {
-		dist, _ := geom.Dist2Uncached(pt, s)
-		if dist <= CertTol {
+		if in != nil && in[i] {
 			continue
 		}
-		ok = false
-		if (skip == nil || !skip[i]) && dist > far {
+		dist := h.dist(x, s, tol)
+		ok = ok && dist <= tol
+		if dist > far {
 			worst, far = i, dist
+		}
+	}
+	for i := 0; ok && in != nil && i < len(fam); i++ {
+		if in[i] {
+			ok = h.dist(x, fam[i], tol) <= tol
 		}
 	}
 	return worst, ok
 }
 
-// lazyHulls optimizes each objective of objs (nil: feasibility) over the
-// intersection of the hulls of sets by lazy block generation (DESIGN
-// §10.7). The working family starts as d+1 blocks spread evenly over
-// sets — all of them when there are no more — and one LP over it is
-// prepared; each objective is solved, its point tested against every
-// hull with the InEveryHull predicate, and the hull outside the family
-// that rejects it most joins the family, until every hull outside it
-// accepts the point. The family grows across objectives, so a point
-// certified earlier is never revisited. When the LP over a partial
-// family has no optimum, or only hulls of the family reject its point,
-// the family becomes the whole one: an empty verdict, a missing optimum
-// and an uncertified point are always the joint LP's. Entry i of pts is
-// nil when objective i has no optimum (all of them when the
-// intersection is empty); certified[i] reports whether every hull,
-// those of the family included, accepts pts[i].
-func lazyHulls(sets []*vec.Set, objs []vec.V, sc *IntersectScratch) (pts []vec.V, certified []bool) {
+// lazyHulls optimizes over the intersection of the hulls of sets by
+// lazy block generation (DESIGN §10.7). p = 0: the exact hulls of Gamma,
+// each objective of objs maximized (nil: feasibility), points x. p in
+// {1, +Inf}: the (δ,p)-relaxed hulls, δ minimized, objs one nil entry,
+// points x then δ. A working family of d+1 spread blocks (all, when no
+// more) grows by the hull outside it that rejects the round's x most
+// (within CertTol, plus the round's δ when relaxed) until none does; it
+// grows across objectives. A partial family whose LP has no optimum, or
+// whose x only its own hulls reject, becomes the whole one, so an empty
+// verdict, a missing optimum and an uncertified point are the joint
+// LP's. pts[i] is nil when objective i has no optimum; certified[i]
+// reports whether every hull accepts pts[i].
+func lazyHulls(sets []*vec.Set, p float64, objs []vec.V, sc *IntersectScratch) (pts []vec.V, certified []bool) {
 	d, m := sets[0].Dim(), len(sets)
+	lead, rounds, blocks := d, gammaRounds, gammaBlocks
+	if p != 0 {
+		lead, rounds, blocks = d+1, deltaRounds, deltaBlocks
+	}
 	pts, certified = make([]vec.V, len(objs)), make([]bool, len(objs))
 	in := make([]bool, m)
 	work := make([]*vec.Set, 0, m)
@@ -72,6 +117,7 @@ func lazyHulls(sets []*vec.Set, objs []vec.V, sc *IntersectScratch) (pts []vec.V
 	for i := 0; i < k; i++ {
 		in[i*m/k] = true
 	}
+	h := hullTest{p: p, near: make(vec.V, d)}
 	var basis *lp.Prepared
 	var obj []float64
 	prepare := func() {
@@ -84,31 +130,42 @@ func lazyHulls(sets []*vec.Set, objs []vec.V, sc *IntersectScratch) (pts []vec.V
 				work = append(work, s)
 			}
 		}
-		sc.prob = buildHullIntersectionLPInto(sc.prob, work)
+		if p == 0 {
+			sc.prob = buildHullIntersectionLPInto(sc.prob, work)
+		} else {
+			sc.prob, _, _ = relaxedLPProblemInto(sc.prob, work, p, nil)
+		}
 		basis = sc.prob.Prepare()
 		obj = make([]float64, sc.prob.NumVars())
 	}
 	prepare()
 	defer func() {
 		basis.Release()
-		gammaBlocks.Add(int64(len(work)))
+		blocks.Add(int64(len(work)))
 	}()
 	for i, dir := range objs {
 		for {
 			clear(obj)
 			copy(obj, dir)
+			tol := CertTol
+			if p != 0 {
+				obj[d] = -1 // maximizing -δ is minimizing δ, bit for bit
+			}
 			res := basis.Solve(obj, lp.Maximize)
-			gammaRounds.Inc()
+			rounds.Inc()
 			if res.Status == lp.Optimal {
 				x := vec.V(res.X[:d])
-				add, ok := worstHull(sets, in, x)
+				if p != 0 {
+					tol += math.Max(res.X[d], 0)
+				}
+				add, ok := h.worst(sets, in, x, tol)
 				if add >= 0 {
 					in[add] = true
 					prepare()
 					continue
 				}
 				if ok || len(work) == m {
-					pts[i], certified[i] = x.Clone(), ok
+					pts[i], certified[i] = vec.V(res.X[:lead]).Clone(), ok
 					break
 				}
 			} else if len(work) == m {
@@ -126,6 +183,21 @@ func lazyHulls(sets []*vec.Set, objs []vec.V, sc *IntersectScratch) (pts []vec.V
 		}
 	}
 	return pts, certified
+}
+
+// checkFamily reports whether every set of the family is non-empty,
+// panicking on a set of another dimension than d before the first empty
+// one.
+func checkFamily(sets []*vec.Set, d int) bool {
+	for _, s := range sets {
+		if s.Len() == 0 {
+			return false
+		}
+		if s.Dim() != d {
+			panic("relax: dimension mismatch")
+		}
+	}
+	return true
 }
 
 // SupportPoints returns, for every direction of dirs, a maximizer of
@@ -147,17 +219,12 @@ func SupportPoints(sets []*vec.Set, dirs []vec.V) []vec.V {
 			panic("relax: SupportPoints direction dimension mismatch")
 		}
 	}
-	for _, s := range sets {
-		if s.Len() == 0 {
-			return make([]vec.V, len(dirs))
-		}
-		if s.Dim() != d {
-			panic("relax: dimension mismatch")
-		}
+	if !checkFamily(sets, d) {
+		return make([]vec.V, len(dirs))
 	}
 	sc := GetIntersectScratch()
 	defer sc.Release()
-	pts, certified := lazyHulls(sets, dirs, sc)
+	pts, certified := lazyHulls(sets, 0, dirs, sc)
 	for i, ok := range certified {
 		if !ok {
 			pts[i] = nil

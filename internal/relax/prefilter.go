@@ -111,13 +111,8 @@ func (it Intersector) Intersect(sets []*vec.Set, sc *IntersectScratch) (point ve
 		panic("relax: Intersect on empty family")
 	}
 	d := sets[0].Dim()
-	for _, s := range sets {
-		if s.Len() == 0 {
-			return nil, false
-		}
-		if s.Dim() != d {
-			panic("relax: dimension mismatch")
-		}
+	if !checkFamily(sets, d) {
+		return nil, false
 	}
 	switch it.Kind {
 	case HullKProj:
@@ -235,41 +230,28 @@ func (it Intersector) witness(sets []*vec.Set) (pt vec.V, decided, nonEmpty bool
 		return nil, false, false
 	}
 	w := sets[wi].At(0)
-	switch it.Kind {
-	case HullExact:
-		for i, s := range sets {
-			if i == wi {
-				continue
-			}
-			if !geom.InHull(w, s) {
-				return nil, true, false
-			}
+	for i, s := range sets {
+		if i == wi {
+			continue
 		}
-		return w.Clone(), true, true
-	case HullKProj:
-		for i, s := range sets {
-			if i == wi {
-				continue
-			}
-			if !InHullK(w, s, it.K) {
-				return nil, true, false
-			}
+		var in bool
+		switch it.Kind {
+		case HullExact:
+			in = geom.InHull(w, s)
+		case HullKProj:
+			in = InHullK(w, s, it.K)
+		default:
+			dist, _ := geom.DistP(w, s, it.P)
+			in = dist <= it.Delta
 		}
-		return w.Clone(), true, true
-	default:
-		// Accept-only: a singleton confines x to the delta-ball around w
-		// but does not force x = w, so a failed membership test is not a
-		// rejection — bail to the LP at the first subset that rejects w.
-		for i, s := range sets {
-			if i == wi {
-				continue
-			}
-			if dist, _ := geom.DistP(w, s, it.P); dist > it.Delta {
-				return nil, false, false
-			}
+		if !in {
+			// A singleton forces x = w for the exact and k-relaxed kinds,
+			// so a rejection decides. For the (delta,p) kind it only
+			// confines x to the delta-ball around w: bail to the LP.
+			return nil, it.Kind != HullDeltaP, false
 		}
-		return w.Clone(), true, true
 	}
+	return w.Clone(), true, true
 }
 
 // solveLP decides the family by LP, reusing sc.prob's storage: the lazy
@@ -280,7 +262,7 @@ func (it Intersector) solveLP(sets []*vec.Set, d int, sc *IntersectScratch) (vec
 	var prob *lp.Problem
 	switch it.Kind {
 	case HullExact:
-		pts, _ := lazyHulls(sets, []vec.V{nil}, sc)
+		pts, _ := lazyHulls(sets, 0, []vec.V{nil}, sc)
 		return pts[0], pts[0] != nil
 	case HullKProj:
 		prob = buildKIntersectionLPInto(sc.prob, sets, it.K)

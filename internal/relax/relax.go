@@ -9,7 +9,8 @@
 //   - Psi_k(Y) = intersection over T of H_k(T) (proof of Theorem 3);
 //   - Gamma_(delta,p)(S) = intersection over T of H_(delta,p)(T)
 //     (Algorithm ALGO, Section 9), exactly for p in {1, inf} via LP, with
-//     delta minimization giving delta*_1 and delta*_inf in closed LP form.
+//     delta minimization giving delta*_1 and delta*_inf, by the same lazy
+//     block generation as Gamma(Y).
 //
 // The generic building blocks operate on arbitrary finite families of
 // point sets, so the same code serves both the Gamma/Psi subset families
@@ -27,11 +28,11 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// GammaPoint solves LPs over a working family of the C(n,f) subset
-// blocks and DeltaStarPoly one LP over all of them; consensus runs
-// re-issue both with identical (S, f) arguments across processes and
-// trials. The memo table keys on the exact input
-// bits, so a hit is bit-for-bit what the solver would recompute.
+// GammaPoint and DeltaStarPoly solve LPs over a working family of the
+// C(n,f) subset blocks; consensus runs re-issue both with identical
+// (S, f) arguments across processes and trials. The memo table keys on
+// the exact input bits, so a hit is bit-for-bit what the solver would
+// recompute.
 var Cache = memo.Register("relax")
 
 const (
@@ -162,17 +163,30 @@ func IntersectRelaxedHulls(sets []*vec.Set, delta, p float64) (vec.V, bool) {
 // for which the intersection of the (delta,p)-relaxed hulls of the sets
 // is non-empty, together with an attaining point, for p in {1, +Inf}.
 // This is the exact LP analogue of the minimax definition of delta* in
-// Section 9.2.2 for polyhedral norms.
+// Section 9.2.2 for polyhedral norms, solved by lazy block generation
+// (lazyHulls): the point is within delta + CertTol of every hull unless
+// it is the joint LP's own uncertified answer.
 func MinIntersectionDelta(sets []*vec.Set, p float64) (delta float64, point vec.V) {
-	prob, d, ok := relaxedLPProblemInto(nil, sets, p, nil)
-	var res *lp.Result
-	if ok {
-		res, _ = prob.Solve()
+	if len(sets) == 0 {
+		panic("relax: empty family")
 	}
-	if !ok || res.Status != lp.Optimal {
+	if p != 1 && !math.IsInf(p, 1) {
+		panic(fmt.Sprintf("relax: relaxed-hull LP supports p in {1, inf}, got %v", p))
+	}
+	d := sets[0].Dim()
+	var pt vec.V
+	if checkFamily(sets, d) {
+		// A scratch of its own, not the pool's: the call then builds one
+		// fresh Problem and resets it once per round, so
+		// lp_problem_resets_total does not depend on what the pool kept.
+		var sc IntersectScratch
+		pts, _ := lazyHulls(sets, p, []vec.V{nil}, &sc)
+		pt = pts[0]
+	}
+	if pt == nil {
 		panic("relax: MinIntersectionDelta infeasible (cannot happen: delta is free)")
 	}
-	return math.Max(res.X[d], 0), vec.V(res.X[:d]).Clone()
+	return math.Max(pt[d], 0), pt[:d:d]
 }
 
 // relaxedLPProblemInto builds the LP of the (delta,p)-relaxed hull
@@ -197,17 +211,14 @@ func relaxedLPProblemInto(reuse *lp.Problem, sets []*vec.Set, p float64, fixedDe
 		deltaVar = nv
 		nv++
 	}
+	if !checkFamily(sets, d) {
+		return nil, d, false
+	}
 	rs := getRowScratch()
 	defer rs.release()
 	lamOff := rs.offsets(0, len(sets))
 	devOff := rs.offsets(1, len(sets))
 	for i, s := range sets {
-		if s.Len() == 0 {
-			return nil, d, false
-		}
-		if s.Dim() != d {
-			panic("relax: dimension mismatch")
-		}
 		lamOff[i] = nv
 		nv += s.Len()
 		if !isInf {
@@ -228,6 +239,17 @@ func relaxedLPProblemInto(reuse *lp.Problem, sets []*vec.Set, p float64, fixedDe
 	if fixedDelta != nil {
 		dval = *fixedDelta
 	}
+	// addLE adds the row in rs.ci/rs.cv as "row - bound <= 0" for a bound
+	// variable, or as "row <= delta" for none (-1: delta fixed).
+	addLE := func(bound int) {
+		if bound < 0 {
+			prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, dval)
+			return
+		}
+		rs.ci = append(rs.ci, bound)
+		rs.cv = append(rs.cv, -1)
+		prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, 0)
+	}
 	for i, s := range sets {
 		m := s.Len()
 		rs.idx, rs.val = rs.idx[:0], rs.val[:0]
@@ -246,28 +268,17 @@ func relaxedLPProblemInto(reuse *lp.Problem, sets []*vec.Set, p float64, fixedDe
 				rs.idx = append(rs.idx, lamOff[i]+t)
 				rs.val = append(rs.val, -s.At(t)[j])
 			}
-			addBound := func(sign float64) {
-				rs.ci, rs.cv = rs.ci[:0], rs.cv[:0]
-				rs.ci = append(rs.ci, rs.idx...)
+			bound := deltaVar
+			if !isInf {
+				bound = devOff[i] + j
+			}
+			for _, sign := range [2]float64{1, -1} {
+				rs.ci, rs.cv = append(rs.ci[:0], rs.idx...), rs.cv[:0]
 				for _, v := range rs.val {
 					rs.cv = append(rs.cv, sign*v)
 				}
-				if isInf {
-					if deltaVar >= 0 {
-						rs.ci = append(rs.ci, deltaVar)
-						rs.cv = append(rs.cv, -1)
-						prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, 0)
-					} else {
-						prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, dval)
-					}
-				} else {
-					rs.ci = append(rs.ci, devOff[i]+j)
-					rs.cv = append(rs.cv, -1)
-					prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, 0)
-				}
+				addLE(bound)
 			}
-			addBound(1)
-			addBound(-1)
 		}
 		if !isInf {
 			// sum_j t_j <= delta for this set.
@@ -276,13 +287,7 @@ func relaxedLPProblemInto(reuse *lp.Problem, sets []*vec.Set, p float64, fixedDe
 				rs.ci = append(rs.ci, devOff[i]+j)
 				rs.cv = append(rs.cv, 1)
 			}
-			if deltaVar >= 0 {
-				rs.ci = append(rs.ci, deltaVar)
-				rs.cv = append(rs.cv, -1)
-				prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, 0)
-			} else {
-				prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, dval)
-			}
+			addLE(deltaVar)
 		}
 	}
 	return prob, d, true
@@ -296,7 +301,8 @@ func GammaDeltaPoint(s *vec.Set, f int, delta, p float64) (vec.V, bool) {
 
 // DeltaStarPoly returns delta*_p(S) for the polyhedral norms p in
 // {1, inf}: the smallest delta making Gamma_(delta,p)(S) non-empty,
-// together with the deterministic point chosen at that delta (memoized).
+// together with the deterministic point chosen at that delta
+// (MinIntersectionDelta over the dropped subsets, memoized).
 func DeltaStarPoly(s *vec.Set, f int, p float64) (float64, vec.V) {
 	k := memo.GetKey(opDeltaPoly).Int(f).Float(p).Set(s)
 	defer k.Release()

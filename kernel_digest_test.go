@@ -139,6 +139,13 @@ func kernelDigests(withDeltaStarP bool) map[string]string {
 			g.bit(ok)
 			g.vec(pt)
 		}},
+		{"DeltaStarPoly", func(g digester, _ int, y *vec.Set, f int, _ float64) {
+			for _, p := range []float64{1, inf} {
+				delta, pt := relax.DeltaStarPoly(y, f, p)
+				g.float(delta)
+				g.vec(pt)
+			}
+		}},
 		{"GammaDeltaPoint", func(g digester, _ int, y *vec.Set, f int, scale float64) {
 			for _, p := range []float64{1, inf} {
 				pt, ok := relax.GammaDeltaPoint(y, f, 0.2*scale, p)
