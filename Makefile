@@ -62,10 +62,12 @@ bench-acs:
 # master, the convex support fan of 4 or 16 directions at the same shape,
 # one uncached Gamma(S) point at n=9 f=2 d=3, and one uncached
 # delta*_1 and delta*_inf at n=7 f=2 d=2 and n=9 f=2 d=3, all three by
-# lazy block generation. Attribution for batch_lp; the claim itself is
-# benchmark/run.sh's.
+# lazy block generation, and InEveryHull on a certified Gamma(S) point
+# at n=9 f=2 d=2. The allocation ceilings of the three lazy entries are
+# a tier-1 test (TestLazyHullsAllocationCeiling). Attribution for
+# batch_lp; the claim itself is benchmark/run.sh's.
 bench-lp:
-	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|SupportFan|GammaPoint|DeltaStarPoly' -benchmem ./internal/lp ./internal/relax
+	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|SupportFan|GammaPoint|DeltaStarPoly|InEveryHull' -benchmem ./internal/lp ./internal/relax
 
 # delta*_2 kernel micro-benchmarks (allocations reported) at the
 # acs_kernel shape: one Wolfe distance from a point to a 4-point hull in

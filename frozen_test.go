@@ -122,3 +122,53 @@ func TestDeltaStarFrozenInstances(t *testing.T) {
 		}()
 	}
 }
+
+// wolfeFalseReject is one entry of testdata/wolfe_false_rejects.json: a
+// point x inside conv(hull), an explicit witness for it (convex weights
+// over hull's points) and the distance Wolfe's Dist2 reported when the
+// entry was recorded, above CertTol although the point is in the hull
+// (ROADMAP item 1: Wolfe's stopping gap is 1e-9·scale²).
+type wolfeFalseReject struct {
+	Source  string      `json:"source"`
+	X       []float64   `json:"x"`
+	Hull    [][]float64 `json:"hull"`
+	Witness []float64   `json:"witness"`
+	Wolfe   float64     `json:"wolfe"`
+}
+
+// TestWolfeFalseRejects pins the points whose hull a block certificate
+// (or, for InEveryHull, the L-infinity distance LP's weights) accepts
+// while Wolfe rejects it: InEveryHull accepts each point, its witness
+// residual is at most 1e-12·scale, and Wolfe still rejects it, so the
+// entry stays evidence for item 1 until Dist2 is fixed.
+func TestWolfeFalseRejects(t *testing.T) {
+	raw, err := os.ReadFile("testdata/wolfe_false_rejects.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []wolfeFalseReject
+	if err := json.Unmarshal(raw, &entries); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("no entries")
+	}
+	for i, e := range entries {
+		x, hull := NewVector(e.X...), NewPointSet()
+		scale := x.NormP(math.Inf(1))
+		for _, v := range e.Hull {
+			hull.Append(NewVector(v...))
+			scale = math.Max(scale, NewVector(v...).NormP(math.Inf(1)))
+		}
+		fam := []*PointSet{hull}
+		if !relax.InEveryHull(fam, x) {
+			t.Errorf("entry %d (%s): InEveryHull rejects %v", i, e.Source, x)
+		}
+		if r := geom.WitnessDist(x, hull, e.Witness, 2, make(Vector, len(x))); !(r <= 1e-12*scale) {
+			t.Errorf("entry %d (%s): witness residual %g > 1e-12·%g", i, e.Source, r, scale)
+		}
+		if dist, _ := geom.Dist2Uncached(x, hull); dist <= relax.CertTol {
+			t.Errorf("entry %d (%s): Wolfe now accepts (%g, recorded %g); the entry no longer freezes a false rejection", i, e.Source, dist, e.Wolfe)
+		}
+	}
+}

@@ -225,6 +225,43 @@ func DistPolyLP(q vec.V, s *vec.Set, p float64) (dist float64, ok bool) {
 	return dist, w != nil
 }
 
+// WitnessDist returns ||x - q||_p for the witness q = sum w'_i s_i,
+// where w' is w clamped at 0 and renormalized. q is a convex combination
+// of s's points, so the result bounds the Lp distance from x to conv(s)
+// from above, as Wolfe's near point does. w nil takes the weights of the
+// L-infinity distance LP from x to conv(s). The result is NaN when no
+// weight is positive, the LP fails or the residual has a NaN, so no
+// tolerance test accepts it. buf is caller-owned scratch of x's
+// dimension.
+func WitnessDist(x vec.V, s *vec.Set, w []float64, p float64, buf vec.V) float64 {
+	if w == nil {
+		if _, w = distInfLP(x, s); w == nil {
+			return math.NaN()
+		}
+	}
+	sum := 0.0
+	for _, l := range w {
+		if l > 0 {
+			sum += l
+		}
+	}
+	if !(sum > 0) {
+		return math.NaN()
+	}
+	copy(buf, x)
+	for i, l := range w {
+		if l > 0 {
+			buf.AXPY(-l/sum, s.At(i))
+		}
+	}
+	for _, r := range buf {
+		if math.IsNaN(r) {
+			return math.NaN()
+		}
+	}
+	return buf.NormP(p)
+}
+
 // polyDistNear is the exact L1 or L-infinity distance with the nearest
 // hull point; it panics when the LP fails.
 func polyDistNear(q vec.V, s *vec.Set, p float64) (float64, vec.V) {

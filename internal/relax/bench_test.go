@@ -62,3 +62,20 @@ func BenchmarkDeltaStarPoly(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInEveryHull is the certification predicate on a certified
+// Gamma(S) point at n=9 f=2 d=2 (36 dropped subsets): one Wolfe run per
+// hull, and the L-infinity witness LP wherever Wolfe rejects.
+func BenchmarkInEveryHull(b *testing.B) {
+	fam := DroppedSubsets(randSet(rand.New(rand.NewSource(9)), 9, 2, 3), 2)
+	pt, ok := IntersectHulls(fam)
+	if !ok || !InEveryHull(fam, pt) {
+		b.Fatal("no certified Gamma(S) point")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !InEveryHull(fam, pt) {
+			b.Fatal("certified point rejected")
+		}
+	}
+}

@@ -2,4 +2,4 @@
 
 package relax
 
-func init() { *refereeSeeds = 20 }
+func init() { *refereeSeeds, raceEnabled = 20, true }

@@ -197,18 +197,6 @@ func outside(fam []*vec.Set, x vec.V, tol float64) bool {
 	return false
 }
 
-func sameBits(a, b vec.V) bool {
-	if len(a) != len(b) || (a == nil) != (b == nil) {
-		return false
-	}
-	for j := range a {
-		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestGammaRefereeJointLP holds the lazy block-generation loop to the
 // one-shot joint LP it replaced (refereeInstance's four rules) on
 // -referee-seeds seeds of every referee shape.
