@@ -59,7 +59,9 @@ bench-acs:
 
 # LP-layer micro-benchmarks (allocations reported): build + one-shot
 # Solve of the joint n=9 f=2 d=2 Gamma LP and of a small delta*_2 dual
-# master, the convex support fan of 4 or 16 directions at the same shape,
+# master, that LP's working family grown from 3 to 10 blocks one block
+# at a time (warm by Prepared.Extend, and cold by a Prepare of each grown
+# family), the convex support fan of 4 or 16 directions at the same shape,
 # one uncached Gamma(S) point at n=9 f=2 d=3, and one uncached
 # delta*_1 and delta*_inf at n=7 f=2 d=2 and n=9 f=2 d=3, all three by
 # lazy block generation, and InEveryHull on a certified Gamma(S) point
@@ -67,7 +69,7 @@ bench-acs:
 # a tier-1 test (TestLazyHullsAllocationCeiling). Attribution for
 # batch_lp; the claim itself is benchmark/run.sh's.
 bench-lp:
-	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|SupportFan|GammaPoint|DeltaStarPoly|InEveryHull' -benchmem ./internal/lp ./internal/relax
+	$(GO) test -run '^$$' -bench 'SolveGamma|SolveMaster|PreparedExtend|SupportFan|GammaPoint|DeltaStarPoly|InEveryHull' -benchmem ./internal/lp ./internal/relax
 
 # delta*_2 kernel micro-benchmarks (allocations reported) at the
 # acs_kernel shape: one Wolfe distance from a point to a 4-point hull in

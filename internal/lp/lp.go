@@ -16,6 +16,12 @@
 // Free and shifted variables are handled by internal substitution; the
 // solver reports Optimal, Infeasible or Unbounded along with the primal
 // solution mapped back to the original variables.
+//
+// A Prepared is a system taken through phase 1 once: it solves any
+// number of objectives by phase 2 alone, and Extend grows it in place
+// by the rows and default-bounded variables its Problem gained (the
+// lazy hull loop's joining blocks), running phase 1 over the new rows
+// alone.
 package lp
 
 import (
@@ -251,6 +257,23 @@ func (p *Problem) SetBounds(i int, lo, up float64) {
 	p.up[i] = up
 }
 
+// AddVars appends k variables with the default bounds [0, +Inf) and
+// zero objective coefficients, and returns the index of the first.
+func (p *Problem) AddVars(k int) int {
+	if k < 0 {
+		panic("lp: negative variable count")
+	}
+	first := p.n
+	p.n += k
+	p.obj = append(p.obj, make([]float64, k)...)
+	p.lo = append(p.lo, make([]float64, k)...)
+	p.up = append(p.up, make([]float64, k)...)
+	for i := first; i < p.n; i++ {
+		p.up[i] = math.Inf(1)
+	}
+	return first
+}
+
 // SetFree marks x_i as a free variable (-Inf, +Inf).
 func (p *Problem) SetFree(i int) { p.SetBounds(i, math.Inf(-1), math.Inf(1)) }
 
@@ -270,7 +293,8 @@ const (
 func (p *Problem) Solve() (*Result, error) {
 	var pr Prepared
 	p.prepare(&pr)
-	res, _ := pr.solve(p.obj, p.sense, true)
+	res := new(Result)
+	pr.solve(res, p.obj, p.sense, true)
 	pr.Release()
 	return res, nil
 }
@@ -282,14 +306,26 @@ func (p *Problem) Solve() (*Result, error) {
 // objective; a cost vector is priced into it by replaying the recorded
 // eliminations, the same arithmetic in the same order as carrying the
 // cost row through phase 1, so Solve(obj, sense) returns bit for bit
-// what SetObjective(obj, sense) + Problem.Solve() returns.
+// what SetObjective(obj, sense) + Problem.Solve() returns. Extend grows
+// the system in place; the bits are then those of the grown basis, not
+// of a Prepare of the grown Problem.
 //
-// A Prepared holds a pooled solver workspace from Prepare until Release
-// and nothing of its Problem, which may be Reset and rebuilt meanwhile.
-// It is not safe for concurrent use. Calling Solve after Release is a
-// bug and panics: the workspace may by then belong to another solve.
+// A Prepared is a handle on a pooled solver workspace, held from
+// Prepare (or PrepareInto) until Release, and holds nothing of its
+// Problem, which may be Reset and rebuilt meanwhile. It is not safe for
+// concurrent use. Calling Solve or Extend after Release is a bug and
+// panics: the workspace may by then belong to another solve.
 type Prepared struct {
-	ws     *workspace
+	*workspace
+}
+
+// workspace is the state of one Prepared and its reusable storage:
+// every slice keeps its capacity across Prepare, Extend and the pool,
+// so steady-state solves stop allocating tableaux — the dominant
+// allocation cost when the geometry predicates fire thousands of LPs
+// per consensus trial. Nothing in a workspace may outlive its Release;
+// the slices of a Result Solve returns are allocated fresh.
+type workspace struct {
 	status Status // Optimal: a feasible basis is held; else phase 1's verdict for every objective
 	nvars  int
 	t      tableau // after phase 1 and the expulsion of artificials
@@ -304,11 +340,28 @@ type Prepared struct {
 	dualCol  []int
 	dualSign []float64
 	pivots1  int // phase-1 and expulsion pivots not yet reported to lp_pivots_per_solve
-	// Per-solve scratch: the cost row, the column values y, and the
-	// tableau copy phase 2 pivots on (grabbed by the first Solve; the
-	// in-place solve of Problem.Solve never needs it).
-	cost, y []float64
+	// Per-solve scratch: the column values y and the tableau copy phase 2
+	// pivots on (the in-place solve of Problem.Solve never needs it);
+	// rel and negated are the row kinds Prepare and Extend settle first,
+	// x the point Extend checks.
+	y, x    []float64
 	work    tableau
+	rel     []Rel
+	negated []bool
+	log     elimLog
+}
+
+// fit returns s resized to n and zeroed, reusing its storage. It grows
+// as append does, so a workspace fresh from the pool that serves an LP
+// growing round by round (a cutting-plane master) reallocates
+// logarithmically often, not once per round.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Prepare standardizes p and runs phase 1 once. The caller must Release
@@ -319,42 +372,65 @@ func (p *Problem) Prepare() *Prepared {
 	return pr
 }
 
-// Release returns the workspace to the pool. pr must not be used again.
+// PrepareInto is Prepare into pr: whatever pr held is dropped and its
+// workspace reused; a zero or released pr draws one from the pool.
+func (p *Problem) PrepareInto(pr *Prepared) { p.prepare(pr) }
+
+// Release returns the workspace to the pool. pr must not be used again
+// until PrepareInto re-arms it.
 func (pr *Prepared) Release() {
-	if pr.ws != nil {
-		wsPool.Put(pr.ws)
-		*pr = Prepared{}
+	if pr.workspace != nil {
+		wsPool.Put(pr.workspace)
+		pr.workspace = nil
 	}
+}
+
+// live returns pr's workspace, panicking after Release.
+func (pr *Prepared) live() *workspace {
+	if pr.workspace == nil {
+		panic("lp: Prepared used after Release")
+	}
+	return pr.workspace
 }
 
 // Solve optimizes obj in the given sense over the prepared constraint
 // system. len(obj) must equal the problem's variable count.
 func (pr *Prepared) Solve(obj []float64, sense Sense) *Result {
-	if pr.ws == nil {
-		panic("lp: Prepared used after Release")
-	}
-	if len(obj) != pr.nvars {
+	res := new(Result)
+	pr.SolveInto(res, obj, sense)
+	return res
+}
+
+// SolveInto is Solve into res, reusing the storage of res.X and
+// res.Dual.
+func (pr *Prepared) SolveInto(res *Result, obj []float64, sense Sense) {
+	if len(obj) != pr.live().nvars {
 		panic(fmt.Sprintf("lp: objective length %d != %d vars", len(obj), pr.nvars))
 	}
-	res, _ := pr.solve(obj, sense, false)
-	return res
+	pr.solve(res, obj, sense, false)
 }
 
 // prepare brings p to the computational standard form min c^T y,
 // A y = b, y >= 0, b >= 0 — each tableau row written once, straight
 // from the sparse constraint storage — and runs phase 1 on it.
 func (p *Problem) prepare(pr *Prepared) {
-	lpPoolGets.Inc()
-	ws := wsPool.Get().(*workspace)
-	ws.reset()
+	ws := pr.workspace
+	if ws == nil {
+		lpPoolGets.Inc()
+		ws = wsPool.Get().(*workspace)
+		pr.workspace = ws
+	}
+	ws.log.reset()
 	// Variable substitutions to reach y >= 0:
 	//   lo finite:            x = lo + y          (sign +1)
 	//   lo = -inf, up finite: x = up - y          (sign -1)
 	//   free:                 x = y+ - y-         (two columns)
 	// A residual finite upper bound (after a lo shift) becomes an extra
 	// row  y <= up - lo  after the constraints, in variable order.
-	pos, neg := ws.ints(p.n), ws.ints(p.n)
-	shift, sign := ws.floats(p.n), ws.floats(p.n)
+	ws.nvars = p.n
+	pos, neg := fit(ws.pos, p.n), fit(ws.neg, p.n)
+	shift, sign := fit(ws.shift, p.n), fit(ws.sign, p.n)
+	ws.pos, ws.neg, ws.shift, ws.sign = pos, neg, shift, sign
 	ncols, nub := 0, 0
 	for i := 0; i < p.n; i++ {
 		lo, up := p.lo[i], p.up[i]
@@ -379,8 +455,10 @@ func (p *Problem) prepare(pr *Prepared) {
 	// row and with it the slack and artificial column counts.
 	ncons := len(p.rel)
 	m := ncons + nub
-	b := ws.floats(m)
-	rel, negated := ws.ints(m), ws.ints(m)
+	t := &ws.t
+	b := fit(t.b, m)
+	rel, negated := fit(ws.rel, m), fit(ws.negated, m)
+	ws.rel, ws.negated = rel, negated
 	nslack, nart := 0, 0
 	k, ubVar := 0, -1
 	for r := 0; r < m; r++ {
@@ -395,7 +473,7 @@ func (p *Problem) prepare(pr *Prepared) {
 			rhs = p.up[ubVar] - p.lo[ubVar]
 		}
 		if rhs < 0 {
-			rhs, negated[r] = -rhs, 1
+			rhs, negated[r] = -rhs, true
 			switch rr {
 			case LE:
 				rr = GE
@@ -403,7 +481,7 @@ func (p *Problem) prepare(pr *Prepared) {
 				rr = LE
 			}
 		}
-		b[r], rel[r] = rhs, int(rr)
+		b[r], rel[r] = rhs, rr
 		if rr != EQ {
 			nslack++
 		}
@@ -419,31 +497,25 @@ func (p *Problem) prepare(pr *Prepared) {
 	// accumulated as the rows are written.
 	total := ncols + nslack
 	w := total + nart
-	dualCol, dualSign := ws.ints(ncons), ws.floats(ncons)
-	*pr = Prepared{
-		ws: ws, nvars: p.n,
-		pos: pos, neg: neg, shift: shift, sign: sign,
-		dualCol: dualCol, dualSign: dualSign,
-		cost: ws.floats(w), y: ws.floats(total),
-		t: tableau{
-			m: m, n: total, nart: nart, stride: w, feasScale: 1,
-			a: ws.floats(m * w), b: b, basis: ws.ints(m), obj: ws.floats(w),
-			nzIdx: ws.ints(w), nzVal: ws.floats(w),
-		},
+	dualCol, dualSign := fit(ws.dualCol, ncons), fit(ws.dualSign, ncons)
+	ws.dualCol, ws.dualSign = dualCol, dualSign
+	*t = tableau{
+		m: m, n: total, nart: nart, stride: w, feasScale: 1,
+		a: fit(t.a, m*w), b: b, basis: fit(t.basis, m), obj: fit(t.obj, w),
+		nzIdx: fit(t.nzIdx, w), nzVal: fit(t.nzVal, w),
 	}
-	t := &pr.t
 	sIdx, artIdx := ncols, total
 	k, ubVar = 0, -1
 	for r := 0; r < m; r++ {
 		row := t.a[r*w : r*w+w]
 		// Rows that start with a basic artificial are subtracted from the
 		// phase-1 cost row, entry by entry as they are written.
-		art := Rel(rel[r]) != LE
+		art := rel[r] != LE
 		if r < ncons {
 			for ; k < p.end[r]; k++ {
 				i, a := p.idx[k], p.val[k]
 				v, u := a*sign[i], -a
-				if negated[r] != 0 {
+				if negated[r] {
 					v, u = -v, -u
 				}
 				row[pos[i]] = v
@@ -463,7 +535,7 @@ func (p *Problem) prepare(pr *Prepared) {
 		}
 		// A zero-cost column +-e_r has reduced cost -+pi_r.
 		col, dsign := sIdx, -1.0
-		switch Rel(rel[r]) {
+		switch rel[r] {
 		case LE:
 			row[sIdx] = 1
 			t.basis[r] = sIdx
@@ -483,7 +555,7 @@ func (p *Problem) prepare(pr *Prepared) {
 			t.val += b[r]
 		}
 		if r < ncons {
-			if negated[r] != 0 {
+			if negated[r] {
 				dsign = -dsign
 			}
 			dualCol[r], dualSign[r] = col, dsign
@@ -493,11 +565,11 @@ func (p *Problem) prepare(pr *Prepared) {
 		}
 	}
 
-	pr.status = t.phase1(&ws.log)
-	pr.pivots1 = t.pivots
+	ws.status = t.phase1(&ws.log, 0)
+	ws.pivots1 = t.pivots
 	lpPhase1Runs.Inc()
-	lpPhase1Pivots.Add(int64(pr.pivots1))
-	lpPivots.Add(int64(pr.pivots1))
+	lpPhase1Pivots.Add(int64(ws.pivots1))
+	lpPivots.Add(int64(ws.pivots1))
 }
 
 // nextUpperBounded returns the first variable after i with both bounds
@@ -508,24 +580,280 @@ func (p *Problem) nextUpperBounded(i int) int {
 	return i
 }
 
+// Extend grows the prepared system in place by what p gained since it
+// was prepared or last extended: the constraints after the ones pr
+// holds and the variables after its own, which must keep the default
+// bounds [0, +Inf). Each new row is reduced against the basis, which
+// with the new rows' slack or artificial columns stays a basis of the
+// grown system; phase 1 then runs over the new rows' artificials alone,
+// no artificial entering, and its eliminations join the log, so Solve
+// still prices any objective by replay. Extend reports whether the
+// grown system has a feasible basis whose point satisfies it to 1e-9 of
+// each row's scale (holds); otherwise pr holds phase 1's verdict, or
+// IterationLimit when the basis missed that check, for every
+// objective, as it does when it held no feasible basis to extend.
+func (pr *Prepared) Extend(p *Problem) bool {
+	ws := pr.live()
+	lpWarmAttempts.Inc()
+	if ws.status != Optimal {
+		ws.nvars = p.n // objectives of the grown length get the verdict
+		return false
+	}
+	t := &ws.t
+	m0, n0, nart0, w0 := t.m, t.n, t.nart, t.stride
+	nv0, ncons0 := ws.nvars, len(ws.dualCol)
+	for i := nv0; i < p.n; i++ {
+		if p.lo[i] != 0 || !math.IsInf(p.up[i], 1) {
+			panic("lp: Extend with a new variable not bounded to [0, +Inf)")
+		}
+		ws.pos = append(ws.pos, n0+i-nv0)
+		ws.neg = append(ws.neg, -1)
+		ws.shift = append(ws.shift, 0)
+		ws.sign = append(ws.sign, 1)
+	}
+	ws.nvars = p.n
+
+	// First pass: each new row's right-hand side reduced against the
+	// basis — b minus f_i*b_i over the basic rows i, f_i the row's
+	// coefficient on row i's basic column, the only entries a reduction
+	// changes — decides the row's orientation (b >= 0, a surplus row
+	// with b = 0 turned into a slack row) and whether it needs an
+	// artificial, and with that the grown tableau's layout.
+	nnew := len(p.rel) - ncons0
+	ws.rel, ws.negated = fit(ws.rel, nnew), fit(ws.negated, nnew)
+	t.b = append(t.b, make([]float64, nnew)...)
+	y := fit(ws.y, n0) // the row's coefficients on the old columns
+	ws.y = y
+	nslack, nart := 0, 0
+	for r := range nnew {
+		row := ncons0 + r
+		rr, rhs := p.rel[row], p.rhs[row]
+		for k := p.rowStart(row); k < p.end[row]; k++ {
+			if i := p.idx[k]; i < nv0 {
+				rhs -= p.val[k] * ws.shift[i]
+				ws.put(y, i, p.val[k])
+			}
+		}
+		for i, c := range t.basis[:m0] {
+			if c < n0 && y[c] != 0 {
+				rhs -= y[c] * t.b[i]
+			}
+		}
+		for k := p.rowStart(row); k < p.end[row]; k++ {
+			if i := p.idx[k]; i < nv0 {
+				ws.put(y, i, 0)
+			}
+		}
+		neg := rhs < 0 || rr == GE && rhs == 0
+		if neg {
+			rhs = math.Abs(rhs) // +0, not -0, for a surplus row at 0
+		}
+		ws.rel[r], ws.negated[r], t.b[m0+r] = rr, neg, rhs
+		if rr != EQ {
+			nslack++
+		}
+		if rr == EQ || (rr == LE) == neg {
+			nart++
+		}
+	}
+
+	// The grown layout keeps every non-artificial column before every
+	// artificial: old columns, new variables, new slacks, old
+	// artificials, new artificials. The old artificials move right by
+	// gap, in the basis, the dual recipe, the log and every old row,
+	// whose rows move backwards into the wider stride.
+	n := n0 + (p.n - nv0) + nslack
+	gap := n - n0
+	w := n + nart0 + nart
+	m := m0 + nnew
+	for i, c := range t.basis {
+		if c >= n0 {
+			t.basis[i] = c + gap
+		}
+	}
+	for i, c := range ws.dualCol {
+		if c >= n0 {
+			ws.dualCol[i] = c + gap
+		}
+	}
+	ws.log.shift(n0, gap)
+	t.a = append(t.a, make([]float64, m*w-len(t.a))...)
+	for i := m0 - 1; i >= 0; i-- {
+		src, dst := t.a[i*w0:i*w0+w0], t.a[i*w:i*w+w]
+		copy(dst[n:n+nart0], src[n0:])
+		copy(dst[:n0], src[:n0])
+		clear(dst[n0:n])
+		clear(dst[n+nart0:])
+	}
+
+	// Second pass: the new rows, reduced against the basis rows and
+	// oriented as the first pass decided. The phase-1 cost row — cost 1
+	// on every new artificial — is minus the sum of the rows that start
+	// with one; its entries on artificial columns are never read, as no
+	// artificial may enter.
+	t.m, t.n, t.nart, t.stride = m, n, nart0+nart, w
+	t.basis = append(t.basis, make([]int, nnew)...)
+	t.obj, t.nzIdx, t.nzVal = fit(t.obj, w), fit(t.nzIdx, w), fit(t.nzVal, w)
+	t.val, t.pivots, t.blandMode, t.sinceImprove = 0, 0, false, 0
+	sIdx, artIdx := n0+p.n-nv0, n+nart0
+	for r := range nnew {
+		row, i := t.a[(m0+r)*w:(m0+r)*w+w], ncons0+r
+		for k := p.rowStart(i); k < p.end[i]; k++ {
+			ws.put(row, p.idx[k], p.val[k])
+		}
+		col, dsign := sIdx, -1.0
+		switch ws.rel[r] {
+		case LE:
+			row[sIdx] = 1
+			sIdx++
+		case GE:
+			row[sIdx] = -1
+			sIdx++
+			dsign = 1
+		case EQ:
+			col = artIdx
+		}
+		for j, c := range t.basis[:m0] {
+			if f := row[c]; f != 0 {
+				subScaled(row, t.a[j*w:j*w+w], f)
+				row[c] = 0 // exact
+			}
+		}
+		if ws.negated[r] {
+			for j, v := range row {
+				row[j] = -v
+			}
+			if ws.rel[r] == EQ {
+				dsign = -dsign
+			}
+		}
+		b := t.b[m0+r]
+		if ws.rel[r] == EQ || (ws.rel[r] == LE) == ws.negated[r] {
+			row[artIdx] = 1
+			t.basis[m0+r] = artIdx
+			artIdx++
+			subScaled(t.obj, row, 1)
+			t.val += b
+		} else {
+			t.basis[m0+r] = col
+		}
+		ws.dualCol = append(ws.dualCol, col)
+		ws.dualSign = append(ws.dualSign, dsign)
+		t.feasScale = max(t.feasScale, b)
+	}
+
+	ws.status = t.phase1(&ws.log, m0)
+	ws.pivots1 += t.pivots
+	lpPhase1Pivots.Add(int64(t.pivots))
+	lpPivots.Add(int64(t.pivots))
+	if ws.status == Optimal && !ws.holds(p) {
+		ws.status = IterationLimit
+	}
+	if ws.status != Optimal {
+		return false
+	}
+	lpWarmHits.Inc()
+	return true
+}
+
+// holds reports whether the basic point satisfies every constraint and
+// bound of p to 1e-9 of its scale. A warm phase 1 pivots from a basis
+// phase 1 did not choose, and where that path takes a pivot element
+// near pivotEps the grown basis carries errors a cold Prepare's does
+// not; Extend then gives no verdict (IterationLimit), so the caller
+// prepares the grown system cold.
+func (ws *workspace) holds(p *Problem) bool {
+	t := &ws.t
+	y := fit(ws.y, t.n)
+	ws.y = y
+	for i, c := range t.basis {
+		if t.b[i] < -1e-9*t.feasScale {
+			return false
+		}
+		if c < t.n {
+			y[c] = t.b[i]
+		}
+	}
+	x := fit(ws.x, p.n)
+	ws.x = x
+	for i := range x {
+		x[i] = ws.shift[i] + ws.sign[i]*y[ws.pos[i]]
+		if ws.neg[i] >= 0 {
+			x[i] -= y[ws.neg[i]]
+		}
+		if x[i]-p.up[i] > 1e-9*max(1, math.Abs(p.up[i])) {
+			return false
+		}
+	}
+	for r, rel := range p.rel {
+		lhs, scale := 0.0, max(1, math.Abs(p.rhs[r]))
+		for k := p.rowStart(r); k < p.end[r]; k++ {
+			v := p.val[k] * x[p.idx[k]]
+			lhs += v
+			scale = max(scale, math.Abs(v))
+		}
+		miss := lhs - p.rhs[r]
+		switch rel {
+		case EQ:
+			miss = math.Abs(miss)
+		case GE:
+			miss = -miss
+		}
+		if miss > 1e-9*scale {
+			return false
+		}
+	}
+	return true
+}
+
+// put writes the coefficient a of variable i into the dense row under
+// ws's substitution: a*sign on its column, -a on its negative part.
+func (ws *workspace) put(row []float64, i int, a float64) {
+	row[ws.pos[i]] = a * ws.sign[i]
+	if ws.neg[i] >= 0 {
+		row[ws.neg[i]] = -a
+	}
+}
+
+// rowStart returns the first entry of constraint r.
+func (p *Problem) rowStart(r int) int {
+	if r == 0 {
+		return 0
+	}
+	return p.end[r-1]
+}
+
 // solve prices obj into the prepared basis and runs phase 2, on the
 // prepared tableau itself when inPlace (the basis is then spent) and on
-// a copy otherwise. It also returns the number of pivots phase 2 took.
-func (pr *Prepared) solve(obj []float64, sense Sense, inPlace bool) (*Result, int) {
+// a copy otherwise, into res, whose X and Dual are reused when large
+// enough. It returns the number of pivots phase 2 took.
+func (pr *Prepared) solve(res *Result, obj []float64, sense Sense, inPlace bool) int {
+	ws := pr.workspace
 	lpSolves.Inc()
-	carried := pr.pivots1
-	pr.pivots1 = 0
-	if pr.status != Optimal {
+	carried := ws.pivots1
+	ws.pivots1 = 0
+	res.Status, res.Objective, res.X, res.Dual = ws.status, 0, res.X[:0], res.Dual[:0]
+	if ws.status != Optimal {
 		lpPivotsPerRun.Observe(float64(carried))
-		if pr.status == Infeasible {
+		if ws.status == Infeasible {
 			lpInfeasible.Inc()
 		} else {
 			lpIterLimited.Inc()
 		}
-		return &Result{Status: pr.status}, 0
+		return 0
 	}
-	// Objective over substituted variables (always minimize internally).
-	c, ws := pr.cost, pr.ws
+	t := &ws.t
+	if !inPlace {
+		w := &ws.work
+		a, b, basis, o := w.a, w.b, w.basis, w.obj
+		*w = *t
+		w.a, w.b, w.basis = append(a[:0], t.a...), append(b[:0], t.b...), append(basis[:0], t.basis...)
+		w.obj = fit(o, t.stride)
+		t = w
+	}
+	// Objective over substituted variables (always minimize internally),
+	// priced into the cost row in place.
+	c := t.obj
 	clear(c)
 	mult := 1.0
 	if sense == Maximize {
@@ -535,53 +863,47 @@ func (pr *Prepared) solve(obj []float64, sense Sense, inPlace bool) (*Result, in
 		if oc == 0 {
 			continue
 		}
-		c[pr.pos[i]] += mult * oc * pr.sign[i]
-		if pr.neg[i] >= 0 {
-			c[pr.neg[i]] -= mult * oc
+		c[ws.pos[i]] += mult * oc * ws.sign[i]
+		if ws.neg[i] >= 0 {
+			c[ws.neg[i]] -= mult * oc
 		}
-	}
-	t := &pr.t
-	if !inPlace {
-		if pr.work.basis == nil {
-			pr.work = pr.t
-			pr.work.a, pr.work.b, pr.work.basis = ws.floats(len(t.a)), ws.floats(t.m), ws.ints(t.m)
-		}
-		copy(pr.work.a, t.a)
-		copy(pr.work.b, t.b)
-		copy(pr.work.basis, t.basis)
-		t = &pr.work
 	}
 	status := t.phase2(c, ws.log.price(c))
 	lpPivots.Add(int64(t.pivots))
 	lpPivotsPerRun.Observe(float64(carried + t.pivots))
+	res.Status = status
 	switch status {
 	case Unbounded:
-		return &Result{Status: Unbounded}, t.pivots
+		return t.pivots
 	case IterationLimit:
 		lpIterLimited.Inc()
-		return &Result{Status: IterationLimit}, t.pivots
+		return t.pivots
 	}
-	y := pr.y
-	clear(y)
+	y := fit(ws.y, t.n)
+	ws.y = y
 	for i, bi := range t.basis {
 		if bi < t.n {
 			y[bi] = t.b[i]
 		}
 	}
-	// X and Dual escape the workspace: one fresh allocation for both.
-	out := make([]float64, pr.nvars+len(pr.dualCol))
-	res := &Result{Status: Optimal, X: out[:pr.nvars:pr.nvars], Dual: out[pr.nvars:]}
+	// X and Dual: one allocation for both when res has no room.
+	nv, nc := ws.nvars, len(ws.dualCol)
+	if cap(res.X) < nv || cap(res.Dual) < nc {
+		out := make([]float64, nv+nc)
+		res.X, res.Dual = out[:nv:nv], out[nv:]
+	}
+	res.X, res.Dual = res.X[:nv], res.Dual[:nc]
 	for i := range res.X {
-		v := pr.shift[i] + pr.sign[i]*y[pr.pos[i]]
-		if pr.neg[i] >= 0 {
-			v -= y[pr.neg[i]]
+		v := ws.shift[i] + ws.sign[i]*y[ws.pos[i]]
+		if ws.neg[i] >= 0 {
+			v -= y[ws.neg[i]]
 		}
 		res.X[i] = v
 		// The objective is recomputed in original terms for exactness.
 		res.Objective += obj[i] * v
 	}
-	for i, col := range pr.dualCol {
-		res.Dual[i] = mult * pr.dualSign[i] * t.obj[col]
+	for i, col := range ws.dualCol {
+		res.Dual[i] = mult * ws.dualSign[i] * t.obj[col]
 	}
-	return res, t.pivots
+	return t.pivots
 }

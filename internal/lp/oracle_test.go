@@ -63,7 +63,8 @@ func TestRefBitIdentical(t *testing.T) {
 		var pr Prepared
 		p.prepare(&pr)
 		pivots, bland := pr.pivots1, pr.t.blandMode
-		got, phase2 := pr.solve(p.obj, p.sense, true)
+		got := new(Result)
+		phase2 := pr.solve(got, p.obj, p.sense, true)
 		pivots, bland = pivots+phase2, bland || pr.t.blandMode
 		pr.Release()
 		if d := diffResults(got, want); d != "" {

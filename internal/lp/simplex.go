@@ -66,19 +66,36 @@ func (l *elimLog) price(c []float64) (val float64) {
 	return val
 }
 
-// phase1 minimizes the sum of artificials from the all-slack/artificial
-// start (t.obj and t.val hold that cost row), logging every elimination
-// into log, and reports Optimal when a feasible basis was found.
-func (t *tableau) phase1(log *elimLog) Status {
+// shift moves the column indices at or after from right by gap.
+func (l *elimLog) shift(from, gap int) {
+	for k, j := range l.idx {
+		if j >= from {
+			l.idx[k] = j + gap
+		}
+	}
+	for k, e := range l.elims {
+		if e.col >= from {
+			l.elims[k].col = e.col + gap
+		}
+	}
+}
+
+// phase1 minimizes the sum of the artificials basic in rows from on
+// (t.obj and t.val hold that cost row), logging every elimination into
+// log, and reports Optimal when a feasible basis was found. From 0 it
+// starts from the all-slack/artificial basis; above 0 the rows before
+// from already hold a feasible basis (Extend), their artificials are out
+// of the problem, and no artificial may enter.
+func (t *tableau) phase1(log *elimLog, from int) Status {
 	t.log = log
 	status := Optimal
 	switch {
-	case t.iterate(false) == IterationLimit:
+	case t.iterate(from > 0) == IterationLimit:
 		status = IterationLimit
 	case t.val > 1e-7*t.feasScale:
 		status = Infeasible
 	default:
-		t.expelArtificials()
+		t.expelArtificials(from)
 	}
 	t.log = nil
 	return status
@@ -251,12 +268,13 @@ func subScaled(dst, src []float64, f float64) {
 	}
 }
 
-// expelArtificials pivots basic artificial variables (all at value ~0
-// after a feasible phase 1) out of the basis where possible. Rows where no
-// structural pivot exists are redundant; their artificial stays basic at
-// zero and artificials are blocked from entering in phase 2.
-func (t *tableau) expelArtificials() {
-	for i := 0; i < t.m; i++ {
+// expelArtificials pivots the basic artificial variables of rows from
+// on (all at value ~0 after a feasible phase 1) out of the basis where
+// possible. Rows where no structural pivot exists are redundant; their
+// artificial stays basic at zero and artificials are blocked from
+// entering in phase 2.
+func (t *tableau) expelArtificials(from int) {
+	for i := from; i < t.m; i++ {
 		if t.basis[i] < t.n {
 			continue
 		}

@@ -15,17 +15,16 @@ var (
 )
 
 // rowScratch is the reusable buffer set of one joint-LP build: sparse
-// row indices/values, a second pair for derived bound rows, the
-// per-set variable offsets and a dense objective row. Pooled so the
-// steady-state Γ/Ψ sweep builds LPs with zero allocations (the
-// lp.Problem side keeps its flat sparse row storage across Reset).
+// row indices/values, a second pair for derived bound rows and a dense
+// objective row. Pooled so the steady-state Γ/Ψ sweep builds LPs with
+// zero allocations (the lp.Problem side keeps its flat sparse row
+// storage across Reset).
 type rowScratch struct {
-	idx  []int
-	val  []float64
-	ci   []int
-	cv   []float64
-	offs [2][]int
-	row  []float64
+	idx []int
+	val []float64
+	ci  []int
+	cv  []float64
+	row []float64
 }
 
 var rowScratchPool = sync.Pool{New: func() any {
@@ -39,17 +38,6 @@ func getRowScratch() *rowScratch {
 }
 
 func (rs *rowScratch) release() { rowScratchPool.Put(rs) }
-
-// offsets returns the which-th reusable offset slice resized to n.
-func (rs *rowScratch) offsets(which, n int) []int {
-	s := rs.offs[which]
-	if cap(s) < n {
-		s = make([]int, n)
-	}
-	s = s[:n]
-	rs.offs[which] = s
-	return s
-}
 
 // zeroRow returns the reusable dense row resized to n and zeroed.
 func (rs *rowScratch) zeroRow(n int) []float64 {

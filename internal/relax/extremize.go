@@ -74,27 +74,16 @@ func buildKIntersectionLPInto(reuse *lp.Problem, sets []*vec.Set, k int) *lp.Pro
 		ds = append(ds, append([]int(nil), D...))
 		return true
 	})
-	return buildBlockLPInto(reuse, sets, ds)
+	return buildLPInto(reuse, sets, ds, blockRows{})
 }
 
-// buildHullIntersectionLPInto builds the feasibility LP of the
-// intersection of the hulls of sets (one weight simplex per set) into a
-// reusable Problem (nil allocates a fresh one). Returns nil when a set
-// is empty.
-func buildHullIntersectionLPInto(reuse *lp.Problem, sets []*vec.Set) *lp.Problem {
-	all := make([]int, sets[0].Dim())
-	for j := range all {
-		all[j] = j
-	}
-	return buildBlockLPInto(reuse, sets, [][]int{all})
-}
-
-// buildBlockLPInto builds the LP whose free point x (variables [0,d))
-// has, for every set and every coordinate subset D of ds, its
-// D-coordinates in the hull of the set's D-projections: one weight
-// simplex per (set, D) block, blocks in that order. Returns nil when a
-// set is empty.
-func buildBlockLPInto(reuse *lp.Problem, sets []*vec.Set, ds [][]int) *lp.Problem {
+// buildLPInto builds into a reusable Problem (nil allocates a fresh one)
+// the LP of the intersection of the hulls of sets of w's kind: the free
+// point x in variables [0,d); for a relaxed kind whose δ is a variable,
+// δ in variable d under a minimize-δ objective; then one block per set
+// and coordinate subset D of ds (nil: one block of every coordinate),
+// blocks in that order. Returns nil when a set is empty.
+func buildLPInto(reuse *lp.Problem, sets []*vec.Set, ds [][]int, w blockRows) *lp.Problem {
 	if len(sets) == 0 {
 		panic("relax: empty family")
 	}
@@ -102,38 +91,120 @@ func buildBlockLPInto(reuse *lp.Problem, sets []*vec.Set, ds [][]int) *lp.Proble
 	if !checkFamily(sets, d) {
 		return nil
 	}
+	if ds == nil {
+		ds = [][]int{nil}
+	}
 	nv := d
-	for _, s := range sets {
-		nv += len(ds) * s.Len()
+	if w.p != 0 && w.delta >= 0 {
+		nv++
 	}
-	p := newOrReset(reuse, nv)
+	off := nv
+	for _, s := range sets {
+		nv += len(ds) * w.vars(s)
+	}
+	w.prob, w.rs = newOrReset(reuse, nv), getRowScratch()
+	defer w.rs.release()
 	for j := 0; j < d; j++ {
-		p.SetFree(j)
+		w.prob.SetFree(j)
 	}
-	rs := getRowScratch()
-	defer rs.release()
-	off := d
+	if off > d {
+		obj := w.rs.zeroRow(nv)
+		obj[d] = 1
+		w.prob.SetObjective(obj, lp.Minimize)
+	}
 	for _, s := range sets {
-		m := s.Len()
 		for _, D := range ds {
-			rs.idx, rs.val = rs.idx[:0], rs.val[:0]
-			for t := 0; t < m; t++ {
-				rs.idx = append(rs.idx, off+t)
-				rs.val = append(rs.val, 1)
-			}
-			p.AddSparseConstraint(rs.idx, rs.val, lp.EQ, 1)
-			for _, j := range D {
-				rs.ci, rs.cv = rs.ci[:0], rs.cv[:0]
-				for t := 0; t < m; t++ {
-					rs.ci = append(rs.ci, off+t)
-					rs.cv = append(rs.cv, s.At(t)[j])
-				}
-				rs.ci = append(rs.ci, j)
-				rs.cv = append(rs.cv, -1)
-				p.AddSparseConstraint(rs.ci, rs.cv, lp.EQ, 0)
-			}
-			off += m
+			w.add(s, D, off)
+			off += w.vars(s)
 		}
 	}
-	return p
+	return w.prob
+}
+
+// blockRows writes hull blocks into prob, whose free point x is
+// variables [0,d): exact hulls (p = 0) or (δ,p)-relaxed ones (p in
+// {1, +Inf}), δ variable delta or, when delta < 0, the constant dval.
+// The cold builders and the lazy loop's warm growth write every block
+// through add.
+type blockRows struct {
+	prob  *lp.Problem
+	p     float64
+	delta int
+	dval  float64
+	rs    *rowScratch
+}
+
+// vars returns the variable count of the block of s: its weights λ and,
+// for p = 1, its d deviations t.
+func (w blockRows) vars(s *vec.Set) int {
+	if w.p == 1 {
+		return s.Len() + s.Dim()
+	}
+	return s.Len()
+}
+
+// add writes the rows of the block of s over variables [off,
+// off+vars(s)): sum λ = 1 and, per coordinate j of D (nil: every
+// coordinate; exact hulls only), r_j = sum λ_t s_t[j] - x_j with
+// r_j = 0 for an exact hull, |r_j| <= δ for p = +Inf, and |r_j| <= t_j,
+// sum t_j <= δ for p = 1.
+func (w blockRows) add(s *vec.Set, D []int, off int) {
+	rs, m, k := w.rs, s.Len(), len(D)
+	if D == nil {
+		k = s.Dim()
+	}
+	rs.idx, rs.val = rs.idx[:0], rs.val[:0]
+	for t := 0; t < m; t++ {
+		rs.idx = append(rs.idx, off+t)
+		rs.val = append(rs.val, 1)
+	}
+	w.prob.AddSparseConstraint(rs.idx, rs.val, lp.EQ, 1)
+	for c := 0; c < k; c++ {
+		j := c
+		if D != nil {
+			j = D[c]
+		}
+		rs.ci, rs.cv = append(rs.ci[:0], j), append(rs.cv[:0], -1)
+		for t := 0; t < m; t++ {
+			rs.ci = append(rs.ci, off+t)
+			rs.cv = append(rs.cv, s.At(t)[j])
+		}
+		if w.p == 0 {
+			w.prob.AddSparseConstraint(rs.ci, rs.cv, lp.EQ, 0)
+			continue
+		}
+		bound := w.delta
+		if w.p == 1 {
+			bound = off + m + j
+		}
+		// -r_j <= bound, then r_j <= bound.
+		for range 2 {
+			rs.ci, rs.cv = rs.ci[:m+1], rs.cv[:m+1]
+			for i, v := range rs.cv {
+				rs.cv[i] = -v
+			}
+			w.addLE(bound)
+		}
+	}
+	if w.p == 1 {
+		// sum_j t_j <= delta for this set.
+		rs.ci, rs.cv = rs.ci[:0], rs.cv[:0]
+		for j := 0; j < k; j++ {
+			rs.ci = append(rs.ci, off+m+j)
+			rs.cv = append(rs.cv, 1)
+		}
+		w.addLE(w.delta)
+	}
+}
+
+// addLE adds the row in rs.ci/rs.cv as "row - bound <= 0" for a bound
+// variable, or as "row <= dval" for none (-1: delta fixed).
+func (w blockRows) addLE(bound int) {
+	if bound < 0 {
+		w.prob.AddSparseConstraint(w.rs.ci, w.rs.cv, lp.LE, w.dval)
+		return
+	}
+	w.rs.ci = append(w.rs.ci, bound)
+	w.rs.cv = append(w.rs.cv, -1)
+	w.prob.AddSparseConstraint(w.rs.ci, w.rs.cv, lp.LE, 0)
 }

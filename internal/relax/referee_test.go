@@ -11,6 +11,7 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/lp"
+	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/vec"
 )
 
@@ -27,7 +28,7 @@ var refereeSeeds = flag.Int("referee-seeds", 200, "seeds per shape of the lazy-v
 func jointHulls(sets []*vec.Set, objs []vec.V) []vec.V {
 	d := sets[0].Dim()
 	pts := make([]vec.V, len(objs))
-	prob := buildHullIntersectionLPInto(nil, sets)
+	prob := buildLPInto(nil, sets, nil, blockRows{})
 	if prob == nil {
 		return pts
 	}
@@ -214,6 +215,26 @@ func TestGammaRefereeJointLP(t *testing.T) {
 				tally.points, tally.jointUncertified, tally.bitEqual, tally.jointWrong, tally.lazyShort,
 				time.Since(start).Round(time.Millisecond))
 		})
+	}
+}
+
+// TestWarmMissPreparesCold pins a warm miss of the long Γ referee run:
+// on n=7 f=2 d=2 seed 4184 the support fan's second extension pivots on
+// an element near the simplex's absolute pivot tolerance, and the grown
+// basis carried errors of about 1e-7, so direction 1 stopped 5.8e-8
+// short of the joint LP. Extend's accuracy check makes that a warm miss,
+// the family is prepared cold, and every rule of the referee holds.
+func TestWarmMissPreparesCold(t *testing.T) {
+	warm := func() (attempts, hits int64) {
+		c := metrics.Default().Snapshot().Counters
+		return c["lp_warm_attempts_total"], c["lp_warm_hits_total"]
+	}
+	a0, h0 := warm()
+	var tally refereeTally
+	refereeInstance(t, refereeShape{7, 2, 2, 1}, 4184, &tally)
+	a1, h1 := warm()
+	if misses := (a1 - a0) - (h1 - h0); misses == 0 {
+		t.Fatalf("no warm miss in %d extensions", a1-a0)
 	}
 }
 

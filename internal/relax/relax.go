@@ -198,99 +198,16 @@ func relaxedLPProblemInto(reuse *lp.Problem, sets []*vec.Set, p float64, fixedDe
 	if len(sets) == 0 {
 		panic("relax: empty family")
 	}
-	isInf := math.IsInf(p, 1)
-	if !isInf && p != 1 {
+	if !math.IsInf(p, 1) && p != 1 {
 		panic(fmt.Sprintf("relax: relaxed-hull LP supports p in {1, inf}, got %v", p))
 	}
 	d := sets[0].Dim()
-	// Variables: x (d, free); delta (1) if not fixed; per set: lambda
-	// (m_i); for p=1 additionally per set: t (d deviations >= 0).
-	nv := d
-	deltaVar := -1
-	if fixedDelta == nil {
-		deltaVar = nv
-		nv++
-	}
-	if !checkFamily(sets, d) {
-		return nil, d, false
-	}
-	rs := getRowScratch()
-	defer rs.release()
-	lamOff := rs.offsets(0, len(sets))
-	devOff := rs.offsets(1, len(sets))
-	for i, s := range sets {
-		lamOff[i] = nv
-		nv += s.Len()
-		if !isInf {
-			devOff[i] = nv
-			nv += d
-		}
-	}
-	prob := newOrReset(reuse, nv)
-	for j := 0; j < d; j++ {
-		prob.SetFree(j)
-	}
-	if deltaVar >= 0 {
-		obj := rs.zeroRow(nv)
-		obj[deltaVar] = 1
-		prob.SetObjective(obj, lp.Minimize)
-	}
-	dval := 0.0
+	w := blockRows{p: p, delta: d}
 	if fixedDelta != nil {
-		dval = *fixedDelta
+		w.delta, w.dval = -1, *fixedDelta
 	}
-	// addLE adds the row in rs.ci/rs.cv as "row - bound <= 0" for a bound
-	// variable, or as "row <= delta" for none (-1: delta fixed).
-	addLE := func(bound int) {
-		if bound < 0 {
-			prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, dval)
-			return
-		}
-		rs.ci = append(rs.ci, bound)
-		rs.cv = append(rs.cv, -1)
-		prob.AddSparseConstraint(rs.ci, rs.cv, lp.LE, 0)
-	}
-	for i, s := range sets {
-		m := s.Len()
-		rs.idx, rs.val = rs.idx[:0], rs.val[:0]
-		for t := 0; t < m; t++ {
-			rs.idx = append(rs.idx, lamOff[i]+t)
-			rs.val = append(rs.val, 1)
-		}
-		prob.AddSparseConstraint(rs.idx, rs.val, lp.EQ, 1)
-		for j := 0; j < d; j++ {
-			// r_j = x[j] - sum lambda_t s_t[j]; require |r_j| <= bound where
-			// bound is delta (p=inf) or t_j (p=1).
-			rs.idx, rs.val = rs.idx[:0], rs.val[:0]
-			rs.idx = append(rs.idx, j)
-			rs.val = append(rs.val, 1)
-			for t := 0; t < m; t++ {
-				rs.idx = append(rs.idx, lamOff[i]+t)
-				rs.val = append(rs.val, -s.At(t)[j])
-			}
-			bound := deltaVar
-			if !isInf {
-				bound = devOff[i] + j
-			}
-			for _, sign := range [2]float64{1, -1} {
-				rs.ci, rs.cv = append(rs.ci[:0], rs.idx...), rs.cv[:0]
-				for _, v := range rs.val {
-					rs.cv = append(rs.cv, sign*v)
-				}
-				addLE(bound)
-			}
-		}
-		if !isInf {
-			// sum_j t_j <= delta for this set.
-			rs.ci, rs.cv = rs.ci[:0], rs.cv[:0]
-			for j := 0; j < d; j++ {
-				rs.ci = append(rs.ci, devOff[i]+j)
-				rs.cv = append(rs.cv, 1)
-			}
-			addLE(deltaVar)
-		}
-	}
-	return prob, d, true
+	prob := buildLPInto(reuse, sets, nil, w)
+	return prob, d, prob != nil
 }
 
 // GammaDeltaPoint finds a point in Gamma_(delta,p)(S) =
