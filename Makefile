@@ -92,14 +92,12 @@ fuzz:
 	$(GO) run ./cmd/bvcsoak -budget 2000 -shards 4 -regime none
 	$(GO) run ./cmd/bvcsoak -budget 2000 -shards 4 -regime within-model
 
-# Deterministic fleet soak: 50k seeds across 4 worker subprocesses
-# under the mixed fault regime, coverage-guided mutation, discoveries
-# written into corpus/. Interrupt with ctrl-C and rerun with -resume to
-# continue from the manifest; bvcsoak exits 1 on a failed seed or an
-# unshrunk failure.
+# Deterministic soak: 50k seeds on 4 batch workers under the mixed
+# fault regime, coverage-guided mutation, discoveries written into
+# corpus/; bvcsoak exits 1 on a failed seed or an unshrunk failure.
 soak:
 	$(GO) run ./cmd/bvcsoak -budget 50000 -shards 4 -regime mixed \
-		-corpus corpus -manifest soak.manifest -summary soak-summary.json
+		-corpus corpus -summary soak-summary.json
 
 # Replay the committed corpus: every shrunk reproducer and interesting
 # seed must still produce its recorded outcome and signature.
@@ -110,8 +108,7 @@ soak-replay:
 # default roster — that would shift historic corpus seeds).
 soak-acs:
 	$(GO) run ./cmd/bvcsoak -budget 10000 -shards 4 -regime mixed \
-		-protocols acs -corpus corpus -manifest soak-acs.manifest \
-		-summary soak-acs-summary.json
+		-protocols acs -corpus corpus -summary soak-acs-summary.json
 
 vet:
 	$(GO) vet ./...

@@ -1,11 +1,7 @@
-// Command bvcsoak is the fleet-scale deterministic soak driver: a
-// sharded coordinator that sweeps large numbers of generated consensus
-// instances across worker subprocesses, guided by coverage feedback,
-// with a persisted seed corpus and kill-safe checkpoint/resume.
-//
-// The same binary is coordinator and worker: the coordinator re-execs
-// itself with -worker per shard and speaks length-prefixed JSON over
-// the workers' stdin/stdout.
+// Command bvcsoak is the deterministic soak driver: it sweeps large
+// numbers of generated consensus instances through the batch engine,
+// guided by coverage feedback, with a persisted seed corpus. Blocks run
+// one at a time in this process, on -shards batch workers.
 //
 // A soak exits 1 when any seed failed (an invariant violation, an
 // untyped error, a typed degradation under no or within-model faults,
@@ -15,11 +11,8 @@
 //
 // Usage examples:
 //
-//	# 50k-seed soak across 4 worker processes, checkpointed and corpus-backed
-//	bvcsoak -budget 50000 -shards 4 -manifest soak.manifest -corpus corpus
-//
-//	# resume after a kill: summary comes out byte-identical
-//	bvcsoak -budget 50000 -shards 4 -manifest soak.manifest -corpus corpus -resume
+//	# 50k-seed soak on 4 workers, corpus-backed
+//	bvcsoak -budget 50000 -shards 4 -corpus corpus
 //
 //	# 10-minute nightly soak, strict out-of-model hunting, mesh cross-check
 //	bvcsoak -budget 10m -regime out -strict -transport mesh -corpus corpus
@@ -47,19 +40,18 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run parses args, runs one soak, worker or corpus replay, and returns
+// run parses args, runs one soak or corpus replay, and returns
 // the exit code: 0 clean, 1 a failed soak or a bad option, 2 a command
 // line the flag set rejected.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bvcsoak", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		worker       = fs.Bool("worker", false, "run as a worker process (internal; speaks the soak protocol on stdin/stdout)")
 		replayCorpus = fs.Bool("replay-corpus", false, "replay every corpus entry and verify it reproduces, then exit")
 		prune        = fs.Bool("prune-stale", false, "with -replay-corpus: delete entries that now pass")
 
 		budget    = fs.String("budget", "10000", "seed count (e.g. 50000) or wall-clock duration (e.g. 10m)")
-		shards    = fs.Int("shards", 4, "worker processes")
+		shards    = fs.Int("shards", 4, "batch workers per block (block b counts toward summary lane b mod shards)")
 		blockSize = fs.Int("block", 256, "seeds per work block")
 		baseSeed  = fs.Int64("seed", 0, "base seed folded into every generated instance")
 		regime    = fs.String("regime", "mixed", "fault regime: none|within-model|out-of-model|mixed")
@@ -69,11 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mutFrac   = fs.Float64("mut-frac", 0.25, "fraction of the seed budget spent on coverage-guided mutation")
 
 		corpusDir = fs.String("corpus", "", "corpus directory (replayed first, failing/novel seeds persisted)")
-		manifest  = fs.String("manifest", "", "checkpoint manifest path (enables kill-safe -resume)")
-		resume    = fs.Bool("resume", false, "resume from the manifest's last committed block")
 		summary   = fs.String("summary", "", "write the stable-JSON summary to this path")
-		inproc    = fs.Bool("inproc", false, "run workers in-process instead of forking (debugging)")
-		jobs      = fs.Int("j", 1, "batch workers inside each worker process")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,37 +73,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	switch {
-	case *worker:
-		if err := soak.ServeWorker(ctx, os.Stdin, stdout, workerOptions(*jobs)); err != nil {
-			fmt.Fprintf(stderr, "bvcsoak worker: %v\n", err)
-			return 1
-		}
-		return 0
-	case *replayCorpus:
-		return runReplay(ctx, stdout, stderr, *corpusDir, *jobs, *prune)
-	default:
-		return runSoak(ctx, stdout, stderr, soakOptions{
-			budget: *budget, shards: *shards, blockSize: *blockSize,
-			baseSeed: *baseSeed, regime: *regime, protocols: *protocols,
-			strict: *strict, transport: *transport, mutFrac: *mutFrac,
-			corpus: *corpusDir, manifest: *manifest, resume: *resume,
-			summary: *summary, inproc: *inproc, jobs: *jobs,
-		})
+	if *replayCorpus {
+		return runReplay(ctx, stdout, stderr, *corpusDir, *prune)
 	}
-}
-
-func workerOptions(jobs int) soak.WorkerOptions {
-	return soak.WorkerOptions{Workers: jobs}
+	return runSoak(ctx, stdout, stderr, soakOptions{
+		budget: *budget, shards: *shards, blockSize: *blockSize,
+		baseSeed: *baseSeed, regime: *regime, protocols: *protocols,
+		strict: *strict, transport: *transport, mutFrac: *mutFrac,
+		corpus: *corpusDir, summary: *summary,
+	})
 }
 
 type soakOptions struct {
 	budget, regime, protocols, transport string
-	corpus, manifest, summary            string
-	shards, blockSize, jobs              int
+	corpus, summary                      string
+	shards, blockSize                    int
 	baseSeed                             int64
 	mutFrac                              float64
-	strict, resume, inproc               bool
+	strict                               bool
 }
 
 // parseBudget reads a seed count or a wall-clock duration.
@@ -158,20 +133,8 @@ func runSoak(ctx context.Context, stdout, stderr io.Writer, o soakOptions) int {
 		Strict:     o.strict,
 		Transport:  o.transport,
 		Corpus:     o.corpus,
-		Manifest:   o.manifest,
-		Resume:     o.resume,
-		Worker:     workerOptions(o.jobs),
 		Log:        stderr,
 	}
-	if !o.inproc {
-		self, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(stderr, "bvcsoak: resolve own binary: %v\n", err)
-			return 1
-		}
-		opt.Spawn = soak.SpawnProc(self, []string{"-worker", "-j", strconv.Itoa(o.jobs)})
-	}
-
 	sum, err := soak.Run(ctx, opt)
 	if err != nil {
 		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
@@ -196,12 +159,12 @@ func runSoak(ctx context.Context, stdout, stderr io.Writer, o soakOptions) int {
 	return 0
 }
 
-func runReplay(ctx context.Context, stdout, stderr io.Writer, dir string, jobs int, prune bool) int {
+func runReplay(ctx context.Context, stdout, stderr io.Writer, dir string, prune bool) int {
 	if dir == "" {
 		fmt.Fprintln(stderr, "bvcsoak: -replay-corpus needs -corpus")
 		return 1
 	}
-	results, err := soak.ReplayCorpus(ctx, dir, workerOptions(jobs), prune)
+	results, err := soak.ReplayCorpus(ctx, dir, soak.WorkerOptions{}, prune)
 	for _, r := range results {
 		line := fmt.Sprintf("%-10s %s seed=%d proto=%s outcome=%s", r.Verdict, r.File, r.Entry.Seed, r.Entry.Protocol, r.Entry.Outcome)
 		if r.Detail != "" {

@@ -9,7 +9,7 @@ import (
 // the command line: it must pass the gate and print its summary.
 func TestRunSmallSoak(t *testing.T) {
 	var stdout, stderr strings.Builder
-	args := []string{"-budget", "64", "-shards", "1", "-inproc", "-regime", "none"}
+	args := []string{"-budget", "64", "-shards", "1", "-regime", "none"}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, want 0\nstdout:\n%s\nstderr:\n%s", args, code, stdout.String(), stderr.String())
 	}
@@ -34,8 +34,10 @@ func TestRunRejectsBadOptions(t *testing.T) {
 			t.Errorf("run(%v) = %d, stderr %q; want 1 and a message containing %q", c.args, code, stderr.String(), c.want)
 		}
 	}
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
-		t.Errorf("run(-no-such-flag) = %d, want 2", code)
+	for _, flag := range []string{"-no-such-flag", "-resume"} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{flag}, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%s) = %d, want 2", flag, code)
+		}
 	}
 }

@@ -15,18 +15,13 @@ import (
 // to pass on one machine's rounding is precisely the kind of silent
 // nondeterminism the reproduction exists to rule out.
 //
-// Three comparisons stay legal, because they are exactness *decisions*
+// Two comparisons stay legal, because they are exactness *decisions*
 // rather than accidents:
 //   - comparison against a compile-time constant (x == 0 division
 //     guards, x != 1 clamps): the constant states the intent;
 //   - comparisons inside designated tolerance/equality helpers, whose
 //     entire job is to define equality (names matching Equal/Approx/
-//     Eq/Near/Within, e.g. vec.Equal, vec.ApproxEqual);
-//   - comparisons whose operand mentions a designated named tolerance
-//     constant (geom.PrefilterMargin or its package-local alias
-//     bboxMargin): `lo == hi+PrefilterMargin` is a margin comparison
-//     spelled with == — the named constant states the slack the author
-//     chose, which is exactly what this analyzer exists to demand.
+//     Eq/Near/Within, e.g. vec.Equal, vec.ApproxEqual).
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc: "flag exact ==/!= on computed floats in geometry packages; use the tolerance helpers " +
@@ -57,11 +52,6 @@ func runFloatEq(pass *Pass) error {
 				if isConst(info, bin.X) || isConst(info, bin.Y) {
 					return true
 				}
-				// An operand built from a named tolerance constant is a
-				// margin comparison, not an accidental exact compare.
-				if mentionsToleranceConst(info, bin.X) || mentionsToleranceConst(info, bin.Y) {
-					return true
-				}
 				pass.Reportf(bin.Pos(),
 					"exact %s on computed float64 values; rounding differs across platforms — compare within a tolerance (geom.Eps / vec.ApproxEqual)",
 					bin.Op)
@@ -76,36 +66,6 @@ func runFloatEq(pass *Pass) error {
 func isConst(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	return ok && tv.Value != nil
-}
-
-// toleranceConstNames are the named slack constants of the geometry
-// layer. A comparison that spells one of them out has already made the
-// tolerance decision this analyzer polices; bboxMargin is the
-// documented package-local alias of geom.PrefilterMargin in
-// internal/relax.
-var toleranceConstNames = map[string]bool{
-	"PrefilterMargin": true,
-	"bboxMargin":      true,
-}
-
-// mentionsToleranceConst reports whether the expression references one
-// of the designated named tolerance constants. The identifier must
-// resolve to a typed or untyped constant — a mere variable that happens
-// to share the name does not state compile-time intent.
-func mentionsToleranceConst(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || !toleranceConstNames[id.Name] {
-			return true
-		}
-		if _, isc := info.Uses[id].(*types.Const); isc {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // toleranceHelper matches function names whose contract is to define

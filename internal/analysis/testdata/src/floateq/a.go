@@ -45,19 +45,7 @@ func withinEq(a, b float64) bool {
 	return a == b // ok: tolerance/equality helper body is exempt
 }
 
-// PrefilterMargin mirrors geom.PrefilterMargin: the shared screen-vs-LP
-// slack constant the analyzer exempts by name.
-const PrefilterMargin = 1e-9
-
 func marginCompare(lo, hi float64) bool {
-	return lo == hi+PrefilterMargin // ok: named tolerance constant states the slack
-}
-
-func marginCompareNeg(lo, hi float64) bool {
-	return lo-PrefilterMargin != hi // ok: named tolerance constant
-}
-
-func marginImpostor(lo, hi float64) bool {
-	PrefilterMargin := hi * 0.5     // a variable sharing the name is no exemption
-	return lo == hi+PrefilterMargin // want `exact == on computed float64 values`
+	margin := hi * 0.5
+	return lo == hi+margin // want `exact == on computed float64 values`
 }

@@ -9,32 +9,14 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// This file implements the certified float screens that run in front of
-// the exact LP predicates: a scratch-buffer Wolfe min-norm solver that
-// produces either a convex-combination witness (membership accept) or a
-// separating direction (membership / hull-separation reject), each
-// verified against the ORIGINAL input data with an explicit margin over
-// the LP solver's feasibility tolerance. A screen decision is therefore
-// always the decision the exact LP would have made; anything inside the
-// margin band falls through to the LP. See DESIGN.md §10.2 for the
-// soundness argument relating the margins below to the simplex phase-1
-// acceptance threshold (1e-7 * feasScale).
-
-// PrefilterMargin is the shared slack between a certified float screen
-// and the LP solver's feasibility tolerance: screens only accept when a
-// verified witness beats the LP acceptance threshold (1e-7 relative) by
-// at least a factor 1/PrefilterMargin-to-1e-7, and the bounding-box
-// prefilters (here and in internal/relax) treat boxes separated by less
-// than this margin as overlapping. Hoisted from the duplicated 1e-9
-// literals of the PR-5 prefilters; the floateq analyzer exempts it by
-// name.
-const PrefilterMargin = 1e-9
-
-// filterAcceptTol is the maximum exactly-recomputed constraint
-// violation of a screen witness for a certified accept. The LP accepts
-// at 1e-7*feasScale, so a witness within filterAcceptTol*feasScale
-// leaves two orders of magnitude of slack.
-const filterAcceptTol = PrefilterMargin
+// This file implements the certified float screen that runs in front of
+// the exact hull-separation LP: a scratch-buffer Wolfe min-norm solver
+// whose separating direction is verified against the ORIGINAL input data
+// with an explicit margin over the LP solver's feasibility tolerance. A
+// screen rejection is therefore always the decision the exact LP would
+// have made; anything inside the margin band falls through to the LP.
+// See DESIGN.md §10.2 for the soundness argument relating the margin
+// below to the simplex phase-1 acceptance threshold (1e-7 * feasScale).
 
 // filterRejectMargin is the minimum certified separation (relative to
 // the data scale) for a screen reject. The LP declares infeasibility
@@ -48,14 +30,11 @@ const filterRejectMargin = 1e-5
 // screen costlier than the LP it guards.
 const sepMaxPoints = 96
 
-// Screen observability: accepts and rejects are decisions made without
-// an LP; fallbacks paid the screen and still ran the exact LP.
+// Screen observability: rejects are decisions made without an LP;
+// fallbacks paid the screen and still ran the exact LP.
 var (
-	filterAccepts   = metrics.DefaultCounter("geom_filter_accepts_total")
-	filterRejects   = metrics.DefaultCounter("geom_filter_rejects_total")
-	filterFallbacks = metrics.DefaultCounter("geom_filter_fallbacks_total")
-	sepRejects      = metrics.DefaultCounter("geom_filter_separation_rejects_total")
-	sepFallbacks    = metrics.DefaultCounter("geom_filter_separation_fallbacks_total")
+	sepRejects   = metrics.DefaultCounter("geom_filter_separation_rejects_total")
+	sepFallbacks = metrics.DefaultCounter("geom_filter_separation_fallbacks_total")
 )
 
 // FilterScratch holds the reusable buffers of one Wolfe solve, a screen's
@@ -89,18 +68,11 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-func growI(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
 // wolfeMinNorm runs Wolfe's min-norm-point algorithm over the n points
 // of dimension d flattened in sc.pts, leaving the final iterate in
 // sc.x and the corral weights in (sc.corral, sc.lam). It is the
-// allocation-free twin of MinNormPoint with a tighter optimality gap
-// (the screens need residuals near machine precision, not 1e-9
+// separation screen's twin of minNorm with a tighter optimality gap
+// (the screen needs residuals near machine precision, not 1e-9
 // relative) and a hard major-cycle budget; on budget exhaustion the
 // iterate is simply the best found, and the caller's exact certificate
 // checks decide whether it is usable.
@@ -330,95 +302,6 @@ func gaussSolve(g []float64, n, cols int) bool {
 	return true
 }
 
-// hullMembershipScreen attempts to decide q in conv(s) without an LP.
-// decided=false means the screen could not certify either answer with
-// margin and the caller must run the exact LP. Both certificates are
-// verified against the original (q, s) data:
-//
-//   - accept: the corral weights form a convex combination whose
-//     exactly-recomputed residual is under filterAcceptTol*feasScale —
-//     the LP's phase 1 can only do better, so it accepts too;
-//   - reject: the min-norm direction g = x separates q from every point
-//     of s by at least filterRejectMargin relative margin, forcing a
-//     phase-1 residual the LP's 1e-7 acceptance cannot absorb.
-func hullMembershipScreen(q vec.V, s *vec.Set, sc *FilterScratch) (in, decided bool) {
-	n, d := s.Len(), q.Dim()
-	if n == 0 || d == 0 {
-		return false, false
-	}
-	sc.pts = growF(sc.pts, n*d)
-	for i := 0; i < n; i++ {
-		p := s.At(i)
-		row := sc.pts[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			row[j] = p[j] - q[j]
-		}
-	}
-	feasScale := 1.0
-	for _, v := range q {
-		if a := math.Abs(v); a > feasScale {
-			feasScale = a
-		}
-	}
-	sc.wolfeMinNorm(n, d)
-
-	// Accept certificate: exact residual of the corral witness.
-	wsum := 0.0
-	for _, l := range sc.lam {
-		wsum += l
-	}
-	if wsum > 0 {
-		viol := math.Abs(wsum - 1)
-		// Renormalized weights keep the simplex row exact; fold the
-		// normalization into the residual instead.
-		for j := 0; j < d; j++ {
-			r := -q[j]
-			for i, c := range sc.corral {
-				r += (sc.lam[i] / wsum) * s.At(c)[j]
-			}
-			viol += math.Abs(r)
-		}
-		if viol <= filterAcceptTol*feasScale {
-			return true, true
-		}
-	}
-
-	// Reject certificate: g = x separates q from conv(s).
-	gn := 0.0
-	for _, v := range sc.x {
-		gn += v * v
-	}
-	gn = math.Sqrt(gn)
-	if gn > 0 {
-		minDot := math.Inf(1) // min over s of <g, s_i - q>, exact from inputs
-		beta := 0.0           // max |<g/|g|, s_i>|, and |<g/|g|, q>|
-		qdot := 0.0
-		for j := 0; j < d; j++ {
-			qdot += sc.x[j] * q[j]
-		}
-		for i := 0; i < n; i++ {
-			p := s.At(i)
-			dot := 0.0
-			for j := 0; j < d; j++ {
-				dot += sc.x[j] * p[j]
-			}
-			if v := dot - qdot; v < minDot {
-				minDot = v
-			}
-			if a := math.Abs(dot) / gn; a > beta {
-				beta = a
-			}
-		}
-		if a := math.Abs(qdot) / gn; a > beta {
-			beta = a
-		}
-		if minDot/gn >= filterRejectMargin*feasScale*(1+beta) {
-			return false, true
-		}
-	}
-	return false, false
-}
-
 // HullsSeparated certifies that the (delta,p)-relaxed hulls of a and b
 // are disjoint (delta = 0 gives exact hulls), with enough margin that
 // the exact joint feasibility LP over any family containing a and b
@@ -426,6 +309,12 @@ func hullMembershipScreen(q vec.V, s *vec.Set, sc *FilterScratch) (in, decided b
 // — a false is never evidence of intersection. p is only consulted
 // when delta > 0 and must then be 1 or +Inf (the polyhedral norms of
 // the relaxed-hull LP).
+//
+// The screen runs on wolfeMinNorm, not on minNorm: at coordinate scale
+// 1e3 minNorm stops at a vertex of a pair difference instead of its
+// min-norm point (TestMinNormStopsAtVertexAtScale, 5435.67 against a
+// true 4105.11), and on minNorm the screen left seeds 160 and 168 of
+// tverberg's TestTverbergTightRescaled wrong.
 func HullsSeparated(a, b *vec.Set, delta, p float64, sc *FilterScratch) bool {
 	na, nb, d := a.Len(), b.Len(), a.Dim()
 	if na == 0 || nb == 0 || d == 0 || na*nb > sepMaxPoints {

@@ -56,8 +56,8 @@ func cachedDist(op byte, q vec.V, s *vec.Set, extra float64, compute func() (flo
 }
 
 // InHull reports whether q lies in the convex hull of the points of s,
-// decided by LP feasibility of the convex-combination system behind a
-// certified screen (see inHull). Results are memoized.
+// decided by LP feasibility of the convex-combination system. Results
+// are memoized.
 func InHull(q vec.V, s *vec.Set) bool {
 	if s.Len() == 0 {
 		return false
@@ -67,27 +67,7 @@ func InHull(q vec.V, s *vec.Set) bool {
 	}
 	k := memo.GetKey(opInHull).Floats(q).Set(s)
 	defer k.Release()
-	return memo.Cached(Cache, k, func() bool { return inHull(q, s) })
-}
-
-// inHull is the uncached decision behind InHull: a certified float
-// screen decides the easy cases (its accept/reject certificates are
-// verified against the input with margin over the LP tolerance) and
-// only near-boundary queries fall through to the exact LP.
-func inHull(q vec.V, s *vec.Set) bool {
-	fsc := GetFilterScratch()
-	in, decided := hullMembershipScreen(q, s, fsc)
-	fsc.Release()
-	if !decided {
-		filterFallbacks.Inc()
-		return inHullLP(q, s)
-	}
-	if in {
-		filterAccepts.Inc()
-	} else {
-		filterRejects.Inc()
-	}
-	return in
+	return memo.Cached(Cache, k, func() bool { return inHullLP(q, s) })
 }
 
 // hullScratch bundles a reusable LP problem and row buffer so the hot

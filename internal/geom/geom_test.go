@@ -291,6 +291,53 @@ func TestMinNormPointContainingOrigin(t *testing.T) {
 	}
 }
 
+// TestMinNormStopsAtVertexAtScale freezes a segment whose min-norm
+// point MinNormPoint misses at coordinate scale 1e3 (ROADMAP item 1B
+// must flip it): it returns a vertex of norm 5435.67 although the
+// segment comes within 4105.11 of the origin, and the same segment
+// scaled by 0.1 is solved correctly. The points are seed 47 of
+// TestTverbergTightRescaled's generator, and the set is {p0-p1, p7-p1}:
+// a pair difference HullsSeparated's screen meets, which is why that
+// screen runs its own Wolfe.
+func TestMinNormStopsAtVertexAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	pts := make([]vec.V, 8)
+	for i := range pts {
+		pts[i] = vec.New(3)
+		for j := range pts[i] {
+			pts[i][j] = rng.NormFloat64() * 2 * 1e3
+		}
+	}
+	a, b := pts[0].Sub(pts[1]), pts[7].Sub(pts[1])
+	// segMin is the segment's min-norm in closed form.
+	segMin := func(a, b vec.V) float64 {
+		ab := b.Sub(a)
+		u := math.Max(0, math.Min(1, -a.Dot(ab)/ab.Dot(ab)))
+		return a.Add(ab.Scale(u)).Norm2()
+	}
+	for _, c := range []struct {
+		scale float64
+		bad   bool
+	}{{1, true}, {0.1, false}} {
+		sa, sb := a.Scale(c.scale), b.Scale(c.scale)
+		want := segMin(sa, sb)
+		x, _ := MinNormPoint([]vec.V{sa, sb})
+		got := x.Norm2()
+		t.Logf("scale %g: MinNormPoint %.2f, true minimum %.2f", c.scale, got, want)
+		if wrong := got-want > 1e-9*want; wrong != c.bad {
+			t.Errorf("scale %g: MinNormPoint norm %.6g, true minimum %.6g; want wrong=%v", c.scale, got, want, c.bad)
+		}
+	}
+	// The separation screen's own Wolfe solves the unscaled segment.
+	sc := GetFilterScratch()
+	defer sc.Release()
+	sc.pts = append(append(sc.pts[:0], a...), b...)
+	sc.wolfeMinNorm(2, 3)
+	if got, want := vec.V(sc.x).Norm2(), segMin(a, b); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("wolfeMinNorm norm %.6g, true minimum %.6g", got, want)
+	}
+}
+
 func TestInRelaxedHull(t *testing.T) {
 	s := triangle()
 	q := vec.Of(1, 1) // L2 distance sqrt(2)/2 ~ 0.7071

@@ -109,8 +109,9 @@ func MinNormPoint(pts []vec.V) (vec.V, []float64) {
 // corral weights in (sc.corral, sc.lam). Every dot product, update and
 // comparison is the one of the vec.V formulation it replaced
 // (wolfe_ref_test.go), in the same order, so it returns the same bits
-// without allocating once the scratch has grown. The screens' Wolfe,
-// wolfeMinNorm, stops at a tighter gap and solves by Gauss-Jordan.
+// without allocating once the scratch has grown. The separation
+// screen's Wolfe, wolfeMinNorm, stops at a tighter gap and solves by
+// Gauss-Jordan.
 // minNorm reports whether it stopped at its optimality test.
 func (sc *FilterScratch) minNorm(n, d int) bool {
 	pt := func(i int) vec.V { return sc.pts[i*d : (i+1)*d] }

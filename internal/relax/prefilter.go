@@ -30,9 +30,8 @@ var (
 // bboxMargin guards the bounding-box rejection against the LP solver's
 // feasibility tolerance: boxes count as overlapping unless separated by
 // more than this margin, so the prefilter only rejects instances the LP
-// would also reject. It is the shared screen-vs-LP slack constant of
-// the geometry layer; see geom.PrefilterMargin for the full rationale.
-const bboxMargin = geom.PrefilterMargin
+// would also reject (DESIGN.md §10.2).
+const bboxMargin = 1e-9
 
 // HullKind selects the hull family an Intersector decides over.
 type HullKind int
@@ -74,6 +73,14 @@ const (
 //
 // Both prefilters are pure functions of the candidate family, so the
 // decision and the returned point depend on the family alone.
+//
+// The screens are load-bearing, not only fast: at coordinate scale 1e3
+// the joint LP accepts Tverberg partitions that do not exist. Over
+// tverberg's 200 tight sets (TestTverbergTightRescaled) the exact scan
+// is wrong on 1 seed with every screen, on 9 without the separation
+// screen and on 35 with none; PartitionK, which the separation screen
+// does not reach, is wrong on 9 with the bbox prefilter and on 19
+// without it (DESIGN.md §10.2).
 type Intersector struct {
 	Kind  HullKind
 	K     int     // HullKProj: projection size k

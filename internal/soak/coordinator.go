@@ -1,34 +1,28 @@
 package soak
 
-// The coordinator: plans blocks, dispatches them to the worker pool,
-// commits results strictly in block order, and checkpoints after every
-// commit. Planning is a pure function of the options and the committed
-// history — blocks may execute in any order on any worker, but every
-// scheduling decision (coverage novelty, mutation-parent consumption,
-// corpus writes, the summary) is taken at commit time from committed
-// state only. Resume therefore replays the manifest's records through
-// the identical planner instead of re-running them, and continues at
-// the frontier; a killed-and-resumed soak summarizes byte-identically
-// to an uninterrupted one.
+// The coordinator: plans blocks, runs them one at a time on the batch
+// engine, and commits each result in block order. Planning is a pure
+// function of the options and the committed history — every scheduling
+// decision (coverage novelty, mutation-parent consumption, corpus
+// writes, the summary) is taken at commit time from committed state
+// only, and RunBlock's verdicts do not depend on its worker count — so
+// two soaks of the same options summarize byte-identically.
 //
 // Wall-clock deadlines (duration budgets, context cancellation) gate
-// only *execution*, never planning: a phase planned but stopped before
-// dispatch commits nothing, so the next run re-plans it identically
-// from the same committed history and runs it then.
+// only *execution*, never planning: a block planned but not yet run
+// when the deadline passes commits nothing.
 
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"relaxedbvc/internal/simtest"
 )
 
-// Block kinds recorded in the manifest.
+// Block kinds recorded in each BlockRecord.
 const (
 	blockKindCorpus   = "corpus"
 	blockKindBase     = "base"
@@ -40,18 +34,17 @@ type Options struct {
 	// SeedBudget is the number of fresh seeds to run (corpus replays are
 	// on top). Exactly this many seeds run when the soak completes.
 	SeedBudget int64
-	// Duration, when positive and SeedBudget is zero, runs epochs of
-	// base seeds plus mutation waves until the wall-clock budget is
-	// spent. When both are set, SeedBudget plans the soak and Duration
-	// acts as a dispatch deadline (resume to finish the plan).
+	// Duration, when positive, runs epochs of base seeds plus mutation
+	// waves until the wall-clock budget is spent. Exactly one of
+	// SeedBudget and Duration must be set.
 	Duration time.Duration
 	// BaseSeed is folded into every generated instance
 	// (simtest.FuzzConfig.BaseSeed): two soaks with different base seeds
 	// explore disjoint instance populations from the same seed indices.
 	BaseSeed int64
-	// Shards is the worker-pool size (default 1). It also keys the
-	// summary's per-shard counters: block b belongs to lane b mod Shards
-	// regardless of which worker actually ran it.
+	// Shards is the batch engine's worker count for each block (default
+	// 1). It also keys the summary's per-shard counters: block b belongs
+	// to lane b mod Shards.
 	Shards int
 	// BlockSize is the number of seeds per block (default 256).
 	BlockSize int
@@ -67,7 +60,7 @@ type Options struct {
 	MaxParentsPerWave int
 	// MaxInteresting bounds the novel-feature corpus entries persisted
 	// per soak (default 256); the cap is consumed in commit order, so it
-	// is deterministic under resume.
+	// is deterministic.
 	MaxInteresting int
 	// Regime/Protocols/Strict/Transport form the base generation recipe
 	// (see JobConfig). Defaults: "mixed", all protocols, false, "sim".
@@ -78,30 +71,16 @@ type Options struct {
 	// Corpus is the corpus directory ("" disables persistence and
 	// replay).
 	Corpus string
-	// Manifest is the checkpoint path ("" disables checkpointing, and
-	// with it resume).
-	Manifest string
-	// Resume loads the manifest and continues from its last committed
-	// block instead of starting fresh.
-	Resume bool
-	// Worker tunes block execution (in-proc workers and shrink replays).
-	Worker WorkerOptions
-	// Spawn creates workers (default: in-process pipe workers running
-	// ServeWorker, so even the default path speaks the wire protocol).
-	Spawn SpawnFunc
-	// Log receives progress lines (nil: silent).
+	// Log receives progress lines, one per phase and one before each
+	// block runs (nil: silent).
 	Log io.Writer
-	// CommitHook, when set, observes every freshly committed block
-	// record after its checkpoint is durable — the test seam for
-	// kill-mid-run scenarios (cancel the context from the hook).
-	CommitHook func(*BlockRecord)
 }
 
 // normalize applies defaults and validates, returning the effective
 // options.
 func (o Options) normalize() (Options, error) {
-	if o.SeedBudget <= 0 && o.Duration <= 0 {
-		return o, fmt.Errorf("%w: need a seed budget or a duration", ErrConfig)
+	if (o.SeedBudget > 0) == (o.Duration > 0) {
+		return o, fmt.Errorf("%w: need exactly one of a seed budget and a duration", ErrConfig)
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -139,12 +118,6 @@ func (o Options) normalize() (Options, error) {
 	if o.Transport != TransportSim && o.Transport != TransportMesh {
 		return o, fmt.Errorf("%w: unknown transport %q", ErrConfig, o.Transport)
 	}
-	if o.Resume && o.Manifest == "" {
-		return o, fmt.Errorf("%w: -resume needs a manifest path", ErrConfig)
-	}
-	if o.Spawn == nil {
-		o.Spawn = SpawnInProc(o.Worker)
-	}
 	return o, nil
 }
 
@@ -159,16 +132,47 @@ func (o Options) baseCfg() JobConfig {
 	}
 }
 
-// cfgHash fingerprints every option that shapes the block plan. A
-// resume under a different hash would plan a different block sequence
-// against the same records, so it is refused.
-func (o Options) cfgHash() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "v%d|%d|%d|%d|%d|%v|%d|%d|%d|%s|%v|%v|%s|dur%v",
-		manifestVersion, o.SeedBudget, o.BaseSeed, o.Shards, o.BlockSize,
-		o.MutFrac, o.MutPerParent, o.MaxParentsPerWave, o.MaxInteresting,
-		o.Regime, o.Protocols, o.Strict, o.Transport, o.Duration > 0 && o.SeedBudget <= 0)
-	return fmt.Sprintf("%016x", h.Sum64())
+// BlockRecord is one committed block: the unit the planner's state and
+// the summary are derived from.
+type BlockRecord struct {
+	Block int
+	// Kind is "corpus", "base" or "mutation".
+	Kind string
+	// Cfg is the block's generation recipe, Seeds its seeds in run
+	// order.
+	Cfg   JobConfig
+	Seeds []int64
+	// Outcomes has one byte per seed, in seed order: 'p' pass,
+	// 'd' degraded, 'f' failed.
+	Outcomes string
+	// MeshCompared counts seeds cross-checked against the mesh backend.
+	MeshCompared int
+	// PerProtocol aggregates outcome counts by protocol name.
+	PerProtocol map[string]OutcomeCounts
+	// Parents are the seeds that hit a coverage feature never seen
+	// before this block committed, in seed order — the mutation
+	// scheduler's inputs and the corpus's "interesting" entries.
+	Parents []ParentRef
+	// MinFailing is the block's shrunk reproducer, if any seed failed.
+	MinFailing *FailingSeed
+}
+
+// ParentRef is one novel-feature first-hitter: everything the mutation
+// scheduler needs to derive focused children, and everything a corpus
+// "interesting" entry needs to replay.
+type ParentRef struct {
+	Seed int64
+	// Protocol and Regime pin the child generation config to the
+	// configuration that produced the novelty (Regime is the effective
+	// regime, with "mixed" already resolved by seed parity).
+	Protocol string
+	Regime   string
+	// Feature is the novel coverage key this seed hit first.
+	Feature string
+	// Outcome/Signature record the run's classification (Signature
+	// empty for passing runs).
+	Outcome   string
+	Signature string
 }
 
 // coordinator is one soak run's mutable state.
@@ -176,11 +180,8 @@ type coordinator struct {
 	opt     Options
 	baseCfg JobConfig
 
-	// state is the live manifest state; loaded holds the records read
-	// from a resumed manifest, replayIdx the replay cursor into them.
-	state     *manifestState
-	loaded    []BlockRecord
-	replayIdx int
+	// blocks are the committed records, in commit (= block) order.
+	blocks []BlockRecord
 
 	// Commit-derived scheduling state.
 	seen            map[string]bool
@@ -192,17 +193,21 @@ type coordinator struct {
 	nextBlock    int
 	nextBaseSeed int64
 
-	// Execution plane.
-	pool     []Worker
-	deadline time.Time
-	stopped  bool // deadline hit: plan on, execute nothing more
+	deadline time.Time // zero unless Duration is set
 }
 
 // Run executes a soak to completion (or its deadline) and returns the
-// summary. On context cancellation it returns ErrInterrupted; progress
-// up to the last committed block is checkpointed and a Resume run
-// continues from there.
+// summary. On context cancellation it returns ErrInterrupted.
 func Run(ctx context.Context, opt Options) (*Summary, error) {
+	co, err := run(ctx, opt)
+	if err != nil {
+		return nil, err
+	}
+	return buildSummary(co.blocks, co.opt), nil
+}
+
+// run executes a soak and returns its committed state.
+func run(ctx context.Context, opt Options) (*coordinator, error) {
 	opt, err := opt.normalize()
 	if err != nil {
 		return nil, err
@@ -216,75 +221,41 @@ func Run(ctx context.Context, opt Options) (*Summary, error) {
 	if opt.Duration > 0 {
 		co.deadline = time.Now().Add(opt.Duration)
 	}
-	if err := co.initState(); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if co.pool != nil {
-			closePool(co.pool) //nolint:errcheck // best-effort shutdown on exit
-		}
-	}()
-
-	if err := co.plan(ctx); err != nil {
-		return nil, err
-	}
-	if ctx.Err() != nil {
-		return nil, fmt.Errorf("%w: %d blocks committed", ErrInterrupted, len(co.state.Blocks))
-	}
-	return buildSummary(co.state, co.opt), nil
-}
-
-// initState loads (resume) or creates the manifest state and snapshots
-// the corpus replay plan.
-func (co *coordinator) initState() error {
-	hash := co.opt.cfgHash()
-	if co.opt.Resume {
-		st, err := loadManifest(co.opt.Manifest)
-		if err != nil {
-			return err
-		}
-		if st != nil {
-			if st.CfgHash != hash {
-				return fmt.Errorf("%w: manifest was written by config %s, this soak is %s", ErrManifest, st.CfgHash, hash)
-			}
-			for i := range st.Blocks {
-				if st.Blocks[i].Block != i {
-					return fmt.Errorf("%w: record %d has block id %d (commit order broken)", ErrManifest, i, st.Blocks[i].Block)
-				}
-			}
-			co.state = st
-			co.loaded = st.Blocks
-			co.logf("resuming: %d committed blocks", len(st.Blocks))
-			return nil
-		}
-		co.logf("resume requested but no manifest found: starting fresh")
-	}
-	plan, err := snapshotCorpusPlan(co.opt.Corpus)
+	// The corpus is snapshotted before any block runs: the soak writes
+	// into the same directory.
+	plan, err := corpusPlan(opt.Corpus)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	co.state = &manifestState{Version: manifestVersion, CfgHash: hash, CorpusPlan: plan}
-	return nil
+	if err := co.runJobs(ctx, blockKindCorpus, co.packCorpus(plan)); err != nil {
+		return nil, err
+	}
+	if opt.SeedBudget > 0 {
+		err = co.planBudget(ctx)
+	} else {
+		err = co.planDuration(ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return co, nil
 }
 
-// snapshotCorpusPlan freezes the corpus into a replay plan: sorted,
-// deduplicated (seed, config) pairs. The snapshot lives in the manifest
-// because the corpus directory grows *during* the soak — re-scanning it
-// on resume would change the plan.
-func snapshotCorpusPlan(dir string) ([]ReplaySeed, error) {
+// corpusPlan freezes the corpus into a replay plan: its entries
+// deduplicated by (seed, config) and sorted by config key, then seed.
+func corpusPlan(dir string) ([]*Entry, error) {
 	entries, err := LoadCorpus(dir)
 	if err != nil {
 		return nil, err
 	}
 	seenRun := map[string]bool{}
-	var plan []ReplaySeed
+	var plan []*Entry
 	for _, e := range entries {
 		key := fmt.Sprintf("%d@%s", e.Seed, e.Cfg.Key())
-		if seenRun[key] {
-			continue
+		if !seenRun[key] {
+			seenRun[key] = true
+			plan = append(plan, e)
 		}
-		seenRun[key] = true
-		plan = append(plan, ReplaySeed{Seed: e.Seed, Cfg: e.Cfg})
 	}
 	sort.Slice(plan, func(i, j int) bool {
 		ki, kj := plan[i].Cfg.Key(), plan[j].Cfg.Key()
@@ -294,17 +265,6 @@ func snapshotCorpusPlan(dir string) ([]ReplaySeed, error) {
 		return plan[i].Seed < plan[j].Seed
 	})
 	return plan, nil
-}
-
-// plan runs the phase sequence.
-func (co *coordinator) plan(ctx context.Context) error {
-	if err := co.runJobs(ctx, blockKindCorpus, co.packCorpus()); err != nil {
-		return err
-	}
-	if co.opt.SeedBudget > 0 {
-		return co.planBudget(ctx)
-	}
-	return co.planDuration(ctx)
 }
 
 // planBudget: one base phase sized to (1-MutFrac) of the budget, then
@@ -339,14 +299,10 @@ func (co *coordinator) planBudget(ctx context.Context) error {
 }
 
 // planDuration: epochs of a base chunk plus one mutation wave, until
-// the deadline stops dispatch (replay of a resumed manifest always runs
-// to its end first — replay never consults the clock).
+// the deadline passes.
 func (co *coordinator) planDuration(ctx context.Context) error {
 	chunk := int64(co.opt.BlockSize) * int64(4*co.opt.Shards)
-	for epoch := 1; ; epoch++ {
-		if co.replayIdx >= len(co.loaded) && co.halted(ctx) {
-			return nil
-		}
+	for epoch := 1; !co.expired(); epoch++ {
 		co.logf("epoch %d: %d base seeds", epoch, chunk)
 		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(chunk)); err != nil {
 			return err
@@ -361,17 +317,12 @@ func (co *coordinator) planDuration(ctx context.Context) error {
 			return err
 		}
 	}
+	return nil
 }
 
-// halted reports that no more blocks may be dispatched.
-func (co *coordinator) halted(ctx context.Context) bool {
-	if ctx.Err() != nil || co.stopped {
-		return true
-	}
-	if !co.deadline.IsZero() && time.Now().After(co.deadline) {
-		co.stopped = true
-	}
-	return co.stopped
+// expired reports that the duration budget is spent.
+func (co *coordinator) expired() bool {
+	return !co.deadline.IsZero() && time.Now().After(co.deadline)
 }
 
 // newJob mints the next block.
@@ -382,17 +333,16 @@ func (co *coordinator) newJob(cfg JobConfig, seeds []int64) *Job {
 }
 
 // packCorpus groups the replay plan into blocks (one config per block).
-func (co *coordinator) packCorpus() []*Job {
+func (co *coordinator) packCorpus(plan []*Entry) []*Job {
 	var jobs []*Job
-	plan := co.state.CorpusPlan
 	for i := 0; i < len(plan); {
 		j := i + 1
 		for j < len(plan) && plan[j].Cfg.Key() == plan[i].Cfg.Key() && j-i < co.opt.BlockSize {
 			j++
 		}
 		seeds := make([]int64, 0, j-i)
-		for _, r := range plan[i:j] {
-			seeds = append(seeds, r.Seed)
+		for _, e := range plan[i:j] {
+			seeds = append(seeds, e.Seed)
 		}
 		jobs = append(jobs, co.newJob(plan[i].Cfg, seeds))
 		i = j
@@ -482,168 +432,48 @@ func (co *coordinator) childCfg(p ParentRef) JobConfig {
 	}
 }
 
-// runJobs processes one phase's block list: blocks already in the
-// manifest are committed from their records (replay); the rest are
-// dispatched to the pool and committed strictly in block order as
-// results arrive.
+// runJobs runs one phase's blocks in block order and commits each
+// result before the next block starts. The line logged before each
+// block locates a fatal runtime error, which no recover can catch, in
+// the block that raised it.
 func (co *coordinator) runJobs(ctx context.Context, kind string, jobs []*Job) error {
-	i := 0
-	for ; i < len(jobs) && co.replayIdx < len(co.loaded); i++ {
-		rec := &co.loaded[co.replayIdx]
-		if err := verifyRecord(jobs[i], kind, rec); err != nil {
+	for _, job := range jobs {
+		if co.expired() {
+			return nil
+		}
+		co.logf("block %d: %s, %d seeds from %d", job.Block, kind, len(job.Seeds), job.Seeds[0])
+		br, err := RunBlock(ctx, job, WorkerOptions{Workers: co.opt.Shards})
+		if ctx.Err() != nil {
+			return fmt.Errorf("%w: %d blocks committed", ErrInterrupted, len(co.blocks))
+		}
+		if err != nil {
 			return err
 		}
-		co.applyRecord(rec)
-		co.replayIdx++
-	}
-	rest := jobs[i:]
-	if len(rest) == 0 || co.halted(ctx) {
-		return nil
-	}
-	if err := co.ensurePool(ctx); err != nil {
-		return err
-	}
-	return co.dispatch(ctx, kind, rest)
-}
-
-// dispatch runs blocks on the pool, committing in block order.
-func (co *coordinator) dispatch(ctx context.Context, kind string, jobs []*Job) error {
-	type wres struct {
-		block int
-		br    *BlockResult
-		err   error
-	}
-	jobCh := make(chan *Job)
-	resCh := make(chan wres, len(co.pool))
-	var wg sync.WaitGroup
-	for _, w := range co.pool {
-		wg.Add(1)
-		go func(w Worker) {
-			defer wg.Done()
-			for j := range jobCh {
-				br, err := w.Run(j)
-				resCh <- wres{block: j.Block, br: br, err: err}
-			}
-		}(w)
-	}
-
-	// The feeder hands blocks to idle workers until the list, the
-	// deadline or the context runs out; abort stops it early on a
-	// worker failure.
-	feedCtx, stopFeed := context.WithCancel(ctx)
-	defer stopFeed()
-	dispatchedCh := make(chan int, 1)
-	go func() {
-		n := 0
-		for _, j := range jobs {
-			if feedCtx.Err() != nil || co.deadlinePassed() {
-				break
-			}
-			select {
-			case jobCh <- j:
-				n++
-			case <-feedCtx.Done():
-			}
-		}
-		close(jobCh)
-		dispatchedCh <- n
-	}()
-
-	byBlock := map[int]*Job{}
-	for _, j := range jobs {
-		byBlock[j.Block] = j
-	}
-	pending := map[int]*BlockResult{}
-	next := jobs[0].Block
-	total, got := -1, 0
-	var firstErr error
-	for total < 0 || got < total {
-		select {
-		case n := <-dispatchedCh:
-			total = n
-		case r := <-resCh:
-			got++
-			if r.err != nil {
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				stopFeed()
-				continue
-			}
-			pending[r.block] = r.br
-			for {
-				br, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				if err := co.commitFresh(kind, byBlock[next], br); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					stopFeed()
-					break
-				}
-				next++
-			}
+		if err := co.commit(kind, job, br); err != nil {
+			return err
 		}
 	}
-	wg.Wait()
-	if total < len(jobs) && !co.stopped && firstErr == nil && ctx.Err() == nil {
-		co.stopped = true // deadline stopped the feeder
-	}
-	if firstErr != nil && ctx.Err() != nil {
-		// A cancellation tears down in-flight workers; report the
-		// interruption, not the secondary worker errors.
-		return nil
-	}
-	return firstErr
-}
-
-func (co *coordinator) deadlinePassed() bool {
-	return !co.deadline.IsZero() && time.Now().After(co.deadline)
-}
-
-func (co *coordinator) ensurePool(ctx context.Context) error {
-	if co.pool != nil {
-		return nil
-	}
-	pool, err := spawnPool(ctx, co.opt.Spawn, co.opt.Shards)
-	if err != nil {
-		return err
-	}
-	co.pool = pool
 	return nil
 }
 
-// commitFresh turns a block result into a durable record: build the
-// record (deciding feature novelty against committed state), persist
-// corpus entries, append to the manifest state, checkpoint, publish
-// metrics, and fire the commit hook.
-func (co *coordinator) commitFresh(kind string, job *Job, br *BlockResult) error {
+// commit turns a block result into a record: build the record (deciding
+// feature novelty against committed state), persist corpus entries,
+// append it to the history and publish metrics.
+func (co *coordinator) commit(kind string, job *Job, br *BlockResult) error {
 	rec := co.buildRecord(kind, job, br)
 	if err := co.writeCorpus(rec); err != nil {
 		return err
 	}
-	co.state.Blocks = append(co.state.Blocks, *rec)
-	if co.opt.Manifest != "" {
-		if err := saveManifest(co.opt.Manifest, co.state); err != nil {
-			return err
-		}
-	}
+	co.blocks = append(co.blocks, *rec)
 	publishMetrics(rec)
-	if co.opt.CommitHook != nil {
-		co.opt.CommitHook(rec)
-	}
 	return nil
 }
 
 // buildRecord folds verdicts into a BlockRecord, updating the coverage
 // map and parent queue (novel features, in seed order).
 func (co *coordinator) buildRecord(kind string, job *Job, br *BlockResult) *BlockRecord {
-	rec := &BlockRecord{Block: job.Block, Kind: kind, Cfg: job.Cfg, MinFailing: br.MinFailing}
-	rec.setSeeds(job.Seeds)
-	regime, _ := ParseRegime(job.Cfg.Regime) // validated at normalize/decode time
+	rec := &BlockRecord{Block: job.Block, Kind: kind, Cfg: job.Cfg, Seeds: job.Seeds, MinFailing: br.MinFailing}
+	regime, _ := ParseRegime(job.Cfg.Regime) // validated by FuzzConfig before the block ran
 	out := make([]byte, len(br.Verdicts))
 	perProto := map[string]OutcomeCounts{}
 	for i, v := range br.Verdicts {
@@ -672,27 +502,12 @@ func (co *coordinator) buildRecord(kind string, job *Job, br *BlockResult) *Bloc
 	return rec
 }
 
-// applyRecord replays one committed record's scheduling effects: the
-// exact state updates buildRecord made when the record was fresh.
-func (co *coordinator) applyRecord(rec *BlockRecord) {
-	for _, p := range rec.Parents {
-		co.seen[p.Feature] = true
-	}
-	co.parents = append(co.parents, rec.Parents...)
-	co.interestingLeft -= len(rec.Parents)
-	if co.interestingLeft < 0 {
-		co.interestingLeft = 0
-	}
-}
-
 // writeCorpus persists the block's corpus entries: the shrunk failing
 // seed, and novel-feature hitters while the interesting budget lasts.
-// Writes are idempotent (content-addressed), and they happen before the
-// manifest checkpoint: a crash between the two re-runs the block and
-// re-writes the identical files.
+// Writes are idempotent (content-addressed).
 func (co *coordinator) writeCorpus(rec *BlockRecord) error {
 	// The interesting budget is consumed per parent in commit order even
-	// when persistence is off, so summaries and resumes agree.
+	// when persistence is off, so buildSummary can re-derive it.
 	take := len(rec.Parents)
 	if take > co.interestingLeft {
 		take = co.interestingLeft
@@ -735,31 +550,6 @@ func interestingEntry(p ParentRef, cfg JobConfig) *Entry {
 	}
 }
 
-// verifyRecord checks a manifest record against the re-planned block.
-// The config hash already pinned the options, so a mismatch here means
-// the manifest was edited or the planner changed incompatibly.
-func verifyRecord(job *Job, kind string, rec *BlockRecord) error {
-	if rec.Block != job.Block || rec.Kind != kind {
-		return fmt.Errorf("%w: record %d/%s does not match planned block %d/%s", ErrManifest, rec.Block, rec.Kind, job.Block, kind)
-	}
-	if rec.Cfg.Key() != job.Cfg.Key() {
-		return fmt.Errorf("%w: block %d config drift: recorded %s, planned %s", ErrManifest, job.Block, rec.Cfg.Key(), job.Cfg.Key())
-	}
-	recSeeds := rec.RecordSeeds()
-	if len(recSeeds) != len(job.Seeds) {
-		return fmt.Errorf("%w: block %d has %d recorded seeds, planned %d", ErrManifest, job.Block, len(recSeeds), len(job.Seeds))
-	}
-	for i := range recSeeds {
-		if recSeeds[i] != job.Seeds[i] {
-			return fmt.Errorf("%w: block %d seed %d drift: recorded %d, planned %d", ErrManifest, job.Block, i, recSeeds[i], job.Seeds[i])
-		}
-	}
-	if len(rec.Outcomes) != len(job.Seeds) {
-		return fmt.Errorf("%w: block %d has %d outcomes for %d seeds", ErrManifest, job.Block, len(rec.Outcomes), len(job.Seeds))
-	}
-	return nil
-}
-
 func outcomeByte(o string) byte {
 	switch o {
 	case OutcomeDegraded:
@@ -778,10 +568,10 @@ func (co *coordinator) logf(format string, args ...any) {
 }
 
 // buildSummary folds the committed records into the summary. It reads
-// only the manifest state and the options — never the clock, the
-// corpus directory, or worker scheduling — so an interrupted-and-
-// resumed soak produces the byte-identical document.
-func buildSummary(st *manifestState, opt Options) *Summary {
+// only the records and the options — never the clock or the corpus
+// directory — so two soaks of the same options produce the
+// byte-identical document.
+func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 	s := &Summary{
 		Version: 1,
 		Config: SummaryConfig{
@@ -803,8 +593,8 @@ func buildSummary(st *manifestState, opt Options) *Summary {
 	interestingLeft := opt.MaxInteresting
 	failFiles := map[string]bool{}
 	seedFiles := map[string]bool{}
-	for i := range st.Blocks {
-		rec := &st.Blocks[i]
+	for i := range blocks {
+		rec := &blocks[i]
 		s.Blocks++
 		switch rec.Kind {
 		case blockKindCorpus:
@@ -838,9 +628,9 @@ func buildSummary(st *manifestState, opt Options) *Summary {
 				s.UnshrunkFailures++
 			}
 		}
-		// Re-derive corpus filenames from the record so the counters are
-		// resume-independent (re-writing an existing file reports "not
-		// new", but the summary must not care what was on disk).
+		// Re-derive corpus filenames from the record so the counters do
+		// not depend on what was already on disk (re-writing an existing
+		// file reports "not new").
 		take := len(rec.Parents)
 		if take > interestingLeft {
 			take = interestingLeft

@@ -231,28 +231,3 @@ func replayEntry(ctx context.Context, e *Entry, opt WorkerOptions) ReplayResult 
 	return ReplayResult{Entry: e, Verdict: ReplayDiverged,
 		Detail: fmt.Sprintf("outcome %s signature %q (recorded %s %q)", v.Outcome, v.Signature, e.Outcome, e.Signature)}
 }
-
-// EntriesNotIn reports which of fromDir's entry files are absent from
-// intoDir (content-addressed names make this a set difference) — the
-// nightly pipeline uses it to report new corpus entries.
-func EntriesNotIn(fromDir, intoDir string) ([]string, error) {
-	from, err := corpusFiles(fromDir)
-	if err != nil {
-		return nil, err
-	}
-	into, err := corpusFiles(intoDir)
-	if err != nil {
-		return nil, err
-	}
-	have := map[string]bool{}
-	for _, n := range into {
-		have[n] = true
-	}
-	var out []string
-	for _, n := range from {
-		if !have[n] {
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}

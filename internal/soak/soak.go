@@ -1,7 +1,6 @@
-// Package soak is the fleet-scale deterministic soak engine: a sharded
-// sweep coordinator that drives large numbers of simtest.GenSpec seeds
-// across worker processes and checks every run against the paper's
-// invariant oracle.
+// Package soak is the deterministic soak engine: a coordinator that
+// drives large numbers of simtest.GenSpec seeds through the batch engine
+// and checks every run against the paper's invariant oracle.
 //
 // The design leans entirely on the determinism the lower layers already
 // guarantee — GenSpec expands a (seed, config) pair into a complete
@@ -11,13 +10,12 @@
 // schedules. It is, by construction:
 //
 //   - Work is cut into fixed-size blocks (one generation config + a seed
-//     list). Blocks are dispatched to whichever worker is idle, but their
-//     results are committed strictly in block order, and every
-//     scheduling decision (coverage map updates, mutation-parent
-//     selection, corpus writes) is taken only at commit time, from
-//     committed state. Two runs of the same configuration therefore
-//     plan, execute and summarize the exact same seed set regardless of
-//     worker timing.
+//     list). Blocks run one at a time, in block order, each on the
+//     batch engine with Options.Shards workers, and every scheduling
+//     decision (coverage map updates, mutation-parent selection, corpus
+//     writes) is taken at commit time, from committed state. Two runs
+//     of the same configuration therefore plan, execute and summarize
+//     the exact same seed set.
 //   - Coverage-guided mutation: every run is folded into a deterministic
 //     feature vector (protocol, effective fault regime, n/f/d shape,
 //     quantized fault-pattern signature, rounds-to-decide bucket,
@@ -26,24 +24,11 @@
 //     remaining budget is spent on derived seeds (splitmix64 of the
 //     parent seed) pinned to the parent's protocol and regime, so novel
 //     configurations get the extra attention.
-//   - Checkpoint/resume: after each commit the coordinator atomically
-//     rewrites a manifest recording every committed block (seeds,
-//     per-seed outcomes, discovered features, mutation parents, the
-//     block's shrunk failing seed). Resuming replays the manifest
-//     through the same planner instead of re-running the blocks, then
-//     continues — the summary of a killed-and-resumed soak is
-//     byte-identical to an uninterrupted one.
 //   - Corpus: failing seeds (shrunk to the first failing seed of their
 //     block and replay-confirmed) and first-hitters of novel features
 //     are persisted as stable-JSON, content-addressed files. Future
 //     soaks replay the corpus first, and `bvcsoak -replay-corpus` turns
 //     it into a regression suite for CI.
-//
-// Coordinator and workers speak length-prefixed JSON over stdin/stdout,
-// reusing the transport package's frame codec (4-byte big-endian length
-// prefix, tag + payload), so the wire discipline — size guards, typed
-// decode errors, canonical encoding — is shared with the real message
-// plane.
 package soak
 
 import (
@@ -62,19 +47,11 @@ import (
 var (
 	// ErrSoak is the root sentinel of all soak-engine failures.
 	ErrSoak = errors.New("soak: engine failure")
-	// ErrProto: a coordinator/worker wire frame was malformed or out of
-	// protocol order.
-	ErrProto = fmt.Errorf("%w: worker protocol violation", ErrSoak)
-	// ErrManifest: the checkpoint manifest (and its backup) could not be
-	// loaded, or it does not match the soak configuration.
-	ErrManifest = fmt.Errorf("%w: bad checkpoint manifest", ErrSoak)
 	// ErrCorpus: a corpus entry could not be read or written.
 	ErrCorpus = fmt.Errorf("%w: corpus failure", ErrSoak)
 	// ErrConfig: the soak options are invalid.
 	ErrConfig = fmt.Errorf("%w: bad configuration", ErrSoak)
-	// ErrInterrupted: the soak was canceled before the budget was spent;
-	// progress up to the last committed block is checkpointed and a
-	// -resume run will continue from there.
+	// ErrInterrupted: the soak was canceled before the budget was spent.
 	ErrInterrupted = fmt.Errorf("%w: soak interrupted", ErrSoak)
 	// ErrReplayDiverged: a corpus replay produced a different outcome or
 	// signature than the entry records — the deterministic-replay
@@ -121,7 +98,7 @@ func (c JobConfig) Key() string {
 	return fmt.Sprintf("b%d|r%s|p%s|s%v|t%s", c.BaseSeed, c.Regime, strings.Join(c.Protocols, ","), c.Strict, c.Transport)
 }
 
-// FuzzConfig translates the wire recipe into simtest's generator
+// FuzzConfig translates the recipe into simtest's generator
 // config.
 func (c JobConfig) FuzzConfig() (simtest.FuzzConfig, error) {
 	regime, err := ParseRegime(c.Regime)
@@ -135,15 +112,15 @@ func (c JobConfig) FuzzConfig() (simtest.FuzzConfig, error) {
 	return simtest.FuzzConfig{BaseSeed: c.BaseSeed, Regime: regime, Protocols: protos}, nil
 }
 
-// Job is one unit of work sent to a worker: expand and run every seed
-// under the recipe, in order.
+// Job is one block of work: expand and run every seed under the
+// recipe, in order.
 type Job struct {
 	// Block is the block id (dense, in planning order).
-	Block int `json:"block"`
+	Block int
 	// Seeds are the GenSpec seeds to run, in verdict order.
-	Seeds []int64 `json:"seeds"`
+	Seeds []int64
 	// Cfg is the shared generation recipe.
-	Cfg JobConfig `json:"cfg"`
+	Cfg JobConfig
 }
 
 // Outcome classification of one seed.
@@ -161,26 +138,26 @@ const (
 
 // SeedVerdict is one seed's classified result.
 type SeedVerdict struct {
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Outcome is OutcomePass, OutcomeDegraded or OutcomeFailed. A typed
 	// degradation is OutcomeDegraded only when the seed's effective
 	// regime is out-of-model; otherwise it is OutcomeFailed. Cfg.Strict
 	// never changes the outcome, only which seeds are shrunk.
-	Outcome string `json:"outcome"`
+	Outcome string
 	// Protocol is the generated instance's protocol name.
-	Protocol string `json:"protocol"`
+	Protocol string
 	// Feature is the deterministic coverage feature vector (see
 	// Feature).
-	Feature string `json:"feature"`
+	Feature string
 	// Rounds is Result.Rounds (0 on errors).
-	Rounds int `json:"rounds"`
+	Rounds int
 	// Signature is the simtest outcome fingerprint, carried only for
-	// non-passing seeds (it embeds outputs, so passing seeds would
-	// bloat the wire for no consumer).
-	Signature string `json:"signature,omitempty"`
+	// non-passing seeds (it embeds outputs; corpus entries of passing
+	// seeds record it empty).
+	Signature string
 	// MeshCompared reports that the seed also ran over the channel mesh
 	// and was compared against the simulation (mesh soaks only).
-	MeshCompared bool `json:"mesh_compared,omitempty"`
+	MeshCompared bool
 }
 
 // FailingSeed is a shrunk, replay-confirmed reproducer: the first
@@ -199,14 +176,14 @@ type FailingSeed struct {
 	ReplayConfirmed bool `json:"replay_confirmed"`
 }
 
-// BlockResult is a worker's answer to one Job.
+// BlockResult is RunBlock's answer to one Job.
 type BlockResult struct {
-	Block int `json:"block"`
+	Block int
 	// Verdicts are per-seed, in Job.Seeds order.
-	Verdicts []SeedVerdict `json:"verdicts"`
+	Verdicts []SeedVerdict
 	// MinFailing is the block's shrunk reproducer (nil when no seed
 	// failed under the block's strictness).
-	MinFailing *FailingSeed `json:"min_failing,omitempty"`
+	MinFailing *FailingSeed
 }
 
 // ParseRegime maps a regime name to its simtest constant.

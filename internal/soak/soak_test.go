@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	bvc "relaxedbvc"
 	"relaxedbvc/internal/simtest"
@@ -24,35 +24,20 @@ func testOptions(dir string) Options {
 		Shards:     4,
 		BlockSize:  32,
 		Regime:     "mixed",
-		Manifest:   filepath.Join(dir, "manifest.json"),
 		Corpus:     filepath.Join(dir, "corpus"),
 	}
 }
 
-// verdictMap flattens a manifest into seed-order (blockID, seedIdx) →
-// outcome, keyed textually so maps compare with reflect-free equality.
-func verdictMap(t *testing.T, manifest string) map[string]byte {
-	t.Helper()
-	st, err := loadManifest(manifest)
-	if err != nil {
-		t.Fatalf("load manifest: %v", err)
-	}
-	if st == nil {
-		t.Fatalf("no manifest at %s", manifest)
-	}
+// verdictMap flattens a soak's committed records into (block, config,
+// seed) → outcome.
+func verdictMap(blocks []BlockRecord) map[string]byte {
 	out := map[string]byte{}
-	for _, rec := range st.Blocks {
-		for i, seed := range rec.RecordSeeds() {
-			key := rec.Cfg.Key() + "#" + string(rune(rec.Block)) + "#" + itoa64(seed)
-			out[key] = rec.Outcomes[i]
+	for _, rec := range blocks {
+		for i, seed := range rec.Seeds {
+			out[fmt.Sprintf("%d#%s#%d", rec.Block, rec.Cfg.Key(), seed)] = rec.Outcomes[i]
 		}
 	}
 	return out
-}
-
-func itoa64(v int64) string {
-	b, _ := json.Marshal(v) //nolint:errcheck // int64 cannot fail to marshal
-	return string(b)
 }
 
 func corpusNames(t *testing.T, dir string) []string {
@@ -73,78 +58,72 @@ func encodeSummary(t *testing.T, s *Summary) string {
 	return string(b)
 }
 
-// TestKillResumeByteIdentical is the engine's core contract: a soak
-// killed mid-run and resumed produces the byte-identical summary, the
-// identical seed→verdict map, and the identical corpus as one that was
-// never interrupted.
-func TestKillResumeByteIdentical(t *testing.T) {
-	ctrlDir := t.TempDir()
-	ctrl, err := Run(context.Background(), testOptions(ctrlDir))
-	if err != nil {
-		t.Fatalf("control run: %v", err)
-	}
-	want := encodeSummary(t, ctrl)
-	if ctrl.SeedsRun != 600 {
-		t.Fatalf("control ran %d seeds, want 600", ctrl.SeedsRun)
-	}
-	if ctrl.MutationSeeds == 0 {
-		t.Fatalf("control spent no mutation seeds; the test must cover the mutation planner")
-	}
+// cancelAfter is a progress log that cancels the soak's context when
+// the n-th block is about to run.
+type cancelAfter struct {
+	n      int
+	cancel context.CancelFunc
+}
 
-	// Kill: cancel the context from the commit hook after five durable
-	// commits, mid-phase.
-	killDir := t.TempDir()
-	killCtx, cancel := context.WithCancel(context.Background())
-	opt := testOptions(killDir)
-	commits := 0
-	opt.CommitHook = func(*BlockRecord) {
-		commits++
-		if commits == 5 {
-			cancel()
+func (c *cancelAfter) Write(p []byte) (int, error) {
+	if strings.HasPrefix(string(p), "soak: block ") {
+		if c.n--; c.n == 0 {
+			c.cancel()
 		}
 	}
-	if _, err := Run(killCtx, opt); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
-	}
-	if commits < 5 {
-		t.Fatalf("only %d commits before cancellation", commits)
-	}
+	return len(p), nil
+}
 
-	// Resume with a fresh context and no hook.
-	opt = testOptions(killDir)
-	opt.Resume = true
-	resumed, err := Run(context.Background(), opt)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
+// TestSoakDeterministic is the engine's core contract: the same options
+// give the byte-identical summary and corpus, the shard count changes
+// no seed's verdict and no corpus file, and a cancelled soak reports
+// ErrInterrupted.
+func TestSoakDeterministic(t *testing.T) {
+	runSoak := func(opt Options) (*coordinator, *Summary) {
+		t.Helper()
+		co, err := run(context.Background(), opt)
+		if err != nil {
+			t.Fatalf("soak at %d shards: %v", opt.Shards, err)
+		}
+		return co, buildSummary(co.blocks, co.opt)
 	}
-	if got := encodeSummary(t, resumed); got != want {
-		t.Fatalf("resumed summary differs from uninterrupted control:\n--- control\n%s\n--- resumed\n%s", want, got)
+	dirA, dirB, dir1 := t.TempDir(), t.TempDir(), t.TempDir()
+	coA, sumA := runSoak(testOptions(dirA))
+	if sumA.SeedsRun != 600 || sumA.MutationSeeds == 0 {
+		t.Fatalf("soak ran %d seeds, %d of them mutation children; the test needs 600 and the mutation planner",
+			sumA.SeedsRun, sumA.MutationSeeds)
 	}
+	_, sumB := runSoak(testOptions(dirB))
+	if a, b := encodeSummary(t, sumA), encodeSummary(t, sumB); a != b {
+		t.Fatalf("two soaks of the same options differ:\n--- first\n%s\n--- second\n%s", a, b)
+	}
+	opt1 := testOptions(dir1)
+	opt1.Shards = 1
+	co1, _ := runSoak(opt1)
 
-	ctrlVerdicts := verdictMap(t, testOptions(ctrlDir).Manifest)
-	killVerdicts := verdictMap(t, opt.Manifest)
-	if len(ctrlVerdicts) != len(killVerdicts) {
-		t.Fatalf("verdict maps differ in size: %d vs %d", len(ctrlVerdicts), len(killVerdicts))
+	want := verdictMap(coA.blocks)
+	got := verdictMap(co1.blocks)
+	if len(got) != len(want) {
+		t.Fatalf("verdict maps differ in size: %d at 4 shards, %d at 1", len(want), len(got))
 	}
-	for k, v := range ctrlVerdicts {
-		if killVerdicts[k] != v {
-			t.Fatalf("verdict drift at %s: control %q, resumed %q", k, v, killVerdicts[k])
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("verdict drift at %s: %q at 4 shards, %q at 1", k, v, got[k])
+		}
+	}
+	corpusA := strings.Join(corpusNames(t, filepath.Join(dirA, "corpus")), ",")
+	for _, dir := range []string{dirB, dir1} {
+		if c := strings.Join(corpusNames(t, filepath.Join(dir, "corpus")), ","); c != corpusA {
+			t.Fatalf("corpus drift:\nwant: %s\ngot:  %s", corpusA, c)
 		}
 	}
 
-	ctrlCorpus := corpusNames(t, filepath.Join(ctrlDir, "corpus"))
-	killCorpus := corpusNames(t, filepath.Join(killDir, "corpus"))
-	if strings.Join(ctrlCorpus, ",") != strings.Join(killCorpus, ",") {
-		t.Fatalf("corpus drift:\ncontrol: %v\nresumed: %v", ctrlCorpus, killCorpus)
-	}
-
-	// Resuming a *finished* soak replays everything and stays identical.
-	again, err := Run(context.Background(), opt)
-	if err != nil {
-		t.Fatalf("resume of finished soak: %v", err)
-	}
-	if got := encodeSummary(t, again); got != want {
-		t.Fatalf("second resume drifted:\n%s", got)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := testOptions(t.TempDir())
+	opt.Log = &cancelAfter{n: 5, cancel: cancel}
+	if _, err := Run(ctx, opt); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("cancelled soak: got %v, want ErrInterrupted", err)
 	}
 }
 
@@ -277,141 +256,6 @@ func TestCorpusReplayPrunesStale(t *testing.T) {
 	}
 }
 
-// TestManifestCrashSafety truncates the manifest mid-write and checks
-// the loader recovers the previous checkpoint from the rotated backup.
-func TestManifestCrashSafety(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "manifest.json")
-
-	// Nothing on disk: fresh start, no error.
-	st, err := loadManifest(path)
-	if err != nil || st != nil {
-		t.Fatalf("missing manifest: st=%v err=%v", st, err)
-	}
-
-	gen1 := &manifestState{Version: manifestVersion, CfgHash: "h", Blocks: []BlockRecord{
-		{Block: 0, Kind: blockKindBase, Outcomes: "pp", SeedStart: 0, SeedCount: 2},
-	}}
-	if err := saveManifest(path, gen1); err != nil {
-		t.Fatal(err)
-	}
-	gen2 := &manifestState{Version: manifestVersion, CfgHash: "h", Blocks: append(gen1.Blocks,
-		BlockRecord{Block: 1, Kind: blockKindBase, Outcomes: "pd", SeedStart: 2, SeedCount: 2})}
-	if err := saveManifest(path, gen2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Torn write: truncate the primary mid-file. The loader must fall
-	// back to the rotated previous generation.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err = loadManifest(path)
-	if err != nil {
-		t.Fatalf("recover from backup: %v", err)
-	}
-	if len(st.Blocks) != 1 {
-		t.Fatalf("recovered %d blocks, want the 1-block previous checkpoint", len(st.Blocks))
-	}
-
-	// Corrupt primary with no backup: a hard error, not a silent fresh
-	// start.
-	if err := os.Remove(path + ".bak"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadManifest(path); !errors.Is(err, ErrManifest) {
-		t.Fatalf("corrupt-no-backup: got %v, want ErrManifest", err)
-	}
-
-	// Checksum catches single-byte corruption too.
-	if err := os.WriteFile(path, append(data[:len(data)-10], '0', '}'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadManifest(path); !errors.Is(err, ErrManifest) {
-		t.Fatalf("bit-rot: got %v, want ErrManifest", err)
-	}
-}
-
-func TestManifestRefusesConfigDrift(t *testing.T) {
-	dir := t.TempDir()
-	opt := testOptions(dir)
-	opt.SeedBudget = 64
-	if _, err := Run(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	opt.Resume = true
-	opt.SeedBudget = 128 // different plan
-	if _, err := Run(context.Background(), opt); !errors.Is(err, ErrManifest) {
-		t.Fatalf("config drift: got %v, want ErrManifest", err)
-	}
-}
-
-// TestWorkerProtocol drives ServeWorker over pipes: job round-trip,
-// clean bye shutdown, and protocol-violation errors.
-func TestWorkerProtocol(t *testing.T) {
-	jobR, jobW := io.Pipe()
-	resR, resW := io.Pipe()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- ServeWorker(context.Background(), jobR, resW, WorkerOptions{}) }()
-
-	job := &Job{Block: 7, Seeds: []int64{1, 2, 3}, Cfg: JobConfig{Regime: "none", Transport: TransportSim}}
-	res, err := roundTrip(jobW, resR, job)
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
-	if res.Block != 7 || len(res.Verdicts) != 3 {
-		t.Fatalf("result block=%d verdicts=%d", res.Block, len(res.Verdicts))
-	}
-	for i, v := range res.Verdicts {
-		if v.Seed != job.Seeds[i] || v.Feature == "" || v.Outcome == "" {
-			t.Fatalf("verdict %d incomplete: %+v", i, v)
-		}
-	}
-	if err := writeMsg(jobW, tagBye, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("serve after bye: %v", err)
-	}
-}
-
-func TestWorkerProtocolRejectsUnknownTag(t *testing.T) {
-	jobR, jobW := io.Pipe()
-	_, resW := io.Pipe()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- ServeWorker(context.Background(), jobR, resW, WorkerOptions{}) }()
-	if err := writeMsg(jobW, "soak/bogus", map[string]int{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; !errors.Is(err, ErrProto) {
-		t.Fatalf("bogus tag: got %v, want ErrProto", err)
-	}
-}
-
-func TestSpawnInProcWorker(t *testing.T) {
-	w, err := SpawnInProc(WorkerOptions{})(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run(&Job{Block: 1, Seeds: []int64{5}, Cfg: JobConfig{Regime: "none", Transport: TransportSim}})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(res.Verdicts) != 1 {
-		t.Fatalf("verdicts %d", len(res.Verdicts))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
-	}
-}
-
 func TestChildSeedDeterministicAndDistinct(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := 0; i < 64; i++ {
@@ -432,7 +276,7 @@ func TestOptionsValidation(t *testing.T) {
 		{SeedBudget: 10, Regime: "sideways"},        // bad regime
 		{SeedBudget: 10, Transport: "carrier"},      // bad transport
 		{SeedBudget: 10, MutFrac: 1.5},              // bad mutation fraction
-		{SeedBudget: 10, Resume: true},              // resume without manifest
+		{SeedBudget: 10, Duration: time.Minute},     // budget and duration
 		{SeedBudget: 10, Protocols: []string{"xx"}}, // bad protocol
 	}
 	for i, opt := range cases {
@@ -502,7 +346,7 @@ func TestGateExitRule(t *testing.T) {
 			}
 			co := &coordinator{seen: map[string]bool{}}
 			rec := co.buildRecord(blockKindBase, &Job{Seeds: []int64{seed}, Cfg: cfg}, br)
-			sum := buildSummary(&manifestState{Blocks: []BlockRecord{*rec}}, Options{Shards: 1})
+			sum := buildSummary([]BlockRecord{*rec}, Options{Shards: 1})
 			got := 0
 			if err := sum.Gate(); err != nil {
 				got = 1

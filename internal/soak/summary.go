@@ -1,12 +1,10 @@
 package soak
 
 // The soak summary: a stable-JSON aggregate computed purely from the
-// manifest's committed block records. Nothing timing- or
-// scheduling-dependent appears in it, which is what lets the engine
-// promise a byte-identical summary for a killed-and-resumed soak.
-// Per-shard counters are keyed by the deterministic lane a block's id
-// maps to (block mod shards), not by whichever worker process happened
-// to execute it.
+// committed block records. Nothing timing-dependent appears in it, so
+// two soaks of the same options summarize byte-identically. Per-shard
+// counters are keyed by the deterministic lane a block's id maps to
+// (block mod shards).
 
 import (
 	"encoding/json"
@@ -160,8 +158,8 @@ func (s *Summary) Gate() error {
 
 // publishMetrics folds one freshly committed block into the library's
 // cumulative metrics registry (expvar/pprof visibility for a running
-// soak; the summary itself is computed from manifest records so resumed
-// runs stay byte-identical). Counter names are snake_case literals;
+// soak; the summary itself is computed from the block records).
+// Counter names are snake_case literals;
 // the metrics registry panics on any other name.
 func publishMetrics(rec *BlockRecord) {
 	metrics.DefaultCounter("soak_blocks_total").Inc()

@@ -1,15 +1,14 @@
 package soak
 
-// The worker side: expand seeds with GenSpec, run them on the batch
+// Block execution: expand seeds with GenSpec, run them on the batch
 // engine, check the invariant oracle, classify, and (for mesh soaks)
-// cross-check mesh decisions against the simulation. One worker runs
-// one block at a time; its verdicts are a pure function of the job.
+// cross-check mesh decisions against the simulation. A block's verdicts
+// are a pure function of the job.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	bvc "relaxedbvc"
@@ -17,12 +16,10 @@ import (
 	"relaxedbvc/internal/simtest"
 )
 
-// WorkerOptions tunes one worker process.
+// WorkerOptions tunes block execution.
 type WorkerOptions struct {
-	// Workers bounds the batch pool inside this worker process
-	// (0 = 1: worker processes are the sharding unit, so the default
-	// keeps each process single-threaded and lets the coordinator's
-	// -shards knob own the parallelism).
+	// Workers bounds the batch pool that runs a block's seeds (0 = 1).
+	// A soak sets it to Options.Shards.
 	Workers int
 	// Check tunes the invariant oracle.
 	Check simtest.CheckOptions
@@ -33,39 +30,6 @@ func (o WorkerOptions) workers() int {
 		return 1
 	}
 	return o.Workers
-}
-
-// ServeWorker is the worker main loop: read jobs from r, run them,
-// write results to w, until a bye frame or EOF. It returns nil on a
-// clean shutdown.
-func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opt WorkerOptions) error {
-	for {
-		tag, data, err := readMsg(r)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		switch tag {
-		case tagBye:
-			return nil
-		case tagJob:
-			var job Job
-			if err := decodeInto(tag, data, &job); err != nil {
-				return err
-			}
-			res, err := RunBlock(ctx, &job, opt)
-			if err != nil {
-				return err
-			}
-			if err := writeMsg(w, tagResult, res); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: unexpected tag %q", ErrProto, tag)
-		}
-	}
 }
 
 // RunBlock executes one job: every seed is expanded, run, checked and

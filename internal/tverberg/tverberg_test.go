@@ -3,6 +3,7 @@ package tverberg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -219,24 +220,38 @@ func TestPartitionRejectsNegativeF(t *testing.T) {
 
 // Tightness at scale: 8 Gaussian points in R^3 with f = 2 have no
 // partition (Vaidya–Garg, paper §8), and the scan must say so with
-// coordinates ~1e3. The exact LP alone reports spurious partitions on
-// 19 of these 200 seeds and the bbox screen alone leaves 9; only with
-// every certified screen in front of it is the scan right, bar one seed.
+// coordinates ~1e3. The joint LP is wrong there (ROADMAP item 1), and
+// the certified screens in front of it are load-bearing. Partition is
+// right with every screen, bar seed 95; without the separation screen
+// it is also wrong on seeds 15 47 80 83 138 160 168 171, and with no
+// screen at all on 34 seeds. PartitionK(y, 2, 3) asks about the same
+// hulls (H_3 = conv in R^3), but the separation screen does not apply
+// to H_k, so it is wrong on the nine seeds listed; without the bbox
+// prefilter as well, it is wrong on 19.
 func TestTverbergTightRescaled(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		pts := make([]vec.V, 8)
-		for i := range pts {
-			pts[i] = vec.New(3)
-			for j := range pts[i] {
-				pts[i][j] = rng.NormFloat64() * 2 * 1e3
+	for _, c := range []struct {
+		name string
+		scan func(y *vec.Set) bool
+		bad  []int64 // seeds where the scan finds a partition that does not exist
+	}{
+		{"Partition", func(y *vec.Set) bool { _, _, ok := Partition(y, 2); return ok }, []int64{95}},
+		{"PartitionK", func(y *vec.Set) bool { _, _, ok := PartitionK(y, 2, 3); return ok },
+			[]int64{15, 47, 80, 83, 95, 138, 160, 168, 171}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(0); seed < 200; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				pts := make([]vec.V, 8)
+				for i := range pts {
+					pts[i] = vec.New(3)
+					for j := range pts[i] {
+						pts[i][j] = rng.NormFloat64() * 2 * 1e3
+					}
+				}
+				if ok, want := c.scan(vec.NewSet(pts...)), slices.Contains(c.bad, seed); ok != want {
+					t.Errorf("seed %d: ok = %v, want %v", seed, ok, want)
+				}
 			}
-		}
-		_, _, ok := Partition(vec.NewSet(pts...), 2)
-		// Seed 95 is a known LP defect: the joint LP accepts a
-		// partition that does not exist (ROADMAP item 1).
-		if want := seed == 95; ok != want {
-			t.Errorf("seed %d: ok = %v, want %v", seed, ok, want)
-		}
+		})
 	}
 }
