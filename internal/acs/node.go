@@ -45,8 +45,8 @@ type Config struct {
 	// of dimension D).
 	Default vec.V
 	// Lane runs the sealed epochs' kernels (nil: a lane of the node's
-	// own). Nodes of one run share a lane so that their identical calls
-	// of an epoch run one after another.
+	// own). Nodes of one run share a lane, so that an epoch's kernel runs
+	// once for all of them and different epochs' kernels overlap.
 	Lane *Lane
 }
 
@@ -416,7 +416,7 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 					n.sealed = make([]EpochDecision, 0, len(n.cfg.Proposals))
 				}
 				n.sealed = append(n.sealed, EpochDecision{Epoch: n.cur, Subset: subset, Values: values})
-				n.lane.push(kernelJob{dec: &n.sealed[len(n.sealed)-1], f: n.cfg.F, p: n.cfg.NormP})
+				n.lane.push(&n.sealed[len(n.sealed)-1], n.cfg.F, n.cfg.NormP)
 				n.stats.Epochs++
 				n.stats.Slots += len(subset)
 				for s := range es.abas {
