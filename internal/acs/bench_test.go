@@ -52,8 +52,8 @@ func BenchmarkACSEpoch(b *testing.B) {
 // whose kernel caches are warm, read 735 allocations and 29.1 KiB per
 // epoch there and reads 284 and 20.2 KiB with one body per link.)
 const (
-	acsEpochAllocs       = 393
-	acsEpochBytes        = 60 << 10
+	acsEpochAllocs       = 385
+	acsEpochBytes        = 30 << 10
 	parentACSEpochAllocs = 832
 	parentACSEpochBytes  = 68 << 10
 )

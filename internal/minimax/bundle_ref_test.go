@@ -1,10 +1,12 @@
 package minimax
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"relaxedbvc/internal/geom"
+	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/vec"
 )
@@ -138,4 +140,199 @@ func TestScreenSkipsDeadHulls(t *testing.T) {
 	if share < 0.30 {
 		t.Fatalf("screen skipped %.1f %% of set evaluations, want >= 30 %%", 100*share)
 	}
+}
+
+// coldMinMaxDist2 is MinMaxDist2 with the master it had before the
+// master grew by columns: rebuilt from every cut and solved cold, phase
+// 1 included, at every probe (coldSolveMaster, kept verbatim but for
+// the reused Problem). It is the referee of the warm master, and also
+// returns the probes of the solve it kept.
+func coldMinMaxDist2(sets []*vec.Set) (Result, int) {
+	b := newBundle(sets)
+	if b.half == 0 {
+		return Result{Point: b.center, Converged: true}, 0
+	}
+	p := lp.NewProblem(0)
+	if !b.coldSolve(p) {
+		b = newBundle(sets)
+		b.near = nil
+		b.coldSolve(p)
+	}
+	return Result{Delta: b.upper, Lower: math.Min(b.lower, b.upper), Point: b.best, Converged: b.converged()}, b.probes
+}
+
+func (b *bundle) coldSolve(p *lp.Problem) bool {
+	if !b.probe(b.center.Clone()) {
+		return false
+	}
+	for !b.converged() && b.probes < maxBundleIters {
+		x, ok := b.coldSolveMaster(p)
+		if !ok || b.converged() {
+			break
+		}
+		if !b.probe(x) {
+			return false
+		}
+	}
+	return true
+}
+
+func (b *bundle) coldSolveMaster(p *lp.Problem) (x vec.V, ok bool) {
+	d, m := len(b.center), len(b.cuts)
+	p.Reset(m + 2*d) // lambda, then the positive and negative parts of sum_i lambda_i u_i
+	obj := make([]float64, m+2*d)
+	row := make([]float64, m+2*d)
+	for i, c := range b.cuts {
+		obj[i], row[i] = -c.support, 1
+	}
+	p.AddConstraint(row, lp.EQ, 1)
+	for j := 0; j < d; j++ {
+		clear(row)
+		for i, c := range b.cuts {
+			row[i] = c.u[j]
+		}
+		row[m+j], row[m+d+j] = -1, 1
+		p.AddConstraint(row, lp.EQ, 0)
+		obj[m+j], obj[m+d+j] = -b.width[j]/b.half, -b.width[j]/b.half
+	}
+	p.SetObjective(obj, lp.Maximize)
+	res, err := p.Solve()
+	if err != nil || res.Status != lp.Optimal {
+		return nil, false
+	}
+	sum, bound, slope := 0.0, 0.0, vec.New(d)
+	for i, c := range b.cuts {
+		w := math.Max(res.X[i], 0)
+		sum += w
+		bound -= w * c.support
+		slope.AXPY(w, c.u)
+	}
+	for j, g := range slope {
+		bound -= b.width[j] / b.half * math.Abs(g)
+	}
+	if sum <= 0 {
+		return nil, false
+	}
+	b.lower = math.Max(b.lower, bound/sum*b.half) // the bound is homogeneous in lambda
+	if m > maxBundleCuts {
+		from := m - maxBundleCuts
+		for from > 0 && b.cuts[from-1].probe == b.probes {
+			from--
+		}
+		kept := b.cuts[:0]
+		for i, c := range b.cuts {
+			if res.X[i] > 0 || i >= from {
+				kept = append(kept, c)
+			}
+		}
+		b.cuts = kept
+	}
+	x = vec.New(d)
+	for j := range x {
+		x[j] = math.Min(math.Max(b.center[j]-b.half*res.Dual[1+j], b.lo[j]), b.hi[j])
+	}
+	return x, true
+}
+
+// masterShapes are the (|S|, f, d) shapes of the master's referee, and
+// how many of their families also run at x1e3 (with -short), where most
+// solves run to the iteration cap: a {6,2,3} solve there takes about
+// 0.1 s and a {10,3,4} one 1.7 s.
+var masterShapes = []struct{ n, f, d, far, farShort int }{
+	{6, 2, 3, 20, 2}, {4, 1, 2, 200, 20}, {10, 3, 4, 2, 0},
+}
+
+// TestMasterWarmMatchesCold runs MinMaxDist2, whose master keeps its
+// basis across probes, and the cold-master referee on 10^4 seeded
+// families a shape (10^3 with -short), alternately at x1e-3 and x1, and
+// on some of them at x1e3.
+//
+// Each bracket holds delta* when its cuts are valid, so the warm one
+// must keep Lower <= Delta and overlap the referee's; converged, its
+// Delta must be within the solve's gap tolerance of the referee's —
+// unless the referee's own Lower exceeds the value F takes at the warm
+// point, which no valid cut allows (at x1e-3 a Wolfe cut direction can
+// be off unit length, ROADMAP item 1). At x1e-3 and x1 the two must
+// agree on Converged.
+//
+// The masters end on different vertices when the master's optimum is
+// degenerate — at delta* = 0, the rule at |S| = 4, f = 1, d = 2, any
+// point of the optimal face is a minimiser — and a family's probe count
+// follows the vertex. So the probes are held over each shape: no more
+// than the referee's, and at most 1 solve in 200 taking more than one
+// probe beyond the referee's. At x1e3 Wolfe stalls short of its
+// certificate, cuts stop cutting off their probe, and whether a solve
+// converges follows the vertex too: there the warm solves must converge
+// at least as often as the referee's.
+func TestMasterWarmMatchesCold(t *testing.T) {
+	perShape := 10_000
+	if testing.Short() {
+		perShape = 1_000
+	}
+	for si, sh := range masterShapes {
+		t.Run(fmt.Sprintf("%d_%d_%d", sh.n, sh.f, sh.d), func(t *testing.T) {
+			t.Parallel()
+			warmMatchesCold(t, si, perShape)
+		})
+	}
+}
+
+func warmMatchesCold(t *testing.T, si, perShape int) {
+	sh := masterShapes[si]
+	far := sh.far
+	if testing.Short() {
+		far = sh.farShort
+	}
+	var solves, moved, contradicted, over, warmProbes, coldProbes, warmFar, coldFar int
+	worst := 0.0
+	for k := 0; k < perShape; k++ {
+		seed := int64(9_000_000 + 100_000*si + k)
+		scales := []float64{[]float64{1e-3, 1}[k%2]}
+		if far > 0 && k%(perShape/far) == 0 {
+			scales = append(scales, 1e3)
+		}
+		for _, scale := range scales {
+			fam := relax.DroppedSubsets(scaledInstance(seed, sh.n, sh.d, scale), sh.f)
+			got, probes := minMaxDist2(fam, nil)
+			want, cold := coldMinMaxDist2(fam)
+			tol := newBundle(fam).tol
+			agree := got.Lower <= want.Delta+tol && want.Lower <= got.Delta+tol
+			if dd := math.Abs(got.Delta - want.Delta); got.Converged && dd > tol {
+				contradicted++
+				agree = agree || (got.Lower <= want.Delta+tol && want.Lower > got.Delta+tol)
+			} else if got.Converged {
+				worst = math.Max(worst, dd/tol)
+			}
+			if scale == 1e3 {
+				warmFar += b2i(got.Converged)
+				coldFar += b2i(want.Converged)
+			} else if got.Converged != want.Converged {
+				agree = false
+			}
+			if got.Lower > got.Delta || !agree {
+				t.Fatalf("shape %v seed %d x%g: warm %+v in %d probes, cold %+v in %d (tolerance %g)",
+					sh, seed, scale, got, probes, want, cold, tol)
+			}
+			if !sameResult(got, want) {
+				moved++
+			}
+			over += b2i(probes > cold+1)
+			warmProbes += probes
+			coldProbes += cold
+			solves++
+		}
+	}
+	t.Logf("shape %v: %d solves, %d off the referee's bits (worst converged |dDelta| %.2g of the tolerance; %d referee brackets contradicted); probes %d warm, %d cold, %d solves more than one beyond the referee's; at x1e3 %d warm and %d cold converged",
+		sh, solves, moved, worst, contradicted, warmProbes, coldProbes, over, warmFar, coldFar)
+	if warmProbes > coldProbes || 200*over > solves || warmFar < coldFar {
+		t.Fatalf("shape %v: probes %d warm, %d cold; %d of %d solves more than one probe beyond the referee's; at x1e3 %d warm and %d cold converged",
+			sh, warmProbes, coldProbes, over, solves, warmFar, coldFar)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -22,7 +22,6 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/linalg"
-	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/relax"
@@ -102,9 +101,11 @@ type bundle struct {
 	width        vec.V   // its half-widths: |q_j| <= width_j/half
 	tol          float64 // absolute gap tolerance
 	cuts         []cut
-	near         []vec.V // each set's nearest point at its last evaluation; nil: no screen
-	master       *lp.Problem
+	near         []vec.V   // each set's nearest point at its last evaluation; nil: no screen
+	w            []float64 // width/half, the master's cost of |sum_i lambda_i u_i|
+	master       master
 	best         vec.V
+	last         vec.V // the master's last proposal: the last probe's point
 	upper, lower float64
 	probes       int
 }
@@ -123,13 +124,20 @@ type bundle struct {
 // incumbent only moves to a strictly better point, so a seed already
 // optimal within the gap is returned as is. Sequential and deterministic.
 func MinMaxDist2(sets []*vec.Set, seedPoints ...vec.V) Result {
+	r, _ := minMaxDist2(sets, seedPoints)
+	return r
+}
+
+// minMaxDist2 is MinMaxDist2, also returning the probes of the solve
+// whose Result it returns.
+func minMaxDist2(sets []*vec.Set, seedPoints []vec.V) (Result, int) {
 	if len(sets) == 0 {
 		panic("minimax: empty family")
 	}
 	b := newBundle(sets)
 	if b.half == 0 {
 		// All inputs identical: that point achieves delta = 0.
-		return Result{Point: b.center, Converged: true}
+		return Result{Point: b.center, Converged: true}, 0
 	}
 	if len(seedPoints) == 0 {
 		seedPoints = []vec.V{b.center}
@@ -146,7 +154,7 @@ func MinMaxDist2(sets []*vec.Set, seedPoints ...vec.V) Result {
 		bundleNotConverged.Inc()
 	}
 	// The bound is exact up to rounding: keep Lower <= Delta to the bit.
-	return Result{Delta: b.upper, Lower: math.Min(b.lower, b.upper), Point: b.best, Converged: b.converged()}
+	return Result{Delta: b.upper, Lower: math.Min(b.lower, b.upper), Point: b.best, Converged: b.converged()}, b.probes
 }
 
 func newBundle(sets []*vec.Set) *bundle {
@@ -163,9 +171,13 @@ func newBundle(sets []*vec.Set) *bundle {
 		}
 		spread = math.Min(spread, s.MaxEdge(2))
 	}
-	b := &bundle{sets: sets, lo: lo, hi: hi, center: vec.Lerp(lo, hi, 0.5), upper: math.Inf(1), near: make([]vec.V, len(sets)), master: lp.NewProblem(0)}
+	b := &bundle{sets: sets, lo: lo, hi: hi, center: vec.Lerp(lo, hi, 0.5), upper: math.Inf(1), near: make([]vec.V, len(sets)), master: newMaster(len(lo))}
 	b.width = hi.Sub(b.center)
 	b.half = b.width.NormP(math.Inf(1))
+	b.w = make([]float64, len(lo))
+	for j, wj := range b.width {
+		b.w[j] = wj / b.half
+	}
 	if spread == 0 { // singletons, or a member of identical points
 		spread = 2 * b.half
 	}
@@ -245,7 +257,10 @@ func (b *bundle) sweep(x vec.V, screen bool) (f, maxReach float64, skipped int, 
 		if d <= 0 || d < b.lower {
 			continue
 		}
-		u := x.Sub(near).Scale(1 / d)
+		u, inv := x.Sub(near), 1/d
+		for j := range u {
+			u[j] *= inv // Scale's product, in place
+		}
 		support := math.Inf(-1)
 		for _, v := range s.Points() {
 			support = math.Max(support, u.Dot(v))
@@ -287,47 +302,46 @@ func reach(x, near vec.V, s *vec.Set) float64 {
 //	max  -sum_i lambda_i support_i - sum_j w_j |sum_i lambda_i u_ij|
 //	over lambda in the simplex,
 //
-// which has d+1 rows however many cuts there are; the dual's multipliers
-// are the master's minimiser, the next iterate. The lower bound is that
-// expression evaluated here, not by the LP, at the lambda it returned
-// (clipped and normalized into the simplex): by weak duality every such
-// value bounds the master, hence delta*, from below. So the bound needs
-// no trust in internal/lp, which does no residual check of its own: a
-// wrong answer makes the bound loose or the iterate poor and costs
-// iterations. ok = false when the LP reports no optimum.
+// which has d+1 rows however many cuts there are (master.go); the
+// dual's multipliers are the master's minimiser, the next iterate. The
+// lower bound is that expression evaluated here, not by the LP, at the
+// lambda it returned (clipped and normalized into the simplex): by weak
+// duality every such value bounds the master, hence delta*, from below.
+// So the bound needs no trust in the simplex, which does no residual
+// check of its own: a wrong answer makes the bound loose or the iterate
+// poor and costs iterations. ok = false when the LP reports no optimum.
 func (b *bundle) solveMaster() (x vec.V, ok bool) {
 	d, m := len(b.center), len(b.cuts)
-	p := b.master
-	p.Reset(m + 2*d) // lambda, then the positive and negative parts of sum_i lambda_i u_i
-	obj := make([]float64, m+2*d)
-	row := make([]float64, m+2*d)
-	for i, c := range b.cuts {
-		obj[i], row[i] = -c.support, 1
-	}
-	p.AddConstraint(row, lp.EQ, 1)
-	for j := 0; j < d; j++ {
-		clear(row)
-		for i, c := range b.cuts {
-			row[i] = c.u[j]
-		}
-		row[m+j], row[m+d+j] = -1, 1
-		p.AddConstraint(row, lp.EQ, 0)
-		obj[m+j], obj[m+d+j] = -b.width[j]/b.half, -b.width[j]/b.half
-	}
-	p.SetObjective(obj, lp.Maximize)
-	res, err := p.Solve()
-	if err != nil || res.Status != lp.Optimal {
+	warm := b.master.restart < 0
+	if m == 0 || !b.master.solve(b.cuts, b.w) {
 		return nil, false
 	}
-	sum, bound, slope := 0.0, 0.0, vec.New(d)
-	for i, c := range b.cuts {
-		w := math.Max(res.X[i], 0)
+	x = b.iterate()
+	if warm && x.Equal(b.last) {
+		// No cut of the last probe priced in, so the basis proposes that
+		// probe's point again: a degenerate optimum whose vertex the cuts
+		// do not move. Solve again from the newest cut's basis, which
+		// ends on another vertex when the optimal face has one.
+		b.master.restart = m - 1
+		if !b.master.solve(b.cuts, b.w) {
+			return nil, false
+		}
+		x = b.iterate()
+	}
+	sum, bound := 0.0, 0.0
+	slope := b.master.a[:d] // free until the next solve
+	clear(slope)
+	for r, k := range b.master.basis {
+		if k < 2*d {
+			continue
+		}
+		c, w := b.cuts[k-2*d], math.Max(b.master.x[r], 0)
 		sum += w
 		bound -= w * c.support
-		slope.AXPY(w, c.u)
+		vec.V(slope).AXPY(w, c.u)
 	}
 	for j, g := range slope {
-		bound -= b.width[j] / b.half * math.Abs(g)
+		bound -= b.w[j] * math.Abs(g)
 	}
 	if sum <= 0 {
 		return nil, false
@@ -336,26 +350,40 @@ func (b *bundle) solveMaster() (x vec.V, ok bool) {
 	if m > maxBundleCuts {
 		// Cuts sit in probe order: keep the weighted ones and the newest,
 		// and all of the latest probe's, without which the master would
-		// propose the same point again.
+		// propose the same point again. The master starts over from the
+		// first kept cut's basis.
 		from := m - maxBundleCuts
 		for from > 0 && b.cuts[from-1].probe == b.probes {
 			from--
 		}
+		weighted := make([]bool, m)
+		for r, k := range b.master.basis {
+			if k >= 2*d && b.master.x[r] > 0 {
+				weighted[k-2*d] = true
+			}
+		}
 		kept := b.cuts[:0]
 		for i, c := range b.cuts {
-			if res.X[i] > 0 || i >= from {
+			if weighted[i] || i >= from {
 				kept = append(kept, c)
 			}
 		}
 		b.cuts = kept
+		b.master.restart = 0
 	}
-	// Row 1+j's multiplier is -q_j: relaxing sum_i lambda_i u_ij = 0 to
-	// eps moves the optimum by -eps q_j.
-	x = vec.New(d)
-	for j := range x {
-		x[j] = math.Min(math.Max(b.center[j]-b.half*res.Dual[1+j], b.lo[j]), b.hi[j])
-	}
+	b.last = x
 	return x, true
+}
+
+// iterate is the master's minimiser in input units, clamped to the box.
+// Row 1+j's dual is q_j: relaxing sum_i lambda_i u_ij = 0 to eps moves
+// the minimum by eps q_j.
+func (b *bundle) iterate() vec.V {
+	x := vec.New(len(b.center))
+	for j := range x {
+		x[j] = math.Min(math.Max(b.center[j]+b.half*b.master.pi[1+j], b.lo[j]), b.hi[j])
+	}
+	return x
 }
 
 // Every step of the δ*₂ solvers is deterministic in (S, f), and
@@ -404,11 +432,12 @@ func deltaStar2(s *vec.Set, f int) Result {
 			return Result{Point: pt, Exact: true, Converged: true}
 		}
 	}
-	return DeltaStar2Iterative(s, f)
+	return MinMaxDist2(relax.DroppedSubsets(s, f))
 }
 
 // DeltaStar2Iterative always uses the cutting-plane solver; E7 referees
-// it against the closed forms.
+// it against the closed forms. It memoizes under its own key, which
+// DeltaStar2's solve does not go through.
 func DeltaStar2Iterative(s *vec.Set, f int) Result {
 	return cachedDeltaStar(opDeltaIter, s, f, func() Result { return MinMaxDist2(relax.DroppedSubsets(s, f)) })
 }
