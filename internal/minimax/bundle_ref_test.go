@@ -251,9 +251,9 @@ var masterShapes = []struct{ n, f, d, far, farShort int }{
 // must keep Lower <= Delta and overlap the referee's; converged, its
 // Delta must be within the solve's gap tolerance of the referee's —
 // unless the referee's own Lower exceeds the value F takes at the warm
-// point, which no valid cut allows (at x1e-3 a Wolfe cut direction can
-// be off unit length, ROADMAP item 1). At x1e-3 and x1 the two must
-// agree on Converged.
+// point, which no valid cut allows (at x1e-3 and x1e3 not every Wolfe
+// cut is valid, ROADMAP item 1). At x1e-3 and x1 the two must agree on
+// Converged.
 //
 // The masters end on different vertices when the master's optimum is
 // degenerate — at delta* = 0, the rule at |S| = 4, f = 1, d = 2, any

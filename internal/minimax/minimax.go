@@ -320,8 +320,8 @@ func (b *bundle) solveMaster() (x vec.V, ok bool) {
 	if warm && x.Equal(b.last) {
 		// No cut of the last probe priced in, so the basis proposes that
 		// probe's point again: a degenerate optimum whose vertex the cuts
-		// do not move. Solve again from the newest cut's basis, which
-		// ends on another vertex when the optimal face has one.
+		// do not move. Solve again from the newest cut's basis, which may
+		// end on another vertex of the optimal face.
 		b.master.restart = m - 1
 		if !b.master.solve(b.cuts, b.w) {
 			return nil, false
