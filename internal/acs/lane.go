@@ -14,12 +14,13 @@ import (
 // bit-identical Values, f and p: each group's kernel runs once, and
 // every decision waiting on it gets its own copy of the Output. Distinct
 // groups — in practice, different epochs — run in seal order on up to
-// GOMAXPROCS short-lived workers, which exist only while groups are
-// waiting; a kernel itself stays sequential. The kernel is a pure
-// function of its inputs, so neither the grouping nor the overlap can
-// move a bit of any decision. Use NewLane.
+// GOMAXPROCS (read by NewLane) short-lived workers, which exist only
+// while groups are waiting; a kernel itself stays sequential. The kernel
+// is a pure function of its inputs, so neither the grouping nor the
+// overlap can move a bit of any decision. Use NewLane.
 type Lane struct {
 	kernel  func(values []vec.V, f int, p float64) (vec.V, float64)
+	procs   int // GOMAXPROCS when the lane was made: the worker cap
 	mu      sync.Mutex
 	changed sync.Cond // broadcast when a group finishes or a worker exits
 	// groups holds the groups of the last laneEpochs epochs sealed, so
@@ -57,7 +58,9 @@ type kernelGroup struct {
 func NewLane() *Lane { return newLane(decideEpoch) }
 
 func newLane(kernel func([]vec.V, int, float64) (vec.V, float64)) *Lane {
-	l := &Lane{kernel: kernel, groups: make(map[int][]*kernelGroup)}
+	// runtime.GOMAXPROCS takes the scheduler's lock, which a call per
+	// epoch contends with the worker goroutines' parking.
+	l := &Lane{kernel: kernel, procs: runtime.GOMAXPROCS(0), groups: make(map[int][]*kernelGroup)}
 	l.changed.L = &l.mu
 	return l
 }
@@ -88,7 +91,7 @@ func (l *Lane) push(dec *EpochDecision, f int, p float64) {
 		}
 	}
 	l.pending = append(l.pending, g)
-	if l.workers < runtime.GOMAXPROCS(0) {
+	if l.workers < l.procs {
 		l.workers++
 		go l.work()
 	}
