@@ -15,8 +15,8 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Full suite under the race detector (the batch engine, kernel caches
-# and trace recorder are exercised concurrently).
+# Full suite under the race detector (the batch engine, the kernels'
+# pooled scratch and the trace recorder are exercised concurrently).
 race:
 	$(GO) test -race ./...
 
@@ -62,10 +62,9 @@ bench-acs:
 # master, that LP's working family grown from 3 to 10 blocks one block
 # at a time (warm by Prepared.Extend, and cold by a Prepare of each grown
 # family), the convex support fan of 4 or 16 directions at the same shape,
-# one uncached Gamma(S) point at n=9 f=2 d=3, and one uncached
-# delta*_1 and delta*_inf at n=7 f=2 d=2 and n=9 f=2 d=3, all three by
-# lazy block generation, and InEveryHull on a certified Gamma(S) point
-# at n=9 f=2 d=2. The allocation ceilings of the three lazy entries are
+# one Gamma(S) point at n=9 f=2 d=3, and one delta*_1 and delta*_inf
+# at n=7 f=2 d=2 and n=9 f=2 d=3, all three by lazy block generation,
+# and InEveryHull on a certified Gamma(S) point at n=9 f=2 d=2. The allocation ceilings of the three lazy entries are
 # a tier-1 test (TestLazyHullsAllocationCeiling). Attribution for
 # batch_lp; the claim itself is benchmark/run.sh's.
 bench-lp:
@@ -75,9 +74,9 @@ bench-lp:
 # acs_kernel shape: one Wolfe distance from a point to a 4-point hull in
 # R^3, and one cold delta*_2 solve of |S| = 6, f = 2, d = 3. The
 # allocation ceilings themselves are tier-1 tests
-# (TestDist2UncachedAllocationCeiling, TestDeltaStar2AllocationCeiling).
+# (TestDist2AllocationCeiling, TestDeltaStar2AllocationCeiling).
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'Dist2Uncached|DeltaStar2$$' -benchmem ./internal/geom ./internal/minimax
+	$(GO) test -run '^$$' -bench 'Dist2$$|DeltaStar2$$' -benchmem ./internal/geom ./internal/minimax
 
 # Regenerate every experiment table (E1-E21); fails if any claim breaks.
 experiments:

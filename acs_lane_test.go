@@ -62,8 +62,7 @@ func TestACSKernelPanicSurfacesFromRun(t *testing.T) {
 
 // streamSpec is a 7-node, 40-epoch ACS stream at d=3 p=2 with an
 // equivocator: its cold δ*₂ kernels take about as long as an epoch's
-// rounds, so kernel jobs are pending throughout the run. Each subtest
-// takes its own seed, so that its kernels are cold.
+// rounds, so kernel jobs are pending throughout the run.
 func streamSpec(seed int64) Spec {
 	rng := rand.New(rand.NewSource(seed))
 	props := make([][]Vector, 40)
@@ -88,12 +87,23 @@ func cancelAfter(spec *Spec, msgs int64) (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
+// bundleSolves is the number of δ*₂ cutting-plane solves so far. Every
+// epoch of streamSpec (n=7 f=2 d=3) runs one, so it moves while a
+// stream's kernels run.
+func bundleSolves() int64 {
+	return MetricsSnapshot().Histograms["minimax_bundle_iterations"].Count
+}
+
 // requireJoined checks that nothing a Run started outlives it: the
 // goroutine count comes back to base (polled briefly: a goroutine that
-// signalled its end may still be exiting), and the kernel caches saw no
-// lookup after Run returned, when they held the counts in at.
-func requireJoined(t *testing.T, base int, at CacheCounters) {
+// signalled its end may still be exiting), and no δ*₂ solve ran after Run
+// returned, when bundleSolves read at. The run itself must have solved,
+// from before, or the last check would pass vacuously.
+func requireJoined(t *testing.T, base int, before, at int64) {
 	t.Helper()
+	if at == before {
+		t.Fatal("the run solved no δ*₂ kernel")
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
@@ -102,8 +112,8 @@ func requireJoined(t *testing.T, base int, at CacheCounters) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if now := CacheStats().Totals(); now.Hits+now.Misses != at.Hits+at.Misses {
-		t.Fatalf("%d kernel cache lookups after the run returned", now.Hits+now.Misses-at.Hits-at.Misses)
+	if now := bundleSolves(); now != at {
+		t.Fatalf("%d δ*₂ solves after the run returned", now-at)
 	}
 }
 
@@ -112,44 +122,44 @@ func TestACSRunLeavesNoGoroutines(t *testing.T) {
 		opt := WithTransport(Transport{Kind: plane})
 		seed := int64(10 * k)
 		t.Run(plane.String()+"/completed", func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base, before := runtime.NumGoroutine(), bundleSolves()
 			spec := streamSpec(seed)
 			res, err := Run(context.Background(), spec, opt)
-			at := CacheStats().Totals()
+			at := bundleSolves()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.ACS[0]) != len(spec.Proposals) {
 				t.Fatalf("sealed %d of %d epochs", len(res.ACS[0]), len(spec.Proposals))
 			}
-			requireJoined(t, base, at)
+			requireJoined(t, base, before, at)
 		})
 		t.Run(plane.String()+"/canceled", func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base, before := runtime.NumGoroutine(), bundleSolves()
 			spec := streamSpec(seed + 1)
 			ctx, cancel := cancelAfter(&spec, 3000) // a few epochs in
 			defer cancel()
 			_, err := Run(ctx, spec, opt)
-			at := CacheStats().Totals()
+			at := bundleSolves()
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("err = %v, want ErrCanceled", err)
 			}
-			requireJoined(t, base, at)
+			requireJoined(t, base, before, at)
 		})
 	}
 	t.Run("tcp/failed", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base, before := runtime.NumGoroutine(), bundleSolves()
 		spec := streamSpec(20)
 		ctx, cancel := cancelAfter(&spec, 3000)
 		defer cancel()
 		_, errs := runTCPCluster(t, ctx, spec)
-		at := CacheStats().Totals()
+		at := bundleSolves()
 		for i, err := range errs {
 			if err == nil {
 				t.Fatalf("tcp node %d finished a canceled stream", i)
 			}
 		}
-		requireJoined(t, base, at)
+		requireJoined(t, base, before, at)
 	})
 }
 

@@ -51,10 +51,9 @@ type BatchResult struct {
 // (including panics and cancellation) are recorded in the corresponding
 // BatchResult.Err.
 //
-// Trials share the process-wide geometry-kernel caches (see CacheStats),
-// so batches with overlapping sub-problems — repeated configurations,
-// common point sets — pay for each LP solve only once across the whole
-// batch.
+// Trials share no kernel results: each Run shares its Step-2 kernel
+// calls among its own processes only, so two identical specs each pay
+// for their solves.
 func RunBatch(ctx context.Context, opts BatchOptions, specs []Spec) []BatchResult {
 	inner := batch.Map(ctx, batch.Options{
 		Workers:      opts.Workers,

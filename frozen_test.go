@@ -103,7 +103,7 @@ func TestDeltaStarFrozenInstances(t *testing.T) {
 			}()
 			delta, pt := relax.DeltaStarPoly(s, e.F, p)
 			for i, T := range relax.DroppedSubsets(s, e.F) {
-				if dist, _ := geom.DistPUncached(pt, T, p); dist > delta+1e-6 {
+				if dist, _ := geom.DistP(pt, T, p); dist > delta+1e-6 {
 					t.Errorf("instance %d n=%d f=%d d=%d p=%v (was: %s): point %v is %g from hull %d, δ %g", e.Index, e.N, e.F, e.D, p, e.ParentFailure, pt, dist, i, delta)
 				}
 			}
@@ -167,7 +167,7 @@ func TestWolfeFalseRejects(t *testing.T) {
 		if r := geom.WitnessDist(x, hull, e.Witness, 2, make(Vector, len(x))); !(r <= 1e-12*scale) {
 			t.Errorf("entry %d (%s): witness residual %g > 1e-12·%g", i, e.Source, r, scale)
 		}
-		if dist, _ := geom.Dist2Uncached(x, hull); dist <= relax.CertTol {
+		if dist, _ := geom.Dist2(x, hull); dist <= relax.CertTol {
 			t.Errorf("entry %d (%s): Wolfe now accepts (%g, recorded %g); the entry no longer freezes a false rejection", i, e.Source, dist, e.Wolfe)
 		}
 	}

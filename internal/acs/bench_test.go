@@ -46,11 +46,11 @@ func BenchmarkACSEpoch(b *testing.B) {
 
 // acsEpochAllocs and acsEpochBytes are the measured heap allocations and
 // bytes per epoch of protocolStream (all seven nodes, the engine and the
-// epoch kernel, its caches cold). The same function measured
-// parentACSEpochAllocs and parentACSEpochBytes on nodes that sent every
-// ECHO/READY and BVAL/AUX as a message of its own. (BenchmarkACSEpoch,
-// whose kernel caches are warm, read 735 allocations and 29.1 KiB per
-// epoch there and reads 284 and 20.2 KiB with one body per link.)
+// epoch kernel). The same function measured parentACSEpochAllocs and
+// parentACSEpochBytes on nodes that sent every ECHO/READY and BVAL/AUX
+// as a message of its own. (BenchmarkACSEpoch, whose kernel results were
+// then cached across iterations, read 735 allocations and 29.1 KiB per
+// epoch there and 284 and 20.2 KiB with one body per link.)
 const (
 	acsEpochAllocs       = 385
 	acsEpochBytes        = 30 << 10

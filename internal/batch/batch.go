@@ -16,9 +16,9 @@
 //     (wrapping ErrPanic, with the stack) without taking down the batch
 //     or the process.
 //
-// Trials share the process-wide geometry kernel caches (internal/memo),
-// which is where most of the batch speedup comes from: concurrent trials
-// with overlapping sub-problems each pay for a solve only once.
+// The engine shares nothing between trials, and the geometry kernels
+// keep no cross-trial cache, so a trial's result never depends on which
+// other trials ran.
 package batch
 
 import (

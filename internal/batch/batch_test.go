@@ -129,12 +129,10 @@ func TestPerTrialDeadline(t *testing.T) {
 	}
 }
 
-// TestConcurrentTrialsShareCache fans identical geometry queries across
-// concurrent trials sharing the process-wide kernel cache and checks (a)
-// no race (run with -race), (b) bit-identical results, (c) the cache
-// actually absorbed the repeats.
-func TestConcurrentTrialsShareCache(t *testing.T) {
-	geom.Cache.Reset()
+// TestConcurrentTrialsSameBits fans identical geometry queries across
+// concurrent trials, which share the kernels' pooled scratch, and checks
+// (a) no race (run with -race) and (b) bit-identical results.
+func TestConcurrentTrialsSameBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	sets := make([]*vec.Set, 8)
 	queries := make([]vec.V, 8)
@@ -163,9 +161,6 @@ func TestConcurrentTrialsShareCache(t *testing.T) {
 		if base := out[i%8]; r.Value != base.Value {
 			t.Fatalf("trial %d: %v differs from trial %d: %v", i, r.Value, i%8, base.Value)
 		}
-	}
-	if st := geom.Cache.Stats(); st.Hits == 0 {
-		t.Fatalf("expected shared-cache hits, got %+v", st)
 	}
 }
 

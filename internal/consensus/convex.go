@@ -77,7 +77,7 @@ func directionFan(d, count int) []vec.V {
 }
 
 // gammaAnchor computes a certified point of Gamma(S) = the intersection
-// of the dropped-subset hulls: first the memoized relax.GammaPoint, then
+// of the dropped-subset hulls: first relax.GammaPoint, then
 // an exhaustive Tverberg partition scan as backup (a depth-(f+1)
 // Tverberg point lies in every dropped-subset hull, because each subset
 // drops only f points and so keeps at least one partition block

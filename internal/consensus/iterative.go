@@ -229,7 +229,6 @@ func projectIntoIntersection(pt vec.V, fam []*vec.Set) vec.V {
 	}
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 50; i++ {
-		// Uncached: these probe points never repeat.
 		if mid := (lo + hi) / 2; minimax.MaxDist2(vec.Lerp(pt, res.Point, mid), fam) <= res.Delta {
 			hi = mid
 		} else {

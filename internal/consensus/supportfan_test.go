@@ -140,7 +140,7 @@ func TestSupportFanRefereeJointLP(t *testing.T) {
 // outsideBy reports whether some hull of fam is further than tol from x.
 func outsideBy(fam []*vec.Set, x vec.V, tol float64) bool {
 	for _, s := range fam {
-		if dist, _ := geom.Dist2Uncached(x, s); dist > tol {
+		if dist, _ := geom.Dist2(x, s); dist > tol {
 			return true
 		}
 	}

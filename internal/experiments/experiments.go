@@ -62,8 +62,8 @@ type Outcome struct {
 	// MetricsCumulative is the full registry snapshot taken right after
 	// this experiment finished (set by RunAllInstrumented; nil
 	// otherwise). Unlike the delta it always carries the process-wide
-	// consensus, batch and cache counters, even for experiments that
-	// exercise only the geometry layer.
+	// consensus and batch counters, even for experiments that exercise
+	// only the geometry layer.
 	MetricsCumulative *metrics.Snapshot
 }
 
@@ -125,8 +125,7 @@ func Registry() []Entry {
 // trial: a panicking runner is converted into a failed Outcome (the
 // panic in its Notes) instead of taking down the harness, and canceling
 // ctx skips experiments that have not started. workers bounds the pool
-// (0 = GOMAXPROCS). Experiments share the process-wide geometry-kernel
-// caches, so overlapping sweeps across experiments are solved once.
+// (0 = GOMAXPROCS).
 func RunAll(ctx context.Context, opt Options, workers int) []*Outcome {
 	reg := Registry()
 	results := batch.Map(ctx, batch.Options{Workers: workers}, reg,
@@ -150,7 +149,7 @@ func RunAll(ctx context.Context, opt Options, workers int) []*Outcome {
 // each as its own single-trial batch, and attaches to every Outcome the
 // delta of the process-wide metrics registry across its run: what the
 // experiment added to the consensus round/message counters, the batch
-// trial-latency histogram, the kernel cache hit/miss counts and the LP
+// trial-latency histogram, the kernel solver counts and the LP
 // statistics. Sequential execution (one worker, one experiment at a
 // time) is what makes the deltas attributable; use RunAll when you want
 // throughput instead of attribution.

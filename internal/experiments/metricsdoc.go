@@ -10,7 +10,7 @@ import (
 // ExperimentMetrics is one experiment's entry in the -metrics-out
 // document: identity, verdict, wall time and the experiment's delta of
 // the process-wide metrics registry (consensus rounds/messages, batch
-// trial latency, kernel cache hits/misses, LP statistics).
+// trial latency, kernel solver counts, LP statistics).
 type ExperimentMetrics struct {
 	ID             string            `json:"id"`
 	Title          string            `json:"title"`
@@ -18,10 +18,10 @@ type ExperimentMetrics struct {
 	ElapsedSeconds float64           `json:"elapsed_seconds"`
 	Delta          *metrics.Snapshot `json:"delta"`
 	// Cumulative is the full registry at the end of this experiment —
-	// the process-wide consensus round counters, batch latency
-	// histogram and kernel cache hits/misses are always populated here,
-	// even when the experiment itself only touched the geometry layer
-	// (so its Delta has zero consensus activity).
+	// the process-wide consensus round counters and batch latency
+	// histogram are always populated here, even when the experiment
+	// itself only touched the geometry layer (so its Delta has zero
+	// consensus activity).
 	Cumulative *metrics.Snapshot `json:"cumulative"`
 }
 

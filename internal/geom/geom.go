@@ -14,50 +14,14 @@ import (
 	"sync"
 
 	"relaxedbvc/internal/lp"
-	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/vec"
 )
 
 // Eps is the default geometric tolerance used by membership predicates.
 const Eps = 1e-7
 
-// The hull predicates are pure functions of their inputs, and consensus
-// sweeps re-issue them with bit-identical arguments across trials,
-// rounds and processes. The memo table keys on the exact input bits, so
-// a hit returns exactly what the solver would recompute.
-var Cache = memo.Register("geom")
-
-// Cache op tags (key namespaces).
-const (
-	opInHull  = 'h'
-	opDist1   = '1'
-	opDist2   = '2'
-	opDistInf = 'i'
-	opDistFW  = 'p'
-)
-
-// distEntry is the cached value of a distance solve.
-type distEntry struct {
-	d  float64
-	pt vec.V
-}
-
-// cachedDist memoizes one distance solve under (op, extra, q, s). The
-// point is cloned: callers may mutate it, the cached copy must stay
-// pristine.
-func cachedDist(op byte, q vec.V, s *vec.Set, extra float64, compute func() (float64, vec.V)) (float64, vec.V) {
-	k := memo.GetKey(op).Float(extra).Floats(q).Set(s)
-	defer k.Release()
-	e := memo.Cached(Cache, k, func() distEntry {
-		d, pt := compute()
-		return distEntry{d: d, pt: pt}
-	})
-	return e.d, e.pt.Clone()
-}
-
 // InHull reports whether q lies in the convex hull of the points of s,
-// decided by LP feasibility of the convex-combination system. Results
-// are memoized.
+// decided by LP feasibility of the convex-combination system.
 func InHull(q vec.V, s *vec.Set) bool {
 	if s.Len() == 0 {
 		return false
@@ -65,9 +29,7 @@ func InHull(q vec.V, s *vec.Set) bool {
 	if q.Dim() != s.Dim() {
 		panic("geom: InHull dimension mismatch")
 	}
-	k := memo.GetKey(opInHull).Floats(q).Set(s)
-	defer k.Release()
-	return memo.Cached(Cache, k, func() bool { return inHullLP(q, s) })
+	return inHullLP(q, s)
 }
 
 // hullScratch bundles a reusable LP problem and row buffer so the hot
@@ -179,24 +141,23 @@ func Caratheodory(q vec.V, s *vec.Set) (idx []int, weights []float64, ok bool) {
 }
 
 // DistInf returns the L-infinity distance from q to conv(s), together with
-// the nearest hull point (memoized). Exact LP:
+// the nearest hull point. Exact LP:
 //
 //	min t  s.t.  |q - sum lambda_i s_i|_k <= t for all k, lambda in simplex.
 func DistInf(q vec.V, s *vec.Set) (float64, vec.V) {
-	return cachedDist(opDistInf, q, s, 0, func() (float64, vec.V) { return polyDistNear(q, s, math.Inf(1)) })
+	return polyDistNear(q, s, math.Inf(1))
 }
 
 // Dist1 returns the L1 distance from q to conv(s) and the nearest hull
-// point (memoized), via the exact LP with per-coordinate deviation
-// variables.
+// point, via the exact LP with per-coordinate deviation variables.
 func Dist1(q vec.V, s *vec.Set) (float64, vec.V) {
-	return cachedDist(opDist1, q, s, 0, func() (float64, vec.V) { return polyDistNear(q, s, 1) })
+	return polyDistNear(q, s, 1)
 }
 
 // DistPolyLP is the exact L1 (p = 1) or L-infinity (p = +Inf) distance
-// from q to conv(s) by its LP, uncached and without the nearest point.
-// ok=false when the float simplex fails on the LP (feasible and bounded
-// in exact arithmetic), where DistP and DistPUncached panic.
+// from q to conv(s) by its LP, without the nearest point. ok=false when
+// the float simplex fails on the LP (feasible and bounded in exact
+// arithmetic), where DistP panics.
 func DistPolyLP(q vec.V, s *vec.Set, p float64) (dist float64, ok bool) {
 	if p != 1 && !math.IsInf(p, 1) {
 		panic(fmt.Sprintf("geom: DistPolyLP requires p in {1, +Inf}, got %v", p))
@@ -357,20 +318,6 @@ func DistP(q vec.V, s *vec.Set, p float64) (float64, vec.V) {
 		return Dist2(q, s)
 	case math.IsInf(p, 1):
 		return DistInf(q, s)
-	case p > 1:
-		return cachedDist(opDistFW, q, s, p, func() (float64, vec.V) { return distFW(q, s, p) })
-	}
-	panic(fmt.Sprintf("geom: DistP requires p >= 1, got %v", p))
-}
-
-// DistPUncached is DistP bypassing the memo cache; see Dist2Uncached for
-// when that is the right call.
-func DistPUncached(q vec.V, s *vec.Set, p float64) (float64, vec.V) {
-	switch {
-	case p == 1 || math.IsInf(p, 1):
-		return polyDistNear(q, s, p)
-	case p == 2:
-		return Dist2Uncached(q, s)
 	case p > 1:
 		return distFW(q, s, p)
 	}

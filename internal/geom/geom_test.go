@@ -161,9 +161,9 @@ func TestDist1Known(t *testing.T) {
 	}
 }
 
-// DistPolyLP is DistPUncached's distance, bit for bit, without the
+// DistPolyLP is DistP's distance, bit for bit, without the
 // nearest point.
-func TestDistPolyLPMatchesDistPUncached(t *testing.T) {
+func TestDistPolyLPMatchesDistP(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 200; trial++ {
 		d := 1 + rng.Intn(4)
@@ -173,9 +173,9 @@ func TestDistPolyLPMatchesDistPUncached(t *testing.T) {
 		}
 		s, q := vec.NewSet(pts...), randVec(rng, d, 3)
 		for _, p := range []float64{1, math.Inf(1)} {
-			want, _ := DistPUncached(q, s, p)
+			want, _ := DistP(q, s, p)
 			if got, ok := DistPolyLP(q, s, p); !ok || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("trial %d p=%v: DistPolyLP (%v, %v), DistPUncached %v", trial, p, got, ok, want)
+				t.Fatalf("trial %d p=%v: DistPolyLP (%v, %v), DistP %v", trial, p, got, ok, want)
 			}
 		}
 	}

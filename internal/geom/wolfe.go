@@ -9,28 +9,17 @@ import (
 )
 
 // Dist2 returns the Euclidean distance from q to conv(s) and the nearest
-// point of the hull (memoized), computed with Wolfe's min-norm-point
-// algorithm applied to the translated set {s_i - q}. Wolfe's method
-// terminates finitely in exact arithmetic; we add iteration caps and
-// tolerances for floating point.
+// point of the hull, computed with Wolfe's min-norm-point algorithm
+// applied to the translated set {s_i - q}. Wolfe's method terminates
+// finitely in exact arithmetic; we add iteration caps and tolerances for
+// floating point. It allocates only the nearest point it returns;
+// Dist2Into allocates nothing.
 func Dist2(q vec.V, s *vec.Set) (float64, vec.V) {
-	if s.Len() == 0 {
-		panic("geom: Dist2 on empty set")
-	}
-	return cachedDist(opDist2, q, s, 0, func() (float64, vec.V) { return Dist2Uncached(q, s) })
-}
-
-// Dist2Uncached is Dist2 bypassing the memo cache. Iterative solvers
-// whose inner loops query a fresh point every step (so keys never
-// repeat) should use it: caching those lookups costs key encoding and
-// table growth without ever producing a hit. It allocates only the
-// nearest point it returns; Dist2Into allocates nothing.
-func Dist2Uncached(q vec.V, s *vec.Set) (float64, vec.V) {
 	d, near, _ := Dist2Certified(q, s)
 	return d, near
 }
 
-// Dist2Certified is Dist2Uncached that also reports whether Wolfe's
+// Dist2Certified is Dist2 that also reports whether Wolfe's
 // method stopped at its optimality test, not at a numerical stall or its
 // iteration cap (after which the distance may be far above the true one).
 func Dist2Certified(q vec.V, s *vec.Set) (float64, vec.V, bool) {
@@ -39,7 +28,7 @@ func Dist2Certified(q vec.V, s *vec.Set) (float64, vec.V, bool) {
 	return d, near, certified
 }
 
-// Dist2Into is Dist2Uncached writing the nearest point into near, a
+// Dist2Into is Dist2 writing the nearest point into near, a
 // caller-owned buffer of q's dimension, so a sweep of one point over
 // many hulls allocates nothing. near is a convex combination of s's
 // points even when Wolfe stalls, so ||q - near||_p bounds the Lp

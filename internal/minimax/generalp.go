@@ -10,12 +10,10 @@ import (
 )
 
 // MaxDistP evaluates F(x) = max over the family of dist_p(x, H(set)).
-// Like MaxDist2, it bypasses the geometry memo cache: solver iterates
-// are unique, so caching them costs encoding without ever hitting.
 func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
 	m := 0.0
 	for _, s := range sets {
-		if d, _ := geom.DistPUncached(x, s, p); d > m {
+		if d, _ := geom.DistP(x, s, p); d > m {
 			m = d
 		}
 	}
@@ -99,7 +97,7 @@ func subgradientDescentP(x0 vec.V, sets []*vec.Set, p float64, scale float64) (v
 		var nearest vec.V
 		maxD := -1.0
 		for _, s := range sets {
-			if d, near := geom.DistPUncached(x, s, p); d > maxD {
+			if d, near := geom.DistP(x, s, p); d > maxD {
 				maxD, nearest = d, near
 			}
 		}

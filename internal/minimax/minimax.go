@@ -22,7 +22,6 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/linalg"
-	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/simplexgeo"
@@ -42,14 +41,10 @@ type Result struct {
 }
 
 // MaxDist2 evaluates F(x) = max over the family of dist_2(x, H(set)).
-// It bypasses the geometry memo cache: every solver iterate is a fresh
-// x, so those lookups would only ever pay encoding cost, never hit.
-// (The solvers' end results are memoized one level up, in this
-// package's own cache.)
 func MaxDist2(x vec.V, sets []*vec.Set) float64 {
 	m := 0.0
 	for _, s := range sets {
-		d, _ := geom.Dist2Uncached(x, s)
+		d, _ := geom.Dist2(x, s)
 		m = math.Max(m, d)
 	}
 	return m
@@ -386,27 +381,6 @@ func (b *bundle) iterate() vec.V {
 	return x
 }
 
-// Every step of the δ*₂ solvers is deterministic in (S, f), and
-// consensus sweeps re-ask the same instance across processes and
-// trials, so a memo table keyed on the exact input bits returns
-// bit-identical results for free.
-var Cache = memo.Register("minimax")
-
-const (
-	opDeltaStar2 = 's'
-	opDeltaIter  = 't'
-)
-
-// cachedDeltaStar memoizes one δ*₂ solve; the point is cloned so the
-// cached copy stays pristine.
-func cachedDeltaStar(op byte, s *vec.Set, f int, compute func() Result) Result {
-	k := memo.GetKey(op).Int(f).Set(s)
-	defer k.Release()
-	r := memo.Cached(Cache, k, compute)
-	r.Point = r.Point.Clone()
-	return r
-}
-
 // DeltaStar2 computes delta*_2(S) for the Gamma family of Algorithm ALGO:
 // the (|S|-f)-subsets of S. When f = 1 and |S| = d+1 it uses the closed
 // forms of Lemma 13 (inradius of the input simplex) and Theorem 8
@@ -416,10 +390,6 @@ func DeltaStar2(s *vec.Set, f int) Result {
 	if f < 1 || f >= s.Len() {
 		panic("minimax: DeltaStar2 requires 1 <= f < |S|")
 	}
-	return cachedDeltaStar(opDeltaStar2, s, f, func() Result { return deltaStar2(s, f) })
-}
-
-func deltaStar2(s *vec.Set, f int) Result {
 	if f == 1 && s.Len() == s.Dim()+1 {
 		if sx, err := simplexgeo.New(s.Points()); err == nil {
 			r := sx.Inradius()
@@ -436,10 +406,9 @@ func deltaStar2(s *vec.Set, f int) Result {
 }
 
 // DeltaStar2Iterative always uses the cutting-plane solver; E7 referees
-// it against the closed forms. It memoizes under its own key, which
-// DeltaStar2's solve does not go through.
+// it against the closed forms.
 func DeltaStar2Iterative(s *vec.Set, f int) Result {
-	return cachedDeltaStar(opDeltaIter, s, f, func() Result { return MinMaxDist2(relax.DroppedSubsets(s, f)) })
+	return MinMaxDist2(relax.DroppedSubsets(s, f))
 }
 
 // degenerateGammaPoint finds a point in Gamma(S) when the inputs span a

@@ -34,7 +34,7 @@ func BenchmarkSupportFan(b *testing.B) {
 }
 
 // BenchmarkGammaPoint is the exact Step-2 kernel at n=9 f=2 d=3 (36
-// dropped subsets of 7 points in R^3): one uncached Gamma(S) point.
+// dropped subsets of 7 points in R^3): one Gamma(S) point.
 func BenchmarkGammaPoint(b *testing.B) {
 	fam := DroppedSubsets(randSet(rand.New(rand.NewSource(9)), 9, 3, 3), 2)
 	b.ReportAllocs()
@@ -47,8 +47,8 @@ func BenchmarkGammaPoint(b *testing.B) {
 
 // BenchmarkDeltaStarPoly is the δ-relaxed Step-2 kernel for p = 1 and
 // p = +Inf at batch_lp's δ-relaxed shape (n=7 f=2 d=2: 21 dropped
-// subsets) and at n=9 f=2 d=3 (84): one uncached δ*_p solve by lazy
-// block generation.
+// subsets) and at n=9 f=2 d=3 (84): one δ*_p solve by lazy block
+// generation.
 func BenchmarkDeltaStarPoly(b *testing.B) {
 	for _, c := range []struct{ n, f, d int }{{7, 2, 2}, {9, 2, 3}} {
 		fam := DroppedSubsets(randSet(rand.New(rand.NewSource(9)), c.n, c.d, 3), c.f)

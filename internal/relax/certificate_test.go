@@ -251,7 +251,7 @@ func certificateSound(t *testing.T, where string, fam []*vec.Set, fan []vec.V, r
 // TestLazyHullsAllocationCeiling pins the allocations of one call of
 // each lazy-hull entry at make bench-lp's shapes to the counts measured
 // with the warm-grown working family (in parentheses, the counts before
-// it): SupportPoints over 4 directions 6 (44) and an uncached Gamma
+// it): SupportPoints over 4 directions 6 (44) and a Gamma
 // point 3 (15), at n=9 f=2 d=2 and d=3, and MinIntersectionDelta at
 // n=7 f=2 d=2 52/52 (64/72) and n=9 f=2 d=3 76/67 (85/73) for p = 1/∞.
 // The SupportPoints family grows by 3 or more blocks, so the growth path

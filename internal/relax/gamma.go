@@ -44,9 +44,7 @@ const CertTol = 1e-7
 // rejects, on the weights of the L-infinity distance LP (clamped and
 // renormalized, the residual measured in the 2-norm). A NaN or infinite
 // Wolfe distance never accepts. Every point lazyHulls certifies passes,
-// also where Wolfe rejects a hull a block certificate accepted. The
-// Wolfe distances are uncached: pt is a fresh LP output, so a memo key
-// would never repeat.
+// also where Wolfe rejects a hull a block certificate accepted.
 func InEveryHull(fam []*vec.Set, pt vec.V) bool {
 	h := getHullTest(0, pt.Dim())
 	defer h.release()

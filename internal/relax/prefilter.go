@@ -61,7 +61,7 @@ const (
 //
 //   - Singleton-witness membership: a singleton block {w} forces x = w
 //     for the exact and k-relaxed kinds (H({w}) = H_k({w}) = {w}), so
-//     the decision reduces to memoized membership tests of w against
+//     the decision reduces to membership tests of w against
 //     every other hull — both acceptance and rejection are sound. For
 //     the (delta,p) kind a singleton only confines x to a delta-ball
 //     around w, so the witness path is accept-only: if w is within

@@ -191,7 +191,7 @@ func refereeInstance(t *testing.T, c refereeShape, seed int64, tally *refereeTal
 // outside reports whether some hull of fam is further than tol from x.
 func outside(fam []*vec.Set, x vec.V, tol float64) bool {
 	for _, s := range fam {
-		if dist, _ := geom.Dist2Uncached(x, s); dist > tol {
+		if dist, _ := geom.Dist2(x, s); dist > tol {
 			return true
 		}
 	}
@@ -273,7 +273,7 @@ type deltaTally struct {
 //  1. The loop returns a point wherever the joint LP has an optimum.
 //  2. A certified point is within its δ + CertTol of every hull,
 //     measured by the exact distance LP (geom.DistPolyLP, the distance
-//     of DistPUncached; a hull whose LP fails is counted, not measured);
+//     of DistP; a hull whose LP fails is counted, not measured);
 //     an uncertified one is the joint LP's, bit for bit.
 //  3. δ is within 1e-9*scale of the joint LP's, except where the joint
 //     LP is wrong: it has no optimum, its point is further than its

@@ -24,31 +24,8 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/lp"
-	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/vec"
 )
-
-// GammaPoint and DeltaStarPoly solve LPs over a working family of the
-// C(n,f) subset blocks; consensus runs re-issue both with identical
-// (S, f) arguments across processes and trials. The memo table keys on
-// the exact input bits, so a hit is bit-for-bit what the solver would
-// recompute.
-var Cache = memo.Register("relax")
-
-const (
-	opGamma     = 'G'
-	opDeltaPoly = 'D'
-)
-
-type gammaEntry struct {
-	pt vec.V
-	ok bool
-}
-
-type deltaEntry struct {
-	delta float64
-	pt    vec.V
-}
 
 // projScratchPool recycles projection buffers across InHullK sweeps so
 // the per-subset projections of the steady-state inner loop allocate
@@ -82,9 +59,9 @@ func inHullKSweep(q vec.V, s *vec.Set, k int) bool {
 	defer projScratchPool.Put(ps)
 	in := true
 	// Revolving-door order: consecutive subsets D differ in one
-	// coordinate, keeping the reused projection buffers and the memo
-	// cache's working set maximally warm. The conjunction is
-	// order-independent, so the answer matches the lexicographic sweep.
+	// coordinate, keeping the reused projection buffers maximally warm.
+	// The conjunction is order-independent, so the answer matches the
+	// lexicographic sweep.
 	vec.CombinationsGray(q.Dim(), k, func(D []int) bool {
 		if !geom.InHull(ps.ProjectInto(q, D), ps.ProjectSetInto(s, D)) {
 			in = false
@@ -120,19 +97,10 @@ func IntersectHulls(sets []*vec.Set) (point vec.V, ok bool) {
 }
 
 // GammaPoint finds a point in Gamma(Y) = intersection over T of H(T)
-// with |T| = |Y| - f, or ok=false when Gamma(Y) is empty (memoized). By
-// Tverberg's theorem Gamma(Y) is non-empty whenever |Y| >= (d+1)f + 1.
+// with |T| = |Y| - f, or ok=false when Gamma(Y) is empty. By Tverberg's
+// theorem Gamma(Y) is non-empty whenever |Y| >= (d+1)f + 1.
 func GammaPoint(y *vec.Set, f int) (vec.V, bool) {
-	k := memo.GetKey(opGamma).Int(f).Float(0).Set(y)
-	defer k.Release()
-	e := memo.Cached(Cache, k, func() gammaEntry {
-		pt, ok := IntersectHulls(DroppedSubsets(y, f))
-		return gammaEntry{pt: pt, ok: ok}
-	})
-	if !e.ok {
-		return nil, false
-	}
-	return e.pt.Clone(), true
+	return IntersectHulls(DroppedSubsets(y, f))
 }
 
 // IntersectKHulls finds a point in the intersection of the k-relaxed
@@ -219,13 +187,7 @@ func GammaDeltaPoint(s *vec.Set, f int, delta, p float64) (vec.V, bool) {
 // DeltaStarPoly returns delta*_p(S) for the polyhedral norms p in
 // {1, inf}: the smallest delta making Gamma_(delta,p)(S) non-empty,
 // together with the deterministic point chosen at that delta
-// (MinIntersectionDelta over the dropped subsets, memoized).
+// (MinIntersectionDelta over the dropped subsets).
 func DeltaStarPoly(s *vec.Set, f int, p float64) (float64, vec.V) {
-	k := memo.GetKey(opDeltaPoly).Int(f).Float(p).Set(s)
-	defer k.Release()
-	e := memo.Cached(Cache, k, func() deltaEntry {
-		delta, pt := MinIntersectionDelta(DroppedSubsets(s, f), p)
-		return deltaEntry{delta: delta, pt: pt}
-	})
-	return e.delta, e.pt.Clone()
+	return MinIntersectionDelta(DroppedSubsets(s, f), p)
 }

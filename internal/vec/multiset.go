@@ -233,8 +233,7 @@ func Combinations(n, k int, fn func(idx []int) bool) {
 // CombinationsGray calls fn with each size-k subset of {0,...,n-1} in
 // revolving-door (Gray code) order: consecutive subsets differ by
 // exactly one element swapped, which keeps per-subset scratch
-// (projection buffers, the memo cache's working set) maximally reusable
-// across a sweep. The slice passed to fn is sorted ascending and reused; copy it
+// (projection buffers) maximally reusable across a sweep. The slice passed to fn is sorted ascending and reused; copy it
 // if it must be retained. fn returning false stops early. The subset
 // family visited is exactly that of Combinations, only the order
 // differs — callers whose per-subset results are order-dependent must

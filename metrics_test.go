@@ -9,16 +9,13 @@ import (
 	"relaxedbvc/internal/metrics"
 )
 
-// metricsPass resets the registry and the kernel caches, runs a fixed
-// seeded batch on a single worker, and returns the resulting counter
-// section. One worker keeps cache hit/miss attribution deterministic
-// (concurrent workers race for who computes a shared entry first);
-// counters are the deterministic slice of the registry — wall-time
-// histograms and gauges are not expected to repeat.
+// metricsPass resets the registry, runs a fixed seeded batch on a
+// single worker, and returns the resulting counter section. Counters are
+// the deterministic slice of the registry — wall-time histograms and
+// gauges are not expected to repeat.
 func metricsPass(t *testing.T) map[string]int64 {
 	t.Helper()
 	metrics.ResetDefault()
-	ResetCaches()
 	norms := []float64{2, 1, LInf}
 	specs := make([]Spec, 12)
 	for i := range specs {
@@ -66,8 +63,8 @@ func deterministicInputs(seed int64, n, d int) []Vector {
 
 // TestMetricsSnapshotDeterminism runs the same seeded workload twice
 // and requires identical counter values: rounds, messages, LP solves
-// and pivots, cache hits/misses — everything the protocols and kernels
-// count must be a pure function of the inputs.
+// and pivots — everything the protocols and kernels count must be a
+// pure function of the inputs.
 func TestMetricsSnapshotDeterminism(t *testing.T) {
 	a := metricsPass(t)
 	b := metricsPass(t)

