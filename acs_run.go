@@ -1,7 +1,7 @@
 package relaxedbvc
 
 // ProtocolACS execution. The ACS node is a deterministic lockstep state
-// machine (internal/acs), so transport.RunLockstep drives the identical
+// machine (internal/acs), so transport.RunCluster drives the identical
 // machine on every backend — the decision stream is bit-for-bit the
 // same on all three, and ACSFingerprint is the parity predicate the
 // cross-transport tests compare.
@@ -143,7 +143,7 @@ func runACS(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, er
 	}
 	lane := acs.NewLane()
 	defer lane.Wait()
-	run, err := transport.RunLockstep(ctx, plane, spec.N, spec.Faults, spec.Trace, func(i int) (*acs.Node, error) {
+	run, err := transport.RunCluster(ctx, plane, spec.N, nil, spec.Faults, spec.Trace, func(i int) (*acs.Node, error) {
 		node, err := acsNode(spec, props, i, lane)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInputs, err)

@@ -135,7 +135,7 @@ func benchBroadcast(b *testing.B, n int, build func(id int, input []byte) broadc
 	b.ReportAllocs()
 	var msgs int
 	for i := 0; i < b.N; i++ {
-		run, err := transport.RunLockstep(context.Background(), transport.Plane{}, n, nil, nil, func(id int) (broadcast.Node, error) {
+		run, err := transport.RunCluster(context.Background(), transport.Plane{}, n, nil, nil, nil, func(id int) (broadcast.Node, error) {
 			return build(id, broadcast.EncodeVec(vec.Of(float64(id), 1))), nil
 		})
 		if err != nil {

@@ -236,12 +236,6 @@ func (n *Node) Step(round int, delivered []sched.Message) []sched.Outgoing {
 	return n.flush(n.pump(n.outs[:0]))
 }
 
-// Receive implements sched.AsyncProcess with the identical transition
-// function, so the state machine is engine-agnostic.
-func (n *Node) Receive(m sched.Message) []sched.Outgoing {
-	return n.Step(m.SentRound, []sched.Message{m})
-}
-
 // flush appends the pending Bracha votes and the ABA body to outs, each
 // as one broadcast copied into the arena.
 func (n *Node) flush(outs []sched.Outgoing) []sched.Outgoing {

@@ -294,8 +294,8 @@ func (r *rbcNode) Start() []sched.Outgoing {
 	return nil
 }
 
-func (r *rbcNode) Receive(m sched.Message) []sched.Outgoing {
-	outs := r.bs.Handle(m)
+func (r *rbcNode) Step(_ int, delivered []sched.Message) []sched.Outgoing {
+	outs := r.bs.Handle(delivered[0]) // the scheduled engine delivers one message a Step
 	r.got = append(r.got, r.bs.TakeDeliveries()...)
 	if len(r.got) >= r.expect {
 		r.done = true
@@ -305,9 +305,9 @@ func (r *rbcNode) Receive(m sched.Message) []sched.Outgoing {
 
 func (r *rbcNode) Done() bool { return r.done }
 
-func runBracha(t *testing.T, n, f int, schedule sched.Schedule, byzantine sched.AsyncProcess) []*rbcNode {
+func runBracha(t *testing.T, n, f int, schedule sched.Schedule, byzantine sched.SyncProcess) []*rbcNode {
 	t.Helper()
-	procs := make([]sched.AsyncProcess, n)
+	procs := make([]sched.SyncProcess, n)
 	nodes := make([]*rbcNode, n)
 	for i := 0; i < n; i++ {
 		node := &rbcNode{bs: NewBrachaState(n, f, i), value: []byte("V"), sender: i == 0, expect: 1}
@@ -361,14 +361,14 @@ func (e *equivocatingSender) Start() []sched.Outgoing {
 	e.sent = true
 	return outs
 }
-func (e *equivocatingSender) Receive(sched.Message) []sched.Outgoing { return nil }
-func (e *equivocatingSender) Done() bool                             { return e.sent }
+func (e *equivocatingSender) Step(int, []sched.Message) []sched.Outgoing { return nil }
+func (e *equivocatingSender) Done() bool                                 { return e.sent }
 
 func TestBrachaEquivocatingSenderConsistency(t *testing.T) {
 	// Byzantine sender (process 0) equivocates; honest processes must not
 	// deliver conflicting values. They may deliver nothing (engine drains).
 	n, f := 4, 1
-	procs := make([]sched.AsyncProcess, n)
+	procs := make([]sched.SyncProcess, n)
 	nodes := make([]*rbcNode, n)
 	procs[0] = &equivocatingSender{n: n}
 	for i := 1; i < n; i++ {
@@ -410,7 +410,7 @@ func TestBrachaMultipleInstances(t *testing.T) {
 	type multiNode struct {
 		rbcNode
 	}
-	procs := make([]sched.AsyncProcess, n)
+	procs := make([]sched.SyncProcess, n)
 	nodes := make([]*rbcNode, n)
 	for i := 0; i < n; i++ {
 		node := &rbcNode{bs: NewBrachaState(n, f, i), value: []byte{byte('a' + i)}, sender: true, expect: n}

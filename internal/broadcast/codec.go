@@ -10,7 +10,7 @@
 //     Relaxed Verified Averaging algorithm.
 //
 // EIGNode and DSNode are lockstep machines (sched.SyncProcess) that
-// internal/transport.RunLockstep drives on any plane; Bracha runs inside
+// internal/transport.RunCluster drives on any plane; Bracha runs inside
 // the asynchronous and ACS machines.
 package broadcast
 

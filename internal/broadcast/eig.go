@@ -335,7 +335,7 @@ func (b *eigBody) flush(outs []sched.Outgoing) []sched.Outgoing {
 // broadcast: n parallel EIG instances (one per commander) at a single
 // process — the "each process Byzantine-broadcasts its input" pattern
 // of Algorithm ALGO Step 1. It implements sched.SyncProcess, so
-// internal/transport.RunLockstep drives it on the simulation, the mesh
+// internal/transport.RunCluster drives it on the simulation, the mesh
 // or, one node per machine, over TCP. Rounds are
 // 0-based: round r delivers the level r+1 nodes (round 0 the
 // commanders' sends); levels 1..f are relayed, level f+1 decides.

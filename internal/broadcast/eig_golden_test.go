@@ -172,7 +172,7 @@ func eigTranscript(s eigGoldenSpec) (eigTranscriptRecord, error) {
 	}
 	def := broadcast.EncodeVec(vec.New(eigGoldenDim))
 	inputs, byz := s.inputs(), s.byzantine()
-	run, err := transport.RunLockstep(context.Background(), transport.Plane{}, s.n, s.faults(), trace, func(id int) (*broadcast.EIGNode, error) {
+	run, err := transport.RunCluster(context.Background(), transport.Plane{}, s.n, nil, s.faults(), trace, func(id int) (*broadcast.EIGNode, error) {
 		return broadcast.NewEIGNode(s.n, s.f, id, inputs[id], byz[id], def), nil
 	})
 	if err != nil {

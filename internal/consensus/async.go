@@ -11,6 +11,7 @@ import (
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -209,11 +210,16 @@ func garbageVec(d, seed int) vec.V {
 	return v
 }
 
-func (p *rvaProcess) Receive(m sched.Message) []sched.Outgoing {
+// Step implements sched.SyncProcess. The scheduled engine delivers one
+// message a Step; the deliveries it completes are verified together.
+func (p *rvaProcess) Step(_ int, delivered []sched.Message) []sched.Outgoing {
 	if p.byz != nil && p.byz.MuteRBC {
 		return nil
 	}
-	outs := p.bs.Handle(m)
+	var outs []sched.Outgoing
+	for _, m := range delivered {
+		outs = append(outs, p.bs.Handle(m)...)
+	}
 	for _, del := range p.bs.TakeDeliveries() {
 		round, value, witness, err := decodeRVA(del.Value, p.cfg.D)
 		if err != nil || round < 0 || round >= p.cfg.Rounds {
@@ -330,14 +336,9 @@ func (p *rvaProcess) choose(round int, witness []int, vals []vec.V) (vec.V, floa
 			} else {
 				out = pt
 			}
-		} else {
-			switch norm := p.cfg.norm(); {
-			case norm == 2:
-				r := minimax.DeltaStar2(set, p.cfg.F)
-				out, delta = r.Point, r.Delta
-			default: // 1 or +Inf, validated up front
-				delta, out = relax.DeltaStarPoly(set, p.cfg.F, norm)
-			}
+		} else { // the norm is 1, 2 or +Inf, validated up front
+			r := minimax.DeltaStarP(set, p.cfg.F, p.cfg.norm())
+			out, delta = r.Point, r.Delta
 		}
 	} else {
 		out = vec.Mean(vals)
@@ -410,20 +411,30 @@ func hasDupInts(xs []int) bool {
 
 // RunAsyncBVC runs the asynchronous approximate consensus algorithm
 // (Relaxed Verified Averaging in ModeRelaxed, the exact-validity
-// averaging baseline in ModeExact). The context is polled once per
-// message delivery, so cancellation interrupts a run mid-round.
+// averaging baseline in ModeExact) on the simulation. The context is
+// polled once per message delivery, so cancellation interrupts a run
+// mid-round.
 func RunAsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
+	return RunAsync(ctx, transport.Plane{}, cfg)
+}
+
+// RunAsync is RunAsyncBVC on a chosen plane. Delivery is cfg.Schedule's
+// (FIFO if nil), which only the simulation makes: a real plane refuses
+// the run with transport.ErrUnsupported.
+func RunAsync(ctx context.Context, plane transport.Plane, cfg *AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(cfg); err != nil {
 		return nil, err
 	}
 	if err := sched.Canceled(ctx); err != nil {
 		return nil, err
 	}
+	schedule := cfg.Schedule
+	if schedule == nil {
+		schedule = sched.FIFOSchedule{}
+	}
 	memo := &chooseMemo{m: make(map[string]memoEntry)}
-	procs := make([]sched.AsyncProcess, cfg.N)
-	rvas := make([]*rvaProcess, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		rp := &rvaProcess{
+	run, err := transport.RunCluster(ctx, plane, cfg.N, schedule, cfg.Faults, cfg.Trace, func(i int) (*rvaProcess, error) {
+		return &rvaProcess{
 			cfg:      cfg,
 			self:     i,
 			bs:       broadcast.NewBrachaState(cfg.N, cfg.F, i),
@@ -431,26 +442,19 @@ func RunAsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
 			memo:     memo,
 			verified: map[int]map[int]vec.V{},
 			advanced: map[int]bool{},
-		}
-		rvas[i] = rp
-		procs[i] = rp
-	}
-	eng := sched.NewAsyncEngine(procs, cfg.Schedule)
-	eng.Faults = cfg.Faults
-	eng.TraceFn = cfg.Trace
-	eng.StopFn = func() error { return sched.Canceled(ctx) }
-	steps, err := eng.Run()
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	res := &AsyncResult{
 		Outputs:  make([]vec.V, cfg.N),
 		Delta:    make([]float64, cfg.N),
-		Steps:    steps,
-		Messages: eng.Messages,
-		Faults:   eng.FaultStats,
+		Steps:    run.Steps,
+		Messages: run.Messages,
+		Faults:   run.Faults,
 	}
-	for i, rp := range rvas {
+	for i, rp := range run.Machines {
 		res.Outputs[i] = rp.decided
 		res.Delta[i] = rp.delta
 	}
@@ -459,7 +463,7 @@ func RunAsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
 	// union is well-defined).
 	for r := 0; r < cfg.Rounds; r++ {
 		bysender := map[int]vec.V{}
-		for i, rp := range rvas {
+		for i, rp := range run.Machines {
 			if _, bad := cfg.Byzantine[i]; bad {
 				continue
 			}
@@ -499,9 +503,16 @@ func RunAsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
 	return res, nil
 }
 
+// maxWireField is the largest value encodeRVA's uint16 fields carry: a
+// broadcast's round (0..Rounds-1), a witness's length and its ids.
+const maxWireField = math.MaxUint16
+
 func validateAsync(cfg *AsyncConfig) error {
 	if cfg.N < 2 {
 		return fmt.Errorf("%w: n must be >= 2, got %d", ErrTooFewProcesses, cfg.N)
+	}
+	if cfg.N > maxWireField {
+		return fmt.Errorf("%w: n=%d, the rva wire addresses at most %d processes", ErrBadInputs, cfg.N, maxWireField)
 	}
 	if len(cfg.Inputs) != cfg.N {
 		return fmt.Errorf("%w: %d inputs for n=%d", ErrBadInputs, len(cfg.Inputs), cfg.N)
@@ -512,8 +523,8 @@ func validateAsync(cfg *AsyncConfig) error {
 	if cfg.N < minProcessesRBC(cfg.F) {
 		return fmt.Errorf("%w: reliable broadcast requires n >= 3f+1 (n=%d, f=%d)", ErrTooFewProcesses, cfg.N, cfg.F)
 	}
-	if cfg.Rounds < 1 {
-		return fmt.Errorf("%w: got %d", ErrBadRounds, cfg.Rounds)
+	if cfg.Rounds < 1 || cfg.Rounds > maxWireField+1 {
+		return fmt.Errorf("%w: got %d (the rva wire numbers at most %d rounds)", ErrBadRounds, cfg.Rounds, maxWireField+1)
 	}
 	if n := cfg.norm(); n != 1 && n != 2 && !math.IsInf(n, 1) {
 		return fmt.Errorf("%w: NormP must be 1, 2 or +Inf, got %v", ErrBadNorm, n)

@@ -2,7 +2,7 @@ package consensus
 
 import (
 	"context"
-
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,6 +245,34 @@ func TestAsyncValidation(t *testing.T) {
 	} {
 		if _, err := RunAsyncBVC(context.Background(), cfg); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestAsyncValidationWireBounds: the rva wire writes rounds, witness
+// lengths and witness ids as uint16, so a run that would send round
+// 65 536 (as round 0) or address process 65 535 is refused up front.
+func TestAsyncValidationWireBounds(t *testing.T) {
+	inputs := func(n int) []vec.V {
+		in := make([]vec.V, n)
+		for i := range in {
+			in[i] = vec.New(2)
+		}
+		return in
+	}
+	for _, tc := range []struct {
+		name      string
+		n, rounds int
+		want      error
+	}{
+		{"last wire round", 4, 65536, nil},
+		{"round past the wire", 4, 65537, ErrBadRounds},
+		{"largest wire n", 65535, 3, nil},
+		{"n past the wire", 65536, 3, ErrBadInputs},
+	} {
+		cfg := &AsyncConfig{N: tc.n, F: 1, D: 2, Inputs: inputs(tc.n), Rounds: tc.rounds}
+		if err := validateAsync(cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: validateAsync = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

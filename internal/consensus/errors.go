@@ -15,13 +15,15 @@ var (
 	// ErrTooManyFaults: f >= n, or more Byzantine behaviors were
 	// configured than f allows.
 	ErrTooManyFaults = errors.New("consensus: too many faulty processes")
-	// ErrBadInputs: the number of input vectors differs from n.
+	// ErrBadInputs: the number of input vectors differs from n, or n is
+	// more than the asynchronous protocol's wire can address (65 535).
 	ErrBadInputs = errors.New("consensus: wrong number of inputs")
 	// ErrBadDimension: an input vector's dimension differs from D, or a
 	// protocol's dimension requirement (scalar consensus needs d=1) is
 	// violated.
 	ErrBadDimension = errors.New("consensus: bad dimension")
-	// ErrBadRounds: the configured round count is not positive.
+	// ErrBadRounds: the configured round count is not positive, or more
+	// than the asynchronous protocol's wire can number (65 536).
 	ErrBadRounds = errors.New("consensus: rounds must be >= 1")
 	// ErrBadNorm: the Lp norm parameter is outside the supported set
 	// (p in {1, 2, +Inf} for the relaxed protocols; p >= 1 for delta*).

@@ -273,7 +273,7 @@ func RunIterativeBVC(ctx context.Context, plane transport.Plane, cfg *IterConfig
 	if err := sched.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	run, err := transport.RunLockstep(ctx, plane, cfg.N, cfg.Faults, cfg.Trace, func(i int) (*iterProcess, error) {
+	run, err := transport.RunCluster(ctx, plane, cfg.N, nil, cfg.Faults, cfg.Trace, func(i int) (*iterProcess, error) {
 		if cfg.Inputs[i].Dim() != cfg.D {
 			return nil, badInput(i)
 		}

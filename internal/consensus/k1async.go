@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -19,6 +20,12 @@ import (
 // honest output lies in the interval spanned by the non-faulty inputs'
 // corresponding coordinates.
 func RunK1AsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
+	return RunK1Async(ctx, transport.Plane{}, cfg)
+}
+
+// RunK1Async is RunK1AsyncBVC on a chosen plane; like RunAsync, a real
+// plane refuses it.
+func RunK1Async(ctx context.Context, plane transport.Plane, cfg *AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(cfg); err != nil {
 		return nil, err
 	}
@@ -56,7 +63,7 @@ func RunK1AsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) 
 				sub.Byzantine[id] = nb
 			}
 		}
-		res, err := RunAsyncBVC(ctx, sub)
+		res, err := RunAsync(ctx, plane, sub)
 		if err != nil {
 			return nil, fmt.Errorf("consensus: coordinate %d: %w", j, err)
 		}

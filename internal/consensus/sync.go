@@ -192,7 +192,7 @@ func step1(ctx context.Context, plane transport.Plane, cfg *SyncConfig) (*step1I
 		}
 		scheme = broadcast.NewSigScheme(cfg.N, seed)
 	}
-	run, err := transport.RunLockstep(ctx, plane, cfg.N, cfg.Faults, cfg.Trace, func(id int) (broadcast.Node, error) {
+	run, err := transport.RunCluster(ctx, plane, cfg.N, nil, cfg.Faults, cfg.Trace, func(id int) (broadcast.Node, error) {
 		if cfg.Inputs[id].Dim() != cfg.D {
 			return nil, cfg.badInput(id)
 		}
@@ -356,22 +356,16 @@ func KRelaxedChooser(cfg *SyncConfig, k int) (Chooser, error) {
 
 // DeltaRelaxedChooser returns Algorithm ALGO's choice: the smallest
 // delta with Gamma_(delta,p)(S) non-empty and the deterministic point
-// attaining it. Supported p: 2 (closed form / minimax), 1 and +Inf
-// (exact LP).
+// attaining it (minimax.DeltaStarP). Supported p: 2 (closed form /
+// minimax), 1 and +Inf (exact LP).
 func DeltaRelaxedChooser(cfg *SyncConfig, p float64) (Chooser, error) {
-	switch {
-	case p == 2:
-		return func(s *vec.Set) (vec.V, float64, error) {
-			r := minimax.DeltaStar2(s, cfg.F)
-			return r.Point, r.Delta, nil
-		}, nil
-	case p == 1 || math.IsInf(p, 1):
-		return func(s *vec.Set) (vec.V, float64, error) {
-			delta, pt := relax.DeltaStarPoly(s, cfg.F, p)
-			return pt, delta, nil
-		}, nil
+	if p != 1 && p != 2 && !math.IsInf(p, 1) {
+		return nil, fmt.Errorf("%w: p=%v (use 1, 2 or +Inf)", ErrBadNorm, p)
 	}
-	return nil, fmt.Errorf("%w: p=%v (use 1, 2 or +Inf)", ErrBadNorm, p)
+	return func(s *vec.Set) (vec.V, float64, error) {
+		r := minimax.DeltaStarP(s, cfg.F, p)
+		return r.Point, r.Delta, nil
+	}, nil
 }
 
 // ScalarChooser returns the d = 1 exact scalar consensus choice

@@ -12,8 +12,7 @@
 //
 // Counters and histograms are cumulative and monotone; Snapshot.Diff
 // subtracts them to isolate one experiment's contribution. Gauges are
-// point-in-time. Read-callback metrics (RegisterFunc) fold external
-// cumulative counters into the counter section of every snapshot.
+// point-in-time.
 //
 // Metric names follow one scheme, lowercase snake_case
 // (consensus_runs_total, batch_trial_seconds): the benchmark program
@@ -215,7 +214,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() int64
 }
 
 // namePattern is the metric-name scheme: snake_case segments of
@@ -224,7 +222,7 @@ var namePattern = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
 // checkName panics unless name follows namePattern. Counter, Gauge and
 // Histogram call it only when they create the metric, so lookups of an
-// existing name skip it; RegisterFunc calls it on every registration.
+// existing name skip it.
 func checkName(name string) {
 	if !namePattern.MatchString(name) {
 		panic(fmt.Sprintf("metrics: name %q is not snake_case (want %s)", name, namePattern))
@@ -237,7 +235,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() int64),
 	}
 }
 
@@ -284,17 +281,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// RegisterFunc registers a read callback reporting an external cumulative
-// counter. The value is read at snapshot
-// time and folded into the snapshot's counter section. It panics if
-// name is not snake_case.
-func (r *Registry) RegisterFunc(name string, fn func() int64) {
-	checkName(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.funcs[name] = fn
-}
-
 // Snapshot returns a point-in-time copy of every metric in the registry.
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
@@ -328,30 +314,15 @@ func (r *Registry) Snapshot() *Snapshot {
 			h    *Histogram
 		}{n, h})
 	}
-	funcs := make([]struct {
-		name string
-		fn   func() int64
-	}, 0, len(r.funcs))
-	for n, fn := range r.funcs {
-		funcs = append(funcs, struct {
-			name string
-			fn   func() int64
-		}{n, fn})
-	}
 	r.mu.Unlock()
 
 	s := &Snapshot{
-		Counters:   make(map[string]int64, len(counters)+len(funcs)),
+		Counters:   make(map[string]int64, len(counters)),
 		Gauges:     make(map[string]int64, len(gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(hists)),
 	}
 	for _, e := range counters {
 		s.Counters[e.name] = e.c.Value()
-	}
-	// Callbacks run outside the registry lock: they may take other locks
-	// and must not deadlock against registration.
-	for _, e := range funcs {
-		s.Counters[e.name] = e.fn()
 	}
 	for _, e := range gauges {
 		s.Gauges[e.name] = e.g.Value()
@@ -363,8 +334,7 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 // Reset zeroes every counter, gauge and histogram in place (existing
-// handles stay valid). Func-backed metrics are external and unaffected;
-// reset their owners separately.
+// handles stay valid).
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -396,14 +366,11 @@ func DefaultHistogram(name string, bounds []float64) *Histogram {
 	return defaultRegistry.Histogram(name, bounds)
 }
 
-// RegisterFunc registers a read callback in the default registry.
-func RegisterFunc(name string, fn func() int64) { defaultRegistry.RegisterFunc(name, fn) }
-
 // Snap snapshots the default registry.
 func Snap() *Snapshot { return defaultRegistry.Snapshot() }
 
 // ResetDefault zeroes the default registry (tests and benchmark
-// harnesses; see Registry.Reset for func-backed metrics).
+// harnesses).
 func ResetDefault() { defaultRegistry.Reset() }
 
 // TimeBuckets is the fixed bucket layout (seconds) for wall-time

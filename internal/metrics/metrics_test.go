@@ -69,7 +69,6 @@ var registrars = []struct {
 	{"Counter", func(r *Registry, name string) { r.Counter(name) }},
 	{"Gauge", func(r *Registry, name string) { r.Gauge(name) }},
 	{"Histogram", func(r *Registry, name string) { r.Histogram(name, CountBuckets()) }},
-	{"RegisterFunc", func(r *Registry, name string) { r.RegisterFunc(name, func() int64 { return 0 }) }},
 }
 
 // TestRegistryRejectsBadNames pins the snake_case scheme at
@@ -176,19 +175,6 @@ func TestSnapshotDiff(t *testing.T) {
 	dh := d.Histograms["h"]
 	if dh.Count != 1 || dh.Buckets[0].Count != 0 || dh.Buckets[1].Count != 1 {
 		t.Fatalf("diff hist = %+v, want one observation in the +Inf bucket", dh)
-	}
-}
-
-func TestRegisterFunc(t *testing.T) {
-	r := NewRegistry()
-	var external int64 = 41
-	r.RegisterFunc("external_total", func() int64 { return external })
-	if got := r.Snapshot().Counters["external_total"]; got != 41 {
-		t.Fatalf("func counter = %d, want 41", got)
-	}
-	external++
-	if got := r.Snapshot().Counters["external_total"]; got != 42 {
-		t.Fatalf("func counter = %d, want 42", got)
 	}
 }
 

@@ -28,17 +28,17 @@ func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
 // returned as Exact with Lower = Delta); other p run the generic minimax
 // solver over the Frank-Wolfe Lp hull distances, which yields an upper
 // bound on the true delta*_p accurate to roughly 1e-4 relative at unit
-// scale.
+// scale. The LP norms accept any f the LP does (f = 0 is the hull of S
+// itself); the others need 1 <= f < |S|.
 func DeltaStarP(s *vec.Set, f int, p float64) Result {
-	if f < 1 || f >= s.Len() {
-		panic("minimax: DeltaStarP requires 1 <= f < |S|")
-	}
 	switch {
-	case p == 2:
-		return DeltaStar2(s, f)
 	case p == 1 || math.IsInf(p, 1):
 		delta, pt := relax.DeltaStarPoly(s, f, p)
 		return Result{Delta: delta, Lower: delta, Point: pt, Exact: true, Converged: true}
+	case f < 1 || f >= s.Len():
+		panic("minimax: DeltaStarP requires 1 <= f < |S|")
+	case p == 2:
+		return DeltaStar2(s, f)
 	case p < 1:
 		panic("minimax: DeltaStarP requires p >= 1")
 	}

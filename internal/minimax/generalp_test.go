@@ -19,19 +19,22 @@ func TestDeltaStarPDispatchesToL2(t *testing.T) {
 
 func TestDeltaStarPMatchesExactLPNorms(t *testing.T) {
 	// p = 1 and p = inf are the exact LP values, certified: the dispatch
-	// returns relax.DeltaStarPoly's delta and point with Lower = Delta.
+	// returns relax.DeltaStarPoly's delta and point with Lower = Delta,
+	// also at f = 0 (the hull of S itself), which Step 2 may ask for.
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 4; trial++ {
 		d := 2 + rng.Intn(2)
 		s := randSimplexSet(rng, d)
-		for _, p := range []float64{1, math.Inf(1)} {
-			exact, pt := relax.DeltaStarPoly(s, 1, p)
-			got := DeltaStarP(s, 1, p)
-			if math.Float64bits(got.Delta) != math.Float64bits(exact) || !got.Point.Equal(pt) {
-				t.Fatalf("p=%v: DeltaStarP (%v, %v), exact LP (%v, %v)", p, got.Delta, got.Point, exact, pt)
-			}
-			if !got.Exact || !got.Converged || got.Lower != got.Delta {
-				t.Fatalf("p=%v: exact LP value not certified: %+v", p, got)
+		for _, f := range []int{0, 1} {
+			for _, p := range []float64{1, math.Inf(1)} {
+				exact, pt := relax.DeltaStarPoly(s, f, p)
+				got := DeltaStarP(s, f, p)
+				if math.Float64bits(got.Delta) != math.Float64bits(exact) || !got.Point.Equal(pt) {
+					t.Fatalf("f=%d p=%v: DeltaStarP (%v, %v), exact LP (%v, %v)", f, p, got.Delta, got.Point, exact, pt)
+				}
+				if !got.Exact || !got.Converged || got.Lower != got.Delta {
+					t.Fatalf("f=%d p=%v: exact LP value not certified: %+v", f, p, got)
+				}
 			}
 		}
 	}

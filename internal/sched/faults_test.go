@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-func newEchoNet(n int) ([]AsyncProcess, *echoProc) {
-	procs := make([]AsyncProcess, n)
+func newEchoNet(n int) ([]SyncProcess, *echoProc) {
+	procs := make([]SyncProcess, n)
 	var origin *echoProc
 	for i := range procs {
 		ep := &echoProc{id: i, n: n, origin: i == 0}

@@ -1,7 +1,8 @@
 // Package sched provides the simulated message-passing substrate the
 // consensus protocols run on: a lockstep synchronous round engine and an
 // asynchronous event-queue engine with pluggable delivery schedules
-// (seeded-random, FIFO, or adversarial LIFO).
+// (seeded-random, FIFO, or adversarial LIFO), both driving the one
+// SyncProcess machine interface.
 //
 // The network is the complete graph with reliable channels, matching the
 // paper's model: every process can send to every other process, messages
@@ -70,10 +71,12 @@ func (o *Outgoing) reaches(from, to int) bool {
 	return o.To == to || o.To == Broadcast && to != from
 }
 
-// SyncProcess is a deterministic state machine driven in lockstep rounds.
-// Start is called once before round 0; Step is called each round with the
+// SyncProcess is a deterministic state machine, the one machine interface
+// of every protocol. SyncEngine drives it in lockstep rounds: Start is
+// called once before round 0; Step is called each round with the
 // messages delivered in that round (the messages sent in the previous
-// round, or by Start for round 0).
+// round, or by Start for round 0). AsyncEngine calls Step once per
+// delivered message instead.
 type SyncProcess interface {
 	// Start returns the messages to send in round 0.
 	Start() []Outgoing
@@ -360,17 +363,6 @@ func SortInbox(inbox []Message) {
 	}
 }
 
-// AsyncProcess is a deterministic state machine driven by single message
-// deliveries.
-type AsyncProcess interface {
-	// Start returns the initial sends.
-	Start() []Outgoing
-	// Receive handles one delivered message and returns sends.
-	Receive(m Message) []Outgoing
-	// Done reports termination; a done process absorbs messages silently.
-	Done() bool
-}
-
 // Schedule selects which in-flight message to deliver next.
 type Schedule interface {
 	// Pick returns an index into queue (len >= 1).
@@ -414,9 +406,12 @@ func (s *DelayTargetSchedule) Pick(queue []Message) int {
 	return 0
 }
 
-// AsyncEngine runs AsyncProcesses under a Schedule.
+// AsyncEngine runs the same SyncProcess machines under a Schedule, one
+// delivery at a time: each delivery is a Step whose inbox holds exactly
+// that message (round is the delivery step), from one buffer the engine
+// reuses. A done process absorbs messages silently.
 type AsyncEngine struct {
-	procs    []AsyncProcess
+	procs    []SyncProcess
 	schedule Schedule
 	MaxSteps int
 	// Faults optionally injects seeded link faults. Dropped copies are
@@ -438,7 +433,7 @@ type AsyncEngine struct {
 
 // NewAsyncEngine builds an asynchronous engine. If schedule is nil, FIFO
 // is used.
-func NewAsyncEngine(procs []AsyncProcess, schedule Schedule) *AsyncEngine {
+func NewAsyncEngine(procs []SyncProcess, schedule Schedule) *AsyncEngine {
 	if schedule == nil {
 		schedule = FIFOSchedule{}
 	}
@@ -579,6 +574,7 @@ func (e *AsyncEngine) Run() (int, error) {
 	for id, p := range e.procs {
 		expand(id, p.Start(), 0)
 	}
+	inbox := make([]Message, 1)
 	for ; step < e.MaxSteps; step++ {
 		if len(msgs) == 0 {
 			break
@@ -678,7 +674,8 @@ func (e *AsyncEngine) Run() (int, error) {
 			now++
 			continue
 		}
-		expand(m.To, p.Receive(m), now+1)
+		inbox[0] = m
+		expand(m.To, p.Step(step, inbox), now+1)
 		now++
 	}
 	if step >= e.MaxSteps {

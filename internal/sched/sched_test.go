@@ -137,8 +137,8 @@ func (b *badSender) Start() []Outgoing              { return []Outgoing{{To: 42}
 func (b *badSender) Step(int, []Message) []Outgoing { b.done = true; return nil }
 func (b *badSender) Done() bool                     { return b.done }
 
-// echoProc: async process; replies once to each received "ping" with
-// "pong", counts pongs, done after expected count.
+// echoProc replies once to each received "ping" with "pong", counts
+// pongs, and is done after the expected count.
 type echoProc struct {
 	id     int
 	n      int
@@ -155,18 +155,21 @@ func (p *echoProc) Start() []Outgoing {
 	return nil
 }
 
-func (p *echoProc) Receive(m Message) []Outgoing {
-	switch m.Tag {
-	case "ping":
-		p.pings++
-		return []Outgoing{{To: m.From, Tag: "pong"}}
-	case "pong":
-		p.pongs++
-		if p.pongs == p.n-1 {
-			p.done = true
+func (p *echoProc) Step(_ int, delivered []Message) []Outgoing {
+	var outs []Outgoing
+	for _, m := range delivered {
+		switch m.Tag {
+		case "ping":
+			p.pings++
+			outs = append(outs, Outgoing{To: m.From, Tag: "pong"})
+		case "pong":
+			p.pongs++
+			if p.pongs == p.n-1 {
+				p.done = true
+			}
 		}
 	}
-	return nil
+	return outs
 }
 
 func (p *echoProc) Done() bool { return p.done }
@@ -179,7 +182,7 @@ func TestAsyncEngineSchedules(t *testing.T) {
 		"delay":  &DelayTargetSchedule{Slow: map[int]bool{2: true}},
 	} {
 		n := 4
-		procs := make([]AsyncProcess, n)
+		procs := make([]SyncProcess, n)
 		var origin *echoProc
 		for i := range procs {
 			ep := &echoProc{id: i, n: n, origin: i == 0}
@@ -201,7 +204,7 @@ func TestAsyncEngineSchedules(t *testing.T) {
 func TestAsyncEngineDeterministicWithSeed(t *testing.T) {
 	run := func(seed int64) int {
 		n := 5
-		procs := make([]AsyncProcess, n)
+		procs := make([]SyncProcess, n)
 		for i := range procs {
 			procs[i] = &echoProc{id: i, n: n, origin: i == 0}
 		}
@@ -219,7 +222,7 @@ func TestAsyncEngineDeterministicWithSeed(t *testing.T) {
 
 func TestAsyncEngineStepLimit(t *testing.T) {
 	// Two processes ping-pong forever.
-	procs := []AsyncProcess{&forever{}, &forever{}}
+	procs := []SyncProcess{&forever{}, &forever{}}
 	e := NewAsyncEngine(procs, FIFOSchedule{})
 	e.MaxSteps = 50
 	if _, err := e.Run(); err == nil {
@@ -230,8 +233,8 @@ func TestAsyncEngineStepLimit(t *testing.T) {
 type forever struct{}
 
 func (forever) Start() []Outgoing { return []Outgoing{{To: Broadcast, Tag: "x"}} }
-func (forever) Receive(m Message) []Outgoing {
-	return []Outgoing{{To: m.From, Tag: "x"}}
+func (forever) Step(_ int, delivered []Message) []Outgoing {
+	return []Outgoing{{To: delivered[0].From, Tag: "x"}}
 }
 func (forever) Done() bool { return false }
 

@@ -29,6 +29,16 @@ const (
 	blockKindMutation = "mutation"
 )
 
+// The mutation and corpus bounds: each mutation parent derives
+// mutPerParent children, one wave consumes at most maxParentsPerWave
+// parents, and a soak persists at most maxInteresting novel-feature
+// corpus entries (consumed in commit order, so deterministically).
+const (
+	mutPerParent      = 8
+	maxParentsPerWave = 64
+	maxInteresting    = 256
+)
+
 // Options configures a soak run.
 type Options struct {
 	// SeedBudget is the number of fresh seeds to run (corpus replays are
@@ -53,15 +63,6 @@ type Options struct {
 	// mutation budget becomes extra base blocks, so SeedsRun always
 	// equals SeedBudget.
 	MutFrac float64
-	// MutPerParent is the number of derived children per mutation
-	// parent (default 8).
-	MutPerParent int
-	// MaxParentsPerWave bounds one mutation wave (default 64).
-	MaxParentsPerWave int
-	// MaxInteresting bounds the novel-feature corpus entries persisted
-	// per soak (default 256); the cap is consumed in commit order, so it
-	// is deterministic.
-	MaxInteresting int
 	// Regime/Protocols/Strict/Transport form the base generation recipe
 	// (see JobConfig). Defaults: "mixed", all protocols, false, "sim".
 	Regime    string
@@ -93,15 +94,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.MutFrac < 0 || o.MutFrac >= 1 {
 		return o, fmt.Errorf("%w: MutFrac %v outside [0,1)", ErrConfig, o.MutFrac)
-	}
-	if o.MutPerParent <= 0 {
-		o.MutPerParent = 8
-	}
-	if o.MaxParentsPerWave <= 0 {
-		o.MaxParentsPerWave = 64
-	}
-	if o.MaxInteresting <= 0 {
-		o.MaxInteresting = 256
 	}
 	if o.Regime == "" {
 		o.Regime = "mixed"
@@ -216,7 +208,7 @@ func run(ctx context.Context, opt Options) (*coordinator, error) {
 		opt:             opt,
 		baseCfg:         opt.baseCfg(),
 		seen:            map[string]bool{},
-		interestingLeft: opt.MaxInteresting,
+		interestingLeft: maxInteresting,
 	}
 	if opt.Duration > 0 {
 		co.deadline = time.Now().Add(opt.Duration)
@@ -307,7 +299,7 @@ func (co *coordinator) planDuration(ctx context.Context) error {
 		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(chunk)); err != nil {
 			return err
 		}
-		waveBudget := int64(co.opt.MutPerParent) * int64(co.opt.MaxParentsPerWave)
+		waveBudget := int64(mutPerParent * maxParentsPerWave)
 		jobs := co.planWave(&waveBudget)
 		if len(jobs) == 0 {
 			continue
@@ -373,10 +365,10 @@ func (co *coordinator) baseJobs(count int64) []*Job {
 }
 
 // planWave consumes the next run of unconsumed mutation parents (up to
-// MaxParentsPerWave, while budget remains) and derives their children,
+// maxParentsPerWave, while budget remains) and derives their children,
 // grouped into blocks by the pinned child config.
 func (co *coordinator) planWave(mutLeft *int64) []*Job {
-	end := co.parentCur + co.opt.MaxParentsPerWave
+	end := co.parentCur + maxParentsPerWave
 	if end > len(co.parents) {
 		end = len(co.parents)
 	}
@@ -388,7 +380,7 @@ func (co *coordinator) planWave(mutLeft *int64) []*Job {
 	var order []string
 	for ; co.parentCur < end && *mutLeft > 0; co.parentCur++ {
 		p := co.parents[co.parentCur]
-		k := int64(co.opt.MutPerParent)
+		k := int64(mutPerParent)
 		if k > *mutLeft {
 			k = *mutLeft
 		}
@@ -581,7 +573,7 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 			Shards:       opt.Shards,
 			BlockSize:    opt.BlockSize,
 			MutFrac:      opt.MutFrac,
-			MutPerParent: opt.MutPerParent,
+			MutPerParent: mutPerParent,
 			Regime:       opt.Regime,
 			Protocols:    opt.Protocols,
 			Strict:       opt.Strict,
@@ -590,7 +582,7 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 		PerProtocol: map[string]OutcomeCounts{},
 		PerShard:    make([]OutcomeCounts, opt.Shards),
 	}
-	interestingLeft := opt.MaxInteresting
+	interestingLeft := maxInteresting
 	failFiles := map[string]bool{}
 	seedFiles := map[string]bool{}
 	for i := range blocks {

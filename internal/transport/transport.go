@@ -1,11 +1,12 @@
 // Package transport is the message plane of the library: a Transport
-// moves typed, length-prefixed frames between node IDs, and RunLockstep
-// (lockstep.go) drives the protocols' deterministic state machines —
+// moves typed, length-prefixed frames between node IDs, and RunCluster
+// (cluster.go) drives every protocol's deterministic state machines —
 // sched.SyncProcess values emitting sched.Outgoing and consuming
 // sched.Message — unchanged on any of three planes:
 //
 //   - the deterministic simulation (default, and the fuzz substrate):
-//     all n in one sched.SyncEngine, seeded link faults, exact replay.
+//     all n in one sched.SyncEngine, or in one sched.AsyncEngine under a
+//     delivery schedule; seeded link faults, exact replay.
 //   - Mesh (NewMesh): an in-process channel mesh, one goroutine per
 //     node, real concurrency, no sockets — the race-detector backend.
 //   - TCP (DialTCP): real sockets, per-peer reconnect with exponential
@@ -92,7 +93,7 @@ type Transport interface {
 	Close() error
 }
 
-// Stats counts one endpoint's traffic (see Instrumented); RunLockstep
+// Stats counts one endpoint's traffic (see Instrumented); RunCluster
 // sums the local endpoints' into its result.
 type Stats struct {
 	// FramesSent and FramesReceived count data+control frames through

@@ -5,7 +5,7 @@ package relaxedbvc
 // bit-for-bit replayable, fault-injectable, and the substrate of every
 // fuzz and parity test. The alternative backends run one consensus
 // process per goroutine (mesh) or per OS process/machine (TCP); on all
-// three the machines are driven by internal/transport's RunLockstep,
+// three the machines are driven by internal/transport's RunCluster,
 // which reproduces the simulation's delivery semantics exactly, so a
 // cluster decides the same vectors as the simulation of the same Spec.
 
@@ -116,18 +116,10 @@ func WithMetricsSink(fn func(*RunMetrics)) Option {
 }
 
 // plane resolves the option into the driver's plane for spec, once per
-// Run: the kinds map one to one, and what spec cannot do off the
-// simulation is refused here (seeded link faults excepted — the driver
-// refuses those itself, where a fault-injecting transport will later
-// take their place).
+// Run: the kinds map one to one. What spec cannot do off the simulation
+// (a delivery schedule, seeded link faults) the driver refuses itself.
 func (t *Transport) plane(spec *Spec) (transport.Plane, error) {
 	plane := transport.Plane{Kind: transport.PlaneKind(t.Kind)}
-	if t.Kind == TransportSim {
-		return plane, nil
-	}
-	if why := simOnly(spec); why != "" {
-		return plane, fmt.Errorf("%w: %s: %s", ErrUnsupportedTransport, spec.Protocol, why)
-	}
 	if t.Kind == TransportTCP {
 		// The driver checks this too; here a peer map of the wrong size is
 		// a bad input to Run, the sentinel the facade has always answered.

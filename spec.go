@@ -325,19 +325,9 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	return res, nil
 }
 
-// simOnly names why spec cannot leave the simulation, or "" when every
-// plane runs it. Everything else is a set of lockstep machines and runs
-// wherever transport.RunLockstep does; DESIGN section 11.4 prints this
-// table and TestPlaneMatrix pins both.
-func simOnly(spec *Spec) string {
-	switch spec.Protocol {
-	case ProtocolAsync, ProtocolK1Async:
-		return "asynchronous delivery order is the Schedule's choice, made by the simulated event-queue engine"
-	}
-	return ""
-}
-
-// runOn executes spec's protocol on an already resolved plane.
+// runOn executes spec's protocol on an already resolved plane. Every
+// protocol runs through transport.RunCluster, which refuses what a real
+// plane cannot do (DESIGN section 11.4; TestPlaneMatrix pins the table).
 func runOn(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, error) {
 	if spec.Default != nil && spec.Default.Dim() != spec.D {
 		return nil, fmt.Errorf("%w: Default has dimension %d, want %d", ErrBadDimension, spec.Default.Dim(), spec.D)
@@ -385,11 +375,11 @@ func runOn(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, err
 		fillTransportMetrics(res.Metrics, ir.Transport)
 		return res, nil
 	case ProtocolAsync, ProtocolK1Async:
-		run := consensus.RunAsyncBVC
+		run := consensus.RunAsync
 		if spec.Protocol == ProtocolK1Async {
-			run = consensus.RunK1AsyncBVC
+			run = consensus.RunK1Async
 		}
-		ar, err := run(ctx, spec.asyncConfig())
+		ar, err := run(ctx, plane, spec.asyncConfig())
 		if err != nil {
 			return nil, err
 		}
