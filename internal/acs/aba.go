@@ -34,19 +34,32 @@ import (
 // traffic; BrachaTag carries the reliable broadcasts.
 const ABATag = "aba"
 
+// The phases of a vote. TERM(v) announces a decision of v; its round
+// field is the round the sender decided in.
 const (
 	abaBval = byte(0)
 	abaAux  = byte(1)
+	abaTerm = byte(2)
 )
 
-// coin is the deterministic common coin: a SplitMix64 avalanche of
-// (epoch, slot, round), identical at every process. Against the
-// repository's scripted, non-adaptive adversaries a public
-// deterministic coin is sound (the classic FLP-style adversary that
-// predicts the coin must adapt its schedule to it, which scripted
-// fault patterns and lockstep delivery cannot), and it is what keeps
-// every run bit-for-bit replayable.
+// coin is the deterministic common coin: 1 in round 0, 0 in round 1,
+// and from round 2 on a SplitMix64 avalanche of (epoch, slot, round),
+// identical at every process. MMR agreement holds for any common coin,
+// and BKR inputs are unanimous on every slot all correct processes
+// delivered (1) or zero-filled (0), so the fixed first two coins decide
+// those instances in round 0 or round 1. Against the repository's
+// scripted, non-adaptive adversaries a public deterministic coin is
+// sound (the classic FLP-style adversary that predicts the coin must
+// adapt its schedule to it, which scripted fault patterns and lockstep
+// delivery cannot), and it is what keeps every run bit-for-bit
+// replayable.
 func coin(epoch, slot, round int) byte {
+	switch round {
+	case 0:
+		return 1
+	case 1:
+		return 0
+	}
 	x := uint64(epoch)*0x9e3779b97f4a7c15 + uint64(slot)<<32 + uint64(round)
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -80,7 +93,7 @@ func abaFramed(body []byte, procs int) bool {
 		return false
 	}
 	for ; len(body) > 0; body = body[abaVoteLen:] {
-		if _, slot, _, phase, _ := decodeABA(body); slot >= procs || phase > abaAux {
+		if _, slot, _, phase, _ := decodeABA(body); slot >= procs || phase > abaTerm {
 			return false
 		}
 	}
@@ -90,7 +103,7 @@ func abaFramed(body []byte, procs int) bool {
 // abaRound is the per-round message state of one instance: a flag byte
 // per sender (the duplicate check) and the counts the thresholds read.
 type abaRound struct {
-	seen      []byte  // per sender: bit b = BVAL(b) received, bit seenAux = AUX received
+	seen      []byte  // per sender: bit b = BVAL(b) received, then the flag bits below
 	bvalCnt   [2]int  // senders of BVAL(b)
 	auxCnt    [2]int  // senders of AUX(b)
 	bvalSent  [2]bool // we broadcast BVAL(b) this round
@@ -98,13 +111,20 @@ type abaRound struct {
 	auxSent   bool
 }
 
-const seenAux = 2
+// Bits of a round's per-sender flag byte past the two BVAL bits.
+const (
+	seenAux  = 2 // AUX received this round
+	termSeen = 3 // bit termSeen+v, round 0's byte only: TERM(v) received
+	termLive = 5 // bit termLive+v: the sender's TERM(v) counts in this round
+)
 
 // abaInst is one binary-agreement instance — MMR-style BVAL/AUX rounds
-// with the deterministic common coin. It is driven purely by handle()
-// and input(), which append their votes to the caller's buffer; a decided
-// instance stops emitting (all correct processes decide in the same
-// lockstep round, so nobody is left waiting).
+// with the common coin, plus TERM votes. It is driven purely by handle()
+// and input(), which append their votes to the caller's buffer. A
+// decided instance appends TERM(v) once and stops advancing: a peer's
+// TERM(v) stands for that peer's BVAL(v) and AUX(v) in every later
+// round, and f+1 of them decide v, so nobody waits on a decided
+// instance (DESIGN §13.2).
 type abaInst struct {
 	n, f, self  int
 	epoch, slot int
@@ -116,6 +136,8 @@ type abaInst struct {
 	decided      bool
 	decision     byte
 	decidedRound int
+
+	termCnt [2]int // senders of TERM(v)
 
 	// Round states are sparse: a message for round r creates that
 	// round's state and nothing else, so a peer that names a far round —
@@ -187,13 +209,16 @@ func (a *abaInst) castBval(buf []byte, r int, b byte) []byte {
 	return a.handle(appendABA(buf, a.epoch, a.slot, r, abaBval, b), a.self, r, abaBval, b)
 }
 
-// handle processes one BVAL/AUX vote (votes for any round are accepted;
+// handle processes one vote (BVAL/AUX votes for any round are accepted;
 // thresholds are round-local, so early traffic simply accumulates). It
 // appends this process's votes, including cascades from locally counted
 // copies. The caller has checked that from is a process and phase a
 // phase (Node.handleABA, before it creates any state).
 func (a *abaInst) handle(buf []byte, from, round int, phase, value byte) []byte {
 	value &= 1
+	if phase == abaTerm {
+		return a.term(buf, from, round, value)
+	}
 	rd := a.roundState(round)
 	switch phase {
 	case abaBval:
@@ -227,12 +252,72 @@ func (a *abaInst) handle(buf []byte, from, round int, phase, value byte) []byte 
 	return buf
 }
 
+// term processes TERM(v) from a peer that decided v in round r. A
+// decided instance drops it before touching any state. f+1 senders of
+// TERM(v) include a correct one, so v is the decision. Short of that, the
+// sender's TERM(v) counts as its BVAL(v) and AUX(v) in every round this
+// instance runs from now on that is later than r — the votes it would
+// cast there, since its estimate stays v once it decided.
+func (a *abaInst) term(buf []byte, from, r int, v byte) []byte {
+	if a.decided {
+		return buf
+	}
+	flags := &a.near[0].seen[from]
+	if *flags&(1<<(termSeen+v)) != 0 {
+		return buf
+	}
+	*flags |= 1 << (termSeen + v)
+	a.termCnt[v]++
+	if a.termCnt[v] >= termQuorum(a.f) {
+		return a.decide(buf, v, a.round)
+	}
+	start := max(a.round, r+1)
+	a.roundState(start).seen[from] |= 1 << (termLive + v)
+	if start > a.round {
+		return buf // enter casts it there
+	}
+	buf = a.handle(buf, from, start, abaBval, v)
+	return a.handle(buf, from, start, abaAux, v)
+}
+
+// enter opens round r with estimate est. Every TERM that counted in
+// round r-1 counts in round r too; that carry completes before any vote
+// is cast, because a cast can advance the instance past r. Then the
+// instance casts BVAL(est), and each counted TERM as its sender's BVAL
+// and AUX of round r while r is still the open round.
+func (a *abaInst) enter(buf []byte, r int, est byte) []byte {
+	if a.termCnt == [2]int{} {
+		return a.castBval(buf, r, est)
+	}
+	const live = 3 << termLive
+	prev, rd := a.roundState(r-1), a.roundState(r)
+	for from := range rd.seen {
+		rd.seen[from] |= prev.seen[from] & live
+	}
+	buf = a.castBval(buf, r, est)
+	for from := range rd.seen {
+		for v := byte(0); v < 2; v++ {
+			if rd.seen[from]&(1<<(termLive+v)) == 0 || a.decided || a.round != r {
+				continue
+			}
+			buf = a.handle(buf, from, r, abaBval, v)
+			buf = a.handle(buf, from, r, abaAux, v)
+		}
+	}
+	return buf
+}
+
+// decide records the decision v in round r and appends TERM(v), once.
+func (a *abaInst) decide(buf []byte, v byte, r int) []byte {
+	a.decided, a.decision, a.decidedRound = true, v, r
+	return appendABA(buf, a.epoch, a.slot, r, abaTerm, v)
+}
+
 // tryAdvance closes the current round when n-f AUX values, all inside
 // bin_values, have arrived: unanimous AUX matching the coin decides;
 // unanimous AUX against the coin adopts the value; a mixed AUX set
-// adopts the coin. A decided instance stops advancing — in lockstep
-// delivery every correct process holds the identical instance state, so
-// all of them decide in the same round and none is left behind.
+// adopts the coin. A decided instance stops advancing; its TERM stands
+// for its later rounds.
 func (a *abaInst) tryAdvance(buf []byte) []byte {
 	for !a.decided && a.haveInput {
 		r := a.round
@@ -258,9 +343,7 @@ func (a *abaInst) tryAdvance(buf []byte) []byte {
 				b = 1
 			}
 			if b == c {
-				a.decided = true
-				a.decision = b
-				a.decidedRound = r
+				buf = a.decide(buf, b, r)
 			}
 			next = b
 		default: // both values seen: adopt the coin
@@ -269,7 +352,7 @@ func (a *abaInst) tryAdvance(buf []byte) []byte {
 		a.est = next
 		a.round = r + 1
 		if !a.decided {
-			buf = a.castBval(buf, a.round, next)
+			buf = a.enter(buf, a.round, next)
 		}
 	}
 	return buf

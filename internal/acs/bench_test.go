@@ -134,3 +134,30 @@ func TestACSBodiesPerLink(t *testing.T) {
 	}
 	t.Logf("%d messages per epoch: %d INITs, %d aba and %d rbc links", eng.Messages/epochs, inits, len(aba), len(rbc))
 }
+
+// BenchmarkACSAsyncDelivery times a 5-epoch n=7 honest stream under
+// scheduled delivery, one Step per message, and reports the cost per
+// delivery: FIFO takes the queue's head, starve-node-0 the first copy
+// past node 0's starved prefix.
+func BenchmarkACSAsyncDelivery(b *testing.B) {
+	const n, d, epochs = 7, 2, 5
+	props := genProposals(rand.New(rand.NewSource(1)), epochs, n, d)
+	for name, schedule := range map[string]func() sched.Schedule{
+		"fifo":    func() sched.Schedule { return sched.FIFOSchedule{} },
+		"starve0": func() sched.Schedule { return &sched.DelayTargetSchedule{Slow: map[int]bool{0: true}} },
+	} {
+		b.Run(name, func(b *testing.B) {
+			deliveries := 0
+			for i := 0; i < b.N; i++ {
+				_, procs := newCluster(b, Config{N: n, F: 2, D: d}, props, nil)
+				eng := sched.NewAsyncEngine(procs, schedule())
+				if _, err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
+				deliveries += eng.Messages
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(deliveries), "ns/delivery")
+			b.ReportMetric(float64(deliveries)/float64(b.N), "deliveries/op")
+		})
+	}
+}

@@ -58,6 +58,17 @@ func FuzzACSStep(f *testing.F) {
 	f.Add(1, byz, false, encodeABA(1<<32-1, 1, 0, abaBval, 1))
 	f.Add(1, byz, false, encodeABA(0, 1<<16-1, 0, abaBval, 1))
 	f.Add(1, byz, false, encodeABA(0, 1, 0, 9, 1))
+	// TERMs: one, a duplicate pair, both values from one sender, far
+	// rounds and a far epoch, and one whose origin is node 0 itself (the
+	// fuzz body maps every process origin to the faulty node).
+	term := encodeABA(0, 1, 0, abaTerm, 0)
+	f.Add(2, byz, false, term)
+	f.Add(3, byz, false, append(term[:len(term):len(term)], term...))
+	f.Add(2, byz, false, append(encodeABA(1, 2, 0, abaTerm, 0), encodeABA(1, 2, 0, abaTerm, 1)...))
+	f.Add(1, byz, false, encodeABA(0, 1, 1<<32-1, abaTerm, 1))
+	f.Add(1, byz, false, append(encodeABA(0, 3, 1<<31, abaTerm, 0), encodeABA(0, 3, 2, abaBval, 0)...))
+	f.Add(1, byz, false, encodeABA(1<<32-1, 1, 0, abaTerm, 1))
+	f.Add(2, 0, false, encodeABA(0, 0, 0, abaTerm, 0))
 	for _, id := range []string{"", "x", "e", "e-1", "e00", "e99999999999999999999", "rva-0"} {
 		m := broadcast.EncodeInit(1, id, value)
 		m[0] = 2

@@ -131,7 +131,7 @@ func (n *refNode) handleABA(outs []sched.Outgoing, m sched.Message) []sched.Outg
 		return outs
 	}
 	epoch, slot, round, phase, value := decodeABA(m.Data)
-	if slot >= n.cfg.N || !n.liveEpoch(epoch) || phase > abaAux || m.From < 0 || m.From >= n.cfg.N {
+	if slot >= n.cfg.N || !n.liveEpoch(epoch) || phase > abaTerm || m.From < 0 || m.From >= n.cfg.N {
 		return outs
 	}
 	return append(outs, n.epoch(epoch).abas[slot].handle(m.From, round, phase, value)...)

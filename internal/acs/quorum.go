@@ -10,6 +10,11 @@ package acs
 // purely Byzantine value.
 func relayQuorum(f int) int { return f + 1 }
 
+// termQuorum is the f+1 TERM threshold that decides an ABA instance:
+// among f+1 senders of TERM(v) at least one is correct, and a correct
+// process sends TERM(v) only once it decided v.
+func termQuorum(f int) int { return f + 1 }
+
 // admitQuorum is the 2f+1 bin_values admission threshold: 2f+1 votes
 // contain f+1 correct ones, so every correct process eventually admits
 // the same value.

@@ -26,7 +26,10 @@ import (
 // epoch's state dozens of times there, ABA rounds past the inline two
 // included. When votes began to travel as one body per link and round,
 // only the trace_sha256 and messages columns were re-recorded; the
-// fingerprint and rounds columns are the per-message node's.
+// fingerprint and rounds columns are the per-message node's. When the
+// coin became 1 then 0 in an instance's first two rounds and decided
+// instances began to send TERM, the trace_sha256, messages and rounds
+// columns were re-recorded and every fingerprint held.
 
 type transcriptSpec struct {
 	Name     string

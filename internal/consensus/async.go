@@ -529,6 +529,11 @@ func validateAsync(cfg *AsyncConfig) error {
 	if n := cfg.norm(); n != 1 && n != 2 && !math.IsInf(n, 1) {
 		return fmt.Errorf("%w: NormP must be 1, 2 or +Inf, got %v", ErrBadNorm, n)
 	}
+	if cfg.Mode != ModeExact {
+		if err := checkNormFaults(cfg.F, cfg.norm()); err != nil {
+			return err
+		}
+	}
 	for i, v := range cfg.Inputs {
 		if v.Dim() != cfg.D {
 			return fmt.Errorf("%w: input %d dimension %d != %d", ErrBadDimension, i, v.Dim(), cfg.D)

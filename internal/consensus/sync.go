@@ -362,10 +362,23 @@ func DeltaRelaxedChooser(cfg *SyncConfig, p float64) (Chooser, error) {
 	if p != 1 && p != 2 && !math.IsInf(p, 1) {
 		return nil, fmt.Errorf("%w: p=%v (use 1, 2 or +Inf)", ErrBadNorm, p)
 	}
+	if err := checkNormFaults(cfg.F, p); err != nil {
+		return nil, err
+	}
 	return func(s *vec.Set) (vec.V, float64, error) {
 		r := minimax.DeltaStarP(s, cfg.F, p)
 		return r.Point, r.Delta, nil
 	}, nil
+}
+
+// checkNormFaults refuses f < 1 at a norm other than 1 and +Inf: the
+// exact LPs of p in {1, +Inf} decide f = 0, but the delta*_2 kernel
+// drops f points from a subset and needs f >= 1.
+func checkNormFaults(f int, p float64) error {
+	if f < 1 && p != 1 && !math.IsInf(p, 1) {
+		return fmt.Errorf("%w: delta*_p at p=%v needs f >= 1, got f=%d (use p = 1 or +Inf)", ErrTooManyFaults, p, f)
+	}
+	return nil
 }
 
 // ScalarChooser returns the d = 1 exact scalar consensus choice

@@ -322,3 +322,55 @@ func TestSyncEngineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocations over 40 rounds, %.0f over 4", long, short)
 	}
 }
+
+// sizer records the capacity of every inbox it is handed.
+type sizer struct {
+	scripted
+	caps []int
+}
+
+func (s *sizer) Step(round int, delivered []Message) []Outgoing {
+	s.caps = append(s.caps, cap(delivered))
+	return s.scripted.Step(round, delivered)
+}
+
+// TestSyncEngineInboxesSizedExactly: an inbox grows only in a round that
+// delivers more than it ever held, and then to exactly that count, under
+// unicasts, broadcasts, duplication and delays.
+func TestSyncEngineInboxesSizedExactly(t *testing.T) {
+	policies := []*LinkFaults{nil, {Seed: 2, LinkProfile: LinkProfile{DupProb: 0.4}},
+		{Seed: 5, LinkProfile: LinkProfile{DupProb: 0.3, DelayMin: 0, DelayMax: 2}}}
+	for pi, lf := range policies {
+		for seed := int64(0); seed < 16; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n, rounds := 2+rng.Intn(5), 2+rng.Intn(6)
+			procs := make([]SyncProcess, n)
+			recs := make([]*sizer, n)
+			for id := range procs {
+				script := make([][]Outgoing, rounds+1)
+				for r := range script {
+					for k := rng.Intn(3 * (r + 1)); k > 0; k-- {
+						script[r] = append(script[r], Outgoing{To: rng.Intn(n+1) - 1, Tag: "t"})
+					}
+				}
+				recs[id] = &sizer{scripted: scripted{script: script}}
+				procs[id] = recs[id]
+			}
+			e := NewSyncEngine(procs)
+			e.Faults = lf
+			if _, err := e.Run(); err != nil && !errors.Is(err, ErrDeliveryViolated) {
+				t.Fatalf("policy %d seed %d: %v", pi, seed, err)
+			}
+			for id, rec := range recs {
+				most := 0
+				for r, in := range rec.inboxes {
+					most = max(most, len(in))
+					if rec.caps[r] != most {
+						t.Fatalf("policy %d seed %d: process %d round %d got an inbox of cap %d, most delivered so far %d",
+							pi, seed, id, r, rec.caps[r], most)
+					}
+				}
+			}
+		}
+	}
+}

@@ -238,9 +238,46 @@ func (e *SyncEngine) Run() (int, error) {
 	}
 	// deliver refills the inboxes in one pass over what arrives this
 	// round: messages delayed into it first, then the previous round's
-	// sends sender by sender in routing order.
+	// sends sender by sender in routing order. A counting pass first sizes
+	// every inbox that is too small to exactly what it receives.
+	need := make([]int, n)
 	deliver := func(round int) {
+		clear(need)
+		for _, m := range future[round] {
+			need[m.To]++
+		}
+		if lf == nil {
+			bcast := 0
+			for from, outs := range sent {
+				for i := range outs {
+					if to := outs[i].To; to != Broadcast {
+						need[to]++
+					} else {
+						bcast++
+						need[from]-- // a broadcast skips its sender
+					}
+				}
+			}
+			for to := range need {
+				need[to] += bcast
+			}
+		} else {
+			k := 0
+			for from, outs := range sent {
+				for i := range outs {
+					for to := 0; to < n; to++ {
+						if outs[i].reaches(from, to) {
+							need[to] += int(arrivals[k])
+							k++
+						}
+					}
+				}
+			}
+		}
 		for to := range inbox {
+			if cap(inbox[to]) < need[to] {
+				inbox[to] = make([]Message, 0, need[to])
+			}
 			inbox[to] = inbox[to][:0]
 		}
 		place := func(m Message) {
@@ -449,6 +486,64 @@ type qmeta struct {
 	held    bool
 }
 
+// queue holds the in-flight copies in send order: msgs[head:], with
+// their fault metadata in meta[head:] when the run has a fault policy.
+// Taking the first or last copy is O(1); taking one in the middle
+// shifts the shorter side, so the order of the rest never changes.
+type queue struct {
+	msgs     []Message
+	meta     []qmeta
+	head     int
+	withMeta bool
+}
+
+func (q *queue) live() []Message   { return q.msgs[q.head:] }
+func (q *queue) liveMeta() []qmeta { return q.meta[q.head:] }
+
+func (q *queue) push(m Message, qm qmeta) {
+	if len(q.msgs) == cap(q.msgs) && 2*q.head >= len(q.msgs) {
+		// At least half the array is taken copies: slide the live ones
+		// down instead of growing it, which moves each copy O(1) times.
+		k := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[k:])
+		q.msgs = q.msgs[:k]
+		if q.withMeta {
+			q.meta = q.meta[:copy(q.meta, q.meta[q.head:])]
+		}
+		q.head = 0
+	}
+	q.msgs = append(q.msgs, m)
+	if q.withMeta {
+		q.meta = append(q.meta, qm)
+	}
+}
+
+// take removes and returns the i-th live copy.
+func (q *queue) take(i int) (Message, qmeta) {
+	at := q.head + i
+	m := q.msgs[at]
+	var qm qmeta
+	if q.withMeta {
+		qm = q.meta[at]
+	}
+	if n := len(q.msgs) - q.head; i < n-1-i {
+		copy(q.msgs[q.head+1:at+1], q.msgs[q.head:at])
+		q.msgs[q.head] = Message{}
+		if q.withMeta {
+			copy(q.meta[q.head+1:at+1], q.meta[q.head:at])
+		}
+		q.head++
+	} else {
+		copy(q.msgs[at:], q.msgs[at+1:])
+		q.msgs[len(q.msgs)-1] = Message{}
+		q.msgs = q.msgs[:len(q.msgs)-1]
+		if q.withMeta {
+			q.meta = q.meta[:copy(q.meta[at:], q.meta[at+1:])+at]
+		}
+	}
+	return m, qm
+}
+
 // Run delivers messages one at a time until the queue drains or all
 // processes are done. Returns steps executed; error if the step limit is
 // hit, or one wrapping ErrDeliveryViolated if injected faults made a
@@ -462,10 +557,7 @@ func (e *AsyncEngine) Run() (int, error) {
 			return 0, err
 		}
 	}
-	var (
-		msgs []Message
-		meta []qmeta // parallel to msgs; only maintained when lf != nil
-	)
+	q := queue{withMeta: lf != nil}
 	// The virtual clock advances one unit per delivery attempt; readyAt,
 	// delays, retransmission timeouts and partition windows are measured
 	// on it. With lf == nil the clock is irrelevant: every queued message
@@ -482,23 +574,25 @@ func (e *AsyncEngine) Run() (int, error) {
 		deliveredSeq = make(map[int]bool)
 		copiesLeft = make(map[int]int)
 	}
-	push := func(m Message, q qmeta) {
-		msgs = append(msgs, m)
+	// A DelayTargetSchedule picks the first copy from a process it does
+	// not starve. Without faults, the queue between two picks is the last
+	// one less the picked copy plus new sends at its end, so the starved
+	// prefix one pick scanned is still the queue's prefix at the next:
+	// starved counts it, and only what lies past it is scanned.
+	slow, _ := e.schedule.(*DelayTargetSchedule)
+	starved := 0
+	push := func(m Message, qm qmeta) {
+		q.push(m, qm)
 		if lf != nil {
-			meta = append(meta, q)
-			copiesLeft[q.seq]++
+			copiesLeft[qm.seq]++
 		}
 	}
 	remove := func(i int) (Message, qmeta) {
-		m := msgs[i]
-		msgs = append(msgs[:i], msgs[i+1:]...)
-		var q qmeta
+		m, qm := q.take(i)
 		if lf != nil {
-			q = meta[i]
-			meta = append(meta[:i], meta[i+1:]...)
-			copiesLeft[q.seq]--
+			copiesLeft[qm.seq]--
 		}
-		return m, q
+		return m, qm
 	}
 	enqueue := func(m Message, ready0 int) {
 		if lf == nil {
@@ -557,6 +651,7 @@ func (e *AsyncEngine) Run() (int, error) {
 	}
 	// markLost drains the queue when nothing in it can ever be delivered.
 	markLost := func() {
+		meta := q.liveMeta()
 		for i := range meta {
 			copiesLeft[meta[i].seq]--
 		}
@@ -568,14 +663,16 @@ func (e *AsyncEngine) Run() (int, error) {
 				stats.Lost++
 			}
 		}
-		msgs, meta = nil, nil
+		q = queue{withMeta: true}
 	}
 
 	for id, p := range e.procs {
 		expand(id, p.Start(), 0)
 	}
 	inbox := make([]Message, 1)
+deliver:
 	for ; step < e.MaxSteps; step++ {
+		msgs := q.live()
 		if len(msgs) == 0 {
 			break
 		}
@@ -595,9 +692,20 @@ func (e *AsyncEngine) Run() (int, error) {
 			break
 		}
 		var pickIdx int
-		if lf == nil {
+		switch {
+		case lf == nil && slow != nil:
+			for starved < len(msgs) && slow.Slow[msgs[starved].From] {
+				starved++
+			}
+			if starved < len(msgs) {
+				pickIdx = starved
+			} else {
+				starved-- // the whole queue is starved: take its oldest copy
+			}
+		case lf == nil:
 			pickIdx = e.schedule.Pick(msgs)
-		} else {
+		default:
+			meta := q.liveMeta()
 			buildView := func() ([]Message, []int) {
 				var view []Message
 				var idx []int
@@ -638,28 +746,28 @@ func (e *AsyncEngine) Run() (int, error) {
 				}
 				if !any {
 					markLost()
-					break
+					break deliver
 				}
 				now = next
 				view, idx = buildView()
 			}
 			pickIdx = idx[e.schedule.Pick(view)]
 		}
-		m, q := remove(pickIdx)
-		if lf != nil && lf.drops(m.From, m.To, q.rollID, q.attempt) {
+		m, qm := remove(pickIdx)
+		if lf != nil && lf.drops(m.From, m.To, qm.rollID, qm.attempt) {
 			stats.Dropped++
-			if q.attempt+1 < maxAttempts {
+			if qm.attempt+1 < maxAttempts {
 				stats.Retransmits++
-				push(m, qmeta{readyAt: now + 1 + rto, attempt: q.attempt + 1, seq: q.seq, rollID: q.rollID, held: q.held})
-			} else if !deliveredSeq[q.seq] && copiesLeft[q.seq] == 0 {
+				push(m, qmeta{readyAt: now + 1 + rto, attempt: qm.attempt + 1, seq: qm.seq, rollID: qm.rollID, held: qm.held})
+			} else if !deliveredSeq[qm.seq] && copiesLeft[qm.seq] == 0 {
 				stats.Lost++
 			}
 			now++
 			continue // a dropped attempt still consumes a step
 		}
 		if lf != nil {
-			deliveredSeq[q.seq] = true
-			if q.held {
+			deliveredSeq[qm.seq] = true
+			if qm.held {
 				stats.PartitionHeals++
 			}
 		}

@@ -255,3 +255,106 @@ func TestLIFOAndDelaySchedulesPick(t *testing.T) {
 		t.Error("all-slow should fall back to first")
 	}
 }
+
+// gossiper answers every delivered message with zero to two sends — to a
+// peer or a broadcast, chosen by a hash of its own count — until its
+// budget is spent, so the queue grows, shrinks and mixes senders.
+type gossiper struct {
+	id, n, budget, seen int
+}
+
+func (g *gossiper) Start() []Outgoing {
+	return []Outgoing{{To: Broadcast, Tag: "g", Data: []byte{byte(g.id)}}}
+}
+
+func (g *gossiper) Step(_ int, delivered []Message) []Outgoing {
+	var outs []Outgoing
+	for range delivered {
+		g.seen++
+		h := uint64(g.id*7919+g.seen) * 0x9e3779b97f4a7c15
+		for k := int(h>>60) % 3; k > 0 && g.budget > 0; k-- {
+			g.budget--
+			to := Broadcast
+			if h>>40&1 == 0 {
+				to = int(h>>20) % g.n
+				if to == g.id {
+					to = (to + 1) % g.n
+				}
+			}
+			outs = append(outs, Outgoing{To: to, Tag: "g", Data: []byte{byte(g.id), byte(g.seen)}})
+		}
+	}
+	return outs
+}
+
+func (g *gossiper) Done() bool { return false }
+
+// refAsyncOrder is the delivery order of the queue this engine kept
+// before it took copies from either end: one slice, the picked copy cut
+// out by shifting everything behind it, Pick handed the whole queue.
+func refAsyncOrder(procs []SyncProcess, sch Schedule) []Message {
+	n := len(procs)
+	var queue, order []Message
+	expand := func(from, step int, outs []Outgoing) {
+		for _, o := range outs {
+			for to := 0; to < n; to++ {
+				if o.To == to || o.To == Broadcast && to != from {
+					queue = append(queue, Message{From: from, To: to, Tag: o.Tag, Data: o.Data, SentRound: step})
+				}
+			}
+		}
+	}
+	for id, p := range procs {
+		expand(id, 0, p.Start())
+	}
+	for step := 0; len(queue) > 0; step++ {
+		i := sch.Pick(queue)
+		m := queue[i]
+		queue = append(queue[:i], queue[i+1:]...)
+		order = append(order, m)
+		expand(m.To, step, procs[m.To].Step(step, []Message{m}))
+	}
+	return order
+}
+
+// TestAsyncEngineMatchesReferenceOrder holds the engine's delivery order
+// (TraceFn, message for message) to the shift-everything queue under
+// every schedule, the starved-prefix cursor included.
+func TestAsyncEngineMatchesReferenceOrder(t *testing.T) {
+	schedules := map[string]func() Schedule{
+		"fifo":        func() Schedule { return FIFOSchedule{} },
+		"lifo":        func() Schedule { return LIFOSchedule{} },
+		"random":      func() Schedule { return &RandomSchedule{Rng: rand.New(rand.NewSource(3))} },
+		"starve0":     func() Schedule { return &DelayTargetSchedule{Slow: map[int]bool{0: true}} },
+		"starve0,1,2": func() Schedule { return &DelayTargetSchedule{Slow: map[int]bool{0: true, 1: true, 2: true}} },
+		"starveall": func() Schedule {
+			return &DelayTargetSchedule{Slow: map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true}}
+		},
+	}
+	for name, sch := range schedules {
+		for _, budget := range []int{0, 3, 40, 400} {
+			build := func() []SyncProcess {
+				procs := make([]SyncProcess, 5)
+				for i := range procs {
+					procs[i] = &gossiper{id: i, n: len(procs), budget: budget}
+				}
+				return procs
+			}
+			want := refAsyncOrder(build(), sch())
+			var got []Message
+			e := NewAsyncEngine(build(), sch())
+			e.TraceFn = func(m Message) { got = append(got, m) }
+			if _, err := e.Run(); err != nil {
+				t.Fatalf("%s budget %d: %v", name, budget, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s budget %d: %d deliveries, reference %d", name, budget, len(got), len(want))
+			}
+			for i := range got {
+				if g, w := got[i], want[i]; g.From != w.From || g.To != w.To || g.SentRound != w.SentRound || string(g.Data) != string(w.Data) {
+					t.Fatalf("%s budget %d: delivery %d is %+v, reference %+v", name, budget, i, g, w)
+				}
+			}
+		}
+	}
+}

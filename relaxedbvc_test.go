@@ -3,6 +3,7 @@ package relaxedbvc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -259,5 +260,35 @@ func TestRunRefusesUnboundedEIGTree(t *testing.T) {
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("refusal took %v", took)
+	}
+}
+
+// TestZeroFaultNormRefused: with f = 0 the delta*_2 kernel has no point
+// to drop, and Run used to panic in it ("minimax: DeltaStarP requires
+// 1 <= f < |S|"). p = 2 now fails typed for both protocols that reach
+// the kernel; p = 1 and +Inf, whose exact LPs decide f = 0, still run.
+func TestZeroFaultNormRefused(t *testing.T) {
+	inputs := []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1)}
+	for _, proto := range []Protocol{ProtocolDeltaRelaxed, ProtocolAsync} {
+		for _, p := range []float64{2, 1, math.Inf(1)} {
+			spec := Spec{Protocol: proto, N: 4, F: 0, D: 2, NormP: p, Rounds: 3, Inputs: inputs}
+			t.Run(fmt.Sprintf("%s/p=%v", proto, p), func(t *testing.T) {
+				var err error
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("Run panicked: %v", r)
+						}
+					}()
+					_, err = Run(context.Background(), spec)
+				}()
+				switch {
+				case p == 2 && !errors.Is(err, ErrTooManyFaults):
+					t.Fatalf("err = %v, want ErrTooManyFaults", err)
+				case p != 2 && err != nil:
+					t.Fatalf("f = 0 at p = %v: %v", p, err)
+				}
+			})
+		}
 	}
 }
