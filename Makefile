@@ -42,10 +42,12 @@ bench-step1:
 
 # Transport micro-benchmarks (allocations reported): one frame each way
 # over a loopback TCP link (Send, coalescing writer, buffered reader,
-# Recv), and one lockstep round of a 4-node RunSync mesh cluster (one
-# bundle per peer per round).
+# Recv), one lockstep round of a 4-node RunSync mesh cluster (one
+# bundle per peer per round), and a 20-epoch ACS stream on a 4-node
+# loopback-TCP cluster with an equivocator (rounds/epoch and
+# frames/epoch reported; 5.2 and 63).
 bench-transport:
-	$(GO) test -run '^$$' -bench 'TCPRoundTrip|RunSyncRound' -benchmem ./internal/transport
+	$(GO) test -run '^$$' -bench 'TCPRoundTrip|RunSyncRound|ACSTCPStream' -benchmem ./internal/transport .
 
 # ACS protocol-layer micro-benchmarks (allocations reported): one counted
 # ECHO into a live Bracha instance that sends nothing (0 allocs/op), and

@@ -3,6 +3,7 @@ package relaxedbvc
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -238,4 +239,63 @@ func TestACSSpecValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkACSTCPStream runs a 20-epoch ACS stream on a 4-node
+// loopback-TCP cluster, node 3 equivocating, one stream per iteration
+// (listeners bound off the clock). It reports the lockstep rounds and
+// the frames all nodes sent per epoch: a node opens epoch e+1 in the
+// round in which epoch e casts its 0-votes, so an epoch takes 5 rounds
+// and 4·3·5 = 60 frames once the stream is under way.
+func BenchmarkACSTCPStream(b *testing.B) {
+	const n, epochs = 4, 20
+	rng := rand.New(rand.NewSource(1))
+	spec := Spec{
+		Protocol: ProtocolACS, N: n, F: 1, D: 2,
+		Proposals:    make([][]Vector, epochs),
+		ACSByzantine: map[int]ACSBehavior{n - 1: ACSEquivocate},
+	}
+	for e := range spec.Proposals {
+		spec.Proposals[e] = make([]Vector, n)
+		for i := range spec.Proposals[e] {
+			spec.Proposals[e][i] = NewVector(rng.Float64(), rng.Float64())
+		}
+	}
+	b.ReportAllocs()
+	var rounds, frames int64
+	for it := 0; it < b.N; it++ {
+		b.StopTimer()
+		listeners := make([]net.Listener, n)
+		peers := make(map[int]string, n)
+		for i := range listeners {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatalf("listen %d: %v", i, err)
+			}
+			listeners[i], peers[i] = ln, ln.Addr().String()
+		}
+		b.StartTimer()
+		results := make([]*Result, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = Run(context.Background(), spec, WithTransport(Transport{
+					Kind: TransportTCP, Self: i, Peers: peers, Listener: listeners[i],
+				}))
+			}(i)
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+		rounds += int64(results[0].Rounds)
+		for _, res := range results {
+			frames += res.Metrics.TransportFramesSent
+		}
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N*epochs), "rounds/epoch")
+	b.ReportMetric(float64(frames)/float64(b.N*epochs), "frames/epoch")
 }

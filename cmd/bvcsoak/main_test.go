@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -15,6 +17,25 @@ func TestRunSmallSoak(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "soak: 64 seeds — 64 passed, 0 degraded, 0 failed") {
 		t.Errorf("summary line missing:\n%s", stdout.String())
+	}
+}
+
+// TestRunMutFracZero: -mut-frac 0 spends the whole budget on base seeds.
+func TestRunMutFracZero(t *testing.T) {
+	summary := filepath.Join(t.TempDir(), "summary.json")
+	var stdout, stderr strings.Builder
+	args := []string{"-budget", "64", "-shards", "1", "-regime", "none", "-protocols", "acs", "-mut-frac", "0", "-summary", summary}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, want 0\nstderr:\n%s", args, code, stderr.String())
+	}
+	raw, err := os.ReadFile(summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"mutation_seeds": 0,`, `"mutation_blocks": 0,`, `"seeds_run": 64,`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("summary lacks %s:\n%s", want, raw)
+		}
 	}
 }
 

@@ -8,7 +8,8 @@
 // slot all correct processes delivered in time.
 //
 // The epoch engine on top (see node.go) runs one ACS instance per
-// epoch, commits decisions strictly in epoch order, and reduces each
+// epoch, the next one opening once the current one casts its 0-votes,
+// commits decisions strictly in epoch order, and reduces each
 // epoch's agreed subset of vector proposals to a single decided vector
 // through the paper's relaxed-BVC kernel (delta*_p minimization over
 // the subset multiset) — HoneyBadger-style batching with the
@@ -103,11 +104,11 @@ func abaFramed(body []byte, procs int) bool {
 // abaRound is the per-round message state of one instance: a flag byte
 // per sender (the duplicate check) and the counts the thresholds read.
 type abaRound struct {
-	seen      []byte  // per sender: bit b = BVAL(b) received, then the flag bits below
-	bvalCnt   [2]int  // senders of BVAL(b)
-	auxCnt    [2]int  // senders of AUX(b)
-	bvalSent  [2]bool // we broadcast BVAL(b) this round
-	binValues [2]bool // values with 2f+1 BVALs
+	seen      []byte   // per sender: bit b = BVAL(b) received, then the flag bits below
+	bvalCnt   [2]int32 // senders of BVAL(b)
+	auxCnt    [2]int32 // senders of AUX(b)
+	bvalSent  [2]bool  // we broadcast BVAL(b) this round
+	binValues [2]bool  // values with 2f+1 BVALs
 	auxSent   bool
 }
 
@@ -137,15 +138,16 @@ type abaInst struct {
 	decision     byte
 	decidedRound int
 
-	termCnt [2]int // senders of TERM(v)
+	termCnt [2]int32 // senders of TERM(v)
 
 	// Round states are sparse: a message for round r creates that
 	// round's state and nothing else, so a peer that names a far round —
 	// a correct one many rounds ahead, or a Byzantine one naming 2^32-1 —
-	// costs O(1). Fifteen of sixteen instances decide within the first
-	// four rounds (the coin is fair), which sit inline; the rest go to
-	// later.
-	near  [4]abaRound
+	// costs O(1). BKR's inputs are unanimous on every slot all correct
+	// processes delivered or zero-filled, and the first two coins are 1
+	// then 0, so nearly every instance decides within the first two
+	// rounds, which sit inline; the rest go to later.
+	near  [2]abaRound
 	later map[int]*abaRound
 }
 
@@ -227,7 +229,7 @@ func (a *abaInst) handle(buf []byte, from, round int, phase, value byte) []byte 
 		}
 		rd.seen[from] |= 1 << value
 		rd.bvalCnt[value]++
-		cnt := rd.bvalCnt[value]
+		cnt := int(rd.bvalCnt[value])
 		// Relay on f+1 (at least one correct process voted value).
 		if cnt >= relayQuorum(a.f) && !rd.bvalSent[value] {
 			buf = a.castBval(buf, round, value)
@@ -268,7 +270,7 @@ func (a *abaInst) term(buf []byte, from, r int, v byte) []byte {
 	}
 	*flags |= 1 << (termSeen + v)
 	a.termCnt[v]++
-	if a.termCnt[v] >= termQuorum(a.f) {
+	if int(a.termCnt[v]) >= termQuorum(a.f) {
 		return a.decide(buf, v, a.round)
 	}
 	start := max(a.round, r+1)
@@ -286,7 +288,7 @@ func (a *abaInst) term(buf []byte, from, r int, v byte) []byte {
 // instance casts BVAL(est), and each counted TERM as its sender's BVAL
 // and AUX of round r while r is still the open round.
 func (a *abaInst) enter(buf []byte, r int, est byte) []byte {
-	if a.termCnt == [2]int{} {
+	if a.termCnt == [2]int32{} {
 		return a.castBval(buf, r, est)
 	}
 	const live = 3 << termLive
@@ -327,7 +329,7 @@ func (a *abaInst) tryAdvance(buf []byte) []byte {
 		valid := 0
 		for v := range vals {
 			if rd.binValues[v] {
-				valid += rd.auxCnt[v]
+				valid += int(rd.auxCnt[v])
 				vals[v] = rd.auxCnt[v] > 0
 			}
 		}

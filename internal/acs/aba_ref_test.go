@@ -335,7 +335,7 @@ func checkABAScripts(t *testing.T, terms bool) {
 				if got.decidedRound > 0 {
 					lateRounds++
 				}
-				if got.termCnt[got.decision] >= termQuorum(f) {
+				if int(got.termCnt[got.decision]) >= termQuorum(f) {
 					termDecided++
 				}
 			}

@@ -238,3 +238,46 @@ func TestACSRefusesIDsPast16Bits(t *testing.T) {
 		t.Fatalf("n = 2^16: %v", err)
 	}
 }
+
+// spanWatch records the most epochs a node ever held open.
+type spanWatch struct {
+	*Node
+	span *int
+}
+
+func (w *spanWatch) Step(round int, delivered []sched.Message) []sched.Outgoing {
+	outs := w.Node.Step(round, delivered)
+	if !w.done {
+		*w.span = max(*w.span, w.top-w.cur+1)
+	}
+	return outs
+}
+
+// A node opens epoch e+1 in the round in which epoch e casts its 0-votes,
+// so with an equivocating proposer, whose zero-filled slot needs two ABA
+// rounds after that, an epoch takes five lockstep rounds instead of nine,
+// and no node ever holds more than two epochs unsealed.
+func TestACSOverlappedEpochPeriod(t *testing.T) {
+	const n, f, d, epochs = 7, 2, 2, 40
+	props := genProposals(rand.New(rand.NewSource(41)), epochs, n, d)
+	nodes, procs := newCluster(t, Config{N: n, F: f, D: d}, props, map[int]Behavior{n - 1: Equivocate})
+	span := 0
+	for i := range procs {
+		procs[i] = &spanWatch{Node: nodes[i], span: &span}
+	}
+	rounds, err := sched.NewSyncEngine(procs).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds > 5*epochs+4 {
+		t.Errorf("%d epochs took %d rounds, want at most %d", epochs, rounds, 5*epochs+4)
+	}
+	if span != 2 {
+		t.Errorf("nodes held at most %d epochs unsealed, want 2", span)
+	}
+	for i, node := range nodes[:n-1] {
+		if got := len(node.Decisions()); got != epochs {
+			t.Fatalf("node %d sealed %d of %d epochs", i, got, epochs)
+		}
+	}
+}

@@ -83,16 +83,17 @@ type epochState struct {
 	abas         []abaInst
 	delivered    []vec.V // decoded proposal
 	rawDelivered []bool  // the slot's proposal was reliably delivered
-	zeroCast     bool
-	sealed       bool
+	zeroCast     bool    // BKR rule 2 fired: the 0-votes are cast
 }
 
 // Node is one ACS stream participant: a deterministic state machine
 // implementing sched.SyncProcess, runnable on the in-process lockstep
 // engine and — via transport.RunSync — over the channel mesh and TCP
-// with bit-identical decisions. Epochs run back to back: epoch e+1's
-// broadcasts start in the round that seals epoch e, and messages that
-// arrive ahead of the receiver's current epoch accumulate in their
+// with bit-identical decisions. Epochs overlap by one: epoch e+1's
+// broadcasts start in the round in which epoch e casts its 0-votes (BKR
+// rule 2), epoch e's leftover agreements run on beside them, and epochs
+// seal strictly in order, so at most two are unsealed at once. Messages
+// that arrive ahead of the receiver's newest epoch accumulate in their
 // instances until the receiver catches up.
 type Node struct {
 	cfg Config
@@ -107,7 +108,8 @@ type Node struct {
 	rbc     *broadcast.BrachaState
 	epochs  map[int]*epochState
 	spare   []*epochState // pruned states, reset when an epoch reuses one
-	cur     int
+	cur     int           // the oldest unsealed epoch, the next to seal
+	top     int           // the newest open epoch: cur, or cur+1
 	done    bool
 	sealed  []EpochDecision
 	lane    *Lane
@@ -203,7 +205,7 @@ func (es *epochState) reset(e int) {
 	}
 	clear(es.delivered)
 	clear(es.rawDelivered)
-	es.zeroCast, es.sealed = false, false
+	es.zeroCast = false
 }
 
 // Start implements sched.SyncProcess: open epoch 0.
@@ -293,12 +295,14 @@ func (n *Node) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 }
 
 // liveEpoch reports whether epoch e can still receive traffic: not yet
-// garbage-collected, inside the stream, and at most one epoch ahead of
-// this node. That is prune's slack seen from the other side: in lockstep
-// delivery no correct peer runs further ahead, so only a Byzantine one
-// could make the node hold state for a later epoch.
+// garbage-collected, inside the stream, and at most one epoch past this
+// node's newest open epoch. That is prune's slack seen from the other
+// side: in lockstep delivery no correct peer opens further ahead, so only
+// a Byzantine one could make the node hold state for a later epoch. The
+// window [pruneLo, top+1] spans at most four epochs: a sealed one kept as
+// slack, the two unsealed ones, and the next.
 func (n *Node) liveEpoch(e int) bool {
-	ahead := e - n.cur
+	ahead := e - n.top
 	return e >= n.pruneLo && ahead <= 1 && e < len(n.cfg.Proposals)
 }
 
@@ -336,11 +340,14 @@ func (n *Node) handleABA(from int, body []byte) {
 }
 
 // pump drives the BKR decision logic to a fixpoint: fold reliable
-// deliveries into votes, cast the 0-votes once n-f slots decided 1,
-// seal the epoch when every slot's agreement decided and every accepted
-// slot's proposal is locally delivered, queue its kernel on the lane,
-// then open the next epoch. Nothing in the protocol reads a decision's
-// Output, so the next epochs' rounds go on while the kernel runs.
+// deliveries into votes and, in every open epoch, cast the 0-votes once
+// n-f slots decided 1; open the next epoch as soon as the newest one has
+// cast them, so that its leftover agreements run beside the next epoch's
+// broadcasts; seal epochs strictly in order, each once every slot's
+// agreement decided and every accepted slot's proposal is locally
+// delivered, and queue its kernel on the lane. At most two epochs are
+// unsealed at once. Nothing in the protocol reads a decision's Output,
+// so the next epochs' rounds go on while the kernel runs.
 func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 	for {
 		progress := false
@@ -361,78 +368,104 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 			}
 			continue
 		}
-		es := n.epoch(n.cur)
-		// BKR rule 1: vote 1 for every reliably delivered slot.
-		for s := 0; s < n.cfg.N; s++ {
-			if es.rawDelivered[s] && !es.abas[s].haveInput {
-				n.votes = es.abas[s].input(n.votes, 1)
+		for e := n.cur; e <= n.top; e++ {
+			if n.vote(n.epoch(e)) {
 				progress = true
 			}
 		}
-		// BKR rule 2: once n-f slots decided 1, vote 0 everywhere else.
-		ones := 0
-		for s := 0; s < n.cfg.N; s++ {
-			if es.abas[s].decided && es.abas[s].decision == 1 {
-				ones++
-			}
+		// Open the next epoch once the newest one cast its 0-votes, unless
+		// that would leave three epochs unsealed.
+		if next := n.top + 1; n.top == n.cur && next < len(n.cfg.Proposals) && n.epochs[n.top].zeroCast {
+			n.top = next
+			outs = n.open(outs, next)
+			progress = true
 		}
-		if !es.zeroCast && ones >= auxQuorum(n.cfg.N, n.cfg.F) {
-			es.zeroCast = true
-			for s := 0; s < n.cfg.N; s++ {
-				if !es.abas[s].haveInput {
-					n.votes = es.abas[s].input(n.votes, 0)
-					progress = true
-				}
-			}
-		}
-		// Seal: every agreement decided, every accepted slot delivered.
-		if !es.sealed {
-			ready := true
-			for s := range es.abas {
-				if a := &es.abas[s]; !a.decided || (a.decision == 1 && !es.rawDelivered[s]) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				es.sealed = true
-				subset := make([]int, 0, n.cfg.N)
-				values := make([]vec.V, 0, n.cfg.N)
-				for s := range es.abas {
-					if es.abas[s].decision == 1 {
-						subset = append(subset, s)
-						values = append(values, es.delivered[s])
-					}
-				}
-				// Room for the whole stream, so that appends never move a
-				// decision whose kernel job is still pending.
-				if n.sealed == nil {
-					n.sealed = make([]EpochDecision, 0, len(n.cfg.Proposals))
-				}
-				n.sealed = append(n.sealed, EpochDecision{Epoch: n.cur, Subset: subset, Values: values})
-				n.lane.push(&n.sealed[len(n.sealed)-1], n.cfg.F, n.cfg.NormP)
-				n.stats.Epochs++
-				n.stats.Slots += len(subset)
-				for s := range es.abas {
-					if a := &es.abas[s]; a.decided {
-						n.stats.ABARounds += a.decidedRound + 1
-					}
-				}
-				n.cur++
-				n.prune()
-				if n.cur < len(n.cfg.Proposals) {
-					outs = n.open(outs, n.cur)
-				} else {
-					n.done = true
-				}
-				progress = true
-			}
+		// A decided epoch has n-f slots decided 1 and so has cast its
+		// 0-votes; requiring that keeps cur <= top however votes arrive.
+		if es := n.epochs[n.cur]; es.zeroCast && es.ready() {
+			n.seal(es)
+			progress = true
 		}
 		if !progress {
 			break
 		}
 	}
 	return outs
+}
+
+// vote applies the BKR voting rules to one open epoch and reports whether
+// a rule fired.
+func (n *Node) vote(es *epochState) bool {
+	fired := false
+	// BKR rule 1: vote 1 for every reliably delivered slot.
+	for s := 0; s < n.cfg.N; s++ {
+		if es.rawDelivered[s] && !es.abas[s].haveInput {
+			n.votes = es.abas[s].input(n.votes, 1)
+			fired = true
+		}
+	}
+	// BKR rule 2: once n-f slots decided 1, vote 0 everywhere else.
+	if es.zeroCast {
+		return fired
+	}
+	ones := 0
+	for s := 0; s < n.cfg.N; s++ {
+		if es.abas[s].decided && es.abas[s].decision == 1 {
+			ones++
+		}
+	}
+	if ones >= auxQuorum(n.cfg.N, n.cfg.F) {
+		es.zeroCast = true
+		for s := 0; s < n.cfg.N; s++ {
+			if !es.abas[s].haveInput {
+				n.votes = es.abas[s].input(n.votes, 0)
+			}
+		}
+		fired = true
+	}
+	return fired
+}
+
+// ready reports whether every agreement decided and every accepted slot
+// is delivered.
+func (es *epochState) ready() bool {
+	for s := range es.abas {
+		if a := &es.abas[s]; !a.decided || (a.decision == 1 && !es.rawDelivered[s]) {
+			return false
+		}
+	}
+	return true
+}
+
+// seal commits epoch n.cur, whose state es is ready: its subset and values
+// go onto n.sealed, its kernel onto the lane, and the epoch window moves
+// on. The node is done once the last epoch sealed.
+func (n *Node) seal(es *epochState) {
+	subset := make([]int, 0, n.cfg.N)
+	values := make([]vec.V, 0, n.cfg.N)
+	for s := range es.abas {
+		if es.abas[s].decision == 1 {
+			subset = append(subset, s)
+			values = append(values, es.delivered[s])
+		}
+	}
+	// Room for the whole stream, so that appends never move a decision
+	// whose kernel job is still pending.
+	if n.sealed == nil {
+		n.sealed = make([]EpochDecision, 0, len(n.cfg.Proposals))
+	}
+	n.sealed = append(n.sealed, EpochDecision{Epoch: n.cur, Subset: subset, Values: values})
+	n.lane.push(&n.sealed[len(n.sealed)-1], n.cfg.F, n.cfg.NormP)
+	n.stats.Epochs++
+	n.stats.Slots += len(subset)
+	for s := range es.abas {
+		if a := &es.abas[s]; a.decided {
+			n.stats.ABARounds += a.decidedRound + 1
+		}
+	}
+	n.cur++
+	n.prune()
+	n.done = n.cur >= len(n.cfg.Proposals)
 }
 
 // prune garbage-collects epochs the whole cluster has sealed past. One

@@ -24,6 +24,7 @@ type refNode struct {
 	rbc     *broadcast.BrachaState
 	epochs  map[int]*refEpochState
 	cur     int
+	top     int
 	done    bool
 	sealed  []EpochDecision
 	stats   Stats
@@ -35,7 +36,6 @@ type refEpochState struct {
 	delivered    []vec.V
 	rawDelivered []bool
 	zeroCast     bool
-	sealed       bool
 }
 
 // encodeABA is one vote as a message of its own.
@@ -112,7 +112,7 @@ func (n *refNode) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 }
 
 func (n *refNode) liveEpoch(e int) bool {
-	return e >= n.pruneLo && e-n.cur <= 1 && e < len(n.cfg.Proposals)
+	return e >= n.pruneLo && e <= n.top+1 && e < len(n.cfg.Proposals)
 }
 
 func (n *refNode) handleRBC(outs []sched.Outgoing, m sched.Message) []sched.Outgoing {
@@ -157,64 +157,65 @@ func (n *refNode) pump(outs []sched.Outgoing) []sched.Outgoing {
 			}
 			continue
 		}
-		es := n.epoch(n.cur)
-		for s := 0; s < n.cfg.N; s++ {
-			if es.rawDelivered[s] && !es.abas[s].haveInput {
-				outs = append(outs, es.abas[s].input(1)...)
-				progress = true
-			}
-		}
-		ones := 0
-		for _, a := range es.abas {
-			if a.decided && a.decision == 1 {
-				ones++
-			}
-		}
-		if !es.zeroCast && ones >= auxQuorum(n.cfg.N, n.cfg.F) {
-			es.zeroCast = true
-			for _, a := range es.abas {
-				if !a.haveInput {
-					outs = append(outs, a.input(0)...)
+		for e := n.cur; e <= n.top; e++ {
+			es := n.epoch(e)
+			for s := 0; s < n.cfg.N; s++ {
+				if es.rawDelivered[s] && !es.abas[s].haveInput {
+					outs = append(outs, es.abas[s].input(1)...)
 					progress = true
 				}
 			}
-		}
-		if !es.sealed {
-			ready := true
-			for s, a := range es.abas {
-				if !a.decided || (a.decision == 1 && !es.rawDelivered[s]) {
-					ready = false
-					break
+			ones := 0
+			for _, a := range es.abas {
+				if a.decided && a.decision == 1 {
+					ones++
 				}
 			}
-			if ready {
-				es.sealed = true
-				var subset []int
-				var values []vec.V
-				for s, a := range es.abas {
-					if a.decision == 1 {
-						subset = append(subset, s)
-						values = append(values, es.delivered[s])
-					}
-				}
-				output, delta := decideEpoch(values, n.cfg.F, n.cfg.NormP)
-				n.sealed = append(n.sealed, EpochDecision{Epoch: n.cur, Subset: subset, Values: values, Output: output, Delta: delta})
-				n.stats.Epochs++
-				n.stats.Slots += len(subset)
+			if !es.zeroCast && ones >= auxQuorum(n.cfg.N, n.cfg.F) {
+				es.zeroCast = true
 				for _, a := range es.abas {
-					if a.decided {
-						n.stats.ABARounds += a.decidedRound + 1
+					if !a.haveInput {
+						outs = append(outs, a.input(0)...)
 					}
-				}
-				n.cur++
-				n.prune()
-				if n.cur < len(n.cfg.Proposals) {
-					outs = n.open(outs, n.cur)
-				} else {
-					n.done = true
 				}
 				progress = true
 			}
+		}
+		if n.top == n.cur && n.top+1 < len(n.cfg.Proposals) && n.epochs[n.top].zeroCast {
+			n.top++
+			outs = n.open(outs, n.top)
+			progress = true
+		}
+		es := n.epochs[n.cur]
+		ready := es.zeroCast
+		for s, a := range es.abas {
+			if !a.decided || (a.decision == 1 && !es.rawDelivered[s]) {
+				ready = false
+				break
+			}
+		}
+		if ready {
+			var subset []int
+			var values []vec.V
+			for s, a := range es.abas {
+				if a.decision == 1 {
+					subset = append(subset, s)
+					values = append(values, es.delivered[s])
+				}
+			}
+			output, delta := decideEpoch(values, n.cfg.F, n.cfg.NormP)
+			n.sealed = append(n.sealed, EpochDecision{Epoch: n.cur, Subset: subset, Values: values, Output: output, Delta: delta})
+			n.stats.Epochs++
+			n.stats.Slots += len(subset)
+			for _, a := range es.abas {
+				if a.decided {
+					n.stats.ABARounds += a.decidedRound + 1
+				}
+			}
+			n.cur++
+			n.prune()
+			n.done = n.cur >= len(n.cfg.Proposals)
+			progress = true
 		}
 		if !progress {
 			break

@@ -148,3 +148,69 @@ func checkAsyncRun(t *testing.T, id string, n, d, epochs int, behavior Behavior,
 		t.Errorf("%s stalls: some correct node sealed fewer than %d epochs", id, epochs)
 	}
 }
+
+// orderWatch counts the Steps after which a node's newer open epoch is
+// ready to seal while the older one still runs an agreement past the two
+// fixed coins, and fails if a node's sealed stream is ever out of order.
+type orderWatch struct {
+	*Node
+	t     *testing.T
+	ahead *int
+}
+
+func (w *orderWatch) Step(round int, delivered []sched.Message) []sched.Outgoing {
+	outs := w.Node.Step(round, delivered)
+	for e := range w.sealed { // Epoch only: the lane may be writing Output
+		if got := w.sealed[e].Epoch; got != e {
+			w.t.Fatalf("node %d sealed epoch %d as its decision %d", w.cfg.Self, got, e)
+		}
+	}
+	if w.done || w.top == w.cur || !w.epochs[w.top].ready() {
+		return outs
+	}
+	for s := range w.epochs[w.cur].abas {
+		if a := &w.epochs[w.cur].abas[s]; !a.decided && a.round >= 2 {
+			*w.ahead++
+			break
+		}
+	}
+	return outs
+}
+
+// Epochs seal strictly in order even when the newer one is ready first:
+// on these random schedules an n = 7 stream's epoch e+1 completes while
+// one of epoch e's zero-filled slots is still in the hashed-coin rounds,
+// and every correct node still seals epoch e, then e+1, each with its own
+// epoch's proposals.
+func TestACSSealsInOrderPastHashedCoin(t *testing.T) {
+	const n, f, d, epochs = 7, 2, 2, 8
+	ahead := 0
+	for _, seed := range []int64{241, 258} {
+		props := genProposals(rand.New(rand.NewSource(seed)), epochs, n, d)
+		nodes, procs := newCluster(t, Config{N: n, F: f, D: d}, props, map[int]Behavior{n - 1: Equivocate})
+		for i := range procs {
+			procs[i] = &orderWatch{Node: nodes[i], t: t, ahead: &ahead}
+		}
+		if _, err := sched.NewAsyncEngine(procs, &sched.RandomSchedule{Rng: rand.New(rand.NewSource(seed))}).Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := Fingerprint(nodes[0].Decisions())
+		for i, node := range nodes[:n-1] {
+			decs := node.Decisions()
+			if len(decs) != epochs || Fingerprint(decs) != want {
+				t.Fatalf("seed %d: node %d sealed %d epochs, fingerprint %s; node 0 %s", seed, i, len(decs), Fingerprint(decs), want)
+			}
+			for e, dec := range decs {
+				for k, slot := range dec.Subset {
+					if !dec.Values[k].Equal(props[e][slot]) {
+						t.Fatalf("seed %d: node %d's epoch %d holds %v for slot %d, proposal %v", seed, i, e, dec.Values[k], slot, props[e][slot])
+					}
+				}
+			}
+		}
+	}
+	if ahead == 0 {
+		t.Fatal("no Step found a newer epoch ready before an older one in the hashed-coin rounds")
+	}
+	t.Logf("%d Steps with the newer epoch ready first", ahead)
+}

@@ -107,18 +107,40 @@ func TestABAFarRoundIsConstantCost(t *testing.T) {
 	}
 }
 
+// stateProbes are the streams the state tests tamper with: all honest,
+// where one epoch is open at a time, and with node 3 equivocating, where
+// node 0 holds epochs 0 and 1 open after round at (epoch 1 opens in round
+// 5, when epoch 0 casts its 0-votes, and epoch 0 seals in round 9).
+var stateProbes = []struct {
+	name      string
+	behaviors map[int]Behavior
+	at, open  int // node 0 holds open unsealed epochs after round at
+}{
+	{"honest", nil, 3, 1},
+	{"pipelined", map[int]Behavior{3: Equivocate}, 6, 2},
+}
+
 // DESIGN §13.3's bound — a node holds O(pipeline depth) protocol state —
 // must survive Byzantine traffic: messages that name no live instance
 // are dropped before any state exists for them. Before, every distinct
 // garbage (sender, id) opened an RBC instance that pump never read and
 // prune never matched.
 func TestACSGarbageCreatesNoState(t *testing.T) {
-	const n, f, d, epochs, at = 4, 1, 2, 4, 3
-	props := genProposals(rand.New(rand.NewSource(29)), epochs, n, d)
+	for _, probe := range stateProbes {
+		t.Run(probe.name, func(t *testing.T) {
+			checkNoState(t, 4, 1, genProposals(rand.New(rand.NewSource(29)), 4, 4, 2), probe.behaviors, probe.at, probe.open, garbage(4, 4))
+		})
+	}
+}
+
+// garbage is 10 000 messages node 3, or a process that is none, could
+// send node 0 in an n-node stream of the given length: each names no
+// live instance, or fails framing.
+func garbage(n, epochs int) []sched.Message {
 	rng := rand.New(rand.NewSource(31))
-	var garbage []sched.Message
-	for len(garbage) < 10000 {
-		k := len(garbage)
+	var out []sched.Message
+	for len(out) < 10000 {
+		k := len(out)
 		m := sched.Message{From: 3, To: 0, Tag: broadcast.BrachaTag}
 		switch k % 10 {
 		case 0: // an id of another subsystem
@@ -172,26 +194,29 @@ func TestACSGarbageCreatesNoState(t *testing.T) {
 				m.From, m.Data = 3, encodeABA(1, k%n, k, 2+byte(k%250), 1)
 			}
 		}
-		garbage = append(garbage, m)
+		out = append(out, m)
 	}
-
-	checkNoState(t, n, f, props, at, garbage)
+	return out
 }
 
-// A stream's future epochs are live only one epoch ahead, the slack
-// prune already assumes. Before that bound, one BVAL and one ECHO from a
-// Byzantine peer naming each later epoch of a 200-epoch stream left node
-// 0 holding 199 epoch states and 202 Bracha instances.
+// A stream's future epochs are live only one epoch past the newest open
+// one, the slack prune already assumes. Before that bound, one BVAL and
+// one ECHO from a Byzantine peer naming each later epoch of a 200-epoch
+// stream left node 0 holding 199 epoch states and 202 Bracha instances.
 func TestACSFutureEpochsCreateNoState(t *testing.T) {
-	const n, f, d, epochs, at = 4, 1, 2, 200, 1
+	const n, f, d, epochs = 4, 1, 2, 200
 	props := genProposals(rand.New(rand.NewSource(37)), epochs, n, d)
-	var future []sched.Message
-	for e := 2; e < epochs; e++ {
-		future = append(future,
-			sched.Message{From: 3, To: 0, Tag: ABATag, Data: encodeABA(e, e%n, 0, abaBval, 1)},
-			sched.Message{From: 3, To: 0, Tag: broadcast.BrachaTag, Data: rbcMessage(1, e%n, broadcast.EpochID(e))})
+	for _, probe := range stateProbes {
+		t.Run(probe.name, func(t *testing.T) {
+			var future []sched.Message
+			for e := probe.open + 1; e < epochs; e++ { // past the window [0, open]
+				future = append(future,
+					sched.Message{From: 3, To: 0, Tag: ABATag, Data: encodeABA(e, e%n, 0, abaBval, 1)},
+					sched.Message{From: 3, To: 0, Tag: broadcast.BrachaTag, Data: rbcMessage(1, e%n, broadcast.EpochID(e))})
+			}
+			checkNoState(t, n, f, props, probe.behaviors, probe.at, probe.open, future)
+		})
 	}
-	checkNoState(t, n, f, props, at, future)
 }
 
 // rbcMessage is an rbc message of the given phase for instance (sender,
@@ -203,11 +228,14 @@ func rbcMessage(phase byte, sender int, id string) []byte {
 }
 
 // holdings is the protocol state a node holds: Bracha instances, epoch
-// states and ABA rounds past the inline two.
-type holdings struct{ insts, epochs, rounds int }
+// states, ABA rounds past the inline two, and unsealed epochs.
+type holdings struct{ insts, epochs, rounds, open int }
 
 func measure(node *Node) holdings {
 	h := holdings{epochs: len(node.epochs)}
+	if !node.done {
+		h.open = node.top - node.cur + 1
+	}
 	node.rbc.PruneInstances(func(int, string) bool { h.insts++; return false })
 	for _, es := range node.epochs {
 		for i := range es.abas {
@@ -217,16 +245,16 @@ func measure(node *Node) holdings {
 	return h
 }
 
-// checkNoState runs an honest stream twice, once with extra delivered to
-// node 0 in round at, and requires node 0 to hold the clean run's state
-// right after that round and at the end, and every node to seal the
-// clean stream.
-func checkNoState(t *testing.T, n, f int, props [][]vec.V, at int, extra []sched.Message) {
+// checkNoState runs a stream twice, once with extra delivered to node 0
+// in round at, and requires node 0 to hold open unsealed epochs after
+// that round in the clean run and the clean run's state right after it
+// and at the end, and every node to seal the clean stream.
+func checkNoState(t *testing.T, n, f int, props [][]vec.V, behaviors map[int]Behavior, at, open int, extra []sched.Message) {
 	t.Helper()
 	var cleanAt, dirtyAt holdings
-	clean := runTampered(t, n, f, props, nil, at, nil, func(node *Node) { cleanAt = measure(node) })
-	dirty := runTampered(t, n, f, props, nil, at, extra, func(node *Node) { dirtyAt = measure(node) })
-	if cleanAt.insts == 0 || cleanAt.epochs == 0 {
+	clean := runTampered(t, n, f, props, behaviors, at, nil, func(node *Node) { cleanAt = measure(node) })
+	dirty := runTampered(t, n, f, props, behaviors, at, extra, func(node *Node) { dirtyAt = measure(node) })
+	if cleanAt.insts == 0 || cleanAt.epochs == 0 || cleanAt.open != open {
 		t.Fatalf("round %d is a poor probe: clean node holds %+v", at, cleanAt)
 	}
 	if dirtyAt != cleanAt {

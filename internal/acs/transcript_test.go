@@ -12,8 +12,10 @@ import (
 	"sync"
 	"testing"
 
+	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/transport"
+	"relaxedbvc/internal/vec"
 )
 
 // Wire-level golden: testdata/acs_transcripts.json was written at the
@@ -29,7 +31,11 @@ import (
 // fingerprint and rounds columns are the per-message node's. When the
 // coin became 1 then 0 in an instance's first two rounds and decided
 // instances began to send TERM, the trace_sha256, messages and rounds
-// columns were re-recorded and every fingerprint held.
+// columns were re-recorded and every fingerprint held. When a node began
+// to open epoch e+1 as soon as epoch e cast its 0-votes, the same three
+// columns of the 16 equivocate and mute rows were re-recorded; the honest
+// rows and every fingerprint held, and TestACSTranscriptStreamsValid
+// checks each stream against its proposals.
 
 type transcriptSpec struct {
 	Name     string
@@ -69,9 +75,20 @@ func transcriptSpecs() []transcriptSpec {
 	return specs
 }
 
+func (s transcriptSpec) proposals() [][]vec.V {
+	return genProposals(rand.New(rand.NewSource(int64(1000*s.N+s.F))), s.Epochs, s.N, transcriptDim)
+}
+
+// faults is the spec's duplication policy (nil: none).
+func (s transcriptSpec) faults() *sched.LinkFaults {
+	if s.DupProb == 0 {
+		return nil
+	}
+	return &sched.LinkFaults{Seed: 42, LinkProfile: sched.LinkProfile{DupProb: s.DupProb}}
+}
+
 func (s transcriptSpec) cluster(t *testing.T) []*Node {
-	rng := rand.New(rand.NewSource(int64(1000*s.N + s.F)))
-	props := genProposals(rng, s.Epochs, s.N, transcriptDim)
+	props := s.proposals()
 	var behaviors map[int]Behavior
 	if s.Behavior != Honest {
 		behaviors = map[int]Behavior{s.N - 1: s.Behavior}
@@ -86,9 +103,7 @@ func runTranscript(t *testing.T, s transcriptSpec) transcript {
 		procs[i] = n
 	}
 	eng := sched.NewSyncEngine(procs)
-	if s.DupProb > 0 {
-		eng.Faults = &sched.LinkFaults{Seed: 42, LinkProfile: sched.LinkProfile{DupProb: s.DupProb}}
-	}
+	eng.Faults = s.faults()
 	h := sha256.New()
 	var hdr [12]byte
 	eng.TraceFn = func(m sched.Message) {
@@ -138,6 +153,46 @@ func TestACSTranscriptsMatchGolden(t *testing.T) {
 	for i, s := range transcriptSpecs() {
 		if got := runTranscript(t, s); got != want[i] {
 			t.Errorf("%s:\n got %+v\nwant %+v", s.Name, got, want[i])
+		}
+	}
+}
+
+// Every golden stream is valid: each honest node seals every epoch in
+// order, the subset has at least n-f slots and no faulty one, each
+// subset value is its slot's proposal, and the output lies within the
+// epoch's delta of the honest proposals' hull.
+func TestACSTranscriptStreamsValid(t *testing.T) {
+	for _, s := range transcriptSpecs() {
+		nodes := s.cluster(t)
+		runCluster(t, nodes, s.faults())
+		props := s.proposals()
+		for i, node := range nodes {
+			if i == s.N-1 && s.Behavior != Honest {
+				continue
+			}
+			stream := node.Decisions()
+			if len(stream) != s.Epochs {
+				t.Fatalf("%s: node %d sealed %d of %d epochs", s.Name, i, len(stream), s.Epochs)
+			}
+			for e, dec := range stream {
+				honest := vec.NewSet()
+				for j, p := range props[e] {
+					if j != s.N-1 || s.Behavior == Honest {
+						honest.Append(p)
+					}
+				}
+				if dec.Epoch != e || len(dec.Subset) < s.N-s.F {
+					t.Fatalf("%s: node %d's decision %d is epoch %d with subset %v", s.Name, i, e, dec.Epoch, dec.Subset)
+				}
+				for k, slot := range dec.Subset {
+					if (slot == s.N-1 && s.Behavior != Honest) || !dec.Values[k].Equal(props[e][slot]) {
+						t.Fatalf("%s: epoch %d took slot %d's value %v", s.Name, e, slot, dec.Values[k])
+					}
+				}
+				if dist, _ := geom.DistP(dec.Output, honest, 2); dist > dec.Delta+1e-6 {
+					t.Fatalf("%s: epoch %d output is %g from the honest hull, delta %g", s.Name, e, dist, dec.Delta)
+				}
+			}
 		}
 	}
 }

@@ -250,6 +250,29 @@ func TestSortInbox(t *testing.T) {
 	SortInbox(nil)
 }
 
+// An unsorted inbox, the case of a round that carries several tags from
+// one sender, is sorted in place without allocating.
+func TestSortInboxAllocatesNothing(t *testing.T) {
+	tags := []string{"rbc", "aba"}
+	inbox := make([]Message, 0, 64)
+	for i := 0; i < cap(inbox); i++ {
+		inbox = append(inbox, Message{From: i % 7, Tag: tags[i/7%2], Data: []byte{byte(i)}})
+	}
+	work := make([]Message, len(inbox))
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(work, inbox)
+		SortInbox(work)
+	})
+	if allocs != 0 {
+		t.Fatalf("SortInbox of an unsorted inbox made %.0f allocations", allocs)
+	}
+	for i := 1; i < len(work); i++ {
+		if a, b := work[i-1], work[i]; a.From > b.From || (a.From == b.From && (a.Tag > b.Tag || (a.Tag == b.Tag && a.Data[0] > b.Data[0]))) {
+			t.Fatalf("inbox out of order at %d: %v before %v", i, a, b)
+		}
+	}
+}
+
 // fanout broadcasts `width` messages a round for `rounds` rounds.
 type fanout struct {
 	outs   []Outgoing

@@ -23,11 +23,13 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"relaxedbvc/internal/metrics"
@@ -384,20 +386,23 @@ func (e *SyncEngine) Run() (int, error) {
 // ascending (From, Tag), copies of one (From, Tag) in arrival order. It
 // is the single definition of that order, shared by SyncEngine and
 // transport.RunSync. An inbox filled sender by sender usually arrives
-// ordered, so the sort runs only when a linear check says it must.
+// ordered, so the sort runs only when a linear check says it must, and
+// then allocates nothing.
 func SortInbox(inbox []Message) {
-	before := func(a, b *Message) bool {
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.Tag < b.Tag
-	}
 	for i := 1; i < len(inbox); i++ {
-		if before(&inbox[i], &inbox[i-1]) {
-			sort.SliceStable(inbox, func(i, j int) bool { return before(&inbox[i], &inbox[j]) })
+		if compareInbox(inbox[i], inbox[i-1]) < 0 {
+			slices.SortStableFunc(inbox, compareInbox)
 			return
 		}
 	}
+}
+
+// compareInbox orders messages by (From, Tag).
+func compareInbox(a, b Message) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Tag, b.Tag)
 }
 
 // Schedule selects which in-flight message to deliver next.

@@ -59,9 +59,9 @@ type Options struct {
 	// BlockSize is the number of seeds per block (default 256).
 	BlockSize int
 	// MutFrac is the fraction of SeedBudget reserved for
-	// coverage-guided mutation children (default 0.25). Unspent
-	// mutation budget becomes extra base blocks, so SeedsRun always
-	// equals SeedBudget.
+	// coverage-guided mutation children; 0 runs base seeds only (the
+	// bvcsoak flag defaults to 0.25). Unspent mutation budget becomes
+	// extra base blocks, so SeedsRun always equals SeedBudget.
 	MutFrac float64
 	// Regime/Protocols/Strict/Transport form the base generation recipe
 	// (see JobConfig). Defaults: "mixed", all protocols, false, "sim".
@@ -88,9 +88,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.BlockSize <= 0 {
 		o.BlockSize = 256
-	}
-	if o.MutFrac == 0 {
-		o.MutFrac = 0.25
 	}
 	if o.MutFrac < 0 || o.MutFrac >= 1 {
 		return o, fmt.Errorf("%w: MutFrac %v outside [0,1)", ErrConfig, o.MutFrac)
@@ -290,14 +287,17 @@ func (co *coordinator) planBudget(ctx context.Context) error {
 	return nil
 }
 
-// planDuration: epochs of a base chunk plus one mutation wave, until
-// the deadline passes.
+// planDuration: epochs of a base chunk plus, unless MutFrac is 0, one
+// mutation wave, until the deadline passes.
 func (co *coordinator) planDuration(ctx context.Context) error {
 	chunk := int64(co.opt.BlockSize) * int64(4*co.opt.Shards)
 	for epoch := 1; !co.expired(); epoch++ {
 		co.logf("epoch %d: %d base seeds", epoch, chunk)
 		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(chunk)); err != nil {
 			return err
+		}
+		if co.opt.MutFrac == 0 {
+			continue
 		}
 		waveBudget := int64(mutPerParent * maxParentsPerWave)
 		jobs := co.planWave(&waveBudget)

@@ -23,6 +23,7 @@ func testOptions(dir string) Options {
 		SeedBudget: 600,
 		Shards:     4,
 		BlockSize:  32,
+		MutFrac:    0.25,
 		Regime:     "mixed",
 		Corpus:     filepath.Join(dir, "corpus"),
 	}
@@ -168,7 +169,7 @@ func seedCorpus(t *testing.T, dir string) string {
 	t.Helper()
 	corpus := filepath.Join(dir, "corpus")
 	sum, err := Run(context.Background(), Options{
-		SeedBudget: 60, Shards: 2, BlockSize: 20,
+		SeedBudget: 60, Shards: 2, BlockSize: 20, MutFrac: 0.25,
 		Regime: "out-of-model", Strict: true,
 		Corpus: corpus,
 	})
@@ -276,6 +277,7 @@ func TestOptionsValidation(t *testing.T) {
 		{SeedBudget: 10, Regime: "sideways"},        // bad regime
 		{SeedBudget: 10, Transport: "carrier"},      // bad transport
 		{SeedBudget: 10, MutFrac: 1.5},              // bad mutation fraction
+		{SeedBudget: 10, MutFrac: -0.25},            // negative mutation fraction
 		{SeedBudget: 10, Duration: time.Minute},     // budget and duration
 		{SeedBudget: 10, Protocols: []string{"xx"}}, // bad protocol
 	}
@@ -289,7 +291,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestMeshSoakCrossChecks(t *testing.T) {
 	for _, protos := range [][]string{{"delta-relaxed", "exact", "scalar"}, {"convex", "acs"}} {
 		sum, err := Run(context.Background(), Options{
-			SeedBudget: 48, Shards: 2, BlockSize: 16,
+			SeedBudget: 48, Shards: 2, BlockSize: 16, MutFrac: 0.25,
 			Regime: "none", Transport: TransportMesh, Protocols: protos,
 		})
 		if err != nil {
