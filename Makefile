@@ -93,14 +93,14 @@ fuzz:
 	$(GO) run ./cmd/bvcsoak -budget 2000 -shards 4 -regime none
 	$(GO) run ./cmd/bvcsoak -budget 2000 -shards 4 -regime within-model
 
-# Deterministic soak: 50k seeds on 4 batch workers under the mixed
-# fault regime, coverage-guided mutation, discoveries written into
-# corpus/; bvcsoak exits 1 on a failed seed or an unshrunk failure.
+# Deterministic soak: 50k base seeds on 4 batch workers under the mixed
+# fault regime, shrunk reproducers written into corpus/; bvcsoak exits 1
+# on a failed seed or an unshrunk failure.
 soak:
 	$(GO) run ./cmd/bvcsoak -budget 50000 -shards 4 -regime mixed \
 		-corpus corpus -summary soak-summary.json
 
-# Replay the committed corpus: every shrunk reproducer and interesting
+# Replay the committed corpus: every shrunk reproducer and regression
 # seed must still produce its recorded outcome and signature.
 soak-replay:
 	$(GO) run ./cmd/bvcsoak -replay-corpus -corpus corpus

@@ -1,7 +1,7 @@
-// Command bvcsoak is the deterministic soak driver: it sweeps large
-// numbers of generated consensus instances through the batch engine,
-// guided by coverage feedback, with a persisted seed corpus. Blocks run
-// one at a time in this process, on -shards batch workers.
+// Command bvcsoak is the deterministic soak driver: it replays a
+// persisted seed corpus, then sweeps base seeds 0, 1, 2, … of generated
+// consensus instances through the batch engine. Blocks run one at a
+// time in this process, on -shards batch workers.
 //
 // A soak exits 1 when any seed failed (an invariant violation, an
 // untyped error, a typed degradation under no or within-model faults,
@@ -58,9 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		protocols = fs.String("protocols", "", "comma-separated protocol subset (empty = all)")
 		strict    = fs.Bool("strict", false, "shrink and replay-confirm graceful out-of-model degradations like failures (they do not fail the soak)")
 		transport = fs.String("transport", "sim", "sim, or mesh to cross-check every passing seed the mesh accepts")
-		mutFrac   = fs.Float64("mut-frac", 0.25, "fraction of the seed budget spent on coverage-guided mutation")
 
-		corpusDir = fs.String("corpus", "", "corpus directory (replayed first, failing/novel seeds persisted)")
+		corpusDir = fs.String("corpus", "", "corpus directory (replayed first, shrunk failing seeds persisted)")
 		summary   = fs.String("summary", "", "write the stable-JSON summary to this path")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -76,21 +75,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *replayCorpus {
 		return runReplay(ctx, stdout, stderr, *corpusDir, *prune)
 	}
-	return runSoak(ctx, stdout, stderr, soakOptions{
-		budget: *budget, shards: *shards, blockSize: *blockSize,
-		baseSeed: *baseSeed, regime: *regime, protocols: *protocols,
-		strict: *strict, transport: *transport, mutFrac: *mutFrac,
-		corpus: *corpusDir, summary: *summary,
+	seeds, dur, err := parseBudget(*budget)
+	var protos []string
+	if err == nil {
+		protos, err = soak.NormalizeProtocols(*protocols)
+	}
+	// The library maps a zero Shards or BlockSize to its default; a flag
+	// means what it says.
+	switch {
+	case err != nil: // the budget or protocol error stands
+	case *prune:
+		err = errors.New("-prune-stale needs -replay-corpus")
+	case *shards < 1:
+		err = fmt.Errorf("-shards %d must be at least 1", *shards)
+	case *blockSize < 1:
+		err = fmt.Errorf("-block %d must be at least 1", *blockSize)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
+		return 1
+	}
+	return runSoak(ctx, stdout, stderr, *summary, soak.Options{
+		SeedBudget: seeds, Duration: dur, BaseSeed: *baseSeed,
+		Shards: *shards, BlockSize: *blockSize,
+		Regime: *regime, Protocols: protos, Strict: *strict, Transport: *transport,
+		Corpus: *corpusDir, Log: stderr,
 	})
-}
-
-type soakOptions struct {
-	budget, regime, protocols, transport string
-	corpus, summary                      string
-	shards, blockSize                    int
-	baseSeed                             int64
-	mutFrac                              float64
-	strict                               bool
 }
 
 // parseBudget reads a seed count or a wall-clock duration.
@@ -110,44 +120,20 @@ func parseBudget(s string) (int64, time.Duration, error) {
 	return 0, 0, fmt.Errorf("budget %q is neither a seed count nor a duration", s)
 }
 
-func runSoak(ctx context.Context, stdout, stderr io.Writer, o soakOptions) int {
-	seeds, dur, err := parseBudget(o.budget)
-	if err != nil {
-		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
-		return 1
-	}
-	protos, err := soak.NormalizeProtocols(o.protocols)
-	if err != nil {
-		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
-		return 1
-	}
-	opt := soak.Options{
-		SeedBudget: seeds,
-		Duration:   dur,
-		BaseSeed:   o.baseSeed,
-		Shards:     o.shards,
-		BlockSize:  o.blockSize,
-		MutFrac:    o.mutFrac,
-		Regime:     o.regime,
-		Protocols:  protos,
-		Strict:     o.strict,
-		Transport:  o.transport,
-		Corpus:     o.corpus,
-		Log:        stderr,
-	}
+func runSoak(ctx context.Context, stdout, stderr io.Writer, summary string, opt soak.Options) int {
 	sum, err := soak.Run(ctx, opt)
 	if err != nil {
 		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 		return 1
 	}
 	sum.Render(stdout)
-	if o.summary != "" {
+	if summary != "" {
 		data, err := sum.Encode()
 		if err != nil {
 			fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 			return 1
 		}
-		if err := os.WriteFile(o.summary, data, 0o644); err != nil {
+		if err := os.WriteFile(summary, data, 0o644); err != nil {
 			fmt.Fprintf(stderr, "bvcsoak: write summary: %v\n", err)
 			return 1
 		}

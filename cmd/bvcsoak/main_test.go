@@ -8,33 +8,28 @@ import (
 )
 
 // TestRunSmallSoak drives a fault-free 64-seed soak in-process through
-// the command line: it must pass the gate and print its summary.
+// the command line: it must pass the gate, print its summary, and spend
+// the whole budget on base seeds.
 func TestRunSmallSoak(t *testing.T) {
+	summary := filepath.Join(t.TempDir(), "summary.json")
 	var stdout, stderr strings.Builder
-	args := []string{"-budget", "64", "-shards", "1", "-regime", "none"}
+	args := []string{"-budget", "64", "-shards", "1", "-regime", "none", "-summary", summary}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, want 0\nstdout:\n%s\nstderr:\n%s", args, code, stdout.String(), stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "soak: 64 seeds — 64 passed, 0 degraded, 0 failed") {
 		t.Errorf("summary line missing:\n%s", stdout.String())
 	}
-}
-
-// TestRunMutFracZero: -mut-frac 0 spends the whole budget on base seeds.
-func TestRunMutFracZero(t *testing.T) {
-	summary := filepath.Join(t.TempDir(), "summary.json")
-	var stdout, stderr strings.Builder
-	args := []string{"-budget", "64", "-shards", "1", "-regime", "none", "-protocols", "acs", "-mut-frac", "0", "-summary", summary}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(%v) = %d, want 0\nstderr:\n%s", args, code, stderr.String())
-	}
 	raw, err := os.ReadFile(summary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"mutation_seeds": 0,`, `"mutation_blocks": 0,`, `"seeds_run": 64,`} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("summary lacks %s:\n%s", want, raw)
+	if !strings.Contains(string(raw), `"seeds_run": 64,`) {
+		t.Errorf("summary lacks \"seeds_run\": 64:\n%s", raw)
+	}
+	for _, gone := range []string{`"mutation_`, `"novel_features"`} {
+		if strings.Contains(string(raw), gone) {
+			t.Errorf("summary has a %s key:\n%s", gone, raw)
 		}
 	}
 }
@@ -49,13 +44,17 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{[]string{"-budget", "0"}, "seed budget 0 must be positive"},
 		{[]string{"-protocols", "bogus"}, `unknown protocol "bogus"`},
 		{[]string{"-replay-corpus"}, "-replay-corpus needs -corpus"},
+		{[]string{"-prune-stale", "-corpus", "corpus"}, "-prune-stale needs -replay-corpus"},
+		{[]string{"-shards", "0"}, "-shards 0 must be at least 1"},
+		{[]string{"-shards", "-3"}, "-shards -3 must be at least 1"},
+		{[]string{"-block", "0"}, "-block 0 must be at least 1"},
 	} {
 		var stdout, stderr strings.Builder
 		if code := run(c.args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), c.want) {
 			t.Errorf("run(%v) = %d, stderr %q; want 1 and a message containing %q", c.args, code, stderr.String(), c.want)
 		}
 	}
-	for _, flag := range []string{"-no-such-flag", "-resume"} {
+	for _, flag := range []string{"-no-such-flag", "-resume", "-mut-frac"} {
 		var stdout, stderr strings.Builder
 		if code := run([]string{flag}, &stdout, &stderr); code != 2 {
 			t.Errorf("run(%s) = %d, want 2", flag, code)

@@ -145,14 +145,17 @@ func TestSweepBatchMatchesDirectRuns(t *testing.T) {
 		if batched.Signature != direct.Signature {
 			t.Fatalf("seed %d: batch signature diverged from direct run:\n%s\n%s", v.Seed, batched.Signature, direct.Signature)
 		}
-		rounds := 0
+		rounds, batchedRounds := 0, 0
 		if direct.Result != nil {
 			rounds = direct.Result.Rounds
 		}
+		if batched.Result != nil {
+			batchedRounds = batched.Result.Rounds
+		}
 		passed := direct.Err == nil && len(direct.Violations) == 0
-		if passed != (v.Outcome == soak.OutcomePass) || rounds != v.Rounds {
-			t.Fatalf("seed %d: block %s in %d rounds, direct run err=%v violations=%v in %d rounds",
-				v.Seed, v.Outcome, v.Rounds, direct.Err, direct.Violations, rounds)
+		if passed != (v.Outcome == soak.OutcomePass) || rounds != batchedRounds {
+			t.Fatalf("seed %d: block %s, batch in %d rounds, direct run err=%v violations=%v in %d rounds",
+				v.Seed, v.Outcome, batchedRounds, direct.Err, direct.Violations, rounds)
 		}
 		if !passed && direct.Signature != v.Signature {
 			t.Fatalf("seed %d: block signature diverged from direct run:\n%s\n%s", v.Seed, v.Signature, direct.Signature)

@@ -201,9 +201,9 @@ func GenSpec(seed int64, cfg FuzzConfig) bvc.Spec {
 // EffectiveRegime resolves RegimeMixed to the concrete regime GenSpec
 // applies to the given seed (even seeds draw within-model patterns, odd
 // seeds out-of-model ones); other regimes pass through unchanged. The
-// soak engine's coverage map and its mutation scheduler both key on the
-// regime a seed actually ran under, so the parity rule lives here, next
-// to the generator it describes.
+// soak engine classifies a typed degradation by the regime a seed
+// actually ran under, so the parity rule lives here, next to the
+// generator it describes.
 func EffectiveRegime(seed int64, r Regime) Regime {
 	if r != RegimeMixed {
 		return r

@@ -1,12 +1,11 @@
 package soak
 
-// The coordinator: plans blocks, runs them one at a time on the batch
-// engine, and commits each result in block order. Planning is a pure
-// function of the options and the committed history — every scheduling
-// decision (coverage novelty, mutation-parent consumption, corpus
-// writes, the summary) is taken at commit time from committed state
-// only, and RunBlock's verdicts do not depend on its worker count — so
-// two soaks of the same options summarize byte-identically.
+// The coordinator: replays the corpus, then cuts base seeds into blocks,
+// runs them one at a time on the batch engine, and commits each result
+// in block order. The seed plan is a pure function of the options and
+// the corpus, corpus writes and the summary derive from committed
+// records only, and RunBlock's verdicts do not depend on its worker
+// count — so two soaks of the same options summarize byte-identically.
 //
 // Wall-clock deadlines (duration budgets, context cancellation) gate
 // only *execution*, never planning: a block planned but not yet run
@@ -18,25 +17,12 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"relaxedbvc/internal/simtest"
 )
 
 // Block kinds recorded in each BlockRecord.
 const (
-	blockKindCorpus   = "corpus"
-	blockKindBase     = "base"
-	blockKindMutation = "mutation"
-)
-
-// The mutation and corpus bounds: each mutation parent derives
-// mutPerParent children, one wave consumes at most maxParentsPerWave
-// parents, and a soak persists at most maxInteresting novel-feature
-// corpus entries (consumed in commit order, so deterministically).
-const (
-	mutPerParent      = 8
-	maxParentsPerWave = 64
-	maxInteresting    = 256
+	blockKindCorpus = "corpus"
+	blockKindBase   = "base"
 )
 
 // Options configures a soak run.
@@ -44,9 +30,9 @@ type Options struct {
 	// SeedBudget is the number of fresh seeds to run (corpus replays are
 	// on top). Exactly this many seeds run when the soak completes.
 	SeedBudget int64
-	// Duration, when positive, runs epochs of base seeds plus mutation
-	// waves until the wall-clock budget is spent. Exactly one of
-	// SeedBudget and Duration must be set.
+	// Duration, when positive, runs chunks of base seeds until the
+	// wall-clock budget is spent. Exactly one of SeedBudget and Duration
+	// must be set.
 	Duration time.Duration
 	// BaseSeed is folded into every generated instance
 	// (simtest.FuzzConfig.BaseSeed): two soaks with different base seeds
@@ -58,11 +44,6 @@ type Options struct {
 	Shards int
 	// BlockSize is the number of seeds per block (default 256).
 	BlockSize int
-	// MutFrac is the fraction of SeedBudget reserved for
-	// coverage-guided mutation children; 0 runs base seeds only (the
-	// bvcsoak flag defaults to 0.25). Unspent mutation budget becomes
-	// extra base blocks, so SeedsRun always equals SeedBudget.
-	MutFrac float64
 	// Regime/Protocols/Strict/Transport form the base generation recipe
 	// (see JobConfig). Defaults: "mixed", all protocols, false, "sim".
 	Regime    string
@@ -83,14 +64,14 @@ func (o Options) normalize() (Options, error) {
 	if (o.SeedBudget > 0) == (o.Duration > 0) {
 		return o, fmt.Errorf("%w: need exactly one of a seed budget and a duration", ErrConfig)
 	}
-	if o.Shards <= 0 {
+	if o.Shards < 0 || o.BlockSize < 0 {
+		return o, fmt.Errorf("%w: negative Shards %d or BlockSize %d", ErrConfig, o.Shards, o.BlockSize)
+	}
+	if o.Shards == 0 {
 		o.Shards = 1
 	}
-	if o.BlockSize <= 0 {
+	if o.BlockSize == 0 {
 		o.BlockSize = 256
-	}
-	if o.MutFrac < 0 || o.MutFrac >= 1 {
-		return o, fmt.Errorf("%w: MutFrac %v outside [0,1)", ErrConfig, o.MutFrac)
 	}
 	if o.Regime == "" {
 		o.Regime = "mixed"
@@ -121,11 +102,11 @@ func (o Options) baseCfg() JobConfig {
 	}
 }
 
-// BlockRecord is one committed block: the unit the planner's state and
-// the summary are derived from.
+// BlockRecord is one committed block: the unit the summary is derived
+// from.
 type BlockRecord struct {
 	Block int
-	// Kind is "corpus", "base" or "mutation".
+	// Kind is "corpus" or "base".
 	Kind string
 	// Cfg is the block's generation recipe, Seeds its seeds in run
 	// order.
@@ -138,30 +119,8 @@ type BlockRecord struct {
 	MeshCompared int
 	// PerProtocol aggregates outcome counts by protocol name.
 	PerProtocol map[string]OutcomeCounts
-	// Parents are the seeds that hit a coverage feature never seen
-	// before this block committed, in seed order — the mutation
-	// scheduler's inputs and the corpus's "interesting" entries.
-	Parents []ParentRef
 	// MinFailing is the block's shrunk reproducer, if any seed failed.
 	MinFailing *FailingSeed
-}
-
-// ParentRef is one novel-feature first-hitter: everything the mutation
-// scheduler needs to derive focused children, and everything a corpus
-// "interesting" entry needs to replay.
-type ParentRef struct {
-	Seed int64
-	// Protocol and Regime pin the child generation config to the
-	// configuration that produced the novelty (Regime is the effective
-	// regime, with "mixed" already resolved by seed parity).
-	Protocol string
-	Regime   string
-	// Feature is the novel coverage key this seed hit first.
-	Feature string
-	// Outcome/Signature record the run's classification (Signature
-	// empty for passing runs).
-	Outcome   string
-	Signature string
 }
 
 // coordinator is one soak run's mutable state.
@@ -171,12 +130,6 @@ type coordinator struct {
 
 	// blocks are the committed records, in commit (= block) order.
 	blocks []BlockRecord
-
-	// Commit-derived scheduling state.
-	seen            map[string]bool
-	parents         []ParentRef
-	parentCur       int
-	interestingLeft int
 
 	// Planning cursors.
 	nextBlock    int
@@ -201,12 +154,7 @@ func run(ctx context.Context, opt Options) (*coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := &coordinator{
-		opt:             opt,
-		baseCfg:         opt.baseCfg(),
-		seen:            map[string]bool{},
-		interestingLeft: maxInteresting,
-	}
+	co := &coordinator{opt: opt, baseCfg: opt.baseCfg()}
 	if opt.Duration > 0 {
 		co.deadline = time.Now().Add(opt.Duration)
 	}
@@ -220,9 +168,10 @@ func run(ctx context.Context, opt Options) (*coordinator, error) {
 		return nil, err
 	}
 	if opt.SeedBudget > 0 {
-		err = co.planBudget(ctx)
+		co.logf("phase base: %d seeds", opt.SeedBudget)
+		err = co.runJobs(ctx, blockKindBase, co.baseJobs(opt.SeedBudget))
 	} else {
-		err = co.planDuration(ctx)
+		err = co.runDuration(ctx)
 	}
 	if err != nil {
 		return nil, err
@@ -256,56 +205,13 @@ func corpusPlan(dir string) ([]*Entry, error) {
 	return plan, nil
 }
 
-// planBudget: one base phase sized to (1-MutFrac) of the budget, then
-// mutation waves until the mutation budget is spent or no unconsumed
-// parents remain, then filler base blocks for whatever is left — the
-// soak always runs exactly SeedBudget fresh seeds.
-func (co *coordinator) planBudget(ctx context.Context) error {
-	mutBudget := int64(float64(co.opt.SeedBudget) * co.opt.MutFrac)
-	baseBudget := co.opt.SeedBudget - mutBudget
-	co.logf("phase base: %d seeds", baseBudget)
-	if err := co.runJobs(ctx, blockKindBase, co.baseJobs(baseBudget)); err != nil {
-		return err
-	}
-	mutLeft := mutBudget
-	for wave := 1; mutLeft > 0; wave++ {
-		jobs := co.planWave(&mutLeft)
-		if len(jobs) == 0 {
-			break
-		}
-		co.logf("phase mutation wave %d: %d blocks (%d mutation seeds left)", wave, len(jobs), mutLeft)
-		if err := co.runJobs(ctx, blockKindMutation, jobs); err != nil {
-			return err
-		}
-	}
-	if mutLeft > 0 {
-		co.logf("phase filler: %d seeds of unspent mutation budget", mutLeft)
-		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(mutLeft)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// planDuration: epochs of a base chunk plus, unless MutFrac is 0, one
-// mutation wave, until the deadline passes.
-func (co *coordinator) planDuration(ctx context.Context) error {
+// runDuration runs chunks of base seeds, four blocks per shard each,
+// until the deadline passes.
+func (co *coordinator) runDuration(ctx context.Context) error {
 	chunk := int64(co.opt.BlockSize) * int64(4*co.opt.Shards)
 	for epoch := 1; !co.expired(); epoch++ {
 		co.logf("epoch %d: %d base seeds", epoch, chunk)
 		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(chunk)); err != nil {
-			return err
-		}
-		if co.opt.MutFrac == 0 {
-			continue
-		}
-		waveBudget := int64(mutPerParent * maxParentsPerWave)
-		jobs := co.planWave(&waveBudget)
-		if len(jobs) == 0 {
-			continue
-		}
-		co.logf("epoch %d: mutation wave, %d blocks", epoch, len(jobs))
-		if err := co.runJobs(ctx, blockKindMutation, jobs); err != nil {
 			return err
 		}
 	}
@@ -364,66 +270,6 @@ func (co *coordinator) baseJobs(count int64) []*Job {
 	return jobs
 }
 
-// planWave consumes the next run of unconsumed mutation parents (up to
-// maxParentsPerWave, while budget remains) and derives their children,
-// grouped into blocks by the pinned child config.
-func (co *coordinator) planWave(mutLeft *int64) []*Job {
-	end := co.parentCur + maxParentsPerWave
-	if end > len(co.parents) {
-		end = len(co.parents)
-	}
-	type group struct {
-		cfg   JobConfig
-		seeds []int64
-	}
-	groups := map[string]*group{}
-	var order []string
-	for ; co.parentCur < end && *mutLeft > 0; co.parentCur++ {
-		p := co.parents[co.parentCur]
-		k := int64(mutPerParent)
-		if k > *mutLeft {
-			k = *mutLeft
-		}
-		*mutLeft -= k
-		cfg := co.childCfg(p)
-		key := cfg.Key()
-		g, ok := groups[key]
-		if !ok {
-			g = &group{cfg: cfg}
-			groups[key] = g
-			order = append(order, key)
-		}
-		for i := 0; i < int(k); i++ {
-			g.seeds = append(g.seeds, ChildSeed(p.Seed, i))
-		}
-	}
-	var jobs []*Job
-	for _, key := range order {
-		g := groups[key]
-		for off := 0; off < len(g.seeds); off += co.opt.BlockSize {
-			hi := off + co.opt.BlockSize
-			if hi > len(g.seeds) {
-				hi = len(g.seeds)
-			}
-			jobs = append(jobs, co.newJob(g.cfg, g.seeds[off:hi]))
-		}
-	}
-	return jobs
-}
-
-// childCfg pins a mutation child's generation to the parent's protocol
-// and effective regime, so the extra budget lands on the configuration
-// that produced the novelty.
-func (co *coordinator) childCfg(p ParentRef) JobConfig {
-	return JobConfig{
-		BaseSeed:  co.opt.BaseSeed,
-		Regime:    p.Regime,
-		Protocols: []string{p.Protocol},
-		Strict:    co.opt.Strict,
-		Transport: co.opt.Transport,
-	}
-}
-
 // runJobs runs one phase's blocks in block order and commits each
 // result before the next block starts. The line logged before each
 // block locates a fatal runtime error, which no recover can catch, in
@@ -441,31 +287,19 @@ func (co *coordinator) runJobs(ctx context.Context, kind string, jobs []*Job) er
 		if err != nil {
 			return err
 		}
-		if err := co.commit(kind, job, br); err != nil {
+		rec := newRecord(kind, job, br)
+		if err := co.writeCorpus(rec); err != nil {
 			return err
 		}
+		co.blocks = append(co.blocks, *rec)
+		publishMetrics(rec)
 	}
 	return nil
 }
 
-// commit turns a block result into a record: build the record (deciding
-// feature novelty against committed state), persist corpus entries,
-// append it to the history and publish metrics.
-func (co *coordinator) commit(kind string, job *Job, br *BlockResult) error {
-	rec := co.buildRecord(kind, job, br)
-	if err := co.writeCorpus(rec); err != nil {
-		return err
-	}
-	co.blocks = append(co.blocks, *rec)
-	publishMetrics(rec)
-	return nil
-}
-
-// buildRecord folds verdicts into a BlockRecord, updating the coverage
-// map and parent queue (novel features, in seed order).
-func (co *coordinator) buildRecord(kind string, job *Job, br *BlockResult) *BlockRecord {
+// newRecord folds a block's verdicts into its record.
+func newRecord(kind string, job *Job, br *BlockResult) *BlockRecord {
 	rec := &BlockRecord{Block: job.Block, Kind: kind, Cfg: job.Cfg, Seeds: job.Seeds, MinFailing: br.MinFailing}
-	regime, _ := ParseRegime(job.Cfg.Regime) // validated by FuzzConfig before the block ran
 	out := make([]byte, len(br.Verdicts))
 	perProto := map[string]OutcomeCounts{}
 	for i, v := range br.Verdicts {
@@ -476,69 +310,34 @@ func (co *coordinator) buildRecord(kind string, job *Job, br *BlockResult) *Bloc
 		if v.MeshCompared {
 			rec.MeshCompared++
 		}
-		if !co.seen[v.Feature] {
-			co.seen[v.Feature] = true
-			rec.Parents = append(rec.Parents, ParentRef{
-				Seed:      v.Seed,
-				Protocol:  v.Protocol,
-				Regime:    simtest.EffectiveRegime(v.Seed, regime).String(),
-				Feature:   v.Feature,
-				Outcome:   v.Outcome,
-				Signature: v.Signature,
-			})
-		}
 	}
 	rec.Outcomes = string(out)
 	rec.PerProtocol = perProto
-	co.parents = append(co.parents, rec.Parents...)
 	return rec
 }
 
-// writeCorpus persists the block's corpus entries: the shrunk failing
-// seed, and novel-feature hitters while the interesting budget lasts.
-// Writes are idempotent (content-addressed).
+// writeCorpus persists the block's shrunk failing seed, if any. Writes
+// are idempotent (content-addressed).
 func (co *coordinator) writeCorpus(rec *BlockRecord) error {
-	// The interesting budget is consumed per parent in commit order even
-	// when persistence is off, so buildSummary can re-derive it.
-	take := len(rec.Parents)
-	if take > co.interestingLeft {
-		take = co.interestingLeft
-	}
-	co.interestingLeft -= take
-	if co.opt.Corpus == "" {
+	if co.opt.Corpus == "" || rec.MinFailing == nil {
 		return nil
 	}
-	if rec.MinFailing != nil {
-		e := failingEntry(rec.MinFailing)
-		if name, isNew, err := WriteEntry(co.opt.Corpus, e); err != nil {
-			return err
-		} else if isNew {
-			co.logf("corpus: new failing entry %s (block %d, seed %d)", name, rec.Block, e.Seed)
-		}
+	e := failingEntry(rec.MinFailing)
+	name, isNew, err := WriteEntry(co.opt.Corpus, e)
+	if err == nil && isNew {
+		co.logf("corpus: new failing entry %s (block %d, seed %d)", name, rec.Block, e.Seed)
 	}
-	for _, p := range rec.Parents[:take] {
-		if _, _, err := WriteEntry(co.opt.Corpus, interestingEntry(p, rec.Cfg)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
-// failingEntry and interestingEntry build corpus entries from record
-// parts; buildSummary derives the same entries to count unique corpus
-// files without consulting the disk.
+// failingEntry builds a reproducer's corpus entry; buildSummary derives
+// the same entry to count unique corpus files without consulting the
+// disk.
 func failingEntry(fs *FailingSeed) *Entry {
 	return &Entry{
 		Kind: KindFailing, Seed: fs.Seed, Cfg: fs.Cfg, Protocol: fs.Protocol,
-		Feature: fs.Feature, Outcome: fs.Outcome, Signature: fs.Signature,
+		Outcome: fs.Outcome, Signature: fs.Signature,
 		ReplayConfirmed: fs.ReplayConfirmed,
-	}
-}
-
-func interestingEntry(p ParentRef, cfg JobConfig) *Entry {
-	return &Entry{
-		Kind: KindInteresting, Seed: p.Seed, Cfg: cfg, Protocol: p.Protocol,
-		Feature: p.Feature, Outcome: p.Outcome, Signature: p.Signature,
 	}
 }
 
@@ -572,8 +371,6 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 			DurationMode: opt.SeedBudget <= 0,
 			Shards:       opt.Shards,
 			BlockSize:    opt.BlockSize,
-			MutFrac:      opt.MutFrac,
-			MutPerParent: mutPerParent,
 			Regime:       opt.Regime,
 			Protocols:    opt.Protocols,
 			Strict:       opt.Strict,
@@ -582,19 +379,13 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 		PerProtocol: map[string]OutcomeCounts{},
 		PerShard:    make([]OutcomeCounts, opt.Shards),
 	}
-	interestingLeft := maxInteresting
 	failFiles := map[string]bool{}
-	seedFiles := map[string]bool{}
 	for i := range blocks {
 		rec := &blocks[i]
 		s.Blocks++
-		switch rec.Kind {
-		case blockKindCorpus:
+		if rec.Kind == blockKindCorpus {
 			s.CorpusBlocks++
-		case blockKindMutation:
-			s.MutationBlocks++
-			s.MutationSeeds += int64(len(rec.Outcomes))
-		default:
+		} else {
 			s.BaseBlocks++
 		}
 		shard := rec.Block % opt.Shards
@@ -605,7 +396,6 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 		}
 		s.SeedsRun += int64(len(rec.Outcomes))
 		s.MeshCompared += int64(rec.MeshCompared)
-		s.NovelFeatures += len(rec.Parents)
 		for proto, pc := range rec.PerProtocol {
 			agg := s.PerProtocol[proto]
 			agg.addCounts(pc)
@@ -620,29 +410,16 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 				s.UnshrunkFailures++
 			}
 		}
-		// Re-derive corpus filenames from the record so the counters do
+		// Re-derive corpus filenames from the record so the counter does
 		// not depend on what was already on disk (re-writing an existing
 		// file reports "not new").
-		take := len(rec.Parents)
-		if take > interestingLeft {
-			take = interestingLeft
-		}
-		interestingLeft -= take
-		if opt.Corpus != "" {
-			if rec.MinFailing != nil {
-				if name, err := failingEntry(rec.MinFailing).Filename(); err == nil {
-					failFiles[name] = true
-				}
-			}
-			for _, p := range rec.Parents[:take] {
-				if name, err := interestingEntry(p, rec.Cfg).Filename(); err == nil {
-					seedFiles[name] = true
-				}
+		if opt.Corpus != "" && rec.MinFailing != nil {
+			if name, err := failingEntry(rec.MinFailing).Filename(); err == nil {
+				failFiles[name] = true
 			}
 		}
 	}
 	s.CorpusFailingWritten = len(failFiles)
-	s.CorpusInterestingWritten = len(seedFiles)
 	return s
 }
 

@@ -3,9 +3,9 @@ package soak
 // The persisted corpus: a directory of one-JSON-file-per-entry, each a
 // replayable (seed, JobConfig) pair with the outcome it was recorded
 // under. Filenames are content-addressed — fail-<sha256[:16]>.json for
-// shrunk failing seeds, seed-<sha256[:16]>.json for interesting
-// (novel-feature) seeds — so writing an entry twice is idempotent and
-// two corpora merge by copying files. Entries are stable JSON (indented,
+// shrunk failing seeds, seed-<sha256[:16]>.json for the fixed
+// regression seeds — so writing an entry twice is idempotent and two
+// corpora merge by copying files. Entries are stable JSON (indented,
 // sorted keys, trailing newline); a corpus diffs cleanly under git and
 // the nightly CI cache keys on a hash of the directory.
 
@@ -25,9 +25,9 @@ const (
 	// KindFailing marks a shrunk failing (or, under Strict, degrading)
 	// seed: a reproducer for a bug or a known out-of-model degradation.
 	KindFailing = "failing"
-	// KindInteresting marks the first seed to hit a novel coverage
-	// feature — not a failure, but a configuration worth replaying and
-	// mutating in future soaks.
+	// KindInteresting marks a fixed regression seed: not a failure, but
+	// a recorded outcome worth replaying. Nothing writes new ones; the
+	// kind stays loadable for the committed seed-* files.
 	KindInteresting = "interesting"
 )
 
@@ -38,10 +38,9 @@ type Entry struct {
 	// Seed + Cfg replay the instance exactly (simtest.GenSpec).
 	Seed int64     `json:"seed"`
 	Cfg  JobConfig `json:"cfg"`
-	// Protocol/Feature/Outcome/Signature record what the seed did when
-	// it was captured; replay checks them.
+	// Protocol/Outcome/Signature record what the seed did when it was
+	// captured; replay checks Outcome and Signature.
 	Protocol  string `json:"protocol"`
-	Feature   string `json:"feature"`
 	Outcome   string `json:"outcome"`
 	Signature string `json:"signature"`
 	// ReplayConfirmed carries the shrinker's replay confirmation

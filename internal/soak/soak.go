@@ -1,4 +1,4 @@
-// Package soak is the deterministic soak engine: a coordinator that
+// Package soak is the deterministic soak engine: a seeded sweep that
 // drives large numbers of simtest.GenSpec seeds through the batch engine
 // and checks every run against the paper's invariant oracle.
 //
@@ -10,25 +10,17 @@
 // schedules. It is, by construction:
 //
 //   - Work is cut into fixed-size blocks (one generation config + a seed
-//     list). Blocks run one at a time, in block order, each on the
-//     batch engine with Options.Shards workers, and every scheduling
-//     decision (coverage map updates, mutation-parent selection, corpus
-//     writes) is taken at commit time, from committed state. Two runs
-//     of the same configuration therefore plan, execute and summarize
-//     the exact same seed set.
-//   - Coverage-guided mutation: every run is folded into a deterministic
-//     feature vector (protocol, effective fault regime, n/f/d shape,
-//     quantized fault-pattern signature, rounds-to-decide bucket,
-//     outcome). Seeds that hit a feature never seen before become
-//     mutation parents; once the base seed range is exhausted, the
-//     remaining budget is spent on derived seeds (splitmix64 of the
-//     parent seed) pinned to the parent's protocol and regime, so novel
-//     configurations get the extra attention.
+//     list): first the corpus replay, then base seeds 0, 1, 2, … until
+//     the budget or the deadline is spent. Blocks run one at a time, in
+//     block order, each on the batch engine with Options.Shards
+//     workers, and corpus writes and the summary derive from committed
+//     blocks only. Two runs of the same configuration therefore plan,
+//     execute and summarize the exact same seed set.
 //   - Corpus: failing seeds (shrunk to the first failing seed of their
-//     block and replay-confirmed) and first-hitters of novel features
-//     are persisted as stable-JSON, content-addressed files. Future
-//     soaks replay the corpus first, and `bvcsoak -replay-corpus` turns
-//     it into a regression suite for CI.
+//     block and replay-confirmed) are persisted as stable-JSON,
+//     content-addressed files next to the fixed regression seeds.
+//     Future soaks replay the corpus first, and `bvcsoak
+//     -replay-corpus` turns it into a regression suite for CI.
 package soak
 
 import (
@@ -92,8 +84,8 @@ type JobConfig struct {
 }
 
 // Key returns a deterministic grouping key: blocks may only hold seeds
-// sharing one JobConfig, and the mutation scheduler groups parent seeds
-// by this key.
+// sharing one JobConfig, and the corpus replay groups its entries by
+// this key.
 func (c JobConfig) Key() string {
 	return fmt.Sprintf("b%d|r%s|p%s|s%v|t%s", c.BaseSeed, c.Regime, strings.Join(c.Protocols, ","), c.Strict, c.Transport)
 }
@@ -146,11 +138,6 @@ type SeedVerdict struct {
 	Outcome string
 	// Protocol is the generated instance's protocol name.
 	Protocol string
-	// Feature is the deterministic coverage feature vector (see
-	// Feature).
-	Feature string
-	// Rounds is Result.Rounds (0 on errors).
-	Rounds int
 	// Signature is the simtest outcome fingerprint, carried only for
 	// non-passing seeds (it embeds outputs; corpus entries of passing
 	// seeds record it empty).
@@ -168,7 +155,6 @@ type FailingSeed struct {
 	Cfg       JobConfig `json:"cfg"`
 	Protocol  string    `json:"protocol"`
 	Outcome   string    `json:"outcome"`
-	Feature   string    `json:"feature"`
 	Signature string    `json:"signature"`
 	// ReplayConfirmed reports that two fresh re-runs reproduced the
 	// identical signature. A false value is an "unshrunk" failure — the
@@ -264,19 +250,4 @@ func NormalizeProtocols(csv string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// splitmix64 is the SplitMix64 mixer: a bijective avalanche over 64
-// bits, used to derive child seeds from a mutation parent without any
-// RNG state. Deterministic and collision-free per parent.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// ChildSeed derives the i-th mutation child of a parent seed.
-func ChildSeed(parent int64, i int) int64 {
-	return int64(splitmix64(uint64(parent) + uint64(i)*0x9e3779b97f4a7c15))
 }

@@ -17,14 +17,15 @@ import (
 )
 
 // testOptions is a small but structurally complete soak: several base
-// blocks per shard, at least one mutation wave, and a corpus.
+// blocks per shard, and a corpus that every block with a degradation
+// writes a shrunk reproducer into (Strict).
 func testOptions(dir string) Options {
 	return Options{
 		SeedBudget: 600,
 		Shards:     4,
 		BlockSize:  32,
-		MutFrac:    0.25,
 		Regime:     "mixed",
+		Strict:     true,
 		Corpus:     filepath.Join(dir, "corpus"),
 	}
 }
@@ -90,9 +91,9 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 	dirA, dirB, dir1 := t.TempDir(), t.TempDir(), t.TempDir()
 	coA, sumA := runSoak(testOptions(dirA))
-	if sumA.SeedsRun != 600 || sumA.MutationSeeds == 0 {
-		t.Fatalf("soak ran %d seeds, %d of them mutation children; the test needs 600 and the mutation planner",
-			sumA.SeedsRun, sumA.MutationSeeds)
+	if sumA.SeedsRun != 600 || sumA.CorpusFailingWritten == 0 {
+		t.Fatalf("soak ran %d seeds and wrote %d reproducers; the test needs 600 and at least one",
+			sumA.SeedsRun, sumA.CorpusFailingWritten)
 	}
 	_, sumB := runSoak(testOptions(dirB))
 	if a, b := encodeSummary(t, sumA), encodeSummary(t, sumB); a != b {
@@ -112,7 +113,11 @@ func TestSoakDeterministic(t *testing.T) {
 			t.Fatalf("verdict drift at %s: %q at 4 shards, %q at 1", k, v, got[k])
 		}
 	}
-	corpusA := strings.Join(corpusNames(t, filepath.Join(dirA, "corpus")), ",")
+	namesA := corpusNames(t, filepath.Join(dirA, "corpus"))
+	if len(namesA) == 0 {
+		t.Fatal("the soak wrote no corpus file")
+	}
+	corpusA := strings.Join(namesA, ",")
 	for _, dir := range []string{dirB, dir1} {
 		if c := strings.Join(corpusNames(t, filepath.Join(dir, "corpus")), ","); c != corpusA {
 			t.Fatalf("corpus drift:\nwant: %s\ngot:  %s", corpusA, c)
@@ -135,7 +140,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	e := &Entry{
 		Kind: KindFailing, Seed: 42,
 		Cfg:      JobConfig{Regime: "out-of-model", Strict: true, Transport: TransportSim},
-		Protocol: "exact", Feature: "f", Outcome: OutcomeDegraded, Signature: "sig",
+		Protocol: "exact", Outcome: OutcomeDegraded, Signature: "sig",
 		ReplayConfirmed: true,
 	}
 	name, isNew, err := WriteEntry(dir, e)
@@ -169,7 +174,7 @@ func seedCorpus(t *testing.T, dir string) string {
 	t.Helper()
 	corpus := filepath.Join(dir, "corpus")
 	sum, err := Run(context.Background(), Options{
-		SeedBudget: 60, Shards: 2, BlockSize: 20, MutFrac: 0.25,
+		SeedBudget: 60, Shards: 2, BlockSize: 20,
 		Regime: "out-of-model", Strict: true,
 		Corpus: corpus,
 	})
@@ -239,7 +244,7 @@ func TestCorpusReplayPrunesStale(t *testing.T) {
 	stale := &Entry{
 		Kind: KindFailing, Seed: 1,
 		Cfg:      JobConfig{Regime: "none", Transport: TransportSim},
-		Protocol: "exact", Feature: "f", Outcome: OutcomeDegraded, Signature: "gone",
+		Protocol: "exact", Outcome: OutcomeDegraded, Signature: "gone",
 	}
 	name, _, err := WriteEntry(dir, stale)
 	if err != nil {
@@ -257,27 +262,13 @@ func TestCorpusReplayPrunesStale(t *testing.T) {
 	}
 }
 
-func TestChildSeedDeterministicAndDistinct(t *testing.T) {
-	seen := map[int64]bool{}
-	for i := 0; i < 64; i++ {
-		c := ChildSeed(12345, i)
-		if c2 := ChildSeed(12345, i); c2 != c {
-			t.Fatalf("ChildSeed(12345,%d) not deterministic: %d vs %d", i, c, c2)
-		}
-		if seen[c] {
-			t.Fatalf("ChildSeed collision at i=%d", i)
-		}
-		seen[c] = true
-	}
-}
-
 func TestOptionsValidation(t *testing.T) {
 	cases := []Options{
 		{},                                          // no budget
 		{SeedBudget: 10, Regime: "sideways"},        // bad regime
 		{SeedBudget: 10, Transport: "carrier"},      // bad transport
-		{SeedBudget: 10, MutFrac: 1.5},              // bad mutation fraction
-		{SeedBudget: 10, MutFrac: -0.25},            // negative mutation fraction
+		{SeedBudget: 10, Shards: -3},                // negative shards
+		{SeedBudget: 10, BlockSize: -1},             // negative block size
 		{SeedBudget: 10, Duration: time.Minute},     // budget and duration
 		{SeedBudget: 10, Protocols: []string{"xx"}}, // bad protocol
 	}
@@ -291,7 +282,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestMeshSoakCrossChecks(t *testing.T) {
 	for _, protos := range [][]string{{"delta-relaxed", "exact", "scalar"}, {"convex", "acs"}} {
 		sum, err := Run(context.Background(), Options{
-			SeedBudget: 48, Shards: 2, BlockSize: 16, MutFrac: 0.25,
+			SeedBudget: 48, Shards: 2, BlockSize: 16,
 			Regime: "none", Transport: TransportMesh, Protocols: protos,
 		})
 		if err != nil {
@@ -341,13 +332,12 @@ func TestGateExitRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := classify(seed, cfg, simtest.EffectiveRegime(seed, regime), c.rep)
+			v := classify(seed, simtest.EffectiveRegime(seed, regime), c.rep)
 			br := &BlockResult{Verdicts: []SeedVerdict{v}}
 			if failing(v, c.strict) {
 				br.MinFailing = &FailingSeed{Seed: seed, Cfg: cfg, Outcome: v.Outcome, ReplayConfirmed: !c.unreplayed}
 			}
-			co := &coordinator{seen: map[string]bool{}}
-			rec := co.buildRecord(blockKindBase, &Job{Seeds: []int64{seed}, Cfg: cfg}, br)
+			rec := newRecord(blockKindBase, &Job{Seeds: []int64{seed}, Cfg: cfg}, br)
 			sum := buildSummary([]BlockRecord{*rec}, Options{Shards: 1})
 			got := 0
 			if err := sum.Gate(); err != nil {

@@ -58,8 +58,6 @@ type SummaryConfig struct {
 	DurationMode bool     `json:"duration_mode,omitempty"`
 	Shards       int      `json:"shards"`
 	BlockSize    int      `json:"block_size"`
-	MutFrac      float64  `json:"mut_frac"`
-	MutPerParent int      `json:"mut_per_parent"`
 	Regime       string   `json:"regime"`
 	Protocols    []string `json:"protocols,omitempty"`
 	Strict       bool     `json:"strict"`
@@ -80,15 +78,9 @@ type Summary struct {
 	MeshCompared int64 `json:"mesh_compared,omitempty"`
 
 	// Block counters by kind.
-	Blocks         int `json:"blocks"`
-	CorpusBlocks   int `json:"corpus_blocks"`
-	BaseBlocks     int `json:"base_blocks"`
-	MutationBlocks int `json:"mutation_blocks"`
-	// MutationSeeds counts seeds spent on coverage-guided children.
-	MutationSeeds int64 `json:"mutation_seeds"`
-
-	// Coverage.
-	NovelFeatures int `json:"novel_features"`
+	Blocks       int `json:"blocks"`
+	CorpusBlocks int `json:"corpus_blocks"`
+	BaseBlocks   int `json:"base_blocks"`
 
 	// PerProtocol and PerShard aggregate outcomes by protocol name and
 	// by deterministic shard lane (index = block id mod shards).
@@ -101,9 +93,9 @@ type Summary struct {
 	Failing          []FailingRecord `json:"failing,omitempty"`
 	UnshrunkFailures int             `json:"unshrunk_failures"`
 
-	// Corpus write counters (0 when no corpus directory is configured).
-	CorpusFailingWritten     int `json:"corpus_failing_written"`
-	CorpusInterestingWritten int `json:"corpus_interesting_written"`
+	// CorpusFailingWritten counts distinct reproducer files (0 when no
+	// corpus directory is configured).
+	CorpusFailingWritten int `json:"corpus_failing_written"`
 }
 
 // Encode renders the stable serialized form (indented JSON, sorted map
@@ -120,8 +112,7 @@ func (s *Summary) Encode() ([]byte, error) {
 func (s *Summary) Render(w io.Writer) {
 	fmt.Fprintf(w, "soak: %d seeds — %d passed, %d degraded, %d failed (strict=%v, transport=%s)\n",
 		s.SeedsRun, s.Outcomes.Pass, s.Outcomes.Degraded, s.Outcomes.Failed, s.Config.Strict, s.Config.Transport)
-	fmt.Fprintf(w, "blocks: %d (%d corpus, %d base, %d mutation; %d mutation seeds), %d novel features\n",
-		s.Blocks, s.CorpusBlocks, s.BaseBlocks, s.MutationBlocks, s.MutationSeeds, s.NovelFeatures)
+	fmt.Fprintf(w, "blocks: %d (%d corpus, %d base)\n", s.Blocks, s.CorpusBlocks, s.BaseBlocks)
 	if s.MeshCompared > 0 {
 		fmt.Fprintf(w, "mesh-compared: %d seeds matched the simulation bit-for-bit\n", s.MeshCompared)
 	}
@@ -132,9 +123,8 @@ func (s *Summary) Render(w io.Writer) {
 				f.Block, f.Seed.Seed, f.Seed.Protocol, f.Seed.Outcome, f.Shrunk)
 		}
 	}
-	if s.CorpusFailingWritten+s.CorpusInterestingWritten > 0 {
-		fmt.Fprintf(w, "corpus: +%d failing, +%d interesting entries\n",
-			s.CorpusFailingWritten, s.CorpusInterestingWritten)
+	if s.CorpusFailingWritten > 0 {
+		fmt.Fprintf(w, "corpus: +%d failing entries\n", s.CorpusFailingWritten)
 	}
 }
 
@@ -172,10 +162,6 @@ func publishMetrics(rec *BlockRecord) {
 	metrics.DefaultCounter("soak_degraded_total").Add(c.Degraded)
 	metrics.DefaultCounter("soak_failed_total").Add(c.Failed)
 	metrics.DefaultCounter("soak_mesh_compared_total").Add(int64(rec.MeshCompared))
-	metrics.DefaultCounter("soak_novel_features_total").Add(int64(len(rec.Parents)))
-	if rec.Kind == blockKindMutation {
-		metrics.DefaultCounter("soak_mutation_seeds_total").Add(c.total())
-	}
 	if rec.MinFailing != nil && !rec.MinFailing.ReplayConfirmed {
 		metrics.DefaultCounter("soak_unshrunk_failures_total").Inc()
 	}

@@ -53,7 +53,7 @@ func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, e
 			return nil, fmt.Errorf("%w: block %d: %v", ErrInterrupted, job.Block, ctx.Err())
 		}
 		seed := job.Seeds[i]
-		v := classify(seed, job.Cfg, simtest.EffectiveRegime(seed, fcfg.Regime),
+		v := classify(seed, simtest.EffectiveRegime(seed, fcfg.Regime),
 			simtest.Classify(specs[i], br.Result, br.Err, opt.Check))
 		if v.Outcome == OutcomePass && job.Cfg.Transport == TransportMesh {
 			meshCheck(ctx, specs[i], br.Result, &v)
@@ -69,7 +69,7 @@ func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, e
 // classify folds a checked report into a verdict. Without faults, or
 // with faults the delivery model tolerates, every run must complete: a
 // typed degradation there is a failure, not a degradation.
-func classify(seed int64, cfg JobConfig, regime simtest.Regime, rep *simtest.Report) SeedVerdict {
+func classify(seed int64, regime simtest.Regime, rep *simtest.Report) SeedVerdict {
 	outcome := OutcomePass
 	switch {
 	case rep.Failed(), rep.Err != nil && regime != simtest.RegimeOutOfModel:
@@ -77,17 +77,7 @@ func classify(seed int64, cfg JobConfig, regime simtest.Regime, rep *simtest.Rep
 	case rep.Err != nil:
 		outcome = OutcomeDegraded
 	}
-	rounds := 0
-	if rep.Result != nil {
-		rounds = rep.Result.Rounds
-	}
-	v := SeedVerdict{
-		Seed:     seed,
-		Outcome:  outcome,
-		Protocol: rep.Spec.Protocol.String(),
-		Feature:  Feature(seed, cfg, rep.Spec, outcome, rounds),
-		Rounds:   rounds,
-	}
+	v := SeedVerdict{Seed: seed, Outcome: outcome, Protocol: rep.Spec.Protocol.String()}
 	if outcome != OutcomePass {
 		v.Signature = rep.Signature
 	}
@@ -107,7 +97,7 @@ func failing(v SeedVerdict, strict bool) bool {
 func shrinkSeed(ctx context.Context, job *Job, fcfg simtest.FuzzConfig, v SeedVerdict, opt WorkerOptions) *FailingSeed {
 	fs := &FailingSeed{
 		Seed: v.Seed, Cfg: job.Cfg, Protocol: v.Protocol,
-		Outcome: v.Outcome, Feature: v.Feature, Signature: v.Signature,
+		Outcome: v.Outcome, Signature: v.Signature,
 	}
 	fs.ReplayConfirmed = true
 	for i := 0; i < 2; i++ {
