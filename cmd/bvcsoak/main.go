@@ -150,7 +150,7 @@ func runReplay(ctx context.Context, stdout, stderr io.Writer, dir string, prune 
 		fmt.Fprintln(stderr, "bvcsoak: -replay-corpus needs -corpus")
 		return 1
 	}
-	results, err := soak.ReplayCorpus(ctx, dir, soak.WorkerOptions{}, prune)
+	results, err := soak.ReplayCorpus(ctx, dir, prune)
 	for _, r := range results {
 		line := fmt.Sprintf("%-10s %s seed=%d proto=%s outcome=%s", r.Verdict, r.File, r.Entry.Seed, r.Entry.Protocol, r.Entry.Outcome)
 		if r.Detail != "" {

@@ -10,10 +10,10 @@ import (
 // FloatEq flags exact ==/!= between computed floating-point values in
 // the geometry packages. The δ*(S) bounds of Table 1 (Theorems 9/12,
 // Conjecture 1) are validated by predicates that must use an explicit
-// tolerance (geom.Eps, vec.ApproxEqual, the `tol` parameters threaded
-// through InRelaxedHull/InPolygon); an exact comparison that happens
-// to pass on one machine's rounding is precisely the kind of silent
-// nondeterminism the reproduction exists to rule out.
+// tolerance (vec.ApproxEqual, the `tol` parameters threaded through
+// InRelaxedHull and the other geom predicates); an exact comparison
+// that happens to pass on one machine's rounding is precisely the kind
+// of silent nondeterminism the reproduction exists to rule out.
 //
 // Two comparisons stay legal, because they are exactness *decisions*
 // rather than accidents:
@@ -25,7 +25,7 @@ import (
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc: "flag exact ==/!= on computed floats in geometry packages; use the tolerance helpers " +
-		"(geom.Eps, vec.ApproxEqual) instead",
+		"(vec.ApproxEqual, the tol parameters) instead",
 	Run: runFloatEq,
 }
 
@@ -53,7 +53,7 @@ func runFloatEq(pass *Pass) error {
 					return true
 				}
 				pass.Reportf(bin.Pos(),
-					"exact %s on computed float64 values; rounding differs across platforms — compare within a tolerance (geom.Eps / vec.ApproxEqual)",
+					"exact %s on computed float64 values; rounding differs across platforms — compare within a tolerance (vec.ApproxEqual / a tol parameter)",
 					bin.Op)
 				return true
 			})

@@ -132,16 +132,6 @@ func Map[In, Out any](ctx context.Context, opts Options, items []In, fn func(con
 	return Run(ctx, opts, trials)
 }
 
-// FirstErr returns the first (lowest-index) trial error, or nil.
-func FirstErr[T any](results []Result[T]) error {
-	for i := range results {
-		if results[i].Err != nil {
-			return results[i].Err
-		}
-	}
-	return nil
-}
-
 func runTrial[T any](ctx context.Context, opts Options, i int, trial func(context.Context) (T, error)) (res Result[T]) {
 	res.Index = i
 	if err := ctx.Err(); err != nil {

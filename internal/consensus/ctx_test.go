@@ -114,7 +114,7 @@ func TestTypedSentinels(t *testing.T) {
 			return err
 		}, ErrBadDimension},
 		{"scalar needs d=1", func() error {
-			_, err := RunScalarConsensus(ctx, &SyncConfig{N: 4, F: 1, D: 2, Inputs: good})
+			_, err := ScalarChooser(&SyncConfig{N: 4, F: 1, D: 2, Inputs: good})
 			return err
 		}, ErrBadDimension},
 		{"bad k", func() error {

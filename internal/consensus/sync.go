@@ -426,17 +426,6 @@ func scalarPerCoordinate(s *vec.Set, f int) vec.V {
 	return out
 }
 
-// RunScalarConsensus runs exact scalar Byzantine consensus (d = 1):
-// Byzantine-broadcast all inputs, trim f from each side, decide the
-// interval midpoint. Requires n >= 3f+1 for the broadcast.
-func RunScalarConsensus(ctx context.Context, cfg *SyncConfig) (*SyncResult, error) {
-	choose, err := ScalarChooser(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunSync(ctx, transport.Plane{}, cfg, choose)
-}
-
 // RunDeltaRelaxedBVC runs Algorithm ALGO for (delta,p)-relaxed exact BVC
 // with input-dependent delta: after Step 1 every process computes the
 // smallest delta for which Gamma_(delta,p)(S) is non-empty and picks the

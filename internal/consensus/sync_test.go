@@ -10,6 +10,7 @@ import (
 
 	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/minimax"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -177,7 +178,11 @@ func TestScalarConsensus(t *testing.T) {
 		Inputs:    []vec.V{vec.Of(1), vec.Of(2), vec.Of(3), vec.Of(100)},
 		Byzantine: map[int]broadcast.EIGBehavior{3: &twoFacedVec{vec.Of(1e9), vec.Of(-1e9)}},
 	}
-	res, err := RunScalarConsensus(context.Background(), cfg)
+	choose, err := ScalarChooser(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSync(context.Background(), transport.Plane{}, cfg, choose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +192,7 @@ func TestScalarConsensus(t *testing.T) {
 		t.Fatalf("scalar output %v outside honest range [1,3]", out)
 	}
 	cfgBad := &SyncConfig{N: 4, F: 1, D: 2, Inputs: randInputs(rand.New(rand.NewSource(1)), 4, 2, 1)}
-	if _, err := RunScalarConsensus(context.Background(), cfgBad); err == nil {
+	if _, err := ScalarChooser(cfgBad); err == nil {
 		t.Error("scalar consensus accepted d=2")
 	}
 }

@@ -1,7 +1,7 @@
 // Package geom implements the convex-geometry primitives of the relaxed
 // Byzantine vector consensus library: convex hull membership, point-to-
-// hull distances in every Lp norm, (delta,p)-relaxed hull membership
-// (Definition 9 of the paper), and Caratheodory decompositions.
+// hull distances in every Lp norm, and (delta,p)-relaxed hull membership
+// (Definition 9 of the paper).
 //
 // Membership and L1/Linf distances are exact LP reductions; the L2
 // distance uses Wolfe's finite min-norm-point algorithm; other p use
@@ -16,9 +16,6 @@ import (
 	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/vec"
 )
-
-// Eps is the default geometric tolerance used by membership predicates.
-const Eps = 1e-7
 
 // InHull reports whether q lies in the convex hull of the points of s,
 // decided by LP feasibility of the convex-combination system.
@@ -73,71 +70,6 @@ func inHullLP(q vec.V, s *vec.Set) bool {
 		panic(err)
 	}
 	return res.Status == lp.Optimal
-}
-
-// hullLP builds the feasibility LP: exists lambda in the simplex with
-// sum lambda_i s_i = q.
-func hullLP(q vec.V, s *vec.Set) *lp.Problem {
-	m := s.Len()
-	p := lp.NewProblem(m)
-	for k := 0; k < q.Dim(); k++ {
-		row := make([]float64, m)
-		for i := 0; i < m; i++ {
-			row[i] = s.At(i)[k]
-		}
-		p.AddConstraint(row, lp.EQ, q[k])
-	}
-	ones := make([]float64, m)
-	for i := range ones {
-		ones[i] = 1
-	}
-	p.AddConstraint(ones, lp.EQ, 1)
-	return p
-}
-
-// HullWeights returns convex weights expressing q as a combination of the
-// points of s, or ok=false if q is outside the hull. The weights come from
-// a basic LP solution, so at most dim+1 of them are nonzero (Caratheodory,
-// Theorem 11 in the paper's numbering).
-func HullWeights(q vec.V, s *vec.Set) (weights []float64, ok bool) {
-	if s.Len() == 0 {
-		return nil, false
-	}
-	res, err := hullLP(q, s).Solve()
-	if err != nil {
-		panic(err)
-	}
-	if res.Status != lp.Optimal {
-		return nil, false
-	}
-	return res.X, true
-}
-
-// Caratheodory returns indices and weights of at most d+1 points of s
-// whose convex combination is q. ok=false if q is not in the hull.
-func Caratheodory(q vec.V, s *vec.Set) (idx []int, weights []float64, ok bool) {
-	w, ok := HullWeights(q, s)
-	if !ok {
-		return nil, nil, false
-	}
-	for i, wi := range w {
-		if wi > 1e-12 {
-			idx = append(idx, i)
-			weights = append(weights, wi)
-		}
-	}
-	// Renormalize the kept weights (dropped ones were numerically zero).
-	sum := 0.0
-	for _, wi := range weights {
-		sum += wi
-	}
-	if sum <= 0 {
-		return nil, nil, false
-	}
-	for i := range weights {
-		weights[i] /= sum
-	}
-	return idx, weights, true
 }
 
 // DistInf returns the L-infinity distance from q to conv(s), together with

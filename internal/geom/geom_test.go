@@ -44,56 +44,6 @@ func TestInHullEmptyAndMismatch(t *testing.T) {
 	InHull(vec.Of(1), triangle())
 }
 
-func TestHullWeights(t *testing.T) {
-	s := triangle()
-	q := vec.Of(0.25, 0.25)
-	w, ok := HullWeights(q, s)
-	if !ok {
-		t.Fatal("weights not found for interior point")
-	}
-	rec := vec.New(2)
-	sum := 0.0
-	for i, wi := range w {
-		if wi < -1e-9 {
-			t.Errorf("negative weight %v", wi)
-		}
-		rec.AXPY(wi, s.At(i))
-		sum += wi
-	}
-	if math.Abs(sum-1) > 1e-8 || !rec.ApproxEqual(q, 1e-8) {
-		t.Errorf("weights do not reconstruct: sum=%v rec=%v", sum, rec)
-	}
-	if _, ok := HullWeights(vec.Of(5, 5), s); ok {
-		t.Error("weights found for exterior point")
-	}
-}
-
-func TestCaratheodory(t *testing.T) {
-	// Many redundant points; decomposition must use at most d+1 = 3.
-	s := vec.NewSet(
-		vec.Of(0, 0), vec.Of(1, 0), vec.Of(0, 1), vec.Of(1, 1),
-		vec.Of(0.5, 0.5), vec.Of(0.3, 0.7), vec.Of(0.9, 0.1),
-	)
-	q := vec.Of(0.4, 0.4)
-	idx, w, ok := Caratheodory(q, s)
-	if !ok {
-		t.Fatal("Caratheodory failed on interior point")
-	}
-	if len(idx) > 3 {
-		t.Errorf("Caratheodory used %d points, want <= 3", len(idx))
-	}
-	rec := vec.New(2)
-	for k, i := range idx {
-		rec.AXPY(w[k], s.At(i))
-	}
-	if !rec.ApproxEqual(q, 1e-7) {
-		t.Errorf("reconstruction = %v", rec)
-	}
-	if _, _, ok := Caratheodory(vec.Of(9, 9), s); ok {
-		t.Error("Caratheodory succeeded outside hull")
-	}
-}
-
 func TestDist2KnownCases(t *testing.T) {
 	s := triangle()
 	cases := []struct {

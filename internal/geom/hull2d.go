@@ -74,33 +74,6 @@ func Hull2D(pts []vec.V) []vec.V {
 	return out
 }
 
-// InPolygon reports whether q lies inside or on the boundary of the
-// convex polygon given by its CCW-ordered vertices, within tolerance tol
-// on the edge half-plane tests. Degenerate polygons (point, segment) are
-// handled as the corresponding lower-dimensional membership.
-func InPolygon(q vec.V, hull []vec.V, tol float64) bool {
-	switch len(hull) {
-	case 0:
-		return false
-	case 1:
-		return q.Dist2(hull[0]) <= tol
-	case 2:
-		// Distance to the segment.
-		d, _ := Dist2(q, vec.NewSet(hull[0], hull[1]))
-		return d <= tol
-	}
-	for i := range hull {
-		a := hull[i]
-		b := hull[(i+1)%len(hull)]
-		// CCW: interior is to the left of each directed edge.
-		crossV := (b[0]-a[0])*(q[1]-a[1]) - (b[1]-a[1])*(q[0]-a[0])
-		if crossV < -tol {
-			return false
-		}
-	}
-	return true
-}
-
 // PolygonArea returns the (positive) area of a CCW convex polygon.
 func PolygonArea(hull []vec.V) float64 {
 	if len(hull) < 3 {

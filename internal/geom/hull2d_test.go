@@ -51,23 +51,23 @@ func TestHull2DDegenerate(t *testing.T) {
 
 func TestInPolygonBasics(t *testing.T) {
 	hull := Hull2D([]vec.V{vec.Of(0, 0), vec.Of(2, 0), vec.Of(2, 2), vec.Of(0, 2)})
-	if !InPolygon(vec.Of(1, 1), hull, 1e-9) {
+	if !inPolygon(vec.Of(1, 1), hull, 1e-9) {
 		t.Error("center not in square")
 	}
-	if !InPolygon(vec.Of(0, 1), hull, 1e-9) {
+	if !inPolygon(vec.Of(0, 1), hull, 1e-9) {
 		t.Error("boundary not in square")
 	}
-	if InPolygon(vec.Of(-0.01, 1), hull, 1e-9) {
+	if inPolygon(vec.Of(-0.01, 1), hull, 1e-9) {
 		t.Error("outside point in square")
 	}
 	// Degenerate shapes.
-	if !InPolygon(vec.Of(1, 1), []vec.V{vec.Of(1, 1)}, 1e-9) {
+	if !inPolygon(vec.Of(1, 1), []vec.V{vec.Of(1, 1)}, 1e-9) {
 		t.Error("point-polygon membership")
 	}
-	if !InPolygon(vec.Of(1, 0), []vec.V{vec.Of(0, 0), vec.Of(2, 0)}, 1e-9) {
+	if !inPolygon(vec.Of(1, 0), []vec.V{vec.Of(0, 0), vec.Of(2, 0)}, 1e-9) {
 		t.Error("segment-polygon membership")
 	}
-	if InPolygon(vec.Of(1, 1), nil, 1) {
+	if inPolygon(vec.Of(1, 1), nil, 1) {
 		t.Error("empty polygon contains a point")
 	}
 }
@@ -88,7 +88,7 @@ func TestPropertyHull2DAgreesWithLP(t *testing.T) {
 			q := vec.Of(rng.NormFloat64()*3, rng.NormFloat64()*3)
 			d2, _ := Dist2(q, s)
 			inLP := d2 <= 1e-9
-			inPoly := InPolygon(q, hull, 1e-9)
+			inPoly := inPolygon(q, hull, 1e-9)
 			// Skip points within the numerical boundary band.
 			if d2 < 1e-7 && !inPoly {
 				continue
@@ -130,4 +130,33 @@ func TestHull2DRejectsWrongDim(t *testing.T) {
 		}
 	}()
 	Hull2D([]vec.V{vec.Of(1, 2, 3)})
+}
+
+// inPolygon reports whether q lies inside or on the boundary of the
+// convex polygon given by its CCW-ordered vertices, within tolerance tol
+// on the edge half-plane tests. Degenerate polygons (point, segment) are
+// handled as the corresponding lower-dimensional membership. It is the
+// independent referee that TestPropertyHull2DAgreesWithLP holds Hull2D
+// and the LP-based distance to.
+func inPolygon(q vec.V, hull []vec.V, tol float64) bool {
+	switch len(hull) {
+	case 0:
+		return false
+	case 1:
+		return q.Dist2(hull[0]) <= tol
+	case 2:
+		// Distance to the segment.
+		d, _ := Dist2(q, vec.NewSet(hull[0], hull[1]))
+		return d <= tol
+	}
+	for i := range hull {
+		a := hull[i]
+		b := hull[(i+1)%len(hull)]
+		// CCW: interior is to the left of each directed edge.
+		crossV := (b[0]-a[0])*(q[1]-a[1]) - (b[1]-a[1])*(q[0]-a[0])
+		if crossV < -tol {
+			return false
+		}
+	}
+	return true
 }

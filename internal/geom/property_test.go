@@ -112,57 +112,32 @@ func TestPropertyHullDistanceDominated(t *testing.T) {
 	}
 }
 
-// Property: Caratheodory reconstruction is exact and uses at most d+1
-// points whenever membership holds.
-func TestPropertyCaratheodory(t *testing.T) {
-	rng := rand.New(rand.NewSource(205))
-	f := func() bool {
-		d := 2 + rng.Intn(2)
-		n := d + 2 + rng.Intn(4)
-		pts := make([]vec.V, n)
-		for i := range pts {
-			pts[i] = randVec(rng, d, 2)
-		}
-		s := vec.NewSet(pts...)
-		// Random convex combination is always in the hull.
-		w := make([]float64, n)
-		sum := 0.0
-		for i := range w {
-			w[i] = rng.Float64()
-			sum += w[i]
-		}
-		q := vec.New(d)
-		for i := range w {
-			q.AXPY(w[i]/sum, pts[i])
-		}
-		idx, weights, ok := Caratheodory(q, s)
-		if !ok || len(idx) > d+1 {
-			return false
-		}
-		rec := vec.New(d)
-		for k, i := range idx {
-			rec.AXPY(weights[k], s.At(i))
-		}
-		return rec.ApproxEqual(q, 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: distances are invariant under orthogonal transformations
-// (random rotation from QR of a Gaussian matrix).
+// (random rotation: an orthonormal basis of d Gaussian vectors).
 func TestPropertyRotationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(206))
 	f := func() bool {
 		d := 2 + rng.Intn(3)
-		// Random orthogonal matrix via QR.
-		g := linalg.NewMatrix(d, d)
-		for i := range g.Data {
-			g.Data[i] = rng.NormFloat64()
+		g := make([]vec.V, d)
+		for j := range g {
+			g[j] = vec.New(d)
+			for i := range g[j] {
+				g[j][i] = rng.NormFloat64()
+			}
 		}
-		q := linalg.FactorQR(g).Q()
-		rot := func(v vec.V) vec.V { return q.MulVec(v) }
+		q := linalg.OrthonormalBasis(g)
+		if q.Cols != d {
+			return false
+		}
+		rot := func(v vec.V) vec.V {
+			out := vec.New(d)
+			for i := range out {
+				for j := 0; j < d; j++ {
+					out[i] += q.At(i, j) * v[j]
+				}
+			}
+			return out
+		}
 		n := 3 + rng.Intn(3)
 		pts := make([]vec.V, n)
 		rpts := make([]vec.V, n)

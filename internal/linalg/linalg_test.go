@@ -129,72 +129,53 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQRReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		m := 2 + rng.Intn(6)
-		n := 1 + rng.Intn(m)
-		a := randMatrix(rng, m, n)
-		q := FactorQR(a).Q()
-		// Q has orthonormal columns.
-		qtq := q.T().Mul(q)
-		if !qtq.ApproxEqual(Identity(n), 1e-9) {
-			t.Fatalf("Q^T Q != I (m=%d n=%d)", m, n)
-		}
-	}
-}
+// rank is the numerical rank OrthonormalBasis detects: the number of
+// independent directions among vs.
+func rank(vs ...vec.V) int { return OrthonormalBasis(vs).Cols }
 
 func TestRank(t *testing.T) {
-	full := FromRows(vec.Of(1, 0, 0), vec.Of(0, 1, 0), vec.Of(0, 0, 1))
-	if RankDefault(full) != 3 {
+	if rank(vec.Of(1, 0, 0), vec.Of(0, 1, 0), vec.Of(0, 0, 1)) != 3 {
 		t.Error("rank of identity != 3")
 	}
-	deficient := FromRows(vec.Of(1, 2, 3), vec.Of(2, 4, 6), vec.Of(0, 0, 1))
-	if got := RankDefault(deficient); got != 2 {
+	if got := rank(vec.Of(1, 2, 3), vec.Of(2, 4, 6), vec.Of(0, 0, 1)); got != 2 {
 		t.Errorf("rank = %d, want 2", got)
 	}
-	wide := FromRows(vec.Of(1, 0, 0, 0), vec.Of(0, 1, 0, 0))
-	if got := RankDefault(wide); got != 2 {
+	if got := rank(vec.Of(1, 0, 0, 0), vec.Of(0, 1, 0, 0)); got != 2 {
 		t.Errorf("wide rank = %d, want 2", got)
 	}
-	if RankDefault(NewMatrix(0, 0)) != 0 {
+	if rank() != 0 {
 		t.Error("rank of empty != 0")
 	}
 }
 
 func TestLinearIndependence(t *testing.T) {
-	if !LinearlyIndependent([]vec.V{vec.Of(1, 0), vec.Of(0, 1)}) {
+	if rank(vec.Of(1, 0), vec.Of(0, 1)) != 2 {
 		t.Error("e1,e2 dependent?")
 	}
-	if LinearlyIndependent([]vec.V{vec.Of(1, 2), vec.Of(2, 4)}) {
+	if rank(vec.Of(1, 2), vec.Of(2, 4)) == 2 {
 		t.Error("colinear vectors declared independent")
 	}
-	if LinearlyIndependent([]vec.V{vec.Of(1, 0), vec.Of(0, 1), vec.Of(1, 1)}) {
+	if rank(vec.Of(1, 0), vec.Of(0, 1), vec.Of(1, 1)) == 3 {
 		t.Error("3 vectors in R^2 declared independent")
-	}
-	if !LinearlyIndependent(nil) {
-		t.Error("empty family should be independent")
 	}
 }
 
+// TestAffineIndependence: the projector's subspace has one dimension
+// fewer than its points exactly when they are affinely independent.
 func TestAffineIndependence(t *testing.T) {
-	// Triangle in R^2: affinely independent.
+	subDim := func(pts ...vec.V) int { return NewSubspaceProjector(pts).q.Cols }
 	tri := []vec.V{vec.Of(0, 0), vec.Of(1, 0), vec.Of(0, 1)}
-	if !AffinelyIndependent(tri) {
+	if subDim(tri...) != 2 {
 		t.Error("triangle not affinely independent")
 	}
-	// Three collinear points: not.
-	col := []vec.V{vec.Of(0, 0), vec.Of(1, 1), vec.Of(2, 2)}
-	if AffinelyIndependent(col) {
-		t.Error("collinear points affinely independent")
+	if subDim(vec.Of(0, 0), vec.Of(1, 1), vec.Of(2, 2)) != 1 {
+		t.Error("collinear points span more than a line")
 	}
-	// 4 points in R^2: never.
-	four := append(tri, vec.Of(5, 5))
-	if AffinelyIndependent(four) {
-		t.Error("4 points in R^2 affinely independent")
+	if subDim(append(tri, vec.Of(5, 5))...) != 2 {
+		t.Error("4 points in R^2 span more than R^2")
 	}
-	if !AffinelyIndependent([]vec.V{vec.Of(3, 3)}) {
-		t.Error("single point should be affinely independent")
+	if subDim(vec.Of(3, 3)) != 0 {
+		t.Error("single point should span a 0-dimensional subspace")
 	}
 }
 
@@ -233,8 +214,8 @@ func TestSubspaceProjectorPreservesDistances(t *testing.T) {
 		pts[i] = p
 	}
 	sp := NewSubspaceProjector(pts)
-	if sp.SubDim() > dp {
-		t.Fatalf("SubDim = %d > %d", sp.SubDim(), dp)
+	if sp.q.Cols > dp {
+		t.Fatalf("subspace dimension = %d > %d", sp.q.Cols, dp)
 	}
 	proj := make([]vec.V, len(pts))
 	for i, p := range pts {

@@ -1,8 +1,8 @@
 // Package linalg provides the dense linear algebra needed by the
 // geometric machinery of the relaxed Byzantine vector consensus library:
 // LU factorization with partial pivoting (solve / inverse / determinant),
-// Householder QR, rank and affine-independence tests, and
-// distance-preserving projections onto spanned subspaces.
+// Gram-Schmidt orthonormal bases, and distance-preserving projections
+// onto spanned subspaces.
 //
 // Matrices are small (at most a few hundred rows) so everything is dense
 // and allocation-simple.
@@ -10,7 +10,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"relaxedbvc/internal/vec"
@@ -28,22 +27,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic("linalg: negative dimension")
 	}
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// FromRows builds a matrix whose i-th row is rows[i].
-func FromRows(rows ...vec.V) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := rows[0].Dim()
-	m := NewMatrix(len(rows), c)
-	for i, r := range rows {
-		if r.Dim() != c {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
 }
 
 // FromColumns builds a matrix whose j-th column is cols[j].
@@ -64,116 +47,17 @@ func FromColumns(cols ...vec.V) *Matrix {
 	return m
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns m[i,j].
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns m[i,j] = v.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Row returns a copy of row i as a vector.
 func (m *Matrix) Row(i int) vec.V {
 	r := make(vec.V, m.Cols)
 	copy(r, m.Data[i*m.Cols:(i+1)*m.Cols])
 	return r
-}
-
-// Col returns a copy of column j as a vector.
-func (m *Matrix) Col(j int) vec.V {
-	c := make(vec.V, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		c[i] = m.At(i, j)
-	}
-	return c
-}
-
-// T returns the transpose.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m * x.
-func (m *Matrix) MulVec(x vec.V) vec.V {
-	if m.Cols != x.Dim() {
-		panic("linalg: MulVec shape mismatch")
-	}
-	out := make(vec.V, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, a := range row {
-			s += a * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Equal reports exact element-wise equality.
-func (m *Matrix) Equal(b *Matrix) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if b.Data[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports element-wise equality within tol.
-func (m *Matrix) ApproxEqual(b *Matrix, tol float64) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if math.Abs(b.Data[i]-v) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U. Its
@@ -320,9 +204,6 @@ func (f *LU) SolveInto(x, b vec.V) error {
 	}
 	return nil
 }
-
-// Solve solves A x = b directly.
-func Solve(a *Matrix, b vec.V) (vec.V, error) { return Factor(a).Solve(b) }
 
 // Det returns det(A) for square A.
 func Det(a *Matrix) float64 { return Factor(a).Det() }

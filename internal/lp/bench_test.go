@@ -97,7 +97,7 @@ func BenchmarkPreparedExtend(b *testing.B) {
 					addBlock(p, fam[k])
 				}
 				p.PrepareInto(&pr)
-				for k := 1; k < 36 && p.NumConstraints() < 30; k += 5 {
+				for k := 1; k < 36 && len(p.rel) < 30; k += 5 {
 					addBlock(p, fam[k])
 					if !warm || !pr.Extend(p) {
 						p.PrepareInto(&pr)

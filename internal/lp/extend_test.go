@@ -60,7 +60,7 @@ func newGrowth(rng *rand.Rand) *growth {
 		g.row(rng, 0, nOld, Rel(rng.Intn(3)))
 	}
 	if rng.Intn(3) == 0 {
-		g.repeat(g.p.NumConstraints() - 1)
+		g.repeat(len(g.p.rel) - 1)
 	}
 	return g
 }
@@ -130,12 +130,12 @@ func (g *growth) step(rng *rand.Rand, nOld int) {
 		sum += v
 	}
 	g.p.AddSparseConstraint(idx, ones, EQ, sum)
-	first := g.p.NumConstraints()
+	first := len(g.p.rel)
 	for range 1 + rng.Intn(4) {
 		g.row(rng, from, nOld, Rel(rng.Intn(3)))
 	}
 	if rng.Intn(4) == 0 {
-		g.repeat(first + rng.Intn(g.p.NumConstraints()-first))
+		g.repeat(first + rng.Intn(len(g.p.rel)-first))
 	}
 	if rng.Intn(10) == 0 {
 		g.p.AddSparseConstraint(idx, ones, EQ, sum+1+rng.Float64())
@@ -236,7 +236,7 @@ func TestPreparedExtendMatchesCold(t *testing.T) {
 		g.p.PrepareInto(&warm)
 		for step := range 1 + rng.Intn(4) {
 			g.step(rng, nOld)
-			where := fmt.Sprintf("trial %d step %d (%d vars, %d rows)", trial, step, g.p.NumVars(), g.p.NumConstraints())
+			where := fmt.Sprintf("trial %d step %d (%d vars, %d rows)", trial, step, g.p.NumVars(), len(g.p.rel))
 			before := lpPhase1Pivots.Value()
 			hit := warm.Extend(g.p)
 			warmPivots += int(lpPhase1Pivots.Value() - before)

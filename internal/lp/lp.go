@@ -25,7 +25,6 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -168,9 +167,6 @@ func resizeFill(s []float64, n int, v float64) []float64 {
 // NumVars returns the number of decision variables.
 func (p *Problem) NumVars() int { return p.n }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rel) }
-
 // SetObjective sets the objective coefficients and sense. The slice is
 // copied. len(c) must equal the variable count.
 func (p *Problem) SetObjective(c []float64, sense Sense) {
@@ -276,9 +272,6 @@ func (p *Problem) AddVars(k int) int {
 
 // SetFree marks x_i as a free variable (-Inf, +Inf).
 func (p *Problem) SetFree(i int) { p.SetBounds(i, math.Inf(-1), math.Inf(1)) }
-
-// ErrMalformed is returned for structurally unusable problems.
-var ErrMalformed = errors.New("lp: malformed problem")
 
 const (
 	eps      = 1e-9

@@ -134,7 +134,7 @@ func TestScreenSkipsDeadHulls(t *testing.T) {
 		MinMaxDist2(relax.DroppedSubsets(randInstance(int64(8_000_000+k), 6, 3), 2))
 	}
 	skipped := probeScreened.Value() - screened
-	total := (bundleIterations.Sum() - iters) * float64(vec.CountCombinations(6, 2))
+	total := (bundleIterations.Sum() - iters) * 15 // C(6,2) dropped subsets
 	share := float64(skipped) / total
 	t.Logf("%d of %.0f set evaluations skipped (%.1f %%), %d rescans", skipped, total, 100*share, probeRescans.Value()-rescans)
 	if share < 0.30 {

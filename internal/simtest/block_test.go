@@ -23,7 +23,7 @@ func runBlock(t *testing.T, cfg soak.JobConfig, n, workers int) *soak.BlockResul
 	for i := range job.Seeds {
 		job.Seeds[i] = cfg.BaseSeed + int64(i)
 	}
-	res, err := soak.RunBlock(context.Background(), job, soak.WorkerOptions{Workers: workers})
+	res, err := soak.RunBlock(context.Background(), job, workers)
 	if err != nil {
 		t.Fatalf("RunBlock: %v", err)
 	}
@@ -60,7 +60,7 @@ func requireTypedDegradations(t *testing.T, res *soak.BlockResult, cfg soak.JobC
 			t.Errorf("seed %d (%s): out-of-model run %s: %s", v.Seed, v.Protocol, v.Outcome, v.Signature)
 			continue
 		}
-		rep := simtest.RunChecked(context.Background(), simtest.GenSpec(v.Seed, fcfg), simtest.CheckOptions{})
+		rep := simtest.RunChecked(context.Background(), simtest.GenSpec(v.Seed, fcfg))
 		if len(rep.Violations) > 0 {
 			t.Errorf("seed %d (%s): out-of-model run emitted outputs violating invariants: %v", v.Seed, v.Protocol, rep.Violations)
 		}
@@ -76,18 +76,18 @@ func requireTypedDegradations(t *testing.T, res *soak.BlockResult, cfg soak.JobC
 func TestWithinModelSweepPasses(t *testing.T) {
 	// Every within-model seed must satisfy the paper's invariants: no
 	// violations, no errors, across all protocols.
-	requireAllPass(t, runBlock(t, soak.JobConfig{BaseSeed: 1000, Regime: "within-model", Strict: true}, 32, 0))
+	requireAllPass(t, runBlock(t, soak.JobConfig{BaseSeed: 1000, Regime: "within-model", Strict: true}, 32, 1))
 }
 
 func TestNoFaultSweepPasses(t *testing.T) {
-	requireAllPass(t, runBlock(t, soak.JobConfig{BaseSeed: 2000, Regime: "none", Strict: true}, 16, 0))
+	requireAllPass(t, runBlock(t, soak.JobConfig{BaseSeed: 2000, Regime: "none", Strict: true}, 16, 1))
 }
 
 func TestOutOfModelSweepReportsMinimalSeed(t *testing.T) {
 	// Out-of-model patterns must degrade into typed errors; a strict
 	// block shrinks to its minimal degrading seed and confirms its replay.
 	cfg := soak.JobConfig{BaseSeed: 3000, Regime: "out-of-model", Strict: true}
-	res := runBlock(t, cfg, 16, 0)
+	res := runBlock(t, cfg, 16, 1)
 	requireTypedDegradations(t, res, cfg)
 	fs := res.MinFailing
 	if fs == nil {
@@ -111,7 +111,7 @@ func TestACSWithinModelSweepPasses(t *testing.T) {
 	// must seal every epoch and satisfy the extended stream invariants.
 	requireAllPass(t, runBlock(t, soak.JobConfig{
 		BaseSeed: 5000, Regime: "within-model", Strict: true, Protocols: []string{"acs"},
-	}, 24, 0))
+	}, 24, 1))
 }
 
 func TestACSOutOfModelDegradesTyped(t *testing.T) {
@@ -119,7 +119,7 @@ func TestACSOutOfModelDegradesTyped(t *testing.T) {
 	// ErrDeliveryViolated degradations, never hang or emit a stream that
 	// breaks the invariants.
 	cfg := soak.JobConfig{BaseSeed: 6000, Regime: "out-of-model", Protocols: []string{"acs"}}
-	requireTypedDegradations(t, runBlock(t, cfg, 16, 0), cfg)
+	requireTypedDegradations(t, runBlock(t, cfg, 16, 1), cfg)
 }
 
 func TestSweepBatchMatchesDirectRuns(t *testing.T) {
@@ -140,8 +140,8 @@ func TestSweepBatchMatchesDirectRuns(t *testing.T) {
 	}
 	batch := bvc.RunBatch(context.Background(), bvc.BatchOptions{Workers: workers}, specs)
 	for i, v := range res.Verdicts {
-		direct := simtest.RunChecked(context.Background(), simtest.GenSpec(v.Seed, fcfg), simtest.CheckOptions{})
-		batched := simtest.Classify(specs[i], batch[i].Result, batch[i].Err, simtest.CheckOptions{})
+		direct := simtest.RunChecked(context.Background(), simtest.GenSpec(v.Seed, fcfg))
+		batched := simtest.Classify(specs[i], batch[i].Result, batch[i].Err)
 		if batched.Signature != direct.Signature {
 			t.Fatalf("seed %d: batch signature diverged from direct run:\n%s\n%s", v.Seed, batched.Signature, direct.Signature)
 		}

@@ -28,7 +28,7 @@ func TestConvexCorpusRegressions(t *testing.T) {
 		if spec.N != 5 || spec.F != 1 || spec.D != 3 {
 			t.Fatalf("seed %d generates n=%d f=%d d=%d, want the degenerate 5/1/3 regime", seed, spec.N, spec.F, spec.D)
 		}
-		rep := RunChecked(context.Background(), spec, CheckOptions{})
+		rep := RunChecked(context.Background(), spec)
 		if rep.Failed() {
 			t.Fatalf("seed %d regressed: %s", seed, rep.Signature)
 		}

@@ -35,7 +35,7 @@ func FuzzConsensusFaults(f *testing.F) {
 		spec := simtest.GenSpec(s, cfg)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		rep := simtest.RunChecked(ctx, spec, simtest.CheckOptions{})
+		rep := simtest.RunChecked(ctx, spec)
 		if rep.Err != nil {
 			if errors.Is(rep.Err, bvc.ErrCanceled) {
 				t.Skipf("seed %d: timed out under fuzzing load", s)
@@ -77,7 +77,7 @@ func FuzzACS(f *testing.F) {
 		spec := simtest.GenSpec(seed, cfg)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		rep := simtest.RunChecked(ctx, spec, simtest.CheckOptions{})
+		rep := simtest.RunChecked(ctx, spec)
 		if rep.Err != nil {
 			if errors.Is(rep.Err, bvc.ErrCanceled) {
 				t.Skipf("seed %d: timed out under fuzzing load", seed)

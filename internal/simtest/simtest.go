@@ -1,8 +1,8 @@
 // Package simtest is an invariant-checking simulation harness for the
 // consensus protocols: it wraps Run(ctx, spec), checks every successful
 // run against the paper's correctness conditions (validity in the exact,
-// k-relaxed or (delta,p)-relaxed sense; agreement or epsilon-agreement;
-// termination), and classifies failures into graceful degradations
+// k-relaxed or (delta,p)-relaxed sense; agreement, or non-expansion for
+// the approximate protocols; termination), and classifies failures into graceful degradations
 // (typed errors such as ErrDeliveryViolated from an out-of-model fault
 // pattern) versus genuine invariant violations.
 //
@@ -37,27 +37,6 @@ type Violation struct {
 
 func (v Violation) String() string {
 	return fmt.Sprintf("%s[p%d]: %s", v.Invariant, v.Process, v.Detail)
-}
-
-// CheckOptions tunes the invariant checker. The zero value is ready to
-// use.
-type CheckOptions struct {
-	// Tol is the geometric tolerance of the hull predicates (0 = 1e-6).
-	Tol float64
-	// Epsilon, when positive, is enforced as the agreement bound of the
-	// approximate (async, k1-async, iterative) protocols instead of the
-	// default non-expansion check against the honest input spread.
-	Epsilon float64
-	// MaxRounds / MaxSteps, when positive, bound the run's termination
-	// budget (Result.Rounds / Result.Steps).
-	MaxRounds, MaxSteps int
-}
-
-func (o CheckOptions) tol() float64 {
-	if o.Tol == 0 {
-		return 1e-6
-	}
-	return o.Tol
 }
 
 // HonestIDs returns the process ids of spec not scripted in any of its
@@ -149,23 +128,16 @@ func inputSpread(spec bvc.Spec) float64 {
 // its protocol and returns every violation found (empty = clean run).
 // The caller is responsible for classifying errors from Run itself; pass
 // only a non-nil Result here.
-func Check(spec bvc.Spec, res *bvc.Result, opt CheckOptions) []Violation {
+func Check(spec bvc.Spec, res *bvc.Result) []Violation {
 	var out []Violation
 	add := func(inv string, proc int, format string, args ...any) {
 		out = append(out, Violation{Invariant: inv, Process: proc, Detail: fmt.Sprintf(format, args...)})
 	}
 	honest := HonestIDs(spec)
 	nonFaulty := NonFaultyInputs(spec)
-	tol := opt.tol()
+	const tol = 1e-6 // geometric tolerance of the hull predicates
 
-	// Termination: every honest process produced a decision, within the
-	// round/step budget when one is given.
-	if opt.MaxRounds > 0 && res.Rounds > opt.MaxRounds {
-		add("termination", -1, "rounds %d exceed budget %d", res.Rounds, opt.MaxRounds)
-	}
-	if opt.MaxSteps > 0 && res.Steps > opt.MaxSteps {
-		add("termination", -1, "steps %d exceed budget %d", res.Steps, opt.MaxSteps)
-	}
+	// Termination: every honest process produced a decision.
 	switch spec.Protocol {
 	case bvc.ProtocolConvex:
 		for _, i := range honest {
@@ -342,11 +314,7 @@ func Check(spec bvc.Spec, res *bvc.Result, opt CheckOptions) []Violation {
 		}
 	case bvc.ProtocolAsync, bvc.ProtocolK1Async, bvc.ProtocolIterative:
 		eps := bvc.AgreementError(res.Outputs, honest)
-		if opt.Epsilon > 0 {
-			if eps > opt.Epsilon {
-				add("agreement", -1, "epsilon-agreement violated: %v > %v", eps, opt.Epsilon)
-			}
-		} else if spread := inputSpread(spec); eps > spread+tol {
+		if spread := inputSpread(spec); eps > spread+tol {
 			add("agreement", -1, "output spread %v exceeds the honest input spread %v", eps, spread)
 		}
 		if n := len(res.RoundSpread); n > 1 && res.RoundSpread[n-1] > res.RoundSpread[0]+tol {
@@ -400,21 +368,21 @@ func (r *Report) Failed() bool {
 }
 
 // RunChecked executes spec and classifies the outcome.
-func RunChecked(ctx context.Context, spec bvc.Spec, opt CheckOptions) *Report {
+func RunChecked(ctx context.Context, spec bvc.Spec) *Report {
 	res, err := bvc.Run(ctx, spec)
-	return Classify(spec, res, err, opt)
+	return Classify(spec, res, err)
 }
 
 // Classify turns one run of spec into a Report: an error is a graceful
 // degradation when it wraps ErrDeliveryViolated, a completed run is
 // checked against the invariants, and either way the outcome gets its
 // replay signature. RunChecked and the soak workers both classify here.
-func Classify(spec bvc.Spec, res *bvc.Result, err error, opt CheckOptions) *Report {
+func Classify(spec bvc.Spec, res *bvc.Result, err error) *Report {
 	rep := &Report{Spec: spec, Result: res, Err: err}
 	if err != nil {
 		rep.Graceful = errors.Is(err, bvc.ErrDeliveryViolated)
 	} else if res != nil {
-		rep.Violations = Check(spec, res, opt)
+		rep.Violations = Check(spec, res)
 	}
 	rep.Signature = signature(rep)
 	return rep

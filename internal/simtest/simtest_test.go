@@ -67,7 +67,7 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 func TestRunCheckedCleanRun(t *testing.T) {
-	rep := RunChecked(context.Background(), faultySpec(), CheckOptions{})
+	rep := RunChecked(context.Background(), faultySpec())
 	if rep.Err != nil {
 		t.Fatalf("within-model run errored: %v", rep.Err)
 	}
@@ -97,22 +97,22 @@ func TestPlantedViolationsDetected(t *testing.T) {
 
 	// Termination: a missing honest output.
 	res := &bvc.Result{Outputs: []bvc.Vector{in, in, in, nil}}
-	if vs := Check(spec, res, CheckOptions{}); len(vs) == 0 || vs[0].Invariant != "termination" {
+	if vs := Check(spec, res); len(vs) == 0 || vs[0].Invariant != "termination" {
 		t.Fatalf("missing output not flagged: %v", vs)
 	}
 	// Validity: an output outside the non-faulty hull.
 	res = &bvc.Result{Outputs: []bvc.Vector{far, far, far, far}}
-	if vs := Check(spec, res, CheckOptions{}); !hasInvariant(vs, "validity") {
+	if vs := Check(spec, res); !hasInvariant(vs, "validity") {
 		t.Fatalf("hull escape not flagged: %v", vs)
 	}
 	// Agreement: honest outputs that differ.
 	res = &bvc.Result{Outputs: []bvc.Vector{in, bvc.NewVector(0.9, 0.9), in, in}}
-	if vs := Check(spec, res, CheckOptions{}); !hasInvariant(vs, "agreement") {
+	if vs := Check(spec, res); !hasInvariant(vs, "agreement") {
 		t.Fatalf("disagreement not flagged: %v", vs)
 	}
 	// A correct run passes.
 	res = &bvc.Result{Outputs: []bvc.Vector{in, in, in, in}}
-	if vs := Check(spec, res, CheckOptions{}); len(vs) != 0 {
+	if vs := Check(spec, res); len(vs) != 0 {
 		t.Fatalf("clean planted run flagged: %v", vs)
 	}
 }
@@ -126,7 +126,7 @@ func TestPlantedACSViolationsDetected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if vs := Check(spec, res, CheckOptions{}); len(vs) != 0 {
+	if vs := Check(spec, res); len(vs) != 0 {
 		t.Fatalf("genuine run flagged: %v", vs)
 	}
 	honest := HonestIDs(spec)
@@ -143,7 +143,7 @@ func TestPlantedACSViolationsDetected(t *testing.T) {
 			}
 		}
 		mutate(&clone)
-		return Check(spec, &clone, CheckOptions{})
+		return Check(spec, &clone)
 	}
 
 	i0 := honest[0]

@@ -1,8 +1,9 @@
 package soak
 
-// The coordinator: replays the corpus, then cuts base seeds into blocks,
-// runs them one at a time on the batch engine, and commits each result
-// in block order. The seed plan is a pure function of the options and
+// The coordinator: replays the corpus (failing on an entry that no
+// longer reproduces, as ReplayCorpus does), then cuts base seeds into
+// blocks, runs them one at a time on the batch engine, and commits each
+// result in block order. The seed plan is a pure function of the options and
 // the corpus, corpus writes and the summary derive from committed
 // records only, and RunBlock's verdicts do not depend on its worker
 // count — so two soaks of the same options summarize byte-identically.
@@ -160,16 +161,16 @@ func run(ctx context.Context, opt Options) (*coordinator, error) {
 	}
 	// The corpus is snapshotted before any block runs: the soak writes
 	// into the same directory.
-	plan, err := corpusPlan(opt.Corpus)
+	plan, recorded, err := corpusPlan(opt.Corpus)
 	if err != nil {
 		return nil, err
 	}
-	if err := co.runJobs(ctx, blockKindCorpus, co.packCorpus(plan)); err != nil {
+	if err := co.runJobs(ctx, blockKindCorpus, co.packCorpus(plan), recorded); err != nil {
 		return nil, err
 	}
 	if opt.SeedBudget > 0 {
 		co.logf("phase base: %d seeds", opt.SeedBudget)
-		err = co.runJobs(ctx, blockKindBase, co.baseJobs(opt.SeedBudget))
+		err = co.runJobs(ctx, blockKindBase, co.baseJobs(opt.SeedBudget), nil)
 	} else {
 		err = co.runDuration(ctx)
 	}
@@ -179,21 +180,27 @@ func run(ctx context.Context, opt Options) (*coordinator, error) {
 	return co, nil
 }
 
+// runKey names one run of the corpus phase: a seed under a config.
+func runKey(seed int64, cfg JobConfig) string {
+	return fmt.Sprintf("%d@%s", seed, cfg.Key())
+}
+
 // corpusPlan freezes the corpus into a replay plan: its entries
-// deduplicated by (seed, config) and sorted by config key, then seed.
-func corpusPlan(dir string) ([]*Entry, error) {
-	entries, err := LoadCorpus(dir)
+// deduplicated by runKey and sorted by config key, then seed. It also
+// returns every entry by runKey.
+func corpusPlan(dir string) ([]*Entry, map[string][]*Entry, error) {
+	_, entries, err := LoadCorpus(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	seenRun := map[string]bool{}
+	recorded := map[string][]*Entry{}
 	var plan []*Entry
 	for _, e := range entries {
-		key := fmt.Sprintf("%d@%s", e.Seed, e.Cfg.Key())
-		if !seenRun[key] {
-			seenRun[key] = true
+		key := runKey(e.Seed, e.Cfg)
+		if recorded[key] == nil {
 			plan = append(plan, e)
 		}
+		recorded[key] = append(recorded[key], e)
 	}
 	sort.Slice(plan, func(i, j int) bool {
 		ki, kj := plan[i].Cfg.Key(), plan[j].Cfg.Key()
@@ -202,7 +209,7 @@ func corpusPlan(dir string) ([]*Entry, error) {
 		}
 		return plan[i].Seed < plan[j].Seed
 	})
-	return plan, nil
+	return plan, recorded, nil
 }
 
 // runDuration runs chunks of base seeds, four blocks per shard each,
@@ -211,7 +218,7 @@ func (co *coordinator) runDuration(ctx context.Context) error {
 	chunk := int64(co.opt.BlockSize) * int64(4*co.opt.Shards)
 	for epoch := 1; !co.expired(); epoch++ {
 		co.logf("epoch %d: %d base seeds", epoch, chunk)
-		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(chunk)); err != nil {
+		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(chunk), nil); err != nil {
 			return err
 		}
 	}
@@ -271,20 +278,24 @@ func (co *coordinator) baseJobs(count int64) []*Job {
 }
 
 // runJobs runs one phase's blocks in block order and commits each
-// result before the next block starts. The line logged before each
-// block locates a fatal runtime error, which no recover can catch, in
-// the block that raised it.
-func (co *coordinator) runJobs(ctx context.Context, kind string, jobs []*Job) error {
+// result before the next block starts; a corpus phase passes its
+// entries by runKey to judge the verdicts against. The line logged
+// before each block locates a fatal runtime error, which no recover can
+// catch, in the block that raised it.
+func (co *coordinator) runJobs(ctx context.Context, kind string, jobs []*Job, recorded map[string][]*Entry) error {
 	for _, job := range jobs {
 		if co.expired() {
 			return nil
 		}
 		co.logf("block %d: %s, %d seeds from %d", job.Block, kind, len(job.Seeds), job.Seeds[0])
-		br, err := RunBlock(ctx, job, WorkerOptions{Workers: co.opt.Shards})
+		br, err := RunBlock(ctx, job, co.opt.Shards)
 		if ctx.Err() != nil {
 			return fmt.Errorf("%w: %d blocks committed", ErrInterrupted, len(co.blocks))
 		}
 		if err != nil {
+			return err
+		}
+		if err := co.checkCorpus(job, br, recorded); err != nil {
 			return err
 		}
 		rec := newRecord(kind, job, br)
@@ -293,6 +304,23 @@ func (co *coordinator) runJobs(ctx context.Context, kind string, jobs []*Job) er
 		}
 		co.blocks = append(co.blocks, *rec)
 		publishMetrics(rec)
+	}
+	return nil
+}
+
+// checkCorpus holds a block's verdicts to every entry recorded for
+// their runKey, as ReplayCorpus does: a diverged entry fails the soak,
+// a stale one (its seed now passes) is logged.
+func (co *coordinator) checkCorpus(job *Job, br *BlockResult, recorded map[string][]*Entry) error {
+	for i, v := range br.Verdicts {
+		for _, e := range recorded[runKey(job.Seeds[i], job.Cfg)] {
+			switch r := replayVerdict(v, e); r.Verdict {
+			case ReplayStale:
+				co.logf("corpus: stale entry, seed %d now passes (block %d)", e.Seed, job.Block)
+			case ReplayDiverged:
+				return fmt.Errorf("%w: corpus block %d, seed %d: %s", ErrReplayDiverged, job.Block, e.Seed, r.Detail)
+			}
+		}
 	}
 	return nil
 }

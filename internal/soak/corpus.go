@@ -10,6 +10,7 @@ package soak
 // the nightly CI cache keys on a hash of the directory.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -73,7 +74,8 @@ func (e *Entry) Filename() (string, error) {
 
 // WriteEntry persists e into dir (created if missing), atomically and
 // idempotently. It returns the written basename and whether the entry
-// was new (false: an identical entry already existed).
+// was new (false: an identical entry already existed). A file of that
+// name with other bytes is an ErrCorpus error.
 func WriteEntry(dir string, e *Entry) (string, bool, error) {
 	data, err := e.encode()
 	if err != nil {
@@ -87,10 +89,13 @@ func WriteEntry(dir string, e *Entry) (string, bool, error) {
 		return "", false, fmt.Errorf("%w: mkdir %s: %v", ErrCorpus, dir, err)
 	}
 	path := filepath.Join(dir, name)
-	if _, err := os.Stat(path); err == nil {
-		// Content-addressed: an existing file with this name holds
-		// these exact bytes already.
+	switch old, err := os.ReadFile(path); {
+	case err == nil && bytes.Equal(old, data):
 		return name, false, nil
+	case err == nil: // edited since it was written under this hash
+		return "", false, fmt.Errorf("%w: %s exists with other content", ErrCorpus, path)
+	case !os.IsNotExist(err):
+		return "", false, fmt.Errorf("%w: read %s: %v", ErrCorpus, path, err)
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -102,31 +107,31 @@ func WriteEntry(dir string, e *Entry) (string, bool, error) {
 	return name, true, nil
 }
 
-// LoadCorpus reads every entry in dir, sorted by basename (stable
-// iteration order for planning and replay). A missing directory is an
-// empty corpus.
-func LoadCorpus(dir string) ([]*Entry, error) {
+// LoadCorpus reads every entry in dir and returns the basenames and
+// their entries, sorted by basename (stable iteration order for
+// planning and replay). A missing directory is an empty corpus.
+func LoadCorpus(dir string) ([]string, []*Entry, error) {
 	if dir == "" {
-		return nil, nil
+		return nil, nil, nil
 	}
 	names, err := corpusFiles(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([]*Entry, 0, len(names))
 	for _, name := range names {
 		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("%w: read %s: %v", ErrCorpus, path, err)
+			return nil, nil, fmt.Errorf("%w: read %s: %v", ErrCorpus, path, err)
 		}
 		var e Entry
 		if err := json.Unmarshal(data, &e); err != nil {
-			return nil, fmt.Errorf("%w: decode %s: %v", ErrCorpus, path, err)
+			return nil, nil, fmt.Errorf("%w: decode %s: %v", ErrCorpus, path, err)
 		}
 		out = append(out, &e)
 	}
-	return out, nil
+	return names, out, nil
 }
 
 // corpusFiles lists the entry basenames in dir, sorted.
@@ -176,29 +181,21 @@ type ReplayResult struct {
 // reproduced, stale or diverged. It returns the per-entry results and
 // an error wrapping ErrReplayDiverged if any entry diverged. When prune
 // is true, stale entries are deleted from the directory.
-func ReplayCorpus(ctx context.Context, dir string, opt WorkerOptions, prune bool) ([]ReplayResult, error) {
-	names, err := corpusFiles(dir)
+func ReplayCorpus(ctx context.Context, dir string, prune bool) ([]ReplayResult, error) {
+	names, entries, err := LoadCorpus(dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []ReplayResult
 	diverged := 0
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("%w: read %s: %v", ErrCorpus, path, err)
-		}
-		var e Entry
-		if err := json.Unmarshal(data, &e); err != nil {
-			return nil, fmt.Errorf("%w: decode %s: %v", ErrCorpus, path, err)
-		}
-		r := replayEntry(ctx, &e, opt)
-		r.File = name
+	for i, e := range entries {
+		r := replayEntry(ctx, e)
+		r.File = names[i]
 		if r.Verdict == ReplayDiverged {
 			diverged++
 		}
 		if r.Verdict == ReplayStale && prune {
+			path := filepath.Join(dir, names[i])
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 				return nil, fmt.Errorf("%w: prune %s: %v", ErrCorpus, path, err)
 			}
@@ -214,13 +211,18 @@ func ReplayCorpus(ctx context.Context, dir string, opt WorkerOptions, prune bool
 // replayEntry re-runs one entry and classifies the result. The job
 // machinery is reused so the verdict comes from the exact code path a
 // soak would take.
-func replayEntry(ctx context.Context, e *Entry, opt WorkerOptions) ReplayResult {
+func replayEntry(ctx context.Context, e *Entry) ReplayResult {
 	job := &Job{Seeds: []int64{e.Seed}, Cfg: e.Cfg}
-	res, err := RunBlock(ctx, job, opt)
+	res, err := RunBlock(ctx, job, 1)
 	if err != nil {
 		return ReplayResult{Entry: e, Verdict: ReplayDiverged, Detail: fmt.Sprintf("replay error: %v", err)}
 	}
-	v := res.Verdicts[0]
+	return replayVerdict(res.Verdicts[0], e)
+}
+
+// replayVerdict holds a fresh verdict of e's seed to e's record. A
+// corpus replay and a soak's corpus blocks both judge entries here.
+func replayVerdict(v SeedVerdict, e *Entry) ReplayResult {
 	switch {
 	case v.Outcome == e.Outcome && v.Signature == e.Signature:
 		return ReplayResult{Entry: e, Verdict: ReplayReproduced}

@@ -151,7 +151,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if err != nil || isNew2 || name2 != name {
 		t.Fatalf("rewrite not idempotent: name=%s isNew=%v err=%v", name2, isNew2, err)
 	}
-	loaded, err := LoadCorpus(dir)
+	_, loaded, err := LoadCorpus(dir)
 	if err != nil || len(loaded) != 1 {
 		t.Fatalf("load: %d entries, err=%v", len(loaded), err)
 	}
@@ -165,6 +165,82 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("round-trip drift:\n%s\n---\n%s", got, want)
+	}
+}
+
+// TestWriteEntryRejectsEditedFile: a file under an entry's
+// content-addressed name that holds other bytes is an error, not proof
+// that the entry is already present.
+func TestWriteEntryRejectsEditedFile(t *testing.T) {
+	dir := t.TempDir()
+	e := &Entry{
+		Kind: KindFailing, Seed: 42,
+		Cfg:      JobConfig{Regime: "out-of-model", Strict: true, Transport: TransportSim},
+		Protocol: "exact", Outcome: OutcomeDegraded, Signature: "sig",
+	}
+	name, _, err := WriteEntry(dir, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	edited := *e
+	edited.Signature = "EDITED" + e.Signature
+	data, err := edited.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, isNew, err := WriteEntry(dir, e); !errors.Is(err, ErrCorpus) || isNew {
+		t.Fatalf("rewrite over edited file: isNew=%v err=%v, want ErrCorpus", isNew, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(data) {
+		t.Fatalf("edited file changed: %q, %v", got, err)
+	}
+}
+
+// TestSoakCorpusPhaseChecksEntries: a soak's corpus blocks hold each
+// verdict to the entry's record, as a replay does. An entry whose
+// signature was edited fails the soak with ErrReplayDiverged; a stale
+// one does not.
+func TestSoakCorpusPhaseChecksEntries(t *testing.T) {
+	// corpus/fail-01a49aa4ae4473c4.json, a strict out-of-model scalar
+	// seed that degrades.
+	recorded := &Entry{
+		Kind: KindFailing, Seed: -4937271565411561616,
+		Cfg: JobConfig{Regime: "out-of-model", Protocols: []string{"scalar"},
+			Strict: true, Transport: TransportSim},
+		Protocol: "scalar", Outcome: OutcomeDegraded,
+		Signature: `proto=scalar err="sched: fault pattern violated the delivery model: ` +
+			`lockstep synchrony broken (12 dropped, 0 delayed, 0 partition-held, 0 lost)"`,
+		ReplayConfirmed: true,
+	}
+	if name, err := recorded.Filename(); err != nil || name != "fail-01a49aa4ae4473c4.json" {
+		t.Fatalf("recorded entry encodes as %s (%v), not as its corpus file", name, err)
+	}
+	stale := &Entry{
+		Kind: KindFailing, Seed: 1,
+		Cfg:      JobConfig{Regime: "none", Transport: TransportSim},
+		Protocol: "exact", Outcome: OutcomeDegraded, Signature: "gone",
+	}
+	soakWith := func(entries ...*Entry) error {
+		dir := t.TempDir()
+		for _, e := range entries {
+			if _, _, err := WriteEntry(dir, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Run(context.Background(), Options{SeedBudget: 16, Regime: "none", Corpus: dir})
+		return err
+	}
+	if err := soakWith(recorded, stale); err != nil {
+		t.Fatalf("soak over a reproducing and a stale entry: %v", err)
+	}
+	edited := *recorded
+	edited.Signature = "EDITED" + recorded.Signature
+	if err := soakWith(&edited); !errors.Is(err, ErrReplayDiverged) {
+		t.Fatalf("soak over an edited entry: got %v, want ErrReplayDiverged", err)
 	}
 }
 
@@ -189,7 +265,7 @@ func seedCorpus(t *testing.T, dir string) string {
 
 func TestCorpusReplayReproduces(t *testing.T) {
 	corpus := seedCorpus(t, t.TempDir())
-	results, err := ReplayCorpus(context.Background(), corpus, WorkerOptions{}, false)
+	results, err := ReplayCorpus(context.Background(), corpus, false)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -231,7 +307,7 @@ func TestCorpusReplayDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = ReplayCorpus(context.Background(), corpus, WorkerOptions{}, false)
+	_, err = ReplayCorpus(context.Background(), corpus, false)
 	if !errors.Is(err, ErrReplayDiverged) {
 		t.Fatalf("tampered replay: got %v, want ErrReplayDiverged", err)
 	}
@@ -250,7 +326,7 @@ func TestCorpusReplayPrunesStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := ReplayCorpus(context.Background(), dir, WorkerOptions{}, true)
+	results, err := ReplayCorpus(context.Background(), dir, true)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

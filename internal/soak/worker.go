@@ -16,27 +16,12 @@ import (
 	"relaxedbvc/internal/simtest"
 )
 
-// WorkerOptions tunes block execution.
-type WorkerOptions struct {
-	// Workers bounds the batch pool that runs a block's seeds (0 = 1).
-	// A soak sets it to Options.Shards.
-	Workers int
-	// Check tunes the invariant oracle.
-	Check simtest.CheckOptions
-}
-
-func (o WorkerOptions) workers() int {
-	if o.Workers <= 0 {
-		return 1
-	}
-	return o.Workers
-}
-
-// RunBlock executes one job: every seed is expanded, run, checked and
-// classified. The result is deterministic for a given job regardless of
-// the inner worker count (the batch engine returns results in input
-// order and each trial is seed-deterministic).
-func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, error) {
+// RunBlock executes one job on a batch pool of workers (>= 1; a soak
+// passes Options.Shards, a corpus replay 1): every seed is expanded,
+// run, checked and classified. The result is deterministic for a given
+// job regardless of the worker count (the batch engine returns results
+// in input order and each trial is seed-deterministic).
+func RunBlock(ctx context.Context, job *Job, workers int) (*BlockResult, error) {
 	fcfg, err := job.Cfg.FuzzConfig()
 	if err != nil {
 		return nil, err
@@ -45,7 +30,7 @@ func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, e
 	for i, seed := range job.Seeds {
 		specs[i] = simtest.GenSpec(seed, fcfg)
 	}
-	batch := bvc.RunBatch(ctx, bvc.BatchOptions{Workers: opt.workers()}, specs)
+	batch := bvc.RunBatch(ctx, bvc.BatchOptions{Workers: workers}, specs)
 
 	out := &BlockResult{Block: job.Block, Verdicts: make([]SeedVerdict, len(job.Seeds))}
 	for i, br := range batch {
@@ -54,13 +39,13 @@ func RunBlock(ctx context.Context, job *Job, opt WorkerOptions) (*BlockResult, e
 		}
 		seed := job.Seeds[i]
 		v := classify(seed, simtest.EffectiveRegime(seed, fcfg.Regime),
-			simtest.Classify(specs[i], br.Result, br.Err, opt.Check))
+			simtest.Classify(specs[i], br.Result, br.Err))
 		if v.Outcome == OutcomePass && job.Cfg.Transport == TransportMesh {
 			meshCheck(ctx, specs[i], br.Result, &v)
 		}
 		out.Verdicts[i] = v
 		if out.MinFailing == nil && failing(v, job.Cfg.Strict) {
-			out.MinFailing = shrinkSeed(ctx, job, fcfg, v, opt)
+			out.MinFailing = shrinkSeed(ctx, job, fcfg, v)
 		}
 	}
 	return out, nil
@@ -94,14 +79,14 @@ func failing(v SeedVerdict, strict bool) bool {
 // failing seed (for base blocks the seeds ascend, so "first" is also
 // "minimal") and replay-confirms it: two fresh single-run replays must
 // reproduce the recorded signature byte-for-byte.
-func shrinkSeed(ctx context.Context, job *Job, fcfg simtest.FuzzConfig, v SeedVerdict, opt WorkerOptions) *FailingSeed {
+func shrinkSeed(ctx context.Context, job *Job, fcfg simtest.FuzzConfig, v SeedVerdict) *FailingSeed {
 	fs := &FailingSeed{
 		Seed: v.Seed, Cfg: job.Cfg, Protocol: v.Protocol,
 		Outcome: v.Outcome, Signature: v.Signature,
 	}
 	fs.ReplayConfirmed = true
 	for i := 0; i < 2; i++ {
-		rep := simtest.RunChecked(ctx, simtest.GenSpec(v.Seed, fcfg), opt.Check)
+		rep := simtest.RunChecked(ctx, simtest.GenSpec(v.Seed, fcfg))
 		if rep.Signature != v.Signature {
 			fs.ReplayConfirmed = false
 			break

@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -524,15 +523,4 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// SortedPeerIDs returns the peer ids of a config in ascending order
-// (deterministic iteration helper for callers logging the peer set).
-func SortedPeerIDs(peers map[int]string) []int {
-	ids := make([]int, 0, len(peers))
-	for id := range peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

@@ -695,12 +695,3 @@ func TestDialTCPValidatesConfig(t *testing.T) {
 		t.Errorf("self outside cluster: err = %v, want ErrBadPeer", err)
 	}
 }
-
-func TestSortedPeerIDs(t *testing.T) {
-	ids := SortedPeerIDs(map[int]string{2: "c", 0: "a", 1: "b"})
-	for i, id := range ids {
-		if id != i {
-			t.Fatalf("ids = %v, want [0 1 2]", ids)
-		}
-	}
-}

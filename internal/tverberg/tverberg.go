@@ -14,8 +14,6 @@
 package tverberg
 
 import (
-	"math"
-
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/vec"
@@ -97,24 +95,4 @@ func HasPartition(y *vec.Set, f int) bool {
 func Point(y *vec.Set, f int) (vec.V, bool) {
 	_, pt, ok := Partition(y, f)
 	return pt, ok
-}
-
-// CountPartitions returns the number of partitions of an n-element set
-// into exactly k non-empty blocks (Stirling number of the second kind),
-// the search-space size of the exhaustive algorithms.
-func CountPartitions(n, k int) float64 {
-	// S(n,k) = (1/k!) sum_{j=0}^{k} (-1)^j C(k,j) (k-j)^n.
-	sum := 0.0
-	for j := 0; j <= k; j++ {
-		term := float64(vec.CountCombinations(k, j)) * math.Pow(float64(k-j), float64(n))
-		if j%2 == 1 {
-			term = -term
-		}
-		sum += term
-	}
-	fact := 1.0
-	for i := 2; i <= k; i++ {
-		fact *= float64(i)
-	}
-	return sum / fact
 }

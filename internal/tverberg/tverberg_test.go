@@ -171,17 +171,6 @@ func TestPartitionTooFewPoints(t *testing.T) {
 	}
 }
 
-func TestCountPartitions(t *testing.T) {
-	cases := map[[2]int]float64{
-		{4, 2}: 7, {5, 3}: 25, {6, 3}: 90, {8, 3}: 966, {5, 1}: 1, {5, 5}: 1,
-	}
-	for nk, want := range cases {
-		if got := CountPartitions(nk[0], nk[1]); math.Abs(got-want) > 1e-9 {
-			t.Errorf("S(%d,%d) = %v, want %v", nk[0], nk[1], got, want)
-		}
-	}
-}
-
 // Duplicate points collapse the tight case: a multiset with a repeated
 // point always has the trivial partition using the duplicates.
 func TestDuplicatePointsGivePartition(t *testing.T) {

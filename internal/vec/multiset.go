@@ -359,16 +359,6 @@ func (ps *ProjScratch) ProjectSetInto(s *Set, D []int) *Set {
 	return &ps.set
 }
 
-// AllCombinations returns every size-k subset of {0,...,n-1}.
-func AllCombinations(n, k int) [][]int {
-	var out [][]int
-	Combinations(n, k, func(idx []int) bool {
-		out = append(out, append([]int(nil), idx...))
-		return true
-	})
-	return out
-}
-
 // IndexSubsetsDroppingF calls fn with each size-(n-f) subset of indices of
 // a set of size n. These are the candidate "non-faulty" index sets T with
 // |T| = |Y| - f used in the definition of Gamma(Y).
@@ -423,20 +413,4 @@ func Partitions(n, parts int, fn func(blocks [][]int) bool) {
 		return true
 	}
 	rec(0, 0)
-}
-
-// CountCombinations returns C(n, k) as an int, panicking on overflow for
-// the small sizes used here.
-func CountCombinations(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	c := 1
-	for i := 0; i < k; i++ {
-		c = c * (n - i) / (i + 1)
-	}
-	return c
 }

@@ -212,22 +212,6 @@ func Lerp(a, b V, t float64) V {
 	return out
 }
 
-// Combination returns the weighted combination sum_i w[i]*pts[i].
-// It does not require the weights to be convex.
-func Combination(pts []V, w []float64) V {
-	if len(pts) != len(w) {
-		panic("vec: Combination length mismatch")
-	}
-	if len(pts) == 0 {
-		panic("vec: Combination of empty point set")
-	}
-	out := New(pts[0].Dim())
-	for i, p := range pts {
-		out.AXPY(w[i], p)
-	}
-	return out
-}
-
 func mustSameDim(v, w V) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", len(v), len(w)))

@@ -128,10 +128,6 @@ func TestMeanLerpCombination(t *testing.T) {
 	if !l.Equal(Of(2.5, 2.5)) {
 		t.Errorf("Lerp = %v", l)
 	}
-	c := Combination([]V{Of(1, 0), Of(0, 1)}, []float64{2, 3})
-	if !c.Equal(Of(2, 3)) {
-		t.Errorf("Combination = %v", c)
-	}
 }
 
 func TestDimMismatchPanics(t *testing.T) {

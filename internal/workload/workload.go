@@ -79,24 +79,6 @@ func Clustered(rng *rand.Rand, n, d, outliers int, spread, far float64) []vec.V 
 	return pts
 }
 
-// MomentCurve returns n points on the d-dimensional moment curve
-// (t, t^2, ..., t^d) at distinct parameters — points in general position,
-// the classical witness family for tightness results.
-func MomentCurve(n, d int, t0, dt float64) []vec.V {
-	pts := make([]vec.V, n)
-	for i := range pts {
-		t := t0 + float64(i)*dt
-		p := vec.New(d)
-		x := t
-		for j := 0; j < d; j++ {
-			p[j] = x
-			x *= t
-		}
-		pts[i] = p
-	}
-	return pts
-}
-
 // StandardSimplex returns the d+1 vertices 0, e_1, ..., e_d in R^d.
 func StandardSimplex(d int) []vec.V {
 	pts := make([]vec.V, d+1)
@@ -226,17 +208,6 @@ func RingScenarioInputs(d int) (zero, one vec.V) {
 	return zero, one
 }
 
-// PerturbDuplicate returns a copy of pts with point i replaced by a copy
-// of point j (creating a repeated point in the multiset).
-func PerturbDuplicate(pts []vec.V, i, j int) []vec.V {
-	out := make([]vec.V, len(pts))
-	for k, p := range pts {
-		out[k] = p.Clone()
-	}
-	out[i] = out[j].Clone()
-	return out
-}
-
 // Name-indexed random generators, used by the benchmark harness to sweep
 // workload families.
 type Generator func(rng *rand.Rand, n, d int) []vec.V
@@ -258,6 +229,3 @@ func Generators() map[string]Generator {
 		},
 	}
 }
-
-// GeneratorNames returns the generator names in deterministic order.
-func GeneratorNames() []string { return []string{"cube", "gauss", "sphere", "cluster"} }
