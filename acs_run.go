@@ -9,9 +9,9 @@ package relaxedbvc
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"relaxedbvc/internal/acs"
+	"relaxedbvc/internal/consensus"
 	"relaxedbvc/internal/transport"
 )
 
@@ -84,8 +84,8 @@ func validateACS(spec *Spec) ([][]Vector, error) {
 	if len(spec.ACSByzantine) > spec.F {
 		return nil, fmt.Errorf("%w: %d scripted ACS adversaries with f=%d", ErrTooManyFaults, len(spec.ACSByzantine), spec.F)
 	}
-	if p := spec.norm(); p < 1 || math.IsNaN(p) {
-		return nil, fmt.Errorf("%w: p=%v (need p >= 1)", ErrBadNorm, p)
+	if err := consensus.CheckNorm(spec.norm()); err != nil {
+		return nil, err
 	}
 	props := spec.acsProposals()
 	if len(props) == 0 {

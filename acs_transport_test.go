@@ -227,6 +227,7 @@ func TestACSSpecValidation(t *testing.T) {
 		"ids past 16 bits": {func(s *Spec) { s.N = 1<<16 + 1 }, ErrBadInputs},
 		"bad dimension":    {func(s *Spec) { s.D = 0 }, ErrBadDimension},
 		"bad norm":         {func(s *Spec) { s.NormP = 0.5 }, ErrBadNorm},
+		"norm 3":           {func(s *Spec) { s.NormP = 3 }, ErrBadNorm},
 	}
 	for name, tc := range cases {
 		tc := tc

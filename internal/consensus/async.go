@@ -526,8 +526,8 @@ func validateAsync(cfg *AsyncConfig) error {
 	if cfg.Rounds < 1 || cfg.Rounds > maxWireField+1 {
 		return fmt.Errorf("%w: got %d (the rva wire numbers at most %d rounds)", ErrBadRounds, cfg.Rounds, maxWireField+1)
 	}
-	if n := cfg.norm(); n != 1 && n != 2 && !math.IsInf(n, 1) {
-		return fmt.Errorf("%w: NormP must be 1, 2 or +Inf, got %v", ErrBadNorm, n)
+	if err := CheckNorm(cfg.norm()); err != nil {
+		return err
 	}
 	if cfg.Mode != ModeExact {
 		if err := checkNormFaults(cfg.F, cfg.norm()); err != nil {

@@ -359,8 +359,8 @@ func KRelaxedChooser(cfg *SyncConfig, k int) (Chooser, error) {
 // attaining it (minimax.DeltaStarP). Supported p: 2 (closed form /
 // minimax), 1 and +Inf (exact LP).
 func DeltaRelaxedChooser(cfg *SyncConfig, p float64) (Chooser, error) {
-	if p != 1 && p != 2 && !math.IsInf(p, 1) {
-		return nil, fmt.Errorf("%w: p=%v (use 1, 2 or +Inf)", ErrBadNorm, p)
+	if err := CheckNorm(p); err != nil {
+		return nil, err
 	}
 	if err := checkNormFaults(cfg.F, p); err != nil {
 		return nil, err
@@ -369,6 +369,16 @@ func DeltaRelaxedChooser(cfg *SyncConfig, p float64) (Chooser, error) {
 		r := minimax.DeltaStarP(s, cfg.F, p)
 		return r.Point, r.Delta, nil
 	}, nil
+}
+
+// CheckNorm rejects a protocol norm outside {1, 2, +Inf} with
+// ErrBadNorm: only there is the delta*_p kernel exact or solved to a
+// tight certified gap (other p get minimax.DeltaStarP's loose bracket).
+func CheckNorm(p float64) error {
+	if p != 1 && p != 2 && !math.IsInf(p, 1) {
+		return fmt.Errorf("%w: p=%v (use 1, 2 or +Inf)", ErrBadNorm, p)
+	}
+	return nil
 }
 
 // checkNormFaults refuses f < 1 at a norm other than 1 and +Inf: the

@@ -299,36 +299,28 @@ func E9Holder(opt Options) *Outcome {
 			o.Pass = o.Pass && ok
 		}
 	}
-	// True delta*_p via the generic Lp minimax solver (expensive: small
-	// sample) — tightens the surrogate rows above.
-	trueTrials := 2
-	if opt.Trials < trueTrials {
-		trueTrials = opt.Trials
-	}
-	dT := 3
-	nT := dT + 1
-	for _, p := range []float64{3, 4} {
-		worst := 0.0
-		ok := true
-		for trial := 0; trial < trueTrials; trial++ {
-			pts := workload.Gaussian(rng, nT, dT, 1)
-			s := vec.NewSet(pts...)
-			nonFaulty := s.Without(nT - 1)
-			bound := minimax.HolderScale(dT, p) / float64(nT-2) * nonFaulty.MaxEdge(p)
-			dstar := minimax.DeltaStarP(s, 1, p).Delta
-			if bound <= 0 {
-				continue
+	// delta*_p's certified upper bound (minimax.DeltaStarP: the largest
+	// Lp distance at the delta*_2 point), a tighter check than the
+	// surrogate rows above.
+	for _, d := range dims {
+		n := d + 1
+		for _, p := range []float64{3, 4} {
+			worst := 0.0
+			ok := true
+			for trial := 0; trial < opt.Trials; trial++ {
+				s := vec.NewSet(workload.Gaussian(rng, n, d, 1)...)
+				bound := minimax.HolderScale(d, p) / float64(n-2) * s.Without(n-1).MaxEdge(p)
+				dstar := minimax.DeltaStarP(s, 1, p).Delta
+				if bound <= 0 {
+					continue
+				}
+				worst = math.Max(worst, dstar/bound)
+				ok = ok && dstar < bound
 			}
-			if r := dstar / bound; r > worst {
-				worst = r
-			}
-			if dstar >= bound {
-				ok = false
-			}
+			t.AddRow(d, report.FormatFloat(p)+" (upper)", opt.Trials, worst, report.PassFail(ok))
+			o.Pass = o.Pass && ok
 		}
-		t.AddRow(dT, report.FormatFloat(p)+" (true)", trueTrials, worst, report.PassFail(ok))
-		o.Pass = o.Pass && ok
 	}
-	note(o, "surrogate rows use delta*_2 >= delta*_p; the '(true)' rows solve the Lp minimax directly")
+	note(o, "surrogate rows use delta*_2 >= delta*_p; the '(upper)' rows use delta*_p's certified upper bound, the largest Lp distance at the delta*_2 point")
 	return o
 }

@@ -7,6 +7,7 @@ import (
 
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/vec"
+	"relaxedbvc/internal/workload"
 )
 
 func TestDeltaStarPDispatchesToL2(t *testing.T) {
@@ -74,18 +75,50 @@ func TestDeltaStarPTheorem14Bound(t *testing.T) {
 	}
 }
 
-func TestLpGradient(t *testing.T) {
-	g := lpGradient(vec.Of(3, -4), 2)
-	if math.Abs(g[0]-0.6) > 1e-12 || math.Abs(g[1]+0.8) > 1e-12 {
-		t.Errorf("L2 gradient = %v", g)
+func TestDeltaStarPBracket(t *testing.T) {
+	// The general-p bracket at the delta*_2 point: Lower <= Delta, a
+	// positive Lower wherever delta*_2's is, Delta <= the L2 value for
+	// p > 2 (||v||_p <= ||v||_2), and Delta ~ 0 where Gamma(S) is
+	// non-empty (n >= (d+1)f+1, Vaidya-Garg).
+	rng := rand.New(rand.NewSource(85))
+	type instance struct {
+		s        *vec.Set
+		f        int
+		gammaSet bool
 	}
-	gi := lpGradient(vec.Of(1, -5, 2), math.Inf(1))
-	if gi[0] != 0 || gi[1] != -1 || gi[2] != 0 {
-		t.Errorf("Linf subgradient = %v", gi)
+	var cases []instance
+	for trial := 0; trial < 4; trial++ {
+		cases = append(cases,
+			instance{randSimplexSet(rng, 2+trial%2), 1, false},
+			instance{vec.NewSet(workload.Gaussian(rng, 5, 2, 1)...), 1, true},
+			instance{vec.NewSet(workload.Gaussian(rng, 7, 2, 1)...), 2, true},
+			instance{vec.NewSet(workload.Gaussian(rng, 5, 3, 1)...), 1, true})
 	}
-	gz := lpGradient(vec.New(2), 3)
-	if gz[0] != 0 || gz[1] != 0 {
-		t.Errorf("zero-residual gradient = %v", gz)
+	for i, c := range cases {
+		fam := relax.DroppedSubsets(c.s, c.f)
+		scale := 0.0
+		for _, q := range c.s.Points() {
+			scale = math.Max(scale, q.NormP(math.Inf(1)))
+		}
+		r2 := DeltaStar2(c.s, c.f)
+		for _, p := range []float64{1.5, 3, 4} {
+			r := DeltaStarP(c.s, c.f, p)
+			if !(r.Lower <= r.Delta) {
+				t.Errorf("case %d p=%v: Lower %v > Delta %v", i, p, r.Lower, r.Delta)
+			}
+			if r2.Lower > 0 && !(r.Lower > 0) {
+				t.Errorf("case %d p=%v: Lower %v, delta*_2's Lower %v", i, p, r.Lower, r2.Lower)
+			}
+			if l2 := MaxDist2(r.Point, fam); p > 2 && r.Delta > l2+1e-15*scale {
+				t.Errorf("case %d p=%v: Delta %v above the L2 value %v", i, p, r.Delta, l2)
+			}
+			if c.gammaSet && r.Delta > 1e-12*scale {
+				t.Errorf("case %d p=%v: Delta %v where Gamma is non-empty", i, p, r.Delta)
+			}
+			if r.Exact {
+				t.Errorf("case %d p=%v: a bracket reported Exact", i, p)
+			}
+		}
 	}
 }
 
@@ -94,6 +127,7 @@ func TestDeltaStarPValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad f": func() { DeltaStarP(s, 0, 3) },
 		"bad p": func() { DeltaStarP(s, 1, 0.5) },
+		"NaN p": func() { DeltaStarP(s, 1, math.NaN()) },
 	} {
 		func() {
 			defer func() {

@@ -28,13 +28,13 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// Result is the outcome of a delta* computation. Delta is the value at
-// Point, so (Delta,2)-relaxed validity of Point never depends on how
-// tight the bracket Lower <= delta* <= Delta is. The general-p descent
-// certifies nothing: it leaves Lower = 0 and Converged = false.
+// Result is the outcome of a delta*_p computation. Delta is attained at
+// Point (for p outside {1, 2, inf}, by hull points at that Lp distance),
+// so (Delta,p)-relaxed validity of Point never depends on how tight the
+// bracket Lower <= delta*_p <= Delta is.
 type Result struct {
-	Delta     float64 // max_i dist_2(Point, H(P_i)): an upper bound on delta*_2
-	Lower     float64 // certified lower bound on delta*_2 (== Delta when Exact)
+	Delta     float64 // max_i dist_p(Point, H(P_i)), or a bound on it: an upper bound on delta*_p
+	Lower     float64 // certified lower bound on delta*_p (== Delta when Exact)
 	Point     vec.V   // the point attaining Delta
 	Exact     bool    // true when computed by closed form rather than iteration
 	Converged bool    // Delta - Lower is within the solver's gap tolerance

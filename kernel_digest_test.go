@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +72,14 @@ func (g digester) partition(blocks [][]int, pt vec.V, ok bool) {
 	g.vec(pt)
 }
 
+// result digests a delta* result: its bracket, Converged and Point.
+func (g digester) result(r minimax.Result) {
+	g.float(r.Delta)
+	g.float(r.Lower)
+	g.bit(r.Converged)
+	g.vec(r.Point)
+}
+
 // digestSet draws shape i at the given scale.
 func digestSet(i int, scale float64) *vec.Set {
 	c := digestShapes[i]
@@ -105,9 +112,8 @@ func digestQueries(i int, y *vec.Set, scale float64) []vec.V {
 	return []vec.V{center, y.At(0), vec.Lerp(center, y.At(1), 0.999), far, random}
 }
 
-// kernelDigests computes the digest of every kernel × scale; the
-// DeltaStarP entries (seconds each) only when withDeltaStarP.
-func kernelDigests(withDeltaStarP bool) map[string]string {
+// kernelDigests computes the digest of every kernel × scale.
+func kernelDigests() map[string]string {
 	inf := math.Inf(1)
 	kernels := []struct {
 		name string
@@ -146,6 +152,14 @@ func kernelDigests(withDeltaStarP bool) map[string]string {
 				g.vec(pt)
 			}
 		}},
+		{"DeltaStar2", func(g digester, _ int, y *vec.Set, f int, _ float64) {
+			g.result(minimax.DeltaStar2(y, f))
+		}},
+		{"DeltaStarP", func(g digester, _ int, y *vec.Set, f int, _ float64) {
+			for _, p := range []float64{1.5, 3} {
+				g.result(minimax.DeltaStarP(y, f, p))
+			}
+		}},
 		{"GammaDeltaPoint", func(g digester, _ int, y *vec.Set, f int, scale float64) {
 			for _, p := range []float64{1, inf} {
 				pt, ok := relax.GammaDeltaPoint(y, f, 0.2*scale, p)
@@ -163,15 +177,6 @@ func kernelDigests(withDeltaStarP bool) map[string]string {
 			}
 			out[fmt.Sprintf("%s/%g", k.name, scale)] = hex.EncodeToString(g.h.Sum(nil))
 		}
-		if withDeltaStarP {
-			g := digester{sha256.New()}
-			r := minimax.DeltaStarP(digestSet(0, scale), digestShapes[0].f, 3)
-			g.float(r.Delta)
-			g.float(r.Lower)
-			g.bit(r.Converged)
-			g.vec(r.Point)
-			out[fmt.Sprintf("DeltaStarP/%g", scale)] = hex.EncodeToString(g.h.Sum(nil))
-		}
 	}
 	return out
 }
@@ -187,13 +192,11 @@ func TestKernelDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	got := kernelDigests(!testing.Short())
+	got := kernelDigests()
 	t.Logf("%d digests in %v", len(got), time.Since(start))
 	for name, w := range want {
 		g, ok := got[name]
 		switch {
-		case !ok && testing.Short() && strings.HasPrefix(name, "DeltaStarP/"):
-			// skipped under -short
 		case !ok:
 			t.Errorf("%s: not computed", name)
 		case g != w:

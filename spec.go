@@ -135,7 +135,8 @@ type Spec struct {
 	// K is the k-relaxation parameter (ProtocolKRelaxed; 1 <= K <= D).
 	K int
 	// NormP is the Lp norm of the relaxation: 1, 2 or LInf
-	// (ProtocolDeltaRelaxed, ProtocolAsync in ModeRelaxed). 0 means 2.
+	// (ProtocolDeltaRelaxed, ProtocolACS, ProtocolAsync in ModeRelaxed).
+	// 0 means 2.
 	NormP float64
 	// Rounds is the round budget of the multi-round protocols
 	// (ProtocolIterative, ProtocolAsync, ProtocolK1Async).
@@ -431,8 +432,10 @@ func fillTransportMetrics(m *RunMetrics, st transport.Stats) {
 // ComputeDeltaStar returns delta*_p(S) — the smallest delta for which
 // Gamma_(delta,p)(S) is non-empty — with an attaining point. p = 1 and
 // p = LInf are exact LPs; p = 2 uses the Lemma 13 closed form or the L2
-// minimax solver; any other p > 1 uses the generic iterative Lp minimax
-// solver and returns a tight upper bound (minimax.DeltaStarP dispatches).
+// minimax solver; any other p > 1 returns a certified upper bound: the
+// largest Lp distance from the delta*_2 point to the nearest points of
+// the hulls, which is 0 up to rounding where Gamma(S) is non-empty and up
+// to ~17% above delta*_p below it (minimax.DeltaStarP dispatches).
 func ComputeDeltaStar(s *PointSet, f int, p float64) (float64, Vector, error) {
 	if s == nil || s.Len() == 0 {
 		return 0, nil, fmt.Errorf("%w: empty point set", ErrBadInputs)
