@@ -26,34 +26,17 @@ const (
 	ACSMute
 )
 
-// ACSEpoch is one sealed epoch of a process's decision stream.
-type ACSEpoch struct {
-	// Epoch is the epoch index; decisions commit strictly in order.
-	Epoch int
-	// Subset holds the agreed slot ids, ascending (at least N-F).
-	Subset []int
-	// Values are the subset's reliably-delivered proposals, in Subset
-	// order.
-	Values []Vector
-	// Output and Delta are the epoch decision: the delta*_p minimizer
-	// over Values with fault bound F.
-	Output Vector
-	Delta  float64
-}
+// ACSEpoch is one sealed epoch of a process's decision stream: its
+// Epoch index (decisions commit strictly in order), the agreed Subset
+// of slot ids (ascending, at least N-F), the subset's
+// reliably-delivered Values in Subset order, and the decision Output
+// and Delta, the delta*_p minimizer over Values with fault bound F.
+type ACSEpoch = acs.EpochDecision
 
 // ACSFingerprint digests a process's decision stream into a stable hex
 // string; equal fingerprints mean bit-identical streams. Use it to
 // compare runs across transports (bvcnode's -stream records carry it).
-func ACSFingerprint(decisions []ACSEpoch) string {
-	conv := make([]acs.EpochDecision, len(decisions))
-	for i, d := range decisions {
-		conv[i] = acs.EpochDecision{
-			Epoch: d.Epoch, Subset: d.Subset, Values: d.Values,
-			Output: d.Output, Delta: d.Delta,
-		}
-	}
-	return acs.Fingerprint(conv)
-}
+func ACSFingerprint(decisions []ACSEpoch) string { return acs.Fingerprint(decisions) }
 
 // acsProposals resolves the proposal matrix: Spec.Proposals, or one
 // epoch of Spec.Inputs.
@@ -133,7 +116,7 @@ func acsNode(spec *Spec, props [][]Vector, i int, lane *acs.Lane) (*acs.Node, er
 }
 
 // runACS executes the stream on plane: one acs.Node per local process
-// under the lockstep driver, then each sealed stream copied out. The
+// under the lockstep driver, then each sealed stream handed out. The
 // local nodes share one kernel lane, joined on every return path, so no
 // kernel goroutine outlives the run and a kernel panic surfaces here.
 func runACS(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, error) {
@@ -171,17 +154,10 @@ func runACS(ctx context.Context, plane transport.Plane, spec *Spec) (*Result, er
 	return res, nil
 }
 
-// fillACSNode copies one node's sealed stream into the Result.
+// fillACSNode hands one node's sealed stream to the Result.
 func fillACSNode(res *Result, i int, node *acs.Node) {
 	decs := node.Decisions()
-	out := make([]ACSEpoch, len(decs))
-	for e, d := range decs {
-		out[e] = ACSEpoch{
-			Epoch: d.Epoch, Subset: d.Subset, Values: d.Values,
-			Output: d.Output, Delta: d.Delta,
-		}
-	}
-	res.ACS[i] = out
+	res.ACS[i] = decs
 	if len(decs) > 0 {
 		last := decs[len(decs)-1]
 		res.Outputs[i] = last.Output

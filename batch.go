@@ -26,9 +26,6 @@ type BatchOptions struct {
 	// Workers bounds the goroutine pool (0 = GOMAXPROCS, capped at the
 	// spec count).
 	Workers int
-	// TrialTimeout, when positive, gives each spec its own deadline on
-	// top of the batch context.
-	TrialTimeout time.Duration
 }
 
 // BatchResult is the outcome of one spec in a batch.
@@ -55,10 +52,7 @@ type BatchResult struct {
 // calls among its own processes only, so two identical specs each pay
 // for their solves.
 func RunBatch(ctx context.Context, opts BatchOptions, specs []Spec) []BatchResult {
-	inner := batch.Map(ctx, batch.Options{
-		Workers:      opts.Workers,
-		TrialTimeout: opts.TrialTimeout,
-	}, specs, func(tctx context.Context, spec Spec) (*Result, error) {
+	inner := batch.Map(ctx, batch.Options{Workers: opts.Workers}, specs, func(tctx context.Context, spec Spec) (*Result, error) {
 		return Run(tctx, spec)
 	})
 	out := make([]BatchResult, len(inner))

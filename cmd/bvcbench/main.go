@@ -9,7 +9,6 @@
 //	bvcbench -quick              # small sweeps (seconds, used by CI)
 //	bvcbench -trials 10 -seed 3  # more repetitions, different seed
 //	bvcbench -csv                # append CSV dumps of each table
-//	bvcbench -parallel           # fan experiments across the batch engine
 //	bvcbench -metrics-out m.json # per-experiment metrics deltas + totals
 //	bvcbench -pprof :6060        # expose pprof/expvar while running
 //
@@ -43,8 +42,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		quick     = fs.Bool("quick", false, "restrict sweeps to small dimensions")
 		csv       = fs.Bool("csv", false, "also print each table as CSV")
 		list      = fs.Bool("list", false, "list experiment ids and exit")
-		parallel  = fs.Bool("parallel", false, "run experiments concurrently on the batch engine")
-		workers   = fs.Int("workers", 0, "worker pool size for -parallel (0 = GOMAXPROCS)")
 		metOut    = fs.String("metrics-out", "", "write per-experiment metrics deltas and registry totals to this JSON file (runs experiments sequentially for exact attribution)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof and an expvar metrics snapshot on this address (e.g. :6060) while running")
 	)
@@ -84,8 +81,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *metOut != "":
-		if *exp != "" || *parallel {
-			fmt.Fprintln(stderr, "bvcbench: -metrics-out runs every experiment sequentially; it is incompatible with -exp and -parallel")
+		if *exp != "" {
+			fmt.Fprintln(stderr, "bvcbench: -metrics-out runs every experiment; it is incompatible with -exp")
 			return 2
 		}
 		outcomes := experiments.RunAllInstrumented(context.Background(), opt)
@@ -109,12 +106,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if !found {
 			fmt.Fprintf(stderr, "bvcbench: unknown experiment %q (use -list)\n", *exp)
 			return 2
-		}
-	case *parallel:
-		// The engine preserves registry order in its results, so the
-		// report reads identically to a sequential run.
-		for _, o := range experiments.RunAll(context.Background(), opt, *workers) {
-			render(o)
 		}
 	default:
 		for _, e := range experiments.Registry() {

@@ -30,7 +30,7 @@ func TestRun(t *testing.T) {
 		{"metrics-out with exp", []string{"-metrics-out", "m.json", "-exp", "E7"}, 2, "", "incompatible with -exp"},
 		{"one quick experiment", []string{"-quick", "-trials", "1", "-exp", "E7"}, 0, "all experiments PASS", ""},
 	}
-	removed := []string{"-batch-bench", "-batch-out", "-batch-trials", "-kernel-bench", "-kernel-out", "-kernel-profile"}
+	removed := []string{"-batch-bench", "-batch-out", "-batch-trials", "-kernel-bench", "-kernel-out", "-kernel-profile", "-parallel", "-workers"}
 	for _, f := range []string{"fuzz", "seeds", "regime"} { // the fault fuzzer's -fault-* flags
 		removed = append(removed, "-fault-"+f)
 	}

@@ -135,15 +135,14 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("run failed: %w", err)
 	}
 
-	honest := honestIDs(&spec)
-	nonFaulty := nonFaultyInputs(&spec, honest)
+	honest := spec.HonestIDs()
 	switch *mode {
 	case "algo", "exact", "k", "scalar":
 		if err := printSync(stdout, &spec, res, *mode, *k, norm, *verbose, *svgOut); err != nil {
 			return err
 		}
 	case "convex":
-		printConvex(stdout, res, honest, nonFaulty)
+		printConvex(stdout, res, honest, spec.NonFaultyInputs())
 	case "iterative":
 		printIterative(stdout, &spec, res)
 	case "async", "async-exact":
@@ -228,31 +227,9 @@ func installAdversary(spec *bvc.Spec, mode, adv string, seed int64) error {
 	return nil
 }
 
-// honestIDs returns the process ids with no scripted behavior.
-func honestIDs(spec *bvc.Spec) []int {
-	var ids []int
-	for i := 0; i < spec.N; i++ {
-		_, a := spec.Byzantine[i]
-		_, b := spec.AsyncByzantine[i]
-		_, c := spec.IterByzantine[i]
-		if !a && !b && !c {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
-
-func nonFaultyInputs(spec *bvc.Spec, honest []int) *bvc.PointSet {
-	pts := make([]bvc.Vector, len(honest))
-	for j, i := range honest {
-		pts[j] = spec.Inputs[i]
-	}
-	return bvc.NewPointSet(pts...)
-}
-
 func printSync(w io.Writer, spec *bvc.Spec, res *bvc.Result, mode string, k int, p float64, verbose bool, svgOut string) error {
-	honest := honestIDs(spec)
-	nonFaulty := nonFaultyInputs(spec, honest)
+	honest := spec.HonestIDs()
+	nonFaulty := spec.NonFaultyInputs()
 	fmt.Fprintf(w, "broadcast: %d rounds, %d messages\n\n", res.Rounds, res.Messages)
 	if verbose {
 		fmt.Fprintf(w, "agreed multiset at process %d:\n", honest[0])

@@ -51,8 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prune        = fs.Bool("prune-stale", false, "with -replay-corpus: delete entries that now pass")
 
 		budget    = fs.String("budget", "10000", "seed count (e.g. 50000) or wall-clock duration (e.g. 10m)")
-		shards    = fs.Int("shards", 4, "batch workers per block (block b counts toward summary lane b mod shards)")
-		blockSize = fs.Int("block", 256, "seeds per work block")
+		shards    = fs.Int("shards", 4, "batch workers per block")
 		baseSeed  = fs.Int64("seed", 0, "base seed folded into every generated instance")
 		regime    = fs.String("regime", "mixed", "fault regime: none|within-model|out-of-model|mixed")
 		protocols = fs.String("protocols", "", "comma-separated protocol subset (empty = all)")
@@ -80,24 +79,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err == nil {
 		protos, err = soak.NormalizeProtocols(*protocols)
 	}
-	// The library maps a zero Shards or BlockSize to its default; a flag
-	// means what it says.
+	// The library maps a zero Shards to its default; a flag means what
+	// it says.
 	switch {
 	case err != nil: // the budget or protocol error stands
 	case *prune:
 		err = errors.New("-prune-stale needs -replay-corpus")
 	case *shards < 1:
 		err = fmt.Errorf("-shards %d must be at least 1", *shards)
-	case *blockSize < 1:
-		err = fmt.Errorf("-block %d must be at least 1", *blockSize)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "bvcsoak: %v\n", err)
 		return 1
 	}
 	return runSoak(ctx, stdout, stderr, *summary, soak.Options{
-		SeedBudget: seeds, Duration: dur, BaseSeed: *baseSeed,
-		Shards: *shards, BlockSize: *blockSize,
+		SeedBudget: seeds, Duration: dur, BaseSeed: *baseSeed, Shards: *shards,
 		Regime: *regime, Protocols: protos, Strict: *strict, Transport: *transport,
 		Corpus: *corpusDir, Log: stderr,
 	})

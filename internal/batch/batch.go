@@ -10,8 +10,6 @@
 //   - context plumbing: the batch context is passed to every trial,
 //     cancellation stops unstarted trials immediately and reaches
 //     running trials through their context;
-//   - per-trial deadlines: Options.TrialTimeout wraps each trial's
-//     context with its own deadline;
 //   - panic isolation: a panicking trial is converted into an error
 //     (wrapping ErrPanic, with the stack) without taking down the batch
 //     or the process.
@@ -61,9 +59,6 @@ type Options struct {
 	// Workers bounds the goroutine pool (0 = GOMAXPROCS, capped at the
 	// trial count).
 	Workers int
-	// TrialTimeout, when positive, gives each trial its own deadline via
-	// context.WithTimeout on top of the batch context.
-	TrialTimeout time.Duration
 }
 
 // Result is the outcome of one trial.
@@ -113,7 +108,7 @@ func Run[T any](ctx context.Context, opts Options, trials []func(context.Context
 					return
 				}
 				queueDepth.Add(-1)
-				out[i] = runTrial(ctx, opts, i, trials[i])
+				out[i] = runTrial(ctx, i, trials[i])
 			}
 		}()
 	}
@@ -132,18 +127,12 @@ func Map[In, Out any](ctx context.Context, opts Options, items []In, fn func(con
 	return Run(ctx, opts, trials)
 }
 
-func runTrial[T any](ctx context.Context, opts Options, i int, trial func(context.Context) (T, error)) (res Result[T]) {
+func runTrial[T any](ctx context.Context, i int, trial func(context.Context) (T, error)) (res Result[T]) {
 	res.Index = i
 	if err := ctx.Err(); err != nil {
 		res.Err = fmt.Errorf("%w: trial %d: %w", ErrNotStarted, i, err)
 		canceledTotal.Inc()
 		return res
-	}
-	tctx := ctx
-	if opts.TrialTimeout > 0 {
-		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(ctx, opts.TrialTimeout)
-		defer cancel()
 	}
 	inflight.Add(1)
 	start := time.Now()
@@ -163,6 +152,6 @@ func runTrial[T any](ctx context.Context, opts Options, i int, trial func(contex
 			}
 		}
 	}()
-	res.Value, res.Err = trial(tctx)
+	res.Value, res.Err = trial(ctx)
 	return res
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/vec"
@@ -104,25 +103,6 @@ func TestCancelReachesRunningTrial(t *testing.T) {
 	out := Run(ctx, Options{Workers: 1}, trials)
 	if !errors.Is(out[0].Err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", out[0].Err)
-	}
-}
-
-// TestPerTrialDeadline checks that TrialTimeout bounds each trial
-// individually without touching the batch context.
-func TestPerTrialDeadline(t *testing.T) {
-	trials := []func(context.Context) (int, error){
-		func(tctx context.Context) (int, error) {
-			<-tctx.Done()
-			return 0, tctx.Err()
-		},
-		func(context.Context) (int, error) { return 7, nil },
-	}
-	out := Run(context.Background(), Options{Workers: 2, TrialTimeout: 20 * time.Millisecond}, trials)
-	if !errors.Is(out[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", out[0].Err)
-	}
-	if out[1].Err != nil || out[1].Value != 7 {
-		t.Fatalf("fast trial should be unaffected: %+v", out[1])
 	}
 }
 

@@ -49,8 +49,8 @@ type Outcome struct {
 	Table *report.Table
 	Pass  bool
 	Notes []string
-	// Elapsed is the experiment's wall time (set by the instrumented
-	// execution paths; zero otherwise).
+	// Elapsed is the experiment's wall time (set by RunAllInstrumented;
+	// zero otherwise).
 	Elapsed time.Duration
 	// Metrics is this experiment's contribution to the process-wide
 	// metrics registry — the snapshot delta across its run (set by
@@ -120,39 +120,13 @@ func Registry() []Entry {
 	}
 }
 
-// RunAll executes every registered experiment on the batch engine and
-// returns the outcomes in registry order. Each experiment runs as one
-// trial: a panicking runner is converted into a failed Outcome (the
-// panic in its Notes) instead of taking down the harness, and canceling
-// ctx skips experiments that have not started. workers bounds the pool
-// (0 = GOMAXPROCS).
-func RunAll(ctx context.Context, opt Options, workers int) []*Outcome {
-	reg := Registry()
-	results := batch.Map(ctx, batch.Options{Workers: workers}, reg,
-		func(_ context.Context, e Entry) (*Outcome, error) {
-			return e.Run(opt), nil
-		})
-	out := make([]*Outcome, len(reg))
-	for i, r := range results {
-		if r.Err != nil {
-			out[i] = &Outcome{ID: reg[i].ID, Title: "(did not run)", Pass: false}
-			note(out[i], "%v", r.Err)
-			continue
-		}
-		out[i] = r.Value
-		out[i].Elapsed = r.Elapsed
-	}
-	return out
-}
-
 // RunAllInstrumented executes every registered experiment sequentially,
 // each as its own single-trial batch, and attaches to every Outcome the
 // delta of the process-wide metrics registry across its run: what the
 // experiment added to the consensus round/message counters, the batch
 // trial-latency histogram, the kernel solver counts and the LP
 // statistics. Sequential execution (one worker, one experiment at a
-// time) is what makes the deltas attributable; use RunAll when you want
-// throughput instead of attribution.
+// time) is what makes the deltas attributable.
 func RunAllInstrumented(ctx context.Context, opt Options) []*Outcome {
 	reg := Registry()
 	out := make([]*Outcome, 0, len(reg))

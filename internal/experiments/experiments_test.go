@@ -16,10 +16,24 @@ import (
 // testdata/quick.golden byte for byte; regenerate it with
 // `go test ./internal/experiments -run AllExperimentsQuick -update-golden`.
 func TestAllExperimentsQuick(t *testing.T) {
+	checkAll(t, Options{Seed: 7, Trials: 3, Quick: true}, "quick.golden")
+}
+
+// TestAllExperimentsFull is the same check at bvcbench's default
+// budgets (seed 1, 5 trials, full sweeps): the outcomes must match
+// testdata/full.golden, the stdout of a plain `bvcbench` without its
+// last line. Regenerate it with -run AllExperimentsFull -update-golden.
+func TestAllExperimentsFull(t *testing.T) {
+	checkAll(t, Options{Seed: 1, Trials: 5}, "full.golden")
+}
+
+// checkAll runs every experiment at opt as a subtest, requires each to
+// pass, and compares the concatenated rendering with testdata/golden,
+// naming the first differing experiment and line.
+func checkAll(t *testing.T, opt Options, golden string) {
 	if testing.Short() {
 		t.Skip("experiments are not short")
 	}
-	opt := Options{Seed: 7, Trials: 3, Quick: true}
 	var all bytes.Buffer
 	for _, e := range Registry() {
 		e := e
@@ -42,7 +56,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 			all.Write(buf.Bytes())
 		})
 	}
-	path := filepath.Join("testdata", "quick.golden")
+	path := filepath.Join("testdata", golden)
 	if *updateGolden {
 		if err := os.WriteFile(path, all.Bytes(), 0o644); err != nil {
 			t.Fatal(err)

@@ -58,11 +58,7 @@ func inHullKSweep(q vec.V, s *vec.Set, k int) bool {
 	ps := projScratchPool.Get().(*vec.ProjScratch)
 	defer projScratchPool.Put(ps)
 	in := true
-	// Revolving-door order: consecutive subsets D differ in one
-	// coordinate, keeping the reused projection buffers maximally warm.
-	// The conjunction is order-independent, so the answer matches the
-	// lexicographic sweep.
-	vec.CombinationsGray(q.Dim(), k, func(D []int) bool {
+	vec.Combinations(q.Dim(), k, func(D []int) bool {
 		if !geom.InHull(ps.ProjectInto(q, D), ps.ProjectSetInto(s, D)) {
 			in = false
 			return false

@@ -220,7 +220,7 @@ func TestSyncEngineTerminationErrorsUnchanged(t *testing.T) {
 	// Without faults silence is no deadlock (Dolev-Strong is silent
 	// between relaying and deciding): only the round limit ends it.
 	e = NewSyncEngine([]SyncProcess{neverDone{}, neverDone{}})
-	e.MaxRounds = 5
+	e.maxRounds = 5
 	rounds, err = e.Run()
 	if err == nil || err.Error() != "sched: round limit 5 exceeded" || rounds != 5 {
 		t.Errorf("silent run: rounds %d err %v", rounds, err)
@@ -232,7 +232,7 @@ func TestSyncEngineTerminationErrorsUnchanged(t *testing.T) {
 		chatter[r] = []Outgoing{{To: 1, Tag: "x"}}
 	}
 	e = NewSyncEngine([]SyncProcess{&scripted{script: chatter}, neverDone{}})
-	e.MaxRounds = 5
+	e.maxRounds = 5
 	rounds, err = e.Run()
 	if err == nil || err.Error() != "sched: round limit 5 exceeded" || rounds != 5 || e.Messages != 5 || e.RoundsRun != 5 {
 		t.Errorf("round-limited run: rounds %d messages %d err %v", rounds, e.Messages, err)

@@ -97,7 +97,7 @@ type SyncProcess interface {
 // SyncEngine runs SyncProcesses in lockstep.
 type SyncEngine struct {
 	procs     []SyncProcess
-	MaxRounds int
+	maxRounds int
 	// Faults optionally injects seeded link faults. The lockstep model
 	// only tolerates duplication (processes already deduplicate); any
 	// injected drop, delay or partition hold breaks synchrony, so the run
@@ -129,10 +129,10 @@ func Canceled(ctx context.Context) error {
 // NewSyncEngine builds a synchronous engine over the given processes
 // (index = process id).
 func NewSyncEngine(procs []SyncProcess) *SyncEngine {
-	return &SyncEngine{procs: procs, MaxRounds: 1 << 16}
+	return &SyncEngine{procs: procs, maxRounds: 1 << 16}
 }
 
-// Run drives rounds until every process is Done or MaxRounds elapse
+// Run drives rounds until every process is Done or maxRounds elapse
 // (or, after injected faults broke delivery, the network goes quiet).
 // It returns the number of rounds executed and an error on round
 // exhaustion, or one wrapping ErrDeliveryViolated if injected faults
@@ -326,7 +326,7 @@ func (e *SyncEngine) Run() (int, error) {
 		post(id, p.Start(), 0)
 	}
 	quiescent := 0
-	for round := 0; round < e.MaxRounds; round++ {
+	for round := 0; round < e.maxRounds; round++ {
 		if e.StopFn != nil {
 			if err := e.StopFn(); err != nil {
 				return finish(round, err)
@@ -379,7 +379,7 @@ func (e *SyncEngine) Run() (int, error) {
 		//bvclint:allow nodeterminism -- metrics-only: observation of the round timing started above
 		roundSeconds.Observe(time.Since(roundStart).Seconds())
 	}
-	return finish(e.MaxRounds, fmt.Errorf("sched: round limit %d exceeded", e.MaxRounds))
+	return finish(e.maxRounds, fmt.Errorf("sched: round limit %d exceeded", e.maxRounds))
 }
 
 // SortInbox puts one round's inbox into the lockstep delivery order:
@@ -455,7 +455,7 @@ func (s *DelayTargetSchedule) Pick(queue []Message) int {
 type AsyncEngine struct {
 	procs    []SyncProcess
 	schedule Schedule
-	MaxSteps int
+	maxSteps int
 	// Faults optionally injects seeded link faults. Dropped copies are
 	// retransmitted after Faults.RetransmitTimeout virtual time units, up
 	// to Faults.MaxAttempts attempts; delays and healed partitions defer
@@ -479,7 +479,7 @@ func NewAsyncEngine(procs []SyncProcess, schedule Schedule) *AsyncEngine {
 	if schedule == nil {
 		schedule = FIFOSchedule{}
 	}
-	return &AsyncEngine{procs: procs, schedule: schedule, MaxSteps: 1 << 22}
+	return &AsyncEngine{procs: procs, schedule: schedule, maxSteps: 1 << 22}
 }
 
 // qmeta is the fault-layer bookkeeping of one queued message copy.
@@ -676,7 +676,7 @@ func (e *AsyncEngine) Run() (int, error) {
 	}
 	inbox := make([]Message, 1)
 deliver:
-	for ; step < e.MaxSteps; step++ {
+	for ; step < e.maxSteps; step++ {
 		msgs := q.live()
 		if len(msgs) == 0 {
 			break
@@ -791,8 +791,8 @@ deliver:
 		expand(m.To, p.Step(step, inbox), now+1)
 		now++
 	}
-	if step >= e.MaxSteps {
-		return finish(step, fmt.Errorf("sched: step limit %d exceeded", e.MaxSteps))
+	if step >= e.maxSteps {
+		return finish(step, fmt.Errorf("sched: step limit %d exceeded", e.maxSteps))
 	}
 	return finish(step, nil)
 }

@@ -114,7 +114,7 @@ func (neverDone) Done() bool                     { return false }
 
 func TestSyncEngineDeadlockDetection(t *testing.T) {
 	e := NewSyncEngine([]SyncProcess{neverDone{}})
-	e.MaxRounds = 100
+	e.maxRounds = 100
 	if _, err := e.Run(); err == nil {
 		t.Fatal("deadlocked engine returned no error")
 	}
@@ -224,7 +224,7 @@ func TestAsyncEngineStepLimit(t *testing.T) {
 	// Two processes ping-pong forever.
 	procs := []SyncProcess{&forever{}, &forever{}}
 	e := NewAsyncEngine(procs, FIFOSchedule{})
-	e.MaxSteps = 50
+	e.maxSteps = 50
 	if _, err := e.Run(); err == nil {
 		t.Fatal("no error at step limit")
 	}

@@ -39,42 +39,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s[p%d]: %s", v.Invariant, v.Process, v.Detail)
 }
 
-// HonestIDs returns the process ids of spec not scripted in any of its
-// Byzantine rosters, ascending.
-func HonestIDs(spec bvc.Spec) []int {
-	var ids []int
-	for i := 0; i < spec.N; i++ {
-		if _, ok := spec.Byzantine[i]; ok {
-			continue
-		}
-		if _, ok := spec.ByzantineSigned[i]; ok && spec.SignedBroadcast {
-			continue
-		}
-		if _, ok := spec.AsyncByzantine[i]; ok {
-			continue
-		}
-		if _, ok := spec.IterByzantine[i]; ok {
-			continue
-		}
-		if _, ok := spec.ACSByzantine[i]; ok {
-			continue
-		}
-		ids = append(ids, i)
-	}
-	return ids
-}
-
-// NonFaultyInputs returns the multiset of honest processes' inputs.
-func NonFaultyInputs(spec bvc.Spec) *bvc.PointSet {
-	var pts []bvc.Vector
-	for _, i := range HonestIDs(spec) {
-		if i < len(spec.Inputs) {
-			pts = append(pts, spec.Inputs[i])
-		}
-	}
-	return bvc.NewPointSet(pts...)
-}
-
 // acsEpochs returns an ACS instance's epoch count: the proposal matrix
 // depth, or the single Inputs epoch it falls back to.
 func acsEpochs(spec bvc.Spec) int {
@@ -109,7 +73,7 @@ func specNorm(spec bvc.Spec) float64 {
 
 // inputSpread returns the L-infinity diameter of the honest inputs.
 func inputSpread(spec bvc.Spec) float64 {
-	honest := HonestIDs(spec)
+	honest := spec.HonestIDs()
 	worst := 0.0
 	for a := 0; a < len(honest); a++ {
 		for b := a + 1; b < len(honest); b++ {
@@ -133,8 +97,8 @@ func Check(spec bvc.Spec, res *bvc.Result) []Violation {
 	add := func(inv string, proc int, format string, args ...any) {
 		out = append(out, Violation{Invariant: inv, Process: proc, Detail: fmt.Sprintf(format, args...)})
 	}
-	honest := HonestIDs(spec)
-	nonFaulty := NonFaultyInputs(spec)
+	honest := spec.HonestIDs()
+	nonFaulty := spec.NonFaultyInputs()
 	const tol = 1e-6 // geometric tolerance of the hull predicates
 
 	// Termination: every honest process produced a decision.

@@ -129,7 +129,7 @@ func TestPlantedACSViolationsDetected(t *testing.T) {
 	if vs := Check(spec, res); len(vs) != 0 {
 		t.Fatalf("genuine run flagged: %v", vs)
 	}
-	honest := HonestIDs(spec)
+	honest := spec.HonestIDs()
 	tamper := func(mutate func(r *bvc.Result)) []Violation {
 		clone := *res
 		clone.ACS = make([][]bvc.ACSEpoch, len(res.ACS))

@@ -40,11 +40,8 @@ type Options struct {
 	// explore disjoint instance populations from the same seed indices.
 	BaseSeed int64
 	// Shards is the batch engine's worker count for each block (default
-	// 1). It also keys the summary's per-shard counters: block b belongs
-	// to lane b mod Shards.
+	// 1). A seed-budget soak's summary does not depend on it.
 	Shards int
-	// BlockSize is the number of seeds per block (default 256).
-	BlockSize int
 	// Regime/Protocols/Strict/Transport form the base generation recipe
 	// (see JobConfig). Defaults: "mixed", all protocols, false, "sim".
 	Regime    string
@@ -57,7 +54,14 @@ type Options struct {
 	// Log receives progress lines, one per phase and one before each
 	// block runs (nil: silent).
 	Log io.Writer
+
+	// blockSize is the number of seeds per block (0 = defaultBlockSize);
+	// the package's tests set it to keep their soaks small.
+	blockSize int
 }
+
+// defaultBlockSize is the number of seeds per block.
+const defaultBlockSize = 256
 
 // normalize applies defaults and validates, returning the effective
 // options.
@@ -65,14 +69,14 @@ func (o Options) normalize() (Options, error) {
 	if (o.SeedBudget > 0) == (o.Duration > 0) {
 		return o, fmt.Errorf("%w: need exactly one of a seed budget and a duration", ErrConfig)
 	}
-	if o.Shards < 0 || o.BlockSize < 0 {
-		return o, fmt.Errorf("%w: negative Shards %d or BlockSize %d", ErrConfig, o.Shards, o.BlockSize)
+	if o.Shards < 0 {
+		return o, fmt.Errorf("%w: negative Shards %d", ErrConfig, o.Shards)
 	}
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
-	if o.BlockSize == 0 {
-		o.BlockSize = 256
+	if o.blockSize == 0 {
+		o.blockSize = defaultBlockSize
 	}
 	if o.Regime == "" {
 		o.Regime = "mixed"
@@ -215,7 +219,7 @@ func corpusPlan(dir string) ([]*Entry, map[string][]*Entry, error) {
 // runDuration runs chunks of base seeds, four blocks per shard each,
 // until the deadline passes.
 func (co *coordinator) runDuration(ctx context.Context) error {
-	chunk := int64(co.opt.BlockSize) * int64(4*co.opt.Shards)
+	chunk := int64(co.opt.blockSize) * int64(4*co.opt.Shards)
 	for epoch := 1; !co.expired(); epoch++ {
 		co.logf("epoch %d: %d base seeds", epoch, chunk)
 		if err := co.runJobs(ctx, blockKindBase, co.baseJobs(chunk), nil); err != nil {
@@ -242,7 +246,7 @@ func (co *coordinator) packCorpus(plan []*Entry) []*Job {
 	var jobs []*Job
 	for i := 0; i < len(plan); {
 		j := i + 1
-		for j < len(plan) && plan[j].Cfg.Key() == plan[i].Cfg.Key() && j-i < co.opt.BlockSize {
+		for j < len(plan) && plan[j].Cfg.Key() == plan[i].Cfg.Key() && j-i < co.opt.blockSize {
 			j++
 		}
 		seeds := make([]int64, 0, j-i)
@@ -262,7 +266,7 @@ func (co *coordinator) packCorpus(plan []*Entry) []*Job {
 func (co *coordinator) baseJobs(count int64) []*Job {
 	var jobs []*Job
 	for count > 0 {
-		n := int64(co.opt.BlockSize)
+		n := int64(co.opt.blockSize)
 		if n > count {
 			n = count
 		}
@@ -397,15 +401,12 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 			BaseSeed:     opt.BaseSeed,
 			SeedBudget:   opt.SeedBudget,
 			DurationMode: opt.SeedBudget <= 0,
-			Shards:       opt.Shards,
-			BlockSize:    opt.BlockSize,
 			Regime:       opt.Regime,
 			Protocols:    opt.Protocols,
 			Strict:       opt.Strict,
 			Transport:    opt.Transport,
 		},
 		PerProtocol: map[string]OutcomeCounts{},
-		PerShard:    make([]OutcomeCounts, opt.Shards),
 	}
 	failFiles := map[string]bool{}
 	for i := range blocks {
@@ -416,11 +417,8 @@ func buildSummary(blocks []BlockRecord, opt Options) *Summary {
 		} else {
 			s.BaseBlocks++
 		}
-		shard := rec.Block % opt.Shards
 		for j := 0; j < len(rec.Outcomes); j++ {
-			o := outcomeName(rec.Outcomes[j])
-			s.Outcomes.add(o, 1)
-			s.PerShard[shard].add(o, 1)
+			s.Outcomes.add(outcomeName(rec.Outcomes[j]), 1)
 		}
 		s.SeedsRun += int64(len(rec.Outcomes))
 		s.MeshCompared += int64(rec.MeshCompared)

@@ -23,10 +23,10 @@ func testOptions(dir string) Options {
 	return Options{
 		SeedBudget: 600,
 		Shards:     4,
-		BlockSize:  32,
 		Regime:     "mixed",
 		Strict:     true,
 		Corpus:     filepath.Join(dir, "corpus"),
+		blockSize:  32,
 	}
 }
 
@@ -78,8 +78,8 @@ func (c *cancelAfter) Write(p []byte) (int, error) {
 
 // TestSoakDeterministic is the engine's core contract: the same options
 // give the byte-identical summary and corpus, the shard count changes
-// no seed's verdict and no corpus file, and a cancelled soak reports
-// ErrInterrupted.
+// no seed's verdict, no corpus file and no summary byte, and a
+// cancelled soak reports ErrInterrupted.
 func TestSoakDeterministic(t *testing.T) {
 	runSoak := func(opt Options) (*coordinator, *Summary) {
 		t.Helper()
@@ -101,7 +101,10 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 	opt1 := testOptions(dir1)
 	opt1.Shards = 1
-	co1, _ := runSoak(opt1)
+	co1, sum1 := runSoak(opt1)
+	if a, b := encodeSummary(t, sumA), encodeSummary(t, sum1); a != b {
+		t.Fatalf("the summary depends on the shard count:\n--- 4 shards\n%s\n--- 1 shard\n%s", a, b)
+	}
 
 	want := verdictMap(coA.blocks)
 	got := verdictMap(co1.blocks)
@@ -250,7 +253,7 @@ func seedCorpus(t *testing.T, dir string) string {
 	t.Helper()
 	corpus := filepath.Join(dir, "corpus")
 	sum, err := Run(context.Background(), Options{
-		SeedBudget: 60, Shards: 2, BlockSize: 20,
+		SeedBudget: 60, Shards: 2, blockSize: 20,
 		Regime: "out-of-model", Strict: true,
 		Corpus: corpus,
 	})
@@ -344,7 +347,6 @@ func TestOptionsValidation(t *testing.T) {
 		{SeedBudget: 10, Regime: "sideways"},        // bad regime
 		{SeedBudget: 10, Transport: "carrier"},      // bad transport
 		{SeedBudget: 10, Shards: -3},                // negative shards
-		{SeedBudget: 10, BlockSize: -1},             // negative block size
 		{SeedBudget: 10, Duration: time.Minute},     // budget and duration
 		{SeedBudget: 10, Protocols: []string{"xx"}}, // bad protocol
 	}
@@ -358,7 +360,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestMeshSoakCrossChecks(t *testing.T) {
 	for _, protos := range [][]string{{"delta-relaxed", "exact", "scalar"}, {"convex", "acs"}} {
 		sum, err := Run(context.Background(), Options{
-			SeedBudget: 48, Shards: 2, BlockSize: 16,
+			SeedBudget: 48, Shards: 2, blockSize: 16,
 			Regime: "none", Transport: TransportMesh, Protocols: protos,
 		})
 		if err != nil {

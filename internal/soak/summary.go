@@ -2,9 +2,9 @@ package soak
 
 // The soak summary: a stable-JSON aggregate computed purely from the
 // committed block records. Nothing timing-dependent appears in it, so
-// two soaks of the same options summarize byte-identically. Per-shard
-// counters are keyed by the deterministic lane a block's id maps to
-// (block mod shards).
+// two soaks of the same options summarize byte-identically, and nothing
+// depends on the worker count, so a seed-budget soak summarizes the
+// same at any Options.Shards.
 
 import (
 	"encoding/json"
@@ -56,8 +56,6 @@ type SummaryConfig struct {
 	BaseSeed     int64    `json:"base_seed"`
 	SeedBudget   int64    `json:"seed_budget"`
 	DurationMode bool     `json:"duration_mode,omitempty"`
-	Shards       int      `json:"shards"`
-	BlockSize    int      `json:"block_size"`
 	Regime       string   `json:"regime"`
 	Protocols    []string `json:"protocols,omitempty"`
 	Strict       bool     `json:"strict"`
@@ -82,10 +80,8 @@ type Summary struct {
 	CorpusBlocks int `json:"corpus_blocks"`
 	BaseBlocks   int `json:"base_blocks"`
 
-	// PerProtocol and PerShard aggregate outcomes by protocol name and
-	// by deterministic shard lane (index = block id mod shards).
+	// PerProtocol aggregates outcomes by protocol name.
 	PerProtocol map[string]OutcomeCounts `json:"per_protocol"`
-	PerShard    []OutcomeCounts          `json:"per_shard"`
 
 	// Failing lists each failing block's shrunk reproducer, in block
 	// order. UnshrunkFailures counts reproducers whose replay

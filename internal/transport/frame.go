@@ -21,10 +21,10 @@ import (
 	"relaxedbvc/internal/broadcast"
 )
 
-// DefaultMaxFrame is the frame size limit applied when a config leaves
-// MaxFrame zero: 1 MiB, far above a round chunk (bundleCap plus one
-// message, and vectors are tens of bytes) yet small enough to bound a
-// malicious length prefix.
+// DefaultMaxFrame is the TCP endpoint's frame size limit, and
+// ReadFrame's and WriteFrame's when passed 0: 1 MiB, far above a round
+// chunk (bundleCap plus one message, and vectors are tens of bytes) yet
+// small enough to bound a malicious length prefix.
 const DefaultMaxFrame = 1 << 20
 
 // frameHeaderLen is the fixed prefix of an encoded frame: u16 from,

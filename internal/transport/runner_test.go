@@ -209,18 +209,18 @@ func TestRunSyncRejectsMalformedBundles(t *testing.T) {
 }
 
 // TestRunSyncSendErrorSurfaces: what Send rejects (here a bundle above
-// the link's MaxFrame) is the run's error, and a process addressing
+// DefaultMaxFrame) is the run's error, and a process addressing
 // itself or a node outside the cluster is ErrBadPeer.
 func TestRunSyncSendErrorSurfaces(t *testing.T) {
 	ln0, ln1 := listenLoopback(t), listenLoopback(t)
 	defer ln1.Close()
 	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
-	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0, MaxFrame: 256})
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n0.Close()
-	big := &scriptProc{outs: [][]sched.Outgoing{{{To: 1, Tag: "a", Data: make([]byte, 1024)}}, nil}}
+	big := &scriptProc{outs: [][]sched.Outgoing{{{To: 1, Tag: "a", Data: make([]byte, DefaultMaxFrame)}}, nil}}
 	if _, err := RunSync(context.Background(), n0, big, 0, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize round: err = %v, want ErrFrameTooLarge", err)
 	}

@@ -6,13 +6,13 @@ package transport
 // after any dial or write failure. Inbound connections authenticate
 // with a hello frame naming the sender id, then stream frames into the
 // shared inbox through one buffered reader per connection. Close drains
-// the outbound queues (bounded by DrainTimeout) before tearing links
+// the outbound queues (bounded by tcpDrainTimeout) before tearing links
 // down, so a node that finishes a protocol and shuts down does not
 // strand the final round's frames.
 //
-// Send checks a frame's encoded size against MaxFrame and rejects an
-// oversize frame synchronously, so the writers only ever see frames
-// the peer will accept. A peer's writer encodes the frame it dequeued
+// Send checks a frame's encoded size against DefaultMaxFrame and
+// rejects an oversize frame synchronously, so the writers only ever see
+// frames the peer will accept. A peer's writer encodes the frame it dequeued
 // and every frame already queued behind it into one reused buffer and
 // issues a single Write; it never waits for more frames, so coalescing
 // adds no latency.
@@ -64,6 +64,16 @@ const tcpBatchBytes = 64 << 10
 // frame's payload is read straight into its own buffer.
 const tcpReadBuf = 16 << 10
 
+// Link timing. tcpDialTimeout bounds one connection attempt; redials
+// back off exponentially from tcpBackoffMin to tcpBackoffMax; Close
+// waits at most tcpDrainTimeout for queued outbound frames to flush.
+const (
+	tcpDialTimeout  = 5 * time.Second
+	tcpBackoffMin   = 25 * time.Millisecond
+	tcpBackoffMax   = 2 * time.Second
+	tcpDrainTimeout = 5 * time.Second
+)
+
 // TCPConfig configures one node's TCP endpoint.
 type TCPConfig struct {
 	// Self is this node's id.
@@ -75,42 +85,10 @@ type TCPConfig struct {
 	// Peers[Self]; tests bind ":0" first to learn the port. When nil,
 	// DialTCP listens on Peers[Self].
 	Listener net.Listener
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
-	// BackoffMin/BackoffMax bound the exponential redial backoff
-	// (defaults 25ms / 2s).
-	BackoffMin, BackoffMax time.Duration
-	// DrainTimeout bounds how long Close waits for queued outbound
-	// frames to flush (default 5s).
-	DrainTimeout time.Duration
-	// MaxFrame is the frame size limit in bytes (default
-	// DefaultMaxFrame).
-	MaxFrame int
-}
-
-func (c *TCPConfig) withDefaults() TCPConfig {
-	out := *c
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 5 * time.Second
-	}
-	if out.BackoffMin <= 0 {
-		out.BackoffMin = 25 * time.Millisecond
-	}
-	if out.BackoffMax <= 0 {
-		out.BackoffMax = 2 * time.Second
-	}
-	if out.DrainTimeout <= 0 {
-		out.DrainTimeout = 5 * time.Second
-	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = DefaultMaxFrame
-	}
-	return out
 }
 
 // TCP is one node's endpoint on a TCP cluster. Build with DialTCP.
 type TCP struct {
-	cfg  TCPConfig
 	self int
 	n    int
 
@@ -145,12 +123,11 @@ type tcpPeer struct {
 	buf       []byte
 }
 
-// DialTCP opens node cfg.Self's endpoint: it listens on
-// cfg.Peers[cfg.Self] (or cfg.Listener) immediately and connects to
+// DialTCP opens node c.Self's endpoint: it listens on
+// c.Peers[c.Self] (or c.Listener) immediately and connects to
 // each peer lazily on first send, retrying with backoff until the peer
 // is up — so cluster nodes may start in any order.
-func DialTCP(cfg TCPConfig) (*TCP, error) {
-	c := cfg.withDefaults()
+func DialTCP(c TCPConfig) (*TCP, error) {
 	n := len(c.Peers)
 	if n < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 peers, got %d", ErrBadPeer, n)
@@ -164,7 +141,6 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 		return nil, fmt.Errorf("%w: self id %d outside [0,%d)", ErrBadPeer, c.Self, n)
 	}
 	t := &TCP{
-		cfg:      c,
 		self:     c.Self,
 		n:        n,
 		inbox:    make(chan Frame, tcpInboxCap),
@@ -208,15 +184,16 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 // Send implements Transport: it enqueues f on the peer's outbound
 // queue (blocking for backpressure) and returns once queued; the
 // per-peer writer flushes asynchronously with reconnect. A frame that
-// encodes to more than MaxFrame is rejected here with ErrFrameTooLarge.
+// encodes to more than DefaultMaxFrame is rejected here with
+// ErrFrameTooLarge.
 func (t *TCP) Send(f Frame) error {
 	select {
 	case <-t.closing:
 		return fmt.Errorf("%w: node %d send after close", ErrClosed, t.self)
 	default:
 	}
-	if size := encodedLen(&f); size > t.cfg.MaxFrame {
-		return fmt.Errorf("%w: node %d send: %d-byte frame, limit %d", ErrFrameTooLarge, t.self, size, t.cfg.MaxFrame)
+	if size := encodedLen(&f); size > DefaultMaxFrame {
+		return fmt.Errorf("%w: node %d send: %d-byte frame, limit %d", ErrFrameTooLarge, t.self, size, DefaultMaxFrame)
 	}
 	f.From = t.self
 	if f.To == Broadcast {
@@ -288,7 +265,7 @@ func (t *TCP) Stats() Stats {
 
 // Close shuts the endpoint down gracefully: new Sends fail
 // immediately, the per-peer writers flush their queues (bounded by
-// DrainTimeout), then the listener and every connection close and all
+// tcpDrainTimeout), then the listener and every connection close and all
 // loops are joined.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() { close(t.closing) })
@@ -299,7 +276,7 @@ func (t *TCP) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(t.cfg.DrainTimeout + time.Second):
+	case <-time.After(tcpDrainTimeout + time.Second):
 	}
 	t.ln.Close() //nolint:errcheck // already closing
 	t.mu.Lock()
@@ -322,7 +299,7 @@ func (t *TCP) setLinkErr(peer int, err error) {
 
 // dial attempts one connection + hello handshake to p.
 func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", p.addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", p.addr, tcpDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %d->%d (%s): %v", ErrLink, t.self, p.id, p.addr, err)
 	}
@@ -330,7 +307,7 @@ func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
 		tc.SetNoDelay(true) //nolint:errcheck // best-effort latency knob
 	}
 	hello := Frame{From: t.self, To: p.id, Round: -1, Tag: helloTag}
-	if _, err := WriteFrame(conn, &hello, t.cfg.MaxFrame); err != nil {
+	if _, err := WriteFrame(conn, &hello, DefaultMaxFrame); err != nil {
 		conn.Close() //nolint:errcheck // dial failed anyway
 		return nil, fmt.Errorf("%w: hello %d->%d: %v", ErrLink, t.self, p.id, err)
 	}
@@ -340,7 +317,7 @@ func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
 // connect dials p with exponential backoff until it succeeds, the
 // transport starts closing, or the optional deadline passes.
 func (t *TCP) connect(p *tcpPeer, deadline time.Time) net.Conn {
-	backoff := t.cfg.BackoffMin
+	backoff := tcpBackoffMin
 	// One timer reused across attempts: time.After here would allocate
 	// a fresh timer per retry, each alive until its full backoff
 	// elapses even after the connection succeeds.
@@ -384,8 +361,8 @@ func (t *TCP) connect(p *tcpPeer, deadline time.Time) net.Conn {
 			}
 		case <-retry.C:
 		}
-		if backoff *= 2; backoff > t.cfg.BackoffMax {
-			backoff = t.cfg.BackoffMax
+		if backoff *= 2; backoff > tcpBackoffMax {
+			backoff = tcpBackoffMax
 		}
 	}
 }
@@ -448,9 +425,9 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 		case f := <-p.queue:
 			conn = t.writeBatch(p, conn, f, time.Time{})
 		case <-t.closing:
-			// Drain what is already queued, bounded by DrainTimeout, so
+			// Drain what is already queued, bounded by tcpDrainTimeout, so
 			// the final round of a finished protocol reaches the peer.
-			deadline := time.Now().Add(t.cfg.DrainTimeout)
+			deadline := time.Now().Add(tcpDrainTimeout)
 			for {
 				select {
 				case f := <-p.queue:
@@ -494,7 +471,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, tcpReadBuf)
-	hello, err := ReadFrame(br, t.cfg.MaxFrame)
+	hello, err := ReadFrame(br, DefaultMaxFrame)
 	if err != nil || hello.Tag != helloTag || hello.From < 0 || hello.From >= t.n || hello.From == t.self {
 		// Not a cluster peer (or a broken handshake): drop the
 		// connection without poisoning a link slot.
@@ -502,7 +479,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 	peer := hello.From
 	for {
-		f, err := ReadFrame(br, t.cfg.MaxFrame)
+		f, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil {
 			select {
 			case <-t.closing:

@@ -303,26 +303,26 @@ func TestTCPPairExchange(t *testing.T) {
 	}
 }
 
-// TestTCPSendRejectsOversizeFrame: a frame above MaxFrame is refused by
-// Send itself. It used to be queued, fail in the writer before a byte
-// was written, and be retried over a fresh connection forever, blocking
-// every later frame to that peer.
+// TestTCPSendRejectsOversizeFrame: a frame above DefaultMaxFrame is
+// refused by Send itself. It used to be queued, fail in the writer
+// before a byte was written, and be retried over a fresh connection
+// forever, blocking every later frame to that peer.
 func TestTCPSendRejectsOversizeFrame(t *testing.T) {
 	ln0, ln1 := listenLoopback(t), listenLoopback(t)
 	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
-	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0, MaxFrame: 64})
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n0.Close()
-	n1, err := DialTCP(TCPConfig{Self: 1, Peers: peers, Listener: ln1, MaxFrame: 64})
+	n1, err := DialTCP(TCPConfig{Self: 1, Peers: peers, Listener: ln1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n1.Close()
 
 	for _, to := range []int{1, Broadcast} {
-		err := n0.Send(Frame{To: to, Tag: "eig", Data: make([]byte, 1000)})
+		err := n0.Send(Frame{To: to, Tag: "eig", Data: make([]byte, DefaultMaxFrame)})
 		if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, ErrTransport) {
 			t.Fatalf("oversize send to %d: err = %v, want ErrFrameTooLarge", to, err)
 		}
@@ -493,10 +493,7 @@ func TestTCPCloseDrainsQueuedFrames(t *testing.T) {
 func TestTCPReconnect(t *testing.T) {
 	ln0, ln1 := listenLoopback(t), listenLoopback(t)
 	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
-	n0, err := DialTCP(TCPConfig{
-		Self: 0, Peers: peers, Listener: ln0,
-		BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-	})
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0})
 	if err != nil {
 		t.Fatal(err)
 	}

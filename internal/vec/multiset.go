@@ -230,77 +230,6 @@ func Combinations(n, k int, fn func(idx []int) bool) {
 	}
 }
 
-// CombinationsGray calls fn with each size-k subset of {0,...,n-1} in
-// revolving-door (Gray code) order: consecutive subsets differ by
-// exactly one element swapped, which keeps per-subset scratch
-// (projection buffers) maximally reusable across a sweep. The slice passed to fn is sorted ascending and reused; copy it
-// if it must be retained. fn returning false stops early. The subset
-// family visited is exactly that of Combinations, only the order
-// differs — callers whose per-subset results are order-dependent must
-// keep using Combinations. (Knuth TAOCP 7.2.1.3, Algorithm R.)
-func CombinationsGray(n, k int, fn func(idx []int) bool) {
-	if k < 0 || k > n {
-		return
-	}
-	idx := make([]int, k)
-	if k == 0 {
-		fn(idx)
-		return
-	}
-	c := make([]int, k+2) // 1-indexed c[1..k] increasing, sentinel c[k+1]
-	for j := 1; j <= k; j++ {
-		c[j] = j - 1
-	}
-	c[k+1] = n
-	for {
-		for j := 1; j <= k; j++ {
-			idx[j-1] = c[j]
-		}
-		if !fn(idx) {
-			return
-		}
-		var j int
-		if k%2 == 1 {
-			if c[1]+1 < c[2] {
-				c[1]++
-				continue
-			}
-			j = 2
-			goto tryDecrease
-		}
-		if c[1] > 0 {
-			c[1]--
-			continue
-		}
-		j = 2
-		goto tryIncrease
-	tryDecrease:
-		if j > k {
-			return
-		}
-		if c[j] >= j {
-			c[j] = c[j-1]
-			c[j-1] = j - 2
-			continue
-		}
-		j++
-	tryIncrease:
-		if j > k {
-			return
-		}
-		if c[j]+1 < c[j+1] {
-			c[j-1] = c[j]
-			c[j]++
-			continue
-		}
-		j++
-		if j <= k {
-			goto tryDecrease
-		}
-		return
-	}
-}
-
 // ProjScratch holds reusable storage for repeated projections, so sweep
 // loops that project the same set onto many coordinate subsets stop
 // allocating per subset. Not safe for concurrent use; keep one per

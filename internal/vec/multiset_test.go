@@ -243,84 +243,6 @@ func TestSetString(t *testing.T) {
 	}
 }
 
-func TestCombinationsGrayRevolvingDoor(t *testing.T) {
-	for n := 0; n <= 8; n++ {
-		for k := 0; k <= n; k++ {
-			seen := map[string]bool{}
-			var prev []int
-			CombinationsGray(n, k, func(idx []int) bool {
-				if len(idx) != k {
-					t.Fatalf("n=%d k=%d: subset size %d", n, k, len(idx))
-				}
-				for i := 1; i < k; i++ {
-					if idx[i-1] >= idx[i] {
-						t.Fatalf("n=%d k=%d: subset not sorted: %v", n, k, idx)
-					}
-				}
-				key := fmt.Sprint(idx)
-				if seen[key] {
-					t.Fatalf("n=%d k=%d: subset %v visited twice", n, k, idx)
-				}
-				seen[key] = true
-				if prev != nil {
-					// Revolving door: exactly one element swapped.
-					inPrev := map[int]bool{}
-					for _, v := range prev {
-						inPrev[v] = true
-					}
-					diff := 0
-					for _, v := range idx {
-						if !inPrev[v] {
-							diff++
-						}
-					}
-					if diff != 1 {
-						t.Fatalf("n=%d k=%d: %v -> %v changes %d elements", n, k, prev, idx, diff)
-					}
-				}
-				prev = append(prev[:0], idx...)
-				return true
-			})
-			if len(seen) != countCombinations(n, k) {
-				t.Fatalf("n=%d k=%d: visited %d subsets, want %d", n, k, len(seen), countCombinations(n, k))
-			}
-		}
-	}
-}
-
-func TestCombinationsGraySameFamilyAsLex(t *testing.T) {
-	for n := 0; n <= 7; n++ {
-		for k := 0; k <= n; k++ {
-			lex := map[string]bool{}
-			Combinations(n, k, func(idx []int) bool {
-				lex[fmt.Sprint(idx)] = true
-				return true
-			})
-			CombinationsGray(n, k, func(idx []int) bool {
-				if !lex[fmt.Sprint(idx)] {
-					t.Fatalf("n=%d k=%d: gray-only subset %v", n, k, idx)
-				}
-				delete(lex, fmt.Sprint(idx))
-				return true
-			})
-			if len(lex) != 0 {
-				t.Fatalf("n=%d k=%d: lex-only subsets %v", n, k, lex)
-			}
-		}
-	}
-}
-
-func TestCombinationsGrayEarlyStop(t *testing.T) {
-	calls := 0
-	CombinationsGray(6, 3, func([]int) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("early stop calls = %d", calls)
-	}
-}
-
 func TestProjScratch(t *testing.T) {
 	var ps ProjScratch
 	u := Of(1, 2, 3, 4)

@@ -105,9 +105,10 @@ func (v V) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// NormP returns the Lp norm of v for p >= 1. Use math.Inf(1) for L-infinity.
+// NormP returns the Lp norm of v for p >= 1. Use math.Inf(1) for
+// L-infinity. Any other p, NaN included, panics.
 func (v V) NormP(p float64) float64 {
-	if p < 1 {
+	if !(p >= 1) {
 		panic(fmt.Sprintf("vec: NormP requires p >= 1, got %v", p))
 	}
 	if math.IsInf(p, 1) {

@@ -84,12 +84,16 @@ func TestDotAndNorms(t *testing.T) {
 }
 
 func TestNormPRejectsBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NormP(0.5) did not panic")
-		}
-	}()
-	Of(1).NormP(0.5)
+	for _, p := range []float64{0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NormP(%v) did not panic", p)
+				}
+			}()
+			Of(1).NormP(p)
+		}()
+	}
 }
 
 func TestDist(t *testing.T) {

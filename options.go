@@ -76,19 +76,11 @@ type Transport struct {
 	// Listener optionally supplies a pre-bound listener for
 	// Peers[Self], letting tests bind ":0" first (TransportTCP only).
 	Listener net.Listener
-	// MaxFrame bounds frame sizes on the wire (0 = 1 MiB default;
-	// TransportTCP only). A frame is one chunk of a lockstep round —
-	// everything a node sends one peer in that round, split at 64 KiB —
-	// not a single protocol message, so the bound must admit 64 KiB plus
-	// the largest message; a round chunk above it fails the run with an
-	// error chaining ErrTransport instead of being sent.
-	MaxFrame int
 }
 
 // runOptions collects the effects of Run's functional options.
 type runOptions struct {
 	transport Transport
-	sink      func(*RunMetrics)
 }
 
 // Option customizes one Run call; build them with the With* helpers.
@@ -107,14 +99,6 @@ func WithTransport(t Transport) Option {
 	return func(o *runOptions) { o.transport = t }
 }
 
-// WithMetricsSink registers a callback that receives the run's final
-// RunMetrics snapshot (the same object as Result.Metrics) after the
-// run completes successfully. Use it to stream per-run observability
-// into a collector without threading the Result around.
-func WithMetricsSink(fn func(*RunMetrics)) Option {
-	return func(o *runOptions) { o.sink = fn }
-}
-
 // plane resolves the option into the driver's plane for spec, once per
 // Run: the kinds map one to one. What spec cannot do off the simulation
 // (a delivery schedule, seeded link faults) the driver refuses itself.
@@ -126,7 +110,7 @@ func (t *Transport) plane(spec *Spec) (transport.Plane, error) {
 		if len(t.Peers) != spec.N {
 			return plane, fmt.Errorf("%w: %d peers for n=%d", ErrBadInputs, len(t.Peers), spec.N)
 		}
-		plane.TCP = transport.TCPConfig{Self: t.Self, Peers: t.Peers, Listener: t.Listener, MaxFrame: t.MaxFrame}
+		plane.TCP = transport.TCPConfig{Self: t.Self, Peers: t.Peers, Listener: t.Listener}
 	}
 	return plane, nil
 }

@@ -292,3 +292,42 @@ func TestZeroFaultNormRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestHonestIDsReadsTheProtocolsRoster: a process is honest unless the
+// roster its Spec's protocol reads scripts it; an entry in a roster the
+// run ignores must not drop that process's input from NonFaultyInputs,
+// and a spec without Inputs has no non-faulty inputs rather than a
+// panic.
+func TestHonestIDsReadsTheProtocolsRoster(t *testing.T) {
+	inputs := []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1)}
+	oral := map[int]ByzantineBehavior{3: Silent()}
+	signed := map[int]SignedByzantineBehavior{1: SignedEquivocator(map[int]Vector{0: NewVector(1, 1)})}
+	iter := map[int]IterByzantine{0: IterByzantineFunc(func(_, _ int, v Vector) Vector { return v })}
+	async := map[int]*AsyncByzantine{2: {Input: NewVector(5, 5)}}
+	acs := map[int]ACSBehavior{2: ACSMute}
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want []int
+	}{
+		{"acs ignores oral", Spec{Protocol: ProtocolACS, Byzantine: oral, ACSByzantine: acs}, []int{0, 1, 3}},
+		{"oral ignores signed", Spec{Protocol: ProtocolExact, Byzantine: oral, ByzantineSigned: signed}, []int{0, 1, 2}},
+		{"signed ignores oral", Spec{Protocol: ProtocolDeltaRelaxed, SignedBroadcast: true, Byzantine: oral, ByzantineSigned: signed}, []int{0, 2, 3}},
+		{"convex reads oral", Spec{Protocol: ProtocolConvex, Byzantine: oral, ACSByzantine: acs}, []int{0, 1, 2}},
+		{"iterative", Spec{Protocol: ProtocolIterative, IterByzantine: iter, AsyncByzantine: async}, []int{1, 2, 3}},
+		{"k1-async", Spec{Protocol: ProtocolK1Async, IterByzantine: iter, AsyncByzantine: async}, []int{0, 1, 3}},
+	} {
+		c.spec.N, c.spec.F, c.spec.D, c.spec.Inputs = 4, 1, 2, inputs
+		if got := c.spec.HonestIDs(); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: HonestIDs = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.spec.NonFaultyInputs().Len(); got != len(c.want) {
+			t.Errorf("%s: NonFaultyInputs has %d points, want %d", c.name, got, len(c.want))
+		}
+	}
+	// An ACS spec that proposes only through Proposals has no Inputs.
+	spec := Spec{Protocol: ProtocolACS, N: 4, F: 1, D: 2, Proposals: [][]Vector{inputs}}
+	if got := spec.NonFaultyInputs().Len(); got != 0 {
+		t.Errorf("ACS spec without Inputs: NonFaultyInputs has %d points, want 0", got)
+	}
+}

@@ -222,17 +222,31 @@ type Result struct {
 	Metrics *RunMetrics
 }
 
-// HonestIDs returns the process ids with no scripted adversary in any
-// of the Spec's adversary maps, in ascending order.
+// HonestIDs returns, in ascending order, the process ids that the
+// adversary roster of s.Protocol does not script: Byzantine (or
+// ByzantineSigned under SignedBroadcast) for the synchronous protocols
+// and ProtocolConvex, IterByzantine, AsyncByzantine for both
+// asynchronous protocols, and ACSByzantine. Entries in a roster the
+// protocol does not read leave the id honest, as the run does.
 func (s *Spec) HonestIDs() []int {
 	var ids []int
 	for i := 0; i < s.N; i++ {
-		_, badOM := s.Byzantine[i]
-		_, badDS := s.ByzantineSigned[i]
-		_, badAsync := s.AsyncByzantine[i]
-		_, badIter := s.IterByzantine[i]
-		_, badACS := s.ACSByzantine[i]
-		if !badOM && !badDS && !badAsync && !badIter && !badACS {
+		var bad bool
+		switch s.Protocol {
+		case ProtocolIterative:
+			_, bad = s.IterByzantine[i]
+		case ProtocolAsync, ProtocolK1Async:
+			_, bad = s.AsyncByzantine[i]
+		case ProtocolACS:
+			_, bad = s.ACSByzantine[i]
+		default:
+			if s.SignedBroadcast {
+				_, bad = s.ByzantineSigned[i]
+			} else {
+				_, bad = s.Byzantine[i]
+			}
+		}
+		if !bad {
 			ids = append(ids, i)
 		}
 	}
@@ -241,10 +255,14 @@ func (s *Spec) HonestIDs() []int {
 
 // NonFaultyInputs returns the multiset of inputs held by honest
 // processes — the S of the paper's delta*(S) and validity conditions.
+// An ACS spec may leave Inputs short or nil (it proposes through
+// Proposals); ids past len(Inputs) contribute nothing.
 func (s *Spec) NonFaultyInputs() *PointSet {
 	set := NewPointSet()
 	for _, i := range s.HonestIDs() {
-		set.Append(s.Inputs[i])
+		if i < len(s.Inputs) {
+			set.Append(s.Inputs[i])
+		}
 	}
 	return set
 }
@@ -295,8 +313,7 @@ func (s *Spec) norm() float64 {
 //
 // Options customize the execution without changing the instance: the
 // message-plane backend (WithTransport — deterministic simulation by
-// default, in-process mesh or real TCP otherwise) and a per-run metrics
-// callback (WithMetricsSink).
+// default, in-process mesh or real TCP otherwise).
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -319,9 +336,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	res.Metrics.Messages = res.Messages
 	if spec.Protocol == ProtocolIterative {
 		res.Metrics.Rounds = spec.Rounds // Result.Rounds stays 0 for iterative runs
-	}
-	if o.sink != nil {
-		o.sink(res.Metrics)
 	}
 	return res, nil
 }

@@ -352,17 +352,13 @@ func TestRunOptions(t *testing.T) {
 		Protocol: ProtocolDeltaRelaxed, N: 4, F: 1, D: 2,
 		Inputs: []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1)},
 	}
-	t.Run("metrics sink", func(t *testing.T) {
-		var sunk *RunMetrics
-		res, err := Run(context.Background(), spec, WithMetricsSink(func(m *RunMetrics) { sunk = m }))
+	t.Run("metrics transport label", func(t *testing.T) {
+		res, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sunk == nil || sunk != res.Metrics {
-			t.Fatalf("sink received %p, want result metrics %p", sunk, res.Metrics)
-		}
-		if sunk.Transport != "sim" {
-			t.Errorf("transport label = %q, want sim", sunk.Transport)
+		if res.Metrics.Transport != "sim" {
+			t.Errorf("transport label = %q, want sim", res.Metrics.Transport)
 		}
 	})
 	t.Run("same result cold", func(t *testing.T) {
