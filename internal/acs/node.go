@@ -103,8 +103,12 @@ type Node struct {
 	// votes is the Step's ABA body; it and the pending Bracha votes leave
 	// as copies carved from arena, an append-only chunk that is never
 	// reused, because receivers may keep a delivered message's Data.
-	votes   []byte
-	arena   []byte
+	votes []byte
+	arena []byte
+	// coords holds the decoded proposals the same way: an append-only
+	// chunk cut into cap-limited vectors, because sealed decisions and
+	// the lane's kernels keep them.
+	coords  []float64
 	rbc     *broadcast.BrachaState
 	epochs  map[int]*epochState
 	spare   []*epochState // pruned states, reset when an epoch reuses one
@@ -358,7 +362,7 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 			}
 			if es := n.epoch(e); !es.rawDelivered[d.Sender] {
 				es.rawDelivered[d.Sender] = true
-				es.delivered[d.Sender] = n.decodeValue(d.Value)
+				es.delivered[d.Sender] = n.decodeValue(e, d.Value)
 				progress = true
 			}
 		}
@@ -490,12 +494,23 @@ func (n *Node) prune() {
 	})
 }
 
-// decodeValue parses a subset proposal, substituting the default vector
-// for garbage (wrong dimension or malformed encoding).
-func (n *Node) decodeValue(b []byte) vec.V {
-	v, err := broadcast.DecodeVec(b)
-	if err == nil && len(v) == n.cfg.D {
-		return v
+// coordsChunk caps a chunk of coords.
+const coordsChunk = 512
+
+// decodeValue parses a subset proposal of epoch e into coords,
+// substituting the default vector for garbage (wrong dimension or
+// malformed encoding). A new chunk holds what the rest of the stream
+// can deliver, at most coordsChunk coordinates, so a short stream
+// allocates no more than its proposals.
+func (n *Node) decodeValue(e int, b []byte) vec.V {
+	if free := cap(n.coords) - len(n.coords); free < n.cfg.D {
+		rest := (len(n.cfg.Proposals) - e) * n.cfg.N * n.cfg.D
+		n.coords = make([]float64, 0, max(min(rest, coordsChunk), n.cfg.D))
+	}
+	start := len(n.coords)
+	if c, err := broadcast.AppendDecodedVec(n.coords, b, n.cfg.D); err == nil {
+		n.coords = c
+		return c[start:len(c):len(c)]
 	}
 	if n.cfg.Default != nil {
 		return n.cfg.Default.Clone()

@@ -17,15 +17,22 @@ import (
 // ECHO/READYs as one vote body (TakeVotes), or to Handle/AppendHandle,
 // which return them one message each; Deliveries accumulate.
 //
-// An instance is a flat tally, so a received message costs O(1) and
-// allocates nothing unless it opens an instance or makes this process
-// send: one flag byte per process (has it echoed, has it readied — the
-// duplicate check) and the list of distinct values voted for with their
-// ECHO and READY counts. Every correct process votes for the sender's
-// one value, so the list has a single entry in every fault-free run and
-// at most 2n entries under any traffic. The modal value of a phase is
-// the entry with the highest count, ties going to the lexicographically
-// smallest value.
+// An instance is a flat tally, so a received message costs O(1): one
+// flag byte per process (has it echoed, has it readied — the duplicate
+// check) and the list of distinct values voted for with their ECHO and
+// READY counts. Every correct process votes for the sender's one value,
+// so the list has a single entry in every fault-free run and at most 2n
+// entries under any traffic. The modal value of a phase is the entry
+// with the highest count, ties going to the lexicographically smallest
+// value.
+//
+// A stream of instances runs allocation-light: PruneInstances keeps the
+// instances and emptied rows it removes on spare lists, at most
+// brachaSpareRows rows' worth, and opening an instance reuses one; a
+// tally copies its value into an append-only arena that is never
+// overwritten. A received message allocates only when it opens a
+// row (its id string), opens an instance with no spare left, or fills
+// the arena's chunk, and the pending votes it causes grow their buffer.
 
 const (
 	rbcInit  = byte(0)
@@ -36,8 +43,10 @@ const (
 	rbcBody = byte(3)
 )
 
-// Delivery is a reliably-delivered broadcast. Value is shared with the
-// instance that delivered it and must not be modified.
+// Delivery is a reliably-delivered broadcast. Value lies in the
+// component's value arena, which is never overwritten: it keeps its
+// bytes after the instance is pruned and its memory reused, but it is
+// shared and must not be modified.
 type Delivery struct {
 	Sender int
 	ID     string
@@ -89,7 +98,22 @@ type BrachaState struct {
 	// ECHO/READYs since the last TakeVotes, in send order.
 	votes []byte
 	body  []rbcVote // scratch: the votes of the message being received
+	// values is the tallies' value arena: an append-only chunk, never
+	// reused, each new one twice the last up to maxValueChunk.
+	values []byte
+	// spareInsts and spareRows hold pruned instances, reset, and the
+	// emptied rows' sender slices, all nil, for Receive to reuse.
+	spareInsts []*brachaInst
+	spareRows  [][]*brachaInst
 }
+
+// brachaSpareRows bounds the spare lists: that many rows and their N
+// instances each, the span of the ACS epoch window (DESIGN §13.3), so a
+// stream that prunes one epoch and opens the next reuses all of it.
+const brachaSpareRows = 4
+
+// maxValueChunk caps the value arena's chunk doubling.
+const maxValueChunk = 2 << 10
 
 // NewBrachaState creates the component for process self.
 func NewBrachaState(n, f, self int) *BrachaState {
@@ -183,7 +207,7 @@ func (b *BrachaState) Receive(from int, data []byte, live func(id []byte) bool) 
 			if live == nil || live(v.id) {
 				var open bool
 				if row, open = b.insts[string(v.id)]; !open { // the lookup does not allocate
-					row = rbcRow{id: string(v.id), insts: make([]*brachaInst, b.N)}
+					row = rbcRow{id: string(v.id), insts: b.newRow()}
 					b.insts[row.id] = row
 				}
 			}
@@ -193,8 +217,8 @@ func (b *BrachaState) Receive(from int, data []byte, live func(id []byte) bool) 
 		}
 		in := row.insts[v.sender]
 		if in == nil {
-			in = &brachaInst{sender: v.sender, id: row.id, voted: make([]byte, b.N)}
-			in.tallies, row.insts[v.sender] = in.first[:0], in
+			in = b.newInst(v.sender, row.id)
+			row.insts[v.sender] = in
 		}
 		switch {
 		case v.phase != rbcInit:
@@ -205,6 +229,57 @@ func (b *BrachaState) Receive(from int, data []byte, live func(id []byte) bool) 
 			b.vote(in, b.Self, rbcEcho, v.value)
 		}
 	}
+}
+
+// newRow returns an all-nil sender slice for a new row, a spare one if
+// any.
+func (b *BrachaState) newRow() []*brachaInst {
+	if k := len(b.spareRows); k > 0 {
+		row := b.spareRows[k-1]
+		b.spareRows = b.spareRows[:k-1]
+		return row
+	}
+	return make([]*brachaInst, b.N)
+}
+
+// newInst returns a fresh instance (sender, id), a spare one if any.
+func (b *BrachaState) newInst(sender int, id string) *brachaInst {
+	k := len(b.spareInsts)
+	if k == 0 {
+		in := &brachaInst{sender: sender, id: id, voted: make([]byte, b.N)}
+		in.tallies = in.first[:0]
+		return in
+	}
+	in := b.spareInsts[k-1]
+	b.spareInsts = b.spareInsts[:k-1]
+	in.sender, in.id = sender, id
+	return in
+}
+
+// park resets a pruned instance to a fresh one's state and keeps it for
+// reuse while the spare list has room. Its tallies empty; their values
+// stay in the arena for deliveries that still alias them, and a new
+// tally overwrites an old entry whole.
+func (b *BrachaState) park(in *brachaInst) {
+	if bound := brachaSpareRows * b.N; len(b.spareInsts) >= bound {
+		return
+	}
+	clear(in.voted)
+	in.tallies = in.tallies[:0]
+	in.haveInit, in.readied, in.delivered = false, false, false
+	b.spareInsts = append(b.spareInsts, in)
+}
+
+// keep copies value into the value arena. The first chunk holds one
+// row of values like it, each next one twice the last.
+func (b *BrachaState) keep(value []byte) []byte {
+	if free := cap(b.values) - len(b.values); free < len(value) {
+		size := min(max(2*cap(b.values), b.N*len(value)), maxValueChunk)
+		b.values = make([]byte, 0, max(size, len(value)))
+	}
+	start := len(b.values)
+	b.values = append(b.values, value...)
+	return b.values[start:len(b.values):len(b.values)]
 }
 
 // frame decodes data into b.body, each vote once, and reports whether it
@@ -271,7 +346,7 @@ func (b *BrachaState) vote(in *brachaInst, from int, phase byte, value []byte) {
 		t++
 	}
 	if t == len(in.tallies) {
-		in.tallies = append(in.tallies, rbcTally{value: append([]byte{}, value...)})
+		in.tallies = append(in.tallies, rbcTally{value: b.keep(value)})
 	}
 	in.tallies[t].count[phase]++
 
@@ -332,7 +407,10 @@ func EncodeInit(sender int, id string, value []byte) []byte {
 // ACS stream, one instance per epoch and slot) use it to garbage-collect
 // epochs that can no longer receive traffic. Undelivered pruned
 // instances are gone for good — only prune instances the caller has
-// sealed past. It walks the ids, dropping a row once it is empty.
+// sealed past; a later message naming one opens it afresh. It walks the
+// ids, dropping a row once it is empty, and keeps the removed instances
+// and rows for reuse within the spare bound (deliveries already made
+// keep their values).
 func (b *BrachaState) PruneInstances(match func(sender int, id string) bool) int {
 	pruned := 0
 	for id, row := range b.insts {
@@ -342,6 +420,7 @@ func (b *BrachaState) PruneInstances(match func(sender int, id string) bool) int
 			case in == nil:
 			case match(s, id):
 				row.insts[s] = nil
+				b.park(in)
 				pruned++
 			default:
 				left++
@@ -349,6 +428,9 @@ func (b *BrachaState) PruneInstances(match func(sender int, id string) bool) int
 		}
 		if left == 0 {
 			delete(b.insts, id)
+			if len(b.spareRows) < brachaSpareRows {
+				b.spareRows = append(b.spareRows, row.insts)
+			}
 		}
 	}
 	return pruned

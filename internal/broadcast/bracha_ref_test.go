@@ -183,7 +183,8 @@ func sameDeliveries(a, b []Delivery) bool {
 // map-based reference with the same seeded scripts — duplicates,
 // arbitrary order, impersonated INITs, equivocating INIT/ECHO/READY
 // values drawn from a pool small enough that exact count ties are the
-// norm, READY amplification before any ECHO, own broadcasts, pruning —
+// norm, READY amplification before any ECHO, own broadcasts, pruning
+// one instance or a whole id —
 // and requires the same sends (To, Tag, bytes, order) from every call
 // and the same delivery sequence.
 func TestBrachaMatchesReference(t *testing.T) {
@@ -216,6 +217,11 @@ func TestBrachaMatchesReference(t *testing.T) {
 				case k == 2 && step > steps/2:
 					got.PruneInstances(func(s int, i string) bool { return s == sender && i == id })
 					delete(want.insts, fmt.Sprintf("%d|%s", sender, id))
+				case k == 3 && step > steps/2:
+					got.PruneInstances(func(_ int, i string) bool { return i == id })
+					for s := 0; s < n; s++ {
+						delete(want.insts, fmt.Sprintf("%d|%s", s, id))
+					}
 				default:
 					phase := byte(rng.Intn(3))
 					if readyFirst && step < steps/3 {

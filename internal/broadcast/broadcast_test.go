@@ -28,6 +28,24 @@ func TestVecCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// AppendDecodedVec appends DecodeVec's coordinates, or nothing at all
+// for garbage or another dimension.
+func TestAppendDecodedVec(t *testing.T) {
+	arena := []float64{7}
+	for _, v := range []vec.V{vec.Of(), vec.Of(1.5), vec.Of(-3, 0, 2.25e-10)} {
+		start := len(arena)
+		var err error
+		if arena, err = AppendDecodedVec(arena, EncodeVec(v), len(v)); err != nil || !vec.V(arena[start:]).Equal(v) {
+			t.Fatalf("AppendDecodedVec(%v) appended %v, %v", v, arena[start:], err)
+		}
+	}
+	for _, b := range [][]byte{{1}, {0, 0, 0, 5, 1, 2}, EncodeVec(vec.Of(1, 2))} {
+		if got, err := AppendDecodedVec(arena, b, 3); err == nil || len(got) != len(arena) {
+			t.Fatalf("AppendDecodedVec(%x, d=3) = %v, %v; want an error and nothing appended", b, got, err)
+		}
+	}
+}
+
 func TestPathCodec(t *testing.T) {
 	for _, p := range [][]int{{}, {0}, {3, 1, 4, 1, 5}} {
 		enc := encodePath(p)

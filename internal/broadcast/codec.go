@@ -38,20 +38,47 @@ func EncodeVec(v vec.V) []byte {
 	return out
 }
 
-// DecodeVec parses a vector encoded by EncodeVec.
-func DecodeVec(b []byte) (vec.V, error) {
+// vecDim returns the dimension of a vector encoded by EncodeVec.
+func vecDim(b []byte) (int, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("broadcast: short vector encoding")
+		return 0, fmt.Errorf("broadcast: short vector encoding")
 	}
 	d := int(binary.BigEndian.Uint32(b))
 	if len(b) != vecWireLen(d) {
-		return nil, fmt.Errorf("broadcast: vector encoding length %d != %d", len(b), vecWireLen(d))
+		return 0, fmt.Errorf("broadcast: vector encoding length %d != %d", len(b), vecWireLen(d))
 	}
-	v := make(vec.V, d)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.BigEndian.Uint64(b[4+8*i:]))
+	return d, nil
+}
+
+// DecodeVec parses a vector encoded by EncodeVec.
+func DecodeVec(b []byte) (vec.V, error) {
+	d, err := vecDim(b)
+	if err != nil {
+		return nil, err
 	}
-	return v, nil
+	return appendCoords(make(vec.V, 0, d), b), nil
+}
+
+// AppendDecodedVec appends the coordinates of b, a vector encoded by
+// EncodeVec, to dst. It fails, appending nothing, unless b is well
+// formed and of dimension d.
+func AppendDecodedVec(dst []float64, b []byte, d int) ([]float64, error) {
+	got, err := vecDim(b)
+	if err != nil {
+		return dst, err
+	}
+	if got != d {
+		return dst, fmt.Errorf("broadcast: vector dimension %d != %d", got, d)
+	}
+	return appendCoords(dst, b), nil
+}
+
+// appendCoords appends the coordinates of a well-formed encoding b.
+func appendCoords(dst []float64, b []byte) []float64 {
+	for b = b[4:]; len(b) > 0; b = b[8:] {
+		dst = append(dst, math.Float64frombits(binary.BigEndian.Uint64(b)))
+	}
+	return dst
 }
 
 // EpochID returns the reliable-broadcast instance id of an ACS epoch.

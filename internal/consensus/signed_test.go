@@ -2,7 +2,7 @@ package consensus
 
 import (
 	"context"
-
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -107,5 +107,28 @@ func TestSignedByzantineCountValidation(t *testing.T) {
 	}
 	if _, err := RunExactBVC(context.Background(), cfg); err == nil {
 		t.Fatal("too many signed Byzantine accepted")
+	}
+}
+
+// A config may script both rosters; only the one its Step 1 runs makes
+// a process Byzantine, so the validity set keeps the other's inputs.
+func TestHonestIDsReadsTheActiveRoster(t *testing.T) {
+	for _, signed := range []bool{false, true} {
+		cfg := &SyncConfig{
+			N: 4, F: 1, D: 2, SignedBroadcast: signed,
+			Inputs:          randInputs(rand.New(rand.NewSource(95)), 4, 2, 1),
+			Byzantine:       map[int]broadcast.EIGBehavior{0: adversary.Silent()},
+			ByzantineSigned: map[int]broadcast.DSBehavior{3: adversary.SignedEquivocator(nil)},
+		}
+		want := "[1 2 3]"
+		if signed {
+			want = "[0 1 2]"
+		}
+		if got := fmt.Sprint(cfg.HonestIDs()); got != want {
+			t.Fatalf("SignedBroadcast=%v: HonestIDs() = %s, want %s", signed, got, want)
+		}
+		if got := cfg.NonFaultyInputs().Len(); got != 3 {
+			t.Fatalf("SignedBroadcast=%v: %d non-faulty inputs, want 3", signed, got)
+		}
 	}
 }

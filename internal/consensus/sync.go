@@ -139,13 +139,19 @@ type SyncResult struct {
 	Transport transport.Stats
 }
 
-// HonestIDs returns the non-Byzantine process ids of a config.
+// HonestIDs returns the non-Byzantine process ids of a config: those
+// missing from the roster its Step 1 reads, ByzantineSigned under
+// SignedBroadcast and Byzantine otherwise.
 func (c *SyncConfig) HonestIDs() []int {
 	var ids []int
 	for i := 0; i < c.N; i++ {
-		_, badOM := c.Byzantine[i]
-		_, badDS := c.ByzantineSigned[i]
-		if !badOM && !badDS {
+		var bad bool
+		if c.SignedBroadcast {
+			_, bad = c.ByzantineSigned[i]
+		} else {
+			_, bad = c.Byzantine[i]
+		}
+		if !bad {
 			ids = append(ids, i)
 		}
 	}

@@ -21,10 +21,10 @@ import (
 	"relaxedbvc/internal/broadcast"
 )
 
-// DefaultMaxFrame is the TCP endpoint's frame size limit, and
-// ReadFrame's and WriteFrame's when passed 0: 1 MiB, far above a round
-// chunk (bundleCap plus one message, and vectors are tens of bytes) yet
-// small enough to bound a malicious length prefix.
+// DefaultMaxFrame is the frame size limit of the TCP endpoint,
+// ReadFrame and WriteFrame: 1 MiB, far above a round chunk (bundleCap
+// plus one message, and vectors are tens of bytes) yet small enough to
+// bound a malicious length prefix.
 const DefaultMaxFrame = 1 << 20
 
 // frameHeaderLen is the fixed prefix of an encoded frame: u16 from,
@@ -106,15 +106,12 @@ func DecodeFrame(b []byte) (Frame, error) {
 }
 
 // WriteFrame writes one length-prefixed frame to w. Frames larger than
-// maxFrame (0 = DefaultMaxFrame) fail with ErrFrameTooLarge before any
-// byte is written, keeping the stream framing intact.
-func WriteFrame(w io.Writer, f *Frame, maxFrame int) (int, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
+// DefaultMaxFrame fail with ErrFrameTooLarge before any byte is
+// written, keeping the stream framing intact.
+func WriteFrame(w io.Writer, f *Frame) (int, error) {
 	size := encodedLen(f)
-	if size > maxFrame {
-		return 0, fmt.Errorf("%w: %d-byte frame, limit %d", ErrFrameTooLarge, size, maxFrame)
+	if size > DefaultMaxFrame {
+		return 0, fmt.Errorf("%w: %d-byte frame, limit %d", ErrFrameTooLarge, size, DefaultMaxFrame)
 	}
 	n, err := w.Write(appendStreamFrame(make([]byte, 0, streamPrefixLen+size), f))
 	if err != nil {
@@ -124,22 +121,18 @@ func WriteFrame(w io.Writer, f *Frame, maxFrame int) (int, error) {
 }
 
 // ReadFrame reads one length-prefixed frame from r. A length prefix
-// above maxFrame (0 = DefaultMaxFrame) fails with ErrFrameTooLarge
-// without allocating the announced buffer; short reads and undecodable
-// payloads chain ErrBadFrame; a clean EOF before the first prefix byte
-// surfaces as io.EOF wrapped in ErrTransport so stream loops can
-// terminate on it.
-func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
+// above DefaultMaxFrame fails with ErrFrameTooLarge without allocating
+// the announced buffer; short reads and undecodable payloads chain
+// ErrBadFrame; a clean EOF before the first prefix byte surfaces as
+// io.EOF wrapped in ErrTransport so stream loops can terminate on it.
+func ReadFrame(r io.Reader) (Frame, error) {
 	var prefix [streamPrefixLen]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return Frame{}, fmt.Errorf("%w: read length prefix: %w", ErrTransport, err)
 	}
 	size := int(binary.BigEndian.Uint32(prefix[:]))
-	if size > maxFrame {
-		return Frame{}, fmt.Errorf("%w: announced %d bytes, limit %d", ErrFrameTooLarge, size, maxFrame)
+	if size > DefaultMaxFrame {
+		return Frame{}, fmt.Errorf("%w: announced %d bytes, limit %d", ErrFrameTooLarge, size, DefaultMaxFrame)
 	}
 	payload := make([]byte, size)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -8,6 +8,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -59,17 +60,18 @@ func FuzzReadFrame(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		var buf bytes.Buffer
 		fr := Frame{From: 0, To: 1, Tag: "eig", Data: s}
-		if _, err := WriteFrame(&buf, &fr, 0); err == nil {
+		if _, err := WriteFrame(&buf, &fr); err == nil {
 			f.Add(buf.Bytes())
 		}
 		f.Add(s)
 	}
 	// An announced length far beyond the limit must fail before
-	// allocating.
+	// allocating, and so must one a byte past it.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00})
+	f.Add(binary.BigEndian.AppendUint32(nil, DefaultMaxFrame+1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bytes.NewReader(b)
-		fr, err := ReadFrame(r, 1<<16)
+		fr, err := ReadFrame(r)
 		if err != nil {
 			if !errors.Is(err, ErrTransport) {
 				t.Fatalf("read error %v does not chain ErrTransport", err)
@@ -79,7 +81,7 @@ func FuzzReadFrame(f *testing.F) {
 		// A successful read must reproduce exactly the consumed prefix
 		// when written back (stream framing is canonical too).
 		var out bytes.Buffer
-		if _, err := WriteFrame(&out, &fr, 1<<16); err != nil {
+		if _, err := WriteFrame(&out, &fr); err != nil {
 			t.Fatalf("re-write of decoded frame: %v", err)
 		}
 		consumed := len(b) - r.Len()

@@ -307,7 +307,7 @@ func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
 		tc.SetNoDelay(true) //nolint:errcheck // best-effort latency knob
 	}
 	hello := Frame{From: t.self, To: p.id, Round: -1, Tag: helloTag}
-	if _, err := WriteFrame(conn, &hello, DefaultMaxFrame); err != nil {
+	if _, err := WriteFrame(conn, &hello); err != nil {
 		conn.Close() //nolint:errcheck // dial failed anyway
 		return nil, fmt.Errorf("%w: hello %d->%d: %v", ErrLink, t.self, p.id, err)
 	}
@@ -471,7 +471,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, tcpReadBuf)
-	hello, err := ReadFrame(br, DefaultMaxFrame)
+	hello, err := ReadFrame(br)
 	if err != nil || hello.Tag != helloTag || hello.From < 0 || hello.From >= t.n || hello.From == t.self {
 		// Not a cluster peer (or a broken handshake): drop the
 		// connection without poisoning a link slot.
@@ -479,7 +479,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 	peer := hello.From
 	for {
-		f, err := ReadFrame(br, DefaultMaxFrame)
+		f, err := ReadFrame(br)
 		if err != nil {
 			select {
 			case <-t.closing:

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -71,8 +72,8 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 
 func TestWriteFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	f := Frame{To: 1, Tag: "eig", Data: make([]byte, 256)}
-	_, err := WriteFrame(&buf, &f, 64)
+	f := Frame{To: 1, Tag: "eig", Data: make([]byte, DefaultMaxFrame)}
+	_, err := WriteFrame(&buf, &f)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -88,12 +89,12 @@ func TestReadFrameStream(t *testing.T) {
 		{From: 0, To: 1, Round: 1, Tag: "eig", Data: []byte("bb")},
 	}
 	for i := range frames {
-		if _, err := WriteFrame(&buf, &frames[i], 0); err != nil {
+		if _, err := WriteFrame(&buf, &frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := range frames {
-		got, err := ReadFrame(&buf, 0)
+		got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -102,17 +103,19 @@ func TestReadFrameStream(t *testing.T) {
 		}
 	}
 	// Clean EOF at a frame boundary surfaces io.EOF through ErrTransport.
-	_, err := ReadFrame(&buf, 0)
+	_, err := ReadFrame(&buf)
 	if !errors.Is(err, io.EOF) || !errors.Is(err, ErrTransport) {
 		t.Fatalf("err = %v, want io.EOF chained under ErrTransport", err)
 	}
 }
 
 func TestReadFrameOversizedPrefix(t *testing.T) {
-	// 4 GiB announced: must fail before allocating the buffer.
-	r := bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(r, 0); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	// 4 GiB announced, and one byte past the limit: both must fail
+	// before allocating the buffer.
+	for _, prefix := range [][]byte{{0xFF, 0xFF, 0xFF, 0xFF}, binary.BigEndian.AppendUint32(nil, DefaultMaxFrame+1)} {
+		if _, err := ReadFrame(bytes.NewReader(prefix)); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("prefix %x: err = %v, want ErrFrameTooLarge", prefix, err)
+		}
 	}
 }
 
@@ -371,11 +374,11 @@ func TestTCPWriterCoalesces(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if hello, err := ReadFrame(conn, 0); err != nil || hello.Tag != helloTag {
+	if hello, err := ReadFrame(conn); err != nil || hello.Tag != helloTag {
 		t.Fatalf("handshake: frame %+v, err %v", hello, err)
 	}
 	for i := 0; i < k; i++ {
-		f, err := ReadFrame(conn, 0)
+		f, err := ReadFrame(conn)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -506,7 +509,7 @@ func TestTCPReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := ReadFrame(conn, 0)
+	hello, err := ReadFrame(conn)
 	if err != nil || hello.Tag != helloTag || hello.From != 0 {
 		t.Fatalf("handshake: frame %+v, err %v", hello, err)
 	}
@@ -534,11 +537,11 @@ func TestTCPReconnect(t *testing.T) {
 		}
 	}
 	defer conn2.Close()
-	hello2, err := ReadFrame(conn2, 0)
+	hello2, err := ReadFrame(conn2)
 	if err != nil || hello2.Tag != helloTag {
 		t.Fatalf("second handshake: frame %+v, err %v", hello2, err)
 	}
-	f, err := ReadFrame(conn2, 0)
+	f, err := ReadFrame(conn2)
 	if err != nil || f.Tag != "eig" {
 		t.Fatalf("no data after reconnect: frame %+v, err %v", f, err)
 	}
@@ -566,11 +569,11 @@ func TestTCPRejectsForeignConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	bogus := Frame{From: 7, To: 0, Round: -1, Tag: helloTag} // id outside [0,2)
-	if _, err := WriteFrame(conn, &bogus, 0); err != nil {
+	if _, err := WriteFrame(conn, &bogus); err != nil {
 		t.Fatal(err)
 	}
 	data := Frame{From: 7, To: 0, Tag: "eig", Data: []byte("evil")}
-	if _, err := WriteFrame(conn, &data, 0); err != nil {
+	if _, err := WriteFrame(conn, &data); err != nil {
 		t.Fatal(err)
 	}
 	// The node must hang up (EOF, or RST if our data frame was still
@@ -610,7 +613,7 @@ func TestTCPLinkErrorSurfaced(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := Frame{From: 1, To: 0, Round: -1, Tag: helloTag}
-	if _, err := WriteFrame(conn, &hello, 0); err != nil {
+	if _, err := WriteFrame(conn, &hello); err != nil {
 		t.Fatal(err)
 	}
 	// An absurd length prefix: ReadFrame fails with ErrFrameTooLarge and
@@ -655,7 +658,7 @@ func TestTCPWriteLinkErrorSurfaced(t *testing.T) {
 				return
 			}
 			if reset {
-				ReadFrame(conn, 0)               //nolint:errcheck // the hello
+				ReadFrame(conn)                  //nolint:errcheck // the hello
 				conn.(*net.TCPConn).SetLinger(0) //nolint:errcheck // close with RST
 				conn.Close()                     //nolint:errcheck // the reset
 				continue
