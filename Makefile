@@ -41,8 +41,8 @@ bench-step1:
 	$(GO) test -run '^$$' -bench 'EIGAllToAll|SyncEngineFanout' -benchmem ./internal/broadcast ./internal/sched
 
 # Transport micro-benchmarks (allocations reported): one frame each way
-# over a loopback TCP link (Send, coalescing writer, buffered reader,
-# Recv), one lockstep round of a 4-node RunSync mesh cluster (one
+# over a loopback TCP link (Send writing on an idle link, buffered
+# reader, Recv), one lockstep round of a 4-node RunSync mesh cluster (one
 # bundle per peer per round), and a 20-epoch ACS stream on a 4-node
 # loopback-TCP cluster with an equivocator (rounds/epoch and
 # frames/epoch reported; 5.2 and 63).

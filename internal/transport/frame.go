@@ -7,7 +7,7 @@ package transport
 // single 4-byte big-endian length prefix plus that payload. There is
 // one encoder, appendFrame, which appends to a caller-owned buffer:
 // EncodeFrame and WriteFrame size that buffer exactly (one allocation),
-// and the TCP writer appends a whole queue of frames to one reused
+// and a TCP endpoint appends each frame to its peer's reused send
 // buffer (none). The codec is total on arbitrary input: any byte string
 // either decodes to a Frame or returns an error chaining ErrBadFrame —
 // never a panic (fuzzed in frame_fuzz_test.go, including truncated and

@@ -30,7 +30,7 @@ func NewMesh(n int) *Mesh {
 		m.nodes[i] = &meshNode{
 			mesh:   m,
 			self:   i,
-			wake:   make(chan struct{}, 1),
+			inbox:  newFIFO(0),
 			closed: make(chan struct{}),
 		}
 	}
@@ -40,21 +40,104 @@ func NewMesh(n int) *Mesh {
 // Node returns endpoint i of the mesh.
 func (m *Mesh) Node(i int) Transport { return m.nodes[i] }
 
-// meshNode's inbox is unbounded because RunSync sends a node's whole
-// round before it receives anything: with every node sending at once,
-// any fixed capacity below the largest round (over 4 500 frames per
-// inbox in the last EIG relay round at n=10 f=3) blocks every sender on
-// a receiver that is itself still sending.
-type meshNode struct {
-	mesh *Mesh
-	self int
-
+// fifo is an endpoint's inbox: frames in arrival order, in a slice
+// that grows only with what is pending. RunSync sends a node's whole
+// round before it receives anything, so with every node sending at once
+// a bound below what two rounds put in flight would block every sender
+// on a receiver that is itself still sending. A round is one bundle per
+// peer, split every bundleCap bytes, so the mesh sets no bound (limit
+// 0), and a TCP endpoint's, which stops a flooding peer, sits far above.
+type fifo struct {
 	mu    sync.Mutex
-	inbox []Frame // FIFO: inbox[head:] is pending
+	q     []Frame // q[head:] is pending
 	head  int
-	// wake holds a token whenever the inbox may be non-empty; one slot
-	// suffices because push and pop both refill it.
-	wake chan struct{}
+	limit int // push waits while this many frames are pending
+	// wake holds a token whenever q may be non-empty, room one whenever
+	// it may have fallen below limit; push and pop refill them.
+	wake, room chan struct{}
+}
+
+func newFIFO(limit int) *fifo {
+	return &fifo{limit: limit, wake: make(chan struct{}, 1), room: make(chan struct{}, 1)}
+}
+
+// signal leaves a token in a one-slot channel unless one is there.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// push appends f, first waiting while limit frames are pending; it
+// gives up, returning false, once stop is closed.
+func (q *fifo) push(f Frame, stop <-chan struct{}) bool {
+	q.mu.Lock()
+	for q.limit > 0 && len(q.q)-q.head >= q.limit {
+		q.mu.Unlock()
+		select {
+		case <-q.room:
+		case <-stop:
+			return false
+		}
+		q.mu.Lock()
+	}
+	if len(q.q) == cap(q.q) && q.head > len(q.q)/2 {
+		// Reclaim the consumed prefix instead of growing; waiting until
+		// it is over half the slice keeps the copying amortized O(1).
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
+	}
+	q.q = append(q.q, f)
+	q.mu.Unlock()
+	signal(q.wake)
+	return true
+}
+
+func (q *fifo) pop() (Frame, bool) {
+	q.mu.Lock()
+	if q.head == len(q.q) {
+		q.mu.Unlock()
+		return Frame{}, false
+	}
+	f := q.q[q.head]
+	q.q[q.head] = Frame{} // drop the payload reference
+	q.head++
+	more := q.head < len(q.q)
+	if !more {
+		q.q, q.head = q.q[:0], 0
+	}
+	q.mu.Unlock()
+	if more {
+		signal(q.wake) // a concurrent recv may be parked on wake
+	}
+	signal(q.room)
+	return f, true
+}
+
+// recv returns the next frame, waiting for one until closed is closed
+// or ctx ends; frames already pending stay receivable after closed
+// until the queue drains.
+func (q *fifo) recv(ctx context.Context, closed <-chan struct{}, self int) (Frame, error) {
+	for {
+		if f, ok := q.pop(); ok {
+			return f, nil
+		}
+		select {
+		case <-q.wake:
+		case <-closed:
+			return Frame{}, fmt.Errorf("%w: node %d recv after close", ErrClosed, self)
+		case <-ctx.Done():
+			return Frame{}, fmt.Errorf("%w: recv: %w", ErrTransport, ctx.Err())
+		}
+	}
+}
+
+type meshNode struct {
+	mesh  *Mesh
+	self  int
+	inbox *fifo
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -65,47 +148,6 @@ type meshNode struct {
 func (t *meshNode) Self() int { return t.self }
 func (t *meshNode) N() int    { return len(t.mesh.nodes) }
 
-func (t *meshNode) signal() {
-	select {
-	case t.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (t *meshNode) push(f Frame) {
-	t.mu.Lock()
-	if len(t.inbox) == cap(t.inbox) && t.head > len(t.inbox)/2 {
-		// Reclaim the consumed prefix instead of growing; waiting until
-		// it is over half the slice keeps the copying amortized O(1).
-		n := copy(t.inbox, t.inbox[t.head:])
-		clear(t.inbox[n:])
-		t.inbox, t.head = t.inbox[:n], 0
-	}
-	t.inbox = append(t.inbox, f)
-	t.mu.Unlock()
-	t.signal()
-}
-
-func (t *meshNode) pop() (Frame, bool) {
-	t.mu.Lock()
-	if t.head == len(t.inbox) {
-		t.mu.Unlock()
-		return Frame{}, false
-	}
-	f := t.inbox[t.head]
-	t.inbox[t.head] = Frame{} // drop the payload reference
-	t.head++
-	more := t.head < len(t.inbox)
-	if !more {
-		t.inbox, t.head = t.inbox[:0], 0
-	}
-	t.mu.Unlock()
-	if more {
-		t.signal() // a concurrent Recv may be parked on wake
-	}
-	return f, true
-}
-
 // Send appends f to the recipient inbox(es); it never blocks. Sending
 // to a closed peer fails with a per-link error chaining ErrClosed;
 // sending from a closed endpoint fails likewise.
@@ -115,24 +157,7 @@ func (t *meshNode) Send(f Frame) error {
 		return fmt.Errorf("%w: node %d send after close", ErrClosed, t.self)
 	default:
 	}
-	f.From = t.self
-	if f.To == Broadcast {
-		for to := range t.mesh.nodes {
-			if to == t.self {
-				continue
-			}
-			df := f
-			df.To = to
-			if err := t.deliver(df); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := checkPeer(f.To, t.self, t.N()); err != nil {
-		return err
-	}
-	return t.deliver(f)
+	return route(f, t.self, t.N(), t.deliver)
 }
 
 func (t *meshNode) deliver(f Frame) error {
@@ -144,7 +169,7 @@ func (t *meshNode) deliver(f Frame) error {
 		return fmt.Errorf("%w: node %d closed mid-send", ErrClosed, t.self)
 	default:
 	}
-	peer.push(f)
+	peer.inbox.push(f, nil)
 	t.sent.Add(1)
 	meshFrames.Inc()
 	return nil
@@ -153,19 +178,11 @@ func (t *meshNode) deliver(f Frame) error {
 // Recv returns the next frame delivered to this node. Frames already
 // buffered remain receivable after Close until the buffer drains.
 func (t *meshNode) Recv(ctx context.Context) (Frame, error) {
-	for {
-		if f, ok := t.pop(); ok {
-			t.received.Add(1)
-			return f, nil
-		}
-		select {
-		case <-t.wake:
-		case <-t.closed:
-			return Frame{}, fmt.Errorf("%w: node %d recv after close", ErrClosed, t.self)
-		case <-ctx.Done():
-			return Frame{}, fmt.Errorf("%w: recv: %w", ErrTransport, ctx.Err())
-		}
+	f, err := t.inbox.recv(ctx, t.closed, t.self)
+	if err == nil {
+		t.received.Add(1)
 	}
+	return f, err
 }
 
 // Close marks the endpoint closed. Peers' later Sends to this node fail

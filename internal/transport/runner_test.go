@@ -7,8 +7,10 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -293,6 +295,101 @@ func TestRunSyncSplitsOversizedRound(t *testing.T) {
 	}
 	if got := payloads(proc.inboxes[0]); !reflect.DeepEqual(got, want) || stats.Delivered != len(want) {
 		t.Errorf("reassembled %d messages out of order or incomplete (want %d)", len(got), len(want))
+	}
+}
+
+// floodProc broadcasts msgs messages of msgLen bytes in each of its
+// first rounds rounds, every one stamped with (sender, round, index),
+// and checks that each inbox holds exactly every peer's messages of the
+// round before.
+type floodProc struct {
+	id, n, rounds, msgs, msgLen, stepped int
+	err                                  error
+}
+
+func (p *floodProc) outs(round int) []sched.Outgoing {
+	buf := make([]byte, p.msgs*p.msgLen)
+	outs := make([]sched.Outgoing, p.msgs)
+	for i := range outs {
+		d := buf[i*p.msgLen : (i+1)*p.msgLen]
+		binary.BigEndian.PutUint32(d, uint32(p.id))
+		binary.BigEndian.PutUint32(d[4:], uint32(round))
+		binary.BigEndian.PutUint32(d[8:], uint32(i))
+		outs[i] = sched.Outgoing{To: sched.Broadcast, Tag: "flood", Data: d}
+	}
+	return outs
+}
+
+func (p *floodProc) Start() []sched.Outgoing { return p.outs(0) }
+
+func (p *floodProc) Step(round int, inbox []sched.Message) []sched.Outgoing {
+	p.stepped++
+	seen := make([]int, p.n)
+	for _, m := range inbox {
+		d := m.Data
+		if len(d) != p.msgLen || int(binary.BigEndian.Uint32(d)) != m.From || int(binary.BigEndian.Uint32(d[4:])) != round ||
+			int(binary.BigEndian.Uint32(d[8:])) != seen[m.From] {
+			p.err = fmt.Errorf("node %d round %d: message %d from %d is not the one sent next", p.id, round, seen[m.From], m.From)
+			return nil
+		}
+		seen[m.From]++
+	}
+	for from, got := range seen {
+		if from != p.id && got != p.msgs && p.err == nil {
+			p.err = fmt.Errorf("node %d round %d: %d of %d messages from %d", p.id, round, got, p.msgs, from)
+		}
+	}
+	if p.Done() {
+		return nil
+	}
+	return p.outs(round + 1)
+}
+
+func (p *floodProc) Done() bool { return p.stepped >= p.rounds }
+
+// TestTCPRunSyncFloodRounds: four loopback endpoints in lockstep, every
+// node sending every peer 4 MiB a round (69 chunks) for three rounds.
+// Every node sends its whole round before it receives anything, so this
+// holds only while a link takes in what the run puts in flight: the
+// inbox and the send buffers grow with it instead of capping it.
+func TestTCPRunSyncFloodRounds(t *testing.T) {
+	const n, rounds, msgs, msgLen = 4, 3, 1024, 4 << 10
+	peers := make(map[int]string, n)
+	lns := make([]net.Listener, n)
+	for i := range lns {
+		lns[i] = listenLoopback(t)
+		peers[i] = lns[i].Addr().String()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	procs := make([]*floodProc, n)
+	stats := make([]*SyncNodeStats, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range procs {
+		procs[i] = &floodProc{id: i, n: n, rounds: rounds, msgs: msgs, msgLen: msgLen}
+		ep, err := DialTCP(TCPConfig{Self: i, Peers: peers, Listener: lns[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer ep.Close()
+			stats[i], errs[i] = RunSync(ctx, ep, procs[i], 0, nil)
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range procs {
+		if err := errors.Join(errs[i], p.err); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		if p.stepped != rounds {
+			t.Errorf("node %d stepped %d times, want %d", i, p.stepped, rounds)
+		}
+		if min := (n - 1) * rounds * 64; stats[i].FramesSent < min {
+			t.Errorf("node %d sent %d chunks, want at least %d", i, stats[i].FramesSent, min)
+		}
 	}
 }
 

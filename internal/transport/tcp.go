@@ -6,22 +6,26 @@ package transport
 // after any dial or write failure. Inbound connections authenticate
 // with a hello frame naming the sender id, then stream frames into the
 // shared inbox through one buffered reader per connection. Close drains
-// the outbound queues (bounded by tcpDrainTimeout) before tearing links
-// down, so a node that finishes a protocol and shuts down does not
-// strand the final round's frames.
+// what is still unwritten (bounded by tcpDrainTimeout) before tearing
+// links down, so a node that finishes a protocol and shuts down does
+// not strand the final round's frames.
 //
 // Send checks a frame's encoded size against DefaultMaxFrame and
-// rejects an oversize frame synchronously, so the writers only ever see
-// frames the peer will accept. A peer's writer encodes the frame it dequeued
-// and every frame already queued behind it into one reused buffer and
-// issues a single Write; it never waits for more frames, so coalescing
-// adds no latency.
+// rejects an oversize frame synchronously, then encodes it into its
+// peer's buffer. On an idle link Send writes that buffer itself, on the
+// caller's goroutine; while another write to the peer is in flight it
+// only appends, and the writer in flight takes whatever piled up behind
+// its write in one more write before it lets go, so coalescing adds no
+// latency. A per-peer link goroutine only dials, redials, and flushes
+// what accumulated while the link was down; direct writes wait for that
+// flush, so no frame overtakes the backlog.
 //
-// Delivery is at-least-once across reconnects: a write error after the
-// peer already received some of a batch leads to duplicates of those
-// frames. That is inside the protocols' delivery model — the lockstep
-// runner deduplicates its round bundles exactly — and matches the
-// duplication tolerance the sim's fault layer already exercises.
+// Delivery is at-least-once across reconnects: a failed write is
+// rewritten whole after the redial, so a peer that had already received
+// part of it gets duplicates of those frames. That is inside the
+// protocols' delivery model — the lockstep runner deduplicates its
+// round bundles exactly — and matches the duplication tolerance the
+// sim's fault layer already exercises.
 
 import (
 	"bufio"
@@ -47,17 +51,13 @@ var (
 	tcpLinkErrors = metrics.DefaultCounter("transport_tcp_link_errors_total")
 )
 
-// tcpInboxCap bounds buffered inbound frames; senders' writes park in
-// kernel buffers once it fills.
+// tcpInboxCap is the most inbound frames the inbox holds; readers stop
+// reading once it is full, and senders' writes park in kernel buffers.
 const tcpInboxCap = 1 << 13
 
-// tcpQueueCap bounds each outbound per-peer queue; Send blocks
-// (backpressure) when a peer falls this far behind.
+// tcpQueueCap is the most unwritten frames a peer's buffer holds; Send
+// blocks (backpressure) while it is full, as a down link's backlog fills.
 const tcpQueueCap = 1 << 12
-
-// tcpBatchBytes is the encoded size past which a writer stops
-// coalescing queued frames and writes what it has.
-const tcpBatchBytes = 64 << 10
 
 // tcpReadBuf sizes each connection's buffered reader: one read(2)
 // fetches every frame of that size already in the socket, and a larger
@@ -93,17 +93,17 @@ type TCP struct {
 	n    int
 
 	ln    net.Listener
-	inbox chan Frame
+	inbox *fifo
 	peers []*tcpPeer // indexed by id; nil at self
 
 	closing   chan struct{}
 	closeOnce sync.Once
-	writerWG  sync.WaitGroup
+	linkWG    sync.WaitGroup
 	readerWG  sync.WaitGroup
 
 	mu       sync.Mutex
 	linkErrs map[int]error
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]struct{} // nil once Close has severed them
 
 	framesSent atomic.Int64
 	framesRecv atomic.Int64
@@ -112,15 +112,19 @@ type TCP struct {
 }
 
 type tcpPeer struct {
-	id    int
-	addr  string
-	queue chan Frame
-	// connected records that this link has succeeded at least once, so
-	// later re-establishments count as reconnects, and buf is the
-	// encode buffer reused across batches. Only the peer's writeLoop
-	// goroutine touches them.
-	connected bool
-	buf       []byte
+	id   int
+	addr string
+	kick chan struct{} // one slot: a down link has frames to flush
+
+	mu     sync.Mutex
+	cond   *sync.Cond // on mu; broadcast when buf is taken or a write ends
+	conn   net.Conn   // nil while the link is down
+	busy   bool       // a write to conn is in flight
+	buf    []byte     // the frames encoded since the last write began
+	frames int        // how many frames buf holds
+	spare  []byte     // the other buffer, reused once its write is done
+
+	connected bool // the link was up before: a dial is a reconnect (linkLoop only)
 }
 
 // DialTCP opens node c.Self's endpoint: it listens on
@@ -143,7 +147,7 @@ func DialTCP(c TCPConfig) (*TCP, error) {
 	t := &TCP{
 		self:     c.Self,
 		n:        n,
-		inbox:    make(chan Frame, tcpInboxCap),
+		inbox:    newFIFO(tcpInboxCap),
 		peers:    make([]*tcpPeer, n),
 		closing:  make(chan struct{}),
 		linkErrs: make(map[int]error),
@@ -162,10 +166,11 @@ func DialTCP(c TCPConfig) (*TCP, error) {
 		if id == t.self {
 			continue
 		}
-		p := &tcpPeer{id: id, addr: c.Peers[id], queue: make(chan Frame, tcpQueueCap)}
+		p := &tcpPeer{id: id, addr: c.Peers[id], kick: make(chan struct{}, 1)}
+		p.cond = sync.NewCond(&p.mu)
 		t.peers[id] = p
-		t.writerWG.Add(1)
-		go t.writeLoop(p)
+		t.linkWG.Add(1)
+		go t.linkLoop(p)
 	}
 	t.readerWG.Add(1)
 	go t.acceptLoop()
@@ -181,68 +186,59 @@ func (t *TCP) N() int { return t.n }
 // Addr returns the bound listen address (useful with ":0").
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
-// Send implements Transport: it enqueues f on the peer's outbound
-// queue (blocking for backpressure) and returns once queued; the
-// per-peer writer flushes asynchronously with reconnect. A frame that
-// encodes to more than DefaultMaxFrame is rejected here with
-// ErrFrameTooLarge.
+// Send implements Transport: it encodes f into the peer's buffer and,
+// when the link is idle, writes it before returning (see the file
+// comment). A frame that encodes to more than DefaultMaxFrame is
+// rejected here with ErrFrameTooLarge.
 func (t *TCP) Send(f Frame) error {
-	select {
-	case <-t.closing:
+	if t.isClosing() {
 		return fmt.Errorf("%w: node %d send after close", ErrClosed, t.self)
-	default:
 	}
 	if size := encodedLen(&f); size > DefaultMaxFrame {
 		return fmt.Errorf("%w: node %d send: %d-byte frame, limit %d", ErrFrameTooLarge, t.self, size, DefaultMaxFrame)
 	}
-	f.From = t.self
-	if f.To == Broadcast {
-		for to := 0; to < t.n; to++ {
-			if to == t.self {
-				continue
-			}
-			df := f
-			df.To = to
-			if err := t.enqueue(df); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := checkPeer(f.To, t.self, t.n); err != nil {
-		return err
-	}
-	return t.enqueue(f)
+	return route(f, t.self, t.n, t.enqueue)
 }
 
+// enqueue encodes f into its peer's buffer, then writes the buffer if
+// the link is up and idle, or wakes linkLoop if the link is down.
 func (t *TCP) enqueue(f Frame) error {
 	p := t.peers[f.To]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.frames >= tcpQueueCap {
+		if t.isClosing() {
+			return fmt.Errorf("%w: node %d closed mid-send", ErrClosed, t.self)
+		}
+		p.cond.Wait()
+	}
+	p.buf = appendStreamFrame(p.buf, &f)
+	p.frames++
+	t.framesSent.Add(1)
+	tcpFramesSent.Inc()
+	switch {
+	case p.conn == nil:
+		signal(p.kick)
+	case !p.busy:
+		p.busy = true
+		t.drain(p)
+	}
+	return nil
+}
+
+func (t *TCP) isClosing() bool {
 	select {
-	case p.queue <- f:
-		t.framesSent.Add(1)
-		tcpFramesSent.Inc()
-		return nil
 	case <-t.closing:
-		return fmt.Errorf("%w: node %d closed mid-send", ErrClosed, t.self)
+		return true
+	default:
+		return false
 	}
 }
 
 // Recv implements Transport. Buffered frames stay receivable during
 // shutdown until the inbox drains.
 func (t *TCP) Recv(ctx context.Context) (Frame, error) {
-	select {
-	case f := <-t.inbox:
-		return f, nil
-	default:
-	}
-	select {
-	case f := <-t.inbox:
-		return f, nil
-	case <-t.closing:
-		return Frame{}, fmt.Errorf("%w: node %d recv after close", ErrClosed, t.self)
-	case <-ctx.Done():
-		return Frame{}, fmt.Errorf("%w: recv: %w", ErrTransport, ctx.Err())
-	}
+	return t.inbox.recv(ctx, t.closing, t.self)
 }
 
 // LinkError reports the most recent failure on the link to peer (nil
@@ -264,14 +260,14 @@ func (t *TCP) Stats() Stats {
 }
 
 // Close shuts the endpoint down gracefully: new Sends fail
-// immediately, the per-peer writers flush their queues (bounded by
+// immediately, the per-peer links flush what is unwritten (bounded by
 // tcpDrainTimeout), then the listener and every connection close and all
 // loops are joined.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() { close(t.closing) })
 	done := make(chan struct{})
 	go func() {
-		t.writerWG.Wait()
+		t.linkWG.Wait()
 		close(done)
 	}()
 	select {
@@ -283,6 +279,7 @@ func (t *TCP) Close() error {
 	for conn := range t.conns {
 		conn.Close() //nolint:errcheck // already closing
 	}
+	t.conns = nil
 	t.mu.Unlock()
 	t.readerWG.Wait()
 	return nil
@@ -295,7 +292,7 @@ func (t *TCP) setLinkErr(peer int, err error) {
 	t.mu.Unlock()
 }
 
-// --- outbound: per-peer writer with reconnect/backoff ---
+// --- outbound: direct writes, and a per-peer link with reconnect/backoff ---
 
 // dial attempts one connection + hello handshake to p.
 func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
@@ -314,23 +311,15 @@ func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
 	return conn, nil
 }
 
-// connect dials p with exponential backoff until it succeeds, the
-// transport starts closing, or the optional deadline passes.
+// connect dials p with exponential backoff until it succeeds, or
+// deadline passes, or — when deadline is zero, since a drain outlives
+// the close — the transport starts closing.
 func (t *TCP) connect(p *tcpPeer, deadline time.Time) net.Conn {
-	backoff := tcpBackoffMin
-	// One timer reused across attempts: time.After here would allocate
-	// a fresh timer per retry, each alive until its full backoff
-	// elapses even after the connection succeeds.
-	var retry *time.Timer
-	defer func() {
-		if retry != nil {
-			retry.Stop()
-		}
-	}()
-	for {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil
-		}
+	var stop <-chan struct{}
+	if deadline.IsZero() {
+		stop = t.closing
+	}
+	for backoff := tcpBackoffMin; ; backoff = min(2*backoff, tcpBackoffMax) {
 		conn, err := t.dial(p)
 		if err == nil {
 			if p.connected {
@@ -341,102 +330,92 @@ func (t *TCP) connect(p *tcpPeer, deadline time.Time) net.Conn {
 			return conn
 		}
 		t.setLinkErr(p.id, err)
-		if retry == nil {
-			retry = time.NewTimer(backoff)
-		} else {
-			if !retry.Stop() {
-				select {
-				case <-retry.C:
-				default:
-				}
-			}
-			retry.Reset(backoff)
-		}
-		select {
-		case <-t.closing:
-			// Keep trying only while draining with a deadline; a plain
-			// close abandons the link.
-			if deadline.IsZero() {
+		wait := backoff
+		if !deadline.IsZero() {
+			if wait = min(wait, time.Until(deadline)); wait <= 0 {
 				return nil
 			}
+		}
+		// A timer per retry, stopped on the way out: time.After would
+		// keep each one alive for its full wait.
+		retry := time.NewTimer(wait)
+		select {
 		case <-retry.C:
-		}
-		if backoff *= 2; backoff > tcpBackoffMax {
-			backoff = tcpBackoffMax
+		case <-stop:
+			retry.Stop()
+			return nil
 		}
 	}
 }
 
-// writeBatch encodes first and every frame already queued behind it
-// (up to tcpBatchBytes) into p.buf and writes the batch to p,
-// reconnecting and rewriting the whole batch on failure until it is
-// written or the deadline/closing applies. It returns the live
-// connection (nil when the batch had to be dropped).
-func (t *TCP) writeBatch(p *tcpPeer, conn net.Conn, first Frame, deadline time.Time) net.Conn {
-	p.buf = appendStreamFrame(p.buf[:0], &first)
-coalesce:
-	for len(p.buf) < tcpBatchBytes {
-		select {
-		case f := <-p.queue:
-			p.buf = appendStreamFrame(p.buf, &f)
-		default:
-			break coalesce
+// drain writes p.buf, then whatever piled up behind each write, until
+// nothing is left or a write fails; a failure takes the link down and
+// hands every unwritten frame to linkLoop. The caller holds p.mu and has
+// set p.busy; drain releases p.mu only around each write and clears
+// p.busy before it returns.
+func (t *TCP) drain(p *tcpPeer) {
+	for len(p.buf) > 0 {
+		out, frames, conn := p.buf, p.frames, p.conn
+		p.buf, p.spare, p.frames = p.spare[:0], nil, 0
+		p.cond.Broadcast()
+		p.mu.Unlock()
+		n, err := conn.Write(out)
+		p.mu.Lock()
+		if err != nil {
+			t.setLinkErr(p.id, fmt.Errorf("%w: write %d->%d: %v", ErrLink, t.self, p.id, err))
+			conn.Close() //nolint:errcheck // already failed
+			// The whole batch goes again, ahead of what piled up behind it.
+			p.conn, p.spare = nil, p.buf[:0]
+			p.buf, p.frames = append(out, p.buf...), p.frames+frames
+			signal(p.kick)
+			break
 		}
+		p.spare = out[:0]
+		t.bytesSent.Add(int64(n))
+		tcpBytesSent.Add(int64(n))
 	}
+	p.busy = false
+	p.cond.Broadcast()
+}
+
+// linkLoop connects p whenever frames wait on a down link, with
+// backoff, and flushes them. Once the transport closes it flushes what
+// is left, redialing until tcpDrainTimeout passes, then closes the
+// link.
+func (t *TCP) linkLoop(p *tcpPeer) {
+	defer t.linkWG.Done()
+	var deadline time.Time // zero until Close starts the drain
 	for {
-		if conn == nil {
+		if deadline.IsZero() {
+			select {
+			case <-p.kick:
+			case <-t.closing:
+				deadline = time.Now().Add(tcpDrainTimeout)
+			}
+		}
+		p.mu.Lock()
+		p.cond.Broadcast() // a Send waiting for room must see the close
+		for p.busy {
+			p.cond.Wait()
+		}
+		var conn net.Conn
+		if p.conn == nil && len(p.buf) > 0 {
+			p.mu.Unlock()
 			conn = t.connect(p, deadline)
-			if conn == nil {
-				return nil
-			}
+			p.mu.Lock()
 		}
-		n, err := conn.Write(p.buf)
-		if err == nil {
-			t.bytesSent.Add(int64(n))
-			tcpBytesSent.Add(int64(n))
-			return conn
-		}
-		t.setLinkErr(p.id, fmt.Errorf("%w: write %d->%d: %v", ErrLink, t.self, p.id, err))
-		conn.Close() //nolint:errcheck // already failed
-		conn = nil
-		select {
-		case <-t.closing:
-			if deadline.IsZero() {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return nil
-			}
-		default:
-		}
-	}
-}
-
-func (t *TCP) writeLoop(p *tcpPeer) {
-	defer t.writerWG.Done()
-	var conn net.Conn
-	defer func() {
 		if conn != nil {
-			conn.Close() //nolint:errcheck // shutdown
-		}
-	}()
-	for {
-		select {
-		case f := <-p.queue:
-			conn = t.writeBatch(p, conn, f, time.Time{})
-		case <-t.closing:
-			// Drain what is already queued, bounded by tcpDrainTimeout, so
-			// the final round of a finished protocol reaches the peer.
-			deadline := time.Now().Add(tcpDrainTimeout)
-			for {
-				select {
-				case f := <-p.queue:
-					conn = t.writeBatch(p, conn, f, deadline)
-				default:
-					return
-				}
+			p.conn, p.busy = conn, true
+			t.drain(p)
+		} else if !deadline.IsZero() {
+			if p.conn != nil {
+				p.conn.Close() //nolint:errcheck // shutdown
+				p.conn = nil
 			}
+			p.mu.Unlock()
+			return
 		}
+		p.mu.Unlock()
 	}
 }
 
@@ -447,19 +426,31 @@ func (t *TCP) acceptLoop() {
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
-			select {
-			case <-t.closing:
-			default:
+			if !t.isClosing() {
 				t.setLinkErr(t.self, fmt.Errorf("%w: node %d accept: %v", ErrLink, t.self, err))
 			}
 			return
 		}
-		t.mu.Lock()
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
-		t.readerWG.Add(1)
-		go t.readLoop(conn)
+		if t.track(conn) {
+			t.readerWG.Add(1)
+			go t.readLoop(conn)
+		}
 	}
+}
+
+// track registers an accepted connection for Close to sever. Once
+// Close has severed the others it refuses, closing conn: Accept can
+// still return a connection made just before the listener closed, and
+// nothing would sever it later.
+func (t *TCP) track(conn net.Conn) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.conns == nil {
+		conn.Close() //nolint:errcheck // refused
+		return false
+	}
+	t.conns[conn] = struct{}{}
+	return true
 }
 
 func (t *TCP) readLoop(conn net.Conn) {
@@ -481,9 +472,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {
-			select {
-			case <-t.closing:
-			default:
+			if !t.isClosing() {
 				t.setLinkErr(peer, fmt.Errorf("%w: read %d->%d: %v", ErrLink, peer, t.self, err))
 			}
 			return
@@ -494,9 +483,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		f.From = peer // trust the handshake, not the frame header
 		t.framesRecv.Add(1)
 		tcpFramesRecv.Inc()
-		select {
-		case t.inbox <- f:
-		case <-t.closing:
+		if !t.inbox.push(f, t.closing) {
 			return
 		}
 	}

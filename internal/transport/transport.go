@@ -9,8 +9,9 @@
 //     delivery schedule; seeded link faults, exact replay.
 //   - Mesh (NewMesh): an in-process channel mesh, one goroutine per
 //     node, real concurrency, no sockets — the race-detector backend.
-//   - TCP (DialTCP): real sockets, per-peer reconnect with exponential
-//     backoff, graceful draining shutdown.
+//   - TCP (DialTCP): real sockets, writes on the caller's goroutine,
+//     per-peer reconnect with exponential backoff, graceful draining
+//     shutdown.
 //
 // Every error this package mints chains to ErrTransport, matchable with
 // errors.Is across the facade (TestTransportErrorsChainRoot holds every
@@ -72,9 +73,11 @@ type Frame struct {
 
 // Transport is one node's endpoint on the message plane.
 //
-// Send enqueues a frame to a peer (or all peers with To == Broadcast);
-// it may block for backpressure but never blocks on a slow network —
-// stream backends buffer and flush asynchronously with reconnect.
+// Send hands a frame to a peer (or all peers with To == Broadcast). On
+// an idle link a stream backend writes it on the caller's goroutine, so
+// Send blocks only as long as one write(2) takes, or while a down
+// link's backlog is at its cap; otherwise the frame waits in a buffer
+// for the write in flight or for the reconnect.
 // Recv delivers the next incoming frame, honoring ctx cancellation.
 // Close releases the endpoint; it drains queued outgoing frames before
 // tearing links down, and subsequent Sends/Recvs fail with ErrClosed.
@@ -109,6 +112,29 @@ type Stats struct {
 // traffic statistics.
 type Instrumented interface {
 	Stats() Stats
+}
+
+// route hands send one copy of f per destination, with From set to
+// self: f.To, checked against the cluster, or every other node when
+// f.To is Broadcast.
+func route(f Frame, self, n int, send func(Frame) error) error {
+	f.From = self
+	if f.To != Broadcast {
+		if err := checkPeer(f.To, self, n); err != nil {
+			return err
+		}
+		return send(f)
+	}
+	for to := 0; to < n; to++ {
+		if to == self {
+			continue
+		}
+		f.To = to
+		if err := send(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkPeer validates a destination id against the cluster size and

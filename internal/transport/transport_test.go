@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -243,6 +244,60 @@ func TestMeshSendNeverBlocks(t *testing.T) {
 		if !sort.IntsAreSorted(rs) {
 			t.Errorf("receiver %d saw frames out of FIFO order", w)
 		}
+	}
+}
+
+// TestFIFOLimit drives the bounded inbox the TCP readers push into:
+// several producers against one consumer never hold more than limit
+// frames pending, lose no wakeup (every frame arrives, each producer's
+// in order), and a push blocked on a full queue gives up once its stop
+// channel closes.
+func TestFIFOLimit(t *testing.T) {
+	const limit, producers, frames = 3, 4, 2000
+	q := newFIFO(limit)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				if !q.push(Frame{From: p, Round: i}, nil) {
+					t.Errorf("producer %d: push gave up", p)
+					return
+				}
+			}
+		}(p)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	next := make([]int, producers)
+	for got := 0; got < producers*frames; got++ {
+		f, err := q.recv(ctx, nil, 0)
+		if err != nil {
+			t.Fatalf("after %d frames: %v", got, err)
+		}
+		if f.Round != next[f.From] {
+			t.Fatalf("producer %d: frame %d arrived where %d was due", f.From, f.Round, next[f.From])
+		}
+		next[f.From]++
+		q.mu.Lock()
+		pending := len(q.q) - q.head
+		q.mu.Unlock()
+		if pending > limit {
+			t.Fatalf("%d frames pending, limit %d", pending, limit)
+		}
+	}
+	wg.Wait()
+
+	for i := 0; i < limit; i++ {
+		q.push(Frame{}, nil)
+	}
+	stop := make(chan struct{})
+	gaveUp := make(chan bool)
+	go func() { gaveUp <- !q.push(Frame{}, stop) }()
+	close(stop)
+	if !<-gaveUp {
+		t.Error("push onto a full queue succeeded")
 	}
 }
 
@@ -490,21 +545,31 @@ func TestTCPCloseDrainsQueuedFrames(t *testing.T) {
 	}
 }
 
-// TestTCPReconnect kills an established connection from the accepting
-// side and checks the writer re-dials with backoff and keeps
-// delivering (at-least-once across the cut).
+// TestTCPReconnect cuts an established link from the accepting side
+// and keeps peer 1 away until the redials fail, then brings it back on
+// the same address: the link goroutine must redial with backoff and
+// keep delivering (at-least-once across the cut), and the frames sent
+// while the link was down must arrive after the earlier frames and
+// before the later ones, so a direct write never overtakes the backlog.
 func TestTCPReconnect(t *testing.T) {
 	ln0, ln1 := listenLoopback(t), listenLoopback(t)
-	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
+	addr1 := ln1.Addr().String()
+	peers := map[int]string{0: ln0.Addr().String(), 1: addr1}
 	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n0.Close()
-
-	if err := n0.Send(Frame{To: 1, Round: 0, Tag: "eig", Data: []byte("a")}); err != nil {
-		t.Fatal(err)
+	round := 0
+	send := func() {
+		t.Helper()
+		if err := n0.Send(Frame{To: 1, Round: round, Tag: "eig"}); err != nil {
+			t.Fatal(err)
+		}
+		round++
 	}
+
+	send()
 	conn, err := ln1.Accept()
 	if err != nil {
 		t.Fatal(err)
@@ -513,40 +578,187 @@ func TestTCPReconnect(t *testing.T) {
 	if err != nil || hello.Tag != helloTag || hello.From != 0 {
 		t.Fatalf("handshake: frame %+v, err %v", hello, err)
 	}
-	conn.Close() // sever the link mid-stream
+	if f, err := ReadFrame(conn); err != nil || f.Round != 0 {
+		t.Fatalf("first frame: %+v, err %v", f, err)
+	}
+	ln1.Close()                      //nolint:errcheck // peer 1 goes away...
+	conn.(*net.TCPConn).SetLinger(0) //nolint:errcheck // ...with a reset
+	conn.Close()                     //nolint:errcheck // the cut
 
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		if c, err := ln1.Accept(); err == nil {
-			accepted <- c
-		}
-	}()
-	// Keep traffic flowing until the writer notices the dead socket and
-	// re-dials.
-	var conn2 net.Conn
+	// Keep traffic flowing until a write fails and a redial is refused.
 	deadline := time.After(10 * time.Second)
-	for conn2 == nil {
-		if err := n0.Send(Frame{To: 1, Round: 1, Tag: "eig", Data: []byte("b")}); err != nil {
-			t.Fatal(err)
-		}
+	for err := n0.LinkError(1); err == nil || !strings.Contains(err.Error(), "dial 0->1"); err = n0.LinkError(1) {
+		send()
 		select {
-		case conn2 = <-accepted:
 		case <-deadline:
-			t.Fatal("writer never re-dialed after the connection was cut")
+			t.Fatalf("link never went down; last error %v", err)
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
+	firstDown := round
+	for i := 0; i < 5; i++ {
+		send()
+	}
+
+	ln1b, err := net.Listen("tcp", addr1)
+	if err != nil {
+		t.Fatalf("peer 1 back on %s: %v", addr1, err)
+	}
+	defer ln1b.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln1b.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	var conn2 net.Conn
+	for conn2 == nil {
+		send()
+		select {
+		case conn2 = <-accepted:
+		case <-deadline:
+			t.Fatal("link never re-dialed after the cut")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
 	defer conn2.Close()
-	hello2, err := ReadFrame(conn2)
-	if err != nil || hello2.Tag != helloTag {
+	for i := 0; i < 5; i++ {
+		send()
+	}
+	conn2.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if hello2, err := ReadFrame(conn2); err != nil || hello2.Tag != helloTag {
 		t.Fatalf("second handshake: frame %+v, err %v", hello2, err)
 	}
-	f, err := ReadFrame(conn2)
-	if err != nil || f.Tag != "eig" {
-		t.Fatalf("no data after reconnect: frame %+v, err %v", f, err)
+	// Probes sent before the link was seen down may be lost with the
+	// cut connection; everything from firstDown on must arrive, in order.
+	prev := 0
+	for prev < round-1 {
+		f, err := ReadFrame(conn2)
+		if err != nil {
+			t.Fatalf("after round %d: %v", prev, err)
+		}
+		if f.Round <= prev || (f.Round > firstDown && f.Round != prev+1) {
+			t.Fatalf("round %d arrived after round %d (link down from round %d, last %d)", f.Round, prev, firstDown, round-1)
+		}
+		prev = f.Round
 	}
 	if n0.Stats().Reconnects == 0 {
 		t.Error("reconnect not counted in stats")
+	}
+}
+
+// failConn is a connection whose Write runs onWrite, as a Send racing
+// the write would, and then fails.
+type failConn struct {
+	net.Conn
+	onWrite func()
+	closed  bool
+}
+
+func (c *failConn) Write([]byte) (int, error) {
+	c.onWrite()
+	return 0, errors.New("connection reset")
+}
+
+func (c *failConn) Close() error {
+	c.closed = true
+	return nil
+}
+
+// TestTCPFailedWriteKeepsOrder: a failed write hands its whole batch
+// back ahead of the frame that piled up behind it while it was in
+// flight, and takes the link down for the link goroutine to redial.
+func TestTCPFailedWriteKeepsOrder(t *testing.T) {
+	tr := &TCP{self: 0, n: 2, linkErrs: make(map[int]error)}
+	p := &tcpPeer{id: 1, kick: make(chan struct{}, 1)}
+	p.cond = sync.NewCond(&p.mu)
+	conn := &failConn{onWrite: func() {
+		p.mu.Lock()
+		p.buf = appendStreamFrame(p.buf, &Frame{To: 1, Round: 1, Tag: "late"})
+		p.frames++
+		p.mu.Unlock()
+	}}
+	p.buf, p.frames = appendStreamFrame(nil, &Frame{To: 1, Round: 0, Tag: "first"}), 1
+	p.conn, p.busy = conn, true
+	p.mu.Lock()
+	tr.drain(p)
+	p.mu.Unlock()
+
+	if p.conn != nil || p.busy || !conn.closed || p.frames != 2 {
+		t.Fatalf("after the failed write: conn %v, busy %v, closed %v, %d frames", p.conn, p.busy, conn.closed, p.frames)
+	}
+	r := bytes.NewReader(p.buf)
+	for i, tag := range []string{"first", "late"} {
+		if f, err := ReadFrame(r); err != nil || f.Round != i || f.Tag != tag {
+			t.Fatalf("backlog frame %d: %+v, err %v", i, f, err)
+		}
+	}
+	if r.Len() != 0 {
+		t.Errorf("%d stray bytes after the backlog", r.Len())
+	}
+	select {
+	case <-p.kick:
+	default:
+		t.Error("the link goroutine was not woken to redial")
+	}
+	if err := tr.LinkError(1); !errors.Is(err, ErrLink) {
+		t.Errorf("link error = %v, want ErrLink", err)
+	}
+}
+
+// TestTCPRefusesConnectionAfterClose: a connection Accept returns after
+// Close has severed the tracked ones (one made just before the listener
+// closed) is refused and closed, not left open for Close to wait on.
+func TestTCPRefusesConnectionAfterClose(t *testing.T) {
+	ln0, ln1 := listenLoopback(t), listenLoopback(t)
+	defer ln1.Close()
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}, Listener: ln0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	local, remote := net.Pipe()
+	defer remote.Close()
+	if n0.track(local) {
+		t.Fatal("a connection was registered after Close")
+	}
+	remote.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := remote.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("refused connection left open: read err = %v, want EOF", err)
+	}
+}
+
+// TestTCPEndpointAllocationCeiling: an endpoint's buffers grow with its
+// traffic rather than being allocated up front, so opening and closing
+// an idle 4-node loopback set costs each endpoint under 64 KiB.
+func TestTCPEndpointAllocationCeiling(t *testing.T) {
+	const n, ceiling = 4, 64 << 10
+	peers := make(map[int]string, n)
+	lns := make([]net.Listener, n)
+	for i := range lns {
+		lns[i] = listenLoopback(t)
+		peers[i] = lns[i].Addr().String()
+	}
+	eps := make([]*TCP, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range eps {
+		ep, err := DialTCP(TCPConfig{Self: i, Peers: peers, Listener: lns[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[i] = ep
+	}
+	for _, ep := range eps {
+		if err := ep.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > ceiling {
+		t.Errorf("DialTCP and Close allocated %d bytes per endpoint, ceiling %d", per, ceiling)
 	}
 }
 
