@@ -245,9 +245,9 @@ func TestACSSpecValidation(t *testing.T) {
 // BenchmarkACSTCPStream runs a 20-epoch ACS stream on a 4-node
 // loopback-TCP cluster, node 3 equivocating, one stream per iteration
 // (listeners bound off the clock). It reports the lockstep rounds and
-// the frames all nodes sent per epoch: a node opens epoch e+1 in the
-// round in which epoch e casts its 0-votes, so an epoch takes 5 rounds
-// and 4·3·5 = 60 frames once the stream is under way.
+// the frames all nodes sent per epoch: a node opens an epoch in every
+// round, so 20 epochs take 20 + 8 rounds, 1.4 per epoch, and the frames
+// of a round, at most 4·3, carry several epochs' votes.
 func BenchmarkACSTCPStream(b *testing.B) {
 	const n, epochs = 4, 20
 	rng := rand.New(rand.NewSource(1))

@@ -8,8 +8,8 @@
 // slot all correct processes delivered in time.
 //
 // The epoch engine on top (see node.go) runs one ACS instance per
-// epoch, the next one opening once the current one casts its 0-votes,
-// commits decisions strictly in epoch order, and reduces each
+// epoch, up to pipelineDepth of them at once with a new one opening
+// every round, commits decisions strictly in epoch order, and reduces each
 // epoch's agreed subset of vector proposals to a single decided vector
 // through the paper's relaxed-BVC kernel (delta*_p minimization over
 // the subset multiset) — HoneyBadger-style batching with the

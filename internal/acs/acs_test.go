@@ -185,8 +185,8 @@ func TestACSStatsAndPrune(t *testing.T) {
 	}
 	// Sealed-past epochs are garbage-collected (one epoch of slack).
 	for i, node := range nodes {
-		if len(node.epochs) > 2 {
-			t.Fatalf("node %d retains %d epoch states after pruning", i, len(node.epochs))
+		if held := node.heldEpochs(); held > 2 {
+			t.Fatalf("node %d retains %d epoch states after pruning", i, held)
 		}
 	}
 }
@@ -248,15 +248,21 @@ type spanWatch struct {
 func (w *spanWatch) Step(round int, delivered []sched.Message) []sched.Outgoing {
 	outs := w.Node.Step(round, delivered)
 	if !w.done {
-		*w.span = max(*w.span, w.top-w.cur+1)
+		*w.span = max(*w.span, w.unsealed())
 	}
 	return outs
 }
 
-// A node opens epoch e+1 in the round in which epoch e casts its 0-votes,
-// so with an equivocating proposer, whose zero-filled slot needs two ABA
-// rounds after that, an epoch takes five lockstep rounds instead of nine,
-// and no node ever holds more than two epochs unsealed.
+// pipelineRounds is the lockstep round bound of an epochs-long stream:
+// a new epoch every round, and the last ones drain the pipeline.
+func pipelineRounds(epochs int) int { return epochs + 2*pipelineDepth }
+
+// A node opens an epoch in every round in which fewer than pipelineDepth
+// are unsealed. With an equivocating proposer an epoch takes nine
+// lockstep rounds, its zero-filled slot needing two ABA rounds after the
+// 0-votes, so the pipeline fills: a 40-epoch n = 7 stream takes at most
+// epochs + 2·pipelineDepth rounds (204 when only two epochs overlapped),
+// and no node ever holds more than pipelineDepth epochs unsealed.
 func TestACSOverlappedEpochPeriod(t *testing.T) {
 	const n, f, d, epochs = 7, 2, 2, 40
 	props := genProposals(rand.New(rand.NewSource(41)), epochs, n, d)
@@ -269,15 +275,16 @@ func TestACSOverlappedEpochPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds > 5*epochs+4 {
-		t.Errorf("%d epochs took %d rounds, want at most %d", epochs, rounds, 5*epochs+4)
+	if want := pipelineRounds(epochs); rounds > want {
+		t.Errorf("%d epochs took %d rounds, want at most %d", epochs, rounds, want)
 	}
-	if span != 2 {
-		t.Errorf("nodes held at most %d epochs unsealed, want 2", span)
+	if span != pipelineDepth {
+		t.Errorf("nodes held at most %d epochs unsealed, want %d", span, pipelineDepth)
 	}
 	for i, node := range nodes[:n-1] {
 		if got := len(node.Decisions()); got != epochs {
 			t.Fatalf("node %d sealed %d of %d epochs", i, got, epochs)
 		}
 	}
+	t.Logf("%d epochs in %d rounds", epochs, rounds)
 }

@@ -15,7 +15,9 @@ import (
 // every decision waiting on it gets its own copy of the Output. Distinct
 // groups — in practice, different epochs — run in seal order on up to
 // GOMAXPROCS (read by NewLane) short-lived workers, which exist only
-// while groups are waiting; a kernel itself stays sequential. The kernel
+// while groups are waiting; a kernel itself stays sequential. Groups
+// live in a ring indexed by epoch and are reused once their epoch leaves
+// it, so a steady stream allocates no lane state. The kernel
 // is a pure function of its inputs, so neither the grouping nor the
 // overlap can move a bit of any decision. Use NewLane.
 type Lane struct {
@@ -23,11 +25,11 @@ type Lane struct {
 	procs   int // GOMAXPROCS when the lane was made: the worker cap
 	mu      sync.Mutex
 	changed sync.Cond // broadcast when a group finishes or a worker exits
-	// groups holds the groups of the last laneEpochs epochs sealed, so
-	// that a node sealing late still finds its epoch's group; lo is the
-	// lowest epoch it may hold.
-	groups   map[int][]*kernelGroup
-	lo       int
+	// ring holds the groups of the last laneEpochs epochs sealed, epoch e
+	// at e % laneEpochs, so that a node sealing late still finds its
+	// epoch's group; free holds finished groups the ring let go of.
+	ring     [laneEpochs]laneSlot
+	free     []*kernelGroup
 	pending  []*kernelGroup // groups waiting for a worker, in seal order
 	head     int            // pending[head:] are waiting
 	workers  int
@@ -36,11 +38,18 @@ type Lane struct {
 	panicked any    // the first value a kernel panicked with
 }
 
-// laneEpochs is how many epochs of groups a lane keeps. Local nodes of
-// one run seal an epoch at most a round apart (Node.prune keeps the
-// same slack), so a job older than that still decides, only without
-// sharing a kernel run.
-const laneEpochs = 4
+// laneEpochs is how many epochs of groups a lane keeps. A node seals up
+// to pipelineDepth epochs in one Step, when the oldest one that held
+// the others back seals, and local nodes of one run seal an epoch a few
+// rounds apart at most, so two pipelines' worth covers them; a job older
+// than that still decides, only without sharing a kernel run.
+const laneEpochs = 2 * pipelineDepth
+
+// laneSlot is the ring entry of one epoch: its groups, in push order.
+type laneSlot struct {
+	epoch  int // -1 while the slot is unused
+	groups []*kernelGroup
+}
 
 // kernelGroup is one kernel run and the decisions that wait for it.
 type kernelGroup struct {
@@ -60,41 +69,67 @@ func NewLane() *Lane { return newLane(decideEpoch) }
 func newLane(kernel func([]vec.V, int, float64) (vec.V, float64)) *Lane {
 	// runtime.GOMAXPROCS takes the scheduler's lock, which a call per
 	// epoch contends with the worker goroutines' parking.
-	l := &Lane{kernel: kernel, procs: runtime.GOMAXPROCS(0), groups: make(map[int][]*kernelGroup)}
+	l := &Lane{kernel: kernel, procs: runtime.GOMAXPROCS(0)}
 	l.changed.L = &l.mu
+	for i := range l.ring {
+		l.ring[i].epoch = -1
+	}
 	return l
 }
 
 // push queues the kernel job of dec, a sealed decision whose Values are
 // set: it joins the group of an identical job of the same epoch, which
 // decides it at once if that group has finished, or opens a new group.
+// A job for an epoch older than its ring slot's opens a group the ring
+// does not keep.
 func (l *Lane) push(dec *EpochDecision, f int, p float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.queued++
-	for _, g := range l.groups[dec.Epoch] {
-		if g.f == f && math.Float64bits(g.p) == math.Float64bits(p) && sameValues(g.values, dec.Values) {
-			if g.finished {
-				g.decide(dec)
-				l.done++
-			} else {
-				g.waiting = append(g.waiting, dec)
+	slot := &l.ring[dec.Epoch%laneEpochs]
+	if slot.epoch == dec.Epoch {
+		for _, g := range slot.groups {
+			if g.f == f && math.Float64bits(g.p) == math.Float64bits(p) && sameValues(g.values, dec.Values) {
+				if g.finished {
+					g.decide(dec)
+					l.done++
+				} else {
+					g.waiting = append(g.waiting, dec)
+				}
+				return
 			}
-			return
 		}
 	}
-	g := &kernelGroup{values: dec.Values, f: f, p: p, waiting: []*EpochDecision{dec}}
-	if dec.Epoch >= l.lo {
-		l.groups[dec.Epoch] = append(l.groups[dec.Epoch], g)
-		for ; l.lo <= dec.Epoch-laneEpochs; l.lo++ {
-			delete(l.groups, l.lo)
+	g := l.group(dec, f, p)
+	if slot.epoch < dec.Epoch {
+		for _, old := range slot.groups {
+			if old.finished { // an unfinished one is still queued or running
+				l.free = append(l.free, old)
+			}
 		}
+		clear(slot.groups)
+		slot.epoch, slot.groups = dec.Epoch, slot.groups[:0]
+	}
+	if slot.epoch == dec.Epoch {
+		slot.groups = append(slot.groups, g)
 	}
 	l.pending = append(l.pending, g)
 	if l.workers < l.procs {
 		l.workers++
 		go l.work()
 	}
+}
+
+// group returns a new group for dec's job, a freed one if any.
+func (l *Lane) group(dec *EpochDecision, f int, p float64) *kernelGroup {
+	k := len(l.free)
+	if k == 0 {
+		return &kernelGroup{values: dec.Values, f: f, p: p, waiting: []*EpochDecision{dec}}
+	}
+	g := l.free[k-1]
+	l.free = l.free[:k-1]
+	*g = kernelGroup{values: dec.Values, f: f, p: p, waiting: append(g.waiting[:0], dec)}
+	return g
 }
 
 // work runs waiting groups until none is left.
@@ -115,7 +150,8 @@ func (l *Lane) work() {
 			g.decide(dec)
 		}
 		l.done += uint64(len(g.waiting))
-		g.waiting = nil
+		clear(g.waiting)
+		g.waiting = g.waiting[:0]
 		l.changed.Broadcast()
 	}
 	l.pending, l.head = l.pending[:0], 0

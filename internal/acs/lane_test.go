@@ -105,12 +105,13 @@ func valuesKey(values []vec.V, f int, p float64) string {
 }
 
 // TestACSLaneSharesEpochKernels runs 7 local nodes, one of them an
-// equivocator, on one lane whose kernel counts its calls: each distinct
-// (epoch, values) must be computed once, every decision must equal the
-// inline kernel's bit for bit, and no two nodes' Outputs may share a
-// backing array.
+// equivocator, on one lane whose kernel counts its calls, over a stream
+// long enough to reuse every ring slot's groups: each distinct (epoch,
+// values) must be computed once, every decision must equal the inline
+// kernel's bit for bit, and no two nodes' Outputs may share a backing
+// array.
 func TestACSLaneSharesEpochKernels(t *testing.T) {
-	const epochs = 12
+	const epochs = laneEpochs + pipelineDepth
 	var mu sync.Mutex
 	calls := map[string]int{}
 	lane := newLane(func(values []vec.V, f int, p float64) (vec.V, float64) {

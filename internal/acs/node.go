@@ -79,22 +79,24 @@ type Stats struct {
 
 // epochState is the per-epoch protocol state of a node.
 type epochState struct {
+	epoch int
 	// abas, delivered and rawDelivered are indexed by slot.
 	abas         []abaInst
 	delivered    []vec.V // decoded proposal
 	rawDelivered []bool  // the slot's proposal was reliably delivered
 	zeroCast     bool    // BKR rule 2 fired: the 0-votes are cast
+	dirty        bool    // on Node.dirty: a delivery or decision awaits vote
 }
 
 // Node is one ACS stream participant: a deterministic state machine
 // implementing sched.SyncProcess, runnable on the in-process lockstep
 // engine and — via transport.RunSync — over the channel mesh and TCP
-// with bit-identical decisions. Epochs overlap by one: epoch e+1's
-// broadcasts start in the round in which epoch e casts its 0-votes (BKR
-// rule 2), epoch e's leftover agreements run on beside them, and epochs
-// seal strictly in order, so at most two are unsealed at once. Messages
-// that arrive ahead of the receiver's newest epoch accumulate in their
-// instances until the receiver catches up.
+// with bit-identical decisions. Epochs run pipelineDepth deep: every
+// Start and Step that finds fewer than pipelineDepth epochs unsealed
+// opens the next one, the open epochs' broadcasts and agreements run
+// side by side, and epochs seal strictly in order. Messages that arrive
+// ahead of the receiver's newest epoch accumulate in their instances
+// until the receiver catches up.
 type Node struct {
 	cfg Config
 	// outs is the send buffer every Start/Step fills and returns; the
@@ -110,16 +112,36 @@ type Node struct {
 	// the lane's kernels keep them.
 	coords  []float64
 	rbc     *broadcast.BrachaState
-	epochs  map[int]*epochState
-	spare   []*epochState // pruned states, reset when an epoch reuses one
-	cur     int           // the oldest unsealed epoch, the next to seal
-	top     int           // the newest open epoch: cur, or cur+1
+	epochs  [epochWindow]*epochState // the live epochs' states, epoch e at e % epochWindow
+	spare   []*epochState            // pruned states, reset when an epoch reuses one
+	cur     int                      // the oldest unsealed epoch, the next to seal
+	top     int                      // the newest open epoch, cur-1 when none is open
+	dirty   []int                    // open epochs whose deliveries or decisions changed
 	done    bool
 	sealed  []EpochDecision
 	lane    *Lane
 	stats   Stats
 	pruneLo int // epochs below this are garbage-collected
 }
+
+// pipelineDepth is how many epochs a node keeps unsealed at once. In
+// lockstep delivery an all-honest epoch seals in the fifth Step after it
+// opens, and one with a faulty proposer in the ninth, so nine open
+// epochs let a new one open in every round. Swept on the 40-epoch n = 7
+// transcript rows, depths 2, 3, 4, 6, 8 and 9 took 181, 126, 93, 66, 52
+// and 48 rounds with an equivocator (48 from 9 on; 204 when two epochs
+// overlapped), and 101, 70, 53 and 44 from depth 6 on when all are
+// honest (DESIGN §13.1).
+const pipelineDepth = 9
+
+// windowThreshold is the newest epoch a node whose oldest unsealed epoch
+// is cur accepts traffic for: two pipelines past cur, its own open epochs
+// and the ones a peer that sealed them first may open (DESIGN §13.3).
+func windowThreshold(cur int) int { return cur + 2*pipelineDepth }
+
+// epochWindow is the most epochs the window [pruneLo, windowThreshold(cur)]
+// spans: pruneLo is at least cur-1.
+const epochWindow = 2*pipelineDepth + 2
 
 // MaxProcesses bounds N: the wire names a process (an rbc sender, an
 // aba slot) in 16 bits, so a larger id would alias a smaller one.
@@ -163,10 +185,10 @@ func NewNode(cfg Config) (*Node, error) {
 		lane = NewLane()
 	}
 	return &Node{
-		cfg:    cfg,
-		rbc:    broadcast.NewBrachaState(cfg.N, cfg.F, cfg.Self),
-		epochs: make(map[int]*epochState),
-		lane:   lane,
+		cfg:  cfg,
+		rbc:  broadcast.NewBrachaState(cfg.N, cfg.F, cfg.Self),
+		top:  -1,
+		lane: lane,
 	}, nil
 }
 
@@ -181,22 +203,34 @@ func (n *Node) Decisions() []EpochDecision {
 // Stats reports the node's protocol-work counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-func (n *Node) epoch(e int) *epochState {
-	es := n.epochs[e]
-	if es != nil {
+// held returns the state of epoch e >= 0, nil if the node holds none.
+func (n *Node) held(e int) *epochState {
+	if es := n.epochs[e%epochWindow]; es != nil && es.epoch == e {
 		return es
 	}
+	return nil
+}
+
+// epoch returns the state of live epoch e, creating it if need be. Live
+// epochs lie in a window of at most epochWindow, and prune clears the
+// slots below it, so e's slot is free.
+func (n *Node) epoch(e int) *epochState {
+	if es := n.held(e); es != nil {
+		return es
+	}
+	var es *epochState
 	if k := len(n.spare); k > 0 {
 		es, n.spare = n.spare[k-1], n.spare[:k-1]
 		es.reset(e)
 	} else {
 		es = &epochState{
+			epoch:        e,
 			abas:         newABAInsts(n.cfg.N, n.cfg.F, n.cfg.Self, e),
 			delivered:    make([]vec.V, n.cfg.N),
 			rawDelivered: make([]bool, n.cfg.N),
 		}
 	}
-	n.epochs[e] = es
+	n.epochs[e%epochWindow] = es
 	return es
 }
 
@@ -204,12 +238,25 @@ func (n *Node) epoch(e int) *epochState {
 // delivered vectors live on in sealed decisions, so only the slice's
 // references are cleared.
 func (es *epochState) reset(e int) {
+	es.epoch = e
 	for s := range es.abas {
 		es.abas[s].reset(e)
 	}
 	clear(es.delivered)
 	clear(es.rawDelivered)
-	es.zeroCast = false
+	es.zeroCast, es.dirty = false, false
+}
+
+// unsealed is the number of open epochs, cur through top.
+func (n *Node) unsealed() int { return n.top - n.cur + 1 }
+
+// touch queues open epoch e for pump's next vote; other epochs are left
+// alone, since opening an epoch touches it.
+func (n *Node) touch(e int, es *epochState) {
+	if e >= n.cur && e <= n.top && !es.dirty {
+		es.dirty = true
+		n.dirty = append(n.dirty, e)
+	}
 }
 
 // Start implements sched.SyncProcess: open epoch 0.
@@ -218,15 +265,16 @@ func (n *Node) Start() []sched.Outgoing {
 		n.done = true
 		return nil
 	}
-	return n.flush(n.pump(n.open(n.outs[:0], 0)))
+	return n.flush(n.pump(n.outs[:0]))
 }
 
 // Done implements sched.SyncProcess.
 func (n *Node) Done() bool { return n.done }
 
 // Step implements sched.SyncProcess: walk the round's inbox into the
-// RBC and ABA layers, pump the BKR vote/seal logic to fixpoint, then
-// send this round's INITs, Bracha vote body and ABA body, in that order.
+// RBC and ABA layers, pump the BKR vote/seal/open logic to fixpoint,
+// then send this round's INITs, Bracha vote body and ABA body, in that
+// order.
 func (n *Node) Step(round int, delivered []sched.Message) []sched.Outgoing {
 	if n.done {
 		return nil
@@ -299,15 +347,11 @@ func (n *Node) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 }
 
 // liveEpoch reports whether epoch e can still receive traffic: not yet
-// garbage-collected, inside the stream, and at most one epoch past this
-// node's newest open epoch. That is prune's slack seen from the other
-// side: in lockstep delivery no correct peer opens further ahead, so only
-// a Byzantine one could make the node hold state for a later epoch. The
-// window [pruneLo, top+1] spans at most four epochs: a sealed one kept as
-// slack, the two unsealed ones, and the next.
+// garbage-collected, inside the stream, and at most windowThreshold(cur).
+// The window [pruneLo, cur+2W], for W = pipelineDepth, spans at most 2W+2
+// epochs: a sealed one kept as slack, then cur and the 2W after it.
 func (n *Node) liveEpoch(e int) bool {
-	ahead := e - n.top
-	return e >= n.pruneLo && ahead <= 1 && e < len(n.cfg.Proposals)
+	return e >= n.pruneLo && e <= windowThreshold(n.cur) && e < len(n.cfg.Proposals)
 }
 
 // liveRBC reports whether an rbc instance id is the canonical id of a
@@ -338,21 +382,27 @@ func (n *Node) handleABA(from int, body []byte) {
 			}
 		}
 		if es != nil {
-			n.votes = es.abas[slot].handle(n.votes, from, round, phase, value)
+			a := &es.abas[slot]
+			decided := a.decided
+			n.votes = a.handle(n.votes, from, round, phase, value)
+			if a.decided && !decided {
+				n.touch(epoch, es)
+			}
 		}
 	}
 }
 
 // pump drives the BKR decision logic to a fixpoint: fold reliable
 // deliveries into votes and, in every open epoch, cast the 0-votes once
-// n-f slots decided 1; open the next epoch as soon as the newest one has
-// cast them, so that its leftover agreements run beside the next epoch's
-// broadcasts; seal epochs strictly in order, each once every slot's
-// agreement decided and every accepted slot's proposal is locally
-// delivered, and queue its kernel on the lane. At most two epochs are
-// unsealed at once. Nothing in the protocol reads a decision's Output,
-// so the next epochs' rounds go on while the kernel runs.
+// n-f slots decided 1; seal epochs strictly in order, each once every
+// slot's agreement decided and every accepted slot's proposal is locally
+// delivered, and queue its kernel on the lane; then open the next epoch
+// if fewer than pipelineDepth are unsealed, one per call. Only the open
+// epochs on n.dirty, whose deliveries or decisions changed, are voted
+// again. Nothing in the protocol reads a decision's Output, so the next
+// epochs' rounds go on while the kernel runs.
 func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
+	opened := false
 	for {
 		progress := false
 		for _, d := range n.rbc.TakeDeliveries() {
@@ -363,32 +413,31 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 			if es := n.epoch(e); !es.rawDelivered[d.Sender] {
 				es.rawDelivered[d.Sender] = true
 				es.delivered[d.Sender] = n.decodeValue(e, d.Value)
+				n.touch(e, es)
+			}
+		}
+		if n.done {
+			break
+		}
+		for _, e := range n.dirty {
+			es := n.held(e)
+			es.dirty = false
+			if n.vote(es) {
 				progress = true
 			}
 		}
-		if n.cur >= len(n.cfg.Proposals) {
-			if !progress {
-				break
-			}
-			continue
-		}
-		for e := n.cur; e <= n.top; e++ {
-			if n.vote(n.epoch(e)) {
-				progress = true
-			}
-		}
-		// Open the next epoch once the newest one cast its 0-votes, unless
-		// that would leave three epochs unsealed.
-		if next := n.top + 1; n.top == n.cur && next < len(n.cfg.Proposals) && n.epochs[n.top].zeroCast {
-			n.top = next
-			outs = n.open(outs, next)
-			progress = true
-		}
+		n.dirty = n.dirty[:0]
 		// A decided epoch has n-f slots decided 1 and so has cast its
 		// 0-votes; requiring that keeps cur <= top however votes arrive.
-		if es := n.epochs[n.cur]; es.zeroCast && es.ready() {
+		if es := n.held(n.cur); es != nil && es.zeroCast && es.ready() {
 			n.seal(es)
 			progress = true
+		}
+		if next := n.top + 1; !opened && next < len(n.cfg.Proposals) && n.unsealed() < pipelineDepth {
+			n.top = next
+			outs = n.open(outs, next)
+			n.touch(next, n.epoch(next))
+			opened, progress = true, true
 		}
 		if !progress {
 			break
@@ -445,8 +494,12 @@ func (es *epochState) ready() bool {
 // go onto n.sealed, its kernel onto the lane, and the epoch window moves
 // on. The node is done once the last epoch sealed.
 func (n *Node) seal(es *epochState) {
-	subset := make([]int, 0, n.cfg.N)
-	values := make([]vec.V, 0, n.cfg.N)
+	k := 0 // the subset's size: every agreement decided 0 or 1
+	for s := range es.abas {
+		k += int(es.abas[s].decision)
+	}
+	subset := make([]int, 0, k)
+	values := make([]vec.V, 0, k)
 	for s := range es.abas {
 		if es.abas[s].decision == 1 {
 			subset = append(subset, s)
@@ -477,21 +530,15 @@ func (n *Node) seal(es *epochState) {
 // nobody ever lags further.
 func (n *Node) prune() {
 	lo := n.cur - 1
-	if lo <= n.pruneLo {
-		return
-	}
+	var id [24]byte
 	for e := n.pruneLo; e < lo; e++ {
-		if es := n.epochs[e]; es != nil { // sealed decisions live on n.sealed
-			delete(n.epochs, e)
+		if es := n.held(e); es != nil { // sealed decisions live on n.sealed
+			n.epochs[e%epochWindow] = nil
 			n.spare = append(n.spare, es)
 		}
+		n.rbc.PruneID(broadcast.AppendEpochID(id[:0], e))
 	}
-	old := n.pruneLo
-	n.pruneLo = lo
-	n.rbc.PruneInstances(func(_ int, id string) bool {
-		e, ok := broadcast.ParseEpochID(id)
-		return ok && e >= old && e < lo
-	})
+	n.pruneLo = max(n.pruneLo, lo)
 }
 
 // coordsChunk caps a chunk of coords.

@@ -16,9 +16,10 @@ import (
 // message, each rbc message is routed by its id and handed to the
 // per-message BrachaState.AppendHandle, and each 12-byte aba message
 // finds its epoch on its own. Its ABA instances are the map-based
-// refABAInst (which TestABAMatchesReference holds to the flat tallies)
-// and it builds a fresh state for every epoch. It is kept as the
-// referee of TestACSNodeMatchesReference.
+// refABAInst (which TestABAMatchesReference holds to the flat tallies),
+// it builds a fresh state for every epoch, and its pump votes every open
+// epoch on every pass. It opens and seals epochs by Node's rules, and is
+// kept as the referee of TestACSNodeMatchesReference.
 type refNode struct {
 	cfg     Config
 	rbc     *broadcast.BrachaState
@@ -44,7 +45,7 @@ func encodeABA(epoch, slot, round int, phase, value byte) []byte {
 }
 
 func newRefNode(cfg Config) *refNode {
-	return &refNode{cfg: cfg, rbc: broadcast.NewBrachaState(cfg.N, cfg.F, cfg.Self), epochs: make(map[int]*refEpochState)}
+	return &refNode{cfg: cfg, rbc: broadcast.NewBrachaState(cfg.N, cfg.F, cfg.Self), epochs: make(map[int]*refEpochState), top: -1}
 }
 
 func (n *refNode) epoch(e int) *refEpochState {
@@ -64,7 +65,7 @@ func (n *refNode) Start() []sched.Outgoing {
 		n.done = true
 		return nil
 	}
-	return n.pump(n.open(nil, 0))
+	return n.pump(nil)
 }
 
 func (n *refNode) Done() bool { return n.done }
@@ -112,7 +113,7 @@ func (n *refNode) open(outs []sched.Outgoing, e int) []sched.Outgoing {
 }
 
 func (n *refNode) liveEpoch(e int) bool {
-	return e >= n.pruneLo && e <= n.top+1 && e < len(n.cfg.Proposals)
+	return e >= n.pruneLo && e <= windowThreshold(n.cur) && e < len(n.cfg.Proposals)
 }
 
 func (n *refNode) handleRBC(outs []sched.Outgoing, m sched.Message) []sched.Outgoing {
@@ -138,6 +139,7 @@ func (n *refNode) handleABA(outs []sched.Outgoing, m sched.Message) []sched.Outg
 }
 
 func (n *refNode) pump(outs []sched.Outgoing) []sched.Outgoing {
+	opened := false
 	for {
 		progress := false
 		for _, d := range n.rbc.TakeDeliveries() {
@@ -181,17 +183,11 @@ func (n *refNode) pump(outs []sched.Outgoing) []sched.Outgoing {
 				progress = true
 			}
 		}
-		if n.top == n.cur && n.top+1 < len(n.cfg.Proposals) && n.epochs[n.top].zeroCast {
-			n.top++
-			outs = n.open(outs, n.top)
-			progress = true
-		}
-		es := n.epochs[n.cur]
-		ready := es.zeroCast
-		for s, a := range es.abas {
-			if !a.decided || (a.decision == 1 && !es.rawDelivered[s]) {
+		es := n.epochs[n.cur] // voted above when it is open
+		ready := n.cur <= n.top && es.zeroCast
+		for s := 0; ready && s < n.cfg.N; s++ {
+			if a := es.abas[s]; !a.decided || (a.decision == 1 && !es.rawDelivered[s]) {
 				ready = false
-				break
 			}
 		}
 		if ready {
@@ -216,6 +212,11 @@ func (n *refNode) pump(outs []sched.Outgoing) []sched.Outgoing {
 			n.prune()
 			n.done = n.cur >= len(n.cfg.Proposals)
 			progress = true
+		}
+		if next, depth := n.top+1, n.top-n.cur+1; !opened && next < len(n.cfg.Proposals) && depth < pipelineDepth {
+			n.top = next
+			outs = n.open(outs, next)
+			opened, progress = true, true
 		}
 		if !progress {
 			break

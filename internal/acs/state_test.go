@@ -107,18 +107,24 @@ func TestABAFarRoundIsConstantCost(t *testing.T) {
 	}
 }
 
-// stateProbes are the streams the state tests tamper with: all honest,
-// where one epoch is open at a time, and with node 3 equivocating, where
-// node 0 holds epochs 0 and 1 open after round at (epoch 1 opens in round
-// 5, when epoch 0 casts its 0-votes, and epoch 0 seals in round 9).
+// stateProbes are the streams the state tests tamper with. Start opens
+// epoch 0 and the Step of round r opens epoch r+1. All honest, an epoch
+// seals in the fifth Step after it opens, so after round 4 node 0 has
+// sealed epoch 0, keeps it as slack and holds epochs 1-5 open. With node
+// 3 equivocating an epoch takes nine, and after round 7 node 0 holds a
+// full pipeline, epochs 0-8.
 var stateProbes = []struct {
 	name      string
 	behaviors map[int]Behavior
 	at, open  int // node 0 holds open unsealed epochs after round at
 }{
-	{"honest", nil, 3, 1},
-	{"pipelined", map[int]Behavior{3: Equivocate}, 6, 2},
+	{"honest", nil, 4, 5},
+	{"pipelined", map[int]Behavior{3: Equivocate}, 7, pipelineDepth},
 }
+
+// stateEpochs is the stream length of TestACSGarbageCreatesNoState: the
+// whole epoch window of a node that has sealed nothing, and more.
+const stateEpochs = 2*pipelineDepth + 4
 
 // DESIGN §13.3's bound — a node holds O(pipeline depth) protocol state —
 // must survive Byzantine traffic: messages that name no live instance
@@ -128,7 +134,8 @@ var stateProbes = []struct {
 func TestACSGarbageCreatesNoState(t *testing.T) {
 	for _, probe := range stateProbes {
 		t.Run(probe.name, func(t *testing.T) {
-			checkNoState(t, 4, 1, genProposals(rand.New(rand.NewSource(29)), 4, 4, 2), probe.behaviors, probe.at, probe.open, garbage(4, 4))
+			props := genProposals(rand.New(rand.NewSource(29)), stateEpochs, 4, 2)
+			checkNoState(t, 4, 1, props, probe.behaviors, probe.at, probe.open, garbage(4, stateEpochs))
 		})
 	}
 }
@@ -199,17 +206,18 @@ func garbage(n, epochs int) []sched.Message {
 	return out
 }
 
-// A stream's future epochs are live only one epoch past the newest open
-// one, the slack prune already assumes. Before that bound, one BVAL and
-// one ECHO from a Byzantine peer naming each later epoch of a 200-epoch
-// stream left node 0 holding 199 epoch states and 202 Bracha instances.
+// A stream's future epochs are live only up to cur+2W, two pipelines
+// past the oldest unsealed epoch cur, for W = pipelineDepth. Before there was a window,
+// one BVAL and one ECHO from a Byzantine peer naming each later epoch of
+// a 200-epoch stream left node 0 holding 199 epoch states and 202
+// Bracha instances.
 func TestACSFutureEpochsCreateNoState(t *testing.T) {
 	const n, f, d, epochs = 4, 1, 2, 200
 	props := genProposals(rand.New(rand.NewSource(37)), epochs, n, d)
 	for _, probe := range stateProbes {
 		t.Run(probe.name, func(t *testing.T) {
 			var future []sched.Message
-			for e := probe.open + 1; e < epochs; e++ { // past the window [0, open]
+			for e := 2*pipelineDepth + 1; e < epochs; e++ { // past [0, 2W]: node 0 has sealed nothing
 				future = append(future,
 					sched.Message{From: 3, To: 0, Tag: ABATag, Data: encodeABA(e, e%n, 0, abaBval, 1)},
 					sched.Message{From: 3, To: 0, Tag: broadcast.BrachaTag, Data: rbcMessage(1, e%n, broadcast.EpochID(e))})
@@ -231,13 +239,27 @@ func rbcMessage(phase byte, sender int, id string) []byte {
 // states, ABA rounds past the inline two, and unsealed epochs.
 type holdings struct{ insts, epochs, rounds, open int }
 
+// heldEpochs counts the epoch states a node holds.
+func (n *Node) heldEpochs() int {
+	held := 0
+	for _, es := range n.epochs {
+		if es != nil {
+			held++
+		}
+	}
+	return held
+}
+
 func measure(node *Node) holdings {
-	h := holdings{epochs: len(node.epochs)}
+	h := holdings{epochs: node.heldEpochs()}
 	if !node.done {
-		h.open = node.top - node.cur + 1
+		h.open = node.unsealed()
 	}
 	node.rbc.PruneInstances(func(int, string) bool { h.insts++; return false })
 	for _, es := range node.epochs {
+		if es == nil {
+			continue
+		}
 		for i := range es.abas {
 			h.rounds += len(es.abas[i].later)
 		}
@@ -245,10 +267,16 @@ func measure(node *Node) holdings {
 	return h
 }
 
+// stateBound is DESIGN §13.3's bound on the epochs whose state a node
+// holds under any traffic: its window [pruneLo, cur+2W] of 2W+2 epochs,
+// for W = pipelineDepth.
+const stateBound = 2*pipelineDepth + 2
+
 // checkNoState runs a stream twice, once with extra delivered to node 0
 // in round at, and requires node 0 to hold open unsealed epochs after
 // that round in the clean run and the clean run's state right after it
-// and at the end, and every node to seal the clean stream.
+// and at the end, at most stateBound epoch states, and every node to seal
+// the clean stream.
 func checkNoState(t *testing.T, n, f int, props [][]vec.V, behaviors map[int]Behavior, at, open int, extra []sched.Message) {
 	t.Helper()
 	var cleanAt, dirtyAt holdings
@@ -259,6 +287,10 @@ func checkNoState(t *testing.T, n, f int, props [][]vec.V, behaviors map[int]Beh
 	}
 	if dirtyAt != cleanAt {
 		t.Fatalf("after %d extra messages node 0 holds %+v, clean run %+v", len(extra), dirtyAt, cleanAt)
+	}
+	t.Logf("after round %d node 0 holds %+v", at, cleanAt)
+	if dirtyAt.epochs > stateBound {
+		t.Fatalf("node 0 holds %d epoch states, bound %d", dirtyAt.epochs, stateBound)
 	}
 	if got, want := measure(dirty[0]), measure(clean[0]); got != want {
 		t.Fatalf("at the end node 0 holds %+v, clean run %+v", got, want)

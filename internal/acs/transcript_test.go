@@ -35,7 +35,11 @@ import (
 // to open epoch e+1 as soon as epoch e cast its 0-votes, the same three
 // columns of the 16 equivocate and mute rows were re-recorded; the honest
 // rows and every fingerprint held, and TestACSTranscriptStreamsValid
-// checks each stream against its proposals.
+// checks each stream against its proposals. When a node began to keep
+// pipelineDepth epochs unsealed and open one in every round, the same
+// three columns of all 24 rows were re-recorded (a 40-epoch row went
+// from 204 rounds to 48 with a faulty node and from 200 to 44 without),
+// by a run that refused any fingerprint change; every fingerprint held.
 
 type transcriptSpec struct {
 	Name     string

@@ -28,10 +28,12 @@ import (
 //
 // A stream of instances runs allocation-light: PruneInstances keeps the
 // instances and emptied rows it removes on spare lists, at most
-// brachaSpareRows rows' worth, and opening an instance reuses one; a
-// tally copies its value into an append-only arena that is never
-// overwritten. A received message allocates only when it opens a
-// row (its id string), opens an instance with no spare left, or fills
+// brachaSpareRows rows' worth, and opening an instance reuses one; the
+// grown tally lists of pruned instances go on a spare list of their own,
+// which an instance that meets its second value draws from; a tally
+// copies its value into an append-only arena that is never overwritten.
+// A received message allocates only when it opens a row (its id string),
+// opens an instance or grows a tally list with no spare left, or fills
 // the arena's chunk, and the pending votes it causes grow their buffer.
 
 const (
@@ -102,14 +104,16 @@ type BrachaState struct {
 	// reused, each new one twice the last up to maxValueChunk.
 	values []byte
 	// spareInsts and spareRows hold pruned instances, reset, and the
-	// emptied rows' sender slices, all nil, for Receive to reuse.
-	spareInsts []*brachaInst
-	spareRows  [][]*brachaInst
+	// emptied rows' sender slices, all nil, for Receive to reuse;
+	// spareTallies holds pruned instances' grown tally lists, emptied.
+	spareInsts   []*brachaInst
+	spareRows    [][]*brachaInst
+	spareTallies [][]rbcTally
 }
 
 // brachaSpareRows bounds the spare lists: that many rows and their N
-// instances each, the span of the ACS epoch window (DESIGN §13.3), so a
-// stream that prunes one epoch and opens the next reuses all of it.
+// instances and tally lists each. A stream that prunes one epoch and
+// opens the next reuses all of it (DESIGN §13.3).
 const brachaSpareRows = 4
 
 // maxValueChunk caps the value arena's chunk doubling.
@@ -256,18 +260,34 @@ func (b *BrachaState) newInst(sender int, id string) *brachaInst {
 	return in
 }
 
-// park resets a pruned instance to a fresh one's state and keeps it for
-// reuse while the spare list has room. Its tallies empty; their values
-// stay in the arena for deliveries that still alias them, and a new
-// tally overwrites an old entry whole.
+// park resets a pruned instance to a fresh one's state and keeps it and
+// its grown tally list, each while its spare list has room. Its tallies
+// empty; their values stay in the arena for deliveries that still alias
+// them, and a new tally overwrites an old entry whole.
 func (b *BrachaState) park(in *brachaInst) {
-	if bound := brachaSpareRows * b.N; len(b.spareInsts) >= bound {
+	bound := brachaSpareRows * b.N
+	if cap(in.tallies) > len(in.first) && len(b.spareTallies) < bound {
+		b.spareTallies = append(b.spareTallies, in.tallies[:0])
+	}
+	if len(b.spareInsts) >= bound {
 		return
 	}
 	clear(in.voted)
-	in.tallies = in.tallies[:0]
+	in.tallies = in.first[:0]
 	in.haveInit, in.readied, in.delivered = false, false, false
 	b.spareInsts = append(b.spareInsts, in)
+}
+
+// grow returns in's full tally list with room for another entry: a spare
+// list, or room for one value per process, when the inline first entry
+// fills; twice the room when a list fills.
+func (b *BrachaState) grow(in *brachaInst) []rbcTally {
+	if k := len(b.spareTallies); k > 0 && cap(in.tallies) == len(in.first) {
+		spare := b.spareTallies[k-1]
+		b.spareTallies = b.spareTallies[:k-1]
+		return append(spare, in.tallies...)
+	}
+	return append(make([]rbcTally, 0, max(2*cap(in.tallies), b.N)), in.tallies...)
 }
 
 // keep copies value into the value arena. The first chunk holds one
@@ -346,6 +366,9 @@ func (b *BrachaState) vote(in *brachaInst, from int, phase byte, value []byte) {
 		t++
 	}
 	if t == len(in.tallies) {
+		if t == cap(in.tallies) {
+			in.tallies = b.grow(in)
+		}
 		in.tallies = append(in.tallies, rbcTally{value: b.keep(value)})
 	}
 	in.tallies[t].count[phase]++
@@ -427,11 +450,36 @@ func (b *BrachaState) PruneInstances(match func(sender int, id string) bool) int
 			}
 		}
 		if left == 0 {
-			delete(b.insts, id)
-			if len(b.spareRows) < brachaSpareRows {
-				b.spareRows = append(b.spareRows, row.insts)
-			}
+			b.drop(row)
 		}
 	}
 	return pruned
+}
+
+// PruneID removes every instance of one id, as PruneInstances does with
+// a predicate that names that id alone, without walking the other ids.
+func (b *BrachaState) PruneID(id []byte) int {
+	row, ok := b.insts[string(id)]
+	if !ok {
+		return 0
+	}
+	pruned := 0
+	for s, in := range row.insts {
+		if in != nil {
+			row.insts[s] = nil
+			b.park(in)
+			pruned++
+		}
+	}
+	b.drop(row)
+	return pruned
+}
+
+// drop deletes an emptied row and keeps its sender slice within the
+// spare bound.
+func (b *BrachaState) drop(row rbcRow) {
+	delete(b.insts, row.id)
+	if len(b.spareRows) < brachaSpareRows {
+		b.spareRows = append(b.spareRows, row.insts)
+	}
 }

@@ -239,3 +239,38 @@ func TestBrachaSpareListsAreBounded(t *testing.T) {
 		}
 	}
 }
+
+// PruneID removes what PruneInstances removes for a predicate naming one
+// id: on states holding partial rows of several ids, a pruned id or one
+// that is not held leaves the same rows, the same spare lists and the
+// same later deliveries either way.
+func TestBrachaPruneIDMatchesPruneInstances(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + 3*rng.Intn(3)
+		byID, byMatch := NewBrachaState(n, (n-1)/3, 0), NewBrachaState(n, (n-1)/3, 0)
+		for k := 0; k < 6*n; k++ {
+			sender, id := rng.Intn(n), EpochID(rng.Intn(5))
+			value := []byte{byte(rng.Intn(3))}
+			deliverAll(byID, sender, id, value)
+			deliverAll(byMatch, sender, id, value)
+		}
+		e := rng.Intn(6) // epoch 5 is never held
+		id := EpochID(e)
+		got := byID.PruneID(AppendEpochID(nil, e))
+		want := byMatch.PruneInstances(func(_ int, i string) bool { return i == id })
+		if got != want || len(byID.insts) != len(byMatch.insts) || len(byID.spareInsts) != len(byMatch.spareInsts) ||
+			len(byID.spareRows) != len(byMatch.spareRows) || len(byID.spareTallies) != len(byMatch.spareTallies) {
+			t.Fatalf("seed %d, %s: PruneID pruned %d, left %d rows and spares %d/%d/%d; PruneInstances %d, %d rows, %d/%d/%d", seed, id,
+				got, len(byID.insts), len(byID.spareInsts), len(byID.spareRows), len(byID.spareTallies),
+				want, len(byMatch.insts), len(byMatch.spareInsts), len(byMatch.spareRows), len(byMatch.spareTallies))
+		}
+		byID.TakeDeliveries()
+		byMatch.TakeDeliveries()
+		deliverAll(byID, 1, id, []byte("again"))
+		deliverAll(byMatch, 1, id, []byte("again"))
+		if got, want := byID.TakeDeliveries(), byMatch.TakeDeliveries(); !sameDeliveries(got, want) {
+			t.Fatalf("seed %d, %s: after PruneID delivered %v, after PruneInstances %v", seed, id, got, want)
+		}
+	}
+}

@@ -85,7 +85,12 @@ func appendCoords(dst []float64, b []byte) []float64 {
 // Together with the Bracha sender id it names one (epoch, slot) RBC
 // instance: slot s of epoch e is the broadcast (sender=s, id=EpochID(e)).
 func EpochID(epoch int) string {
-	return "e" + strconv.Itoa(epoch)
+	return string(AppendEpochID(nil, epoch))
+}
+
+// AppendEpochID appends EpochID(epoch) to dst.
+func AppendEpochID(dst []byte, epoch int) []byte {
+	return strconv.AppendInt(append(dst, 'e'), int64(epoch), 10)
 }
 
 // ParseEpochID inverts EpochID; ok=false for ids of other subsystems and
