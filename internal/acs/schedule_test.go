@@ -12,7 +12,7 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// The long run is -args -acs-async-seeds=2000 (the nightly soak's).
+// The long run is -args -acs-async-seeds=10000 (the nightly soak's).
 var acsAsyncSeeds = flag.Int("acs-async-seeds", 16, "seeds per (schedule, shape, behaviour) of TestACSAsyncSchedules")
 
 // asyncSeeds is -acs-async-seeds, or 2 under the race detector unless the
@@ -113,12 +113,13 @@ func TestACSAsyncSchedules(t *testing.T) {
 func checkAsyncRun(t *testing.T, id string, n, d, epochs int, behavior Behavior, schedule sched.Schedule, seed int64, stalls bool) {
 	t.Helper()
 	props := genProposals(rand.New(rand.NewSource(seed)), epochs, n, d)
+	lane := NewLane() // shared, as the library's local nodes share one
 	run, err := transport.RunCluster(context.Background(), transport.Plane{}, n, schedule, nil, nil, func(i int) (*Node, error) {
 		own := make([]vec.V, epochs)
 		for e := range own {
 			own[e] = props[e][i]
 		}
-		cfg := Config{N: n, F: (n - 1) / 3, Self: i, D: d, Proposals: own}
+		cfg := Config{N: n, F: (n - 1) / 3, Self: i, D: d, Proposals: own, Lane: lane}
 		if i == n-1 {
 			cfg.Behavior = behavior
 		}

@@ -579,21 +579,27 @@ func (e *AsyncEngine) Run() (int, error) {
 		deliveredSeq = make(map[int]bool)
 		copiesLeft = make(map[int]int)
 	}
-	// A DelayTargetSchedule picks the first copy from a process it does
-	// not starve. Without faults, the queue between two picks is the last
-	// one less the picked copy plus new sends at its end, so the starved
-	// prefix one pick scanned is still the queue's prefix at the next:
-	// starved counts it, and only what lies past it is scanned.
-	slow, _ := e.schedule.(*DelayTargetSchedule)
-	starved := 0
+	// A DelayTargetSchedule picks the oldest copy from a process it does
+	// not starve, and the oldest copy when every one is starved. Without
+	// faults the starved processes' copies wait on a queue of their own,
+	// sq, in send order, so either pick is the first copy of q or of sq.
+	var slow *DelayTargetSchedule
+	if lf == nil {
+		slow, _ = e.schedule.(*DelayTargetSchedule)
+	}
+	var sq queue
 	push := func(m Message, qm qmeta) {
+		if slow != nil && slow.Slow[m.From] {
+			sq.push(m, qm)
+			return
+		}
 		q.push(m, qm)
 		if lf != nil {
 			copiesLeft[qm.seq]++
 		}
 	}
-	remove := func(i int) (Message, qmeta) {
-		m, qm := q.take(i)
+	remove := func(from *queue, i int) (Message, qmeta) {
+		m, qm := from.take(i)
 		if lf != nil {
 			copiesLeft[qm.seq]--
 		}
@@ -678,7 +684,7 @@ func (e *AsyncEngine) Run() (int, error) {
 deliver:
 	for ; step < e.maxSteps; step++ {
 		msgs := q.live()
-		if len(msgs) == 0 {
+		if len(msgs) == 0 && len(sq.live()) == 0 {
 			break
 		}
 		if e.StopFn != nil {
@@ -696,16 +702,11 @@ deliver:
 		if allDone {
 			break
 		}
-		var pickIdx int
+		from, pickIdx := &q, 0
 		switch {
-		case lf == nil && slow != nil:
-			for starved < len(msgs) && slow.Slow[msgs[starved].From] {
-				starved++
-			}
-			if starved < len(msgs) {
-				pickIdx = starved
-			} else {
-				starved-- // the whole queue is starved: take its oldest copy
+		case slow != nil:
+			if len(msgs) == 0 {
+				from = &sq
 			}
 		case lf == nil:
 			pickIdx = e.schedule.Pick(msgs)
@@ -758,7 +759,7 @@ deliver:
 			}
 			pickIdx = idx[e.schedule.Pick(view)]
 		}
-		m, qm := remove(pickIdx)
+		m, qm := remove(from, pickIdx)
 		if lf != nil && lf.drops(m.From, m.To, qm.rollID, qm.attempt) {
 			stats.Dropped++
 			if qm.attempt+1 < maxAttempts {

@@ -319,7 +319,7 @@ func refAsyncOrder(procs []SyncProcess, sch Schedule) []Message {
 
 // TestAsyncEngineMatchesReferenceOrder holds the engine's delivery order
 // (TraceFn, message for message) to the shift-everything queue under
-// every schedule, the starved-prefix cursor included.
+// every schedule, the starved processes' own queue included.
 func TestAsyncEngineMatchesReferenceOrder(t *testing.T) {
 	schedules := map[string]func() Schedule{
 		"fifo":        func() Schedule { return FIFOSchedule{} },
