@@ -96,7 +96,8 @@ func TestACSMeshStreamMatchesSim(t *testing.T) {
 
 // TestACSTCPStreamMatchesSim is the streaming acceptance pin: a 4-node
 // loopback-TCP cluster with one scripted equivocator decides the same
-// multi-epoch slot sequence as the simulation, fingerprint-equal.
+// multi-epoch slot sequence as the simulation, fingerprint-equal, in as
+// many lockstep rounds.
 func TestACSTCPStreamMatchesSim(t *testing.T) {
 	spec := acsParitySpec()
 	sim := runACSSim(t, spec)
@@ -135,6 +136,9 @@ func TestACSTCPStreamMatchesSim(t *testing.T) {
 		requireACSStream(t, sim, res, i)
 		if res.Metrics.Transport != "tcp" {
 			t.Errorf("node %d metrics transport label = %q, want tcp", i, res.Metrics.Transport)
+		}
+		if res.Rounds != sim.Rounds {
+			t.Errorf("node %d rounds: tcp %d, sim %d", i, res.Rounds, sim.Rounds)
 		}
 	}
 }

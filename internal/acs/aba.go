@@ -8,7 +8,7 @@
 // slot all correct processes delivered in time.
 //
 // The epoch engine on top (see node.go) runs one ACS instance per
-// epoch, up to pipelineDepth of them at once with a new one opening
+// epoch, up to pipelineDepth of them at once with two new ones opening
 // every round, commits decisions strictly in epoch order, and reduces each
 // epoch's agreed subset of vector proposals to a single decided vector
 // through the paper's relaxed-BVC kernel (delta*_p minimization over
@@ -127,16 +127,20 @@ const (
 // round, and f+1 of them decide v, so nobody waits on a decided
 // instance (DESIGN §13.2).
 type abaInst struct {
-	n, f, self  int
-	epoch, slot int
+	// The fields are narrow, 144 bytes an instance, because a node holds
+	// n of them for each of its up to 2·pipelineDepth+2 epochs: n is at
+	// most MaxProcesses, the wire carries an epoch in 32 bits and a slot
+	// in 16, and the round advances by one per coin.
+	n, f, self, slot int32
+	epoch            uint32
 
 	haveInput bool
 	est       byte
-	round     int
+	decided   bool
+	decision  byte
 
-	decided      bool
-	decision     byte
-	decidedRound int
+	round        int32
+	decidedRound int32
 
 	termCnt [2]int32 // senders of TERM(v)
 
@@ -157,7 +161,7 @@ func newABAInsts(n, f, self, epoch int) []abaInst {
 	seen := make([]byte, len(insts[0].near)*n*n)
 	for s := range insts {
 		a := &insts[s]
-		*a = abaInst{n: n, f: f, self: self, epoch: epoch, slot: s}
+		*a = abaInst{n: int32(n), f: int32(f), self: int32(self), slot: int32(s), epoch: uint32(epoch)}
 		for r := range a.near {
 			a.near[r].seen, seen = seen[:n:n], seen[n:]
 		}
@@ -173,7 +177,7 @@ func (a *abaInst) reset(epoch int) {
 		clear(near[r].seen)
 		near[r] = abaRound{seen: near[r].seen}
 	}
-	*a = abaInst{n: a.n, f: a.f, self: a.self, epoch: epoch, slot: a.slot, near: near}
+	*a = abaInst{n: a.n, f: a.f, self: a.self, slot: a.slot, epoch: uint32(epoch), near: near}
 }
 
 func (a *abaInst) roundState(r int) *abaRound {
@@ -208,7 +212,7 @@ func (a *abaInst) castBval(buf []byte, r int, b byte) []byte {
 		return buf
 	}
 	rd.bvalSent[b] = true
-	return a.handle(appendABA(buf, a.epoch, a.slot, r, abaBval, b), a.self, r, abaBval, b)
+	return a.handle(appendABA(buf, int(a.epoch), int(a.slot), r, abaBval, b), int(a.self), r, abaBval, b)
 }
 
 // handle processes one vote (BVAL/AUX votes for any round are accepted;
@@ -231,15 +235,15 @@ func (a *abaInst) handle(buf []byte, from, round int, phase, value byte) []byte 
 		rd.bvalCnt[value]++
 		cnt := int(rd.bvalCnt[value])
 		// Relay on f+1 (at least one correct process voted value).
-		if cnt >= relayQuorum(a.f) && !rd.bvalSent[value] {
+		if cnt >= relayQuorum(int(a.f)) && !rd.bvalSent[value] {
 			buf = a.castBval(buf, round, value)
 		}
 		// bin_values admission on 2f+1.
-		if cnt >= admitQuorum(a.f) && !rd.binValues[value] {
+		if cnt >= admitQuorum(int(a.f)) && !rd.binValues[value] {
 			rd.binValues[value] = true
 			if !rd.auxSent {
 				rd.auxSent = true
-				buf = a.handle(appendABA(buf, a.epoch, a.slot, round, abaAux, value), a.self, round, abaAux, value)
+				buf = a.handle(appendABA(buf, int(a.epoch), int(a.slot), round, abaAux, value), int(a.self), round, abaAux, value)
 			}
 			buf = a.tryAdvance(buf)
 		}
@@ -270,12 +274,12 @@ func (a *abaInst) term(buf []byte, from, r int, v byte) []byte {
 	}
 	*flags |= 1 << (termSeen + v)
 	a.termCnt[v]++
-	if int(a.termCnt[v]) >= termQuorum(a.f) {
-		return a.decide(buf, v, a.round)
+	if int(a.termCnt[v]) >= termQuorum(int(a.f)) {
+		return a.decide(buf, v, int(a.round))
 	}
-	start := max(a.round, r+1)
+	start := max(int(a.round), r+1)
 	a.roundState(start).seen[from] |= 1 << (termLive + v)
-	if start > a.round {
+	if start > int(a.round) {
 		return buf // enter casts it there
 	}
 	buf = a.handle(buf, from, start, abaBval, v)
@@ -299,7 +303,7 @@ func (a *abaInst) enter(buf []byte, r int, est byte) []byte {
 	buf = a.castBval(buf, r, est)
 	for from := range rd.seen {
 		for v := byte(0); v < 2; v++ {
-			if rd.seen[from]&(1<<(termLive+v)) == 0 || a.decided || a.round != r {
+			if rd.seen[from]&(1<<(termLive+v)) == 0 || a.decided || int(a.round) != r {
 				continue
 			}
 			buf = a.handle(buf, from, r, abaBval, v)
@@ -311,8 +315,8 @@ func (a *abaInst) enter(buf []byte, r int, est byte) []byte {
 
 // decide records the decision v in round r and appends TERM(v), once.
 func (a *abaInst) decide(buf []byte, v byte, r int) []byte {
-	a.decided, a.decision, a.decidedRound = true, v, r
-	return appendABA(buf, a.epoch, a.slot, r, abaTerm, v)
+	a.decided, a.decision, a.decidedRound = true, v, int32(r)
+	return appendABA(buf, int(a.epoch), int(a.slot), r, abaTerm, v)
 }
 
 // tryAdvance closes the current round when n-f AUX values, all inside
@@ -322,7 +326,7 @@ func (a *abaInst) decide(buf []byte, v byte, r int) []byte {
 // for its later rounds.
 func (a *abaInst) tryAdvance(buf []byte) []byte {
 	for !a.decided && a.haveInput {
-		r := a.round
+		r := int(a.round)
 		rd := a.roundState(r)
 		// AUX votes count only for values inside bin_values.
 		var vals [2]bool
@@ -333,10 +337,10 @@ func (a *abaInst) tryAdvance(buf []byte) []byte {
 				vals[v] = rd.auxCnt[v] > 0
 			}
 		}
-		if valid < auxQuorum(a.n, a.f) {
+		if valid < auxQuorum(int(a.n), int(a.f)) {
 			return buf
 		}
-		c := coin(a.epoch, a.slot, r)
+		c := coin(int(a.epoch), int(a.slot), r)
 		var next byte
 		switch {
 		case vals[0] != vals[1]: // unanimous AUX value
@@ -352,9 +356,9 @@ func (a *abaInst) tryAdvance(buf []byte) []byte {
 			next = c
 		}
 		a.est = next
-		a.round = r + 1
+		a.round = int32(r + 1)
 		if !a.decided {
-			buf = a.enter(buf, a.round, next)
+			buf = a.enter(buf, r+1, next)
 		}
 	}
 	return buf

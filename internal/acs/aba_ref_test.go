@@ -322,8 +322,8 @@ func checkABAScripts(t *testing.T, terms bool) {
 				if !sameVotes(g, w) {
 					t.Fatalf("%s: sends differ\n got %v\nwant %v", label, g, w)
 				}
-				if got.decided != want.decided || got.decision != want.decision || got.decidedRound != want.decidedRound ||
-					got.round != want.round || got.est != want.est || got.haveInput != want.haveInput {
+				if got.decided != want.decided || got.decision != want.decision || int(got.decidedRound) != want.decidedRound ||
+					int(got.round) != want.round || got.est != want.est || got.haveInput != want.haveInput {
 					t.Fatalf("%s: state differs: got decided=%v/%d@%d round=%d est=%d, want decided=%v/%d@%d round=%d est=%d", label,
 						got.decided, got.decision, got.decidedRound, got.round, got.est,
 						want.decided, want.decision, want.decidedRound, want.round, want.est)

@@ -254,15 +254,19 @@ func (w *spanWatch) Step(round int, delivered []sched.Message) []sched.Outgoing 
 }
 
 // pipelineRounds is the lockstep round bound of an epochs-long stream:
-// a new epoch every round, and the last ones drain the pipeline.
-func pipelineRounds(epochs int) int { return epochs + 2*pipelineDepth }
+// opensPerStep new epochs every round, and the last ones drain the
+// pipeline.
+func pipelineRounds(epochs int) int {
+	return (epochs+opensPerStep-1)/opensPerStep + pipelineDepth
+}
 
-// A node opens an epoch in every round in which fewer than pipelineDepth
-// are unsealed. With an equivocating proposer an epoch takes nine
-// lockstep rounds, its zero-filled slot needing two ABA rounds after the
-// 0-votes, so the pipeline fills: a 40-epoch n = 7 stream takes at most
-// epochs + 2·pipelineDepth rounds (204 when only two epochs overlapped),
-// and no node ever holds more than pipelineDepth epochs unsealed.
+// A node opens up to opensPerStep epochs in every Start and Step in which
+// fewer than pipelineDepth are unsealed. With an equivocating proposer an
+// epoch takes nine lockstep rounds, its zero-filled slot needing two ABA
+// rounds after the 0-votes, so the pipeline fills: a 40-epoch n = 7
+// stream takes at most ⌈epochs/2⌉ + pipelineDepth rounds (48 when one
+// epoch opened per Step, 204 when only two epochs overlapped), and no
+// node ever holds more than pipelineDepth epochs unsealed.
 func TestACSOverlappedEpochPeriod(t *testing.T) {
 	const n, f, d, epochs = 7, 2, 2, 40
 	props := genProposals(rand.New(rand.NewSource(41)), epochs, n, d)

@@ -40,9 +40,10 @@ type Lane struct {
 
 // laneEpochs is how many epochs of groups a lane keeps. A node seals up
 // to pipelineDepth epochs in one Step, when the oldest one that held
-// the others back seals, and local nodes of one run seal an epoch a few
-// rounds apart at most, so two pipelines' worth covers them; a job older
-// than that still decides, only without sharing a kernel run.
+// the others back seals, and in steady lockstep two per Step, as many as
+// it opens; local nodes of one run seal an epoch a few rounds apart at
+// most, so two pipelines' worth covers them; a job older than that still
+// decides, only without sharing a kernel run.
 const laneEpochs = 2 * pipelineDepth
 
 // laneSlot is the ring entry of one epoch: its groups, in push order.

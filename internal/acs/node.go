@@ -92,9 +92,9 @@ type epochState struct {
 // implementing sched.SyncProcess, runnable on the in-process lockstep
 // engine and — via transport.RunSync — over the channel mesh and TCP
 // with bit-identical decisions. Epochs run pipelineDepth deep: every
-// Start and Step that finds fewer than pipelineDepth epochs unsealed
-// opens the next one, the open epochs' broadcasts and agreements run
-// side by side, and epochs seal strictly in order. Messages that arrive
+// Start and Step opens the next opensPerStep epochs while fewer than
+// pipelineDepth are unsealed, the open epochs' broadcasts and agreements
+// run side by side, and epochs seal strictly in order. Messages that arrive
 // ahead of the receiver's newest epoch accumulate in their instances
 // until the receiver catches up.
 type Node struct {
@@ -107,6 +107,10 @@ type Node struct {
 	// reused, because receivers may keep a delivered message's Data.
 	votes []byte
 	arena []byte
+	init  []byte // carveInit's scratch
+	// epochBytes is about what one epoch's votes come to, which sizes a
+	// short stream's arena.
+	epochBytes int
 	// coords holds the decoded proposals the same way: an append-only
 	// chunk cut into cap-limited vectors, because sealed decisions and
 	// the lane's kernels keep them.
@@ -124,15 +128,21 @@ type Node struct {
 	pruneLo int // epochs below this are garbage-collected
 }
 
-// pipelineDepth is how many epochs a node keeps unsealed at once. In
-// lockstep delivery an all-honest epoch seals in the fifth Step after it
-// opens, and one with a faulty proposer in the ninth, so nine open
-// epochs let a new one open in every round. Swept on the 40-epoch n = 7
-// transcript rows, depths 2, 3, 4, 6, 8 and 9 took 181, 126, 93, 66, 52
-// and 48 rounds with an equivocator (48 from 9 on; 204 when two epochs
-// overlapped), and 101, 70, 53 and 44 from depth 6 on when all are
-// honest (DESIGN §13.1).
-const pipelineDepth = 9
+// pipelineDepth is how many epochs a node keeps unsealed at once, and
+// opensPerStep how many it opens in one Start or Step. In lockstep
+// delivery an all-honest epoch seals in the fifth Step after it opens,
+// and one with a faulty proposer in the ninth, so 2 × 9 open epochs let
+// two new ones open in every round. Swept on the 40-epoch n = 7
+// transcript rows with an equivocator, one opening per Step took 181,
+// 126, 93, 66, 52 and 48 rounds at depths 2, 3, 4, 6, 8 and 9, and 48 at
+// any depth past 9; two took 46, 37, 32, 30, 29 and 28 at depths 9, 12,
+// 14, 16, 17 and 18, and 28 past 18. All honest, one opening took 44
+// rounds from depth 6 on and two took 24 from depth 12 on (DESIGN
+// §13.1).
+const (
+	pipelineDepth = 18
+	opensPerStep  = 2
+)
 
 // windowThreshold is the newest epoch a node whose oldest unsealed epoch
 // is cur accepts traffic for: two pipelines past cur, its own open epochs
@@ -184,11 +194,25 @@ func NewNode(cfg Config) (*Node, error) {
 	if lane == nil {
 		lane = NewLane()
 	}
+	// A round at the opening rate carries, per peer and protocol, one vote
+	// per slot of every epoch opened in a Step in each of two phases
+	// (Bracha's ECHO and READY, ABA's BVAL and AUX): the vote buffers
+	// start that large instead of doubling up to it. A node holds the
+	// Bracha instances of a full pipeline, the slack epoch and the epoch
+	// a peer opened first at once.
+	votes := 2 * cfg.N * min(opensPerStep, len(cfg.Proposals))
+	voteLen := broadcast.VoteLen(len(broadcast.EpochID(len(cfg.Proposals))), broadcast.VecWireLen(cfg.D))
+	rbc := broadcast.NewBrachaState(cfg.N, cfg.F, cfg.Self)
+	rbc.Reserve(min(pipelineDepth+2, len(cfg.Proposals)), votes, voteLen)
 	return &Node{
-		cfg:  cfg,
-		rbc:  broadcast.NewBrachaState(cfg.N, cfg.F, cfg.Self),
-		top:  -1,
-		lane: lane,
+		cfg:   cfg,
+		votes: make([]byte, 0, votes*abaVoteLen),
+		// An epoch sends its INIT, each slot's ECHO and READY, and its
+		// BVAL, AUX and TERM when the slot's agreement decides in round 0.
+		epochBytes: voteLen + cfg.N*(2*voteLen+3*abaVoteLen),
+		rbc:        rbc,
+		top:        -1,
+		lane:       lane,
 	}, nil
 }
 
@@ -259,7 +283,7 @@ func (n *Node) touch(e int, es *epochState) {
 	}
 }
 
-// Start implements sched.SyncProcess: open epoch 0.
+// Start implements sched.SyncProcess: open the first opensPerStep epochs.
 func (n *Node) Start() []sched.Outgoing {
 	if n.cfg.Behavior == Mute || len(n.cfg.Proposals) == 0 {
 		n.done = true
@@ -304,14 +328,17 @@ func (n *Node) flush(outs []sched.Outgoing) []sched.Outgoing {
 	return outs
 }
 
-// arenaChunk is the arena's allocation unit, a few epochs of one node's
-// votes at the benchmark shapes.
+// arenaChunk caps the arena's allocation unit, a few epochs of one
+// node's votes at the benchmark shapes.
 const arenaChunk = 4 << 10
 
-// carve copies b into an exact-size slice of the arena.
+// carve copies b into an exact-size slice of the arena. A new chunk
+// holds about what the epochs left to seal send, at most arenaChunk
+// bytes, so a short stream allocates little more than it sends.
 func (n *Node) carve(b []byte) []byte {
 	if free := cap(n.arena) - len(n.arena); free < len(b) {
-		n.arena = make([]byte, 0, max(arenaChunk, len(b)))
+		rest := (len(n.cfg.Proposals) - n.cur) * n.epochBytes
+		n.arena = make([]byte, 0, max(min(rest, arenaChunk), len(b)))
 	}
 	start := len(n.arena)
 	n.arena = append(n.arena, b...)
@@ -320,30 +347,32 @@ func (n *Node) carve(b []byte) []byte {
 
 // open broadcasts this node's epoch-e proposal on its RBC slot.
 func (n *Node) open(outs []sched.Outgoing, e int) []sched.Outgoing {
-	id := broadcast.EpochID(e)
 	// The node's own instance always gets the true proposal.
-	own := broadcast.EncodeInit(n.cfg.Self, id, broadcast.EncodeVec(n.cfg.Proposals[e]))
+	own := n.carveInit(e, n.cfg.Proposals[e])
 	if n.cfg.Behavior == Equivocate {
 		// Per-recipient INITs with distinct values: recipient j sees the
 		// proposal shifted by j+1 in every coordinate.
+		lie := make(vec.V, n.cfg.D)
 		for j := 0; j < n.cfg.N; j++ {
 			if j == n.cfg.Self {
 				continue
 			}
-			lie := n.cfg.Proposals[e].Clone()
-			for k := range lie {
-				lie[k] += float64(j + 1)
+			for k, x := range n.cfg.Proposals[e] {
+				lie[k] = x + float64(j+1)
 			}
-			outs = append(outs, sched.Outgoing{
-				To: j, Tag: broadcast.BrachaTag,
-				Data: broadcast.EncodeInit(n.cfg.Self, id, broadcast.EncodeVec(lie)),
-			})
+			outs = append(outs, sched.Outgoing{To: j, Tag: broadcast.BrachaTag, Data: n.carveInit(e, lie)})
 		}
 	} else {
 		outs = append(outs, sched.Outgoing{To: sched.Broadcast, Tag: broadcast.BrachaTag, Data: own})
 	}
 	n.rbc.Receive(n.cfg.Self, own, nil)
 	return outs
+}
+
+// carveInit is this node's INIT of v in epoch e, carved from the arena.
+func (n *Node) carveInit(e int, v vec.V) []byte {
+	n.init = broadcast.AppendEpochInit(n.init[:0], n.cfg.Self, e, v)
+	return n.carve(n.init)
 }
 
 // liveEpoch reports whether epoch e can still receive traffic: not yet
@@ -397,12 +426,13 @@ func (n *Node) handleABA(from int, body []byte) {
 // n-f slots decided 1; seal epochs strictly in order, each once every
 // slot's agreement decided and every accepted slot's proposal is locally
 // delivered, and queue its kernel on the lane; then open the next epoch
-// if fewer than pipelineDepth are unsealed, one per call. Only the open
-// epochs on n.dirty, whose deliveries or decisions changed, are voted
-// again. Nothing in the protocol reads a decision's Output, so the next
-// epochs' rounds go on while the kernel runs.
+// while fewer than pipelineDepth are unsealed, one per pass and up to
+// opensPerStep per call. Only the open epochs on n.dirty, whose
+// deliveries or decisions changed, are voted again. Nothing in the
+// protocol reads a decision's Output, so the next epochs' rounds go on
+// while the kernel runs.
 func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
-	opened := false
+	opened := 0
 	for {
 		progress := false
 		for _, d := range n.rbc.TakeDeliveries() {
@@ -433,11 +463,12 @@ func (n *Node) pump(outs []sched.Outgoing) []sched.Outgoing {
 			n.seal(es)
 			progress = true
 		}
-		if next := n.top + 1; !opened && next < len(n.cfg.Proposals) && n.unsealed() < pipelineDepth {
+		if next := n.top + 1; opened < opensPerStep && next < len(n.cfg.Proposals) && n.unsealed() < pipelineDepth {
 			n.top = next
 			outs = n.open(outs, next)
 			n.touch(next, n.epoch(next))
-			opened, progress = true, true
+			opened++
+			progress = true
 		}
 		if !progress {
 			break
@@ -517,7 +548,7 @@ func (n *Node) seal(es *epochState) {
 	n.stats.Slots += len(subset)
 	for s := range es.abas {
 		if a := &es.abas[s]; a.decided {
-			n.stats.ABARounds += a.decidedRound + 1
+			n.stats.ABARounds += int(a.decidedRound) + 1
 		}
 	}
 	n.cur++

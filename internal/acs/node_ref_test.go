@@ -139,7 +139,7 @@ func (n *refNode) handleABA(outs []sched.Outgoing, m sched.Message) []sched.Outg
 }
 
 func (n *refNode) pump(outs []sched.Outgoing) []sched.Outgoing {
-	opened := false
+	opened := 0
 	for {
 		progress := false
 		for _, d := range n.rbc.TakeDeliveries() {
@@ -213,10 +213,11 @@ func (n *refNode) pump(outs []sched.Outgoing) []sched.Outgoing {
 			n.done = n.cur >= len(n.cfg.Proposals)
 			progress = true
 		}
-		if next, depth := n.top+1, n.top-n.cur+1; !opened && next < len(n.cfg.Proposals) && depth < pipelineDepth {
+		if next, depth := n.top+1, n.top-n.cur+1; opened < opensPerStep && next < len(n.cfg.Proposals) && depth < pipelineDepth {
 			n.top = next
 			outs = n.open(outs, next)
-			opened, progress = true, true
+			opened++
+			progress = true
 		}
 		if !progress {
 			break

@@ -197,13 +197,13 @@ func (w *orderWatch) newerReady() bool {
 // Epochs seal strictly in order even when a newer one is ready first:
 // on these random schedules an n = 7 stream's epoch e+1 or a later one
 // completes while one of epoch e's zero-filled slots is still in the
-// hashed-coin rounds (seeds 146 and 200 are the first two of 1-400 that
+// hashed-coin rounds (seeds 129 and 232 are the first two of 1-400 that
 // do), and every correct node still seals epoch e first, each epoch with
 // its own proposals.
 func TestACSSealsInOrderPastHashedCoin(t *testing.T) {
 	const n, f, d, epochs = 7, 2, 2, 8
 	ahead := 0
-	for _, seed := range []int64{146, 200} {
+	for _, seed := range []int64{129, 232} {
 		props := genProposals(rand.New(rand.NewSource(seed)), epochs, n, d)
 		nodes, procs := newCluster(t, Config{N: n, F: f, D: d}, props, map[int]Behavior{n - 1: Equivocate})
 		for i := range procs {

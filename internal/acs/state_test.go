@@ -108,17 +108,19 @@ func TestABAFarRoundIsConstantCost(t *testing.T) {
 }
 
 // stateProbes are the streams the state tests tamper with. Start opens
-// epoch 0 and the Step of round r opens epoch r+1. All honest, an epoch
-// seals in the fifth Step after it opens, so after round 4 node 0 has
-// sealed epoch 0, keeps it as slack and holds epochs 1-5 open. With node
-// 3 equivocating an epoch takes nine, and after round 7 node 0 holds a
-// full pipeline, epochs 0-8.
+// epochs 0 and 1 and the Step of round r opens epochs 2r+2 and 2r+3. All
+// honest, an epoch seals in the fifth Step after it opens, so after
+// round 4 node 0 has sealed epochs 0 and 1, keeps 1 as slack and holds
+// epochs 2-11 open. With node 3 equivocating an epoch takes nine, and
+// after round 7 node 0 holds a full pipeline, epochs 0-17. Both probes'
+// extra traffic is handled before that Step seals anything, while node
+// 0's window is [0, 2W].
 var stateProbes = []struct {
 	name      string
 	behaviors map[int]Behavior
 	at, open  int // node 0 holds open unsealed epochs after round at
 }{
-	{"honest", nil, 4, 5},
+	{"honest", nil, 4, 10},
 	{"pipelined", map[int]Behavior{3: Equivocate}, 7, pipelineDepth},
 }
 

@@ -40,6 +40,10 @@ import (
 // three columns of all 24 rows were re-recorded (a 40-epoch row went
 // from 204 rounds to 48 with a faulty node and from 200 to 44 without),
 // by a run that refused any fingerprint change; every fingerprint held.
+// When a node began to open two epochs per Start and Step, 18 deep, the
+// same three columns of all 24 rows were re-recorded the same way (a
+// 40-epoch row went from 48 rounds to 28 with a faulty node and from 44
+// to 24 without); every fingerprint held.
 
 type transcriptSpec struct {
 	Name     string

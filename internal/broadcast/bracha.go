@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/vec"
 )
 
 // Bracha reliable broadcast (asynchronous, n >= 3f+1): if any non-faulty
@@ -122,6 +123,31 @@ const maxValueChunk = 2 << 10
 // NewBrachaState creates the component for process self.
 func NewBrachaState(n, f, self int) *BrachaState {
 	return &BrachaState{N: n, F: f, Self: self, insts: make(map[string]rbcRow)}
+}
+
+// VoteLen is the wire size of one ECHO or READY naming an id of idLen
+// bytes with a value of valueLen bytes.
+func VoteLen(idLen, valueLen int) int { return 3 + 4 + idLen + 4 + valueLen }
+
+// AppendEpochInit appends EncodeInit(sender, EpochID(epoch),
+// EncodeVec(v)) to dst, without building the id and the value first.
+func AppendEpochInit(dst []byte, sender, epoch int, v vec.V) []byte {
+	dst = append(dst, rbcInit, byte(sender>>8), byte(sender))
+	at := len(dst)
+	dst = AppendEpochID(append(dst, 0, 0, 0, 0), epoch)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(VecWireLen(len(v))))
+	return appendVec(dst, v)
+}
+
+// Reserve gives the instance map room for rows ids, and the receive
+// scratch and the pending vote body room for votes votes of voteLen
+// bytes, so that a stream that holds that many ids at once and whose
+// rounds carry that many votes does not grow them as it fills.
+func (b *BrachaState) Reserve(rows, votes, voteLen int) {
+	b.insts = make(map[string]rbcRow, rows)
+	b.body = make([]rbcVote, 0, votes)
+	b.votes = make([]byte, 0, 1+votes*voteLen)
 }
 
 // appendRBC appends the encoding of (phase, sender, id, value): phase,

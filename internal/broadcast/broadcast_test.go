@@ -46,6 +46,20 @@ func TestAppendDecodedVec(t *testing.T) {
 	}
 }
 
+// AppendEpochInit writes the bytes EncodeInit does for an epoch's
+// encoded vector, after whatever dst holds.
+func TestAppendEpochInit(t *testing.T) {
+	for _, c := range []struct {
+		sender, epoch int
+		v             vec.V
+	}{{0, 0, vec.Of()}, {3, 9, vec.Of(1.5)}, {1 << 15, 1 << 40, vec.Of(-3, 0, 2.25e-10)}} {
+		want := EncodeInit(c.sender, EpochID(c.epoch), EncodeVec(c.v))
+		if got := AppendEpochInit([]byte{7}, c.sender, c.epoch, c.v); !bytes.Equal(got, append([]byte{7}, want...)) {
+			t.Fatalf("AppendEpochInit(%d, %d, %v) = %x, want 07%x", c.sender, c.epoch, c.v, got, want)
+		}
+	}
+}
+
 func TestPathCodec(t *testing.T) {
 	for _, p := range [][]int{{}, {0}, {3, 1, 4, 1, 5}} {
 		enc := encodePath(p)

@@ -24,18 +24,22 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// vecWireLen is the encoded size of a d-dimensional vector: a 4-byte
+// VecWireLen is the encoded size of a d-dimensional vector: a 4-byte
 // dimension header plus 8 bytes per IEEE754 coordinate.
-func vecWireLen(d int) int { return 4 + 8*d }
+func VecWireLen(d int) int { return 4 + 8*d }
 
 // EncodeVec serializes a vector to bytes (dimension + IEEE754 bits).
 func EncodeVec(v vec.V) []byte {
-	out := make([]byte, vecWireLen(len(v)))
-	binary.BigEndian.PutUint32(out, uint32(len(v)))
-	for i, x := range v {
-		binary.BigEndian.PutUint64(out[4+8*i:], math.Float64bits(x))
+	return appendVec(make([]byte, 0, VecWireLen(len(v))), v)
+}
+
+// appendVec appends EncodeVec(v) to dst.
+func appendVec(dst []byte, v vec.V) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(v)))
+	for _, x := range v {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
 	}
-	return out
+	return dst
 }
 
 // vecDim returns the dimension of a vector encoded by EncodeVec.
@@ -44,8 +48,8 @@ func vecDim(b []byte) (int, error) {
 		return 0, fmt.Errorf("broadcast: short vector encoding")
 	}
 	d := int(binary.BigEndian.Uint32(b))
-	if len(b) != vecWireLen(d) {
-		return 0, fmt.Errorf("broadcast: vector encoding length %d != %d", len(b), vecWireLen(d))
+	if len(b) != VecWireLen(d) {
+		return 0, fmt.Errorf("broadcast: vector encoding length %d != %d", len(b), VecWireLen(d))
 	}
 	return d, nil
 }

@@ -77,6 +77,12 @@ type syncRunner struct {
 	self, n   int
 	stats     *SyncNodeStats
 	cur, next *roundSlot // the round being collected and the one after
+	// reuse says the transport copies a frame's Data on Send
+	// (dataCopier), so every round bundle is built in bundle, one buffer
+	// kept across rounds. Otherwise the frame is delivered as is, and each
+	// bundle gets a buffer of its own.
+	reuse  bool
+	bundle []byte
 }
 
 // sendRound sends every peer its bundle for deliverRound: the messages
@@ -95,7 +101,8 @@ func (r *syncRunner) sendRound(outs []sched.Outgoing, deliverRound int, done boo
 		}
 		mine := func(o *sched.Outgoing) bool { return o.To == peer || o.To == sched.Broadcast }
 		for from, chunk := 0, uint32(0); ; chunk++ {
-			// Size the chunk, then fill a buffer of exactly that size.
+			// Size the chunk, then fill a buffer of exactly that size, or
+			// the reused one once it is large enough.
 			size, end := bundleHeaderLen, from
 			for ; end < len(outs); end++ {
 				if o := &outs[end]; mine(o) {
@@ -107,7 +114,11 @@ func (r *syncRunner) sendRound(outs []sched.Outgoing, deliverRound int, done boo
 				}
 			}
 			last := end == len(outs)
-			data := appendBundleHeader(make([]byte, 0, size), bundleHeader{done: done, last: last, chunk: chunk})
+			buf := r.bundle[:0]
+			if cap(buf) < size {
+				buf = make([]byte, 0, max(size, 2*cap(buf)))
+			}
+			data := appendBundleHeader(buf, bundleHeader{done: done, last: last, chunk: chunk})
 			for i := from; i < end; i++ {
 				if o := &outs[i]; mine(o) {
 					data = appendTagData(data, o.Tag, o.Data)
@@ -116,6 +127,9 @@ func (r *syncRunner) sendRound(outs []sched.Outgoing, deliverRound int, done boo
 			r.stats.FramesSent++
 			if err := r.t.Send(Frame{To: peer, Round: deliverRound, Tag: roundTag, Data: data}); err != nil {
 				return fmt.Errorf("node %d round %d send: %w", r.self, deliverRound, err)
+			}
+			if r.reuse {
+				r.bundle = data
 			}
 			if last {
 				break
@@ -130,6 +144,11 @@ func (r *syncRunner) sendRound(outs []sched.Outgoing, deliverRound int, done boo
 // peers, then returns the round's sorted inbox and whether every peer
 // is done.
 func (r *syncRunner) collect(ctx context.Context, round int) ([]sched.Message, bool, error) {
+	// Recv returns a queued frame without looking at ctx, so a node
+	// whose peers' bundles are always there first would run on past it.
+	if err := ctx.Err(); err != nil {
+		return nil, false, fmt.Errorf("node %d round %d: %w: %w", r.self, round, ErrTransport, err)
+	}
 	for r.cur.barriers < r.n-1 {
 		f, err := r.t.Recv(ctx)
 		if err != nil {
@@ -197,6 +216,7 @@ func RunSync(ctx context.Context, t Transport, proc sched.SyncProcess, maxRounds
 		cur:  &roundSlot{peers: make([]peerProgress, n)},
 		next: &roundSlot{peers: make([]peerProgress, n)},
 	}
+	_, r.reuse = t.(dataCopier)
 	stats := r.stats
 
 	// Start: what it emits is delivered in round 0.

@@ -200,6 +200,10 @@ func (t *TCP) Send(f Frame) error {
 	return route(f, t.self, t.n, t.enqueue)
 }
 
+// copiesData implements dataCopier: Send has encoded f into its peer's
+// buffer before it returns.
+func (t *TCP) copiesData() {}
+
 // enqueue encodes f into its peer's buffer, then writes the buffer if
 // the link is up and idle, or wakes linkLoop if the link is down.
 func (t *TCP) enqueue(f Frame) error {

@@ -96,6 +96,10 @@ type Transport interface {
 	Close() error
 }
 
+// dataCopier is a Transport whose Send is done with f.Data when it
+// returns, so the caller may reuse the buffer at once.
+type dataCopier interface{ copiesData() }
+
 // Stats counts one endpoint's traffic (see Instrumented); RunCluster
 // sums the local endpoints' into its result.
 type Stats struct {
