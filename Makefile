@@ -20,10 +20,10 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# One benchmark per reproduced table/figure plus the ablations, then the
-# solver micro-benchmarks.
+# The ablations (root package) plus one benchmark per reproduced
+# table/figure (internal/experiments), then the solver micro-benchmarks.
 bench: bench-lp bench-kernel
-	$(GO) test -bench=. -benchmem
+	$(GO) test -bench=. -benchmem . ./internal/experiments
 
 # The benchmark program (benchmark/, its own module, which the root's
 # build/test/lint patterns do not see) must keep compiling against the

@@ -1,17 +1,14 @@
 package relaxedbvc
 
-// Benchmark harness: one benchmark per reproduced table/figure
-// (BenchmarkE1..E14 drive the experiment runners of DESIGN.md's index),
-// plus micro-benchmarks for the ablations called out in DESIGN.md
-// (delta* closed form vs iterative, EIG vs signed broadcast, Gamma LP vs
-// Tverberg search, L2 distance solvers, async schedules).
+// Micro-benchmarks for the ablations called out in DESIGN.md (delta*
+// closed form vs iterative, EIG vs signed broadcast, Gamma LP vs
+// Tverberg search, L2 distance solvers, async schedules). The
+// per-experiment benchmarks live with the runners in
+// internal/experiments.
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
-//
-// The E-benchmarks also assert that the experiment passed, so a bench
-// run doubles as a full reproduction run.
+//	go test -bench=. -benchmem . ./internal/experiments
 
 import (
 	"context"
@@ -22,7 +19,6 @@ import (
 	"testing"
 
 	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/experiments"
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/relax"
@@ -32,35 +28,6 @@ import (
 	"relaxedbvc/internal/vec"
 	"relaxedbvc/internal/workload"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	opt := experiments.Options{Seed: 11, Trials: 1, Quick: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o := experiments.Run(id, opt)
-		if o == nil || !o.Pass {
-			b.Fatalf("experiment %s failed", id)
-		}
-	}
-}
-
-// One benchmark per table/figure of the reproduction index.
-
-func BenchmarkE1ExactBVC(b *testing.B)        { benchExperiment(b, "E1") }
-func BenchmarkE2KRelaxedSync(b *testing.B)    { benchExperiment(b, "E2") }
-func BenchmarkE3KRelaxedAsync(b *testing.B)   { benchExperiment(b, "E3") }
-func BenchmarkE4DeltaConstSync(b *testing.B)  { benchExperiment(b, "E4") }
-func BenchmarkE5DeltaConstAsync(b *testing.B) { benchExperiment(b, "E5") }
-func BenchmarkE6Table1(b *testing.B)          { benchExperiment(b, "E6") }
-func BenchmarkE7Inradius(b *testing.B)        { benchExperiment(b, "E7") }
-func BenchmarkE8FacetRadii(b *testing.B)      { benchExperiment(b, "E8") }
-func BenchmarkE9Holder(b *testing.B)          { benchExperiment(b, "E9") }
-func BenchmarkE10AsyncRVA(b *testing.B)       { benchExperiment(b, "E10") }
-func BenchmarkE11Impossibility(b *testing.B)  { benchExperiment(b, "E11") }
-func BenchmarkE12Tverberg(b *testing.B)       { benchExperiment(b, "E12") }
-func BenchmarkE13Degenerate(b *testing.B)     { benchExperiment(b, "E13") }
-func BenchmarkE14Containment(b *testing.B)    { benchExperiment(b, "E14") }
 
 // --- Ablation micro-benchmarks ---
 
@@ -249,9 +216,6 @@ func BenchmarkDeltaStarInfLP(b *testing.B) {
 	}
 }
 
-func BenchmarkE15Footnote3(b *testing.B)       { benchExperiment(b, "E15") }
-func BenchmarkE16ConjectureSweep(b *testing.B) { benchExperiment(b, "E16") }
-
 // Signed vs oral Step 1 at the protocol level.
 func BenchmarkProtocolALGOSigned(b *testing.B) {
 	rng := rand.New(rand.NewSource(30))
@@ -272,10 +236,6 @@ func BenchmarkDeltaStarGeneralP3(b *testing.B) {
 	}
 }
 
-func BenchmarkE17ConvexHull(b *testing.B) { benchExperiment(b, "E17") }
-
-func BenchmarkE18Iterative(b *testing.B) { benchExperiment(b, "E18") }
-
 func BenchmarkProtocolIterative(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	benchSpec(b, Spec{
@@ -284,10 +244,6 @@ func BenchmarkProtocolIterative(b *testing.B) {
 		Rounds: 8,
 	})
 }
-
-func BenchmarkE19CostScaling(b *testing.B) { benchExperiment(b, "E19") }
-
-func BenchmarkE20BoundTightness(b *testing.B) { benchExperiment(b, "E20") }
 
 // --- Parametric sweeps (cost scaling curves) ---
 

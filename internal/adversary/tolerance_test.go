@@ -11,9 +11,9 @@ import (
 	"context"
 	"testing"
 
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/adversary"
 	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/consensus"
 	"relaxedbvc/internal/vec"
 )
 
@@ -115,21 +115,21 @@ func TestExactBVCToleratesEveryBehavior(t *testing.T) {
 		if name == "relay-liar" {
 			b = adversary.RelayOnlyLiar(byzID, vec.Of(40, 0))
 		}
-		cfg := &consensus.SyncConfig{
-			N: n, F: f, D: d,
+		spec := bvc.Spec{
+			Protocol: bvc.ProtocolExact, N: n, F: f, D: d,
 			Inputs:    inputsFor(n, d),
-			Byzantine: map[int]broadcast.EIGBehavior{byzID: b},
+			Byzantine: map[int]bvc.ByzantineBehavior{byzID: b},
 		}
-		res, err := consensus.RunExactBVC(context.Background(), cfg)
+		res, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		honest := cfg.HonestIDs()
-		if eps := consensus.AgreementError(res.Outputs, honest); eps != 0 {
+		honest := spec.HonestIDs()
+		if eps := bvc.AgreementError(res.Outputs, honest); eps != 0 {
 			t.Errorf("%s: agreement violated (%v)", name, eps)
 		}
 		for _, i := range honest {
-			if !consensus.CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+			if !bvc.CheckExactValidity(res.Outputs[i], spec.NonFaultyInputs(), 1e-6) {
 				t.Errorf("%s: validity violated at process %d: %v", name, i, res.Outputs[i])
 			}
 		}
@@ -143,21 +143,21 @@ func TestALGOToleratesEveryBehavior(t *testing.T) {
 	n := 3*f + 1
 	for name, b := range behaviorTable(d) {
 		byzID := 0
-		cfg := &consensus.SyncConfig{
-			N: n, F: f, D: d,
+		spec := bvc.Spec{
+			Protocol: bvc.ProtocolDeltaRelaxed, N: n, F: f, D: d,
 			Inputs:    inputsFor(n, d),
-			Byzantine: map[int]broadcast.EIGBehavior{byzID: b},
+			Byzantine: map[int]bvc.ByzantineBehavior{byzID: b},
 		}
-		res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+		res, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		honest := cfg.HonestIDs()
-		if eps := consensus.AgreementError(res.Outputs, honest); eps != 0 {
+		honest := spec.HonestIDs()
+		if eps := bvc.AgreementError(res.Outputs, honest); eps != 0 {
 			t.Errorf("%s: agreement violated (%v)", name, eps)
 		}
 		for _, i := range honest {
-			if !consensus.CheckDeltaValidity(res.Outputs[i], cfg.NonFaultyInputs(), res.Delta[i], 2, 1e-6) {
+			if !bvc.CheckDeltaValidity(res.Outputs[i], spec.NonFaultyInputs(), res.Delta[i], 2, 1e-6) {
 				t.Errorf("%s: (delta,2)-validity violated at process %d", name, i)
 			}
 		}
@@ -171,25 +171,25 @@ func TestALGOToleratesEveryBehavior(t *testing.T) {
 func TestSignedEquivocatorToleratedByDolevStrong(t *testing.T) {
 	const n, f, d = 3, 1, 2
 	inputs := inputsFor(n, d)
-	cfg := &consensus.SyncConfig{
-		N: n, F: f, D: d,
+	spec := bvc.Spec{
+		Protocol: bvc.ProtocolDeltaRelaxed, N: n, F: f, D: d,
 		Inputs:          inputs,
 		SignedBroadcast: true,
 		SigSeed:         5,
-		ByzantineSigned: map[int]broadcast.DSBehavior{
+		ByzantineSigned: map[int]bvc.SignedByzantineBehavior{
 			2: adversary.SignedEquivocator(map[int]vec.V{0: vec.Of(30, 0), 1: vec.Of(0, 30)}),
 		},
 	}
-	res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+	res, err := bvc.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
-	if eps := consensus.AgreementError(res.Outputs, honest); eps != 0 {
+	honest := spec.HonestIDs()
+	if eps := bvc.AgreementError(res.Outputs, honest); eps != 0 {
 		t.Fatalf("agreement violated under signed equivocation (%v)", eps)
 	}
 	for _, i := range honest {
-		if !consensus.CheckDeltaValidity(res.Outputs[i], cfg.NonFaultyInputs(), res.Delta[i], 2, 1e-6) {
+		if !bvc.CheckDeltaValidity(res.Outputs[i], spec.NonFaultyInputs(), res.Delta[i], 2, 1e-6) {
 			t.Fatalf("validity violated at process %d", i)
 		}
 	}
@@ -205,17 +205,17 @@ func TestWorstCasePlacementPressure(t *testing.T) {
 	inputs := inputsFor(n, d)
 	honestIn := inputs[1:]
 	placement := adversary.WorstCasePlacement(honestIn, 10)
-	cfg := &consensus.SyncConfig{
-		N: n, F: f, D: d,
+	spec := bvc.Spec{
+		Protocol: bvc.ProtocolDeltaRelaxed, N: n, F: f, D: d,
 		Inputs:    inputs,
-		Byzantine: map[int]broadcast.EIGBehavior{0: adversary.FixedVector(placement)},
+		Byzantine: map[int]bvc.ByzantineBehavior{0: adversary.FixedVector(placement)},
 	}
-	res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+	res, err := bvc.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range cfg.HonestIDs() {
-		if !consensus.CheckDeltaValidity(res.Outputs[i], cfg.NonFaultyInputs(), res.Delta[i], 2, 1e-6) {
+	for _, i := range spec.HonestIDs() {
+		if !bvc.CheckDeltaValidity(res.Outputs[i], spec.NonFaultyInputs(), res.Delta[i], 2, 1e-6) {
 			t.Fatalf("worst-case placement broke validity at process %d", i)
 		}
 	}

@@ -409,18 +409,12 @@ func hasDupInts(xs []int) bool {
 	return false
 }
 
-// RunAsyncBVC runs the asynchronous approximate consensus algorithm
+// RunAsync runs the asynchronous approximate consensus algorithm
 // (Relaxed Verified Averaging in ModeRelaxed, the exact-validity
-// averaging baseline in ModeExact) on the simulation. The context is
-// polled once per message delivery, so cancellation interrupts a run
-// mid-round.
-func RunAsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
-	return RunAsync(ctx, transport.Plane{}, cfg)
-}
-
-// RunAsync is RunAsyncBVC on a chosen plane. Delivery is cfg.Schedule's
-// (FIFO if nil), which only the simulation makes: a real plane refuses
-// the run with transport.ErrUnsupported.
+// averaging baseline in ModeExact). Delivery is cfg.Schedule's (FIFO if
+// nil), which only the simulation makes: a real plane refuses the run
+// with transport.ErrUnsupported. The context is polled once per message
+// delivery, so cancellation interrupts a run mid-round.
 func RunAsync(ctx context.Context, plane transport.Plane, cfg *AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(cfg); err != nil {
 		return nil, err
@@ -553,24 +547,4 @@ func (c *AsyncConfig) norm() float64 {
 		return 2
 	}
 	return c.NormP
-}
-
-// HonestIDs returns the non-Byzantine ids of an async config.
-func (c *AsyncConfig) HonestIDs() []int {
-	var ids []int
-	for i := 0; i < c.N; i++ {
-		if _, bad := c.Byzantine[i]; !bad {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
-
-// NonFaultyInputs returns the multiset of honest inputs.
-func (c *AsyncConfig) NonFaultyInputs() *vec.Set {
-	s := vec.NewSet()
-	for _, i := range c.HonestIDs() {
-		s.Append(c.Inputs[i])
-	}
-	return s
 }

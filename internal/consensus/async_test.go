@@ -10,12 +10,13 @@ import (
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
 func checkAsyncRun(t *testing.T, cfg *AsyncConfig, res *AsyncResult, wantEps float64) {
 	t.Helper()
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.Byzantine)
 	for _, i := range honest {
 		if res.Outputs[i] == nil {
 			t.Fatalf("honest process %d never decided", i)
@@ -35,14 +36,14 @@ func TestAsyncExactModeAllHonest(t *testing.T) {
 		Rounds: 12,
 		Mode:   ModeExact,
 	}
-	res, err := RunAsyncBVC(context.Background(), cfg)
+	res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkAsyncRun(t, cfg, res, 1e-2)
 	// Exact validity: outputs in the hull of the non-faulty inputs.
-	for _, i := range cfg.HonestIDs() {
-		if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+	for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+		if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1e-6) {
 			t.Fatalf("validity violated: %v", res.Outputs[i])
 		}
 	}
@@ -65,13 +66,13 @@ func TestAsyncExactModeWithByzantine(t *testing.T) {
 			Byzantine: map[int]*AsyncByzantine{4: byz},
 			Schedule:  &sched.RandomSchedule{Rng: rand.New(rand.NewSource(13))},
 		}
-		res, err := RunAsyncBVC(context.Background(), cfg)
+		res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkAsyncRun(t, cfg, res, 5e-2)
-		for _, i := range cfg.HonestIDs() {
-			if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+			if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1e-6) {
 				t.Fatalf("%s: validity violated: %v", name, res.Outputs[i])
 			}
 		}
@@ -90,13 +91,13 @@ func TestAsyncRelaxedModeBelowExactBound(t *testing.T) {
 		Mode:      ModeRelaxed,
 		Byzantine: map[int]*AsyncByzantine{2: {Input: vec.Of(5, -5, 5), SilentFrom: NeverMisbehave, CorruptFrom: NeverMisbehave}},
 	}
-	res, err := RunAsyncBVC(context.Background(), cfg)
+	res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkAsyncRun(t, cfg, res, 5e-2)
-	honest := cfg.HonestIDs()
-	nonFaulty := cfg.NonFaultyInputs()
+	honest := honestIDs(cfg.N, cfg.Byzantine)
+	nonFaulty := honestInputs(cfg.Inputs, cfg.Byzantine)
 	// Outputs are convex combinations of round-1 values, each of which is
 	// within its own delta of the hull of a witness subset. The final
 	// output must be within maxDelta of the hull of ALL round-0 values
@@ -147,7 +148,7 @@ func TestAsyncRelaxedDeltaWithinTheorem15Bound(t *testing.T) {
 			Rounds: 6,
 			Mode:   ModeRelaxed,
 		}
-		res, err := RunAsyncBVC(context.Background(), cfg)
+		res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestAsyncRelaxedDeltaWithinTheorem15Bound(t *testing.T) {
 		// Theorem 9 bound at the witness size. Conservative check with the
 		// full input set's edges.
 		bound := minimax.Theorem9Bound(allInputs, cfg.N)
-		for _, i := range cfg.HonestIDs() {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
 			if res.Delta[i] > bound+1e-9 {
 				// The witness may have been a strict subset (size 3 =
 				// affinely independent in R^3... still a valid sub-case:
@@ -180,11 +181,11 @@ func TestAsyncEpsilonShrinksWithRounds(t *testing.T) {
 			Inputs: inputs, Rounds: rounds, Mode: ModeExact,
 			Byzantine: map[int]*AsyncByzantine{1: {SilentFrom: 0, CorruptFrom: NeverMisbehave}},
 		}
-		res, err := RunAsyncBVC(context.Background(), cfg)
+		res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps := AgreementError(res.Outputs, cfg.HonestIDs())
+		eps := AgreementError(res.Outputs, honestIDs(cfg.N, cfg.Byzantine))
 		if eps > prevEps+1e-9 {
 			t.Fatalf("epsilon grew with rounds: %v -> %v", prevEps, eps)
 		}
@@ -210,13 +211,13 @@ func TestAsyncSchedulesAgree(t *testing.T) {
 			N: 5, F: 1, D: 2, Inputs: inputs, Rounds: 10, Mode: ModeExact,
 			Schedule: sch,
 		}
-		res, err := RunAsyncBVC(context.Background(), cfg)
+		res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkAsyncRun(t, cfg, res, 2e-2)
-		for _, i := range cfg.HonestIDs() {
-			if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+			if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1e-6) {
 				t.Fatalf("%s: validity violated", name)
 			}
 		}
@@ -243,7 +244,7 @@ func TestAsyncValidation(t *testing.T) {
 	for name, cfg := range map[string]*AsyncConfig{
 		"tiny n": c1, "zero rounds": c2, "too many byz": c3, "rbc bound": c4, "inputs": c5,
 	} {
-		if _, err := RunAsyncBVC(context.Background(), cfg); err == nil {
+		if _, err := RunAsync(context.Background(), transport.Plane{}, cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -285,15 +286,15 @@ func TestAsyncSingleRoundDecidesInput(t *testing.T) {
 	cfg := &AsyncConfig{
 		N: 5, F: 1, D: 2, Inputs: randInputs(rng, 5, 2, 2), Rounds: 1, Mode: ModeExact,
 	}
-	res, err := RunAsyncBVC(context.Background(), cfg)
+	res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range cfg.HonestIDs() {
+	for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
 		if res.Outputs[i] == nil {
 			t.Fatalf("process %d did not decide", i)
 		}
-		if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1e-6) {
 			t.Fatalf("validity violated")
 		}
 	}
@@ -308,21 +309,21 @@ func TestAsyncRelaxedGeneralNorms(t *testing.T) {
 			Mode: ModeRelaxed, NormP: p,
 			Byzantine: map[int]*AsyncByzantine{3: {Input: vec.Of(8, -8, 8), SilentFrom: NeverMisbehave, CorruptFrom: NeverMisbehave}},
 		}
-		res, err := RunAsyncBVC(context.Background(), cfg)
+		res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 		if err != nil {
 			t.Fatalf("p=%v: %v", p, err)
 		}
 		checkAsyncRun(t, cfg, res, 0.1)
 		// Validity in the chosen norm against all round-0 values.
-		all := cfg.NonFaultyInputs().Clone()
+		all := honestInputs(cfg.Inputs, cfg.Byzantine)
 		all.Append(vec.Of(8, -8, 8))
 		maxDelta := 0.0
-		for _, i := range cfg.HonestIDs() {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
 			if res.Delta[i] > maxDelta {
 				maxDelta = res.Delta[i]
 			}
 		}
-		for _, i := range cfg.HonestIDs() {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
 			dist, _ := geom.DistP(res.Outputs[i], all, p)
 			if dist > maxDelta+1e-6 {
 				t.Fatalf("p=%v: output %v at distance %v > delta %v", p, res.Outputs[i], dist, maxDelta)
@@ -336,7 +337,7 @@ func TestAsyncRejectsBadNorm(t *testing.T) {
 		N: 4, F: 1, D: 2, Inputs: randInputs(rand.New(rand.NewSource(1)), 4, 2, 1),
 		Rounds: 2, Mode: ModeRelaxed, NormP: 3,
 	}
-	if _, err := RunAsyncBVC(context.Background(), cfg); err == nil {
+	if _, err := RunAsync(context.Background(), transport.Plane{}, cfg); err == nil {
 		t.Fatal("NormP=3 accepted")
 	}
 }
@@ -349,7 +350,7 @@ func TestAsyncRoundSpreadTrace(t *testing.T) {
 		Rounds: 10, Mode: ModeExact,
 		Byzantine: map[int]*AsyncByzantine{4: {Input: vec.Of(50, -50), SilentFrom: NeverMisbehave, CorruptFrom: NeverMisbehave}},
 	}
-	res, err := RunAsyncBVC(context.Background(), cfg)
+	res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,17 +386,17 @@ func TestK1AsyncHighDimensionAtN3f1(t *testing.T) {
 			3: {Input: vec.Of(40, -40, 40, -40, 40), SilentFrom: NeverMisbehave, CorruptFrom: NeverMisbehave},
 		},
 	}
-	res, err := RunK1AsyncBVC(context.Background(), cfg)
+	res, err := RunK1Async(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.Byzantine)
 	if eps := AgreementError(res.Outputs, honest); eps > 0.05 {
 		t.Fatalf("epsilon = %v", eps)
 	}
 	// 1-relaxed validity: per coordinate, inside the honest interval.
 	for _, i := range honest {
-		if !CheckKValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1, 1e-6) {
+		if !CheckKValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1, 1e-6) {
 			t.Fatalf("1-relaxed validity violated: %v", res.Outputs[i])
 		}
 	}
@@ -409,15 +410,15 @@ func TestK1AsyncSilentByzantine(t *testing.T) {
 		Rounds:    8,
 		Byzantine: map[int]*AsyncByzantine{0: {SilentFrom: 0, CorruptFrom: NeverMisbehave}},
 	}
-	res, err := RunK1AsyncBVC(context.Background(), cfg)
+	res, err := RunK1Async(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range cfg.HonestIDs() {
+	for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
 		if res.Outputs[i] == nil {
 			t.Fatalf("process %d never decided", i)
 		}
-		if !CheckKValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1, 1e-6) {
+		if !CheckKValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1, 1e-6) {
 			t.Fatal("1-relaxed validity violated")
 		}
 	}

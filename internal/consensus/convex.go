@@ -3,7 +3,6 @@ package consensus
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/relax"
@@ -167,23 +166,6 @@ func supportFan(cfg *SyncConfig, s *vec.Set, fan []vec.V) ([]vec.V, error) {
 		verts[i] = anchor
 	}
 	return verts, nil
-}
-
-// PolytopeAgreementError returns the maximum over vertex indices of the
-// L-infinity distance between two processes' polytope vertex lists
-// (0 = identical polytopes).
-func PolytopeAgreementError(res *ConvexResult, a, b int) float64 {
-	va, vb := res.Vertices[a], res.Vertices[b]
-	if len(va) != len(vb) {
-		return math.Inf(1)
-	}
-	worst := 0.0
-	for i := range va {
-		if d := va[i].Sub(vb[i]).NormP(math.Inf(1)); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // CheckConvexValidity reports whether every vertex of the agreed polytope

@@ -40,7 +40,7 @@ func TestConvexBoundBoundary(t *testing.T) {
 					t.Fatalf("f=%d d=%d n=%d seed=%d: %v", c.f, c.d, n, seed, err)
 				}
 				fam := relax.DroppedSubsets(res2set(cfg, res, 0), c.f)
-				for _, v := range res.Vertices[cfg.HonestIDs()[0]] {
+				for _, v := range res.Vertices[honestIDs(cfg.N, cfg.Byzantine)[0]] {
 					for _, sub := range fam {
 						if dist, _ := geom.Dist2(v, sub); dist > 1e-6 {
 							t.Fatalf("f=%d d=%d n=%d seed=%d: vertex %v misses a subset hull by %v", c.f, c.d, n, seed, v, dist)

@@ -5,6 +5,7 @@ import (
 
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"relaxedbvc/internal/broadcast"
@@ -25,15 +26,15 @@ func TestConvexHullConsensusBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.Byzantine)
 	// Agreement on the polytope.
 	for _, i := range honest[1:] {
-		if e := PolytopeAgreementError(res, honest[0], i); e != 0 {
-			t.Fatalf("polytope disagreement %v between %d and %d", e, honest[0], i)
+		if !slices.EqualFunc(res.Vertices[honest[0]], res.Vertices[i], vec.V.Equal) {
+			t.Fatalf("polytope disagreement between %d and %d", honest[0], i)
 		}
 	}
 	// Validity: all vertices in the non-faulty hull.
-	nonFaulty := cfg.NonFaultyInputs()
+	nonFaulty := honestInputs(cfg.Inputs, cfg.Byzantine)
 	if !CheckConvexValidity(res.Vertices[honest[0]], nonFaulty, 1e-6) {
 		t.Fatal("convex validity violated")
 	}
@@ -58,7 +59,7 @@ func res2set(cfg *SyncConfig, _ *ConvexResult, _ int) *vec.Set {
 	if err != nil {
 		panic(err)
 	}
-	return info.sets[cfg.HonestIDs()[0]]
+	return info.sets[honestIDs(cfg.N, cfg.Byzantine)[0]]
 }
 
 func TestConvexHullConsensusContainsGammaPoint(t *testing.T) {
@@ -73,7 +74,7 @@ func TestConvexHullConsensusContainsGammaPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := RunExactBVC(context.Background(), cfg)
+	eres, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,5 @@ func TestDirectionFanDeterministicAndUnit(t *testing.T) {
 	// First 2d are the signed axes.
 	if a[0][0] != 1 || a[1][0] != -1 {
 		t.Fatal("fan does not start with signed axes")
-	}
-}
-
-func TestPolytopeAgreementErrorMismatchedSizes(t *testing.T) {
-	r := &ConvexResult{Vertices: [][]vec.V{{vec.Of(0)}, {}}}
-	if !math.IsInf(PolytopeAgreementError(r, 0, 1), 1) {
-		t.Fatal("mismatched sizes should be +Inf")
 	}
 }

@@ -30,7 +30,7 @@ func TestSyncCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := &SyncConfig{N: 4, F: 1, D: 2, Inputs: ctxInputs(4, 2)}
-	_, err := RunDeltaRelaxedBVC(ctx, cfg, 2)
+	_, err := RunSync(ctx, transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, 2)))
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCanceled wrapping context.Canceled, got %v", err)
 	}
@@ -53,7 +53,7 @@ func TestAsyncCancelMidRound(t *testing.T) {
 			}
 		},
 	}
-	_, err := RunAsyncBVC(ctx, cfg)
+	_, err := RunAsync(ctx, transport.Plane{}, cfg)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCanceled wrapping context.Canceled, got %v", err)
 	}
@@ -88,53 +88,52 @@ func TestIterativeCancelMidRound(t *testing.T) {
 func TestTypedSentinels(t *testing.T) {
 	ctx := context.Background()
 	good := ctxInputs(4, 2)
+	exact := func(cfg *SyncConfig) error {
+		_, err := RunSync(ctx, transport.Plane{}, cfg, ExactChooser(cfg))
+		return err
+	}
 	cases := []struct {
 		name string
 		run  func() error
 		want error
 	}{
 		{"too few", func() error {
-			_, err := RunExactBVC(ctx, &SyncConfig{N: 1, F: 0, D: 2, Inputs: ctxInputs(1, 2)})
-			return err
+			return exact(&SyncConfig{N: 1, F: 0, D: 2, Inputs: ctxInputs(1, 2)})
 		}, ErrTooFewProcesses},
 		{"f >= n", func() error {
-			_, err := RunExactBVC(ctx, &SyncConfig{N: 4, F: 4, D: 2, Inputs: good})
-			return err
+			return exact(&SyncConfig{N: 4, F: 4, D: 2, Inputs: good})
 		}, ErrTooManyFaults},
 		{"too many byzantine", func() error {
-			_, err := RunExactBVC(ctx, &SyncConfig{N: 4, F: 1, D: 2, Inputs: good, Byzantine: map[int]broadcast.EIGBehavior{0: nil, 1: nil}})
-			return err
+			return exact(&SyncConfig{N: 4, F: 1, D: 2, Inputs: good, Byzantine: map[int]broadcast.EIGBehavior{0: nil, 1: nil}})
 		}, ErrTooManyFaults},
 		{"input count", func() error {
-			_, err := RunExactBVC(ctx, &SyncConfig{N: 4, F: 1, D: 2, Inputs: good[:3]})
-			return err
+			return exact(&SyncConfig{N: 4, F: 1, D: 2, Inputs: good[:3]})
 		}, ErrBadInputs},
 		{"dimension", func() error {
-			_, err := RunExactBVC(ctx, &SyncConfig{N: 4, F: 1, D: 3, Inputs: good})
-			return err
+			return exact(&SyncConfig{N: 4, F: 1, D: 3, Inputs: good})
 		}, ErrBadDimension},
 		{"scalar needs d=1", func() error {
 			_, err := ScalarChooser(&SyncConfig{N: 4, F: 1, D: 2, Inputs: good})
 			return err
 		}, ErrBadDimension},
 		{"bad k", func() error {
-			_, err := RunKRelaxedBVC(ctx, &SyncConfig{N: 4, F: 1, D: 2, Inputs: good}, 5)
+			_, err := KRelaxedChooser(&SyncConfig{N: 4, F: 1, D: 2, Inputs: good}, 5)
 			return err
 		}, ErrBadK},
 		{"bad norm", func() error {
-			_, err := RunDeltaRelaxedBVC(ctx, &SyncConfig{N: 4, F: 1, D: 2, Inputs: good}, 0.5)
+			_, err := DeltaRelaxedChooser(&SyncConfig{N: 4, F: 1, D: 2, Inputs: good}, 0.5)
 			return err
 		}, ErrBadNorm},
 		{"async rounds", func() error {
-			_, err := RunAsyncBVC(ctx, &AsyncConfig{N: 4, F: 1, D: 2, Inputs: good})
+			_, err := RunAsync(ctx, transport.Plane{}, &AsyncConfig{N: 4, F: 1, D: 2, Inputs: good})
 			return err
 		}, ErrBadRounds},
 		{"async norm", func() error {
-			_, err := RunAsyncBVC(ctx, &AsyncConfig{N: 4, F: 1, D: 2, Inputs: good, Rounds: 2, NormP: 3})
+			_, err := RunAsync(ctx, transport.Plane{}, &AsyncConfig{N: 4, F: 1, D: 2, Inputs: good, Rounds: 2, NormP: 3})
 			return err
 		}, ErrBadNorm},
 		{"async rbc bound", func() error {
-			_, err := RunAsyncBVC(ctx, &AsyncConfig{N: 3, F: 1, D: 2, Inputs: ctxInputs(3, 2), Rounds: 2})
+			_, err := RunAsync(ctx, transport.Plane{}, &AsyncConfig{N: 3, F: 1, D: 2, Inputs: ctxInputs(3, 2), Rounds: 2})
 			return err
 		}, ErrTooFewProcesses},
 		{"iter rounds", func() error {
@@ -167,7 +166,7 @@ func TestEmptyGammaWrapsSentinel(t *testing.T) {
 		vec.Of(0, 0, 1),
 	}
 	cfg := &SyncConfig{N: 4, F: 1, D: 3, Inputs: inputs}
-	_, err := RunExactBVC(context.Background(), cfg)
+	_, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 	if err == nil {
 		t.Skip("Gamma non-empty for this input set")
 	}
@@ -188,7 +187,7 @@ func TestDeltaRelaxedCancelBetweenChoices(t *testing.T) {
 			delivered++
 			cancel() // canceled during Step 1; caught before Step 2 choices
 		}}
-	_, err := RunDeltaRelaxedBVC(ctx, cfg, math.Inf(1))
+	_, err := RunSync(ctx, transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, math.Inf(1))))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

@@ -8,23 +8,17 @@ import (
 	"relaxedbvc/internal/vec"
 )
 
-// RunK1AsyncBVC runs 1-relaxed approximate BVC in an asynchronous system
+// RunK1Async runs 1-relaxed approximate BVC in an asynchronous system
 // via the Section 5.3 reduction: one independent scalar (d = 1)
 // approximate consensus instance per coordinate, each a ModeExact
-// verified-averaging run. For d = 1 the exact-validity bound
-// (d+2)f+1 = 3f+1 coincides with the reliable-broadcast requirement, so
-// n >= 3f+1 suffices for every vector dimension — the k = 1 entry of the
-// paper's bounds table.
+// RunAsync. For d = 1 the exact-validity bound (d+2)f+1 = 3f+1
+// coincides with the reliable-broadcast requirement, so n >= 3f+1
+// suffices for every vector dimension — the k = 1 entry of the paper's
+// bounds table. Like RunAsync, a real plane refuses it.
 //
 // The output satisfies 1-relaxed validity: every coordinate of every
 // honest output lies in the interval spanned by the non-faulty inputs'
 // corresponding coordinates.
-func RunK1AsyncBVC(ctx context.Context, cfg *AsyncConfig) (*AsyncResult, error) {
-	return RunK1Async(ctx, transport.Plane{}, cfg)
-}
-
-// RunK1Async is RunK1AsyncBVC on a chosen plane; like RunAsync, a real
-// plane refuses it.
 func RunK1Async(ctx context.Context, plane transport.Plane, cfg *AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(cfg); err != nil {
 		return nil, err

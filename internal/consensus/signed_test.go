@@ -2,12 +2,12 @@ package consensus
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"relaxedbvc/internal/adversary"
 	"relaxedbvc/internal/broadcast"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -23,11 +23,11 @@ func TestSignedBroadcastN3(t *testing.T) {
 			2: adversary.SignedEquivocator(map[int]vec.V{0: vec.Of(9, 9), 1: vec.Of(-9, -9)}),
 		},
 	}
-	res, err := RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+	res, err := RunSync(context.Background(), transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.ByzantineSigned)
 	if len(honest) != 2 {
 		t.Fatalf("honest = %v", honest)
 	}
@@ -41,7 +41,7 @@ func TestSignedBroadcastN3(t *testing.T) {
 		}
 	}
 	delta := res.Delta[honest[0]]
-	if !CheckDeltaValidity(res.Outputs[honest[0]], cfg.NonFaultyInputs(), delta, 2, 1e-6) {
+	if !CheckDeltaValidity(res.Outputs[honest[0]], honestInputs(cfg.Inputs, cfg.ByzantineSigned), delta, 2, 1e-6) {
 		t.Fatal("validity violated under signed broadcast")
 	}
 }
@@ -53,8 +53,8 @@ func TestSignedBroadcastMatchesOralOnHonestRuns(t *testing.T) {
 	inputs := randInputs(rng, 4, 2, 2)
 	oral := &SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs}
 	signed := &SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs, SignedBroadcast: true}
-	ro, err1 := RunExactBVC(context.Background(), oral)
-	rs, err2 := RunExactBVC(context.Background(), signed)
+	ro, err1 := RunSync(context.Background(), transport.Plane{}, oral, ExactChooser(oral))
+	rs, err2 := RunSync(context.Background(), transport.Plane{}, signed, ExactChooser(signed))
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -75,16 +75,16 @@ func TestSignedBroadcastExactBVCWithByzantine(t *testing.T) {
 			3: adversary.SignedEquivocator(map[int]vec.V{0: vec.Of(5, 5), 1: vec.Of(-5, -5), 2: vec.Of(5, -5)}),
 		},
 	}
-	res, err := RunExactBVC(context.Background(), cfg)
+	res, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.ByzantineSigned)
 	if AgreementError(res.Outputs, honest) != 0 {
 		t.Fatal("agreement violated")
 	}
 	for _, i := range honest {
-		if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.ByzantineSigned), 1e-6) {
 			t.Fatal("validity violated")
 		}
 	}
@@ -105,30 +105,7 @@ func TestSignedByzantineCountValidation(t *testing.T) {
 		SignedBroadcast: true,
 		ByzantineSigned: map[int]broadcast.DSBehavior{0: adversary.SignedEquivocator(nil)},
 	}
-	if _, err := RunExactBVC(context.Background(), cfg); err == nil {
+	if _, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg)); err == nil {
 		t.Fatal("too many signed Byzantine accepted")
-	}
-}
-
-// A config may script both rosters; only the one its Step 1 runs makes
-// a process Byzantine, so the validity set keeps the other's inputs.
-func TestHonestIDsReadsTheActiveRoster(t *testing.T) {
-	for _, signed := range []bool{false, true} {
-		cfg := &SyncConfig{
-			N: 4, F: 1, D: 2, SignedBroadcast: signed,
-			Inputs:          randInputs(rand.New(rand.NewSource(95)), 4, 2, 1),
-			Byzantine:       map[int]broadcast.EIGBehavior{0: adversary.Silent()},
-			ByzantineSigned: map[int]broadcast.DSBehavior{3: adversary.SignedEquivocator(nil)},
-		}
-		want := "[1 2 3]"
-		if signed {
-			want = "[0 1 2]"
-		}
-		if got := fmt.Sprint(cfg.HonestIDs()); got != want {
-			t.Fatalf("SignedBroadcast=%v: HonestIDs() = %s, want %s", signed, got, want)
-		}
-		if got := cfg.NonFaultyInputs().Len(); got != 3 {
-			t.Fatalf("SignedBroadcast=%v: %d non-faulty inputs, want 3", signed, got)
-		}
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 
 	"math/rand"
+	"slices"
 	"testing"
 
 	"relaxedbvc/internal/adversary"
 	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -24,16 +26,16 @@ func TestSignedBroadcastKRelaxedAndConvex(t *testing.T) {
 			4: adversary.SignedEquivocator(map[int]vec.V{0: vec.Of(7, 7, 7), 1: vec.Of(-7, -7, -7)}),
 		},
 	}
-	kres, err := RunKRelaxedBVC(context.Background(), cfg, 2)
+	kres, err := RunSync(context.Background(), transport.Plane{}, cfg, must(KRelaxedChooser(cfg, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.ByzantineSigned)
 	if AgreementError(kres.Outputs, honest) != 0 {
 		t.Fatal("k-relaxed agreement violated under signed broadcast")
 	}
 	for _, i := range honest {
-		if !CheckKValidity(kres.Outputs[i], cfg.NonFaultyInputs(), 2, 1e-6) {
+		if !CheckKValidity(kres.Outputs[i], honestInputs(cfg.Inputs, cfg.ByzantineSigned), 2, 1e-6) {
 			t.Fatal("k-relaxed validity violated")
 		}
 	}
@@ -42,11 +44,11 @@ func TestSignedBroadcastKRelaxedAndConvex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range honest[1:] {
-		if PolytopeAgreementError(cres, honest[0], i) != 0 {
+		if !slices.EqualFunc(cres.Vertices[honest[0]], cres.Vertices[i], vec.V.Equal) {
 			t.Fatal("convex agreement violated under signed broadcast")
 		}
 	}
-	if !CheckConvexValidity(cres.Vertices[honest[0]], cfg.NonFaultyInputs(), 1e-6) {
+	if !CheckConvexValidity(cres.Vertices[honest[0]], honestInputs(cfg.Inputs, cfg.ByzantineSigned), 1e-6) {
 		t.Fatal("convex validity violated")
 	}
 }
@@ -68,7 +70,7 @@ func TestAsyncF2(t *testing.T) {
 			6: {SilentFrom: 0, CorruptFrom: NeverMisbehave},
 		},
 	}
-	res, err := RunAsyncBVC(context.Background(), cfg)
+	res, err := RunAsync(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +94,16 @@ func TestSignedBroadcastLargeScale(t *testing.T) {
 			9: adversary.SignedEquivocator(nil),
 		},
 	}
-	res, err := RunExactBVC(context.Background(), cfg)
+	res, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.ByzantineSigned)
 	if AgreementError(res.Outputs, honest) != 0 {
 		t.Fatal("agreement violated")
 	}
 	for _, i := range honest {
-		if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.ByzantineSigned), 1e-6) {
 			t.Fatal("validity violated")
 		}
 	}
@@ -119,16 +121,16 @@ func TestALGOHighDimension(t *testing.T) {
 		N: 9, F: 1, D: 8, Inputs: inputs,
 		Byzantine: map[int]broadcast.EIGBehavior{8: adversary.RandomLiar(5, 8, 10)},
 	}
-	res, err := RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+	res, err := RunSync(context.Background(), transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.Byzantine)
 	if AgreementError(res.Outputs, honest) != 0 {
 		t.Fatal("agreement violated")
 	}
 	delta := res.Delta[honest[0]]
-	nonFaulty := cfg.NonFaultyInputs()
+	nonFaulty := honestInputs(cfg.Inputs, cfg.Byzantine)
 	if !CheckDeltaValidity(res.Outputs[honest[0]], nonFaulty, delta, 2, 1e-6) {
 		t.Fatal("validity violated")
 	}
@@ -159,7 +161,7 @@ func TestDeterministicReplay(t *testing.T) {
 			N: 4, F: 1, D: 3, Inputs: inputs,
 			Byzantine: map[int]broadcast.EIGBehavior{2: adversary.Equivocator(vec.Of(9, 9, 9), vec.Of(-9, -9, -9))},
 		}
-		sres, err := RunDeltaRelaxedBVC(context.Background(), sc, 2)
+		sres, err := RunSync(context.Background(), transport.Plane{}, sc, must(DeltaRelaxedChooser(sc, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +169,7 @@ func TestDeterministicReplay(t *testing.T) {
 			N: 4, F: 1, D: 3, Inputs: inputs, Rounds: 5, Mode: ModeRelaxed,
 			Schedule: &sched.RandomSchedule{Rng: rand.New(rand.NewSource(77))},
 		}
-		ares, err := RunAsyncBVC(context.Background(), ac)
+		ares, err := RunAsync(context.Background(), transport.Plane{}, ac)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,34 +139,6 @@ type SyncResult struct {
 	Transport transport.Stats
 }
 
-// HonestIDs returns the non-Byzantine process ids of a config: those
-// missing from the roster its Step 1 reads, ByzantineSigned under
-// SignedBroadcast and Byzantine otherwise.
-func (c *SyncConfig) HonestIDs() []int {
-	var ids []int
-	for i := 0; i < c.N; i++ {
-		var bad bool
-		if c.SignedBroadcast {
-			_, bad = c.ByzantineSigned[i]
-		} else {
-			_, bad = c.Byzantine[i]
-		}
-		if !bad {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
-
-// NonFaultyInputs returns the multiset of inputs at honest processes.
-func (c *SyncConfig) NonFaultyInputs() *vec.Set {
-	s := vec.NewSet()
-	for _, i := range c.HonestIDs() {
-		s.Append(c.Inputs[i])
-	}
-	return s
-}
-
 // step1Info carries the decoded multisets and the network statistics of
 // one Step-1 broadcast.
 type step1Info struct {
@@ -327,9 +299,11 @@ func RunSync(ctx context.Context, plane transport.Plane, cfg *SyncConfig, choose
 // is why one Chooser drives every plane.
 type Chooser func(s *vec.Set) (vec.V, float64, error)
 
-// ExactChooser returns the exact-BVC choice: a deterministic point of
-// Gamma(S), or ErrEmptyIntersection when the bound n >= (d+1)f+1 does
-// not hold and the adversary emptied the intersection.
+// ExactChooser returns the exact-BVC choice [19]: a deterministic point
+// of Gamma(S). Gamma is guaranteed non-empty when
+// n >= max(3f+1, (d+1)f+1) (Theorem 1); below the bound an adversarial
+// input set can make it empty, and the choice fails with
+// ErrEmptyIntersection.
 func ExactChooser(cfg *SyncConfig) Chooser {
 	return func(s *vec.Set) (vec.V, float64, error) {
 		pt, ok := relax.GammaPoint(s, cfg.F)
@@ -341,7 +315,10 @@ func ExactChooser(cfg *SyncConfig) Chooser {
 }
 
 // KRelaxedChooser returns the k-relaxed choice: a deterministic point
-// of Psi_k(S), with the k = 1 scalar reduction of Section 5.3.
+// of Psi_k(S). For k = 1 it is the scalar reduction of Section 5.3
+// (independent per-coordinate scalar consensus), for which n >= 3f+1
+// suffices; for 2 <= k <= d the tight requirement is n >= (d+1)f+1
+// (Theorem 3).
 func KRelaxedChooser(cfg *SyncConfig, k int) (Chooser, error) {
 	if k < 1 || k > cfg.D {
 		return nil, fmt.Errorf("%w: k=%d out of range [1,%d]", ErrBadK, k, cfg.D)
@@ -360,10 +337,11 @@ func KRelaxedChooser(cfg *SyncConfig, k int) (Chooser, error) {
 	}, nil
 }
 
-// DeltaRelaxedChooser returns Algorithm ALGO's choice: the smallest
+// DeltaRelaxedChooser returns Algorithm ALGO's choice for
+// (delta,p)-relaxed exact BVC with input-dependent delta: the smallest
 // delta with Gamma_(delta,p)(S) non-empty and the deterministic point
-// attaining it (minimax.DeltaStarP). Supported p: 2 (closed form /
-// minimax), 1 and +Inf (exact LP).
+// attaining it (minimax.DeltaStarP). Supported p: 2 (Lemma 13 closed
+// form or minimax), 1 and +Inf (exact LP). Step 1 needs n >= 3f+1.
 func DeltaRelaxedChooser(cfg *SyncConfig, p float64) (Chooser, error) {
 	if err := CheckNorm(p); err != nil {
 		return nil, err
@@ -406,27 +384,6 @@ func ScalarChooser(cfg *SyncConfig) (Chooser, error) {
 	return KRelaxedChooser(cfg, 1)
 }
 
-// RunExactBVC runs exact Byzantine vector consensus [19]: the output is a
-// deterministic point of Gamma(S). Gamma is guaranteed non-empty when
-// n >= max(3f+1, (d+1)f+1) (Theorem 1); below the bound an adversarial
-// input set can make it empty, in which case ErrEmptyIntersection is
-// returned.
-func RunExactBVC(ctx context.Context, cfg *SyncConfig) (*SyncResult, error) {
-	return RunSync(ctx, transport.Plane{}, cfg, ExactChooser(cfg))
-}
-
-// RunKRelaxedBVC runs k-relaxed exact BVC: the output is a deterministic
-// point of Psi_k(S). For k = 1 it uses the scalar reduction of Section
-// 5.3 (independent per-coordinate scalar consensus); n >= 3f+1 suffices.
-// For 2 <= k <= d the tight requirement is n >= (d+1)f+1 (Theorem 3).
-func RunKRelaxedBVC(ctx context.Context, cfg *SyncConfig, k int) (*SyncResult, error) {
-	choose, err := KRelaxedChooser(cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	return RunSync(ctx, transport.Plane{}, cfg, choose)
-}
-
 // scalarPerCoordinate applies the d=1 exact consensus choice to each
 // coordinate: sort the n agreed values, trim f from each side, take the
 // midpoint of the surviving interval. The result lies in the projection
@@ -440,19 +397,6 @@ func scalarPerCoordinate(s *vec.Set, f int) vec.V {
 		out[j] = (lo + hi) / 2
 	}
 	return out
-}
-
-// RunDeltaRelaxedBVC runs Algorithm ALGO for (delta,p)-relaxed exact BVC
-// with input-dependent delta: after Step 1 every process computes the
-// smallest delta for which Gamma_(delta,p)(S) is non-empty and picks the
-// deterministic point attaining it. Supported p: 2 (Lemma 13 closed form
-// or minimax), 1 and +Inf (exact LP). Requires n >= 3f+1 for Step 1.
-func RunDeltaRelaxedBVC(ctx context.Context, cfg *SyncConfig, p float64) (*SyncResult, error) {
-	choose, err := DeltaRelaxedChooser(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	return RunSync(ctx, transport.Plane{}, cfg, choose)
 }
 
 // --- Result validation helpers (used by tests, experiments, examples) ---

@@ -25,6 +25,36 @@ func randInputs(rng *rand.Rand, n, d int, scale float64) []vec.V {
 	return in
 }
 
+// honestIDs returns, in ascending order, the ids in [0, n) that roster
+// does not script.
+func honestIDs[B any](n int, roster map[int]B) []int {
+	var ids []int
+	for i := 0; i < n; i++ {
+		if _, bad := roster[i]; !bad {
+			ids = append(ids, i)
+		}
+	}
+	return ids
+}
+
+// honestInputs returns the multiset of inputs at the ids roster does
+// not script: the S of the validity conditions.
+func honestInputs[B any](inputs []vec.V, roster map[int]B) *vec.Set {
+	s := vec.NewSet()
+	for _, i := range honestIDs(len(inputs), roster) {
+		s.Append(inputs[i])
+	}
+	return s
+}
+
+// must returns the chooser of a config its test knows to be valid.
+func must(c Chooser, err error) Chooser {
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // twoFacedVec equivocates with two fixed vectors at every relay.
 type twoFacedVec struct{ a, b vec.V }
 
@@ -46,7 +76,7 @@ func (garbageBytes) RelayValue(int, []int, int, []byte) []byte { return []byte{1
 
 func checkSyncRun(t *testing.T, cfg *SyncConfig, res *SyncResult) {
 	t.Helper()
-	honest := cfg.HonestIDs()
+	honest := honestIDs(cfg.N, cfg.Byzantine)
 	if err := AgreementError(res.Outputs, honest); err > 0 {
 		t.Fatalf("agreement violated: max diff %v", err)
 	}
@@ -65,13 +95,13 @@ func TestExactBVCAllHonest(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, c := range []struct{ n, f, d int }{{4, 1, 1}, {4, 1, 2}, {5, 1, 3}, {7, 2, 2}} {
 		cfg := &SyncConfig{N: c.n, F: c.f, D: c.d, Inputs: randInputs(rng, c.n, c.d, 3)}
-		res, err := RunExactBVC(context.Background(), cfg)
+		res, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 		if err != nil {
 			t.Fatalf("n=%d f=%d d=%d: %v", c.n, c.f, c.d, err)
 		}
 		checkSyncRun(t, cfg, res)
-		for _, i := range cfg.HonestIDs() {
-			if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+			if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1e-6) {
 				t.Fatalf("validity violated: output %v outside hull of non-faulty inputs", res.Outputs[i])
 			}
 		}
@@ -97,13 +127,13 @@ func TestExactBVCWithByzantine(t *testing.T) {
 			Inputs:    randInputs(rng, 4, 2, 3),
 			Byzantine: map[int]broadcast.EIGBehavior{2: mk()},
 		}
-		res, err := RunExactBVC(context.Background(), cfg)
+		res, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkSyncRun(t, cfg, res)
-		for _, i := range cfg.HonestIDs() {
-			if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+			if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1e-6) {
 				t.Fatalf("%s: validity violated for process %d: %v", name, i, res.Outputs[i])
 			}
 		}
@@ -118,7 +148,7 @@ func TestExactBVCBelowBoundCanFail(t *testing.T) {
 		N: 4, F: 1, D: 3,
 		Inputs: []vec.V{vec.Of(0, 0, 0), vec.Of(1, 0, 0), vec.Of(0, 1, 0), vec.Of(0, 0, 1)},
 	}
-	if _, err := RunExactBVC(context.Background(), cfg); err == nil {
+	if _, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg)); err == nil {
 		t.Fatal("ExactBVC below the (d+1)f+1 bound succeeded with empty Gamma")
 	}
 }
@@ -132,21 +162,21 @@ func TestKRelaxedBVC(t *testing.T) {
 		Byzantine: map[int]broadcast.EIGBehavior{4: &twoFacedVec{vec.Of(50, 50, 50), vec.Of(-50, 0, 50)}},
 	}
 	for k := 1; k <= 3; k++ {
-		res, err := RunKRelaxedBVC(context.Background(), cfg, k)
+		res, err := RunSync(context.Background(), transport.Plane{}, cfg, must(KRelaxedChooser(cfg, k)))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		checkSyncRun(t, cfg, res)
-		for _, i := range cfg.HonestIDs() {
-			if !CheckKValidity(res.Outputs[i], cfg.NonFaultyInputs(), k, 1e-6) {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+			if !CheckKValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), k, 1e-6) {
 				t.Fatalf("k=%d: k-relaxed validity violated: %v", k, res.Outputs[i])
 			}
 		}
 	}
-	if _, err := RunKRelaxedBVC(context.Background(), cfg, 0); err == nil {
+	if _, err := KRelaxedChooser(cfg, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := RunKRelaxedBVC(context.Background(), cfg, 4); err == nil {
+	if _, err := KRelaxedChooser(cfg, 4); err == nil {
 		t.Error("k>d accepted")
 	}
 }
@@ -160,13 +190,13 @@ func TestK1WorksAtN3f1HighDimension(t *testing.T) {
 		Inputs:    randInputs(rng, 4, 6, 2),
 		Byzantine: map[int]broadcast.EIGBehavior{1: silentVec{}},
 	}
-	res, err := RunKRelaxedBVC(context.Background(), cfg, 1)
+	res, err := RunSync(context.Background(), transport.Plane{}, cfg, must(KRelaxedChooser(cfg, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSyncRun(t, cfg, res)
-	for _, i := range cfg.HonestIDs() {
-		if !CheckKValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1, 1e-9) {
+	for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+		if !CheckKValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1, 1e-9) {
 			t.Fatalf("1-relaxed validity violated: %v", res.Outputs[i])
 		}
 	}
@@ -209,14 +239,14 @@ func TestDeltaRelaxedBVCAlgoL2(t *testing.T) {
 			Inputs:    inputs,
 			Byzantine: map[int]broadcast.EIGBehavior{1: &twoFacedVec{vec.Of(10, 0, 0), vec.Of(0, 10, 0)}},
 		}
-		res, err := RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+		res, err := RunSync(context.Background(), transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkSyncRun(t, cfg, res)
-		honest := cfg.HonestIDs()
+		honest := honestIDs(cfg.N, cfg.Byzantine)
 		delta := res.Delta[honest[0]]
-		nonFaulty := cfg.NonFaultyInputs()
+		nonFaulty := honestInputs(cfg.Inputs, cfg.Byzantine)
 		// (delta,2)-relaxed validity.
 		for _, i := range honest {
 			if !CheckDeltaValidity(res.Outputs[i], nonFaulty, delta, 2, 1e-6) {
@@ -235,20 +265,20 @@ func TestDeltaRelaxedBVCPolyNorms(t *testing.T) {
 	inputs := randInputs(rng, 4, 3, 2)
 	cfg := &SyncConfig{N: 4, F: 1, D: 3, Inputs: inputs}
 	for _, p := range []float64{1, math.Inf(1)} {
-		res, err := RunDeltaRelaxedBVC(context.Background(), cfg, p)
+		res, err := RunSync(context.Background(), transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, p)))
 		if err != nil {
 			t.Fatalf("p=%v: %v", p, err)
 		}
 		checkSyncRun(t, cfg, res)
-		honest := cfg.HonestIDs()
+		honest := honestIDs(cfg.N, cfg.Byzantine)
 		delta := res.Delta[honest[0]]
 		for _, i := range honest {
-			if !CheckDeltaValidity(res.Outputs[i], cfg.NonFaultyInputs(), delta, p, 1e-6) {
+			if !CheckDeltaValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), delta, p, 1e-6) {
 				t.Fatalf("p=%v: validity violated", p)
 			}
 		}
 	}
-	if _, err := RunDeltaRelaxedBVC(context.Background(), cfg, 3); err == nil {
+	if _, err := DeltaRelaxedChooser(cfg, 3); err == nil {
 		t.Error("unsupported p accepted")
 	}
 }
@@ -258,9 +288,9 @@ func TestDeltaOrderingAcrossNorms(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	inputs := randInputs(rng, 4, 3, 2)
 	cfg := &SyncConfig{N: 4, F: 1, D: 3, Inputs: inputs}
-	rInf, err1 := RunDeltaRelaxedBVC(context.Background(), cfg, math.Inf(1))
-	r2, err2 := RunDeltaRelaxedBVC(context.Background(), cfg, 2)
-	r1, err3 := RunDeltaRelaxedBVC(context.Background(), cfg, 1)
+	rInf, err1 := RunSync(context.Background(), transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, math.Inf(1))))
+	r2, err2 := RunSync(context.Background(), transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, 2)))
+	r1, err3 := RunSync(context.Background(), transport.Plane{}, cfg, must(DeltaRelaxedChooser(cfg, 1)))
 	if err1 != nil || err2 != nil || err3 != nil {
 		t.Fatal(err1, err2, err3)
 	}
@@ -280,7 +310,7 @@ func TestConfigValidation(t *testing.T) {
 		"wrong dim":    {N: 4, F: 1, D: 3, Inputs: good},
 	}
 	for name, cfg := range cases {
-		if _, err := RunExactBVC(context.Background(), cfg); err == nil {
+		if _, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
@@ -324,11 +354,11 @@ func TestDefaultVectorUsedForGarbage(t *testing.T) {
 		Byzantine: map[int]broadcast.EIGBehavior{3: garbageBytes{}},
 		Default:   vec.Of(0.5, 0.5),
 	}
-	res, err := RunExactBVC(context.Background(), cfg)
+	res, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range cfg.HonestIDs() {
+	for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
 		if !res.AgreedSet[i].At(3).Equal(vec.Of(0.5, 0.5)) {
 			t.Fatalf("default not substituted: %v", res.AgreedSet[i].At(3))
 		}
@@ -351,12 +381,12 @@ func TestExactBVCAtTheBoundAcrossDimensions(t *testing.T) {
 			Inputs:    randInputs(rng, n, d, 3),
 			Byzantine: map[int]broadcast.EIGBehavior{n - 1: &twoFacedVec{garbagePoint(d, 1), garbagePoint(d, 2)}},
 		}
-		res, err := RunExactBVC(context.Background(), cfg)
+		res, err := RunSync(context.Background(), transport.Plane{}, cfg, ExactChooser(cfg))
 		if err != nil {
 			t.Fatalf("d=%d n=%d: %v", d, n, err)
 		}
-		for _, i := range cfg.HonestIDs() {
-			if !CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+		for _, i := range honestIDs(cfg.N, cfg.Byzantine) {
+			if !CheckExactValidity(res.Outputs[i], honestInputs(cfg.Inputs, cfg.Byzantine), 1e-6) {
 				t.Fatalf("d=%d: validity violated", d)
 			}
 		}

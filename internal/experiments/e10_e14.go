@@ -2,18 +2,13 @@ package experiments
 
 import (
 	"context"
-
 	"math"
-	"math/rand"
 
-	"relaxedbvc/internal/adversary"
-	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/consensus"
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/report"
-	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/tverberg"
 	"relaxedbvc/internal/vec"
 	"relaxedbvc/internal/workload"
@@ -33,8 +28,8 @@ func E10AsyncRVA(opt Options) *Outcome {
 	d := 3
 	n := d + 1
 	inputs := workload.Gaussian(rng, n, d, 2)
-	byz := map[int]*consensus.AsyncByzantine{
-		n - 1: {Input: workload.Gaussian(rng, 1, d, 6)[0], SilentFrom: consensus.NeverMisbehave, CorruptFrom: consensus.NeverMisbehave},
+	byz := map[int]*bvc.AsyncByzantine{
+		n - 1: {Input: workload.Gaussian(rng, 1, d, 6)[0], SilentFrom: bvc.NeverMisbehave, CorruptFrom: bvc.NeverMisbehave},
 	}
 	roundsList := []int{2, 4, 8, 12}
 	if opt.Quick {
@@ -42,20 +37,20 @@ func E10AsyncRVA(opt Options) *Outcome {
 	}
 	prevEps := math.Inf(1)
 	for _, rounds := range roundsList {
-		cfg := &consensus.AsyncConfig{
-			N: n, F: 1, D: d, Inputs: inputs, Rounds: rounds,
-			Mode:      consensus.ModeRelaxed,
-			Byzantine: byz,
-			Schedule:  &sched.RandomSchedule{Rng: rand.New(rand.NewSource(opt.Seed + int64(rounds)))},
+		spec := bvc.Spec{
+			Protocol: bvc.ProtocolAsync, N: n, F: 1, D: d, Inputs: inputs, Rounds: rounds,
+			Mode:           bvc.ModeRelaxed,
+			AsyncByzantine: byz,
+			Schedule:       bvc.RandomSchedule(opt.Seed + int64(rounds)),
 		}
-		res, err := consensus.RunAsyncBVC(context.Background(), cfg)
+		res, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			o.Pass = false
 			note(o, "rounds=%d: %v", rounds, err)
 			continue
 		}
-		honest := cfg.HonestIDs()
-		eps := consensus.AgreementError(res.Outputs, honest)
+		honest := spec.HonestIDs()
+		eps := bvc.AgreementError(res.Outputs, honest)
 		maxDelta := 0.0
 		for _, i := range honest {
 			if res.Delta[i] > maxDelta {
@@ -68,7 +63,7 @@ func E10AsyncRVA(opt Options) *Outcome {
 		// over honest inputs; the Byzantine round-0 value can only shrink
 		// the witnessed edge set used by the theorem, so we evaluate the
 		// conservative bound over all round-0 values (honest + claimed).
-		all := cfg.NonFaultyInputs().Clone()
+		all := spec.NonFaultyInputs()
 		all.Append(byz[n-1].Input)
 		m := n - 1 // |X| >= n-f
 		bound := all.MaxEdge(2) / float64(m-2)
@@ -90,15 +85,15 @@ func E10AsyncRVA(opt Options) *Outcome {
 	// Contrast row: ModeExact needs n = (d+2)f+1 = d+3 processes for the
 	// same d — the relaxation saves (d+3)-(d+1) = 2 processes at f=1.
 	nExact := d + 3
-	cfgE := &consensus.AsyncConfig{
-		N: nExact, F: 1, D: d, Inputs: workload.Gaussian(rng, nExact, d, 2),
-		Rounds: 8, Mode: consensus.ModeExact,
+	specE := bvc.Spec{
+		Protocol: bvc.ProtocolAsync, N: nExact, F: 1, D: d, Inputs: workload.Gaussian(rng, nExact, d, 2),
+		Rounds: 8, Mode: bvc.ModeExact,
 	}
-	resE, errE := consensus.RunAsyncBVC(context.Background(), cfgE)
+	resE, errE := bvc.Run(context.Background(), specE)
 	okE := errE == nil
 	var epsE float64
 	if okE {
-		epsE = consensus.AgreementError(resE.Outputs, cfgE.HonestIDs())
+		epsE = bvc.AgreementError(resE.Outputs, specE.HonestIDs())
 		okE = epsE < 0.05
 	}
 	t.AddRow(d, nExact, 8, epsE, 0.0, 0.0, "exact (delta=0)", report.PassFail(okE))
@@ -124,13 +119,12 @@ func E11Impossibility(opt Options) *Outcome {
 	// Scenario B: p, q honest with input 0; r Byzantine playing "r0 to q,
 	// r1 to p" — it tells p it started from 1 and q it started from 0.
 	runScenario := func(name string, inputs []vec.V, byzID int, toP, toQ vec.V, honestA, honestB int) {
-		cfg := &consensus.SyncConfig{
-			N: 3, F: 1, D: d, Inputs: inputs,
-			Byzantine: map[int]broadcast.EIGBehavior{
-				byzID: adversary.PerRecipient(map[int]vec.V{honestA: toP, honestB: toQ}),
+		res, err := bvc.Run(context.Background(), bvc.Spec{
+			Protocol: bvc.ProtocolDeltaRelaxed, N: 3, F: 1, D: d, Inputs: inputs,
+			Byzantine: map[int]bvc.ByzantineBehavior{
+				byzID: bvc.PerRecipient(map[int]vec.V{honestA: toP, honestB: toQ}),
 			},
-		}
-		res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+		})
 		if err != nil {
 			t.AddRow(name, byzID, "-", "-", "divergence", "run error: "+err.Error())
 			return
@@ -160,17 +154,17 @@ func E11Impossibility(opt Options) *Outcome {
 	runScenario("C (q bridges)", []vec.V{zero, one.Scale(0.5), one}, 1, zero, one, 0, 2)
 
 	// Control: with n = 4 >= 3f+1 the same attack fails — views agree.
-	cfg := &consensus.SyncConfig{
-		N: 4, F: 1, D: d,
+	spec := bvc.Spec{
+		Protocol: bvc.ProtocolDeltaRelaxed, N: 4, F: 1, D: d,
 		Inputs: []vec.V{zero, zero, zero, one},
-		Byzantine: map[int]broadcast.EIGBehavior{
-			3: adversary.PerRecipient(map[int]vec.V{0: one, 1: zero, 2: one}),
+		Byzantine: map[int]bvc.ByzantineBehavior{
+			3: bvc.PerRecipient(map[int]vec.V{0: one, 1: zero, 2: one}),
 		},
 	}
-	res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+	res, err := bvc.Run(context.Background(), spec)
 	ctrlOK := err == nil
 	if ctrlOK {
-		ctrlOK = consensus.AgreementError(res.Outputs, cfg.HonestIDs()) == 0
+		ctrlOK = bvc.AgreementError(res.Outputs, spec.HonestIDs()) == 0
 	}
 	t.AddRow("control n=3f+1", 3, ctrlOK, ctrlOK, "agreement", report.PassFail(ctrlOK))
 	o.Pass = o.Pass && ctrlOK

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-
 	"math"
 
-	"relaxedbvc/internal/adversary"
-	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/consensus"
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/report"
@@ -39,8 +36,8 @@ func E15Footnote3(opt Options) *Outcome {
 			inputs[i] = one.Clone()
 		}
 		inputs[n-1] = zero // the Byzantine slot's nominal input
-		cfg := &consensus.SyncConfig{
-			N: n, F: 1, D: d, Inputs: inputs,
+		spec := bvc.Spec{
+			Protocol: bvc.ProtocolDeltaRelaxed, N: n, F: 1, D: d, Inputs: inputs,
 			SignedBroadcast: signed,
 		}
 		perRecipient := map[int]vec.V{}
@@ -52,17 +49,17 @@ func E15Footnote3(opt Options) *Outcome {
 			}
 		}
 		if signed {
-			cfg.ByzantineSigned = map[int]broadcast.DSBehavior{n - 1: adversary.SignedEquivocator(perRecipient)}
+			spec.ByzantineSigned = map[int]bvc.SignedByzantineBehavior{n - 1: bvc.SignedEquivocator(perRecipient)}
 		} else {
-			cfg.Byzantine = map[int]broadcast.EIGBehavior{n - 1: adversary.PerRecipient(perRecipient)}
+			spec.Byzantine = map[int]bvc.ByzantineBehavior{n - 1: bvc.PerRecipient(perRecipient)}
 		}
-		res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+		res, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			t.AddRow(n, 1, d, label, "equivocate", "-", "-", "-", "error: "+err.Error())
 			o.Pass = false
 			return
 		}
-		honest := cfg.HonestIDs()
+		honest := spec.HonestIDs()
 		viewsAgree := true
 		for _, i := range honest[1:] {
 			for c := 0; c < n; c++ {
@@ -71,9 +68,9 @@ func E15Footnote3(opt Options) *Outcome {
 				}
 			}
 		}
-		outputsAgree := consensus.AgreementError(res.Outputs, honest) == 0
+		outputsAgree := bvc.AgreementError(res.Outputs, honest) == 0
 		delta := res.Delta[honest[0]]
-		valid := consensus.CheckDeltaValidity(res.Outputs[honest[0]], cfg.NonFaultyInputs(), delta, 2, 1e-6)
+		valid := bvc.CheckDeltaValidity(res.Outputs[honest[0]], spec.NonFaultyInputs(), delta, 2, 1e-6)
 		// Signed mode must defeat the attack; oral mode at n <= 3f must
 		// fall to it (when at least two honest processes exist to split).
 		wantAgree := signed || n >= 4
@@ -94,18 +91,18 @@ func E15Footnote3(opt Options) *Outcome {
 	okRand := true
 	for trial := 0; trial < opt.Trials; trial++ {
 		inputs := workload.Gaussian(rng, 3, d, 2)
-		cfg := &consensus.SyncConfig{N: 3, F: 1, D: d, Inputs: inputs, SignedBroadcast: true}
-		res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+		spec := bvc.Spec{Protocol: bvc.ProtocolDeltaRelaxed, N: 3, F: 1, D: d, Inputs: inputs, SignedBroadcast: true}
+		res, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			okRand = false
 			break
 		}
-		honest := cfg.HonestIDs()
-		if consensus.AgreementError(res.Outputs, honest) != 0 {
+		honest := spec.HonestIDs()
+		if bvc.AgreementError(res.Outputs, honest) != 0 {
 			okRand = false
 		}
 		delta := res.Delta[honest[0]]
-		if !consensus.CheckDeltaValidity(res.Outputs[honest[0]], cfg.NonFaultyInputs(), delta, 2, 1e-6) {
+		if !bvc.CheckDeltaValidity(res.Outputs[honest[0]], spec.NonFaultyInputs(), delta, 2, 1e-6) {
 			okRand = false
 		}
 	}
@@ -153,22 +150,8 @@ func E16ConjectureSweep(opt Options) *Outcome {
 			// conjecture must hold whichever f inputs are faulty. The
 			// bound shrinks as edges are removed, so the binding check is
 			// the minimum bound over faulty choices.
-			minBound := math.Inf(1)
-			vec.Combinations(g.n, g.f, func(faulty []int) bool {
-				fm := map[int]bool{}
-				for _, x := range faulty {
-					fm[x] = true
-				}
-				keep := make([]int, 0, g.n-g.f)
-				for i := 0; i < g.n; i++ {
-					if !fm[i] {
-						keep = append(keep, i)
-					}
-				}
-				if b := minimax.Conjecture1Bound(s.Subset(keep), g.n, g.f); b < minBound {
-					minBound = b
-				}
-				return true
+			minBound := minOverFaulty(g.n, g.f, func(keep []int) float64 {
+				return minimax.Conjecture1Bound(s.Subset(keep), g.n, g.f)
 			})
 			if minBound <= 0 {
 				continue
@@ -193,23 +176,8 @@ func E16ConjectureSweep(opt Options) *Outcome {
 			s := vec.NewSet(pts...)
 			dstarInf, _ := relax.DeltaStarPoly(s, g.f, math.Inf(1))
 			kappa := 1.0 / float64(g.n/g.f-2)
-			minBound := math.Inf(1)
-			vec.Combinations(g.n, g.f, func(faulty []int) bool {
-				fm := map[int]bool{}
-				for _, x := range faulty {
-					fm[x] = true
-				}
-				keep := make([]int, 0, g.n-g.f)
-				for i := 0; i < g.n; i++ {
-					if !fm[i] {
-						keep = append(keep, i)
-					}
-				}
-				b := minimax.HolderScale(g.d, math.Inf(1)) * kappa * s.Subset(keep).MaxEdge(math.Inf(1))
-				if b < minBound {
-					minBound = b
-				}
-				return true
+			minBound := minOverFaulty(g.n, g.f, func(keep []int) float64 {
+				return minimax.HolderScale(g.d, math.Inf(1)) * kappa * s.Subset(keep).MaxEdge(math.Inf(1))
 			})
 			if minBound <= 0 {
 				continue
@@ -226,4 +194,27 @@ func E16ConjectureSweep(opt Options) *Outcome {
 	}
 	note(o, "no counterexample found; every sampled configuration keeps delta* strictly below the conjectured bound")
 	return o
+}
+
+// minOverFaulty returns the minimum of bound over the index sets of the
+// inputs left honest by every choice of f faulty inputs among n.
+func minOverFaulty(n, f int, bound func(keep []int) float64) float64 {
+	m := math.Inf(1)
+	vec.Combinations(n, f, func(faulty []int) bool {
+		fm := map[int]bool{}
+		for _, x := range faulty {
+			fm[x] = true
+		}
+		keep := make([]int, 0, n-f)
+		for i := 0; i < n; i++ {
+			if !fm[i] {
+				keep = append(keep, i)
+			}
+		}
+		if b := bound(keep); b < m {
+			m = b
+		}
+		return true
+	})
+	return m
 }

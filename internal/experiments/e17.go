@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
+	"slices"
 
-	"relaxedbvc/internal/adversary"
-	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/consensus"
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/report"
 	"relaxedbvc/internal/vec"
@@ -36,30 +35,28 @@ func E17ConvexHull(opt Options) *Outcome {
 		}
 		for trial := 0; trial < opt.Trials; trial++ {
 			inputs := workload.Gaussian(rng, n, c.d, 2)
-			byz := map[int]broadcast.EIGBehavior{
-				n - 1: adversary.Equivocator(
+			byz := map[int]bvc.ByzantineBehavior{
+				n - 1: bvc.Equivocator(
 					workload.Gaussian(rng, 1, c.d, 8)[0],
 					workload.Gaussian(rng, 1, c.d, 8)[0]),
 			}
 			if c.f == 2 {
-				byz[0] = adversary.Silent()
+				byz[0] = bvc.Silent()
 			}
-			cfg := &consensus.SyncConfig{N: n, F: c.f, D: c.d, Inputs: inputs, Byzantine: byz}
 			dirs := 4 * c.d
-			res, err := consensus.RunConvexHullConsensus(context.Background(), cfg, dirs)
+			spec := bvc.Spec{Protocol: bvc.ProtocolConvex, N: n, F: c.f, D: c.d, Inputs: inputs, Byzantine: byz, Directions: dirs}
+			res, err := bvc.Run(context.Background(), spec)
 			if err != nil {
 				o.Pass = false
 				t.AddRow(c.d, c.f, n, dirs, "equivocate", "-", "-", "-", "error: "+err.Error())
 				continue
 			}
-			honest := cfg.HonestIDs()
+			honest := spec.HonestIDs()
 			agree := true
 			for _, i := range honest[1:] {
-				if consensus.PolytopeAgreementError(res, honest[0], i) != 0 {
-					agree = false
-				}
+				agree = agree && slices.EqualFunc(res.Vertices[honest[0]], res.Vertices[i], vec.V.Equal)
 			}
-			valid := consensus.CheckConvexValidity(res.Vertices[honest[0]], cfg.NonFaultyInputs(), 1e-6)
+			valid := bvc.CheckConvexValidity(res.Vertices[honest[0]], spec.NonFaultyInputs(), 1e-6)
 			spread := vec.NewSet(res.Vertices[honest[0]]...).MaxEdge(2)
 			ok := agree && valid
 			if trial == 0 {
@@ -71,8 +68,10 @@ func E17ConvexHull(opt Options) *Outcome {
 
 	// Degeneration: identical inputs collapse the polytope to a point.
 	p := workload.Gaussian(rng, 1, 2, 2)[0]
-	cfg := &consensus.SyncConfig{N: 4, F: 1, D: 2, Inputs: []vec.V{p.Clone(), p.Clone(), p.Clone(), p.Clone()}}
-	res, err := consensus.RunConvexHullConsensus(context.Background(), cfg, 8)
+	res, err := bvc.Run(context.Background(), bvc.Spec{
+		Protocol: bvc.ProtocolConvex, N: 4, F: 1, D: 2, Directions: 8,
+		Inputs: []vec.V{p.Clone(), p.Clone(), p.Clone(), p.Clone()},
+	})
 	collapsed := err == nil
 	if collapsed {
 		for _, v := range res.Vertices[0] {
@@ -87,9 +86,10 @@ func E17ConvexHull(opt Options) *Outcome {
 	// Cross-check: the exact-BVC Gamma point lies (nearly) inside the
 	// agreed polytope when the fan is dense enough.
 	inputs := workload.Gaussian(rng, 5, 2, 2)
-	cfg2 := &consensus.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs}
-	cres, err1 := consensus.RunConvexHullConsensus(context.Background(), cfg2, 24)
-	eres, err2 := consensus.RunExactBVC(context.Background(), cfg2)
+	spec := bvc.Spec{Protocol: bvc.ProtocolConvex, N: 5, F: 1, D: 2, Inputs: inputs, Directions: 24}
+	cres, err1 := bvc.Run(context.Background(), spec)
+	spec.Protocol = bvc.ProtocolExact
+	eres, err2 := bvc.Run(context.Background(), spec)
 	crossOK := err1 == nil && err2 == nil
 	gap := 0.0
 	if crossOK {

@@ -3,9 +3,8 @@ package experiments
 import (
 	"context"
 
-	"relaxedbvc/internal/consensus"
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/report"
-	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 	"relaxedbvc/internal/workload"
 )
@@ -30,12 +29,12 @@ func E18Iterative(opt Options) *Outcome {
 
 	adversaries := []struct {
 		name string
-		mk   consensus.IterByzantine
+		mk   bvc.IterByzantine
 	}{
 		{"none", nil},
-		{"silent", consensus.IterByzantineFunc(func(int, int, vec.V) vec.V { return nil })},
-		{"fixed-far", consensus.IterByzantineFunc(func(int, int, vec.V) vec.V { return vec.Of(500, -500) })},
-		{"two-faced", consensus.IterByzantineFunc(func(round, to int, _ vec.V) vec.V {
+		{"silent", bvc.IterByzantineFunc(func(int, int, vec.V) vec.V { return nil })},
+		{"fixed-far", bvc.IterByzantineFunc(func(int, int, vec.V) vec.V { return vec.Of(500, -500) })},
+		{"two-faced", bvc.IterByzantineFunc(func(round, to int, _ vec.V) vec.V {
 			v := vec.New(d)
 			v[0] = float64((to*7+round*13)%11) * 20
 			v[1] = -float64((to*3+round*5)%7) * 20
@@ -47,11 +46,11 @@ func E18Iterative(opt Options) *Outcome {
 		rounds = 6
 	}
 	for _, a := range adversaries {
-		cfg := &consensus.IterConfig{N: n, F: f, D: d, Inputs: inputs, Rounds: rounds}
+		spec := bvc.Spec{Protocol: bvc.ProtocolIterative, N: n, F: f, D: d, Inputs: inputs, Rounds: rounds}
 		if a.mk != nil {
-			cfg.Byzantine = map[int]consensus.IterByzantine{n - 1: a.mk}
+			spec.IterByzantine = map[int]bvc.IterByzantine{n - 1: a.mk}
 		}
-		res, err := consensus.RunIterativeBVC(context.Background(), transport.Plane{}, cfg)
+		res, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			o.Pass = false
 			note(o, "%s: %v", a.name, err)
@@ -59,7 +58,7 @@ func E18Iterative(opt Options) *Outcome {
 		}
 		valid := true
 		for i := 0; i < n-1; i++ {
-			if !consensus.CheckExactValidity(res.Outputs[i], honestInputs, 1e-6) {
+			if !bvc.CheckExactValidity(res.Outputs[i], honestInputs, 1e-6) {
 				valid = false
 			}
 		}

@@ -3,9 +3,8 @@ package experiments
 import (
 	"context"
 
-	"relaxedbvc/internal/consensus"
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/report"
-	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/workload"
 )
 
@@ -33,14 +32,15 @@ func E19CostScaling(opt Options) *Outcome {
 	for _, c := range cases {
 		inputs := workload.Gaussian(rng, c.n, d, 1)
 		// Oral messages (EIG).
-		cfgO := &consensus.SyncConfig{N: c.n, F: c.f, D: d, Inputs: inputs}
-		resO, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfgO, 2)
+		spec := bvc.Spec{Protocol: bvc.ProtocolDeltaRelaxed, N: c.n, F: c.f, D: d, Inputs: inputs}
+		resO, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			o.Pass = false
 			note(o, "oral n=%d f=%d: %v", c.n, c.f, err)
 			continue
 		}
-		t.AddRow("oral (EIG)", c.n, c.f, resO.Rounds, resO.Messages, resO.Messages/c.n, resO.TreeNodes)
+		treeNodes := resO.Metrics.EIGTreeNodes
+		t.AddRow("oral (EIG)", c.n, c.f, resO.Rounds, resO.Messages, resO.Messages/c.n, treeNodes)
 		// Honest runs: one message per link and round, and every process
 		// holds every node of every level.
 		nodes, level := 0, 1
@@ -48,13 +48,13 @@ func E19CostScaling(opt Options) *Outcome {
 			level *= c.n - l + 1
 			nodes += c.n * level
 		}
-		if want := c.n * (c.n - 1) * (c.f + 1); resO.Messages != want || resO.TreeNodes != nodes {
+		if want := c.n * (c.n - 1) * (c.f + 1); resO.Messages != want || treeNodes != nodes {
 			o.Pass = false
-			note(o, "oral n=%d f=%d: %d messages and %d tree nodes, want n(n-1)(f+1) = %d and %d", c.n, c.f, resO.Messages, resO.TreeNodes, want, nodes)
+			note(o, "oral n=%d f=%d: %d messages and %d tree nodes, want n(n-1)(f+1) = %d and %d", c.n, c.f, resO.Messages, treeNodes, want, nodes)
 		}
 		// Signed (Dolev-Strong).
-		cfgS := &consensus.SyncConfig{N: c.n, F: c.f, D: d, Inputs: inputs, SignedBroadcast: true}
-		resS, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfgS, 2)
+		spec.SignedBroadcast = true
+		resS, err := bvc.Run(context.Background(), spec)
 		if err != nil {
 			o.Pass = false
 			note(o, "signed n=%d f=%d: %v", c.n, c.f, err)
@@ -81,12 +81,11 @@ func E19CostScaling(opt Options) *Outcome {
 			break
 		}
 		inputs := workload.Gaussian(rng, n, d, 1)
-		mode := consensus.ModeRelaxed
+		mode := bvc.ModeRelaxed
 		if n >= d+4 {
-			mode = consensus.ModeExact
+			mode = bvc.ModeExact
 		}
-		cfg := &consensus.AsyncConfig{N: n, F: 1, D: d, Inputs: inputs, Rounds: 6, Mode: mode}
-		res, err := consensus.RunAsyncBVC(context.Background(), cfg)
+		res, err := bvc.Run(context.Background(), bvc.Spec{Protocol: bvc.ProtocolAsync, N: n, F: 1, D: d, Inputs: inputs, Rounds: 6, Mode: mode})
 		if err != nil {
 			o.Pass = false
 			note(o, "async n=%d: %v", n, err)
@@ -98,8 +97,7 @@ func E19CostScaling(opt Options) *Outcome {
 	// Iterative protocol message count (no broadcast primitive: the
 	// cheapest substrate, n*(n-1) per round).
 	nIter := 5
-	cfgI := &consensus.IterConfig{N: nIter, F: 1, D: d, Inputs: workload.Gaussian(rng, nIter, d, 1), Rounds: 6}
-	resI, err := consensus.RunIterativeBVC(context.Background(), transport.Plane{}, cfgI)
+	resI, err := bvc.Run(context.Background(), bvc.Spec{Protocol: bvc.ProtocolIterative, N: nIter, F: 1, D: d, Inputs: workload.Gaussian(rng, nIter, d, 1), Rounds: 6})
 	if err != nil {
 		o.Pass = false
 	} else {

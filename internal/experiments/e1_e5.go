@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"math"
 
-	"relaxedbvc/internal/adversary"
-	"relaxedbvc/internal/broadcast"
-	"relaxedbvc/internal/consensus"
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/report"
 	"relaxedbvc/internal/vec"
@@ -42,24 +39,24 @@ func E1ExactBounds(opt Options) *Outcome {
 			agreeOK, validOK := true, true
 			for trial := 0; trial < opt.Trials; trial++ {
 				inputs := workload.Gaussian(rng, n, d, 2)
-				byz := map[int]broadcast.EIGBehavior{}
-				byz[n-1] = adversary.Equivocator(
+				byz := map[int]bvc.ByzantineBehavior{}
+				byz[n-1] = bvc.Equivocator(
 					workload.Gaussian(rng, 1, d, 10)[0],
 					workload.Gaussian(rng, 1, d, 10)[0])
 				if f == 2 {
-					byz[0] = adversary.Silent()
+					byz[0] = bvc.Silent()
 				}
-				cfg := &consensus.SyncConfig{N: n, F: f, D: d, Inputs: inputs, Byzantine: byz}
-				res, err := consensus.RunExactBVC(context.Background(), cfg)
+				spec := bvc.Spec{Protocol: bvc.ProtocolExact, N: n, F: f, D: d, Inputs: inputs, Byzantine: byz}
+				res, err := bvc.Run(context.Background(), spec)
 				if err != nil {
 					agreeOK, validOK = false, false
 					break
 				}
-				if consensus.AgreementError(res.Outputs, cfg.HonestIDs()) > 0 {
+				if bvc.AgreementError(res.Outputs, spec.HonestIDs()) > 0 {
 					agreeOK = false
 				}
-				for _, i := range cfg.HonestIDs() {
-					if !consensus.CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6) {
+				for _, i := range spec.HonestIDs() {
+					if !bvc.CheckExactValidity(res.Outputs[i], spec.NonFaultyInputs(), 1e-6) {
 						validOK = false
 					}
 				}
@@ -98,17 +95,18 @@ func E2KRelaxedSync(opt Options) *Outcome {
 		// Sufficiency at n = (d+1)f+1, f=1, protocol run with Byzantine.
 		n := d + 2
 		inputs := workload.Gaussian(rng, n, d, 2)
-		cfg := &consensus.SyncConfig{
-			N: n, F: 1, D: d, Inputs: inputs,
-			Byzantine: map[int]broadcast.EIGBehavior{n - 1: adversary.RandomLiar(opt.Seed, d, 10)},
+		spec := bvc.Spec{
+			Protocol: bvc.ProtocolKRelaxed, N: n, F: 1, D: d, Inputs: inputs,
+			Byzantine: map[int]bvc.ByzantineBehavior{n - 1: bvc.RandomLiar(opt.Seed, d, 10)},
 		}
 		for _, k := range []int{2, d - 1} {
-			res, err := consensus.RunKRelaxedBVC(context.Background(), cfg, k)
+			spec.K = k
+			res, err := bvc.Run(context.Background(), spec)
 			ok := err == nil
 			if ok {
-				ok = consensus.AgreementError(res.Outputs, cfg.HonestIDs()) == 0
-				for _, i := range cfg.HonestIDs() {
-					ok = ok && consensus.CheckKValidity(res.Outputs[i], cfg.NonFaultyInputs(), k, 1e-6)
+				ok = bvc.AgreementError(res.Outputs, spec.HonestIDs()) == 0
+				for _, i := range spec.HonestIDs() {
+					ok = ok && bvc.CheckKValidity(res.Outputs[i], spec.NonFaultyInputs(), k, 1e-6)
 				}
 			}
 			t.AddRow(d, k, n, "protocol at bound", "success", report.PassFail(ok))
@@ -131,11 +129,12 @@ func E2KRelaxedSync(opt Options) *Outcome {
 	return o
 }
 
-// theorem4ProcessSets builds the per-process feasible output regions of
-// the Appendix B argument: process i's output must lie in
-// Psi_i = intersection over j != i (1 <= j <= d+1) of H_k(S^j), where
+// processSets builds the per-process feasible output regions of the
+// Appendix B and C arguments: process i's output must lie in
+// Psi_i = intersection over j != i (1 <= j <= d+1) of H(S^j), with H the
+// relaxed hull (H_k in Appendix B, H_(delta,inf) in Appendix C), where
 // S^j drops input j from the first d+1 inputs.
-func theorem4ProcessSets(cols []vec.V, i int) []*vec.Set {
+func processSets(cols []vec.V, i int) []*vec.Set {
 	d := cols[0].Dim()
 	var fam []*vec.Set
 	for j := 0; j <= d; j++ { // inputs 1..d+1 are indices 0..d
@@ -173,8 +172,8 @@ func E3KRelaxedAsync(opt Options) *Outcome {
 	for _, d := range dims {
 		// Necessity certificates on the Appendix B matrix (gamma=1).
 		cols := workload.Theorem4Matrix(d, 1.0, eps)
-		lo1, _, ok1 := relax.ExtremizeKCoordinate(theorem4ProcessSets(cols, 0), 2, 0)
-		_, hi2, ok2 := relax.ExtremizeKCoordinate(theorem4ProcessSets(cols, 1), 2, 0)
+		lo1, _, ok1 := relax.ExtremizeKCoordinate(processSets(cols, 0), 2, 0)
+		_, hi2, ok2 := relax.ExtremizeKCoordinate(processSets(cols, 1), 2, 0)
 		gapOK := ok1 && ok2 && lo1-hi2 >= 2*eps-1e-7
 		t.AddRow(d, "matrix n=d+2", "min x1 over Psi_1", lo1, ">= 2eps = 0.5", report.PassFail(ok1 && lo1 >= 2*eps-1e-7))
 		t.AddRow(d, "matrix n=d+2", "max x1 over Psi_2", hi2, "<= 0", report.PassFail(ok2 && hi2 <= 1e-7))
@@ -185,19 +184,19 @@ func E3KRelaxedAsync(opt Options) *Outcome {
 	// epsilon-agreement (k-relaxed validity is implied by exact validity).
 	d := 3
 	n := d + 3
-	cfg := &consensus.AsyncConfig{
-		N: n, F: 1, D: d,
+	spec := bvc.Spec{
+		Protocol: bvc.ProtocolAsync, N: n, F: 1, D: d,
 		Inputs: workload.Gaussian(rng, n, d, 2),
-		Rounds: 12, Mode: consensus.ModeExact,
+		Rounds: 12, Mode: bvc.ModeExact,
 	}
-	res, err := consensus.RunAsyncBVC(context.Background(), cfg)
+	res, err := bvc.Run(context.Background(), spec)
 	suffOK := err == nil
 	var epsGot float64
 	if suffOK {
-		epsGot = consensus.AgreementError(res.Outputs, cfg.HonestIDs())
+		epsGot = bvc.AgreementError(res.Outputs, spec.HonestIDs())
 		suffOK = epsGot < 1e-2
-		for _, i := range cfg.HonestIDs() {
-			suffOK = suffOK && consensus.CheckExactValidity(res.Outputs[i], cfg.NonFaultyInputs(), 1e-6)
+		for _, i := range spec.HonestIDs() {
+			suffOK = suffOK && bvc.CheckExactValidity(res.Outputs[i], spec.NonFaultyInputs(), 1e-6)
 		}
 	}
 	t.AddRow(d, "protocol n=(d+2)f+1", "epsilon after 12 rounds", epsGot, "< 0.01", report.PassFail(suffOK))
@@ -206,19 +205,19 @@ func E3KRelaxedAsync(opt Options) *Outcome {
 	// n = 3f+1 even for large d, where the k >= 2 bound would demand
 	// (d+2)f+1 processes.
 	dBig := 6
-	cfg1 := &consensus.AsyncConfig{
-		N: 4, F: 1, D: dBig,
+	spec1 := bvc.Spec{
+		Protocol: bvc.ProtocolK1Async, N: 4, F: 1, D: dBig,
 		Inputs: workload.Gaussian(rng, 4, dBig, 2),
 		Rounds: 10,
 	}
-	res1, err1 := consensus.RunK1AsyncBVC(context.Background(), cfg1)
+	res1, err1 := bvc.Run(context.Background(), spec1)
 	k1OK := err1 == nil
 	var eps1 float64
 	if k1OK {
-		eps1 = consensus.AgreementError(res1.Outputs, cfg1.HonestIDs())
+		eps1 = bvc.AgreementError(res1.Outputs, spec1.HonestIDs())
 		k1OK = eps1 < 0.01
-		for _, i := range cfg1.HonestIDs() {
-			k1OK = k1OK && consensus.CheckKValidity(res1.Outputs[i], cfg1.NonFaultyInputs(), 1, 1e-6)
+		for _, i := range spec1.HonestIDs() {
+			k1OK = k1OK && bvc.CheckKValidity(res1.Outputs[i], spec1.NonFaultyInputs(), 1, 1e-6)
 		}
 	}
 	t.AddRow(dBig, "k=1 reduction n=3f+1", "epsilon after 10 rounds", eps1, "< 0.01", report.PassFail(k1OK))
@@ -293,27 +292,8 @@ func E5DeltaConstAsync(opt Options) *Outcome {
 	for _, d := range dims {
 		x := 2*float64(d)*delta + eps + 0.5 // strictly above the proof bound
 		cols := workload.Theorem6Matrix(d, x)
-		// Process output regions: Psi_i = intersect over j != i, j in
-		// 1..d+1 of H_(delta,inf)(S^j) (Appendix C uses the same S^j
-		// structure as Appendix B).
-		psi := func(i int) []*vec.Set {
-			var fam []*vec.Set
-			for j := 0; j <= d; j++ {
-				if j == i {
-					continue
-				}
-				s := vec.NewSet()
-				for l := 0; l <= d; l++ {
-					if l != j {
-						s.Append(cols[l])
-					}
-				}
-				fam = append(fam, s)
-			}
-			return fam
-		}
-		lo1, _, ok1 := relax.ExtremizeRelaxedCoordinate(psi(0), delta, math.Inf(1), 0)
-		_, hi2, ok2 := relax.ExtremizeRelaxedCoordinate(psi(1), delta, math.Inf(1), 0)
+		lo1, _, ok1 := relax.ExtremizeRelaxedCoordinate(processSets(cols, 0), delta, math.Inf(1), 0)
+		_, hi2, ok2 := relax.ExtremizeRelaxedCoordinate(processSets(cols, 1), delta, math.Inf(1), 0)
 		gap := lo1 - hi2
 		ok := ok1 && ok2 && gap > eps
 		t.AddRow(d, x, lo1, hi2, gap, eps, report.PassFail(ok))

@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"relaxedbvc/internal/consensus"
+	bvc "relaxedbvc"
 	"relaxedbvc/internal/report"
-	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/workload"
 )
 
@@ -18,7 +17,7 @@ import (
 // partitions for the asynchronous ones) must leave every run satisfying
 // the paper's guarantees; out-of-model patterns (synchrony-breaking
 // drops, exhausted retransmission budgets, unhealed partitions) must
-// degrade into typed errors wrapping sched.ErrDeliveryViolated. A final
+// degrade into typed errors wrapping ErrDeliveryViolated. A final
 // scenario replays one faulty run and requires bit-identical outputs
 // and fault counters — the deterministic-replay contract.
 func E21FaultSweep(opt Options) *Outcome {
@@ -37,90 +36,81 @@ func E21FaultSweep(opt Options) *Outcome {
 		wantClean    bool
 	}
 
-	syncRun := func(seed int64, faults *sched.LinkFaults) (*consensus.SyncResult, *consensus.SyncConfig, error) {
+	// runSeed executes ALGO (sync) or relaxed-mode RVA (async; Rounds is
+	// its budget) at n=4 f=1 d=3 on seeded inputs.
+	runSeed := func(p bvc.Protocol, seed int64, faults *bvc.LinkFaults) (*bvc.Result, *bvc.Spec, error) {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := &consensus.SyncConfig{
-			N: 4, F: 1, D: 3,
-			Inputs: workload.Gaussian(rng, 4, 3, 1),
-			Faults: faults,
-		}
-		res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
-		return res, cfg, err
-	}
-	asyncRun := func(seed int64, faults *sched.LinkFaults) (*consensus.AsyncResult, *consensus.AsyncConfig, error) {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := &consensus.AsyncConfig{
-			N: 4, F: 1, D: 3,
+		spec := &bvc.Spec{
+			Protocol: p, N: 4, F: 1, D: 3,
 			Inputs: workload.Gaussian(rng, 4, 3, 1),
 			Rounds: 5,
-			Mode:   consensus.ModeRelaxed,
 			Faults: faults,
 		}
-		res, err := consensus.RunAsyncBVC(context.Background(), cfg)
-		return res, cfg, err
+		res, err := bvc.Run(context.Background(), *spec)
+		return res, spec, err
 	}
 
 	rows := []row{
 		{
 			name: "within-model: duplication", engine: "sync", wantClean: true,
 			run: func(seed int64) (bool, bool, bool, error) {
-				res, cfg, err := syncRun(seed, &sched.LinkFaults{
-					Seed: seed, LinkProfile: sched.LinkProfile{DupProb: 0.5},
+				res, spec, err := runSeed(bvc.ProtocolDeltaRelaxed, seed, &bvc.LinkFaults{
+					Seed: seed, LinkProfile: bvc.LinkProfile{DupProb: 0.5},
 				})
 				if err != nil {
-					return false, errors.Is(err, sched.ErrDeliveryViolated), false, err
+					return false, errors.Is(err, bvc.ErrDeliveryViolated), false, err
 				}
-				ok := consensus.AgreementError(res.Outputs, cfg.HonestIDs()) == 0
-				for _, i := range cfg.HonestIDs() {
-					ok = ok && consensus.CheckDeltaValidity(res.Outputs[i], cfg.NonFaultyInputs(), res.Delta[i], 2, 1e-6)
+				ok := bvc.AgreementError(res.Outputs, spec.HonestIDs()) == 0
+				for _, i := range spec.HonestIDs() {
+					ok = ok && bvc.CheckDeltaValidity(res.Outputs[i], spec.NonFaultyInputs(), res.Delta[i], 2, 1e-6)
 				}
-				return ok, false, res.Faults.Duplicated > 0, nil
+				return ok, false, res.Metrics.LinkDuplicates > 0, nil
 			},
 		},
 		{
 			name: "within-model: drop+delay+dup+healing partition", engine: "async", wantClean: true,
 			run: func(seed int64) (bool, bool, bool, error) {
-				res, cfg, err := asyncRun(seed, &sched.LinkFaults{
+				res, spec, err := runSeed(bvc.ProtocolAsync, seed, &bvc.LinkFaults{
 					Seed:        seed,
-					LinkProfile: sched.LinkProfile{DropProb: 0.2, DupProb: 0.2, DelayMax: 2},
-					Partitions:  []sched.Partition{{Start: 1, End: 4, Group: []int{int(seed) % 4}}},
+					LinkProfile: bvc.LinkProfile{DropProb: 0.2, DupProb: 0.2, DelayMax: 2},
+					Partitions:  []bvc.Partition{{Start: 1, End: 4, Group: []int{int(seed) % 4}}},
 				})
 				if err != nil {
-					return false, errors.Is(err, sched.ErrDeliveryViolated), false, err
+					return false, errors.Is(err, bvc.ErrDeliveryViolated), false, err
 				}
 				ok := true
-				for _, i := range cfg.HonestIDs() {
+				for _, i := range spec.HonestIDs() {
 					ok = ok && res.Outputs[i] != nil
 				}
-				fs := res.Faults
-				return ok, false, fs.Dropped+fs.Duplicated+fs.Delayed+fs.PartitionHeals > 0, nil
+				m := res.Metrics
+				return ok, false, m.LinkDrops+m.LinkDuplicates+m.LinkDelays+m.PartitionHeals > 0, nil
 			},
 		},
 		{
 			name: "out-of-model: drops break lockstep", engine: "sync", wantClean: false,
 			run: func(seed int64) (bool, bool, bool, error) {
-				_, _, err := syncRun(seed, &sched.LinkFaults{
-					Seed: seed, LinkProfile: sched.LinkProfile{DropProb: 0.8},
+				_, _, err := runSeed(bvc.ProtocolDeltaRelaxed, seed, &bvc.LinkFaults{
+					Seed: seed, LinkProfile: bvc.LinkProfile{DropProb: 0.8},
 				})
-				return err == nil, errors.Is(err, sched.ErrDeliveryViolated), true, err
+				return err == nil, errors.Is(err, bvc.ErrDeliveryViolated), true, err
 			},
 		},
 		{
 			name: "out-of-model: retransmission budget exhausted", engine: "async", wantClean: false,
 			run: func(seed int64) (bool, bool, bool, error) {
-				_, _, err := asyncRun(seed, &sched.LinkFaults{
-					Seed: seed, LinkProfile: sched.LinkProfile{DropProb: 1}, MaxAttempts: 2,
+				_, _, err := runSeed(bvc.ProtocolAsync, seed, &bvc.LinkFaults{
+					Seed: seed, LinkProfile: bvc.LinkProfile{DropProb: 1}, MaxAttempts: 2,
 				})
-				return err == nil, errors.Is(err, sched.ErrDeliveryViolated), true, err
+				return err == nil, errors.Is(err, bvc.ErrDeliveryViolated), true, err
 			},
 		},
 		{
 			name: "out-of-model: partition never heals", engine: "async", wantClean: false,
 			run: func(seed int64) (bool, bool, bool, error) {
-				_, _, err := asyncRun(seed, &sched.LinkFaults{
-					Seed: seed, Partitions: []sched.Partition{{Start: 0, End: -1, Group: []int{0}}},
+				_, _, err := runSeed(bvc.ProtocolAsync, seed, &bvc.LinkFaults{
+					Seed: seed, Partitions: []bvc.Partition{{Start: 0, End: -1, Group: []int{0}}},
 				})
-				return err == nil, errors.Is(err, sched.ErrDeliveryViolated), true, err
+				return err == nil, errors.Is(err, bvc.ErrDeliveryViolated), true, err
 			},
 		},
 	}
@@ -152,14 +142,16 @@ func E21FaultSweep(opt Options) *Outcome {
 	// fault counters exactly.
 	replayOK := true
 	fp := func() string {
-		res, _, err := asyncRun(opt.Seed, &sched.LinkFaults{
+		res, _, err := runSeed(bvc.ProtocolAsync, opt.Seed, &bvc.LinkFaults{
 			Seed:        opt.Seed,
-			LinkProfile: sched.LinkProfile{DropProb: 0.3, DupProb: 0.2, DelayMax: 2},
+			LinkProfile: bvc.LinkProfile{DropProb: 0.3, DupProb: 0.2, DelayMax: 2},
 		})
 		if err != nil {
 			return "err:" + err.Error()
 		}
-		return fmt.Sprintf("%v|%+v", res.Outputs, res.Faults)
+		m := *res.Metrics
+		m.WallNanos = 0 // the one field that is not a function of the Spec
+		return fmt.Sprintf("%v|%+v", res.Outputs, m)
 	}
 	first := fp()
 	for i := 0; i < 2 && replayOK; i++ {

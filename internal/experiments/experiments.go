@@ -3,7 +3,8 @@
 // DESIGN.md. Each runner returns an Outcome holding the regenerated
 // table, an overall pass verdict (the paper's claim held numerically)
 // and free-form notes; cmd/bvcbench prints them and bench_test.go wraps
-// them as benchmarks.
+// them as benchmarks. Every protocol run goes through the root package's
+// Run, and agreement and validity are judged over Spec.HonestIDs.
 package experiments
 
 import (

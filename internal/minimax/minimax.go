@@ -33,7 +33,11 @@ import (
 // so (Delta,p)-relaxed validity of Point never depends on how tight the
 // bracket Lower <= delta*_p <= Delta is.
 type Result struct {
-	Delta     float64 // max_i dist_p(Point, H(P_i)), or a bound on it: an upper bound on delta*_p
+	// Delta is max_i dist_p(Point, H(P_i)) as the solver evaluated it,
+	// or a bound on it: an upper bound on delta*_p. A cold re-evaluation
+	// at Point (MaxDist2 over the family at p = 2) agrees with it up to
+	// last-bit rounding, not bit for bit.
+	Delta     float64
 	Lower     float64 // certified lower bound on delta*_p (== Delta when Exact)
 	Point     vec.V   // the point attaining Delta
 	Exact     bool    // true when computed by closed form rather than iteration

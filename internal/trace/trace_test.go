@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"context"
-
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -11,6 +10,7 @@ import (
 
 	"relaxedbvc/internal/consensus"
 	"relaxedbvc/internal/sched"
+	"relaxedbvc/internal/transport"
 	"relaxedbvc/internal/vec"
 )
 
@@ -167,7 +167,11 @@ func TestRecorderOnProtocolRun(t *testing.T) {
 		N: 4, F: 1, D: 2, Inputs: inputs,
 		Trace: r.Hook(),
 	}
-	res, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, 2)
+	choose, err := consensus.DeltaRelaxedChooser(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := consensus.RunSync(context.Background(), transport.Plane{}, cfg, choose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +201,7 @@ func TestRecorderOnAsyncRun(t *testing.T) {
 		Mode:  consensus.ModeRelaxed,
 		Trace: r.Hook(),
 	}
-	res, err := consensus.RunAsyncBVC(context.Background(), cfg)
+	res, err := consensus.RunAsync(context.Background(), transport.Plane{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
